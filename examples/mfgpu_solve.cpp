@@ -464,7 +464,7 @@ int main(int argc, char** argv) {
     }
 
     // Profiler report: aggregate while the ObsScope is still recording
-    // (finishing the scope clears the span and decision logs).
+    // (finishing the scope clears the recorded spans).
     if (!cli.report_path.empty()) {
       const obs::ProfileReport report = solver.profile_report();
       report.print(std::cout);

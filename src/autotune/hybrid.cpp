@@ -8,7 +8,8 @@ namespace mfgpu {
 DispatchExecutor make_ideal_hybrid(PolicyTimer& timer,
                                    ExecutorOptions options) {
   // One memoized dry-run argmin per (m, k), shared between the chooser and
-  // the decision-log predictor so each unique shape is simulated once.
+  // the predictor that fills FuCallRecord::predicted_seconds, so each
+  // unique shape is simulated once.
   struct BestCall {
     Policy policy = Policy::P1;
     double seconds = 0.0;

@@ -194,10 +194,14 @@ class Solver {
   const TrainedPolicyModel* model() const noexcept;
 
   /// Aggregated profile of the last factor()/refactor() (phase breakdown,
-  /// worker utilization, (m, k) bins, policy audit vs P_IH). Span- and
-  /// decision-derived sections need obs recording active during the run
-  /// (ObsScope / MFGPU_TRACE); call before the enclosing scope finishes.
-  /// Throws InvalidStateError if the solver has not been factored.
+  /// worker utilization, (m, k) bins, policy and fault audits vs P_IH).
+  /// Everything but the phase breakdown comes from this solver's own trace
+  /// of that run, so it is exact with or without obs recording and is not
+  /// affected by other solvers. The phase breakdown is read from the
+  /// recorded spans: it needs obs recording active (ObsScope /
+  /// MFGPU_TRACE), covers every span in the scope, and must be taken
+  /// before the enclosing scope finishes. Throws InvalidStateError if the
+  /// solver has not been factored.
   obs::ProfileReport profile_report() const;
 
   /// True when a schedule flight record of the last factor()/refactor() is

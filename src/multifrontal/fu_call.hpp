@@ -1,11 +1,12 @@
 // FuCall — the one descriptor every factor-update surface speaks.
 //
-// Historically the executor, timer, dispatcher, and decision-log layers all
-// passed parallel positional `(m, k, ...)` argument lists; adding a field
-// (etree level, flop count) meant touching every signature. FuCall carries
-// the call's identity once: the drivers fill it when they build a front,
-// and FrontBlocks, FuCallRecord, PolicyDecision, choosers, and predictors
-// all derive from or embed it.
+// Historically the executor, timer, and dispatcher layers all passed
+// parallel positional `(m, k, ...)` argument lists; adding a field (etree
+// level, flop count) meant touching every signature. FuCall carries the
+// call's identity once: the drivers fill it when they build a front, and
+// FrontBlocks, choosers, and predictors all derive from or embed it. The
+// call's outcome (FuCallRecord, multifrontal/trace.hpp) repeats only the
+// snode and (m, k) the audits re-price.
 //
 // This header is deliberately dependency-light (support/error.hpp only) so
 // observability headers can embed FuCall without pulling in the dense or

@@ -1,8 +1,11 @@
 // Per-call timing trace of a factorization. The paper's entire analysis
 // (Figs. 2-8, Tables III-V) is retrospective analysis of exactly this data:
 // one record per factor-update call with its dimensions and component times.
+// It is also the only record of a call: the profiler's policy and fault
+// audits (obs/profile.hpp) are computed from these records.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <iosfwd>
 #include <vector>
@@ -33,6 +36,20 @@ struct FuCallRecord {
   /// includes the wasted time of the failed on-device attempts.
   int faults = 0;
   bool fell_back = false;
+  /// One of the faults charged to this call tripped the circuit breaker.
+  bool quarantined = false;
+  /// A hybrid dispatcher (DispatchExecutor) chose this call's policy; the
+  /// profiler's policy audit covers exactly these calls.
+  bool dispatched = false;
+  /// Detected device faults charged to this call, per gpusim FaultKind:
+  /// the `faults` it survived plus, on the first member of an aborted
+  /// batch, the abort itself.
+  std::array<std::uint8_t, 5> fault_kinds{};
+  /// Simulated device time the charged faults threw away.
+  double fault_wasted_seconds = 0.0;
+  /// The dispatcher's predicted call time in seconds (the ideal hybrid's
+  /// dry-run oracle supplies one); < 0 = no prediction.
+  double predicted_seconds = -1.0;
 
   /// Serving request this call executed for (obs::current_request_id() at
   /// record time; 0 outside the serving layer). Stamped uniformly for every

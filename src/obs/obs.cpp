@@ -112,7 +112,6 @@ ObsScope::ObsScope(ObsConfig config) : config_(std::move(config)) {
   active_ = true;
   TraceSession::global().clear();
   MetricsRegistry::global().clear();
-  DecisionLog::global().clear();
   enable();
   register_scope(this);
 }
@@ -145,7 +144,6 @@ void ObsScope::finish() {
   export_files(config_);
   TraceSession::global().clear();
   MetricsRegistry::global().clear();
-  DecisionLog::global().clear();
 }
 
 void ObsScope::flush() {

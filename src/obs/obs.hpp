@@ -18,7 +18,6 @@
 
 #include <string>
 
-#include "obs/decision_log.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_session.hpp"
@@ -29,7 +28,7 @@ struct ObsConfig {
   std::string trace_path;         ///< Chrome trace JSON ("" = no trace file)
   std::string metrics_json_path;  ///< "" = no metrics JSON
   std::string metrics_csv_path;   ///< "" = no metrics CSV
-  /// Record spans/metrics/decisions even with no output file configured —
+  /// Record spans/metrics even with no output file configured —
   /// for in-process consumers (Solver::profile_report(), tests).
   bool record = false;
 

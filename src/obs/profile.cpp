@@ -10,7 +10,6 @@
 #include <utility>
 
 #include "gpusim/fault_injector.hpp"
-#include "obs/decision_log.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace_session.hpp"
@@ -18,6 +17,9 @@
 
 namespace mfgpu::obs {
 namespace {
+
+/// Bin edge length of the (m, k) grid (the paper's Fig. 14; Fig. 2 uses 500).
+constexpr index_t kMkBin = 250;
 
 std::string full_double(double value) {
   char buf[64];
@@ -152,8 +154,7 @@ void build_workers(ProfileReport& report, const PoolRunStats& stats,
 
 void build_trace_sections(ProfileReport& report,
                           const FactorizationTrace& trace,
-                          std::span<const SupernodeInfo> supernodes,
-                          index_t mk_bin) {
+                          std::span<const SupernodeInfo> supernodes) {
   report.fu_calls = static_cast<index_t>(trace.calls.size());
   report.fu_seconds = trace.fu_time;
   report.assembly_seconds = trace.assembly_time;
@@ -196,8 +197,7 @@ void build_trace_sections(ProfileReport& report,
     max_m = std::max(max_m, call.m);
     max_k = std::max(max_k, call.k);
   }
-  const index_t bin = std::max<index_t>(1, mk_bin);
-  report.mk_seconds = Grid2D(max_k + 1, max_m + 1, bin);
+  report.mk_seconds = Grid2D(max_k + 1, max_m + 1, kMkBin);
   for (const FuCallRecord& call : trace.calls) {
     report.mk_seconds.add(call.k, call.m, call.t_total);
   }
@@ -209,11 +209,12 @@ void build_trace_sections(ProfileReport& report,
   }
 }
 
-void build_audit(PolicyAudit& audit, const ExecutorOptions& options) {
-  const std::vector<PolicyDecision> decisions =
-      DecisionLog::global().decisions();
-  audit.decisions = static_cast<std::int64_t>(decisions.size());
-  if (decisions.empty()) return;
+void build_audit(PolicyAudit& audit, const FactorizationTrace& trace,
+                 const ExecutorOptions& options) {
+  for (const FuCallRecord& call : trace.calls) {
+    if (call.dispatched) ++audit.decisions;
+  }
+  if (audit.decisions == 0) return;
 
   // Dry-run oracle priced under the run's executor options. One lazily
   // filled entry per unique (m, k); the best-policy time is shared with the
@@ -227,13 +228,14 @@ void build_audit(PolicyAudit& audit, const ExecutorOptions& options) {
   };
   std::map<std::pair<index_t, index_t>, ShapeCost> shapes;
 
-  for (const PolicyDecision& d : decisions) {
-    if (d.policy < 1 || d.policy > kMaxPolicyIndex) continue;
-    ShapeCost& shape = shapes[{d.call.m, d.call.k}];
+  for (const FuCallRecord& d : trace.calls) {
+    if (!d.dispatched || d.policy < 1 || d.policy > kMaxPolicyIndex) continue;
+    const FuCall call{.m = d.m, .k = d.k};
+    ShapeCost& shape = shapes[{d.m, d.k}];
     if (shape.best == 0) {
-      const Policy best = timer.best_policy(d.call);
+      const Policy best = timer.best_policy(call);
       shape.best = static_cast<int>(best);
-      shape.best_seconds = timer.time(best, d.call);
+      shape.best_seconds = timer.time(best, call);
       shape.seconds[static_cast<std::size_t>(shape.best - 1)] =
           shape.best_seconds;
     }
@@ -242,14 +244,14 @@ void build_audit(PolicyAudit& audit, const ExecutorOptions& options) {
       // Batched dispatches are priced per front at the dispatch's actual
       // width, via the same aggregated path the executor ran, so the
       // regret gauges stay exact when batching wins.
-      chosen_seconds = timer.time_batched(d.call, std::max(1, d.batch));
+      chosen_seconds = timer.time_batched(call, std::max(1, d.batch));
       // The per-front ideal does not know about aggregation; a batched
       // decision "agrees" when it is at least as fast as the argmin.
       if (chosen_seconds <= shape.best_seconds) ++audit.agreements;
     } else {
       double& memo = shape.seconds[static_cast<std::size_t>(d.policy - 1)];
       if (memo < 0.0) {
-        memo = timer.time(static_cast<Policy>(d.policy), d.call);
+        memo = timer.time(static_cast<Policy>(d.policy), call);
       }
       chosen_seconds = memo;
       if (d.policy == shape.best) ++audit.agreements;
@@ -259,11 +261,11 @@ void build_audit(PolicyAudit& audit, const ExecutorOptions& options) {
     audit.ideal_seconds += shape.best_seconds;
     audit.regret_total_seconds += regret;
     audit.regret_max_seconds = std::max(audit.regret_max_seconds, regret);
-    audit.measured_seconds += d.measured_seconds;
+    audit.measured_seconds += d.t_total;
     if (d.predicted_seconds >= 0.0) {
       ++audit.predicted_calls;
       audit.prediction_abs_error_seconds +=
-          std::abs(d.predicted_seconds - d.measured_seconds);
+          std::abs(d.predicted_seconds - d.t_total);
     }
     ++audit.policy_counts[static_cast<std::size_t>(d.policy - 1)];
   }
@@ -273,17 +275,22 @@ void build_audit(PolicyAudit& audit, const ExecutorOptions& options) {
       audit.regret_total_seconds / static_cast<double>(audit.decisions);
 }
 
-void build_faults(FaultProfile& faults) {
-  const std::vector<FaultEvent> events = DecisionLog::global().fault_events();
-  faults.events = static_cast<std::int64_t>(events.size());
-  for (const FaultEvent& ev : events) {
-    if (ev.kind >= 0 &&
-        ev.kind < static_cast<int>(faults.kind_counts.size())) {
-      ++faults.kind_counts[static_cast<std::size_t>(ev.kind)];
+void build_faults(FaultProfile& faults, const FactorizationTrace& trace) {
+  for (const FuCallRecord& call : trace.calls) {
+    std::int64_t events = 0;
+    for (std::size_t kind = 0; kind < call.fault_kinds.size(); ++kind) {
+      faults.kind_counts[kind] += call.fault_kinds[kind];
+      events += call.fault_kinds[kind];
     }
-    ev.fell_back ? ++faults.fallbacks : ++faults.retries;
-    if (ev.quarantined) ++faults.quarantines;
-    faults.wasted_seconds += ev.wasted_seconds;
+    if (events == 0) continue;
+    // A call falls back at most once, after its last on-device attempt;
+    // every other fault charged to it was answered by another attempt.
+    const std::int64_t fallbacks = call.fell_back ? 1 : 0;
+    faults.events += events;
+    faults.fallbacks += fallbacks;
+    faults.retries += events - fallbacks;
+    if (call.quarantined) ++faults.quarantines;
+    faults.wasted_seconds += call.fault_wasted_seconds;
   }
 }
 
@@ -364,14 +371,11 @@ ProfileReport build_profile_report(const ProfileReportInputs& inputs) {
     build_workers(report, *inputs.pool_stats, inputs.pool_wall_seconds);
   }
   if (inputs.trace != nullptr) {
-    build_trace_sections(report, *inputs.trace, inputs.supernodes,
-                         inputs.mk_bin);
-  }
-  if (inputs.audit_policies) {
-    build_audit(report.audit, inputs.executor_options);
+    build_trace_sections(report, *inputs.trace, inputs.supernodes);
+    build_audit(report.audit, *inputs.trace, inputs.executor_options);
+    build_faults(report.faults, *inputs.trace);
   }
   build_memory(report, inputs.memory);
-  build_faults(report.faults);
   if (enabled()) publish_gauges(report);
   return report;
 }

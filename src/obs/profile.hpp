@@ -1,5 +1,5 @@
 // Factorization profiler: post-run aggregation of the observability layer's
-// raw data (spans, metrics, policy decisions, pool statistics) into one
+// raw data (spans, metrics, the per-call trace, pool statistics) into one
 // report — the in-process counterpart of the paper's retrospective analysis.
 //
 // The report contains
@@ -10,15 +10,16 @@
 //   - per-etree-level and (m, k)-binned factor-update time from the
 //     FactorizationTrace (support/binning's Grid2D, the paper's Fig. 2/14
 //     axes: x = supernode width k, y = update order m),
-//   - a policy-decision audit: every dispatcher decision replayed against a
-//     dry-run oracle to compute per-call regret vs the retrospective ideal
-//     P_IH and the decision-agreement rate (Figs. 12-13 methodology).
+//   - a policy-decision audit: every dispatched call in the trace replayed
+//     against a dry-run oracle to compute per-call regret vs the
+//     retrospective ideal P_IH and the decision-agreement rate (Figs. 12-13
+//     methodology), plus the fault audit from the faults charged to calls.
 //
-// build_profile_report() snapshots the global TraceSession / DecisionLog,
-// so it must run while the pipeline is quiescent and before the enclosing
-// ObsScope finishes (finish() clears both). When obs recording was never
-// enabled the span- and decision-derived sections are empty but the
-// trace/pool-derived sections are still filled in.
+// Only the phase breakdown reads global state: build_profile_report()
+// snapshots the global TraceSession, so it must run while the pipeline is
+// quiescent and before the enclosing ObsScope finishes (finish() clears
+// it). Every other section comes from the caller's inputs, so it describes
+// exactly that factorization and fills in with obs recording off.
 #pragma once
 
 #include <array>
@@ -68,10 +69,11 @@ struct LevelProfile {
   double ops = 0.0;         ///< paper's asymptotic F-U op counts
 };
 
-/// Decision-log audit against the retrospective ideal P_IH: every recorded
-/// dispatcher decision is re-priced with a dry-run PolicyTimer, so regret
-/// is exact under the deterministic simulation (identically zero when the
-/// run itself dispatched via make_ideal_hybrid with the same options).
+/// Policy audit against the retrospective ideal P_IH: every dispatched call
+/// in the trace (FuCallRecord::dispatched) is re-priced with a dry-run
+/// PolicyTimer, so regret is exact under the deterministic simulation
+/// (identically zero when the run itself dispatched via make_ideal_hybrid
+/// with the same options).
 struct PolicyAudit {
   std::int64_t decisions = 0;
   std::int64_t agreements = 0;  ///< chosen policy == PolicyTimer::best_policy
@@ -90,10 +92,10 @@ struct PolicyAudit {
   std::array<std::int64_t, 5> policy_counts{};
 };
 
-/// Fault-tolerance audit from the decision log's FaultEvents: what injected
-/// device faults cost the run — the "fault regret" is the simulated device
-/// time thrown away on failed attempts, plus how the dispatcher answered
-/// (on-device retry, host fallback, worker quarantine).
+/// Fault-tolerance audit from the faults charged to trace records: what
+/// injected device faults cost the run — the "fault regret" is the
+/// simulated device time thrown away on failed attempts, plus how the
+/// dispatcher answered (on-device retry, host fallback, worker quarantine).
 struct FaultProfile {
   std::int64_t events = 0;                    ///< faults detected in-run
   std::array<std::int64_t, 5> kind_counts{};  ///< indexed by gpusim FaultKind
@@ -150,7 +152,8 @@ struct ProfileReport {
 };
 
 struct ProfileReportInputs {
-  /// Per-call factor-update trace (required for levels / bins / totals).
+  /// Per-call factor-update trace (required for levels / bins / totals and
+  /// the policy and fault audits).
   const FactorizationTrace* trace = nullptr;
   /// Supernode array the trace's snode indices refer to (for etree levels;
   /// empty = no level breakdown).
@@ -163,17 +166,11 @@ struct ProfileReportInputs {
   ExecutorOptions executor_options;
   /// Per-worker memory high-water marks (FactorizeResult::memory).
   std::span<const WorkerMemory> memory;
-  /// Bin edge length for the (m, k) grid (paper: 500 for Fig. 2, 250 for
-  /// Fig. 14).
-  index_t mk_bin = 250;
-  /// Replay the decision log against a dry-run PolicyTimer. Costs one
-  /// simulated call per policy per unique (m, k); disable for callers that
-  /// only want timings.
-  bool audit_policies = true;
 };
 
-/// Builds the report from the global TraceSession / DecisionLog snapshots
-/// plus the caller-supplied trace and pool statistics. When obs recording
+/// Builds the report from the global TraceSession snapshot plus the
+/// caller-supplied trace and pool statistics. The policy audit costs one
+/// simulated call per policy per unique (m, k). When obs recording
 /// is enabled, also publishes the headline numbers as `profile.*` /
 /// `policy.*` gauges in the global MetricsRegistry so they appear in the
 /// exported metrics files.

@@ -11,8 +11,8 @@
 //     parent-linked (top of the thread's open-span stack, or the request's
 //     root span when the stack is empty), so the Chrome-trace export can
 //     render the request's full causal tree across threads;
-//   - DispatchExecutor decisions, FaultEvents, and injected gpusim faults
-//     are attributed to the request (obs::current_request_id());
+//   - F-U trace records (FuCallRecord::request_id) and injected gpusim
+//     faults are attributed to the request (obs::current_request_id());
 //   - factorize_parallel re-binds the context inside its pool workers, so
 //     even a multi-threaded numeric phase stays attributed.
 //

@@ -7,9 +7,7 @@
 #include "dense/blas.hpp"
 #include "dense/potrf.hpp"
 #include "gpusim/cost_class.hpp"
-#include "obs/decision_log.hpp"
 #include "obs/metrics.hpp"
-#include "obs/request_context.hpp"
 #include "policy/p4_gpu_potrf.hpp"
 
 namespace mfgpu {
@@ -29,6 +27,15 @@ bool block_finite(MatrixView<const double> v, bool lower_only) {
     }
   }
   return true;
+}
+
+/// Charges one detected device fault to the record of the call it hit —
+/// the profiler's fault audit reads these fields back from the trace.
+void charge_fault(FuCallRecord& record, FaultKind kind, double wasted,
+                  bool quarantined) {
+  ++record.fault_kinds[static_cast<std::size_t>(kind)];
+  record.fault_wasted_seconds += wasted;
+  record.quarantined = record.quarantined || quarantined;
 }
 
 MatrixView<const double> const_view(const MatrixView<double>& v) {
@@ -657,8 +664,7 @@ FuOutcome DispatchExecutor::execute(FrontBlocks front, FactorContext& ctx) {
     // Circuit breaker tripped (or the device died): CPU-only from here on.
     choice = Policy::P1;
   }
-  const bool audited = obs::enabled();
-  if (audited) {
+  if (obs::enabled()) {
     obs::MetricsRegistry::global().increment(
         "policy.selected.p" + std::to_string(static_cast<int>(choice)));
   }
@@ -667,16 +673,9 @@ FuOutcome DispatchExecutor::execute(FrontBlocks front, FactorContext& ctx) {
           ? execute_tolerant(front, ctx, choice)
           : executors_[static_cast<std::size_t>(static_cast<int>(choice) - 1)]
                 ->execute(front, ctx);
-  if (audited) {
-    obs::PolicyDecision decision;
-    decision.call = front.call();
-    decision.policy = outcome.record.policy;
-    if (predictor_) {
-      decision.predicted_seconds = predictor_(front.call(), choice);
-    }
-    decision.measured_seconds = outcome.record.t_total;
-    decision.request_id = obs::current_request_id();
-    obs::DecisionLog::global().record(decision);
+  outcome.record.dispatched = true;
+  if (predictor_) {
+    outcome.record.predicted_seconds = predictor_(front.call(), choice);
   }
   return outcome;
 }
@@ -744,13 +743,7 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
         restore_front(fronts[i], batch_snapshots_[i]);
       }
     }
-    ++fault_count_;
-    bool newly_quarantined = false;
-    if (options_.quarantine_after_faults > 0 && !quarantined_ &&
-        fault_count_ >= options_.quarantine_after_faults) {
-      quarantined_ = true;
-      newly_quarantined = true;
-    }
+    const bool newly_quarantined = count_fault();
     if (audited) {
       auto& metrics = obs::MetricsRegistry::global();
       metrics.increment(std::string("fault.detected.") +
@@ -758,18 +751,11 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
       metrics.add("fault.wasted_seconds", wasted);
       metrics.increment("batch.aborts");
       if (newly_quarantined) metrics.increment("fault.quarantines");
-      obs::FaultEvent event;
-      event.call = fronts[0].call();
-      event.policy = static_cast<int>(Policy::Batched);
-      event.kind = static_cast<int>(batch_kind);
-      event.attempt = 0;
-      event.fell_back = false;
-      event.quarantined = newly_quarantined;
-      event.wasted_seconds = wasted;
-      event.request_id = obs::current_request_id();
-      obs::DecisionLog::global().record_fault(event);
     }
-    return batch_singles(fronts, ctx);
+    // The lost dispatch is charged to the first member's record.
+    std::vector<FuOutcome> singles = batch_singles(fronts, ctx);
+    charge_fault(singles[0].record, batch_kind, wasted, newly_quarantined);
+    return singles;
   }
 
   // (Transfer corruption is validated inside run_batched_dispatch against
@@ -789,50 +775,35 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
   // the per-front path. The rest of the batch is untouched.
   for (const BatchFault& bf : faulted) {
     const std::size_t i = bf.index;
-    ++fault_count_;
-    bool newly_quarantined = false;
-    if (options_.quarantine_after_faults > 0 && !quarantined_ &&
-        fault_count_ >= options_.quarantine_after_faults) {
-      quarantined_ = true;
-      newly_quarantined = true;
-    }
+    const double wasted = outcomes[i].record.t_total;
+    const bool newly_quarantined = count_fault();
     if (audited) {
       auto& metrics = obs::MetricsRegistry::global();
       metrics.increment(std::string("fault.detected.") +
                         fault_kind_name(bf.kind));
-      metrics.add("fault.wasted_seconds", outcomes[i].record.t_total);
+      metrics.add("fault.wasted_seconds", wasted);
       metrics.increment("batch.faulted");
       if (newly_quarantined) metrics.increment("fault.quarantines");
-      obs::FaultEvent event;
-      event.call = fronts[i].call();
-      event.policy = static_cast<int>(Policy::Batched);
-      event.kind = static_cast<int>(bf.kind);
-      event.attempt = 0;
-      event.fell_back = false;
-      event.quarantined = newly_quarantined;
-      event.wasted_seconds = outcomes[i].record.t_total;
-      event.request_id = obs::current_request_id();
-      obs::DecisionLog::global().record_fault(event);
     }
     if (tolerant && numeric) restore_front(fronts[i], batch_snapshots_[i]);
     const int wasted_faults = outcomes[i].record.faults;
     outcomes[i] = execute(fronts[i], ctx);
     outcomes[i].record.faults += wasted_faults + 1;
+    charge_fault(outcomes[i].record, bf.kind, wasted, newly_quarantined);
   }
 
-  if (audited) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (skip[i] != 0) continue;
-      obs::PolicyDecision decision;
-      decision.call = fronts[i].call();
-      decision.policy = static_cast<int>(Policy::Batched);
-      decision.batch = static_cast<int>(n);
-      decision.measured_seconds = outcomes[i].record.t_total;
-      decision.request_id = obs::current_request_id();
-      obs::DecisionLog::global().record(decision);
-    }
-  }
+  for (FuOutcome& outcome : outcomes) outcome.record.dispatched = true;
   return outcomes;
+}
+
+bool DispatchExecutor::count_fault() {
+  ++fault_count_;
+  if (options_.quarantine_after_faults <= 0 || quarantined_ ||
+      fault_count_ < options_.quarantine_after_faults) {
+    return false;
+  }
+  quarantined_ = true;
+  return true;
 }
 
 void DispatchExecutor::snapshot_front(const FrontBlocks& front,
@@ -870,7 +841,15 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
   const auto exec_index = [](Policy p) {
     return static_cast<std::size_t>(static_cast<int>(p) - 1);
   };
-  int faults = 0;
+  // The faults survived so far, moved onto the record that finally stands.
+  FuCallRecord charged;
+  const auto finish = [&](FuOutcome& out) {
+    out.record.faults = charged.faults;
+    out.record.quarantined = charged.quarantined;
+    out.record.fault_kinds = charged.fault_kinds;
+    out.record.fault_wasted_seconds = charged.fault_wasted_seconds;
+    out.record.t_total = ctx.host_clock.now() - t0;
+  };
   const int max_device_attempts = 2;  // first try + one on-device retry
   for (int attempt = 0; attempt < max_device_attempts; ++attempt) {
     const double attempt_t0 = ctx.host_clock.now();
@@ -882,8 +861,7 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
       // Corruption can slip through without an exception — validate the
       // returned panels before trusting them.
       if (!numeric || front_finite(front)) {
-        out.record.faults = faults;
-        out.record.t_total = ctx.host_clock.now() - t0;
+        finish(out);
         return out;
       }
       observed = FaultKind::TransferCorruption;
@@ -906,14 +884,8 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
     dev.synchronize(ctx.host_clock);
     const double wasted = ctx.host_clock.now() - attempt_t0;
     if (numeric) restore_front(front, snapshot_);
-    ++faults;
-    ++fault_count_;
-    bool newly_quarantined = false;
-    if (options_.quarantine_after_faults > 0 && !quarantined_ &&
-        fault_count_ >= options_.quarantine_after_faults) {
-      quarantined_ = true;
-      newly_quarantined = true;
-    }
+    ++charged.faults;
+    const bool newly_quarantined = count_fault();
     const bool will_retry = retriable && !injector.dead() &&
                             !quarantined_ &&
                             attempt + 1 < max_device_attempts;
@@ -924,17 +896,8 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
       metrics.add("fault.wasted_seconds", wasted);
       metrics.increment(will_retry ? "fault.retries" : "fault.fallbacks");
       if (newly_quarantined) metrics.increment("fault.quarantines");
-      obs::FaultEvent event;
-      event.call = front.call();
-      event.policy = static_cast<int>(choice);
-      event.kind = static_cast<int>(observed);
-      event.attempt = attempt;
-      event.fell_back = !will_retry;
-      event.quarantined = newly_quarantined;
-      event.wasted_seconds = wasted;
-      event.request_id = obs::current_request_id();
-      obs::DecisionLog::global().record_fault(event);
     }
+    charge_fault(charged, observed, wasted, newly_quarantined);
     if (!will_retry) break;
   }
 
@@ -943,9 +906,8 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
   // redo now adds its full cost on top.
   FuOutcome out =
       executors_[exec_index(Policy::P1)]->execute(front, ctx);
-  out.record.faults = faults;
+  finish(out);
   out.record.fell_back = true;
-  out.record.t_total = ctx.host_clock.now() - t0;
   out.update_ready_at = std::max(out.update_ready_at, ctx.host_clock.now());
   return out;
 }

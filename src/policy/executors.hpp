@@ -75,10 +75,10 @@ class PolicyExecutor : public FuExecutor {
 };
 
 /// Chooses a policy per call from the FuCall descriptor — the hybrid
-/// schemes plug in here. When the observability layer is active, every
-/// execute() appends one obs::PolicyDecision (the call, executed policy,
-/// predicted time, measured time) to the global decision log — the
-/// profiler's policy-audit source.
+/// schemes plug in here. Every outcome record it returns is marked
+/// `dispatched`, carries the predictor's estimate when one is attached, and
+/// has the device faults it survived charged to it: the trace record is the
+/// profiler's policy- and fault-audit source.
 ///
 /// execute_batch() is the aggregated small-front path (Policy::Batched):
 /// the whole group runs as one potrf/trsm/syrk dispatch with one coalesced
@@ -97,7 +97,7 @@ class DispatchExecutor : public FuExecutor {
   DispatchExecutor(std::string name, Chooser chooser,
                    ExecutorOptions options = {});
 
-  /// Attach a predicted-time source for the decision log.
+  /// Attach a predicted-time source (FuCallRecord::predicted_seconds).
   void set_predictor(TimePredictor predictor) {
     predictor_ = std::move(predictor);
   }
@@ -114,6 +114,8 @@ class DispatchExecutor : public FuExecutor {
   /// Fault-tolerant path: scoped injection, validate/retry/fallback.
   FuOutcome execute_tolerant(const FrontBlocks& front, FactorContext& ctx,
                              Policy choice);
+  /// Counts one detected fault; true when it trips the circuit breaker.
+  bool count_fault();
   void snapshot_front(const FrontBlocks& front, std::vector<double>& buf);
   void restore_front(const FrontBlocks& front,
                      const std::vector<double>& buf) const;

@@ -1,7 +1,10 @@
 #include "sparse/io.hpp"
 
+#include <cmath>
+#include <cstdlib>
 #include <fstream>
 #include <sstream>
+#include <string>
 
 #include "sparse/coo.hpp"
 
@@ -53,12 +56,27 @@ SparseSpd read_matrix_market(std::istream& is) {
     }
   }
   Coo coo(rows);
+  std::string token;  // the value as written; reused across entries
   for (index_t t = 0; t < nnz; ++t) {
     index_t i = 0, j = 0;
-    double v = 0.0;
-    if (!(is >> i >> j >> v)) {
+    if (!(is >> i >> j >> token)) {
       throw InvalidArgumentError("matrix market: truncated entry list");
     }
+    const auto reject = [&](const std::string& why) {
+      return InvalidArgumentError(
+          "matrix market: entry " + std::to_string(t + 1) + " (" +
+          std::to_string(i) + ", " + std::to_string(j) + "): " + why);
+    };
+    if (i < 1 || i > rows || j < 1 || j > rows) {
+      throw reject("index out of range 1.." + std::to_string(rows));
+    }
+    // strtod, unlike operator>>, parses nan/inf so they can be named.
+    char* end = nullptr;
+    const double v = std::strtod(token.c_str(), &end);
+    if (end == token.c_str() || *end != '\0') {
+      throw reject("malformed value '" + token + "'");
+    }
+    if (!std::isfinite(v)) throw reject("non-finite value '" + token + "'");
     coo.add(i - 1, j - 1, v);
   }
   return coo.to_csc();

@@ -176,13 +176,17 @@ TEST(ObsScopeTest, DoubleFinishIsIdempotent) {
 }
 
 TEST(ObsScopeTest, ConstructionClearsStaleState) {
-  obs::DecisionLog::global().record({.call = {.m = 9, .k = 9}, .policy = 1});
+  obs::enable();
+  { obs::ScopedSpan stale("test", "stale_span"); }
+  obs::MetricsRegistry::global().gauge_set("test.stale", 1.0);
+  obs::disable();
+  ASSERT_FALSE(obs::TraceSession::global().events().empty());
   obs::ObsConfig config;
   config.record = true;
   obs::ObsScope scope(config);
-  // Stale decisions/spans/metrics from before the scope must not leak into
-  // this recording session.
-  EXPECT_EQ(obs::DecisionLog::global().size(), 0);
+  // Stale spans/metrics from before the scope must not leak into this
+  // recording session.
+  EXPECT_TRUE(obs::TraceSession::global().events().empty());
   EXPECT_TRUE(obs::MetricsRegistry::global().snapshot().gauges.empty());
   scope.finish();
 }

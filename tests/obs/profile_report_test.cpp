@@ -233,13 +233,44 @@ TEST(ProfileReportTest, WithoutRecordingTraceSectionsStillFill) {
   options.mode = SolverMode::BaselineHybrid;
   const Solver solver(p.matrix, options);  // no ObsScope
   const obs::ProfileReport report = solver.profile_report();
-  // Span- and decision-derived sections are empty...
+  // The span-derived phase breakdown is empty...
   EXPECT_DOUBLE_EQ(report.phases_total_seconds, 0.0);
-  EXPECT_EQ(report.audit.decisions, 0);
-  // ...but the trace-derived sections are not.
+  // ...but the trace-derived sections, the policy audit included, are not.
   EXPECT_EQ(report.fu_calls, solver.analysis().symbolic.num_supernodes());
   EXPECT_EQ(report.mk_binned_calls, report.fu_calls);
   EXPECT_GT(report.makespan_seconds, 0.0);
+  EXPECT_EQ(report.audit.decisions, report.fu_calls);
+}
+
+/// The audit of one solver's report must cover exactly its own last
+/// factorization: one decision per F-U call, whatever else ran in the
+/// same recording scope before it.
+void expect_audit_covers_last_factorization(const Solver& solver,
+                                            const char* step) {
+  const obs::ProfileReport report = solver.profile_report();
+  SCOPED_TRACE(step);
+  ASSERT_GT(report.fu_calls, 0);
+  EXPECT_EQ(report.audit.decisions, report.fu_calls);
+  EXPECT_EQ(std::accumulate(report.audit.policy_counts.begin(),
+                            report.audit.policy_counts.end(),
+                            std::int64_t{0}),
+            report.fu_calls);
+}
+
+TEST(ProfileReportTest, AuditIsNotContaminatedByOtherFactorizations) {
+  const GridProblem pa = make_laplacian_3d(5, 4, 4);
+  const GridProblem pb = make_laplacian_3d(7, 6, 5);
+  SolverOptions options;
+  options.mode = SolverMode::IdealHybrid;
+
+  obs::ObsScope scope(recording_config());
+  Solver a(pa.matrix, options);
+  expect_audit_covers_last_factorization(a, "after A factored");
+  const Solver b(pb.matrix, options);
+  expect_audit_covers_last_factorization(b, "after B factored (B)");
+  expect_audit_covers_last_factorization(a, "after B factored (A)");
+  a.refactor(pa.matrix);
+  expect_audit_covers_last_factorization(a, "after A refactored");
 }
 
 TEST(ProfileReportTest, ThrowsBeforeFactor) {

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <sstream>
+#include <string>
 
 #include "sparse/generators.hpp"
 
@@ -37,6 +38,42 @@ TEST(IoTest, RejectsTruncatedEntries) {
   std::stringstream buffer(
       "%%MatrixMarket matrix coordinate real symmetric\n2 2 3\n1 1 1.0\n");
   EXPECT_THROW(read_matrix_market(buffer), InvalidArgumentError);
+}
+
+/// The InvalidArgumentError message read_matrix_market throws for `text`.
+std::string read_error(const std::string& text) {
+  std::stringstream buffer(text);
+  try {
+    read_matrix_market(buffer);
+  } catch (const InvalidArgumentError& e) {
+    return e.what();
+  }
+  ADD_FAILURE() << "no InvalidArgumentError for:\n" << text;
+  return "";
+}
+
+TEST(IoTest, RejectsOutOfRangeIndexNamingTheEntry) {
+  const std::string message = read_error(
+      "%%MatrixMarket matrix coordinate real symmetric\n2 2 2\n"
+      "1 1 1.0\n3 1 0.5\n");
+  EXPECT_NE(message.find("entry 2 (3, 1)"), std::string::npos) << message;
+  EXPECT_NE(message.find("out of range"), std::string::npos) << message;
+  EXPECT_NE(read_error("%%MatrixMarket matrix coordinate real symmetric\n"
+                       "2 2 1\n0 1 1.0\n")
+                .find("out of range"),
+            std::string::npos);
+}
+
+TEST(IoTest, RejectsNonFiniteValues) {
+  for (const char* value : {"nan", "inf", "-inf", "NaN"}) {
+    const std::string message = read_error(
+        std::string("%%MatrixMarket matrix coordinate real symmetric\n"
+                    "2 2 2\n1 1 1.0\n2 2 ") +
+        value + "\n");
+    EXPECT_NE(message.find("non-finite value"), std::string::npos)
+        << value << ": " << message;
+    EXPECT_NE(message.find("entry 2 (2, 2)"), std::string::npos) << message;
+  }
 }
 
 TEST(IoTest, SkipsCommentLines) {
