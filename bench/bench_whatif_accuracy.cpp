@@ -126,7 +126,7 @@ obs::ScheduleRecord run_parallel(const Analysis& analysis, int gpu_workers) {
   options.workers.assign(static_cast<std::size_t>(gpu_workers),
                          WorkerSpec{.has_gpu = true});
   options.numeric.store_factor = false;
-  options.recorder = &recorder;
+  options.numeric.recorder = &recorder;
   (void)factorize_parallel(analysis, options);
   return recorder.take();
 }

@@ -6,10 +6,8 @@
 
 #include "gpusim/cost_class.hpp"
 #include "gpusim/fault_injector.hpp"
-#include "multifrontal/frontal.hpp"
-#include "multifrontal/stack_arena.hpp"
+#include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
-#include "obs/schedule_record.hpp"
 #include "sched/task_graph.hpp"
 
 namespace mfgpu {
@@ -74,17 +72,13 @@ std::string cluster_description(const ClusterOptions& options) {
 
 namespace {
 
-/// All execution state owned by one simulated node, plus its two
-/// interconnect lanes: send_free (egress — when the wire out of this node
-/// is next idle) and recv_free (ingress — when this node can next absorb a
-/// message). The lanes are virtual times, not clocks: they let transfers
-/// overlap compute on both endpoints while messages still serialize.
+/// The cluster bookkeeping of one simulated node (its execution state is a
+/// FrontWorker): its two interconnect lanes — send_free (egress: when the
+/// wire out of this node is next idle) and recv_free (ingress: when this
+/// node can next absorb a message) — and its death schedule. The lanes are
+/// virtual times, not clocks: they let transfers overlap compute on both
+/// endpoints while messages still serialize.
 struct NodeState {
-  FactorContext ctx;
-  std::unique_ptr<Device> device;
-  std::unique_ptr<FuExecutor> executor;
-  std::unique_ptr<StackArena> front_arena;
-  double assembly_time = 0.0;
   double send_free = 0.0;
   double recv_free = 0.0;
   bool dead = false;
@@ -102,9 +96,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
                                   const ClusterFactorizeOptions& options,
                                   const WorkerExecutorFactory& make_executor,
                                   ClusterStats* stats_out) {
-  const SymbolicFactor& sym = analysis.symbolic;
-  const SparseSpd& a = analysis.permuted;
-  const index_t nsup = sym.num_supernodes();
+  const index_t nsup = analysis.symbolic.num_supernodes();
   const ClusterOptions& cluster = options.cluster;
   MFGPU_CHECK(cluster.num_nodes > 0,
               "factorize_cluster: need at least one node");
@@ -120,36 +112,14 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   stats.num_nodes = num_nodes;
   stats.engine = cluster.engine;
 
-  FactorizeResult result;
-  result.factor.numeric = true;
-  if (options.numeric.store_factor) {
-    if (options.numeric.precision == FactorPrecision::Float32) {
-      result.factor.panels32.resize(static_cast<std::size_t>(nsup));
-    } else {
-      result.factor.panels.resize(static_cast<std::size_t>(nsup));
-    }
-  }
   if (nsup == 0) {
     if (stats_out != nullptr) *stats_out = stats;
-    return result;
+    return {};
   }
 
-  const TaskGraph graph = build_task_graph(sym, a);
-
-  // Critical-path priority (same weight as factorize_parallel) and per-task
-  // work for placement bookkeeping and death failover.
-  std::vector<double> task_work(static_cast<std::size_t>(nsup), 0.0);
-  std::vector<double> bottom(static_cast<std::size_t>(nsup), 0.0);
-  for (index_t t = nsup - 1; t >= 0; --t) {
-    task_work[static_cast<std::size_t>(t)] =
-        fu_total_ops(graph.ms[static_cast<std::size_t>(t)],
-                     graph.ks[static_cast<std::size_t>(t)]) +
-        graph.assembly_entries[static_cast<std::size_t>(t)];
-    const index_t p = graph.parent[static_cast<std::size_t>(t)];
-    bottom[static_cast<std::size_t>(t)] =
-        task_work[static_cast<std::size_t>(t)] +
-        ((p != -1) ? bottom[static_cast<std::size_t>(p)] : 0.0);
-  }
+  const TaskGraph graph = build_task_graph(analysis.symbolic,
+                                           analysis.permuted);
+  const std::vector<double> bottom = bottom_levels(graph);
 
   PlacementOptions placement_options;
   placement_options.num_nodes = num_nodes;
@@ -161,42 +131,24 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   stats.placement_refined_cost = placement.refined_cost;
   stats.placement_moves = placement.moves;
 
-  index_t max_m = 0, max_k = 0, max_order = 0;
-  for (const auto& sn : sym.supernodes()) {
-    max_m = std::max(max_m, sn.num_update_rows());
-    max_k = std::max(max_k, sn.width());
-    max_order = std::max(max_order, sn.front_order());
-  }
+  FrontTree::Setup setup;
+  setup.num_lanes = num_nodes;
+  setup.parallel = true;
+  FrontTree tree(analysis, options.numeric, setup);
 
-  obs::ScheduleRecorder* rec = options.recorder;
-  if (rec != nullptr) {
-    rec->start(num_nodes, nsup, graph.parent, /*parallel=*/true,
-               /*batched=*/false);
-  }
-
-  std::vector<NodeState> nodes(static_cast<std::size_t>(num_nodes));
+  std::vector<FrontWorker> workers;
+  workers.reserve(static_cast<std::size_t>(num_nodes));
+  const WorkerSpec spec{cluster.nodes_have_gpu};
   for (int n = 0; n < num_nodes; ++n) {
-    NodeState& node = nodes[static_cast<std::size_t>(n)];
-    const WorkerSpec spec{cluster.nodes_have_gpu};
-    if (spec.has_gpu) {
-      Device::Options device_options = options.device;
-      device_options.numeric = true;
-      node.device = std::make_unique<Device>(device_options);
-      node.ctx.device = node.device.get();
-    }
-    node.executor = make_executor
-                        ? make_executor(spec, n)
-                        : default_worker_executor(spec, options.executor);
-    MFGPU_CHECK(node.executor != nullptr,
-                "factorize_cluster: executor factory returned null");
-    node.front_arena = std::make_unique<StackArena>(max_order * max_order);
-    if (rec != nullptr) {
-      rec->attach(n, node.ctx.host_clock, spec.has_gpu);
-      rec->begin_task(n, obs::TaskKind::Prologue, -1, node.ctx.host_clock);
-    }
-    node.executor->prepare(max_m, max_k, node.ctx);
-    if (rec != nullptr) rec->end_task(n, node.ctx.host_clock);
+    workers.emplace_back(tree, n, spec, options.device,
+                         make_executor
+                             ? make_executor(spec, n)
+                             : default_worker_executor(spec, options.executor));
   }
+  std::vector<NodeState> nodes(static_cast<std::size_t>(num_nodes));
+  const auto clock_of = [&](int n) -> SimClock& {
+    return workers[static_cast<std::size_t>(n)].ctx().host_clock;
+  };
 
   // Remaining assigned work per node (death failover picks the least
   // loaded survivor) and the deterministic death draws: whether node n dies
@@ -206,7 +158,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   std::vector<index_t> assigned(static_cast<std::size_t>(num_nodes), 0);
   for (index_t t = 0; t < nsup; ++t) {
     const std::size_t n = static_cast<std::size_t>(node_of[static_cast<std::size_t>(t)]);
-    remaining[n] += task_work[static_cast<std::size_t>(t)];
+    remaining[n] += graph.work(t);
     ++assigned[n];
   }
   if (cluster.node_death_rate > 0.0) {
@@ -227,13 +179,9 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   }
   int alive = num_nodes;
 
-  // Cross-task hand-off: packed updates, their virtual ready times, and the
-  // node that produced each (for message routing — a dead node's published
-  // updates stay readable, i.e. checkpointed).
-  std::vector<std::vector<double>> updates(static_cast<std::size_t>(nsup));
-  std::vector<double> update_ready(static_cast<std::size_t>(nsup), 0.0);
+  // The node that produced each published update (for message routing — a
+  // dead node's published updates stay readable, i.e. checkpointed).
   std::vector<int> producer_node(static_cast<std::size_t>(nsup), -1);
-  std::vector<FuCallRecord> records(static_cast<std::size_t>(nsup));
   std::vector<char> done(static_cast<std::size_t>(nsup), 0);
 
   // A child's update is local when the link is shared memory, the producer
@@ -250,13 +198,12 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   // `commit` mutates the lanes and traffic stats; the non-mutating variant
   // estimates start times during task selection.
   auto wire_time = [&](index_t c, int dst, bool commit) {
-    if (is_local(c, dst)) return update_ready[static_cast<std::size_t>(c)];
+    if (is_local(c, dst)) return tree.update_ready(c);
     NodeState& src = nodes[static_cast<std::size_t>(
         producer_node[static_cast<std::size_t>(c)])];
     NodeState& sink = nodes[static_cast<std::size_t>(dst)];
     const index_t m = graph.ms[static_cast<std::size_t>(c)];
-    const double start =
-        std::max(update_ready[static_cast<std::size_t>(c)], src.send_free);
+    const double start = std::max(tree.update_ready(c), src.send_free);
     const double wire = link.wire_seconds(m);
     const double landed = std::max(start + wire + link.latency, sink.recv_free);
     if (commit) {
@@ -269,125 +216,16 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     return landed;
   };
 
-  // Assemble, execute, and publish one front on its node — the same numeric
-  // path as factorize_parallel's task body, so the factor is bitwise
-  // identical to the serial driver for any placement.
+  // Remote children are message arrivals, waited for as Transfer-class time
+  // so the critical-path analyzer attributes wire stalls and rate reruns
+  // scale them with the link; local children stay dependency joins.
+  tree.remote_arrival = [&](index_t c, int n) -> std::optional<double> {
+    if (is_local(c, n)) return std::nullopt;
+    return wire_time(c, n, /*commit=*/true);
+  };
   auto run_task = [&](index_t s, int n) {
-    NodeState& node = nodes[static_cast<std::size_t>(n)];
-    FactorContext& ctx = node.ctx;
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    obs::ScopedSpan task_span("cluster", "fu_task", &ctx.host_clock);
-    task_span.set_arg(0, "snode", s);
-    task_span.set_arg(1, "node", n);
-    if (rec != nullptr) {
-      rec->begin_task(n, obs::TaskKind::Front, s, ctx.host_clock);
-    }
-
-    const auto storage =
-        node.front_arena->push(sn.front_order() * sn.front_order());
-    struct ArenaPop {
-      StackArena* arena;
-      ~ArenaPop() { arena->pop(); }
-    } arena_guard{node.front_arena.get()};
-    FrontalMatrix front(sn, storage);
-
-    // Virtual start: local children are dependency joins (recomputable in
-    // what-if replay); remote children are message arrivals, recorded as
-    // Transfer-class waits so the critical-path analyzer attributes wire
-    // stalls and rate reruns scale them with the link.
-    const auto& kids = graph.children[static_cast<std::size_t>(s)];
-    for (index_t c : kids) {
-      if (is_local(c, n)) {
-        if (rec != nullptr) rec->note_join(n, c);
-        ctx.host_clock.advance_to(update_ready[static_cast<std::size_t>(c)]);
-      } else {
-        const double landed = wire_time(c, n, /*commit=*/true);
-        CostClassScope transfer(CostClass::Transfer);
-        ctx.host_clock.advance_to(landed);
-      }
-    }
-
-    double assembly_entries =
-        static_cast<double>(front.assemble_from_matrix(a, sn));
-    // Descending child index: the serial driver's extend-add order.
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const SupernodeInfo& child =
-          sym.supernodes()[static_cast<std::size_t>(*it)];
-      assembly_entries += static_cast<double>(front.extend_add(
-          child.update_rows, updates[static_cast<std::size_t>(*it)]));
-      updates[static_cast<std::size_t>(*it)] = {};  // freed once consumed
-    }
-    HostExec host = ctx.host_exec();
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host, assembly_entries);
-      node.assembly_time += ctx.host_clock.now() - t0;
-    }
-
-    FrontBlocks blocks = make_shape_blocks(front.m(), front.k(), sn.first_col);
-    blocks.snode = s;
-    blocks.l1 = front.l1();
-    blocks.l2 = front.l2();
-    blocks.u = front.update();
-    if (rec != nullptr) rec->add_call(n, blocks.call());
-    FuOutcome outcome;
-    {
-      obs::ScopedSpan fu_span("cluster", "factor_update", &ctx.host_clock);
-      if (rec != nullptr) rec->begin_exec(n);
-      outcome = node.executor->execute(blocks, ctx);
-      if (rec != nullptr) rec->end_exec(n);
-      fu_span.set_arg(0, "m", front.m());
-      fu_span.set_arg(1, "k", front.k());
-      fu_span.set_arg(2, "policy", outcome.record.policy);
-    }
-
-    outcome.record.snode = s;
-    records[static_cast<std::size_t>(s)] = outcome.record;
-    if (options.numeric.store_factor) {
-      const MatrixView<const double> source(front.full().data(), front.order(),
-                                            front.k(), front.full().ld());
-      if (options.numeric.precision == FactorPrecision::Float32) {
-        auto& panel = result.factor.panels32[static_cast<std::size_t>(s)];
-        panel = Matrix<float>(front.order(), front.k());
-        copy_into<float>(source, panel.view());
-      } else {
-        auto& panel = result.factor.panels[static_cast<std::size_t>(s)];
-        panel = Matrix<double>(front.order(), front.k());
-        copy_into<double>(source, panel.view());
-      }
-    }
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host, static_cast<double>(front.order()) *
-                                   static_cast<double>(front.k()));
-      node.assembly_time += ctx.host_clock.now() - t0;
-    }
-
-    if (sn.parent != -1) {
-      auto& update = updates[static_cast<std::size_t>(s)];
-      update.resize(static_cast<std::size_t>(packed_lower_size(front.m())));
-      front.pack_update(update);
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host,
-                         static_cast<double>(packed_lower_size(front.m())));
-      node.assembly_time += ctx.host_clock.now() - t0;
-      if (rec != nullptr) {
-        rec->note_ready(n, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      update_ready[static_cast<std::size_t>(s)] =
-          std::max(outcome.update_ready_at, ctx.host_clock.now());
-      producer_node[static_cast<std::size_t>(s)] = n;
-    } else {
-      MFGPU_CHECK(front.m() == 0,
-                  "factorize_cluster: root supernode with update rows");
-      if (rec != nullptr) {
-        rec->note_ready(n, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      ctx.host_clock.advance_to(outcome.update_ready_at);
-    }
-    if (rec != nullptr) rec->end_task(n, ctx.host_clock);
+    workers[static_cast<std::size_t>(n)].run_front(s);
+    producer_node[static_cast<std::size_t>(s)] = n;
   };
 
   // Node death: re-place every unexecuted task of the dead node onto the
@@ -399,7 +237,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     node.dead = true;
     ++stats.node_deaths;
     --alive;
-    const double death_time = node.ctx.host_clock.now();
+    const double death_time = clock_of(n).now();
     int target = -1;
     for (int x = 0; x < num_nodes; ++x) {
       if (nodes[static_cast<std::size_t>(x)].dead) continue;
@@ -415,15 +253,13 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
         continue;
       }
       node_of[static_cast<std::size_t>(t)] = target;
-      remaining[static_cast<std::size_t>(target)] +=
-          task_work[static_cast<std::size_t>(t)];
+      remaining[static_cast<std::size_t>(target)] += graph.work(t);
       ++stats.replaced_tasks;
     }
     remaining[static_cast<std::size_t>(n)] = 0.0;
     {
       CostClassScope transfer(CostClass::Transfer);
-      nodes[static_cast<std::size_t>(target)].ctx.host_clock.advance_to(
-          death_time + 10.0 * link.latency);
+      clock_of(target).advance_to(death_time + 10.0 * link.latency);
     }
   };
 
@@ -431,8 +267,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     const int n = node_of[static_cast<std::size_t>(s)];
     NodeState& node = nodes[static_cast<std::size_t>(n)];
     done[static_cast<std::size_t>(s)] = 1;
-    remaining[static_cast<std::size_t>(n)] -=
-        task_work[static_cast<std::size_t>(s)];
+    remaining[static_cast<std::size_t>(n)] -= graph.work(s);
     ++node.executed;
     if (node.death_after >= 0 && !node.dead &&
         node.executed >= node.death_after && alive > 1) {
@@ -443,7 +278,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   // Earliest virtual start of a ready task on its node, for selection.
   auto estimated_start = [&](index_t s) {
     const int n = node_of[static_cast<std::size_t>(s)];
-    double est = nodes[static_cast<std::size_t>(n)].ctx.host_clock.now();
+    double est = clock_of(n).now();
     for (index_t c : graph.children[static_cast<std::size_t>(s)]) {
       est = std::max(est, wire_time(c, n, /*commit=*/false));
     }
@@ -538,78 +373,29 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
       }
       // Barrier: every surviving node (and its lanes) waits for the level.
       double level_end = 0.0;
-      for (const NodeState& node : nodes) {
-        if (!node.dead) {
-          level_end = std::max(level_end, node.ctx.host_clock.now());
+      for (int n = 0; n < num_nodes; ++n) {
+        if (!nodes[static_cast<std::size_t>(n)].dead) {
+          level_end = std::max(level_end, clock_of(n).now());
         }
       }
-      for (NodeState& node : nodes) {
+      for (int n = 0; n < num_nodes; ++n) {
+        NodeState& node = nodes[static_cast<std::size_t>(n)];
         if (node.dead) continue;
-        node.ctx.host_clock.advance_to(level_end);
+        clock_of(n).advance_to(level_end);
         node.send_free = std::max(node.send_free, level_end);
         node.recv_free = std::max(node.recv_free, level_end);
       }
     }
   }
 
-  // Drain in-flight device copies and reduce the node clocks into the
-  // cluster's virtual makespan.
-  double makespan = 0.0;
-  double assembly_total = 0.0;
-  for (int n = 0; n < num_nodes; ++n) {
-    NodeState& node = nodes[static_cast<std::size_t>(n)];
-    if (rec != nullptr) {
-      rec->begin_task(n, obs::TaskKind::Epilogue, -1, node.ctx.host_clock);
-    }
-    if (node.ctx.device != nullptr) {
-      node.ctx.device->synchronize(node.ctx.host_clock);
-    }
-    if (rec != nullptr) {
-      rec->end_task(n, node.ctx.host_clock);
-      rec->detach(n, node.ctx.host_clock);
-    }
-    makespan = std::max(makespan, node.ctx.host_clock.now());
-    assembly_total += node.assembly_time;
-    result.faults_survived += node.executor->fault_count();
-    if (node.executor->quarantined()) ++result.quarantined_workers;
-  }
-  stats.makespan = makespan;
-  stats.max_node_seconds = makespan;
-
-  FactorizationTrace& trace = result.trace;
-  for (index_t s = 0; s < nsup; ++s) {
-    trace.record_call(records[static_cast<std::size_t>(s)]);
-  }
-  trace.assembly_time = assembly_total;
-  trace.total_time = makespan;
-
-  for (std::size_t n = 0; n < nodes.size(); ++n) {
-    const NodeState& node = nodes[n];
-    WorkerMemory mem;
-    mem.worker = static_cast<int>(n);
-    if (node.front_arena != nullptr) {
-      mem.arena_peak_bytes =
-          static_cast<std::int64_t>(node.front_arena->peak_entries()) *
-          static_cast<std::int64_t>(sizeof(double));
-    }
-    if (node.ctx.device != nullptr) {
-      const PoolStats& dev = node.ctx.device->device_pool_stats();
-      const PoolStats& pinned = node.ctx.device->pinned_pool_stats();
-      mem.device_pool_peak_bytes = dev.peak_bytes;
-      mem.pinned_pool_peak_bytes = pinned.peak_bytes;
-      mem.device_pool_charged_allocs = dev.charged_allocations;
-      mem.pinned_pool_charged_allocs = pinned.charged_allocations;
-    }
-    result.memory.push_back(mem);
-  }
+  FactorizeResult result = tree.finish(workers);
+  stats.makespan = result.trace.total_time;
+  stats.max_node_seconds = stats.makespan;
 
   if (obs::enabled()) {
     auto& metrics = obs::MetricsRegistry::global();
-    metrics.add("multifrontal.assembly.seconds", assembly_total);
-    metrics.add("multifrontal.factorize.seconds", makespan);
-    metrics.add("multifrontal.supernodes", static_cast<double>(nsup));
     metrics.gauge_set("cluster.nodes", static_cast<double>(num_nodes));
-    metrics.add("cluster.makespan_seconds", makespan);
+    metrics.add("cluster.makespan_seconds", stats.makespan);
     metrics.add("cluster.messages", static_cast<double>(stats.messages));
     metrics.add("cluster.bytes_on_wire", stats.bytes_on_wire);
     metrics.add("cluster.send_busy_seconds", stats.send_busy_seconds);
@@ -621,20 +407,6 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
                   static_cast<double>(stats.node_deaths));
       metrics.add("cluster.replaced_tasks",
                   static_cast<double>(stats.replaced_tasks));
-    }
-    if (result.faults_survived > 0) {
-      metrics.add("fault.run.survived",
-                  static_cast<double>(result.faults_survived));
-    }
-    for (const NodeState& node : nodes) {
-      if (node.ctx.device != nullptr) {
-        metrics.gauge_max("gpusim.pool.device.peak_bytes",
-                          static_cast<double>(
-                              node.ctx.device->device_pool_stats().peak_bytes));
-        metrics.gauge_max("gpusim.pool.pinned.peak_bytes",
-                          static_cast<double>(
-                              node.ctx.device->pinned_pool_stats().peak_bytes));
-      }
     }
   }
 

@@ -6,9 +6,11 @@
 //   - Elimination subtrees map to simulated cluster nodes: the proportional
 //     mapping seeds the placement and a greedy refinement trades residual
 //     load imbalance against interconnect cost (cluster/placement.hpp).
-//   - Each node owns its full execution state — a FactorContext (virtual
-//     host clock), optionally a private simulated Device, an FuExecutor,
-//     and a StackArena — exactly like one worker of factorize_parallel.
+//   - Each node is a FrontWorker (multifrontal/front_step.hpp) owning its
+//     full execution state — a FactorContext (virtual host clock),
+//     optionally a private simulated Device, an FuExecutor, and a
+//     StackArena for its fronts — and runs the same front step as every
+//     other driver; the engine only decides the order and the node.
 //   - A child placed on another node ships its PACKED update matrix to the
 //     parent's node as a sized message over an InterconnectModel link
 //     (sched/interconnect.hpp). Messages serialize on the producer's
@@ -114,16 +116,15 @@ struct ClusterStats {
 
 struct ClusterFactorizeOptions {
   ClusterOptions cluster;
-  FactorizeOptions numeric;  ///< batching is ignored (see header comment)
+  /// Storage and the schedule flight recorder (one lane per node; remote
+  /// message arrivals are recorded as Transfer-class waits, so the
+  /// critical-path analyzer attributes wire stalls and what-if replay scales
+  /// them with transfer_scale). Batching is ignored (see header comment).
+  FactorizeOptions numeric;
   ExecutorOptions executor;
   /// Template for each GPU-bearing node's private device (fault injection
   /// included — per-front fault fates stay placement-independent).
   Device::Options device;
-  /// Optional schedule flight recorder: one lane per node. Remote message
-  /// arrivals are recorded as Transfer-class waits, so the critical-path
-  /// analyzer attributes wire stalls and what-if replay scales them with
-  /// transfer_scale. The `numeric.recorder` field is ignored here.
-  obs::ScheduleRecorder* recorder = nullptr;
 };
 
 /// Factor `analysis` on the simulated cluster. Matches factorize()'s

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <limits>
 
-#include "policy/policy.hpp"
 #include "sched/proportional_map.hpp"
 
 namespace mfgpu {
@@ -13,11 +12,7 @@ std::vector<double> task_seconds(const TaskGraph& graph,
                                  const PlacementOptions& options) {
   std::vector<double> seconds(static_cast<std::size_t>(graph.num_tasks), 0.0);
   for (index_t t = 0; t < graph.num_tasks; ++t) {
-    const double work =
-        fu_total_ops(graph.ms[static_cast<std::size_t>(t)],
-                     graph.ks[static_cast<std::size_t>(t)]) +
-        graph.assembly_entries[static_cast<std::size_t>(t)];
-    seconds[static_cast<std::size_t>(t)] = work / options.ops_per_second;
+    seconds[static_cast<std::size_t>(t)] = graph.work(t) / options.ops_per_second;
   }
   return seconds;
 }

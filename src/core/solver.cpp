@@ -180,7 +180,7 @@ void Solver::Impl::run_factor() {
     cluster_options.cluster = options.cluster;
     cluster_options.executor = options.executor;
     cluster_options.device = options.device;
-    cluster_options.recorder = rec;
+    cluster_options.numeric.recorder = rec;
     ClusterStats stats;
     obs::ScopedSpan span("solver", "numeric_factorization");
     result = factorize_cluster(*analysis, cluster_options, worker_factory(),
@@ -194,7 +194,7 @@ void Solver::Impl::run_factor() {
     parallel_options.numeric.batching = options.batching;
     parallel_options.executor = options.executor;
     parallel_options.device = options.device;
-    parallel_options.recorder = rec;
+    parallel_options.numeric.recorder = rec;
     obs::ScopedSpan span("solver", "numeric_factorization");
     result = factorize_parallel(*analysis, parallel_options, worker_factory());
   } else {

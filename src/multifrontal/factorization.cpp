@@ -2,11 +2,8 @@
 
 #include <algorithm>
 
-#include "multifrontal/frontal.hpp"
-#include "multifrontal/stack_arena.hpp"
+#include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
-#include "obs/schedule_record.hpp"
-#include "symbolic/postorder.hpp"
 
 namespace mfgpu {
 
@@ -21,526 +18,62 @@ std::int64_t Factorization::storage_bytes() const noexcept {
   return bytes;
 }
 
-namespace {
-
-/// Level-sweep driver for the batched execution path. Fronts are processed
-/// by ascending etree height (all children of a height-h front have height
-/// < h), so every member of a planned batch is independent and ready
-/// together. Each child's packed update matrix lives in its own buffer
-/// until the parent consumes it — the LIFO stack discipline of the
-/// postorder driver does not survive level order — but the extend-add
-/// order (descending child index) and all per-front numeric math are
-/// identical, so the factor is bitwise the same.
-FactorizeResult factorize_levels(const Analysis& analysis,
-                                 FuExecutor& executor, FactorContext& ctx,
-                                 const FactorizeOptions& options,
-                                 const BatchPlan& plan) {
+FactorizeResult factorize(const Analysis& analysis, FuExecutor& executor,
+                          FactorContext& ctx,
+                          const FactorizeOptions& options) {
   const SymbolicFactor& sym = analysis.symbolic;
-  const SparseSpd& a = analysis.permuted;
   const index_t nsup = sym.num_supernodes();
+  const BatchPlan plan = options.batching.enabled()
+                             ? group_batches(sym, options.batching)
+                             : BatchPlan{};
 
   obs::ScopedSpan factorize_span("multifrontal", "factorize",
                                  &ctx.host_clock);
   factorize_span.set_arg(0, "supernodes", nsup);
+
+  FrontTree::Setup setup;
+  setup.numeric = ctx.numeric;
+  if (!plan.any()) {
+    // Postorder: update matrices are produced and consumed in strict stack
+    // order, so they live on one LIFO arena bounded by the symbolic peak.
+    setup.update_stack = true;
+    FrontTree tree(analysis, options, setup);
+    FrontWorker worker(tree, executor, ctx);
+    for (index_t s = 0; s < nsup; ++s) worker.run_front(s);
+    return tree.finish(std::span(&worker, 1));
+  }
+
+  // Level sweep for the batched path. Fronts are processed by ascending
+  // etree height (all children of a height-h front have height < h), so
+  // every member of a planned batch is independent and ready together.
+  // The LIFO discipline does not survive level order, so each update lives
+  // in its own buffer until the parent consumes it; the extend-add order
+  // and all per-front numeric math are unchanged, so the factor is bitwise
+  // the same.
   factorize_span.set_arg(1, "batches",
                          static_cast<index_t>(plan.batches.size()));
-
-  FactorizeResult result;
-  result.factor.numeric = ctx.numeric;
-  if (options.store_factor && ctx.numeric) {
-    if (options.precision == FactorPrecision::Float32) {
-      result.factor.panels32.resize(static_cast<std::size_t>(nsup));
-    } else {
-      result.factor.panels.resize(static_cast<std::size_t>(nsup));
-    }
-  }
-  FactorizationTrace& trace = result.trace;
-
-  std::vector<index_t> snode_parent(static_cast<std::size_t>(nsup));
-  for (index_t s = 0; s < nsup; ++s) {
-    snode_parent[static_cast<std::size_t>(s)] =
-        sym.supernodes()[static_cast<std::size_t>(s)].parent;
-  }
-  const auto children = children_lists(snode_parent);
-
-  obs::ScheduleRecorder* rec = options.recorder;
-  if (rec != nullptr) {
-    rec->start(/*num_lanes=*/1, nsup, snode_parent, /*parallel=*/false,
-               /*batched=*/true);
-    rec->attach(0, ctx.host_clock, ctx.device != nullptr);
-  }
-
-  // Per-snode update buffers (with a stack-arena-style high-water gauge).
-  std::vector<std::vector<double>> update_store(
-      static_cast<std::size_t>(nsup));
-  std::vector<double> update_ready(static_cast<std::size_t>(nsup), 0.0);
-  std::int64_t live_entries = 0, peak_entries = 0;
-
-  const double start_time = ctx.host_clock.now();
-  HostExec host = ctx.host_exec();
-
-  {
-    index_t max_m = 0, max_k = 0;
-    for (const auto& sn : sym.supernodes()) {
-      max_m = std::max(max_m, sn.num_update_rows());
-      max_k = std::max(max_k, sn.width());
-    }
-    if (rec != nullptr) {
-      rec->begin_task(0, obs::TaskKind::Prologue, -1, ctx.host_clock);
-    }
-    executor.prepare(max_m, max_k, ctx);
-    if (rec != nullptr) rec->end_task(0, ctx.host_clock);
-  }
-
-  auto assemble = [&](index_t s, FrontalMatrix& front) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    const auto& kids = children[static_cast<std::size_t>(s)];
-    for (index_t c : kids) {
-      if (rec != nullptr) rec->note_join(0, c);
-      ctx.host_clock.advance_to(update_ready[static_cast<std::size_t>(c)]);
-    }
-    double assembly_entries =
-        static_cast<double>(front.assemble_from_matrix(a, sn));
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const SupernodeInfo& child =
-          sym.supernodes()[static_cast<std::size_t>(*it)];
-      if (ctx.numeric) {
-        auto& packed = update_store[static_cast<std::size_t>(*it)];
-        assembly_entries += static_cast<double>(
-            front.extend_add(child.update_rows, packed));
-        live_entries -= static_cast<std::int64_t>(packed.size());
-        packed = {};
-      } else {
-        assembly_entries += static_cast<double>(
-            packed_lower_size(child.num_update_rows()));
-      }
-    }
-    const double assembly_t0 = ctx.host_clock.now();
-    host_assembly_cost(host, assembly_entries);
-    trace.assembly_time += ctx.host_clock.now() - assembly_t0;
-  };
-
-  auto make_blocks = [&](index_t s, FrontalMatrix& front) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    FrontBlocks blocks =
-        make_shape_blocks(front.m(), front.k(), sn.first_col);
-    blocks.snode = s;
-    blocks.level = plan.height[static_cast<std::size_t>(s)];
-    if (ctx.numeric) {
-      blocks.l1 = front.l1();
-      blocks.l2 = front.l2();
-      blocks.u = front.update();
-    }
-    return blocks;
-  };
-
-  auto postprocess = [&](index_t s, FrontalMatrix& front,
-                         FuOutcome outcome) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    outcome.record.snode = s;
-    trace.record_call(outcome.record);
-    if (options.store_factor && ctx.numeric) {
-      const MatrixView<const double> source(front.full().data(),
-                                            front.order(), front.k(),
-                                            front.full().ld());
-      if (options.precision == FactorPrecision::Float32) {
-        auto& panel = result.factor.panels32[static_cast<std::size_t>(s)];
-        panel = Matrix<float>(front.order(), front.k());
-        copy_into<float>(source, panel.view());
-      } else {
-        auto& panel = result.factor.panels[static_cast<std::size_t>(s)];
-        panel = Matrix<double>(front.order(), front.k());
-        copy_into<double>(source, panel.view());
-      }
-    }
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host, static_cast<double>(front.order()) *
-                                   static_cast<double>(front.k()));
-      trace.assembly_time += ctx.host_clock.now() - t0;
-    }
-    if (sn.parent != -1) {
-      if (ctx.numeric) {
-        auto& packed = update_store[static_cast<std::size_t>(s)];
-        packed.assign(
-            static_cast<std::size_t>(packed_lower_size(front.m())), 0.0);
-        front.pack_update(packed);
-        live_entries += static_cast<std::int64_t>(packed.size());
-        peak_entries = std::max(peak_entries, live_entries);
-      }
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host,
-                         static_cast<double>(packed_lower_size(front.m())));
-      trace.assembly_time += ctx.host_clock.now() - t0;
-      if (rec != nullptr) {
-        rec->note_ready(0, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      update_ready[static_cast<std::size_t>(s)] =
-          std::max(outcome.update_ready_at, ctx.host_clock.now());
-    } else {
-      MFGPU_CHECK(front.m() == 0,
-                  "factorize: root supernode with update rows");
-      if (rec != nullptr) {
-        rec->note_ready(0, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      ctx.host_clock.advance_to(outcome.update_ready_at);
-    }
-  };
-
-  // Snodes grouped by height, ascending within each level.
+  setup.plan = &plan;
+  FrontTree tree(analysis, options, setup);
+  FrontWorker worker(tree, executor, ctx);
   std::vector<std::vector<index_t>> levels(
       static_cast<std::size_t>(std::max<index_t>(plan.num_levels, 1)));
   for (index_t s = 0; s < nsup; ++s) {
     levels[static_cast<std::size_t>(plan.height[static_cast<std::size_t>(s)])]
         .push_back(s);
   }
-
   std::vector<char> batch_done(plan.batches.size(), 0);
   for (const auto& level_snodes : levels) {
     for (index_t s : level_snodes) {
       const int b = plan.batch_of[static_cast<std::size_t>(s)];
       if (b < 0) {
-        const SupernodeInfo& sn =
-            sym.supernodes()[static_cast<std::size_t>(s)];
-        if (rec != nullptr) {
-          rec->begin_task(0, obs::TaskKind::Front, s, ctx.host_clock);
-        }
-        FrontalMatrix front(sn, ctx.numeric);
-        assemble(s, front);
-        FrontBlocks blocks = make_blocks(s, front);
-        if (rec != nullptr) rec->add_call(0, blocks.call());
-        FuOutcome outcome;
-        {
-          obs::ScopedSpan fu_span("multifrontal", "factor_update",
-                                  &ctx.host_clock);
-          if (rec != nullptr) rec->begin_exec(0);
-          outcome = executor.execute(blocks, ctx);
-          if (rec != nullptr) rec->end_exec(0);
-          fu_span.set_arg(0, "m", front.m());
-          fu_span.set_arg(1, "k", front.k());
-          fu_span.set_arg(2, "policy", outcome.record.policy);
-        }
-        postprocess(s, front, outcome);
-        if (rec != nullptr) rec->end_task(0, ctx.host_clock);
-        continue;
-      }
-      if (batch_done[static_cast<std::size_t>(b)] != 0) continue;
-      batch_done[static_cast<std::size_t>(b)] = 1;
-      const FrontBatch& batch = plan.batches[static_cast<std::size_t>(b)];
-      const std::size_t width = batch.snodes.size();
-      if (rec != nullptr) {
-        rec->begin_task(0, obs::TaskKind::Batch, static_cast<index_t>(b),
-                        ctx.host_clock);
-      }
-      std::vector<FrontalMatrix> fronts;
-      fronts.reserve(width);  // no reallocation: blocks hold views inside
-      std::vector<FrontBlocks> blocks;
-      blocks.reserve(width);
-      for (index_t member : batch.snodes) {
-        fronts.emplace_back(
-            sym.supernodes()[static_cast<std::size_t>(member)], ctx.numeric);
-        assemble(member, fronts.back());
-        blocks.push_back(make_blocks(member, fronts.back()));
-        if (rec != nullptr) rec->add_call(0, blocks.back().call());
-      }
-      std::vector<FuOutcome> outcomes;
-      {
-        obs::ScopedSpan fu_span("multifrontal", "factor_update_batch",
-                                &ctx.host_clock);
-        if (rec != nullptr) rec->begin_exec(0);
-        outcomes = executor.execute_batch(blocks, ctx);
-        if (rec != nullptr) rec->end_exec(0);
-        fu_span.set_arg(0, "fronts", static_cast<index_t>(width));
-        fu_span.set_arg(1, "level", batch.level);
-      }
-      MFGPU_CHECK(outcomes.size() == width,
-                  "factorize: executor returned wrong batch size");
-      for (std::size_t i = 0; i < width; ++i) {
-        postprocess(batch.snodes[i], fronts[i], outcomes[i]);
-      }
-      if (rec != nullptr) rec->end_task(0, ctx.host_clock);
-    }
-  }
-
-  if (rec != nullptr) {
-    rec->begin_task(0, obs::TaskKind::Epilogue, -1, ctx.host_clock);
-  }
-  if (ctx.device != nullptr) ctx.device->synchronize(ctx.host_clock);
-  if (rec != nullptr) {
-    rec->end_task(0, ctx.host_clock);
-    rec->detach(0, ctx.host_clock);
-  }
-  trace.total_time = ctx.host_clock.now() - start_time;
-  result.faults_survived = executor.fault_count();
-  result.quarantined_workers = executor.quarantined() ? 1 : 0;
-
-  {
-    WorkerMemory mem;
-    mem.worker = 0;
-    mem.arena_peak_bytes =
-        peak_entries * static_cast<std::int64_t>(sizeof(double));
-    if (ctx.device != nullptr) {
-      mem.device_pool_peak_bytes = ctx.device->device_pool_stats().peak_bytes;
-      mem.pinned_pool_peak_bytes = ctx.device->pinned_pool_stats().peak_bytes;
-      mem.device_pool_charged_allocs =
-          ctx.device->device_pool_stats().charged_allocations;
-      mem.pinned_pool_charged_allocs =
-          ctx.device->pinned_pool_stats().charged_allocations;
-    }
-    result.memory.push_back(mem);
-  }
-
-  if (obs::enabled()) {
-    auto& metrics = obs::MetricsRegistry::global();
-    metrics.add("multifrontal.assembly.seconds", trace.assembly_time);
-    metrics.add("multifrontal.factorize.seconds", trace.total_time);
-    metrics.add("multifrontal.supernodes", static_cast<double>(nsup));
-    metrics.add("batch.planned", static_cast<double>(plan.batches.size()));
-    metrics.gauge_max("multifrontal.stack_arena.peak_entries",
-                      static_cast<double>(peak_entries));
-    metrics.gauge_max(
-        "multifrontal.stack_arena.peak_bytes",
-        static_cast<double>(peak_entries) * sizeof(double));
-    if (ctx.device != nullptr) {
-      metrics.gauge_max(
-          "gpusim.pool.device.peak_bytes",
-          static_cast<double>(ctx.device->device_pool_stats().peak_bytes));
-      metrics.gauge_max(
-          "gpusim.pool.pinned.peak_bytes",
-          static_cast<double>(ctx.device->pinned_pool_stats().peak_bytes));
-    }
-  }
-  return result;
-}
-
-}  // namespace
-
-FactorizeResult factorize(const Analysis& analysis, FuExecutor& executor,
-                          FactorContext& ctx,
-                          const FactorizeOptions& options) {
-  if (options.batching.enabled()) {
-    const BatchPlan plan = group_batches(analysis.symbolic, options.batching);
-    if (plan.any()) {
-      return factorize_levels(analysis, executor, ctx, options, plan);
-    }
-  }
-  const SymbolicFactor& sym = analysis.symbolic;
-  const SparseSpd& a = analysis.permuted;
-  const index_t nsup = sym.num_supernodes();
-
-  obs::ScopedSpan factorize_span("multifrontal", "factorize",
-                                 &ctx.host_clock);
-  factorize_span.set_arg(0, "supernodes", nsup);
-
-  FactorizeResult result;
-  result.factor.numeric = ctx.numeric;
-  if (options.store_factor && ctx.numeric) {
-    if (options.precision == FactorPrecision::Float32) {
-      result.factor.panels32.resize(static_cast<std::size_t>(nsup));
-    } else {
-      result.factor.panels.resize(static_cast<std::size_t>(nsup));
-    }
-  }
-  FactorizationTrace& trace = result.trace;
-
-  // Children lists over the supernode tree.
-  std::vector<index_t> snode_parent(static_cast<std::size_t>(nsup));
-  for (index_t s = 0; s < nsup; ++s) {
-    snode_parent[static_cast<std::size_t>(s)] =
-        sym.supernodes()[static_cast<std::size_t>(s)].parent;
-  }
-  const auto children = children_lists(snode_parent);
-
-  obs::ScheduleRecorder* rec = options.recorder;
-  if (rec != nullptr) {
-    rec->start(/*num_lanes=*/1, nsup, snode_parent, /*parallel=*/false,
-               /*batched=*/false);
-    rec->attach(0, ctx.host_clock, ctx.device != nullptr);
-  }
-
-  // Dry runs skip the numeric stack entirely (the assembly cost is charged
-  // from the symbolic sizes), so huge matrices can be timed cheaply.
-  StackArena stack(ctx.numeric ? sym.peak_update_stack_entries() : 0);
-  // Virtual time at which each pushed update matrix is safe to consume
-  // (device copies may complete after the executor returns).
-  std::vector<double> update_ready(static_cast<std::size_t>(nsup), 0.0);
-
-  const double start_time = ctx.host_clock.now();
-  HostExec host = ctx.host_exec();
-
-  // Size the executor's device/pinned pools once for the biggest front the
-  // symbolic analysis predicts (WSMP-style symbolic-driven preallocation).
-  {
-    index_t max_m = 0, max_k = 0;
-    for (const auto& sn : sym.supernodes()) {
-      max_m = std::max(max_m, sn.num_update_rows());
-      max_k = std::max(max_k, sn.width());
-    }
-    if (rec != nullptr) {
-      rec->begin_task(0, obs::TaskKind::Prologue, -1, ctx.host_clock);
-    }
-    executor.prepare(max_m, max_k, ctx);
-    if (rec != nullptr) rec->end_task(0, ctx.host_clock);
-  }
-
-  for (index_t s = 0; s < nsup; ++s) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    FrontalMatrix front(sn, ctx.numeric);
-    if (rec != nullptr) {
-      rec->begin_task(0, obs::TaskKind::Front, s, ctx.host_clock);
-    }
-
-    // Wait for in-flight copies of the children's update matrices.
-    const auto& kids = children[static_cast<std::size_t>(s)];
-    for (index_t c : kids) {
-      if (rec != nullptr) rec->note_join(0, c);
-      ctx.host_clock.advance_to(update_ready[static_cast<std::size_t>(c)]);
-    }
-
-    // Assembly: scatter A's entries, then extend-add children (topmost
-    // stack block belongs to the most recently processed = largest child).
-    double assembly_entries =
-        static_cast<double>(front.assemble_from_matrix(a, sn));
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
-      const SupernodeInfo& child =
-          sym.supernodes()[static_cast<std::size_t>(*it)];
-      if (ctx.numeric) {
-        assembly_entries += static_cast<double>(
-            front.extend_add(child.update_rows, stack.from_top(0)));
-        stack.pop();
-      } else {
-        assembly_entries += static_cast<double>(
-            packed_lower_size(child.num_update_rows()));
+        worker.run_front(s);
+      } else if (batch_done[static_cast<std::size_t>(b)] == 0) {
+        batch_done[static_cast<std::size_t>(b)] = 1;
+        worker.run_batch(b);
       }
     }
-    const double assembly_t0 = ctx.host_clock.now();
-    host_assembly_cost(host, assembly_entries);
-    trace.assembly_time += ctx.host_clock.now() - assembly_t0;
-
-    // Factor-update.
-    FrontBlocks blocks = make_shape_blocks(front.m(), front.k(), sn.first_col);
-    if (ctx.numeric) {
-      blocks.l1 = front.l1();
-      blocks.l2 = front.l2();
-      blocks.u = front.update();
-    }
-    if (rec != nullptr) {
-      FuCall call = blocks.call();
-      call.snode = s;  // make_shape_blocks leaves the synthetic -1
-      rec->add_call(0, call);
-    }
-    FuOutcome outcome;
-    {
-      obs::ScopedSpan fu_span("multifrontal", "factor_update",
-                              &ctx.host_clock);
-      if (rec != nullptr) rec->begin_exec(0);
-      outcome = executor.execute(blocks, ctx);
-      if (rec != nullptr) rec->end_exec(0);
-      fu_span.set_arg(0, "m", front.m());
-      fu_span.set_arg(1, "k", front.k());
-      fu_span.set_arg(2, "policy", outcome.record.policy);
-    }
-    outcome.record.snode = s;
-    trace.record_call(outcome.record);
-
-    // Store the factor panel (columns of L for this supernode).
-    if (options.store_factor && ctx.numeric) {
-      const MatrixView<const double> source(front.full().data(), front.order(),
-                                            front.k(), front.full().ld());
-      if (options.precision == FactorPrecision::Float32) {
-        auto& panel = result.factor.panels32[static_cast<std::size_t>(s)];
-        panel = Matrix<float>(front.order(), front.k());
-        copy_into<float>(source, panel.view());
-      } else {
-        auto& panel = result.factor.panels[static_cast<std::size_t>(s)];
-        panel = Matrix<double>(front.order(), front.k());
-        copy_into<double>(source, panel.view());
-      }
-    }
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(
-          host, static_cast<double>(front.order()) * static_cast<double>(front.k()));
-      trace.assembly_time += ctx.host_clock.now() - t0;
-    }
-
-    // Hand the update matrix to the parent via the stack.
-    if (sn.parent != -1) {
-      if (ctx.numeric) {
-        auto block = stack.push(packed_lower_size(front.m()));
-        front.pack_update(block);
-      }
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(
-          host, static_cast<double>(packed_lower_size(front.m())));
-      trace.assembly_time += ctx.host_clock.now() - t0;
-      if (rec != nullptr) {
-        rec->note_ready(0, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      update_ready[static_cast<std::size_t>(s)] =
-          std::max(outcome.update_ready_at, ctx.host_clock.now());
-    } else {
-      MFGPU_CHECK(front.m() == 0, "factorize: root supernode with update rows");
-      if (rec != nullptr) {
-        rec->note_ready(0, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      ctx.host_clock.advance_to(outcome.update_ready_at);
-    }
-    if (rec != nullptr) rec->end_task(0, ctx.host_clock);
   }
-
-  if (rec != nullptr) {
-    rec->begin_task(0, obs::TaskKind::Epilogue, -1, ctx.host_clock);
-  }
-  if (ctx.device != nullptr) ctx.device->synchronize(ctx.host_clock);
-  if (rec != nullptr) {
-    rec->end_task(0, ctx.host_clock);
-    rec->detach(0, ctx.host_clock);
-  }
-  trace.total_time = ctx.host_clock.now() - start_time;
-  result.faults_survived = executor.fault_count();
-  result.quarantined_workers = executor.quarantined() ? 1 : 0;
-
-  {
-    WorkerMemory mem;
-    mem.worker = 0;
-    mem.arena_peak_bytes = static_cast<std::int64_t>(stack.peak_entries()) *
-                           static_cast<std::int64_t>(sizeof(double));
-    if (ctx.device != nullptr) {
-      mem.device_pool_peak_bytes = ctx.device->device_pool_stats().peak_bytes;
-      mem.pinned_pool_peak_bytes = ctx.device->pinned_pool_stats().peak_bytes;
-      mem.device_pool_charged_allocs =
-          ctx.device->device_pool_stats().charged_allocations;
-      mem.pinned_pool_charged_allocs =
-          ctx.device->pinned_pool_stats().charged_allocations;
-    }
-    result.memory.push_back(mem);
-  }
-
-  if (obs::enabled()) {
-    auto& metrics = obs::MetricsRegistry::global();
-    metrics.add("multifrontal.assembly.seconds", trace.assembly_time);
-    metrics.add("multifrontal.factorize.seconds", trace.total_time);
-    metrics.add("multifrontal.supernodes", static_cast<double>(nsup));
-    metrics.gauge_max("multifrontal.stack_arena.peak_entries",
-                      static_cast<double>(stack.peak_entries()));
-    metrics.gauge_max(
-        "multifrontal.stack_arena.peak_bytes",
-        static_cast<double>(stack.peak_entries()) * sizeof(double));
-    if (ctx.device != nullptr) {
-      metrics.gauge_max(
-          "gpusim.pool.device.peak_bytes",
-          static_cast<double>(ctx.device->device_pool_stats().peak_bytes));
-      metrics.gauge_max(
-          "gpusim.pool.pinned.peak_bytes",
-          static_cast<double>(ctx.device->pinned_pool_stats().peak_bytes));
-    }
-  }
-  return result;
+  return tree.finish(std::span(&worker, 1));
 }
 
 }  // namespace mfgpu

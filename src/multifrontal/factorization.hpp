@@ -1,6 +1,8 @@
 // The multifrontal Cholesky driver: postorder traversal of the supernodal
-// assembly tree, frontal assembly (extend-add), factor-update execution via
-// a pluggable policy executor, and supernodal factor storage.
+// assembly tree (or a level sweep when batching), running the shared front
+// step (multifrontal/front_step.hpp: frontal assembly, factor-update
+// execution via a pluggable policy executor, publication of the panel and
+// the update matrix) on each supernode, and supernodal factor storage.
 #pragma once
 
 #include <cstdint>
@@ -44,13 +46,19 @@ struct Factorization {
   std::int64_t storage_bytes() const noexcept;
 };
 
-/// High-water memory marks of one worker's numeric phase: its update-stack
-/// arena plus — for GPU-bearing workers — its private simulated device's
-/// pool slabs and pinned staging. The profiler aggregates these into the
-/// report's memory section and the mem.* gauges.
+/// High-water memory marks of one worker's numeric phase: its arena plus —
+/// for GPU-bearing workers — its private simulated device's pool slabs and
+/// pinned staging. The profiler aggregates these into the report's memory
+/// section and the mem.* gauges.
+///
+/// What the arena holds depends on the driver. The serial factorize()
+/// reports its update-matrix stack: the LIFO StackArena in postorder (the
+/// paper's real-stack bound), or the live per-supernode update buffers when
+/// level-batched. factorize_parallel and factorize_cluster report the
+/// per-worker StackArena holding the working fronts.
 struct WorkerMemory {
   int worker = 0;
-  std::int64_t arena_peak_bytes = 0;        ///< StackArena high water
+  std::int64_t arena_peak_bytes = 0;        ///< arena high water (above)
   std::int64_t device_pool_peak_bytes = 0;  ///< device slab high water
   std::int64_t pinned_pool_peak_bytes = 0;  ///< pinned staging high water
   std::int64_t device_pool_charged_allocs = 0;  ///< acquires that paid
@@ -88,8 +96,11 @@ struct FactorizeOptions {
   /// order are identical either way, so the factor matches bitwise.
   BatchingOptions batching;
   /// Optional schedule flight recorder (obs/schedule_record.hpp). When set,
-  /// the driver attaches it to the host clock and records every task,
-  /// dependency join, and primitive timing operation of the run.
+  /// the driver attaches it to every worker's host clock (one lane per
+  /// worker or cluster node) and records every task, dependency join, and
+  /// primitive timing operation of the run. The one recorder knob of all
+  /// drivers: factorize_parallel and factorize_cluster read it from their
+  /// `numeric` options.
   obs::ScheduleRecorder* recorder = nullptr;
 };
 

@@ -1,0 +1,436 @@
+#include "multifrontal/front_step.hpp"
+
+#include <algorithm>
+
+#include "gpusim/cost_class.hpp"
+#include "multifrontal/frontal.hpp"
+#include "obs/obs.hpp"
+#include "obs/schedule_record.hpp"
+#include "symbolic/postorder.hpp"
+
+namespace mfgpu {
+
+FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
+                     const Setup& setup)
+    : sym_(analysis.symbolic),
+      a_(analysis.permuted),
+      options_(options),
+      setup_(setup),
+      nsup_(analysis.symbolic.num_supernodes()) {
+  MFGPU_CHECK(!setup_.update_stack || setup_.deterministic_reduction,
+              "FrontTree: the update stack needs the deterministic order");
+  std::vector<index_t> parent(static_cast<std::size_t>(nsup_));
+  for (index_t s = 0; s < nsup_; ++s) {
+    const SupernodeInfo& sn = sym_.supernodes()[static_cast<std::size_t>(s)];
+    parent[static_cast<std::size_t>(s)] = sn.parent;
+    max_m_ = std::max(max_m_, sn.num_update_rows());
+    max_k_ = std::max(max_k_, sn.width());
+    max_order_ = std::max(max_order_, sn.front_order());
+  }
+  children_ = children_lists(parent);
+
+  // Dry runs skip the numeric hand-off entirely (the assembly cost is
+  // charged from the symbolic sizes), so huge matrices can be timed cheaply.
+  if (setup_.update_stack) {
+    stack_.emplace(setup_.numeric ? sym_.peak_update_stack_entries() : 0);
+  } else {
+    buffers_.resize(static_cast<std::size_t>(nsup_));
+  }
+  ready_.assign(static_cast<std::size_t>(nsup_), 0.0);
+  ticket_.assign(static_cast<std::size_t>(nsup_), 0);
+  records_.resize(static_cast<std::size_t>(nsup_));
+
+  factor_.numeric = setup_.numeric;
+  if (options_.store_factor && setup_.numeric) {
+    if (options_.precision == FactorPrecision::Float32) {
+      factor_.panels32.resize(static_cast<std::size_t>(nsup_));
+    } else {
+      factor_.panels.resize(static_cast<std::size_t>(nsup_));
+    }
+  }
+  if (options_.recorder != nullptr) {
+    options_.recorder->start(setup_.num_lanes, nsup_, parent, setup_.parallel,
+                             setup_.plan != nullptr);
+  }
+}
+
+std::span<const double> FrontTree::take_update(index_t child) {
+  // LIFO: the topmost block belongs to the most recently finished child,
+  // which is the next one in descending child order.
+  if (stack_) return stack_->from_top(0);
+  return buffers_[static_cast<std::size_t>(child)];
+}
+
+void FrontTree::release_update(index_t child) {
+  if (stack_) {
+    stack_->pop();
+    return;
+  }
+  auto& buffer = buffers_[static_cast<std::size_t>(child)];
+  if (!setup_.parallel) {
+    live_entries_ -= static_cast<std::int64_t>(buffer.size());
+  }
+  buffer = {};  // freed once consumed
+}
+
+std::span<double> FrontTree::publish_update(index_t s, index_t entries) {
+  if (stack_) return stack_->push(entries);
+  auto& buffer = buffers_[static_cast<std::size_t>(s)];
+  buffer.resize(static_cast<std::size_t>(entries));
+  // Only the single-worker level sweep reports its live buffers (threaded
+  // and cluster workers report their front arenas), so only it counts them
+  // and worker threads share no counter.
+  if (!setup_.parallel) {
+    live_entries_ += entries;
+    peak_entries_ = std::max(peak_entries_, live_entries_);
+  }
+  return buffer;
+}
+
+std::int64_t FrontTree::update_peak_entries() const {
+  if (stack_) return stack_->peak_entries();
+  return peak_entries_;
+}
+
+FrontWorker::FrontWorker(FrontTree& tree, FuExecutor& executor,
+                         FactorContext& ctx)
+    : tree_(&tree),
+      ctx_(&ctx),
+      executor_(&executor),
+      rec_(tree.options_.recorder) {
+  prepare();
+}
+
+FrontWorker::FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
+                         const Device::Options& device,
+                         std::unique_ptr<FuExecutor> executor)
+    : tree_(&tree),
+      lane_(lane),
+      own_ctx_(std::make_unique<FactorContext>()),
+      own_executor_(std::move(executor)),
+      ctx_(own_ctx_.get()),
+      executor_(own_executor_.get()),
+      front_arena_(std::make_unique<StackArena>(tree.max_order_ *
+                                                tree.max_order_)),
+      rec_(tree.options_.recorder) {
+  MFGPU_CHECK(executor_ != nullptr,
+              "FrontWorker: executor factory returned null");
+  if (spec.has_gpu) {
+    Device::Options device_options = device;
+    device_options.numeric = true;
+    device_ = std::make_unique<Device>(device_options);
+    ctx_->device = device_.get();
+  }
+  prepare();
+}
+
+void FrontWorker::prepare() {
+  FactorContext& ctx = *ctx_;
+  if (rec_ != nullptr) {
+    rec_->attach(lane_, ctx.host_clock, ctx.device != nullptr);
+  }
+  start_time_ = ctx.host_clock.now();
+  // Size the executor's device/pinned pools once for the biggest front the
+  // symbolic analysis predicts (WSMP-style symbolic-driven preallocation).
+  if (rec_ != nullptr) {
+    rec_->begin_task(lane_, obs::TaskKind::Prologue, -1, ctx.host_clock);
+  }
+  executor_->prepare(tree_->max_m_, tree_->max_k_, ctx);
+  if (rec_ != nullptr) rec_->end_task(lane_, ctx.host_clock);
+}
+
+void FrontWorker::charge_assembly(double entries) {
+  FactorContext& ctx = *ctx_;
+  HostExec host = ctx.host_exec();
+  const double t0 = ctx.host_clock.now();
+  host_assembly_cost(host, entries);
+  assembly_time_ += ctx.host_clock.now() - t0;
+}
+
+void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
+  FrontTree& tree = *tree_;
+  FactorContext& ctx = *ctx_;
+  const SupernodeInfo& sn = tree.sym_.supernodes()[static_cast<std::size_t>(s)];
+  const auto& kids = tree.children_[static_cast<std::size_t>(s)];
+
+  // Virtual start: a front cannot assemble before its children's update
+  // matrices are (virtually) ready — or, across cluster nodes, have landed.
+  for (index_t c : kids) {
+    if (tree.remote_arrival) {
+      if (const std::optional<double> landed = tree.remote_arrival(c, lane_)) {
+        CostClassScope transfer(CostClass::Transfer);
+        ctx.host_clock.advance_to(*landed);
+        continue;
+      }
+    }
+    if (rec_ != nullptr) rec_->note_join(lane_, c);
+    ctx.host_clock.advance_to(tree.update_ready(c));
+  }
+
+  // Scatter A's entries, then extend-add the children.
+  double entries = static_cast<double>(front.assemble_from_matrix(tree.a_, sn));
+  const auto add_child = [&](index_t c) {
+    const SupernodeInfo& child =
+        tree.sym_.supernodes()[static_cast<std::size_t>(c)];
+    if (tree.setup_.numeric) {
+      entries += static_cast<double>(
+          front.extend_add(child.update_rows, tree.take_update(c)));
+      tree.release_update(c);
+    } else {
+      entries +=
+          static_cast<double>(packed_lower_size(child.num_update_rows()));
+    }
+  };
+  if (tree.setup_.deterministic_reduction) {
+    // Descending child index: the order the serial LIFO stack pops them.
+    for (auto it = kids.rbegin(); it != kids.rend(); ++it) add_child(*it);
+  } else {
+    std::vector<index_t> order(kids.begin(), kids.end());
+    std::sort(order.begin(), order.end(), [&](index_t x, index_t y) {
+      return tree.ticket_[static_cast<std::size_t>(x)] <
+             tree.ticket_[static_cast<std::size_t>(y)];
+    });
+    for (index_t c : order) add_child(c);
+  }
+  charge_assembly(entries);
+}
+
+FrontBlocks FrontWorker::blocks_of(index_t s, FrontalMatrix& front,
+                                   index_t level) const {
+  const SupernodeInfo& sn =
+      tree_->sym_.supernodes()[static_cast<std::size_t>(s)];
+  FrontBlocks blocks = make_shape_blocks(front.m(), front.k(), sn.first_col);
+  blocks.snode = s;
+  blocks.level = level;
+  if (tree_->setup_.numeric) {
+    blocks.l1 = front.l1();
+    blocks.l2 = front.l2();
+    blocks.u = front.update();
+  }
+  return blocks;
+}
+
+void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
+  FrontTree& tree = *tree_;
+  FactorContext& ctx = *ctx_;
+  const std::size_t slot = static_cast<std::size_t>(s);
+  outcome.record.snode = s;
+  tree.records_[slot] = outcome.record;
+
+  // Store the factor panel (columns of L for this supernode).
+  if (tree.options_.store_factor && tree.setup_.numeric) {
+    const MatrixView<const double> source(front.full().data(), front.order(),
+                                          front.k(), front.full().ld());
+    if (tree.options_.precision == FactorPrecision::Float32) {
+      auto& panel = tree.factor_.panels32[slot];
+      panel = Matrix<float>(front.order(), front.k());
+      copy_into<float>(source, panel.view());
+    } else {
+      auto& panel = tree.factor_.panels[slot];
+      panel = Matrix<double>(front.order(), front.k());
+      copy_into<double>(source, panel.view());
+    }
+  }
+  charge_assembly(static_cast<double>(front.order()) *
+                  static_cast<double>(front.k()));
+
+  const int policy = static_cast<int>(outcome.record.policy);
+  if (tree.sym_.supernodes()[slot].parent == -1) {
+    MFGPU_CHECK(front.m() == 0, "factorize: root supernode with update rows");
+    if (rec_ != nullptr) {
+      rec_->note_ready(lane_, s, outcome.update_ready_at, policy);
+    }
+    ctx.host_clock.advance_to(outcome.update_ready_at);
+    return;
+  }
+  // Hand the update matrix to the parent.
+  const index_t entries = packed_lower_size(front.m());
+  if (tree.setup_.numeric) front.pack_update(tree.publish_update(s, entries));
+  charge_assembly(static_cast<double>(entries));
+  if (rec_ != nullptr) {
+    rec_->note_ready(lane_, s, outcome.update_ready_at, policy);
+  }
+  tree.ready_[slot] = std::max(outcome.update_ready_at, ctx.host_clock.now());
+  tree.ticket_[slot] =
+      tree.next_ticket_.fetch_add(1, std::memory_order_relaxed);
+}
+
+namespace {
+
+/// Pops a worker's front off its arena when the step leaves, thrown or not.
+struct ArenaPop {
+  StackArena* arena;
+  ~ArenaPop() {
+    if (arena != nullptr) arena->pop();
+  }
+};
+
+}  // namespace
+
+void FrontWorker::run_front(index_t s) {
+  FactorContext& ctx = *ctx_;
+  const SupernodeInfo& sn =
+      tree_->sym_.supernodes()[static_cast<std::size_t>(s)];
+  obs::ScopedSpan task_span("multifrontal", "fu_task", &ctx.host_clock);
+  task_span.set_arg(0, "snode", s);
+  task_span.set_arg(1, "worker", lane_);
+  if (rec_ != nullptr) {
+    rec_->begin_task(lane_, obs::TaskKind::Front, s, ctx.host_clock);
+  }
+
+  std::span<double> storage;
+  if (front_arena_ != nullptr) {
+    storage = front_arena_->push(sn.front_order() * sn.front_order());
+  }
+  const ArenaPop arena_guard{front_arena_.get()};
+  FrontalMatrix front = front_arena_ != nullptr
+                            ? FrontalMatrix(sn, storage)
+                            : FrontalMatrix(sn, tree_->setup_.numeric);
+  assemble(s, front);
+
+  FrontBlocks blocks = blocks_of(s, front, 0);
+  if (rec_ != nullptr) rec_->add_call(lane_, blocks.call());
+  FuOutcome outcome;
+  {
+    obs::ScopedSpan fu_span("multifrontal", "factor_update", &ctx.host_clock);
+    if (rec_ != nullptr) rec_->begin_exec(lane_);
+    outcome = executor_->execute(blocks, ctx);
+    if (rec_ != nullptr) rec_->end_exec(lane_);
+    fu_span.set_arg(0, "m", front.m());
+    fu_span.set_arg(1, "k", front.k());
+    fu_span.set_arg(2, "policy", outcome.record.policy);
+  }
+  publish(s, front, outcome);
+  if (rec_ != nullptr) rec_->end_task(lane_, ctx.host_clock);
+}
+
+void FrontWorker::run_batch(index_t b) {
+  FactorContext& ctx = *ctx_;
+  const FrontBatch& batch =
+      tree_->setup_.plan->batches[static_cast<std::size_t>(b)];
+  const std::size_t width = batch.snodes.size();
+  obs::ScopedSpan task_span("multifrontal", "fu_task_batch", &ctx.host_clock);
+  task_span.set_arg(0, "fronts", static_cast<index_t>(width));
+  task_span.set_arg(1, "level", batch.level);
+  task_span.set_arg(2, "worker", lane_);
+  if (rec_ != nullptr) {
+    rec_->begin_task(lane_, obs::TaskKind::Batch, b, ctx.host_clock);
+  }
+
+  std::vector<FrontalMatrix> fronts;
+  fronts.reserve(width);  // no reallocation: blocks hold views inside
+  std::vector<FrontBlocks> blocks;
+  blocks.reserve(width);
+  for (index_t member : batch.snodes) {
+    fronts.emplace_back(
+        tree_->sym_.supernodes()[static_cast<std::size_t>(member)],
+        tree_->setup_.numeric);
+    assemble(member, fronts.back());
+    blocks.push_back(blocks_of(member, fronts.back(), batch.level));
+    if (rec_ != nullptr) rec_->add_call(lane_, blocks.back().call());
+  }
+  std::vector<FuOutcome> outcomes;
+  {
+    obs::ScopedSpan fu_span("multifrontal", "factor_update_batch",
+                            &ctx.host_clock);
+    if (rec_ != nullptr) rec_->begin_exec(lane_);
+    outcomes = executor_->execute_batch(blocks, ctx);
+    if (rec_ != nullptr) rec_->end_exec(lane_);
+    fu_span.set_arg(0, "fronts", static_cast<index_t>(width));
+    fu_span.set_arg(1, "level", batch.level);
+  }
+  MFGPU_CHECK(outcomes.size() == width,
+              "factorize: executor returned wrong batch size");
+  for (std::size_t i = 0; i < width; ++i) {
+    publish(batch.snodes[i], fronts[i], outcomes[i]);
+  }
+  if (rec_ != nullptr) rec_->end_task(lane_, ctx.host_clock);
+}
+
+FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
+  obs::ScheduleRecorder* rec = options_.recorder;
+  const bool metrics_on = obs::enabled();
+  FactorizeResult result;
+  // Drain in-flight device copies and reduce the worker clocks into the
+  // virtual makespan: the executed schedule priced on the calibrated model.
+  double makespan = 0.0;
+  double start = workers.empty() ? 0.0 : workers.front().start_time_;
+  double assembly_total = 0.0;
+  std::int64_t arena_peak_entries = 0;
+  for (FrontWorker& worker : workers) {
+    FactorContext& ctx = *worker.ctx_;
+    if (rec != nullptr) {
+      rec->begin_task(worker.lane_, obs::TaskKind::Epilogue, -1,
+                      ctx.host_clock);
+    }
+    if (ctx.device != nullptr) ctx.device->synchronize(ctx.host_clock);
+    if (rec != nullptr) {
+      rec->end_task(worker.lane_, ctx.host_clock);
+      rec->detach(worker.lane_, ctx.host_clock);
+    }
+    makespan = std::max(makespan, ctx.host_clock.now());
+    start = std::min(start, worker.start_time_);
+    assembly_total += worker.assembly_time_;
+    result.faults_survived += worker.executor_->fault_count();
+    if (worker.executor_->quarantined()) ++result.quarantined_workers;
+
+    // The arena holding the worker's fronts or — for the serial drivers,
+    // whose fronts are heap-allocated — the update matrices.
+    const std::int64_t arena_peak = worker.front_arena_ != nullptr
+                                        ? worker.front_arena_->peak_entries()
+                                        : update_peak_entries();
+    arena_peak_entries = std::max(arena_peak_entries, arena_peak);
+    WorkerMemory mem;
+    mem.worker = worker.lane_;
+    mem.arena_peak_bytes =
+        arena_peak * static_cast<std::int64_t>(sizeof(double));
+    if (const Device* device = ctx.device; device != nullptr) {
+      const PoolStats& pool = device->device_pool_stats();
+      const PoolStats& pinned = device->pinned_pool_stats();
+      mem.device_pool_peak_bytes = pool.peak_bytes;
+      mem.pinned_pool_peak_bytes = pinned.peak_bytes;
+      mem.device_pool_charged_allocs = pool.charged_allocations;
+      mem.pinned_pool_charged_allocs = pinned.charged_allocations;
+      if (metrics_on) {
+        auto& metrics = obs::MetricsRegistry::global();
+        metrics.gauge_max("gpusim.pool.device.peak_bytes",
+                          static_cast<double>(pool.peak_bytes));
+        metrics.gauge_max("gpusim.pool.pinned.peak_bytes",
+                          static_cast<double>(pinned.peak_bytes));
+      }
+    }
+    result.memory.push_back(mem);
+  }
+
+  FactorizationTrace& trace = result.trace;
+  for (const FuCallRecord& record : records_) trace.record_call(record);
+  trace.assembly_time = assembly_total;
+  trace.total_time = makespan - start;
+  result.factor = std::move(factor_);
+
+  if (metrics_on) {
+    auto& metrics = obs::MetricsRegistry::global();
+    metrics.add("multifrontal.assembly.seconds", trace.assembly_time);
+    metrics.add("multifrontal.factorize.seconds", trace.total_time);
+    metrics.add("multifrontal.supernodes", static_cast<double>(nsup_));
+    if (setup_.plan != nullptr) {
+      metrics.add("batch.planned",
+                  static_cast<double>(setup_.plan->batches.size()));
+    }
+    metrics.gauge_max("multifrontal.stack_arena.peak_entries",
+                      static_cast<double>(arena_peak_entries));
+    metrics.gauge_max("multifrontal.stack_arena.peak_bytes",
+                      static_cast<double>(arena_peak_entries) * sizeof(double));
+    if (result.faults_survived > 0) {
+      metrics.add("fault.run.survived",
+                  static_cast<double>(result.faults_survived));
+    }
+    if (result.quarantined_workers > 0) {
+      metrics.gauge_set("fault.workers.quarantined",
+                        static_cast<double>(result.quarantined_workers));
+    }
+  }
+  return result;
+}
+
+}  // namespace mfgpu

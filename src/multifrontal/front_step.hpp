@@ -1,0 +1,154 @@
+// The front step: the one unit of work of the multifrontal numeric phase —
+// assemble a front, run its factor-update call through the worker's
+// executor, publish the factor panel and the update matrix for the parent —
+// shared by every factorization driver (serial postorder, serial level
+// sweep, factorize_parallel, factorize_cluster). The drivers differ only in
+// the order in which they schedule this task body.
+//
+// FrontTree holds what all workers of one run share: the symbolic
+// structure, the update hand-off between children and parents, and the
+// per-supernode outputs (each slot written by exactly one step, so worker
+// threads never contend). FrontWorker holds one worker's execution state —
+// context, executor, optional private device, front arena, recorder lane —
+// and runs the step. FrontTree::finish() drains every worker and reduces
+// them into the FactorizeResult.
+#pragma once
+
+#include <atomic>
+#include <cstdint>
+#include <functional>
+#include <memory>
+#include <optional>
+#include <span>
+#include <vector>
+
+#include "multifrontal/factorization.hpp"
+#include "multifrontal/stack_arena.hpp"
+#include "sched/worker.hpp"
+
+namespace mfgpu {
+
+class FrontalMatrix;
+class FrontWorker;
+
+class FrontTree {
+ public:
+  struct Setup {
+    /// Recorder lanes: one per worker.
+    int num_lanes = 1;
+    /// Threaded or cluster run (the flight record's `parallel` flag).
+    bool parallel = false;
+    /// false = timing-only dry run (shape-only blocks, no numeric storage).
+    bool numeric = true;
+    /// Aggregated small-front plan; run_batch() executes its batches.
+    const BatchPlan* plan = nullptr;
+    /// Keep child updates on one LIFO StackArena sized to the symbolic
+    /// peak — valid only for the serial postorder traversal, where updates
+    /// are consumed in reverse production order. Otherwise every supernode
+    /// publishes into its own buffer, freed once the parent consumed it.
+    bool update_stack = false;
+    /// Extend-add children in descending child index (the serial order,
+    /// bitwise reproducible); false = completion order.
+    bool deterministic_reduction = true;
+  };
+
+  FrontTree(const Analysis& analysis, const FactorizeOptions& options,
+            const Setup& setup);
+  // Workers and the cluster's hooks hold its address.
+  FrontTree(const FrontTree&) = delete;
+  FrontTree& operator=(const FrontTree&) = delete;
+
+  /// Optional cross-node arrival (the cluster driver): the virtual time at
+  /// which child `child`'s update lands on `lane` when it must travel there,
+  /// nullopt when it is local. A landing is waited for as Transfer-class
+  /// time instead of a recorded dependency join.
+  std::function<std::optional<double>(index_t child, int lane)>
+      remote_arrival;
+
+  /// Virtual time at which supernode s's update is safe to consume.
+  double update_ready(index_t s) const {
+    return ready_[static_cast<std::size_t>(s)];
+  }
+
+  /// Drain every worker (epilogue task, device synchronize), record the
+  /// trace in supernode order and the per-worker memory high water, and
+  /// emit the run's metrics. trace.total_time is the virtual makespan over
+  /// the workers' clocks.
+  FactorizeResult finish(std::span<FrontWorker> workers);
+
+ private:
+  friend class FrontWorker;
+
+  std::span<const double> take_update(index_t child);
+  void release_update(index_t child);
+  std::span<double> publish_update(index_t s, index_t entries);
+  std::int64_t update_peak_entries() const;
+
+  const SymbolicFactor& sym_;
+  const SparseSpd& a_;
+  const FactorizeOptions& options_;
+  Setup setup_;
+  index_t nsup_ = 0;
+  index_t max_m_ = 0;
+  index_t max_k_ = 0;
+  index_t max_order_ = 0;
+  std::vector<std::vector<index_t>> children_;
+
+  std::optional<StackArena> stack_;
+  std::vector<std::vector<double>> buffers_;
+  std::int64_t live_entries_ = 0;
+  std::int64_t peak_entries_ = 0;
+  std::vector<double> ready_;
+  std::vector<index_t> ticket_;
+  std::atomic<index_t> next_ticket_{0};
+
+  std::vector<FuCallRecord> records_;
+  Factorization factor_;
+};
+
+// Workers run on different threads and update their own state per front:
+// each starts on its own cache line so neighbours in a vector never share
+// one.
+class alignas(64) FrontWorker {
+ public:
+  /// Lane 0 on the caller's executor and context (the serial drivers):
+  /// fronts are heap-allocated one at a time.
+  FrontWorker(FrontTree& tree, FuExecutor& executor, FactorContext& ctx);
+  /// A worker owning its context, its executor, a private simulated device
+  /// when `spec.has_gpu` (built from `device`), and an arena holding its
+  /// working fronts (the threaded and cluster drivers).
+  FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
+              const Device::Options& device,
+              std::unique_ptr<FuExecutor> executor);
+
+  /// Join the children, assemble, execute and publish supernode s.
+  void run_front(index_t s);
+  /// The same for planned batch b: every member is assembled, the group
+  /// runs through one execute_batch, and each member publishes on its own.
+  void run_batch(index_t b);
+
+  FactorContext& ctx() noexcept { return *ctx_; }
+
+ private:
+  friend class FrontTree;
+
+  void prepare();
+  void assemble(index_t s, FrontalMatrix& front);
+  FrontBlocks blocks_of(index_t s, FrontalMatrix& front, index_t level) const;
+  void publish(index_t s, FrontalMatrix& front, FuOutcome outcome);
+  void charge_assembly(double entries);
+
+  FrontTree* tree_;
+  int lane_ = 0;
+  std::unique_ptr<FactorContext> own_ctx_;
+  std::unique_ptr<Device> device_;
+  std::unique_ptr<FuExecutor> own_executor_;
+  FactorContext* ctx_;
+  FuExecutor* executor_;
+  std::unique_ptr<StackArena> front_arena_;
+  obs::ScheduleRecorder* rec_;
+  double start_time_ = 0.0;
+  double assembly_time_ = 0.0;
+};
+
+}  // namespace mfgpu

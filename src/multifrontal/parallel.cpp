@@ -1,15 +1,12 @@
 #include "multifrontal/parallel.hpp"
 
 #include <algorithm>
-#include <atomic>
 #include <chrono>
 
 #include "multifrontal/batched.hpp"
-#include "multifrontal/frontal.hpp"
-#include "multifrontal/stack_arena.hpp"
+#include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
 #include "obs/request_context.hpp"
-#include "obs/schedule_record.hpp"
 #include "policy/baseline_hybrid.hpp"
 #include "sched/proportional_map.hpp"
 #include "sched/task_graph.hpp"
@@ -26,30 +23,15 @@ std::unique_ptr<FuExecutor> default_worker_executor(
   return std::make_unique<PolicyExecutor>(Policy::P1, executor_options);
 }
 
-namespace {
-
-/// All execution state owned by one worker: nothing here is ever touched by
-/// another thread while the pool runs.
-struct WorkerState {
-  FactorContext ctx;
-  std::unique_ptr<Device> device;
-  std::unique_ptr<FuExecutor> executor;
-  std::unique_ptr<StackArena> front_arena;
-  double assembly_time = 0.0;
-};
-
-}  // namespace
-
 FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options,
                                    const WorkerExecutorFactory& make_executor) {
   const SymbolicFactor& sym = analysis.symbolic;
-  const SparseSpd& a = analysis.permuted;
   const index_t nsup = sym.num_supernodes();
 
-  std::vector<WorkerSpec> workers = options.workers;
-  if (workers.empty()) workers = cpu_workers(std::max(1, options.num_threads));
-  const int num_workers = static_cast<int>(workers.size());
+  std::vector<WorkerSpec> specs = options.workers;
+  if (specs.empty()) specs = cpu_workers(std::max(1, options.num_threads));
+  const int num_workers = static_cast<int>(specs.size());
 
   obs::ScopedSpan factorize_span("multifrontal", "parallel_factorize");
   factorize_span.set_arg(0, "supernodes", nsup);
@@ -59,39 +41,11 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
   // to it across the thread hop.
   const obs::RequestContext* request = obs::current_request();
 
-  FactorizeResult result;
-  result.factor.numeric = true;
-  if (options.numeric.store_factor) {
-    if (options.numeric.precision == FactorPrecision::Float32) {
-      result.factor.panels32.resize(static_cast<std::size_t>(nsup));
-    } else {
-      result.factor.panels.resize(static_cast<std::size_t>(nsup));
-    }
-  }
-  if (nsup == 0) return result;
+  if (nsup == 0) return {};
 
-  const TaskGraph graph = build_task_graph(sym, a);
-
-  // Critical-path priority: bottom level of each task under a relative
-  // serial-cost weight (factor-update ops + memory-bound assembly entries).
-  std::vector<double> bottom(static_cast<std::size_t>(nsup), 0.0);
-  for (index_t t = nsup - 1; t >= 0; --t) {
-    const double cost =
-        fu_total_ops(graph.ms[static_cast<std::size_t>(t)],
-                     graph.ks[static_cast<std::size_t>(t)]) +
-        graph.assembly_entries[static_cast<std::size_t>(t)];
-    const index_t p = graph.parent[static_cast<std::size_t>(t)];
-    bottom[static_cast<std::size_t>(t)] =
-        cost + ((p != -1) ? bottom[static_cast<std::size_t>(p)] : 0.0);
-  }
+  const TaskGraph graph = build_task_graph(sym, analysis.permuted);
+  const std::vector<double> bottom = bottom_levels(graph);
   const std::vector<int> mapping = proportional_mapping(graph, num_workers);
-
-  index_t max_m = 0, max_k = 0, max_order = 0;
-  for (const auto& sn : sym.supernodes()) {
-    max_m = std::max(max_m, sn.num_update_rows());
-    max_k = std::max(max_k, sn.width());
-    max_order = std::max(max_order, sn.front_order());
-  }
 
   // Aggregated small-front batching (multifrontal/batched.hpp): planned on
   // the symbolic structure alone, so grouping is independent of the thread
@@ -101,245 +55,26 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
                              ? group_batches(sym, options.numeric.batching)
                              : BatchPlan{};
 
-  obs::ScheduleRecorder* rec = options.recorder;
-  if (rec != nullptr) {
-    rec->start(num_workers, nsup, graph.parent, /*parallel=*/true,
-               /*batched=*/plan.any());
-  }
+  FrontTree::Setup setup;
+  setup.num_lanes = num_workers;
+  setup.parallel = true;
+  setup.plan = plan.any() ? &plan : nullptr;
+  setup.deterministic_reduction = options.deterministic_reduction;
+  FrontTree tree(analysis, options.numeric, setup);
 
-  std::vector<WorkerState> states(static_cast<std::size_t>(num_workers));
+  std::vector<FrontWorker> workers;
+  workers.reserve(static_cast<std::size_t>(num_workers));
   for (int w = 0; w < num_workers; ++w) {
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    const WorkerSpec& spec = workers[static_cast<std::size_t>(w)];
-    if (spec.has_gpu) {
-      Device::Options device_options = options.device;
-      device_options.numeric = true;
-      state.device = std::make_unique<Device>(device_options);
-      state.ctx.device = state.device.get();
-    }
-    state.executor = make_executor
-                         ? make_executor(spec, w)
-                         : default_worker_executor(spec, options.executor);
-    MFGPU_CHECK(state.executor != nullptr,
-                "factorize_parallel: executor factory returned null");
-    state.front_arena = std::make_unique<StackArena>(max_order * max_order);
-    if (rec != nullptr) {
-      rec->attach(w, state.ctx.host_clock, spec.has_gpu);
-      rec->begin_task(w, obs::TaskKind::Prologue, -1, state.ctx.host_clock);
-    }
-    state.executor->prepare(max_m, max_k, state.ctx);
-    if (rec != nullptr) rec->end_task(w, state.ctx.host_clock);
+    const WorkerSpec& spec = specs[static_cast<std::size_t>(w)];
+    workers.emplace_back(tree, w, spec, options.device,
+                         make_executor
+                             ? make_executor(spec, w)
+                             : default_worker_executor(spec, options.executor));
   }
-
-  // Cross-task hand-off state. Each slot is written by exactly one task and
-  // read by its parent; the pool's acquire-release completion counters order
-  // the accesses.
-  std::vector<std::vector<double>> updates(static_cast<std::size_t>(nsup));
-  std::vector<double> update_ready(static_cast<std::size_t>(nsup), 0.0);
-  std::vector<FuCallRecord> records(static_cast<std::size_t>(nsup));
-  std::vector<index_t> ticket(static_cast<std::size_t>(nsup), 0);
-  std::atomic<index_t> next_ticket{0};
-  const bool deterministic = options.deterministic_reduction;
-
-  // Assembly (virtual start, scatter from A, extend-add the children) for one
-  // front on worker w — shared by the per-front and batched task bodies.
-  auto assemble_front = [&](index_t s, int w, FrontalMatrix& front) {
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    FactorContext& ctx = state.ctx;
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-
-    // Virtual start: a front cannot assemble before its children's update
-    // matrices are (virtually) ready, wherever they were produced.
-    const auto& kids = graph.children[static_cast<std::size_t>(s)];
-    for (index_t c : kids) {
-      if (rec != nullptr) rec->note_join(w, c);
-      ctx.host_clock.advance_to(update_ready[static_cast<std::size_t>(c)]);
-    }
-
-    double assembly_entries =
-        static_cast<double>(front.assemble_from_matrix(a, sn));
-    // deterministic: the serial driver's extend-add order (descending child
-    // index — its LIFO stack pops the most recent child first); otherwise
-    // completion order.
-    std::vector<index_t> order(kids.begin(), kids.end());
-    if (deterministic) {
-      std::reverse(order.begin(), order.end());
-    } else {
-      std::sort(order.begin(), order.end(), [&](index_t x, index_t y) {
-        return ticket[static_cast<std::size_t>(x)] <
-               ticket[static_cast<std::size_t>(y)];
-      });
-    }
-    for (index_t c : order) {
-      const SupernodeInfo& child = sym.supernodes()[static_cast<std::size_t>(c)];
-      assembly_entries += static_cast<double>(front.extend_add(
-          child.update_rows, updates[static_cast<std::size_t>(c)]));
-      updates[static_cast<std::size_t>(c)] = {};  // freed once consumed
-    }
-    HostExec host = ctx.host_exec();
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host, assembly_entries);
-      state.assembly_time += ctx.host_clock.now() - t0;
-    }
-  };
-
-  // Post-execution bookkeeping for one front: trace record, panel storage,
-  // packed update hand-off to the parent, virtual ready time, ticket.
-  auto postprocess = [&](index_t s, int w, FrontalMatrix& front,
-                         FuOutcome outcome) {
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    FactorContext& ctx = state.ctx;
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    HostExec host = ctx.host_exec();
-
-    outcome.record.snode = s;
-    records[static_cast<std::size_t>(s)] = outcome.record;
-
-    if (options.numeric.store_factor) {
-      const MatrixView<const double> source(front.full().data(), front.order(),
-                                            front.k(), front.full().ld());
-      if (options.numeric.precision == FactorPrecision::Float32) {
-        auto& panel = result.factor.panels32[static_cast<std::size_t>(s)];
-        panel = Matrix<float>(front.order(), front.k());
-        copy_into<float>(source, panel.view());
-      } else {
-        auto& panel = result.factor.panels[static_cast<std::size_t>(s)];
-        panel = Matrix<double>(front.order(), front.k());
-        copy_into<double>(source, panel.view());
-      }
-    }
-    {
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host, static_cast<double>(front.order()) *
-                                   static_cast<double>(front.k()));
-      state.assembly_time += ctx.host_clock.now() - t0;
-    }
-
-    if (sn.parent != -1) {
-      auto& update = updates[static_cast<std::size_t>(s)];
-      update.resize(static_cast<std::size_t>(packed_lower_size(front.m())));
-      front.pack_update(update);
-      const double t0 = ctx.host_clock.now();
-      host_assembly_cost(host,
-                         static_cast<double>(packed_lower_size(front.m())));
-      state.assembly_time += ctx.host_clock.now() - t0;
-      if (rec != nullptr) {
-        rec->note_ready(w, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      update_ready[static_cast<std::size_t>(s)] =
-          std::max(outcome.update_ready_at, ctx.host_clock.now());
-      ticket[static_cast<std::size_t>(s)] =
-          next_ticket.fetch_add(1, std::memory_order_relaxed);
-    } else {
-      MFGPU_CHECK(front.m() == 0,
-                  "factorize_parallel: root supernode with update rows");
-      if (rec != nullptr) {
-        rec->note_ready(w, s, outcome.update_ready_at,
-                        static_cast<int>(outcome.record.policy));
-      }
-      ctx.host_clock.advance_to(outcome.update_ready_at);
-    }
-  };
 
   auto body = [&](index_t s, int w) {
     obs::RequestScope request_scope(request);
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    FactorContext& ctx = state.ctx;
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    obs::ScopedSpan task_span("multifrontal", "fu_task", &ctx.host_clock);
-    task_span.set_arg(0, "snode", s);
-    task_span.set_arg(1, "worker", w);
-    if (rec != nullptr) {
-      rec->begin_task(w, obs::TaskKind::Front, s, ctx.host_clock);
-    }
-
-    const auto storage =
-        state.front_arena->push(sn.front_order() * sn.front_order());
-    struct ArenaPop {
-      StackArena* arena;
-      ~ArenaPop() { arena->pop(); }
-    } arena_guard{state.front_arena.get()};
-    FrontalMatrix front(sn, storage);
-    assemble_front(s, w, front);
-
-    FrontBlocks blocks = make_shape_blocks(front.m(), front.k(), sn.first_col);
-    blocks.snode = s;
-    blocks.l1 = front.l1();
-    blocks.l2 = front.l2();
-    blocks.u = front.update();
-    if (rec != nullptr) rec->add_call(w, blocks.call());
-    FuOutcome outcome;
-    {
-      obs::ScopedSpan fu_span("multifrontal", "factor_update",
-                              &ctx.host_clock);
-      if (rec != nullptr) rec->begin_exec(w);
-      outcome = state.executor->execute(blocks, ctx);
-      if (rec != nullptr) rec->end_exec(w);
-      fu_span.set_arg(0, "m", front.m());
-      fu_span.set_arg(1, "k", front.k());
-      fu_span.set_arg(2, "policy", outcome.record.policy);
-    }
-    postprocess(s, w, front, outcome);
-    if (rec != nullptr) rec->end_task(w, ctx.host_clock);
-  };
-
-  // One pool task executes a whole batch on one worker: assemble every
-  // member (same order and extend-add semantics as the per-front body),
-  // run them through the executor's aggregated dispatch, then publish each
-  // member's update individually so faults degrade per-front.
-  auto run_batch = [&](index_t b, int w) {
-    obs::RequestScope request_scope(request);
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    FactorContext& ctx = state.ctx;
-    const FrontBatch& batch = plan.batches[static_cast<std::size_t>(b)];
-    const std::size_t width = batch.snodes.size();
-    obs::ScopedSpan task_span("multifrontal", "fu_task_batch",
-                              &ctx.host_clock);
-    task_span.set_arg(0, "fronts", static_cast<index_t>(width));
-    task_span.set_arg(1, "level", batch.level);
-    task_span.set_arg(2, "worker", w);
-    if (rec != nullptr) {
-      rec->begin_task(w, obs::TaskKind::Batch, b, ctx.host_clock);
-    }
-
-    std::vector<FrontalMatrix> fronts;
-    fronts.reserve(width);  // no reallocation: blocks hold views inside
-    std::vector<FrontBlocks> blocks;
-    blocks.reserve(width);
-    for (index_t member : batch.snodes) {
-      const SupernodeInfo& sn =
-          sym.supernodes()[static_cast<std::size_t>(member)];
-      fronts.emplace_back(sn, /*numeric=*/true);
-      FrontalMatrix& front = fronts.back();
-      assemble_front(member, w, front);
-      FrontBlocks fb =
-          make_shape_blocks(front.m(), front.k(), sn.first_col);
-      fb.snode = member;
-      fb.level = batch.level;
-      fb.l1 = front.l1();
-      fb.l2 = front.l2();
-      fb.u = front.update();
-      blocks.push_back(fb);
-      if (rec != nullptr) rec->add_call(w, blocks.back().call());
-    }
-    std::vector<FuOutcome> outcomes;
-    {
-      obs::ScopedSpan fu_span("multifrontal", "factor_update_batch",
-                              &ctx.host_clock);
-      if (rec != nullptr) rec->begin_exec(w);
-      outcomes = state.executor->execute_batch(blocks, ctx);
-      if (rec != nullptr) rec->end_exec(w);
-      fu_span.set_arg(0, "fronts", static_cast<index_t>(width));
-      fu_span.set_arg(1, "level", batch.level);
-    }
-    MFGPU_CHECK(outcomes.size() == width,
-                "factorize_parallel: executor returned wrong batch size");
-    for (std::size_t i = 0; i < width; ++i) {
-      postprocess(batch.snodes[i], w, fronts[i], outcomes[i]);
-    }
-    if (rec != nullptr) rec->end_task(w, ctx.host_clock);
+    workers[static_cast<std::size_t>(w)].run_front(s);
   };
 
   ThreadPool pool(num_workers);
@@ -427,7 +162,8 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
     auto node_body = [&](index_t node, int w) {
       const index_t b = node_batch[static_cast<std::size_t>(node)];
       if (b >= 0) {
-        run_batch(b, w);
+        obs::RequestScope request_scope(request);
+        workers[static_cast<std::size_t>(w)].run_batch(b);
       } else {
         body(node_single[static_cast<std::size_t>(node)], w);
       }
@@ -445,91 +181,20 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0)
           .count();
 
-  // Drain in-flight device copies and reduce the per-worker clocks into the
-  // virtual makespan: the executed schedule priced on the calibrated model.
-  double makespan = 0.0;
-  double assembly_total = 0.0;
-  for (int w = 0; w < num_workers; ++w) {
-    WorkerState& state = states[static_cast<std::size_t>(w)];
-    if (rec != nullptr) {
-      rec->begin_task(w, obs::TaskKind::Epilogue, -1, state.ctx.host_clock);
-    }
-    if (state.ctx.device != nullptr) {
-      state.ctx.device->synchronize(state.ctx.host_clock);
-    }
-    if (rec != nullptr) {
-      rec->end_task(w, state.ctx.host_clock);
-      rec->detach(w, state.ctx.host_clock);
-    }
-    makespan = std::max(makespan, state.ctx.host_clock.now());
-    assembly_total += state.assembly_time;
-    result.faults_survived += state.executor->fault_count();
-    if (state.executor->quarantined()) ++result.quarantined_workers;
-  }
-
-  FactorizationTrace& trace = result.trace;
-  for (index_t s = 0; s < nsup; ++s) {
-    trace.record_call(records[static_cast<std::size_t>(s)]);
-  }
-  trace.assembly_time = assembly_total;
-  trace.total_time = makespan;
+  FactorizeResult result = tree.finish(workers);
   result.pool_stats = stats;
   result.pool_wall_seconds = wall_seconds;
 
-  for (std::size_t w = 0; w < states.size(); ++w) {
-    const WorkerState& state = states[w];
-    WorkerMemory mem;
-    mem.worker = static_cast<int>(w);
-    if (state.front_arena != nullptr) {
-      mem.arena_peak_bytes =
-          static_cast<std::int64_t>(state.front_arena->peak_entries()) *
-          static_cast<std::int64_t>(sizeof(double));
-    }
-    if (state.ctx.device != nullptr) {
-      const PoolStats& dev = state.ctx.device->device_pool_stats();
-      const PoolStats& pinned = state.ctx.device->pinned_pool_stats();
-      mem.device_pool_peak_bytes = dev.peak_bytes;
-      mem.pinned_pool_peak_bytes = pinned.peak_bytes;
-      mem.device_pool_charged_allocs = dev.charged_allocations;
-      mem.pinned_pool_charged_allocs = pinned.charged_allocations;
-    }
-    result.memory.push_back(mem);
-  }
-
   if (obs::enabled()) {
     auto& metrics = obs::MetricsRegistry::global();
-    metrics.add("multifrontal.assembly.seconds", assembly_total);
-    metrics.add("multifrontal.factorize.seconds", makespan);
-    metrics.add("multifrontal.supernodes", static_cast<double>(nsup));
-    if (plan.any()) {
-      metrics.add("batch.planned", static_cast<double>(plan.batches.size()));
-    }
     metrics.add("sched.parallel.wall_seconds", wall_seconds);
     metrics.gauge_set("sched.parallel.workers",
                       static_cast<double>(num_workers));
-    if (result.faults_survived > 0) {
-      metrics.add("fault.run.survived",
-                  static_cast<double>(result.faults_survived));
-    }
-    if (result.quarantined_workers > 0) {
-      metrics.gauge_set("fault.workers.quarantined",
-                        static_cast<double>(result.quarantined_workers));
-    }
     double busy = 0.0;
     for (double b : stats.busy_seconds) busy += b;
     if (wall_seconds > 0.0) {
       metrics.gauge_set("sched.parallel.utilization",
                         busy / (wall_seconds * num_workers));
-    }
-    for (const WorkerState& state : states) {
-      if (state.ctx.device != nullptr) {
-        metrics.gauge_max("gpusim.pool.device.peak_bytes",
-                          static_cast<double>(
-                              state.ctx.device->device_pool_stats().peak_bytes));
-        metrics.gauge_max("gpusim.pool.pinned.peak_bytes",
-                          static_cast<double>(
-                              state.ctx.device->pinned_pool_stats().peak_bytes));
-      }
     }
   }
   return result;

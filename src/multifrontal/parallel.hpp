@@ -9,19 +9,21 @@
 //     via proportional mapping, so whole subtrees stay worker-local and only
 //     separator update matrices cross queues; critical-path (bottom-level)
 //     priority orders each worker's seeds.
-//   - Every worker owns its full execution state: a FactorContext (virtual
-//     host clock + calibrated host model), a StackArena backing its frontal
-//     working storage, its FuExecutor, and — for GPU-bearing workers — a
-//     private simulated Device with its own streams, so no gpusim state is
-//     ever shared between threads.
+//   - Every worker is a FrontWorker (multifrontal/front_step.hpp) owning its
+//     full execution state: a FactorContext (virtual host clock + calibrated
+//     host model), a StackArena backing its frontal working storage, its
+//     FuExecutor, and — for GPU-bearing workers — a private simulated Device
+//     with its own streams, so no gpusim state is ever shared between
+//     threads. Each pool task runs the same front step as the serial
+//     driver; only the traversal differs.
 //   - A parent assembles only after its ready-counter hits zero (pool
 //     acquire-release hand-off); children publish packed update matrices in
 //     per-task buffers, freed as soon as the parent consumed them.
 //
 // Time has two domains here. Wall-clock time is real (kernels do real work
 // on real threads; see bench/bench_parallel_scaling.cpp). Virtual time is
-// tracked per worker exactly like the serial driver: a task's virtual start
-// is max(worker clock, children's virtual update-ready times), and
+// tracked per worker by the shared front step: a task's virtual start is
+// max(worker clock, children's virtual update-ready times), and
 // trace.total_time is the virtual makespan max over workers — the executed
 // schedule priced on the paper's calibrated hardware model.
 //
@@ -51,13 +53,12 @@ struct ParallelFactorizeOptions {
   std::vector<WorkerSpec> workers;
   /// Fixed child-assembly order: bitwise-equal to the serial factorization.
   bool deterministic_reduction = true;
+  /// Storage, batching, and the schedule flight recorder (one lane per
+  /// worker).
   FactorizeOptions numeric;
   ExecutorOptions executor;
   /// Template for each GPU worker's private device.
   Device::Options device;
-  /// Optional schedule flight recorder (obs/schedule_record.hpp): one lane
-  /// per worker. The `numeric.recorder` field is ignored here.
-  obs::ScheduleRecorder* recorder = nullptr;
 };
 
 /// Builds one worker's executor; called once per worker before the run (the

@@ -1,10 +1,15 @@
-// LIFO arena for update matrices.
+// LIFO arena of double blocks. Two uses:
 //
-// With a postordered elimination tree, update matrices are produced and
-// consumed in strict stack order: a supernode pushes its update after
-// popping those of its children. Packing them into one arena (the classic
-// multifrontal "update stack") bounds working memory by the symbolic
-// peak_update_stack_entries() instead of the sum over all supernodes.
+// - The update-matrix stack of the serial postorder driver. With a
+//   postordered elimination tree, update matrices are produced and
+//   consumed in strict stack order: a supernode pushes its update after
+//   popping those of its children. Packing them into one arena (the
+//   classic multifrontal "update stack") bounds working memory by the
+//   symbolic peak_update_stack_entries() instead of the sum over all
+//   supernodes.
+// - The per-worker front arena of factorize_parallel and
+//   factorize_cluster: each task pushes its working front and pops it when
+//   the task ends.
 #pragma once
 
 #include <span>

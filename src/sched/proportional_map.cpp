@@ -3,18 +3,13 @@
 #include <algorithm>
 #include <cmath>
 
-#include "policy/policy.hpp"
-
 namespace mfgpu {
 
 std::vector<double> subtree_work(const TaskGraph& graph) {
   std::vector<double> work(static_cast<std::size_t>(graph.num_tasks), 0.0);
   // Tasks are postordered: children precede parents.
   for (index_t t = 0; t < graph.num_tasks; ++t) {
-    work[static_cast<std::size_t>(t)] +=
-        fu_total_ops(graph.ms[static_cast<std::size_t>(t)],
-                     graph.ks[static_cast<std::size_t>(t)]) +
-        graph.assembly_entries[static_cast<std::size_t>(t)];
+    work[static_cast<std::size_t>(t)] += graph.work(t);
     const index_t p = graph.parent[static_cast<std::size_t>(t)];
     if (p != -1) {
       work[static_cast<std::size_t>(p)] += work[static_cast<std::size_t>(t)];

@@ -1,9 +1,16 @@
 #include "sched/task_graph.hpp"
 
 #include "multifrontal/stack_arena.hpp"
+#include "policy/policy.hpp"
 #include "symbolic/postorder.hpp"
 
 namespace mfgpu {
+
+double TaskGraph::work(index_t t) const {
+  return fu_total_ops(ms[static_cast<std::size_t>(t)],
+                      ks[static_cast<std::size_t>(t)]) +
+         assembly_entries[static_cast<std::size_t>(t)];
+}
 
 TaskGraph build_task_graph(const SymbolicFactor& sym,
                            const SparseSpd& permuted) {
@@ -38,6 +45,16 @@ TaskGraph build_task_graph(const SymbolicFactor& sym,
   }
   g.children = children_lists(g.parent);
   return g;
+}
+
+std::vector<double> bottom_levels(const TaskGraph& graph) {
+  std::vector<double> bottom(static_cast<std::size_t>(graph.num_tasks), 0.0);
+  for (index_t t = graph.num_tasks - 1; t >= 0; --t) {
+    const index_t p = graph.parent[static_cast<std::size_t>(t)];
+    bottom[static_cast<std::size_t>(t)] =
+        graph.work(t) + ((p != -1) ? bottom[static_cast<std::size_t>(p)] : 0.0);
+  }
+  return bottom;
 }
 
 }  // namespace mfgpu

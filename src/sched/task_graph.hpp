@@ -20,8 +20,16 @@ struct TaskGraph {
   /// entries + extend-add of children + packing its own update + storing
   /// the factor panel).
   std::vector<double> assembly_entries;
+
+  /// Relative serial cost of task t: factor-update ops plus its
+  /// memory-bound assembly entries.
+  double work(index_t t) const;
 };
 
 TaskGraph build_task_graph(const SymbolicFactor& sym, const SparseSpd& permuted);
+
+/// Critical-path priority of every task: its bottom level, the work() summed
+/// along the path from the task up to its root.
+std::vector<double> bottom_levels(const TaskGraph& graph);
 
 }  // namespace mfgpu

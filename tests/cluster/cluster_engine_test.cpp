@@ -12,6 +12,7 @@
 
 #include "cluster/placement.hpp"
 #include "core/solver.hpp"
+#include "helpers/factor_bitwise.hpp"
 #include "multifrontal/refine.hpp"
 #include "obs/schedule_record.hpp"
 #include "obs/whatif.hpp"
@@ -24,6 +25,8 @@
 
 namespace mfgpu {
 namespace {
+
+using testing_helpers::factors_bitwise_equal;
 
 const GridProblem& test_problem() {
   static const GridProblem p = make_laplacian_3d(8, 7, 6);
@@ -39,31 +42,15 @@ const Analysis& test_analysis() {
 /// Serial reference with the cluster's default node executor (baseline
 /// hybrid on a private simulated device).
 FactorizeResult serial_reference(const Analysis& analysis,
-                                 Device::Options device_options = {}) {
+                                 Device::Options device_options = {},
+                                 const FactorizeOptions& numeric = {}) {
   FactorContext ctx;
   device_options.numeric = true;
   Device device(device_options);
   ctx.device = &device;
   const std::unique_ptr<FuExecutor> executor =
       default_worker_executor(WorkerSpec{true}, ExecutorOptions{});
-  return factorize(analysis, *executor, ctx);
-}
-
-void expect_bitwise(const Factorization& a, const Factorization& b,
-                    const std::string& what) {
-  ASSERT_EQ(a.num_panels(), b.num_panels()) << what;
-  for (std::size_t s = 0; s < a.panels.size(); ++s) {
-    const Matrix<double>& pa = a.panels[s];
-    const Matrix<double>& pb = b.panels[s];
-    ASSERT_EQ(pa.rows(), pb.rows()) << what << " panel " << s;
-    ASSERT_EQ(pa.cols(), pb.cols()) << what << " panel " << s;
-    for (index_t j = 0; j < pa.cols(); ++j) {
-      for (index_t i = j; i < pa.rows(); ++i) {
-        ASSERT_EQ(pa(i, j), pb(i, j))
-            << what << " panel " << s << " entry (" << i << ", " << j << ")";
-      }
-    }
-  }
+  return factorize(analysis, *executor, ctx, numeric);
 }
 
 /// GPU-forcing chooser for the fault tests (the test grids' fronts are
@@ -82,12 +69,26 @@ TEST(ClusterEngineTest, FactorIsBitwiseSerialAcrossNodesLinksEngines) {
         options.cluster.engine = engine;
         const FactorizeResult result =
             factorize_cluster(test_analysis(), options);
-        expect_bitwise(serial.factor, result.factor,
-                       std::to_string(nodes) + " nodes " +
-                           cluster_engine_name(engine));
+        EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor))
+            << nodes << " nodes " << cluster_engine_name(engine);
       }
     }
   }
+}
+
+TEST(ClusterEngineTest, Float32FactorIsBitwiseSerialFloat32) {
+  FactorizeOptions single;
+  single.precision = FactorPrecision::Float32;
+  const FactorizeResult serial = serial_reference(test_analysis(), {}, single);
+  ASSERT_TRUE(serial.factor.single_precision());
+
+  ClusterFactorizeOptions options;
+  options.cluster.num_nodes = 3;
+  options.cluster.engine = ClusterEngine::FanBoth;
+  options.numeric = single;
+  const FactorizeResult result = factorize_cluster(test_analysis(), options);
+  ASSERT_TRUE(result.factor.single_precision());
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor));
 }
 
 TEST(ClusterEngineTest, RepeatRunsAreFullyDeterministic) {
@@ -106,7 +107,8 @@ TEST(ClusterEngineTest, RepeatRunsAreFullyDeterministic) {
   EXPECT_EQ(first_stats.bytes_on_wire, second_stats.bytes_on_wire);
   EXPECT_EQ(first_stats.send_busy_seconds, second_stats.send_busy_seconds);
   EXPECT_EQ(first.trace.total_time, second.trace.total_time);
-  expect_bitwise(first.factor, second.factor, "repeat run");
+  EXPECT_TRUE(factors_bitwise_equal(first.factor, second.factor))
+      << "repeat run";
 }
 
 TEST(ClusterEngineTest, FanBothBeatsLevelSync) {
@@ -189,8 +191,8 @@ TEST(ClusterEngineTest, FactorStaysBitwiseUnderDeviceFaults) {
         factorize_cluster(test_analysis(), options, chaos_factory);
     EXPECT_EQ(result.faults_survived, serial.faults_survived)
         << nodes << " nodes";
-    expect_bitwise(serial.factor, result.factor,
-                   std::to_string(nodes) + " nodes under faults");
+    EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor))
+        << nodes << " nodes under faults";
   }
 }
 
@@ -198,7 +200,7 @@ TEST(ClusterEngineTest, RecorderGetsOneLanePerNodeAndReplaysBitwise) {
   obs::ScheduleRecorder recorder;
   ClusterFactorizeOptions options;
   options.cluster.num_nodes = 4;
-  options.recorder = &recorder;
+  options.numeric.recorder = &recorder;
   ClusterStats stats;
   factorize_cluster(test_analysis(), options, {}, &stats);
   const obs::ScheduleRecord record = recorder.take();
@@ -329,8 +331,8 @@ TEST(ClusterChaosTest, NodeDeathReplacesWorkAndPreservesTheFactor) {
     if (stats.node_deaths == 0) continue;
     saw_death = true;
     EXPECT_GT(stats.replaced_tasks, 0) << "seed " << seed;
-    expect_bitwise(serial.factor, result.factor,
-                   "death seed " + std::to_string(seed));
+    EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor))
+        << "death seed " << seed;
 
     // The re-placed run still solves to full accuracy.
     const GridProblem& p = test_problem();

@@ -9,6 +9,7 @@
 #include <memory>
 #include <vector>
 
+#include "helpers/factor_bitwise.hpp"
 #include "multifrontal/factorization.hpp"
 #include "multifrontal/parallel.hpp"
 #include "obs/request_context.hpp"
@@ -173,31 +174,6 @@ TEST(BatchingOptionsTest, ResolvePrecedenceIsCliThenEnvThenDefault) {
 // The numeric contract: batched execution is bitwise identical to the
 // per-front host path, serial or parallel, at any worker count.
 
-::testing::AssertionResult panels_bitwise_equal(const Factorization& a,
-                                                const Factorization& b) {
-  if (a.num_panels() != b.num_panels()) {
-    return ::testing::AssertionFailure()
-           << "panel count " << a.num_panels() << " vs " << b.num_panels();
-  }
-  for (std::size_t s = 0; s < a.panels.size(); ++s) {
-    const Matrix<double>& pa = a.panels[s];
-    const Matrix<double>& pb = b.panels[s];
-    if (pa.rows() != pb.rows() || pa.cols() != pb.cols()) {
-      return ::testing::AssertionFailure() << "panel " << s << " shape";
-    }
-    for (index_t j = 0; j < pa.cols(); ++j) {
-      for (index_t i = j; i < pa.rows(); ++i) {
-        if (pa(i, j) != pb(i, j)) {
-          return ::testing::AssertionFailure()
-                 << "panel " << s << " entry (" << i << ", " << j << "): "
-                 << pa(i, j) << " != " << pb(i, j);
-        }
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
-}
-
 int batched_calls(const FactorizationTrace& trace) {
   int count = 0;
   for (const FuCallRecord& r : trace.calls) {
@@ -225,7 +201,7 @@ TEST(BatchedFactorizeTest, SerialBatchedIsBitwiseEqualToPerFront) {
   const FactorizeResult batched = factorize(analysis, dispatch, ctx, options);
 
   EXPECT_GT(batched_calls(batched.trace), 0) << "plan never batched";
-  EXPECT_TRUE(panels_bitwise_equal(per_front.factor, batched.factor));
+  EXPECT_TRUE(testing_helpers::factors_bitwise_equal(per_front.factor, batched.factor));
   EXPECT_EQ(per_front.trace.calls.size(), batched.trace.calls.size());
 }
 
@@ -248,7 +224,7 @@ TEST_P(ParallelFactorizeBatched, BitwiseEqualToPerFrontSerialAtAnyWidth) {
       });
 
   EXPECT_GT(batched_calls(batched.trace), 0) << "plan never batched";
-  EXPECT_TRUE(panels_bitwise_equal(per_front.factor, batched.factor));
+  EXPECT_TRUE(testing_helpers::factors_bitwise_equal(per_front.factor, batched.factor));
   EXPECT_EQ(per_front.trace.calls.size(), batched.trace.calls.size());
 }
 

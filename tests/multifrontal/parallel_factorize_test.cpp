@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "helpers/factor_bitwise.hpp"
 #include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "sparse/coo.hpp"
@@ -14,40 +15,17 @@
 namespace mfgpu {
 namespace {
 
+using testing_helpers::factors_bitwise_equal;
+
 Analysis analyze_md(const SparseSpd& a) {
   return analyze(a, minimum_degree(build_graph(a)));
 }
 
-FactorizeResult factorize_serial(const Analysis& analysis) {
+FactorizeResult factorize_serial(const Analysis& analysis,
+                                 const FactorizeOptions& options = {}) {
   PolicyExecutor executor(Policy::P1);
   FactorContext ctx;
-  return factorize(analysis, executor, ctx);
-}
-
-/// True iff every panel of `a` and `b` is bitwise identical.
-::testing::AssertionResult panels_bitwise_equal(const Factorization& a,
-                                                const Factorization& b) {
-  if (a.num_panels() != b.num_panels()) {
-    return ::testing::AssertionFailure()
-           << "panel count " << a.num_panels() << " vs " << b.num_panels();
-  }
-  for (std::size_t s = 0; s < a.panels.size(); ++s) {
-    const Matrix<double>& pa = a.panels[s];
-    const Matrix<double>& pb = b.panels[s];
-    if (pa.rows() != pb.rows() || pa.cols() != pb.cols()) {
-      return ::testing::AssertionFailure() << "panel " << s << " shape";
-    }
-    for (index_t j = 0; j < pa.cols(); ++j) {
-      for (index_t i = j; i < pa.rows(); ++i) {
-        if (pa(i, j) != pb(i, j)) {
-          return ::testing::AssertionFailure()
-                 << "panel " << s << " entry (" << i << ", " << j << "): "
-                 << pa(i, j) << " != " << pb(i, j);
-        }
-      }
-    }
-  }
-  return ::testing::AssertionSuccess();
+  return factorize(analysis, executor, ctx, options);
 }
 
 double solve_residual(const SparseSpd& a, const Analysis& analysis,
@@ -76,8 +54,26 @@ TEST_P(ParallelFactorize, BitwiseEqualToSerialWithDeterministicReduction) {
   options.deterministic_reduction = true;
   const FactorizeResult parallel = factorize_parallel(analysis, options);
 
-  EXPECT_TRUE(panels_bitwise_equal(serial.factor, parallel.factor));
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
   EXPECT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
+}
+
+TEST_P(ParallelFactorize, Float32BitwiseEqualToSerialFloat32) {
+  const int threads = GetParam();
+  Rng rng(11);
+  const GridProblem p = make_elasticity_3d(7, 6, 5, 3, rng);
+  const Analysis analysis = analyze_md(p.matrix);
+  FactorizeOptions single;
+  single.precision = FactorPrecision::Float32;
+  const FactorizeResult serial = factorize_serial(analysis, single);
+  ASSERT_TRUE(serial.factor.single_precision());
+
+  ParallelFactorizeOptions options;
+  options.num_threads = threads;
+  options.numeric = single;
+  const FactorizeResult parallel = factorize_parallel(analysis, options);
+  ASSERT_TRUE(parallel.factor.single_precision());
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
 }
 
 TEST_P(ParallelFactorize, NonDeterministicReductionStaysAccurate) {
@@ -136,7 +132,7 @@ TEST(ParallelFactorizeTest, SingleThreadMatchesSerialTrace) {
   const Analysis analysis = analyze_md(p.matrix);
   const FactorizeResult serial = factorize_serial(analysis);
   const FactorizeResult parallel = factorize_parallel(analysis, {});
-  EXPECT_TRUE(panels_bitwise_equal(serial.factor, parallel.factor));
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
   // One worker runs the exact serial schedule: same calls, same per-call
   // policies.
   ASSERT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
@@ -199,7 +195,7 @@ TEST(ParallelFactorizeTest, NpdMidRunLeavesNoDeadlockOrLeakedState) {
   options.deterministic_reduction = true;
   const FactorizeResult after = factorize_parallel(good_analysis, options);
   const FactorizeResult serial = factorize_serial(good_analysis);
-  EXPECT_TRUE(panels_bitwise_equal(serial.factor, after.factor));
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, after.factor));
   EXPECT_LT(solve_residual(good.matrix, good_analysis, after.factor), 1e-8);
 }
 
