@@ -1,74 +1,177 @@
 #include "dense/blas.hpp"
 
 #include <algorithm>
+#include <memory>
+
+#include "dense/kernels.hpp"
 
 namespace mfgpu {
+namespace dense {
 namespace {
 
-// Cache-blocking tile edge. Modest by design: the kernels are correctness
-// substrates for the simulator; wall-clock performance is not what the
-// benchmarks measure (they use the calibrated virtual clock).
-constexpr index_t kBlock = 64;
-
-// C(MxN) += alpha * A(MxK) * B(KxN), all plain column-major blocks.
+/// Bytes of one packed A block (mc x kc) plus one packed B block (kc x nc).
 template <typename T>
-void gemm_nn_accum(T alpha, MatrixView<const T> a, MatrixView<const T> b,
-                   MatrixView<T> c) {
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t p = 0; p < k; ++p) {
-      const T scale = alpha * b(p, j);
-      if (scale == T{}) continue;
-      const T* __restrict__ acol = &a(0, p);
-      T* __restrict__ ccol = &c(0, j);
-      for (index_t i = 0; i < m; ++i) ccol[i] += scale * acol[i];
+constexpr std::size_t pack_bytes() {
+  using Block = Blocking<T>;
+  return static_cast<std::size_t>(Block::kc * (Block::mc + Block::nc)) *
+         sizeof(T);
+}
+
+/// The per-thread pack buffer, shared by both precisions (a thread runs one
+/// kernel at a time). It is allocated on the thread's first packed call and
+/// sized by the cache blocking, never by the operands.
+class PackBuffer {
+ public:
+  PackBuffer()
+      : storage_(std::make_unique_for_overwrite<unsigned char[]>(kBytes +
+                                                                 kAlign)) {
+    void* base = storage_.get();
+    std::size_t space = kBytes + kAlign;
+    data_ = std::align(kAlign, kBytes, base, space);
+  }
+
+  /// The packed A block; the B block follows it (kc * mc * sizeof(T) is a
+  /// multiple of 64 bytes).
+  template <typename T>
+  T* a() const {
+    return static_cast<T*>(data_);
+  }
+  template <typename T>
+  T* b() const {
+    return a<T>() + Blocking<T>::mc * Blocking<T>::kc;
+  }
+
+  static const PackBuffer& local() {
+    thread_local const PackBuffer buffer;
+    return buffer;
+  }
+
+ private:
+  static constexpr std::size_t kAlign = 64;
+  static constexpr std::size_t kBytes =
+      std::max(pack_bytes<float>(), pack_bytes<double>());
+  std::unique_ptr<unsigned char[]> storage_;
+  void* data_ = nullptr;
+};
+
+/// Packs rows [i0, i0 + m) and columns [p0, p0 + k) of op(A), times alpha,
+/// as panels of mr rows: panel r holds k columns of mr contiguous elements,
+/// the last panel zero-padded.
+template <typename T>
+void pack_a(Trans trans, T alpha, MatrixView<const T> a, index_t i0,
+            index_t p0, index_t m, index_t k, index_t mr, T* dst) {
+  for (index_t r0 = 0; r0 < m; r0 += mr, dst += mr * k) {
+    const index_t rows = std::min(mr, m - r0);
+    if (trans == Trans::NoTrans) {
+      for (index_t p = 0; p < k; ++p) {
+        const T* src = &a(i0 + r0, p0 + p);
+        T* d = dst + p * mr;
+        for (index_t i = 0; i < rows; ++i) d[i] = alpha * src[i];
+        std::fill(d + rows, d + mr, T{});
+      }
+      continue;
+    }
+    for (index_t i = 0; i < rows; ++i) {
+      const T* src = &a(p0, i0 + r0 + i);
+      for (index_t p = 0; p < k; ++p) dst[i + p * mr] = alpha * src[p];
+    }
+    if (rows < mr) {
+      for (index_t p = 0; p < k; ++p) {
+        std::fill(dst + p * mr + rows, dst + (p + 1) * mr, T{});
+      }
     }
   }
 }
 
-// C(MxN) += alpha * A(MxK) * B(NxK)^T.
+/// Packs rows [p0, p0 + k) and columns [j0, j0 + n) of op(B) as panels of nr
+/// columns: panel s holds k rows of nr contiguous elements, the last panel
+/// zero-padded.
 template <typename T>
-void gemm_nt_accum(T alpha, MatrixView<const T> a, MatrixView<const T> b,
-                   MatrixView<T> c) {
-  const index_t m = c.rows(), n = c.cols(), k = a.cols();
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t p = 0; p < k; ++p) {
-      const T scale = alpha * b(j, p);
-      if (scale == T{}) continue;
-      const T* __restrict__ acol = &a(0, p);
-      T* __restrict__ ccol = &c(0, j);
-      for (index_t i = 0; i < m; ++i) ccol[i] += scale * acol[i];
+void pack_b(Trans trans, MatrixView<const T> b, index_t p0, index_t j0,
+            index_t k, index_t n, index_t nr, T* dst) {
+  for (index_t c0 = 0; c0 < n; c0 += nr, dst += nr * k) {
+    const index_t cols = std::min(nr, n - c0);
+    if (trans == Trans::NoTrans) {
+      for (index_t j = 0; j < cols; ++j) {
+        const T* src = &b(p0, j0 + c0 + j);
+        for (index_t p = 0; p < k; ++p) dst[j + p * nr] = src[p];
+      }
+    } else {
+      for (index_t p = 0; p < k; ++p) {
+        const T* src = &b(j0 + c0, p0 + p);
+        std::copy(src, src + cols, dst + p * nr);
+      }
+    }
+    if (cols < nr) {
+      for (index_t p = 0; p < k; ++p) {
+        std::fill(dst + p * nr + cols, dst + (p + 1) * nr, T{});
+      }
     }
   }
 }
 
-// C(MxN) += alpha * A(KxM)^T * B(KxN).
+/// C += alpha * op(A) * op(B) over the whole of C or, with `lower`, over its
+/// lower triangle only (C square). Tiny products go to the unpacked leaf;
+/// the rest through the micro-kernel. Full tiles are updated in place. Tiles
+/// at C's edge, and tiles that straddle the diagonal, are computed into a
+/// scratch tile and added to the elements to update only, so nothing
+/// outside them is read or written.
 template <typename T>
-void gemm_tn_accum(T alpha, MatrixView<const T> a, MatrixView<const T> b,
-                   MatrixView<T> c) {
-  const index_t m = c.rows(), n = c.cols(), k = b.rows();
-  for (index_t j = 0; j < n; ++j) {
-    const T* __restrict__ bcol = &b(0, j);
-    for (index_t i = 0; i < m; ++i) {
-      const T* __restrict__ acol = &a(0, i);
-      T sum{};
-      for (index_t p = 0; p < k; ++p) sum += acol[p] * bcol[p];
-      c(i, j) += alpha * sum;
-    }
+void update(const Leaves<T>& lv, Trans trans_a, Trans trans_b, T alpha,
+                   MatrixView<const T> a, MatrixView<const T> b,
+                   MatrixView<T> c, bool lower) {
+  using Block = Blocking<T>;
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = (trans_a == Trans::NoTrans) ? a.cols() : a.rows();
+  if (k <= kSmallDepth || m * n * k <= kSmallWork) {
+    const bool na = trans_a == Trans::NoTrans;
+    const bool nb = trans_b == Trans::NoTrans;
+    lv.small(m, n, k, alpha, a.data(), na ? 1 : a.ld(), na ? a.ld() : 1,
+             b.data(), nb ? 1 : b.ld(), nb ? b.ld() : 1, c.data(), c.ld(),
+             lower);
+    return;
   }
-}
+  const index_t mr = lv.mr;
+  const index_t nr = lv.nr;
+  const PackBuffer& buffer = PackBuffer::local();
+  alignas(64) T tile[kMaxTileRows * kMaxTileCols];
 
-// C(MxN) += alpha * A(KxM)^T * B(NxK)^T.
-template <typename T>
-void gemm_tt_accum(T alpha, MatrixView<const T> a, MatrixView<const T> b,
-                   MatrixView<T> c) {
-  const index_t m = c.rows(), n = c.cols(), k = a.rows();
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t i = 0; i < m; ++i) {
-      const T* __restrict__ acol = &a(0, i);
-      T sum{};
-      for (index_t p = 0; p < k; ++p) sum += acol[p] * b(j, p);
-      c(i, j) += alpha * sum;
+  for (index_t jc = 0; jc < n; jc += Block::nc) {
+    const index_t nc = std::min(Block::nc, n - jc);
+    for (index_t pc = 0; pc < k; pc += Block::kc) {
+      const index_t kc = std::min(Block::kc, k - pc);
+      pack_b(trans_b, b, pc, jc, kc, nc, nr, buffer.b<T>());
+      for (index_t ic = lower ? jc : 0; ic < m; ic += Block::mc) {
+        const index_t mc = std::min(Block::mc, m - ic);
+        pack_a(trans_a, alpha, a, ic, pc, mc, kc, mr, buffer.a<T>());
+        for (index_t jr = 0; jr < nc; jr += nr) {
+          const index_t j0 = jc + jr;
+          const index_t cols = std::min(nr, nc - jr);
+          const T* bp = buffer.b<T>() + jr * kc;
+          for (index_t ir = 0; ir < mc; ir += mr) {
+            const index_t i0 = ic + ir;
+            const index_t rows = std::min(mr, mc - ir);
+            if (lower && i0 + rows <= j0) continue;  // strictly upper
+            const T* ap = buffer.a<T>() + ir * kc;
+            const bool straddles = lower && i0 < j0 + cols - 1;
+            if (rows == mr && cols == nr && !straddles) {
+              lv.micro(kc, ap, bp, &c(i0, j0), c.ld(), /*overwrite=*/false);
+              continue;
+            }
+            // Edge or diagonal tile: add the product to the elements that
+            // are C's (and, for `lower`, on or below the diagonal) only.
+            lv.micro(kc, ap, bp, tile, mr, /*overwrite=*/true);
+            for (index_t j = 0; j < cols; ++j) {
+              const index_t first =
+                  lower ? std::clamp<index_t>(j0 + j - i0, 0, rows) : 0;
+              T* dst = &c(i0, j0 + j);
+              const T* src = tile + j * mr;
+              for (index_t i = first; i < rows; ++i) dst[i] += src[i];
+            }
+          }
+        }
+      }
     }
   }
 }
@@ -86,11 +189,36 @@ void scale_matrix(T beta, MatrixView<T> c) {
   }
 }
 
+/// X * L^T = B in place, blocked: each diagonal block of kTrsmBlock columns
+/// is solved by the leaf, then the micro-kernel subtracts its contribution
+/// from every column to its right.
+template <typename T>
+void trsm_right_lower_transpose(const Leaves<T>& lv, Diag diag,
+                                MatrixView<const T> l, MatrixView<T> b) {
+  const index_t m = b.rows();
+  const index_t n = b.cols();
+  if (m == 0) return;
+  T inv[kTrsmBlock];
+  for (index_t j0 = 0; j0 < n; j0 += kTrsmBlock) {
+    const index_t jb = std::min(kTrsmBlock, n - j0);
+    for (index_t j = 0; j < jb; ++j) {
+      inv[j] = (diag == Diag::NonUnit) ? T{1} / l(j0 + j, j0 + j) : T{1};
+    }
+    lv.trsm_rlt(m, jb, &l(j0, j0), l.ld(), inv, &b(0, j0), b.ld());
+    const index_t rest = n - j0 - jb;
+    if (rest == 0) continue;
+    update<T>(lv, Trans::NoTrans, Trans::Transpose, T{-1},
+              b.block(0, j0, m, jb), l.block(j0 + jb, j0, rest, jb),
+              b.block(0, j0 + jb, m, rest), /*lower=*/false);
+  }
+}
+
 }  // namespace
 
 template <typename T>
-void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
-          MatrixView<const T> b, T beta, MatrixView<T> c) {
+void gemm(Isa isa, Trans trans_a, Trans trans_b, T alpha,
+          MatrixView<const T> a, MatrixView<const T> b, T beta,
+          MatrixView<T> c) {
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (trans_a == Trans::NoTrans) ? a.cols() : a.rows();
@@ -101,35 +229,12 @@ void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
 
   scale_matrix(beta, c);
   if (m == 0 || n == 0 || k == 0 || alpha == T{}) return;
-
-  // Tile over (i, j, p) so panels of A and B stay cache resident.
-  for (index_t j0 = 0; j0 < n; j0 += kBlock) {
-    const index_t jb = std::min(kBlock, n - j0);
-    for (index_t p0 = 0; p0 < k; p0 += kBlock) {
-      const index_t pb = std::min(kBlock, k - p0);
-      for (index_t i0 = 0; i0 < m; i0 += kBlock) {
-        const index_t ib = std::min(kBlock, m - i0);
-        auto cb = c.block(i0, j0, ib, jb);
-        if (trans_a == Trans::NoTrans && trans_b == Trans::NoTrans) {
-          gemm_nn_accum(alpha, a.block(i0, p0, ib, pb), b.block(p0, j0, pb, jb),
-                        cb);
-        } else if (trans_a == Trans::NoTrans) {
-          gemm_nt_accum(alpha, a.block(i0, p0, ib, pb), b.block(j0, p0, jb, pb),
-                        cb);
-        } else if (trans_b == Trans::NoTrans) {
-          gemm_tn_accum(alpha, a.block(p0, i0, pb, ib), b.block(p0, j0, pb, jb),
-                        cb);
-        } else {
-          gemm_tt_accum(alpha, a.block(p0, i0, pb, ib), b.block(j0, p0, jb, pb),
-                        cb);
-        }
-      }
-    }
-  }
+  update(leaves<T>(isa), trans_a, trans_b, alpha, a, b, c, /*lower=*/false);
 }
 
 template <typename T>
-void syrk_lower(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
+void syrk_lower(Isa isa, T alpha, MatrixView<const T> a, T beta,
+                MatrixView<T> c) {
   const index_t n = c.rows();
   const index_t k = a.cols();
   MFGPU_CHECK(c.cols() == n && a.rows() == n, "syrk_lower: shape mismatch");
@@ -144,20 +249,12 @@ void syrk_lower(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
     }
   }
   if (n == 0 || k == 0 || alpha == T{}) return;
-
-  for (index_t j = 0; j < n; ++j) {
-    for (index_t p = 0; p < k; ++p) {
-      const T scale = alpha * a(j, p);
-      if (scale == T{}) continue;
-      const T* __restrict__ acol = &a(0, p);
-      T* __restrict__ ccol = &c(0, j);
-      for (index_t i = j; i < n; ++i) ccol[i] += scale * acol[i];
-    }
-  }
+  update(leaves<T>(isa), Trans::NoTrans, Trans::Transpose, alpha, a, a, c,
+         /*lower=*/true);
 }
 
 template <typename T>
-void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
+void trsm(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
           MatrixView<const T> a, MatrixView<T> b) {
   MFGPU_CHECK(a.rows() == a.cols(), "trsm: A must be square");
   MFGPU_CHECK(uplo == Uplo::Lower, "trsm: only lower-triangular A supported");
@@ -165,22 +262,9 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
   scale_matrix(alpha, b);
 
   if (side == Side::Right && trans == Trans::Transpose) {
-    // Solve X * L^T = B  =>  column sweep: x_j = (b_j - sum_{p<j} x_p l_jp)/l_jj.
+    // Solve X * L^T = B  =>  x_j = (b_j - sum_{p<j} x_p l_jp) / l_jj.
     MFGPU_CHECK(b.cols() == n, "trsm right: B column count must match A");
-    const index_t m = b.rows();
-    for (index_t j = 0; j < n; ++j) {
-      T* __restrict__ bj = &b(0, j);
-      for (index_t p = 0; p < j; ++p) {
-        const T l_jp = a(j, p);
-        if (l_jp == T{}) continue;
-        const T* __restrict__ bp = &b(0, p);
-        for (index_t i = 0; i < m; ++i) bj[i] -= l_jp * bp[i];
-      }
-      if (diag == Diag::NonUnit) {
-        const T inv = T{1} / a(j, j);
-        for (index_t i = 0; i < m; ++i) bj[i] *= inv;
-      }
-    }
+    trsm_right_lower_transpose(leaves<T>(isa), diag, a, b);
     return;
   }
 
@@ -192,7 +276,6 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
       for (index_t p = 0; p < n; ++p) {
         if (diag == Diag::NonUnit) x[p] /= a(p, p);
         const T xp = x[p];
-        if (xp == T{}) continue;
         const T* __restrict__ lcol = &a(0, p);
         for (index_t i = p + 1; i < n; ++i) x[i] -= lcol[i] * xp;
       }
@@ -216,6 +299,35 @@ void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
   }
 
   throw InvalidArgumentError("trsm: unsupported side/trans combination");
+}
+
+#define MFGPU_DENSE_INSTANTIATE(T)                                            \
+  template void gemm<T>(Isa, Trans, Trans, T, MatrixView<const T>,            \
+                        MatrixView<const T>, T, MatrixView<T>);               \
+  template void syrk_lower<T>(Isa, T, MatrixView<const T>, T, MatrixView<T>); \
+  template void trsm<T>(Isa, Side, Uplo, Trans, Diag, T, MatrixView<const T>, \
+                        MatrixView<T>);
+MFGPU_DENSE_INSTANTIATE(float)
+MFGPU_DENSE_INSTANTIATE(double)
+#undef MFGPU_DENSE_INSTANTIATE
+
+}  // namespace dense
+
+template <typename T>
+void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
+          MatrixView<const T> b, T beta, MatrixView<T> c) {
+  dense::gemm(dense::selected_isa(), trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+template <typename T>
+void syrk_lower(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
+  dense::syrk_lower(dense::selected_isa(), alpha, a, beta, c);
+}
+
+template <typename T>
+void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
+          MatrixView<const T> a, MatrixView<T> b) {
+  dense::trsm(dense::selected_isa(), side, uplo, trans, diag, alpha, a, b);
 }
 
 index_t potrf_ops(index_t k) { return k * k * k / 3; }

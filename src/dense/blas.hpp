@@ -1,9 +1,17 @@
 // Level-3 BLAS kernels implemented from scratch (the paper offloads exactly
 // these to ATLAS on the host and CUBLAS on the GPU: gemm, syrk, trsm).
 //
-// Only the variants the multifrontal algorithm needs are implemented, but
-// each is implemented for the full shape range and validated against naive
-// reference versions in the test suite. All matrices are column-major.
+// Only the variants the multifrontal algorithm needs are implemented, each
+// for the full shape range in float and double. All matrices are
+// column-major. gemm, syrk and the right trsm run on one packed,
+// register-blocked micro-kernel with cache blocking, compiled for AVX-512F,
+// AVX2+FMA and the SSE2 baseline and chosen once at run time for the widest
+// set this CPU supports (dense/kernels.hpp). This is the host speed every
+// factorization driver, the simulated device's float kernels and the
+// refinement path run at. Results depend on the operand values and shape
+// only, never on alignment, leading dimension or the calling thread, so the
+// drivers' factors stay bitwise identical. A NaN or Inf in any operand
+// reaches the result: no kernel skips a zero multiplier.
 #pragma once
 
 #include "dense/matrix.hpp"

@@ -1,0 +1,350 @@
+// The instruction-set-specific leaves of the dense kernels and the run-time
+// choice among them (see kernels.hpp).
+//
+// Each leaf body is an always-inline template written with GCC/Clang vector
+// extensions. A thin wrapper per instruction set carries the target
+// attribute, so the inlined body is compiled for that set's vector width and
+// FMA; everything else in src/dense is built for the baseline. Vectors are
+// moved in and out of memory only through memcpy, never by casting an
+// element pointer, so no access assumes an alignment the operands may not
+// have.
+#include "dense/kernels.hpp"
+
+#include <cmath>
+#include <cstring>
+#include <type_traits>
+
+namespace mfgpu::dense {
+namespace {
+
+typedef float f32x4 __attribute__((vector_size(16)));
+typedef double f64x2 __attribute__((vector_size(16)));
+template <typename T>
+using V128 = std::conditional_t<std::is_same_v<T, float>, f32x4, f64x2>;
+
+/// Rows [i, i + L * q) of one column of the small product, L = lanes of V,
+/// for A stored by columns (op(A)(i, p) = a[i + p * cas]); returns the first
+/// row left over.
+template <typename T, typename V>
+[[gnu::always_inline]] inline index_t small_rows(index_t i, index_t m,
+                                                 index_t k, T alpha,
+                                                 const T* a, index_t cas,
+                                                 const T* bj, index_t rbs,
+                                                 T* cj) {
+  constexpr index_t kLanes = sizeof(V) / sizeof(T);
+  for (; i + kLanes <= m; i += kLanes) {
+    V sum = {};
+    for (index_t p = 0; p < k; ++p) {
+      V x;
+      std::memcpy(&x, a + i + p * cas, sizeof(V));
+      sum += (alpha * x) * bj[p * rbs];
+    }
+    V cv;
+    std::memcpy(&cv, cj + i, sizeof(V));
+    cv += sum;
+    std::memcpy(cj + i, &cv, sizeof(V));
+  }
+  return i;
+}
+
+/// C(m x n) += alpha * op(A) * op(B) (lower triangle only with `lower`)
+/// straight from the operands, for shapes too small to repay packing.
+/// op(A)(i, p) = a[i * ras + p * cas] and op(B)(p, j) = b[p * rbs + j * cbs].
+/// Each element takes the packed path's operations: (alpha * a) * b summed
+/// from zero in ascending p, then added to C.
+template <typename T, typename V>
+[[gnu::always_inline]] inline void small_body(index_t m, index_t n, index_t k,
+                                              T alpha, const T* a, index_t ras,
+                                              index_t cas, const T* b,
+                                              index_t rbs, index_t cbs, T* c,
+                                              index_t ldc, bool lower) {
+  for (index_t j = 0; j < n; ++j) {
+    const T* bj = b + j * cbs;
+    T* cj = c + j * ldc;
+    index_t i = lower ? j : 0;
+    if (ras == 1) {
+      i = small_rows<T, V>(i, m, k, alpha, a, cas, bj, rbs, cj);
+      i = small_rows<T, V128<T>>(i, m, k, alpha, a, cas, bj, rbs, cj);
+    }
+    for (; i < m; ++i) {
+      T sum{};
+      for (index_t p = 0; p < k; ++p) {
+        sum += (alpha * a[i * ras + p * cas]) * bj[p * rbs];
+      }
+      cj[i] += sum;
+    }
+  }
+}
+
+/// Micro-tile: MV vectors of rows by NR columns, summed in registers from
+/// zero over the kc packed columns, then added to C (or, with `overwrite`,
+/// stored to it).
+template <typename T, typename V, int MV, int NR>
+[[gnu::always_inline]] inline void micro_body(index_t kc, const T* a,
+                                              const T* b, T* c, index_t ldc,
+                                              bool overwrite) {
+  constexpr int kLanes = sizeof(V) / sizeof(T);
+  V acc[NR][MV] = {};
+  for (index_t p = 0; p < kc; ++p) {
+    V av[MV];
+#pragma GCC unroll 4
+    for (int v = 0; v < MV; ++v) {
+      std::memcpy(&av[v], a + v * kLanes, sizeof(V));
+    }
+#pragma GCC unroll 16
+    for (int j = 0; j < NR; ++j) {
+      const T bj = b[j];
+#pragma GCC unroll 4
+      for (int v = 0; v < MV; ++v) acc[j][v] += av[v] * bj;
+    }
+    a += MV * kLanes;
+    b += NR;
+  }
+#pragma GCC unroll 16
+  for (int j = 0; j < NR; ++j) {
+#pragma GCC unroll 4
+    for (int v = 0; v < MV; ++v) {
+      T* cv = c + j * ldc + v * kLanes;
+      if (!overwrite) {
+        V old;
+        std::memcpy(&old, cv, sizeof(V));
+        acc[j][v] = old + acc[j][v];
+      }
+      std::memcpy(cv, &acc[j][v], sizeof(V));
+    }
+  }
+}
+
+/// X := B * L^{-T} on one strip of SV vectors of rows, column by column:
+/// x_j = (b_j - sum_{p<j} l_jp x_p) * inv_j.
+template <typename T, typename V, int SV>
+[[gnu::always_inline]] inline void trsm_strip(index_t nb, const T* l,
+                                              index_t ldl, const T* inv, T* b,
+                                              index_t ldb) {
+  constexpr int kLanes = sizeof(V) / sizeof(T);
+  for (index_t j = 0; j < nb; ++j) {
+    V acc[SV];
+#pragma GCC unroll 8
+    for (int v = 0; v < SV; ++v) {
+      std::memcpy(&acc[v], b + j * ldb + v * kLanes, sizeof(V));
+    }
+    for (index_t p = 0; p < j; ++p) {
+      const T ljp = l[j + p * ldl];
+      const T* xp = b + p * ldb;
+#pragma GCC unroll 8
+      for (int v = 0; v < SV; ++v) {
+        V x;
+        std::memcpy(&x, xp + v * kLanes, sizeof(V));
+        acc[v] -= ljp * x;
+      }
+    }
+#pragma GCC unroll 8
+    for (int v = 0; v < SV; ++v) {
+      acc[v] *= inv[j];
+      std::memcpy(b + j * ldb + v * kLanes, &acc[v], sizeof(V));
+    }
+  }
+}
+
+/// Rows run in strips of SV vectors, then of one vector, then of 16 bytes,
+/// then one by one, each row with the same operations.
+template <typename T, typename V, int SV>
+[[gnu::always_inline]] inline void trsm_rlt_body(index_t m, index_t nb,
+                                                 const T* l, index_t ldl,
+                                                 const T* inv, T* b,
+                                                 index_t ldb) {
+  constexpr index_t kLanes = sizeof(V) / sizeof(T);
+  constexpr index_t kLanes128 = sizeof(V128<T>) / sizeof(T);
+  index_t i = 0;
+  for (; i + SV * kLanes <= m; i += SV * kLanes) {
+    trsm_strip<T, V, SV>(nb, l, ldl, inv, b + i, ldb);
+  }
+  for (; i + kLanes <= m; i += kLanes) {
+    trsm_strip<T, V, 1>(nb, l, ldl, inv, b + i, ldb);
+  }
+  for (; i + kLanes128 <= m; i += kLanes128) {
+    trsm_strip<T, V128<T>, 1>(nb, l, ldl, inv, b + i, ldb);
+  }
+  for (; i < m; ++i) {
+    T* row = b + i;
+    for (index_t j = 0; j < nb; ++j) {
+      T acc = row[j * ldb];
+      for (index_t p = 0; p < j; ++p) acc -= l[j + p * ldl] * row[p * ldb];
+      row[j * ldb] = acc * inv[j];
+    }
+  }
+}
+
+/// Rows [i, i + L * q) of column j of the Cholesky factor, L = lanes of V:
+/// a(r, j) = (a(r, j) - sum_{p<j} a(r, p) a(j, p)) * inv, accumulated in
+/// registers over unit-stride vectors of rows; returns the first row left
+/// over.
+template <typename T, typename V>
+[[gnu::always_inline]] inline index_t potrf_rows(index_t i, index_t n,
+                                                 index_t j, T* a, index_t lda,
+                                                 T inv) {
+  constexpr index_t kLanes = sizeof(V) / sizeof(T);
+  T* cj = a + j * lda;
+  const T* lj = a + j;  // row j: lj[p * lda] = a(j, p)
+  for (; i + kLanes <= n; i += kLanes) {
+    V acc;
+    std::memcpy(&acc, cj + i, sizeof(V));
+    for (index_t p = 0; p < j; ++p) {
+      V x;
+      std::memcpy(&x, a + p * lda + i, sizeof(V));
+      acc -= lj[p * lda] * x;
+    }
+    acc *= inv;
+    std::memcpy(cj + i, &acc, sizeof(V));
+  }
+  return i;
+}
+
+/// Left-looking Cholesky, one column at a time: the pivot from a(j, j) -
+/// sum_{p<j} a(j, p)^2, then the rows below it in vectors of V, then of 16
+/// bytes, then one by one, each row with the same operations.
+template <typename T, typename V>
+[[gnu::always_inline]] inline index_t potrf_body(index_t n, T* a,
+                                                 index_t lda) {
+  for (index_t j = 0; j < n; ++j) {
+    T* cj = a + j * lda;
+    const T* lj = a + j;
+    T diag = cj[j];
+    for (index_t p = 0; p < j; ++p) diag -= lj[p * lda] * lj[p * lda];
+    if (!(diag > T{})) {
+      cj[j] = diag;
+      return j;
+    }
+    const T pivot = std::sqrt(diag);
+    cj[j] = pivot;
+    const T inv = T{1} / pivot;
+    index_t i = potrf_rows<T, V>(j + 1, n, j, a, lda, inv);
+    i = potrf_rows<T, V128<T>>(i, n, j, a, lda, inv);
+    for (; i < n; ++i) {
+      T acc = cj[i];
+      for (index_t p = 0; p < j; ++p) acc -= lj[p * lda] * a[i + p * lda];
+      cj[i] = acc * inv;
+    }
+  }
+  return -1;
+}
+
+// One set of wrappers per instruction set. Rows per micro-tile are two
+// vectors; columns are as many as the register file holds beside them
+// (AVX-512: 24 of 32 registers accumulate, AVX2/SSE2: 12 of 16).
+#define MFGPU_DENSE_VARIANT(SUFFIX, ATTR, VEC, NR, STRIP)                     \
+  template <typename T>                                                       \
+  ATTR void small_##SUFFIX(index_t m, index_t n, index_t k, T alpha,       \
+                           const T* a, index_t ras, index_t cas, const T* b,  \
+                           index_t rbs, index_t cbs, T* c, index_t ldc,       \
+                           bool lower) {                                      \
+    small_body<T, VEC<T>>(m, n, k, alpha, a, ras, cas, b, rbs, cbs, c, ldc,   \
+                          lower);                                             \
+  }                                                                           \
+  template <typename T>                                                       \
+  ATTR void micro_##SUFFIX(index_t kc, const T* a, const T* b, T* c,          \
+                           index_t ldc, bool overwrite) {                     \
+    micro_body<T, VEC<T>, 2, NR>(kc, a, b, c, ldc, overwrite);                \
+  }                                                                           \
+  template <typename T>                                                       \
+  ATTR void trsm_##SUFFIX(index_t m, index_t nb, const T* l, index_t ldl,     \
+                          const T* inv, T* b, index_t ldb) {                  \
+    trsm_rlt_body<T, VEC<T>, STRIP>(m, nb, l, ldl, inv, b, ldb);              \
+  }                                                                           \
+  template <typename T>                                                       \
+  ATTR index_t potrf_##SUFFIX(index_t n, T* a, index_t lda) {                 \
+    return potrf_body<T, VEC<T>>(n, a, lda);                                  \
+  }                                                                           \
+  static_assert(2 * sizeof(VEC<float>) / sizeof(float) <= kMaxTileRows &&   \
+                NR <= kMaxTileCols);                                          \
+  template <typename T>                                                       \
+  const Leaves<T> kLeaves_##SUFFIX = {                                        \
+      static_cast<index_t>(2 * sizeof(VEC<T>) / sizeof(T)), NR,               \
+      micro_##SUFFIX<T>, small_##SUFFIX<T>, trsm_##SUFFIX<T>,                 \
+      potrf_##SUFFIX<T>};
+
+MFGPU_DENSE_VARIANT(sse2, , V128, 6, 4)
+
+#if defined(__x86_64__) || defined(__i386__)
+#define MFGPU_DENSE_X86 1
+typedef float f32x8 __attribute__((vector_size(32)));
+typedef double f64x4 __attribute__((vector_size(32)));
+typedef float f32x16 __attribute__((vector_size(64)));
+typedef double f64x8 __attribute__((vector_size(64)));
+template <typename T>
+using V256 = std::conditional_t<std::is_same_v<T, float>, f32x8, f64x4>;
+template <typename T>
+using V512 = std::conditional_t<std::is_same_v<T, float>, f32x16, f64x8>;
+
+MFGPU_DENSE_VARIANT(avx2, __attribute__((target("avx2,fma"))), V256, 6, 4)
+MFGPU_DENSE_VARIANT(avx512, __attribute__((target("avx512f"))), V512, 12, 4)
+#endif
+
+#undef MFGPU_DENSE_VARIANT
+
+bool cpu_supports(Isa isa) {
+#ifdef MFGPU_DENSE_X86
+  __builtin_cpu_init();
+  switch (isa) {
+    case Isa::Avx512:
+      return __builtin_cpu_supports("avx512f");
+    case Isa::Avx2:
+      return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
+    case Isa::Sse2:
+      return true;
+  }
+  return false;
+#else
+  return isa == Isa::Sse2;
+#endif
+}
+
+}  // namespace
+
+const char* isa_name(Isa isa) {
+  switch (isa) {
+    case Isa::Avx512:
+      return "avx512";
+    case Isa::Avx2:
+      return "avx2";
+    case Isa::Sse2:
+      return "sse2";
+  }
+  return "?";
+}
+
+std::vector<Isa> supported_isas() {
+  std::vector<Isa> out;
+  for (Isa isa : {Isa::Avx512, Isa::Avx2, Isa::Sse2}) {
+    if (cpu_supports(isa)) out.push_back(isa);
+  }
+  return out;
+}
+
+Isa selected_isa() {
+  static const Isa isa = supported_isas().front();
+  return isa;
+}
+
+template <typename T>
+const Leaves<T>& leaves(Isa isa) {
+  // Isa values are ordered by width, so every variant up to the selected
+  // one runs on this CPU.
+  MFGPU_CHECK(isa <= selected_isa(),
+              "dense: instruction set not supported by this CPU");
+  switch (isa) {
+#ifdef MFGPU_DENSE_X86
+    case Isa::Avx512:
+      return kLeaves_avx512<T>;
+    case Isa::Avx2:
+      return kLeaves_avx2<T>;
+#endif
+    default:
+      return kLeaves_sse2<T>;
+  }
+}
+
+template const Leaves<float>& leaves<float>(Isa);
+template const Leaves<double>& leaves<double>(Isa);
+
+}  // namespace mfgpu::dense

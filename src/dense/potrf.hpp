@@ -1,9 +1,11 @@
 // Dense Cholesky factorization (lower variant), blocked and unblocked.
 //
 // potrf is the pivot-block step of the paper's factor-update operation
-// (Fig. 1). The blocked version recurses into trsm/syrk panels exactly like
-// LAPACK's dpotrf; the unblocked version doubles as the w x w "light-weight
-// GPU kernel" of the paper's on-GPU policy P4 (Fig. 9).
+// (Fig. 1). The blocked version is right-looking like LAPACK's dpotrf and
+// gets its speed from the packed trsm/syrk panels; the unblocked version
+// (unit-stride column updates, vectorized for the selected instruction set)
+// is its pivot-block kernel and doubles as the w x w "light-weight GPU
+// kernel" of the paper's on-GPU policy P4 (Fig. 9).
 #pragma once
 
 #include "dense/blas.hpp"

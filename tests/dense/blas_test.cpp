@@ -3,9 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <array>
+#include <cstring>
 #include <limits>
+#include <string>
+#include <thread>
+#include <vector>
 
+#include "dense/kernels.hpp"
 #include "dense/matrix.hpp"
+#include "dense/potrf.hpp"
 #include "support/rng.hpp"
 
 namespace mfgpu {
@@ -196,6 +203,412 @@ TEST(OpCountTest, PaperConventions) {
   EXPECT_EQ(trsm_ops(10, 4), 160);
   EXPECT_EQ(syrk_ops(10, 4), 400);
   EXPECT_EQ(gemm_ops(2, 3, 4), 48);
+}
+
+
+// ---------------------------------------------------------------------------
+// Every instruction-set variant the host supports, in both precisions, at
+// the shapes where the packed kernels change behaviour: around the
+// micro-tile (mr, nr), the small-product cut-off (kSmallDepth), the cache
+// blocks (kc, 2 mc + 3, nc + 1) and the trsm diagonal block. Every operand
+// is a strided, unaligned sub-block view (ld > rows, offset by one element).
+
+/// An r x c view into a larger random matrix: leading dimension r + 3, first
+/// element one past the buffer start, so neither alignment nor ld == rows.
+template <typename T>
+struct Strided {
+  Matrix<T> storage;
+  MatrixView<T> view;
+  Strided(index_t r, index_t c, Rng& rng)
+      : storage(r + 3, c + 1), view(storage.block(1, 1, r, c)) {
+    for (index_t j = 0; j < storage.cols(); ++j) {
+      for (index_t i = 0; i < storage.rows(); ++i) {
+        storage(i, j) = static_cast<T>(rng.uniform(-1.0, 1.0));
+      }
+    }
+  }
+  Strided(const Strided&) = delete;  // `view` points into `storage`
+  Strided& operator=(const Strided&) = delete;
+  MatrixView<const T> cview() const { return view; }
+};
+
+/// Bound on |kernel - reference| for sums of k products of entries in
+/// [-1, 1] (reference summed in long double).
+template <typename T>
+double sum_tolerance(index_t k) {
+  return 4.0 * static_cast<double>(k + 2) * std::numeric_limits<T>::epsilon();
+}
+
+template <typename T>
+long double op_at(Trans t, MatrixView<const T> x, index_t i, index_t j) {
+  return (t == Trans::NoTrans) ? x(i, j) : x(j, i);
+}
+
+class DenseKernelIsaTest : public ::testing::TestWithParam<dense::Isa> {};
+
+std::string isa_param_name(
+    const ::testing::TestParamInfo<dense::Isa>& info) {
+  return dense::isa_name(info.param);
+}
+
+template <typename T>
+void check_gemm_edges(dense::Isa isa) {
+  using Block = dense::Blocking<T>;
+  const auto& lv = dense::leaves<T>(isa);
+  Rng rng(101);
+  const std::vector<index_t> ms = {1, lv.mr - 1, lv.mr, lv.mr + 1,
+                                   2 * Block::mc + 3};
+  const std::vector<index_t> ns = {1, lv.nr - 1, lv.nr, lv.nr + 1};
+  const std::vector<index_t> ks = {1, dense::kSmallDepth + 1, Block::kc + 1};
+  std::vector<std::array<index_t, 3>> shapes;
+  for (index_t m : ms) {
+    for (index_t n : ns) {
+      for (index_t k : ks) shapes.push_back({m, n, k});
+    }
+  }
+  shapes.push_back({lv.mr + 1, Block::nc + 1, dense::kSmallDepth + 1});
+  const T alpha = static_cast<T>(-1.25);
+  const T beta = static_cast<T>(0.5);
+  for (const auto& [m, n, k] : shapes) {
+    for (Trans ta : {Trans::NoTrans, Trans::Transpose}) {
+      for (Trans tb : {Trans::NoTrans, Trans::Transpose}) {
+        Strided<T> a(ta == Trans::NoTrans ? m : k, ta == Trans::NoTrans ? k : m,
+                     rng);
+        Strided<T> b(tb == Trans::NoTrans ? k : n, tb == Trans::NoTrans ? n : k,
+                     rng);
+        Strided<T> c(m, n, rng);
+        Matrix<long double> expected(m, n);
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = 0; i < m; ++i) {
+            long double sum = 0;
+            for (index_t p = 0; p < k; ++p) {
+              sum += op_at<T>(ta, a.cview(), i, p) *
+                     op_at<T>(tb, b.cview(), p, j);
+            }
+            expected(i, j) =
+                alpha * sum + beta * static_cast<long double>(c.view(i, j));
+          }
+        }
+        dense::gemm<T>(isa, ta, tb, alpha, a.cview(), b.cview(), beta, c.view);
+        double err = 0.0;
+        for (index_t j = 0; j < n; ++j) {
+          for (index_t i = 0; i < m; ++i) {
+            err = std::max(err, static_cast<double>(std::abs(
+                                    c.view(i, j) - expected(i, j))));
+          }
+        }
+        EXPECT_LE(err, 2.0 * sum_tolerance<T>(k))
+            << "m=" << m << " n=" << n << " k=" << k << " ta=" << int(ta)
+            << " tb=" << int(tb);
+      }
+    }
+  }
+}
+
+TEST_P(DenseKernelIsaTest, GemmAllTransposesAtBlockEdges) {
+  check_gemm_edges<float>(GetParam());
+  check_gemm_edges<double>(GetParam());
+}
+
+template <typename T>
+void check_syrk_edges(dense::Isa isa) {
+  using Block = dense::Blocking<T>;
+  const auto& lv = dense::leaves<T>(isa);
+  Rng rng(103);
+  const T sentinel = static_cast<T>(42);
+  for (index_t n : {index_t{1}, lv.mr - 1, lv.mr, lv.mr + 1, lv.nr - 1,
+                    lv.nr + 1, 2 * Block::mc + 3}) {
+    for (index_t k : {index_t{1}, dense::kSmallDepth + 1, Block::kc + 1}) {
+      Strided<T> a(n, k, rng);
+      Strided<T> c(n, n, rng);
+      for (index_t j = 1; j < n; ++j) {
+        for (index_t i = 0; i < j; ++i) c.view(i, j) = sentinel;
+      }
+      Matrix<long double> expected(n, n);
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = j; i < n; ++i) {
+          long double sum = 0;
+          for (index_t p = 0; p < k; ++p) {
+            sum += static_cast<long double>(a.view(i, p)) * a.view(j, p);
+          }
+          expected(i, j) = c.view(i, j) - sum;
+        }
+      }
+      dense::syrk_lower<T>(isa, T{-1}, a.cview(), T{1}, c.view);
+      double err = 0.0;
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = 0; i < j; ++i) {
+          ASSERT_EQ(c.view(i, j), sentinel) << "n=" << n << " k=" << k;
+        }
+        for (index_t i = j; i < n; ++i) {
+          err = std::max(err, static_cast<double>(
+                                  std::abs(c.view(i, j) - expected(i, j))));
+        }
+      }
+      EXPECT_LE(err, 2.0 * sum_tolerance<T>(k)) << "n=" << n << " k=" << k;
+    }
+  }
+}
+
+TEST_P(DenseKernelIsaTest, SyrkLowerAtBlockEdgesLeavesUpperUntouched) {
+  check_syrk_edges<float>(GetParam());
+  check_syrk_edges<double>(GetParam());
+}
+
+/// Makes `l` a well-conditioned lower-triangular factor (diagonal in [3, 4]).
+template <typename T>
+void make_lower_factor(Strided<T>& l) {
+  const index_t n = l.view.rows();
+  for (index_t j = 0; j < n; ++j) {
+    l.view(j, j) =
+        static_cast<T>(3.0 + std::abs(static_cast<double>(l.view(j, j))));
+    for (index_t i = 0; i < j; ++i) l.view(i, j) = T{};
+  }
+}
+
+template <typename T>
+void check_trsm_edges(dense::Isa isa) {
+  const auto& lv = dense::leaves<T>(isa);
+  Rng rng(107);
+  const index_t tb = dense::kTrsmBlock;
+  for (index_t n : {index_t{1}, index_t{7}, tb - 1, tb, tb + 1, 2 * tb + 3}) {
+    for (index_t m : {index_t{1}, lv.mr - 1, lv.mr + 1,
+                      2 * dense::Blocking<T>::mc + 3}) {
+      Strided<T> l(n, n, rng);
+      make_lower_factor(l);
+      // Right: X L^T = B.
+      Strided<T> b(m, n, rng);
+      Matrix<long double> x_ref(m, n);
+      for (index_t i = 0; i < m; ++i) {
+        for (index_t j = 0; j < n; ++j) {
+          long double v = b.view(i, j);
+          for (index_t p = 0; p < j; ++p) v -= x_ref(i, p) * l.view(j, p);
+          x_ref(i, j) = v / l.view(j, j);
+        }
+      }
+      dense::trsm<T>(isa, Side::Right, Uplo::Lower, Trans::Transpose,
+                     Diag::NonUnit, T{1}, l.cview(), b.view);
+      double err = 0.0;
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = 0; i < m; ++i) {
+          err = std::max(err, static_cast<double>(
+                                  std::abs(b.view(i, j) - x_ref(i, j))));
+        }
+      }
+      EXPECT_LE(err, sum_tolerance<T>(n)) << "right m=" << m << " n=" << n;
+
+      // Left, both transposes: L X = B and L^T X = B (B is n x m).
+      for (Trans t : {Trans::NoTrans, Trans::Transpose}) {
+        Strided<T> bl(n, m, rng);
+        Matrix<long double> xl(n, m);
+        for (index_t c = 0; c < m; ++c) {
+          for (index_t s = 0; s < n; ++s) {
+            const index_t r = (t == Trans::NoTrans) ? s : n - 1 - s;
+            long double v = bl.view(r, c);
+            for (index_t q = 0; q < s; ++q) {
+              const index_t p = (t == Trans::NoTrans) ? q : n - 1 - q;
+              const T lrp = (t == Trans::NoTrans) ? l.view(r, p) : l.view(p, r);
+              v -= lrp * xl(p, c);
+            }
+            xl(r, c) = v / l.view(r, r);
+          }
+        }
+        dense::trsm<T>(isa, Side::Left, Uplo::Lower, t, Diag::NonUnit, T{1},
+                       l.cview(), bl.view);
+        double lerr = 0.0;
+        for (index_t c = 0; c < m; ++c) {
+          for (index_t r = 0; r < n; ++r) {
+            lerr = std::max(lerr, static_cast<double>(
+                                      std::abs(bl.view(r, c) - xl(r, c))));
+          }
+        }
+        EXPECT_LE(lerr, sum_tolerance<T>(n))
+            << "left t=" << int(t) << " m=" << m << " n=" << n;
+      }
+    }
+  }
+}
+
+TEST_P(DenseKernelIsaTest, TrsmRightAndLeftAtBlockEdges) {
+  check_trsm_edges<float>(GetParam());
+  check_trsm_edges<double>(GetParam());
+}
+
+// A NaN in any operand must reach the output, also where the other operand
+// is exactly zero (0 * NaN = NaN); no kernel may skip a zero multiplier.
+template <typename T>
+void check_nan_propagation(dense::Isa isa) {
+  const T nan = std::numeric_limits<T>::quiet_NaN();
+  for (index_t n : {index_t{6}, index_t{70}}) {  // small path and packed path
+    const index_t k = n;
+    const index_t i = n / 2 + 1, p = n / 3;
+    {  // gemm: NaN in A(i, p) with row p of B all zero -> row i of C NaN.
+      Matrix<T> a(n, k, T{1}), b(k, n, T{1}), c(n, n, T{});
+      a(i, p) = nan;
+      for (index_t j = 0; j < n; ++j) b(p, j) = T{};
+      dense::gemm<T>(isa, Trans::NoTrans, Trans::NoTrans, T{1}, a.view(),
+                     b.view(), T{1}, c.view());
+      for (index_t j = 0; j < n; ++j) EXPECT_TRUE(std::isnan(c(i, j))) << n;
+    }
+    {  // gemm: NaN in B(p, j) with column p of A all zero -> column j NaN.
+      Matrix<T> a(n, k, T{1}), b(k, n, T{1}), c(n, n, T{});
+      b(p, i) = nan;
+      for (index_t r = 0; r < n; ++r) a(r, p) = T{};
+      dense::gemm<T>(isa, Trans::NoTrans, Trans::NoTrans, T{1}, a.view(),
+                     b.view(), T{1}, c.view());
+      for (index_t r = 0; r < n; ++r) EXPECT_TRUE(std::isnan(c(r, i))) << n;
+    }
+    {  // syrk: NaN in A(i, p) with column p otherwise zero -> row i and
+       // column i of the lower triangle NaN.
+      Matrix<T> a(n, k, T{1}), c(n, n, T{});
+      for (index_t r = 0; r < n; ++r) a(r, p) = T{};
+      a(i, p) = nan;
+      dense::syrk_lower<T>(isa, T{-1}, a.view(), T{1}, c.view());
+      for (index_t j = 0; j <= i; ++j) EXPECT_TRUE(std::isnan(c(i, j))) << n;
+      for (index_t r = i; r < n; ++r) EXPECT_TRUE(std::isnan(c(r, i))) << n;
+    }
+    {  // trsm right: NaN in B(i, p) with column p of L zero below the
+       // diagonal -> row i NaN from column p on.
+      Matrix<T> l(k, k, T{}), b(n, k, T{1});
+      for (index_t j = 0; j < k; ++j) {
+        l(j, j) = T{2};
+        for (index_t r = j + 1; r < k; ++r) l(r, j) = (j == p) ? T{} : T{0.25};
+      }
+      b(i, p) = nan;
+      dense::trsm<T>(isa, Side::Right, Uplo::Lower, Trans::Transpose,
+                     Diag::NonUnit, T{1}, l.view(), b.view());
+      for (index_t j = p; j < k; ++j) EXPECT_TRUE(std::isnan(b(i, j))) << n;
+    }
+    {  // trsm right: NaN in L(j, p) -> column j of X NaN.
+      Matrix<T> l(k, k, T{}), b(n, k, T{1});
+      for (index_t j = 0; j < k; ++j) l(j, j) = T{2};
+      l(i, p) = nan;
+      dense::trsm<T>(isa, Side::Right, Uplo::Lower, Trans::Transpose,
+                     Diag::NonUnit, T{1}, l.view(), b.view());
+      for (index_t r = 0; r < n; ++r) EXPECT_TRUE(std::isnan(b(r, i))) << n;
+    }
+    {  // trsm left: NaN in L(r, p) below a zero solution entry x_p.
+      Matrix<T> l(k, k, T{}), b(k, 1, T{1});
+      for (index_t j = 0; j < k; ++j) l(j, j) = T{2};
+      b(p, 0) = T{};
+      l(i, p) = nan;
+      dense::trsm<T>(isa, Side::Left, Uplo::Lower, Trans::NoTrans,
+                     Diag::NonUnit, T{1}, l.view(), b.view());
+      EXPECT_TRUE(std::isnan(b(i, 0))) << n;
+    }
+  }
+}
+
+TEST_P(DenseKernelIsaTest, NanInEveryOperandReachesTheOutput) {
+  check_nan_propagation<float>(GetParam());
+  check_nan_propagation<double>(GetParam());
+}
+
+INSTANTIATE_TEST_SUITE_P(Supported, DenseKernelIsaTest,
+                         ::testing::ValuesIn(dense::supported_isas()),
+                         isa_param_name);
+
+TEST(DenseKernelIsa, SelectedIsTheWidestSupported) {
+  const auto isas = dense::supported_isas();
+  ASSERT_FALSE(isas.empty());
+  EXPECT_EQ(dense::selected_isa(), isas.front());
+  EXPECT_EQ(isas.back(), dense::Isa::Sse2);
+}
+
+// ---------------------------------------------------------------------------
+// Bits depend on the shape and values only: not on alignment, leading
+// dimension or the calling thread.
+
+template <typename T>
+bool same_bits(MatrixView<const T> x, MatrixView<const T> y) {
+  if (x.rows() != y.rows() || x.cols() != y.cols()) return false;
+  for (index_t j = 0; j < x.cols(); ++j) {
+    if (std::memcmp(&x(0, j), &y(0, j), sizeof(T) * x.rows()) != 0) {
+      return false;
+    }
+  }
+  return true;
+}
+
+/// One run of every kernel on a fixed problem whose operands sit `offset`
+/// elements into their buffers with leading dimension rows + `pad`. Returns
+/// copies of the outputs: C (gemm then syrk), L (potrf) and X (trsm).
+template <typename T>
+std::vector<Matrix<T>> run_kernels(index_t offset, index_t pad) {
+  const index_t m = 2 * dense::Blocking<T>::mc + 3;
+  const index_t k = dense::kTrsmBlock + 5;
+  Rng rng(211);
+  Matrix<T> a_src(m, k), b_src(m, k), spd_src(k, k);
+  for (index_t j = 0; j < k; ++j) {
+    for (index_t i = 0; i < m; ++i) {
+      a_src(i, j) = static_cast<T>(rng.uniform(-1.0, 1.0));
+      b_src(i, j) = static_cast<T>(rng.uniform(-1.0, 1.0));
+    }
+  }
+  gemm<T>(Trans::Transpose, Trans::NoTrans, T{1}, a_src.view(), a_src.view(),
+          T{}, spd_src.view());
+  for (index_t i = 0; i < k; ++i) spd_src(i, i) += static_cast<T>(m);
+
+  // Storage with the requested offset and leading dimension.
+  auto place = [&](const Matrix<T>& src, std::vector<T>& buf) {
+    const index_t ld = src.rows() + pad;
+    buf.assign(static_cast<std::size_t>(offset + ld * src.cols()), T{});
+    MatrixView<T> v(buf.data() + offset, src.rows(), src.cols(), ld);
+    copy_into<T>(src.view(), v);
+    return v;
+  };
+  std::vector<T> ab, bb, cb, lb;
+  const auto a = place(a_src, ab);
+  Matrix<T> c_src(m, m, T{1});
+  auto c = place(c_src, cb);
+  auto l = place(spd_src, lb);
+  auto b = place(b_src, bb);
+
+  gemm<T>(Trans::NoTrans, Trans::Transpose, T{-1}, a, b, T{1}, c);
+  syrk_lower<T>(T{-1}, a, T{1}, c);
+  potrf<T>(l, 16);
+  trsm<T>(Side::Right, Uplo::Lower, Trans::Transpose, Diag::NonUnit, T{1}, l,
+          b);
+  std::vector<Matrix<T>> out;
+  for (auto v : {c, l, b}) {
+    Matrix<T> copy(v.rows(), v.cols());
+    copy_into<T>(MatrixView<const T>(v), copy.view());
+    out.push_back(std::move(copy));
+  }
+  return out;
+}
+
+template <typename T>
+void check_layout_and_thread_independence() {
+  const auto base = run_kernels<T>(0, 0);
+  for (auto [offset, pad] :
+       {std::pair<index_t, index_t>{1, 0}, {0, 5}, {3, 7}}) {
+    const auto other = run_kernels<T>(offset, pad);
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      EXPECT_TRUE(same_bits<T>(base[r].view(), other[r].view()))
+          << "output " << r << " offset " << offset << " pad " << pad;
+    }
+  }
+  std::vector<std::vector<Matrix<T>>> results(4);
+  std::vector<std::thread> threads;
+  for (std::size_t t = 0; t < results.size(); ++t) {
+    threads.emplace_back([&results, t] {
+      const auto shift = static_cast<index_t>(t);
+      results[t] = run_kernels<T>(shift, shift);
+    });
+  }
+  for (auto& th : threads) th.join();
+  for (const auto& res : results) {
+    for (std::size_t r = 0; r < base.size(); ++r) {
+      EXPECT_TRUE(same_bits<T>(base[r].view(), res[r].view()))
+          << "output " << r;
+    }
+  }
+}
+
+TEST(DenseKernelDeterminism, BitsIndependentOfAlignmentLdAndThreads) {
+  check_layout_and_thread_independence<float>();
+  check_layout_and_thread_independence<double>();
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <string>
+
+#include "dense/kernels.hpp"
 #include "support/rng.hpp"
 
 namespace mfgpu {
@@ -99,6 +103,66 @@ TEST(PotrfTest, IdentityFactorsToIdentity) {
   potrf<double>(a.view());
   for (index_t i = 0; i < 5; ++i) EXPECT_DOUBLE_EQ(a(i, i), 1.0);
 }
+
+
+// Every instruction-set variant the host supports, in both precisions, at
+// sizes around the vector width, the potrf block and the trsm diagonal
+// block, on a strided, unaligned view.
+class PotrfIsaTest : public ::testing::TestWithParam<dense::Isa> {};
+
+template <typename T>
+void check_potrf_sizes(dense::Isa isa) {
+  Rng rng(41);
+  for (index_t n : {1, 7, 8, 9, 15, 16, 17, 33, 63, 64, 65, 131}) {
+    for (index_t block : {index_t{16}, index_t{64}}) {
+      const auto a = random_spd(n, rng);
+      Matrix<T> storage(n + 3, n + 1);
+      auto l = storage.block(1, 1, n, n);
+      copy_into<T>(a.view(), l);
+      dense::potrf<T>(isa, l, block, 0);
+      double err = 0.0;
+      for (index_t j = 0; j < n; ++j) {
+        for (index_t i = j; i < n; ++i) {
+          long double sum = 0;
+          for (index_t p = 0; p <= j; ++p) {
+            sum += static_cast<long double>(l(i, p)) * l(j, p);
+          }
+          err = std::max(err, static_cast<double>(std::abs(sum - a(i, j))));
+        }
+      }
+      // Entries of A are O(n); rounding grows with the n-term sums.
+      const double tol = 8.0 * static_cast<double>(n) * static_cast<double>(n) *
+                         std::numeric_limits<T>::epsilon();
+      EXPECT_LE(err, tol) << "n=" << n << " block=" << block;
+    }
+  }
+}
+
+TEST_P(PotrfIsaTest, BlockedReconstructsAtBlockEdges) {
+  check_potrf_sizes<float>(GetParam());
+  check_potrf_sizes<double>(GetParam());
+}
+
+TEST_P(PotrfIsaTest, NotPositiveDefiniteReportsTheColumn) {
+  for (index_t bad : {0, 5, 20}) {
+    Matrix<float> a(24, 24, 0.0f);
+    for (index_t i = 0; i < 24; ++i) a(i, i) = 1.0f;
+    a(bad, bad) = -2.0f;
+    try {
+      dense::potrf<float>(GetParam(), a.view(), 8, 1000);
+      FAIL() << "expected NotPositiveDefiniteError";
+    } catch (const NotPositiveDefiniteError& e) {
+      EXPECT_EQ(e.column(), 1000 + bad);
+      EXPECT_EQ(e.pivot(), -2.0);
+    }
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Supported, PotrfIsaTest, ::testing::ValuesIn(dense::supported_isas()),
+    [](const ::testing::TestParamInfo<dense::Isa>& info) {
+      return std::string(dense::isa_name(info.param));
+    });
 
 }  // namespace
 }  // namespace mfgpu
