@@ -12,13 +12,11 @@
 // reach >= 3x the naive simulated throughput with bitwise-identical
 // solutions; this binary exits nonzero if either fails.
 //
-// A third pass re-runs the service workload with request tracing and SLO
-// health sampling ON, writing bench_out/serve_trace.json (Chrome trace),
-// bench_out/serve_slo.jsonl and bench_out/serve_slo.prom (the mfgpu_top /
-// Prometheus artifacts CI uploads). Its wall clock versus the untraced
-// pass is the tracing-overhead guard: every gated metric comes from the
-// untraced pass (tracing off = exactly the baseline numbers), and the
-// overhead ratio ships as an Info metric.
+// A third pass re-runs the service workload with request tracing ON,
+// writing bench_out/serve_trace.json (the Chrome trace CI uploads). Its
+// wall clock versus the untraced pass is the tracing-overhead guard: every
+// gated metric comes from the untraced pass (tracing off = exactly the
+// baseline numbers), and the overhead ratio ships as an Info metric.
 #include "common.hpp"
 
 #include <chrono>
@@ -130,20 +128,16 @@ int main() {
                                 std::chrono::steady_clock::now() - serve_t0)
                                 .count();
 
-  // Traced re-run: identical workload, with span recording, the Chrome
-  // trace export, and the SLO health stream all active. Solutions must stay
-  // bitwise identical; the wall-clock delta is the cost of observability.
+  // Traced re-run: identical workload, with span recording and the Chrome
+  // trace export active. Solutions must stay bitwise identical; the
+  // wall-clock delta is the cost of observability.
   double traced_sim = 0.0;
   double traced_wall = 0.0;
   bool traced_identical = true;
   {
     std::filesystem::create_directories("bench_out");
     obs::ObsScope obs_scope(obs::make_config("bench_out/serve_trace.json", ""));
-    serve::ServeOptions traced_options = options;
-    traced_options.health_sample_seconds = 0.05;
-    traced_options.health_json_path = "bench_out/serve_slo.jsonl";
-    traced_options.prometheus_path = "bench_out/serve_slo.prom";
-    serve::SolverService traced_service(traced_options);
+    serve::SolverService traced_service(options);
     const auto traced_t0 = std::chrono::steady_clock::now();
     std::vector<std::future<serve::SolveResult>> traced_futures;
     for (int v = 0; v < kValueSets; ++v) {
@@ -163,7 +157,7 @@ int main() {
       }
       traced_identical = traced_identical && result.x == expected[i];
     }
-    traced_service.shutdown(true);  // final health sample + export flush
+    traced_service.shutdown(true);  // export flush
     traced_wall = std::chrono::duration<double>(
                       std::chrono::steady_clock::now() - traced_t0)
                       .count();

@@ -59,9 +59,9 @@ enum class ClusterEngine {
 
 const char* cluster_engine_name(ClusterEngine engine) noexcept;
 
-/// Knobs for the simulated cluster (SolverOptions::cluster, the
-/// `--cluster=` CLI flag, and serve-side per-request overrides funnel
-/// here). num_nodes == 0 disables the cluster path entirely.
+/// Knobs for the simulated cluster (SolverOptions::cluster and the
+/// `--cluster=` CLI flag funnel here). num_nodes == 0 disables the cluster
+/// path entirely.
 struct ClusterOptions {
   /// Simulated node count; 0 = cluster path off.
   int num_nodes = 0;
@@ -79,9 +79,6 @@ struct ClusterOptions {
   std::uint64_t death_seed = 0;
 
   bool enabled() const noexcept { return num_nodes > 0; }
-
-  friend bool operator==(const ClusterOptions&,
-                         const ClusterOptions&) = default;
 };
 
 /// Parse a cluster spec: "off" | "<nodes>[,<token>...]" where each token is

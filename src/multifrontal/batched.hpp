@@ -45,9 +45,6 @@ struct BatchingOptions {
   double auto_ops_threshold = 2.0e6;
 
   bool enabled() const noexcept { return mode != BatchingMode::Off; }
-
-  friend bool operator==(const BatchingOptions&,
-                         const BatchingOptions&) = default;
 };
 
 const char* batching_mode_name(BatchingMode mode) noexcept;

@@ -2,10 +2,9 @@
 // through the whole serve -> solver -> executor stack.
 //
 // A RequestContext is allocated once at SolverService admission (request
-// id, tenant, priority, admission/deadline timestamps, the admission
-// span's id as the causal root) and bound to whichever thread is currently
-// doing that request's work via the RAII RequestScope. While a context is
-// bound:
+// id, admission timestamp, the admission span's id as the causal root) and
+// bound to whichever thread is currently doing that request's work via the
+// RAII RequestScope. While a context is bound:
 //
 //   - every ScopedSpan the thread opens is stamped with the request id and
 //     parent-linked (top of the thread's open-span stack, or the request's
@@ -30,10 +29,7 @@ namespace mfgpu::obs {
 /// RequestScope bindings.
 struct RequestContext {
   std::uint64_t request_id = 0;  ///< process-unique, nonzero once allocated
-  std::uint64_t tenant = 0;      ///< caller-assigned tenant id (0 = none)
-  int priority = 0;              ///< caller-assigned priority class
   std::int64_t admitted_ns = 0;  ///< TraceSession::now_ns() at admission
-  std::int64_t deadline_ns = 0;  ///< absolute session-time deadline (0 = none)
   std::uint64_t root_span = 0;   ///< admission span id — the causal root
 };
 

@@ -2,8 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
-#include <condition_variable>
-#include <fstream>
+#include <cmath>
 #include <thread>
 #include <utility>
 
@@ -24,15 +23,14 @@ struct Request {
   std::vector<double> rhs;
   std::uint64_t pattern_fp = 0;
   std::uint64_t values_fp = 0;
-  /// Effective batching and cluster configs (request override or the
-  /// service default), resolved at submit; part of the coalescing key.
-  BatchingOptions batching;
-  ClusterOptions cluster;
   Clock::time_point enqueued{};
   Clock::time_point deadline{};
   bool has_deadline = false;
   int retries_left = 0;
   int attempts = 0;
+  /// Session whose batch last failed this request (-1 = none). Set only in
+  /// a multi-session service; that session does not pick the retry up.
+  int failed_on = -1;
   bool collect_trace = false;
   bool explain_schedule = false;
   /// Causal identity carried through sessions, Solver phases, executors,
@@ -57,10 +55,6 @@ SolveResult make_status_result(RequestStatus status, std::string error = {}) {
   return result;
 }
 
-std::uint8_t clamped_attempts(int attempts) noexcept {
-  return static_cast<std::uint8_t>(std::clamp(attempts, 1, 255));
-}
-
 }  // namespace
 
 const char* status_name(RequestStatus status) noexcept {
@@ -77,25 +71,18 @@ const char* status_name(RequestStatus status) noexcept {
 struct SolverService::Impl {
   explicit Impl(ServeOptions options_in)
       : options(std::move(options_in)),
+        sessions(options.session_workers.empty()
+                     ? options.num_sessions
+                     : static_cast<int>(options.session_workers.size())),
         cache(options.analysis_cache_bytes),
-        queue(options.queue_capacity),
-        slo(options.slo),
-        alerts(options.alert_rules.empty()
-                   ? obs::default_serve_alert_rules(options.queue_capacity)
-                   : options.alert_rules) {
+        queue(options.queue_capacity) {
     MFGPU_CHECK(options.max_batch_rhs >= 1,
                 "SolverService: max_batch_rhs must be >= 1");
-    const int sessions = options.session_workers.empty()
-                             ? options.num_sessions
-                             : static_cast<int>(options.session_workers.size());
     MFGPU_CHECK(sessions >= 1, "SolverService: need at least one session");
     queue.set_paused(options.start_paused);
     threads.reserve(static_cast<std::size_t>(sessions));
     for (int id = 0; id < sessions; ++id) {
       threads.emplace_back([this, id] { run_session(id); });
-    }
-    if (options.health_sample_seconds > 0.0) {
-      monitor = std::thread([this] { run_monitor(); });
     }
   }
 
@@ -105,17 +92,10 @@ struct SolverService::Impl {
     std::unique_ptr<Solver> solver;
     std::uint64_t pattern_fp = 0;
     std::uint64_t values_fp = 0;
-    /// Batching and cluster configs the current solver was built with; a
-    /// request with a different effective config forces a rebuild.
-    BatchingOptions batching;
-    ClusterOptions cluster;
   };
 
-  SolverOptions session_solver_options(int id, const BatchingOptions& batching,
-                                       const ClusterOptions& cluster) const {
+  SolverOptions session_solver_options(int id) const {
     SolverOptions solver_options = options.solver;
-    solver_options.batching = batching;
-    solver_options.cluster = cluster;
     if (!options.session_workers.empty()) {
       solver_options.workers = {
           options.session_workers[static_cast<std::size_t>(id)]};
@@ -128,40 +108,11 @@ struct SolverService::Impl {
   void finish_expired(Request& request);
   void cancel(Request& request);
 
-  /// One RequestSample per finished request. Always recorded (the health
-  /// monitor works with or without obs recording), so the steady-clock
-  /// latency is measured here, not derived from span timestamps.
-  void record_slo_sample(const Request& request, RequestStatus status,
-                         bool cache_hit) {
-    obs::RequestSample sample;
-    sample.end_ns = obs::SloAggregator::now_ns();
-    sample.latency_seconds = static_cast<float>(
-        std::chrono::duration<double>(Clock::now() - request.enqueued).count());
-    sample.queue_depth = static_cast<float>(queue.size());
-    sample.status = static_cast<obs::SampleStatus>(status);
-    sample.cache_hit = cache_hit;
-    sample.attempts = clamped_attempts(std::max(1, request.attempts));
-    slo.record(sample);
-  }
-
-  void run_monitor();
-  obs::WindowStats sample_health();
-
   ServeOptions options;
+  const int sessions;
   AnalysisCache cache;
   BoundedQueue<Request> queue;
   std::vector<std::thread> threads;
-
-  obs::SloAggregator slo;
-  obs::AlertEngine alerts;
-
-  mutable std::mutex health_mutex;
-  obs::WindowStats last_health;
-
-  std::mutex monitor_mutex;
-  std::condition_variable monitor_cv;
-  bool monitor_stop = false;
-  std::thread monitor;
 
   mutable std::mutex stats_mutex;
   ServiceStats stats;
@@ -179,7 +130,6 @@ void SolverService::Impl::finish_expired(Request& request) {
   const std::int64_t now = obs::TraceSession::global().now_ns();
   obs::record_span("request", "deadline_exceeded", now, now,
                    request.ctx.request_id, request.ctx.root_span);
-  record_slo_sample(request, RequestStatus::DeadlineExceeded, false);
   fulfill(request, make_status_result(RequestStatus::DeadlineExceeded));
 }
 
@@ -192,14 +142,16 @@ void SolverService::Impl::cancel(Request& request) {
   const std::int64_t now = obs::TraceSession::global().now_ns();
   obs::record_span("request", "cancelled", now, now, request.ctx.request_id,
                    request.ctx.root_span);
-  record_slo_sample(request, RequestStatus::Cancelled, false);
   fulfill(request, make_status_result(RequestStatus::Cancelled));
 }
 
 void SolverService::Impl::run_session(int id) {
   Session session;
   bool named_lane = false;
-  while (std::optional<Request> request = queue.pop()) {
+  // A retry is tagged with the session whose batch failed it; skip those so
+  // another session gets the next attempt.
+  const auto eligible = [id](const Request& r) { return r.failed_on != id; };
+  while (std::optional<Request> request = queue.pop(eligible)) {
     if (!named_lane && obs::enabled()) {
       obs::TraceSession::global().set_current_thread_name(
           "serve session " + std::to_string(id));
@@ -218,12 +170,10 @@ void SolverService::Impl::run_session(int id) {
     if (options.max_batch_rhs > 1) {
       const std::uint64_t pattern_fp = batch.front().pattern_fp;
       const std::uint64_t values_fp = batch.front().values_fp;
-      const BatchingOptions batching = batch.front().batching;
-      const ClusterOptions cluster = batch.front().cluster;
       std::vector<Request> extracted = queue.extract_if(
           [&](const Request& r) {
             return r.pattern_fp == pattern_fp && r.values_fp == values_fp &&
-                   r.batching == batching && r.cluster == cluster;
+                   eligible(r);
           },
           static_cast<std::size_t>(options.max_batch_rhs) - 1);
       const Clock::time_point now = Clock::now();
@@ -291,9 +241,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     span.set_arg(2, "request",
                  static_cast<std::int64_t>(head.ctx.request_id));
     try {
-      if (session.solver != nullptr && session.pattern_fp == head.pattern_fp &&
-          session.batching == head.batching &&
-          session.cluster == head.cluster) {
+      if (session.solver != nullptr && session.pattern_fp == head.pattern_fp) {
         analysis_reused = true;
         if (session.values_fp == head.values_fp) {
           factor_reused = true;
@@ -309,13 +257,11 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
           analysis_reused = true;
           obs::ScopedSpan adopt_span("serve", "adopt_cached_analysis");
           session.solver = std::make_unique<Solver>(Solver::analyze(
-              *head.matrix, std::move(shared),
-              session_solver_options(id, head.batching, head.cluster)));
+              *head.matrix, std::move(shared), session_solver_options(id)));
         } else {
           obs::ScopedSpan analyze_span("serve", "analyze_miss");
-          session.solver = std::make_unique<Solver>(Solver::analyze(
-              *head.matrix,
-              session_solver_options(id, head.batching, head.cluster)));
+          session.solver = std::make_unique<Solver>(
+              Solver::analyze(*head.matrix, session_solver_options(id)));
           cache.insert(session.solver->share_analysis());
           analyze_sim = estimated_analyze_seconds(
               *head.matrix, session.solver->analysis().symbolic);
@@ -326,8 +272,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
         }
         factor_sim = session.solver->factor_time();
         session.pattern_fp = head.pattern_fp;
-        session.batching = head.batching;
-        session.cluster = head.cluster;
       }
       session.values_fp = head.values_fp;
 
@@ -385,19 +329,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     metrics.add("serve.sim.analyze_seconds", analyze_sim);
     metrics.add("serve.sim.factor_seconds", factor_sim);
     metrics.add("serve.sim.solve_seconds", solve_sim);
-    // Shard-mode traffic of the factorization behind this batch (nothing
-    // new is emitted when the factor was reused — no cluster run happened).
-    if (!factor_reused && session.solver != nullptr &&
-        session.solver->cluster_stats().has_value()) {
-      const ClusterStats& cluster = *session.solver->cluster_stats();
-      metrics.increment("serve.cluster.factor_runs");
-      metrics.gauge_set("serve.cluster.nodes",
-                        static_cast<double>(cluster.num_nodes));
-      metrics.add("serve.cluster.messages",
-                  static_cast<double>(cluster.messages));
-      metrics.add("serve.cluster.bytes_on_wire", cluster.bytes_on_wire);
-      metrics.add("serve.cluster.makespan_seconds", cluster.makespan);
-    }
 
     const double sim_share = (analyze_sim + factor_sim + solve_sim) /
                              static_cast<double>(k);
@@ -450,15 +381,14 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
       metrics.observe(
           "serve.request.latency_seconds",
           std::chrono::duration<double>(now - request.enqueued).count());
-      record_slo_sample(request, RequestStatus::Ok, analysis_reused);
       fulfill(request, std::move(result));
     }
     return;
   }
 
   // Execution failed. Requests with retry budget left go back to the queue
-  // for another attempt (possibly on a different session, against the
-  // rebuilt state); the rest fail. try_push never blocks a session thread
+  // for another attempt, tagged so that a different session runs it when
+  // there is one; the rest fail. try_push never blocks a session thread
   // and fails once the queue is closed or full, in which case the request
   // fails like one with no budget.
   std::int64_t failed = 0;
@@ -469,6 +399,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     Request& request = batch[i];
     if (request.retries_left > 0) {
       --request.retries_left;
+      if (sessions > 1) request.failed_on = id;
       // Marker first: try_push moves the request out on success.
       const std::int64_t now_ns = trace.now_ns();
       obs::record_span("request", "retry_enqueue", now_ns, now_ns,
@@ -518,43 +449,8 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
                                                  ev.span_id, ev.parent_span});
       }
     }
-    record_slo_sample(request, RequestStatus::Failed, false);
     fulfill(request, std::move(failure));
   }
-}
-
-void SolverService::Impl::run_monitor() {
-  std::unique_lock<std::mutex> lock(monitor_mutex);
-  const auto period = std::chrono::duration<double>(
-      std::max(1e-3, options.health_sample_seconds));
-  while (!monitor_stop) {
-    if (monitor_cv.wait_for(lock, period, [this] { return monitor_stop; })) {
-      break;
-    }
-    lock.unlock();
-    sample_health();
-    lock.lock();
-  }
-}
-
-obs::WindowStats SolverService::Impl::sample_health() {
-  obs::WindowStats window = slo.window();
-  obs::SloAggregator::publish(window);
-  alerts.evaluate(window);
-  const std::vector<std::string> firing = alerts.firing();
-  {
-    std::lock_guard<std::mutex> lock(health_mutex);
-    last_health = window;
-  }
-  if (!options.health_json_path.empty()) {
-    std::ofstream out(options.health_json_path, std::ios::app);
-    if (out) obs::write_health_sample_json(out, window, firing);
-  }
-  if (!options.prometheus_path.empty()) {
-    std::ofstream out(options.prometheus_path, std::ios::trunc);
-    if (out) obs::write_prometheus(out, window);
-  }
-  return window;
 }
 
 SolverService::SolverService(ServeOptions options)
@@ -573,6 +469,11 @@ std::future<SolveResult> SolverService::submit(
         "SolverService::submit: rhs has " + std::to_string(rhs.size()) +
         " entries, matrix dimension is " + std::to_string(a->n()));
   }
+  if (std::isnan(options.deadline_seconds) || options.deadline_seconds < 0.0) {
+    throw InvalidArgumentError(
+        "SolverService::submit: deadline_seconds must be >= 0, got " +
+        std::to_string(options.deadline_seconds));
+  }
   auto& metrics = obs::MetricsRegistry::global();
   {
     std::lock_guard<std::mutex> lock(impl_->stats_mutex);
@@ -585,39 +486,32 @@ std::future<SolveResult> SolverService::submit(
   request.pattern_fp = request.matrix->pattern_fingerprint();
   request.values_fp = request.matrix->values_fingerprint();
   request.rhs = std::move(rhs);
-  request.batching = options.batching.value_or(impl_->options.solver.batching);
-  request.cluster = options.cluster.value_or(impl_->options.solver.cluster);
   request.enqueued = Clock::now();
   request.retries_left = std::max(0, options.max_retries);
   request.collect_trace = options.collect_trace;
   request.explain_schedule = options.explain_schedule;
-  if (options.deadline_seconds > 0.0) {
+  // Compared in double nanoseconds: any budget below the clock's remaining
+  // range converts back to Clock::duration without overflow. A budget at or
+  // past that range (including +inf) can never expire: no deadline.
+  const std::chrono::duration<double, std::nano> budget =
+      std::chrono::duration<double>(options.deadline_seconds);
+  const std::chrono::duration<double, std::nano> headroom =
+      Clock::time_point::max() - request.enqueued;
+  if (budget.count() > 0.0 && budget < headroom) {
     request.has_deadline = true;
     request.deadline =
-        request.enqueued +
-        std::chrono::duration_cast<Clock::duration>(
-            std::chrono::duration<double>(options.deadline_seconds));
+        request.enqueued + std::chrono::duration_cast<Clock::duration>(budget);
   }
 
   // Mint the request's causal identity at admission. The id is allocated
-  // unconditionally (it also keys SLO samples and SolveResult::request_id);
-  // the admission span only lands in the trace while recording is on.
+  // unconditionally (it also keys SolveResult::request_id); the admission
+  // span only lands in the trace while recording is on.
   obs::TraceSession& trace = obs::TraceSession::global();
   request.ctx.request_id = obs::next_request_id();
-  request.ctx.tenant = options.tenant;
-  request.ctx.priority = options.priority;
   request.ctx.admitted_ns = trace.now_ns();
-  if (request.has_deadline) {
-    request.ctx.deadline_ns =
-        request.ctx.admitted_ns +
-        static_cast<std::int64_t>(options.deadline_seconds * 1e9);
-  }
   request.ctx.root_span = obs::record_span(
       "request", "admit", request.ctx.admitted_ns, request.ctx.admitted_ns,
-      request.ctx.request_id, 0,
-      {{"tenant", static_cast<std::int64_t>(options.tenant)},
-       {"priority", options.priority},
-       {"max_retries", request.retries_left}});
+      request.ctx.request_id, 0, {{"max_retries", request.retries_left}});
 
   std::future<SolveResult> future = request.promise.get_future();
 
@@ -635,7 +529,6 @@ std::future<SolveResult> SolverService::submit(
     const std::int64_t now = trace.now_ns();
     obs::record_span("request", "rejected", now, now, request.ctx.request_id,
                      request.ctx.root_span);
-    impl_->record_slo_sample(request, RequestStatus::Rejected, false);
     fulfill(request, make_status_result(RequestStatus::Rejected));
     return future;
   }
@@ -667,39 +560,12 @@ void SolverService::shutdown(bool drain_queued) {
     }
     for (std::thread& thread : impl_->threads) thread.join();
     impl_->threads.clear();
-    if (impl_->monitor.joinable()) {
-      {
-        std::lock_guard<std::mutex> monitor_lock(impl_->monitor_mutex);
-        impl_->monitor_stop = true;
-      }
-      impl_->monitor_cv.notify_all();
-      impl_->monitor.join();
-    }
-    // Final health sample (captures the drained tail) and exporter flush:
-    // traces/metrics for work served during shutdown reach the configured
-    // MFGPU_TRACE/MFGPU_METRICS files even when this service outlives the
-    // scope that would export them, or the process exits without
-    // unwinding.
-    impl_->sample_health();
+    // Exporter flush: traces/metrics for work served during shutdown reach
+    // the configured MFGPU_TRACE/MFGPU_METRICS files even when this service
+    // outlives the scope that would export them, or the process exits
+    // without unwinding.
     obs::flush_exports();
   }
-}
-
-obs::WindowStats SolverService::sample_health() {
-  return impl_->sample_health();
-}
-
-obs::WindowStats SolverService::health() const {
-  std::lock_guard<std::mutex> lock(impl_->health_mutex);
-  return impl_->last_health;
-}
-
-std::vector<obs::AlertTransition> SolverService::alert_history() const {
-  return impl_->alerts.history();
-}
-
-std::vector<std::string> SolverService::firing_alerts() const {
-  return impl_->alerts.firing();
 }
 
 ServiceStats SolverService::stats() const {
@@ -713,10 +579,6 @@ const AnalysisCache::Stats SolverService::cache_stats() const {
 
 std::size_t SolverService::queue_depth() const { return impl_->queue.size(); }
 
-int SolverService::num_sessions() const noexcept {
-  return impl_->options.session_workers.empty()
-             ? impl_->options.num_sessions
-             : static_cast<int>(impl_->options.session_workers.size());
-}
+int SolverService::num_sessions() const noexcept { return impl_->sessions; }
 
 }  // namespace mfgpu::serve

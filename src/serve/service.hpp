@@ -35,38 +35,31 @@
 // exhausted its CPU fallbacks, non-SPD matrix, ...) fails only that batch;
 // the session drops its solver and rebuilds from a clean state on the next
 // request. Requests carrying a RequestOptions::max_retries budget are
-// re-enqueued instead of failed, with serve.retry.* metrics tracking the
-// budget's use.
+// re-enqueued instead of failed, tagged with the failing session so that
+// another session picks the retry up, with serve.retry.* metrics tracking
+// the budget's use.
 //
-// Observability. Three layers, from cheapest to richest:
+// Observability. Two layers, from cheapest to richest:
 //   - serve.* counters/gauges/histograms per stage (queue depth, cache hit
-//     rate, admission rejects, batch widths, request latency), as before;
+//     rate, admission rejects, batch widths, request latency);
 //   - request-scoped tracing: every admitted request gets an
-//     obs::RequestContext (process-unique id, tenant, priority, admission
-//     span as causal root) that rides with it through sessions, Solver
-//     phases, DispatchExecutor decisions, retries, and injected faults.
-//     Spans recorded while the request is bound are parent-linked, so the
+//     obs::RequestContext (process-unique id, admission span as causal
+//     root) that rides with it through sessions, Solver phases,
+//     DispatchExecutor decisions, retries, and injected faults. Spans
+//     recorded while the request is bound are parent-linked, so the
 //     Chrome-trace export renders each request's causal tree
 //     (queue wait -> analyze/factor -> per-front F-U calls -> solve ->
 //     retries); RequestOptions::collect_trace additionally returns the
-//     session-thread slice of that tree inline in the SolveResult;
-//   - rolling SLO telemetry: every finished request lands one sample in a
-//     lock-free obs::SloAggregator window (p50/p99 latency, error/retry/
-//     cache-hit rates, queue depth, budget burn rate), evaluated by an
-//     obs::AlertEngine and published as slo.* gauges, a Prometheus text
-//     snapshot, and JSON health samples that tools/mfgpu_top tails live.
+//     session-thread slice of that tree inline in the SolveResult.
 #pragma once
 
 #include <cstdint>
 #include <future>
 #include <memory>
-#include <optional>
 #include <string>
 #include <vector>
 
 #include "core/solver.hpp"
-#include "obs/alerts.hpp"
-#include "obs/slo.hpp"
 #include "serve/analysis_cache.hpp"
 
 namespace mfgpu::serve {
@@ -87,20 +80,18 @@ const char* status_name(RequestStatus status) noexcept;
 
 struct RequestOptions {
   /// Max seconds the request may wait in the queue before execution starts
-  /// (0 = no deadline). Checked when a session picks the request up.
+  /// (0, or a value past the steady clock's range such as +inf = no
+  /// deadline; NaN or negative is an InvalidArgumentError). Checked when a
+  /// session picks the request up.
   double deadline_seconds = 0.0;
   /// Bounded retry budget: when a batch execution fails (e.g. a device
   /// fault exhausted its CPU fallbacks), requests with budget left are
-  /// re-enqueued for another attempt — possibly on a different session —
-  /// instead of failing. 0 = fail on the first error. Retries keep the
+  /// re-enqueued for another attempt instead of failing; with more than one
+  /// session, the retry goes to a session other than the one whose batch
+  /// just failed it. 0 = fail on the first error. Retries keep the
   /// original enqueue time, so their extra latency shows up in the
   /// serve.request.latency_seconds histogram (p50/p99).
   int max_retries = 0;
-  /// Caller-assigned tenant id carried on the request's trace spans
-  /// (0 = none).
-  std::uint64_t tenant = 0;
-  /// Caller-assigned priority class, recorded on the admission span.
-  int priority = 0;
   /// Return the request's trace slice inline in SolveResult::trace: every
   /// span the executing session thread recorded for this request's batch
   /// (queue wait, analyze/factor/solve tree, fault and retry markers).
@@ -114,23 +105,6 @@ struct RequestOptions {
   /// it (or when the factor predates the recording), the summary comes
   /// back with valid == false.
   bool explain_schedule = false;
-  /// Per-request override of ServeOptions::solver.batching (aggregated
-  /// small-front execution; multifrontal/batched.hpp). std::nullopt = use
-  /// the service default. Requests only coalesce into one solve pass when
-  /// their effective batching configs agree, and a session whose current
-  /// solver was built under a different config rebuilds it (the numeric
-  /// factor is bitwise identical either way; only the simulated dispatch
-  /// costs differ).
-  std::optional<BatchingOptions> batching;
-  /// Per-request override of ServeOptions::solver.cluster — the simulated
-  /// distributed-cluster shard mode (cluster/cluster.hpp): num_nodes > 0
-  /// factors this request's pattern across simulated nodes over the
-  /// configured link. std::nullopt = use the service default. Like
-  /// `batching`, the effective config is resolved at submit, joins the
-  /// coalescing key, and a session whose solver was built under a
-  /// different config rebuilds (the factor is bitwise identical to the
-  /// serial one; only the simulated schedule differs).
-  std::optional<ClusterOptions> cluster;
 };
 
 /// One span copied out of the trace for SolveResult::trace — an owned
@@ -198,22 +172,6 @@ struct ServeOptions {
   /// Construct with idle sessions; call start() to begin draining. Gives
   /// tests and benchmarks a deterministic queue composition.
   bool start_paused = false;
-
-  /// Rolling SLO window configuration (latency objective, error budget,
-  /// window length, ring capacity).
-  obs::SloOptions slo;
-  /// Alert rules the health monitor evaluates over each window sample.
-  /// Empty = obs::default_serve_alert_rules(queue_capacity).
-  std::vector<obs::AlertRule> alert_rules;
-  /// Period of the background health monitor thread; <= 0 disables the
-  /// thread (tests drive sampling deterministically via sample_health()).
-  double health_sample_seconds = 0.0;
-  /// Append one JSON health sample per evaluation to this file (JSONL —
-  /// the stream tools/mfgpu_top tails). "" = no file.
-  std::string health_json_path;
-  /// Rewrite a Prometheus text-format snapshot of the latest window on
-  /// each evaluation. "" = no file.
-  std::string prometheus_path;
 };
 
 /// Monotonic service counters (exact, independent of obs recording; the
@@ -261,11 +219,11 @@ class SolverService {
 
   /// Submit one solve request: find x with A x = rhs. The matrix is held
   /// by shared_ptr so many requests can reference one instance without
-  /// copies. Throws InvalidArgumentError on a null matrix or an rhs whose
-  /// size differs from the matrix dimension; every other failure is
-  /// reported through the returned future's SolveResult. After shutdown
-  /// (or when a Reject-policy queue is full) the future resolves
-  /// immediately with RequestStatus::Rejected.
+  /// copies. Throws InvalidArgumentError on a null matrix, an rhs whose
+  /// size differs from the matrix dimension, or a NaN or negative
+  /// deadline; every other failure is reported through the returned
+  /// future's SolveResult. After shutdown (or when a Reject-policy queue is
+  /// full) the future resolves immediately with RequestStatus::Rejected.
   std::future<SolveResult> submit(std::shared_ptr<const SparseSpd> a,
                                   std::vector<double> rhs,
                                   const RequestOptions& options = {});
@@ -276,26 +234,11 @@ class SolverService {
   /// Stop accepting work and wind down the sessions. drain_queued=true
   /// finishes everything already admitted; false cancels queued requests
   /// (futures resolve with Cancelled) and finishes only in-flight batches.
-  /// After the sessions join, takes one final health sample and flushes
-  /// every active ObsScope (obs::flush_exports()), so traces and metrics
-  /// for work served during shutdown reach their configured files.
+  /// After the sessions join, flushes every active ObsScope
+  /// (obs::flush_exports()), so traces and metrics for work served during
+  /// shutdown reach their configured files.
   /// Idempotent; safe to call concurrently with submitters.
   void shutdown(bool drain_queued = true);
-
-  /// Evaluate the SLO window NOW: aggregates the trailing window, publishes
-  /// slo.* gauges, runs the alert rules, stores the result as health(), and
-  /// appends/rewrites the configured health/Prometheus files. The health
-  /// monitor thread calls this on its period; tests call it directly for
-  /// deterministic sampling.
-  obs::WindowStats sample_health();
-
-  /// The most recent sample_health() result (zero-valued before the first).
-  obs::WindowStats health() const;
-
-  /// Alert-engine views (thread-safe): full transition history and the
-  /// names of currently firing rules.
-  std::vector<obs::AlertTransition> alert_history() const;
-  std::vector<std::string> firing_alerts() const;
 
   ServiceStats stats() const;
   const AnalysisCache::Stats cache_stats() const;

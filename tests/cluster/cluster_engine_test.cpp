@@ -2,7 +2,7 @@
 // (cluster/cluster.hpp): the bitwise-determinism contract against the
 // serial driver, the asynchronous fan-both engine against the
 // level-synchronous reference, placement invariants, the schedule flight
-// record per node, Solver/serve routing, and node-death chaos.
+// record per node, Solver routing, and node-death chaos.
 #include "cluster/cluster.hpp"
 
 #include <gtest/gtest.h>
@@ -19,7 +19,6 @@
 #include "ordering/nested_dissection.hpp"
 #include "policy/executors.hpp"
 #include "sched/task_graph.hpp"
-#include "serve/service.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
 
@@ -356,33 +355,6 @@ TEST(ClusterChaosTest, DeathScheduleIsDeterministicPerSeed) {
   EXPECT_EQ(first.node_deaths, second.node_deaths);
   EXPECT_EQ(first.replaced_tasks, second.replaced_tasks);
   EXPECT_EQ(first.makespan, second.makespan);
-}
-
-TEST(ClusterServeTest, PerRequestClusterOverrideSolvesIdentically) {
-  const GridProblem p = make_laplacian_3d(5, 4, 4);
-  const auto a = std::make_shared<SparseSpd>(p.matrix);
-  std::vector<double> ones(static_cast<std::size_t>(p.matrix.n()), 1.0);
-  std::vector<double> b(ones.size());
-  p.matrix.multiply(ones, b);
-
-  serve::ServeOptions options;
-  options.num_sessions = 1;
-  serve::SolverService service(options);
-
-  const serve::SolveResult plain = service.submit(a, b).get();
-  ASSERT_TRUE(plain.ok()) << plain.error;
-
-  serve::RequestOptions sharded;
-  sharded.cluster = parse_cluster("2");
-  const serve::SolveResult clustered = service.submit(a, b, sharded).get();
-  ASSERT_TRUE(clustered.ok()) << clustered.error;
-
-  // The shard-mode factor is bitwise the serial factor, so the solves
-  // match exactly.
-  ASSERT_EQ(plain.x.size(), clustered.x.size());
-  for (std::size_t i = 0; i < plain.x.size(); ++i) {
-    ASSERT_EQ(plain.x[i], clustered.x[i]) << "component " << i;
-  }
 }
 
 }  // namespace

@@ -15,7 +15,6 @@
 #include <memory>
 #include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "multifrontal/parallel.hpp"
@@ -499,60 +498,6 @@ TEST(ChaosTest, RequestTraceFollowsFaultedRetryToCompletion) {
   EXPECT_GT(flow_starts, 0);
   EXPECT_EQ(flow_starts, flow_finishes);
   std::remove(trace_path.c_str());
-}
-
-TEST(ChaosTest, FaultStormTripsAndClearsBurnRateAlert) {
-  // The SLO acceptance scenario: an injected fault storm burns the error
-  // budget far above the default burn-rate threshold, the alert fires;
-  // after the storm ages out of the rolling window and healthy traffic
-  // flows, it clears.
-  Rng rng(23);
-  const GridProblem storm = make_elasticity_3d(7, 7, 7, 3, rng);
-  const GridProblem calm = make_laplacian_3d(4, 4, 3);
-  const auto stormy = std::make_shared<SparseSpd>(storm.matrix);
-  const auto calm_a = std::make_shared<SparseSpd>(calm.matrix);
-
-  serve::ServeOptions options;
-  options.session_workers = {WorkerSpec{.has_gpu = true}};
-  options.max_batch_rhs = 1;
-  options.solver.executor.fault_tolerance = FaultTolerance::Off;
-  options.solver.device.faults.seed = 23;
-  options.solver.device.faults.transient_kernel_rate = 0.999;
-  options.slo.window_seconds = 0.25;  // short window so the storm ages out
-  options.slo.error_budget = 0.01;
-  serve::SolverService service(options);
-
-  // Storm: the big matrix routes fronts to the faulting device, so every
-  // request fails (no retry budget).
-  for (int i = 0; i < 4; ++i) {
-    EXPECT_EQ(service.submit(stormy, rhs_for_ones(storm.matrix)).get().status,
-              serve::RequestStatus::Failed)
-        << "request " << i
-        << " did not fault: grid too small for device routing?";
-  }
-  const obs::WindowStats during = service.sample_health();
-  EXPECT_GT(during.budget_burn_rate, 2.0);
-  std::vector<std::string> firing = service.firing_alerts();
-  ASSERT_EQ(firing.size(), 1u);
-  EXPECT_EQ(firing[0], "slo_burn_rate_high");
-
-  // Recovery: wait out the window, then serve small CPU-only requests that
-  // never sample the injector.
-  std::this_thread::sleep_for(std::chrono::milliseconds(400));
-  for (int i = 0; i < 4; ++i) {
-    ASSERT_TRUE(
-        service.submit(calm_a, rhs_for_ones(calm.matrix)).get().ok());
-  }
-  const obs::WindowStats after = service.sample_health();
-  EXPECT_EQ(after.failed, 0);
-  EXPECT_LT(after.budget_burn_rate, 1.0);
-  EXPECT_TRUE(service.firing_alerts().empty());
-
-  const auto history = service.alert_history();
-  ASSERT_EQ(history.size(), 2u);
-  EXPECT_EQ(history[0].rule, "slo_burn_rate_high");
-  EXPECT_TRUE(history[0].fired);
-  EXPECT_FALSE(history[1].fired);
 }
 
 }  // namespace

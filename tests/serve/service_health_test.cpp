@@ -1,22 +1,14 @@
-// Request-scoped tracing and SLO health-monitoring behavior of
-// SolverService: request ids on every result, per-request trace dumps,
-// windowed health sampling, alert firing/clearing, and the health/
-// Prometheus file outputs tools/mfgpu_top consumes.
+// Request-scoped tracing behavior of SolverService: request ids on every
+// result, per-request trace dumps, and the admission span's arguments.
 #include <gtest/gtest.h>
 
-#include <chrono>
-#include <cstdio>
-#include <fstream>
 #include <set>
-#include <sstream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "obs/obs.hpp"
 #include "serve/service.hpp"
 #include "sparse/generators.hpp"
-#include "support/json.hpp"
 #include "support/rng.hpp"
 
 namespace mfgpu::serve {
@@ -55,13 +47,6 @@ struct RecordingGuard {
     obs::MetricsRegistry::global().clear();
   }
 };
-
-/// Unique-ish temp path under the build dir (tests run from build/).
-std::string temp_path(const std::string& stem) {
-  return "serve_health_test_" + stem + "_" +
-         std::to_string(
-             std::chrono::steady_clock::now().time_since_epoch().count());
-}
 
 TEST(ServeHealth, EveryResultCarriesAUniqueRequestId) {
   const GridProblem p = make_laplacian_3d(4, 4, 3);
@@ -142,19 +127,19 @@ TEST(ServeHealth, CollectTraceReturnsParentLinkedSpans) {
   EXPECT_TRUE(plain.trace.empty());
 }
 
-TEST(ServeHealth, AdmitSpanCarriesTenantAndPriority) {
+TEST(ServeHealth, AdmitSpanCarriesRetryBudget) {
   RecordingGuard guard;
   const GridProblem p = make_laplacian_3d(4, 4, 3);
   ServeOptions options;
   options.num_sessions = 1;
   SolverService service(options);
 
-  RequestOptions tagged;
-  tagged.tenant = 42;
-  tagged.priority = 7;
+  RequestOptions budgeted;
+  budgeted.max_retries = 3;
   const SolveResult result =
       service
-          .submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 5), tagged)
+          .submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 5),
+                  budgeted)
           .get();
   ASSERT_TRUE(result.ok()) << result.error;
   service.shutdown(true);
@@ -167,195 +152,10 @@ TEST(ServeHealth, AdmitSpanCarriesTenantAndPriority) {
     }
     found = true;
     ASSERT_NE(ev.args[0].name, nullptr);
-    EXPECT_STREQ(ev.args[0].name, "tenant");
-    EXPECT_EQ(ev.args[0].value, 42);
-    ASSERT_NE(ev.args[1].name, nullptr);
-    EXPECT_STREQ(ev.args[1].name, "priority");
-    EXPECT_EQ(ev.args[1].value, 7);
+    EXPECT_STREQ(ev.args[0].name, "max_retries");
+    EXPECT_EQ(ev.args[0].value, 3);
   }
   EXPECT_TRUE(found);
-}
-
-TEST(ServeHealth, SampleHealthAggregatesFinishedRequests) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  ServeOptions options;
-  options.num_sessions = 1;
-  options.slo.window_seconds = 3600.0;  // everything this test does fits
-  SolverService service(options);
-
-  for (int r = 0; r < 3; ++r) {
-    ASSERT_TRUE(service.submit(shared_matrix(p.matrix),
-                               random_rhs(p.matrix.n(), 70 + r))
-                    .get()
-                    .ok());
-  }
-  EXPECT_EQ(service
-                .submit(scaled_copy(p.matrix, -1.0),
-                        random_rhs(p.matrix.n(), 73))
-                .get()
-                .status,
-            RequestStatus::Failed);
-
-  const obs::WindowStats window = service.sample_health();
-  EXPECT_EQ(window.total, 4);
-  EXPECT_EQ(window.completed, 3);
-  EXPECT_EQ(window.failed, 1);
-  EXPECT_DOUBLE_EQ(window.error_rate, 0.25);
-  EXPECT_GT(window.p50_latency_seconds, 0.0);
-  // health() returns the stored copy of the same sample.
-  const obs::WindowStats stored = service.health();
-  EXPECT_EQ(stored.total, window.total);
-  EXPECT_EQ(stored.window_end_ns, window.window_end_ns);
-}
-
-TEST(ServeHealth, BurnRateAlertFiresOnFailuresAndClearsOnRecovery) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  ServeOptions options;
-  options.num_sessions = 1;
-  options.slo.window_seconds = 0.2;  // short window so failures age out
-  options.slo.error_budget = 0.01;
-  obs::AlertRule rule;
-  rule.name = "burn_high";
-  rule.metric = obs::SloMetric::BurnRate;
-  rule.fire_above = 2.0;
-  rule.clear_below = 1.0;
-  options.alert_rules = {rule};
-  SolverService service(options);
-
-  // Failure storm: burn rate far above 2.
-  for (int r = 0; r < 4; ++r) {
-    EXPECT_EQ(service
-                  .submit(scaled_copy(p.matrix, -1.0),
-                          random_rhs(p.matrix.n(), 80 + r))
-                  .get()
-                  .status,
-              RequestStatus::Failed);
-  }
-  const obs::WindowStats stormy = service.sample_health();
-  EXPECT_GT(stormy.budget_burn_rate, 2.0);
-  ASSERT_EQ(service.firing_alerts().size(), 1u);
-  EXPECT_EQ(service.firing_alerts()[0], "burn_high");
-
-  // Recovery: wait out the window, then serve healthy traffic.
-  std::this_thread::sleep_for(std::chrono::milliseconds(300));
-  for (int r = 0; r < 4; ++r) {
-    ASSERT_TRUE(service
-                    .submit(shared_matrix(p.matrix),
-                            random_rhs(p.matrix.n(), 90 + r))
-                    .get()
-                    .ok());
-  }
-  const obs::WindowStats healthy = service.sample_health();
-  EXPECT_EQ(healthy.failed, 0);
-  EXPECT_LT(healthy.budget_burn_rate, 1.0);
-  EXPECT_TRUE(service.firing_alerts().empty());
-
-  const auto history = service.alert_history();
-  ASSERT_EQ(history.size(), 2u);
-  EXPECT_EQ(history[0].rule, "burn_high");
-  EXPECT_TRUE(history[0].fired);
-  EXPECT_FALSE(history[1].fired);
-}
-
-TEST(ServeHealth, HealthAndPrometheusFilesAreWritten) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const std::string health_path = temp_path("health") + ".jsonl";
-  const std::string prom_path = temp_path("prom") + ".prom";
-  {
-    ServeOptions options;
-    options.num_sessions = 1;
-    options.slo.window_seconds = 3600.0;
-    options.health_json_path = health_path;
-    options.prometheus_path = prom_path;
-    SolverService service(options);
-    for (int r = 0; r < 2; ++r) {
-      ASSERT_TRUE(service.submit(shared_matrix(p.matrix),
-                                 random_rhs(p.matrix.n(), 60 + r))
-                      .get()
-                      .ok());
-    }
-    service.sample_health();
-  }  // destructor shutdown appends the final sample
-
-  std::ifstream health(health_path);
-  ASSERT_TRUE(health.good());
-  std::string line;
-  int samples = 0;
-  while (std::getline(health, line)) {
-    if (line.empty()) continue;
-    const JsonValue parsed = JsonValue::parse(line);
-    EXPECT_DOUBLE_EQ(parsed.at("total").as_number(), 2.0);
-    EXPECT_DOUBLE_EQ(parsed.at("completed").as_number(), 2.0);
-    EXPECT_TRUE(parsed.at("alerts").is_array());
-    ++samples;
-  }
-  EXPECT_GE(samples, 2);  // explicit sample + shutdown sample
-
-  std::ifstream prom(prom_path);
-  ASSERT_TRUE(prom.good());
-  std::stringstream prom_text;
-  prom_text << prom.rdbuf();
-  EXPECT_NE(prom_text.str().find("mfgpu_slo_window_total 2"),
-            std::string::npos);
-  EXPECT_NE(prom_text.str().find("# TYPE mfgpu_slo_burn_rate gauge"),
-            std::string::npos);
-  std::remove(health_path.c_str());
-  std::remove(prom_path.c_str());
-}
-
-TEST(ServeHealth, MonitorThreadSamplesOnItsOwn) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const std::string health_path = temp_path("monitor") + ".jsonl";
-  {
-    ServeOptions options;
-    options.num_sessions = 1;
-    options.slo.window_seconds = 3600.0;
-    options.health_sample_seconds = 0.02;
-    options.health_json_path = health_path;
-    SolverService service(options);
-    ASSERT_TRUE(
-        service.submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 61))
-            .get()
-            .ok());
-    std::this_thread::sleep_for(std::chrono::milliseconds(200));
-  }
-  std::ifstream health(health_path);
-  ASSERT_TRUE(health.good());
-  int samples = 0;
-  std::string line;
-  while (std::getline(health, line)) {
-    if (!line.empty()) ++samples;
-  }
-  // 200ms at a 20ms period: comfortably more than one periodic sample even
-  // on a loaded machine, plus the shutdown sample.
-  EXPECT_GE(samples, 2);
-  std::remove(health_path.c_str());
-}
-
-TEST(ServeHealth, SloSamplesCoverRejectionsAndDeadlines) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const auto a = shared_matrix(p.matrix);
-  ServeOptions options;
-  options.num_sessions = 1;
-  options.queue_capacity = 1;
-  options.admission = AdmissionPolicy::Reject;
-  options.start_paused = true;
-  options.slo.window_seconds = 3600.0;
-  SolverService service(options);
-
-  RequestOptions tight;
-  tight.deadline_seconds = 1e-3;
-  auto doomed = service.submit(a, random_rhs(p.matrix.n(), 1), tight);
-  auto rejected = service.submit(a, random_rhs(p.matrix.n(), 2));
-  EXPECT_EQ(rejected.get().status, RequestStatus::Rejected);
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  service.start();
-  EXPECT_EQ(doomed.get().status, RequestStatus::DeadlineExceeded);
-
-  const obs::WindowStats window = service.sample_health();
-  EXPECT_EQ(window.total, 2);
-  EXPECT_EQ(window.rejected, 1);
-  EXPECT_EQ(window.deadline_exceeded, 1);
 }
 
 }  // namespace

@@ -1,6 +1,7 @@
 #include "serve/service.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <thread>
 
 #include <gtest/gtest.h>
@@ -267,6 +268,22 @@ TEST(ServeService, SubmitValidatesArguments) {
                      std::vector<double>(static_cast<std::size_t>(
                          p.matrix.n() + 1))),
       InvalidArgumentError);
+
+  // A deadline must be a number >= 0. One past the clock's range (or +inf)
+  // means no deadline, like 0.
+  const auto a = shared_matrix(p.matrix);
+  const auto b = random_rhs(p.matrix.n(), 12);
+  for (double bad : {std::numeric_limits<double>::quiet_NaN(), -1.0}) {
+    RequestOptions deadline;
+    deadline.deadline_seconds = bad;
+    EXPECT_THROW(service.submit(a, b, deadline), InvalidArgumentError) << bad;
+  }
+  for (double unbounded : {1e300, std::numeric_limits<double>::infinity()}) {
+    RequestOptions deadline;
+    deadline.deadline_seconds = unbounded;
+    const SolveResult result = service.submit(a, b, deadline).get();
+    EXPECT_EQ(result.status, RequestStatus::Ok) << unbounded;
+  }
 }
 
 TEST(ServeService, ShutdownDrainsQueuedRequests) {
@@ -408,6 +425,45 @@ TEST(ServeService, RetriedRequestsKeepBatchmatesIndependent) {
   EXPECT_EQ(failed.attempts, 2);
   EXPECT_EQ(service.stats().completed, 1);
   EXPECT_EQ(service.stats().failed, 1);
+}
+
+TEST(ServeService, RetryRunsOnAnotherSessionThanTheOneThatFailedIt) {
+  // One GPU session that faults on (nearly) every device op and one CPU
+  // session that never touches the device. A request the GPU session fails
+  // is retried on the CPU session, never again on the GPU one, so every
+  // request completes within two attempts however the threads interleave.
+  Rng rng(21);
+  const GridProblem p = make_elasticity_3d(7, 7, 7, 3, rng);
+  const auto a = shared_matrix(p.matrix);
+  ServeOptions options;
+  options.session_workers = {WorkerSpec{.has_gpu = true},
+                             WorkerSpec{.has_gpu = false}};
+  options.max_batch_rhs = 1;
+  options.start_paused = true;
+  options.solver.executor.fault_tolerance = FaultTolerance::Off;
+  options.solver.device.faults.seed = 21;
+  options.solver.device.faults.transient_kernel_rate = 0.999;
+  SolverService service(options);
+
+  RequestOptions retryable;
+  retryable.max_retries = 20;
+  std::vector<std::future<SolveResult>> futures;
+  for (int r = 0; r < 6; ++r) {
+    futures.push_back(
+        service.submit(a, random_rhs(p.matrix.n(), 40 + r), retryable));
+  }
+  service.start();
+  std::int64_t retried = 0;
+  for (auto& future : futures) {
+    const SolveResult result = future.get();
+    ASSERT_TRUE(result.ok()) << result.error;
+    EXPECT_LE(result.attempts, 2);
+    if (result.attempts == 2) ++retried;
+  }
+  const ServiceStats stats = service.stats();
+  EXPECT_EQ(stats.completed, 6);
+  EXPECT_EQ(stats.retries, retried);
+  EXPECT_EQ(stats.retry_exhausted, 0);
 }
 
 // The acceptance gate of the serving layer: on a refactor-heavy workload
