@@ -27,7 +27,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
-#include "multifrontal/solve.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "obs/obs.hpp"
 #include "serve/cost.hpp"
 #include "serve/service.hpp"

@@ -27,9 +27,9 @@
 // --solve-threads N runs the triangular solves as a level-scheduled
 // dependency DAG on N solve threads (multifrontal/parallel_solve.hpp);
 // solutions are bitwise identical at every count. --rhs N solves a block
-// of N right-hand sides in ONE blocked pass that streams each factor
-// panel once per refinement step, and reports the simulated RHS/sec
-// against per-RHS serial solving.
+// of N right-hand sides in ONE blocked pass of dense kernel calls per
+// refinement step, and reports the simulated RHS/sec against N one-RHS
+// solves.
 //
 // --batch selects the aggregated small-front execution path (one simulated
 // kernel dispatch + one coalesced transfer per level group of small
@@ -421,7 +421,7 @@ int main(int argc, char** argv) {
           sym, solve_schedule, cli.rhs, cli.solve_threads);
       std::printf(
           "blocked solve: %lld rhs in ~%.4f simulated s "
-          "(%.1f rhs/s, %.2fx over per-rhs serial), max error %.3e\n",
+          "(%.1f rhs/s, %.2fx over one rhs at a time), max error %.3e\n",
           static_cast<long long>(cli.rhs), blocked,
           static_cast<double>(cli.rhs) / blocked,
           static_cast<double>(cli.rhs) * serial_per_rhs / blocked, block_err);

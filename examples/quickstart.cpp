@@ -10,7 +10,6 @@
 #include <cstdio>
 
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "policy/baseline_hybrid.hpp"
 #include "sparse/generators.hpp"

@@ -5,7 +5,7 @@
 
 #include "autotune/hybrid.hpp"
 #include "multifrontal/parallel.hpp"
-#include "multifrontal/solve.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "obs/obs.hpp"
 #include "obs/schedule_record.hpp"
 #include "ordering/minimum_degree.hpp"

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <mutex>
+#include <vector>
 
 #include "dense/kernels.hpp"
 
@@ -18,18 +20,10 @@ constexpr std::size_t pack_bytes() {
 }
 
 /// The per-thread pack buffer, shared by both precisions (a thread runs one
-/// kernel at a time). It is allocated on the thread's first packed call and
+/// kernel at a time). It is taken on the thread's first packed call and
 /// sized by the cache blocking, never by the operands.
 class PackBuffer {
  public:
-  PackBuffer()
-      : storage_(std::make_unique_for_overwrite<unsigned char[]>(kBytes +
-                                                                 kAlign)) {
-    void* base = storage_.get();
-    std::size_t space = kBytes + kAlign;
-    data_ = std::align(kAlign, kBytes, base, space);
-  }
-
   /// The packed A block; the B block follows it (kc * mc * sizeof(T) is a
   /// multiple of 64 bytes).
   template <typename T>
@@ -41,12 +35,58 @@ class PackBuffer {
     return a<T>() + Blocking<T>::mc * Blocking<T>::kc;
   }
 
+  /// The calling thread's buffer. A thread that exits returns its buffer to
+  /// a process-wide free list instead of freeing it: the solve and
+  /// factorization pools start fresh threads on every call, and reusing the
+  /// buffers spares each thread the allocation and its page faults and
+  /// keeps freed buffers from piling up in per-thread allocator arenas.
   static const PackBuffer& local() {
-    thread_local const PackBuffer buffer;
-    return buffer;
+    thread_local const Lease lease;
+    return *lease.buffer;
   }
 
  private:
+  PackBuffer()
+      : storage_(std::make_unique_for_overwrite<unsigned char[]>(kBytes +
+                                                                 kAlign)) {
+    void* base = storage_.get();
+    std::size_t space = kBytes + kAlign;
+    data_ = std::align(kAlign, kBytes, base, space);
+  }
+
+  struct FreeList {
+    std::mutex mutex;
+    std::vector<std::unique_ptr<PackBuffer>> buffers;
+  };
+
+  /// Never destroyed, so that a thread exiting after static destruction can
+  /// still return its buffer.
+  static FreeList& free_list() {
+    static FreeList* const list = new FreeList;
+    return *list;
+  }
+
+  struct Lease {
+    Lease() {
+      FreeList& list = free_list();
+      const std::lock_guard<std::mutex> lock(list.mutex);
+      if (list.buffers.empty()) {
+        buffer.reset(new PackBuffer);
+      } else {
+        buffer = std::move(list.buffers.back());
+        list.buffers.pop_back();
+      }
+    }
+    ~Lease() {
+      FreeList& list = free_list();
+      const std::lock_guard<std::mutex> lock(list.mutex);
+      list.buffers.push_back(std::move(buffer));
+    }
+    Lease(const Lease&) = delete;
+    Lease& operator=(const Lease&) = delete;
+    std::unique_ptr<PackBuffer> buffer;
+  };
+
   static constexpr std::size_t kAlign = 64;
   static constexpr std::size_t kBytes =
       std::max(pack_bytes<float>(), pack_bytes<double>());
@@ -110,28 +150,21 @@ void pack_b(Trans trans, MatrixView<const T> b, index_t p0, index_t j0,
   }
 }
 
-/// C += alpha * op(A) * op(B) over the whole of C or, with `lower`, over its
-/// lower triangle only (C square). Tiny products go to the unpacked leaf;
-/// the rest through the micro-kernel. Full tiles are updated in place. Tiles
-/// at C's edge, and tiles that straddle the diagonal, are computed into a
-/// scratch tile and added to the elements to update only, so nothing
-/// outside them is read or written.
+/// The packed path of update(): C += alpha * op(A) * op(B) through the
+/// micro-kernel. Full tiles are updated in place. Tiles at C's edge, and
+/// tiles that straddle the diagonal, are computed into a scratch tile and
+/// added to the elements to update only, so nothing outside them is read or
+/// written.
 template <typename T>
-void update(const Leaves<T>& lv, Trans trans_a, Trans trans_b, T alpha,
-                   MatrixView<const T> a, MatrixView<const T> b,
-                   MatrixView<T> c, bool lower) {
+[[gnu::noinline]] void update_packed(const Leaves<T>& lv, Trans trans_a,
+                                     Trans trans_b, T alpha,
+                                     MatrixView<const T> a,
+                                     MatrixView<const T> b, MatrixView<T> c,
+                                     bool lower) {
   using Block = Blocking<T>;
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (trans_a == Trans::NoTrans) ? a.cols() : a.rows();
-  if (k <= kSmallDepth || m * n * k <= kSmallWork) {
-    const bool na = trans_a == Trans::NoTrans;
-    const bool nb = trans_b == Trans::NoTrans;
-    lv.small(m, n, k, alpha, a.data(), na ? 1 : a.ld(), na ? a.ld() : 1,
-             b.data(), nb ? 1 : b.ld(), nb ? b.ld() : 1, c.data(), c.ld(),
-             lower);
-    return;
-  }
   const index_t mr = lv.mr;
   const index_t nr = lv.nr;
   const PackBuffer& buffer = PackBuffer::local();
@@ -176,8 +209,38 @@ void update(const Leaves<T>& lv, Trans trans_a, Trans trans_b, T alpha,
   }
 }
 
+/// C += alpha * op(A) * op(B) over the whole of C or, with `lower`, over its
+/// lower triangle only (C square). Tiny and narrow products go to the
+/// unpacked leaf, one kc-deep block at a time as the packed path sums them;
+/// the rest through the micro-kernel. Inlined so that the many tiny calls
+/// of the supernodal solve reach the leaf without a further call.
 template <typename T>
-void scale_matrix(T beta, MatrixView<T> c) {
+[[gnu::always_inline]] inline void update(const Leaves<T>& lv, Trans trans_a,
+                                          Trans trans_b, T alpha,
+                                          MatrixView<const T> a,
+                                          MatrixView<const T> b,
+                                          MatrixView<T> c, bool lower) {
+  using Block = Blocking<T>;
+  const index_t m = c.rows();
+  const index_t n = c.cols();
+  const index_t k = (trans_a == Trans::NoTrans) ? a.cols() : a.rows();
+  if (k <= kSmallDepth || n <= kSmallCols || m * n * k <= kSmallWork) {
+    const bool na = trans_a == Trans::NoTrans;
+    const bool nb = trans_b == Trans::NoTrans;
+    const index_t cas = na ? a.ld() : 1;
+    const index_t rbs = nb ? 1 : b.ld();
+    for (index_t pc = 0; pc < k; pc += Block::kc) {
+      lv.small(m, n, std::min(Block::kc, k - pc), alpha, a.data() + pc * cas,
+               na ? 1 : a.ld(), cas, b.data() + pc * rbs, rbs,
+               nb ? b.ld() : 1, c.data(), c.ld(), lower);
+    }
+    return;
+  }
+  update_packed(lv, trans_a, trans_b, alpha, a, b, c, lower);
+}
+
+template <typename T>
+void scale_matrix(T beta, const MatrixView<T>& c) {
   if (beta == T{1}) return;
   for (index_t j = 0; j < c.cols(); ++j) {
     T* __restrict__ col = &c(0, j);
@@ -213,12 +276,90 @@ void trsm_right_lower_transpose(const Leaves<T>& lv, Diag diag,
   }
 }
 
-}  // namespace
+/// The diagonal block of the left trsm, column by column: L X = B by
+/// forward substitution, or L^T X = B by backward substitution with one
+/// dot product per row. Columns are solved kCols at a time so that their
+/// independent sums overlap; each column's operations are those of a
+/// one-column solve.
+template <typename T, int kCols>
+void trsm_left_leaf(Trans trans, Diag diag, MatrixView<const T> l,
+                    MatrixView<T> b, index_t j0) {
+  const index_t n = l.rows();
+  T* x[kCols];
+  for (int c = 0; c < kCols; ++c) x[c] = &b(0, j0 + c);
+  if (trans == Trans::NoTrans) {
+    for (index_t p = 0; p < n; ++p) {
+      const T* __restrict__ lcol = &l(0, p);
+      for (int c = 0; c < kCols; ++c) {
+        if (diag == Diag::NonUnit) x[c][p] /= lcol[p];
+        const T xp = x[c][p];
+        for (index_t i = p + 1; i < n; ++i) x[c][i] -= lcol[i] * xp;
+      }
+    }
+    return;
+  }
+  for (index_t p = n - 1; p >= 0; --p) {
+    const T* __restrict__ lcol = &l(0, p);
+    T sum[kCols];
+    for (int c = 0; c < kCols; ++c) sum[c] = x[c][p];
+    for (index_t i = p + 1; i < n; ++i) {
+      for (int c = 0; c < kCols; ++c) sum[c] -= lcol[i] * x[c][i];
+    }
+    for (int c = 0; c < kCols; ++c) {
+      x[c][p] = (diag == Diag::NonUnit) ? sum[c] / lcol[p] : sum[c];
+    }
+  }
+}
+
+/// L X = B (NoTrans) or L^T X = B (Transpose) in place, blocked like the
+/// right trsm: each diagonal block of kTrsmBlock rows is solved by the leaf,
+/// and the micro-kernel carries its rows to the rest of X: forward, it
+/// subtracts the block's columns of L times the solved rows from the rows
+/// below; backward, it subtracts L^T of the rows below from the block's rows
+/// before they are solved. The blocks depend on n alone, so every column of
+/// X takes the operations of a one-column solve.
+template <typename T>
+void trsm_left_lower(const Leaves<T>& lv, Trans trans, Diag diag,
+                     const MatrixView<const T>& l, const MatrixView<T>& b) {
+  const index_t n = b.rows();
+  const index_t cols = b.cols();
+  if (n == 0 || cols == 0) return;
+  const index_t blocks = (n + kTrsmBlock - 1) / kTrsmBlock;
+  for (index_t q = 0; q < blocks; ++q) {
+    const index_t j0 =
+        kTrsmBlock * (trans == Trans::NoTrans ? q : blocks - 1 - q);
+    const index_t jb = std::min(kTrsmBlock, n - j0);
+    const index_t rest = n - j0 - jb;
+    const MatrixView<T> xb = b.block(j0, 0, jb, cols);
+    if (trans == Trans::Transpose && rest > 0) {
+      update<T>(lv, Trans::Transpose, Trans::NoTrans, T{-1},
+                l.block(j0 + jb, j0, rest, jb), b.block(j0 + jb, 0, rest, cols),
+                xb, /*lower=*/false);
+    }
+    const MatrixView<const T> diag_block = l.block(j0, j0, jb, jb);
+    index_t c = 0;
+    for (; c + 4 <= cols; c += 4) {
+      trsm_left_leaf<T, 4>(trans, diag, diag_block, xb, c);
+    }
+    for (; c < cols; ++c) trsm_left_leaf<T, 1>(trans, diag, diag_block, xb, c);
+    if (trans == Trans::NoTrans && rest > 0) {
+      update<T>(lv, Trans::NoTrans, Trans::NoTrans, T{-1},
+                l.block(j0 + jb, j0, rest, jb), xb,
+                b.block(j0 + jb, 0, rest, cols), /*lower=*/false);
+    }
+  }
+}
+
+// The kernels on one variant's leaves, inlined into both the per-variant
+// entry points below and the public ones (which run the selected variant),
+// so that a tiny product pays for one call, not a chain of them.
 
 template <typename T>
-void gemm(Isa isa, Trans trans_a, Trans trans_b, T alpha,
-          MatrixView<const T> a, MatrixView<const T> b, T beta,
-          MatrixView<T> c) {
+[[gnu::always_inline]] inline void gemm_on(const Leaves<T>& lv, Trans trans_a,
+                                           Trans trans_b, T alpha,
+                                           const MatrixView<const T>& a,
+                                           const MatrixView<const T>& b, T beta,
+                                           const MatrixView<T>& c) {
   const index_t m = c.rows();
   const index_t n = c.cols();
   const index_t k = (trans_a == Trans::NoTrans) ? a.cols() : a.rows();
@@ -229,12 +370,14 @@ void gemm(Isa isa, Trans trans_a, Trans trans_b, T alpha,
 
   scale_matrix(beta, c);
   if (m == 0 || n == 0 || k == 0 || alpha == T{}) return;
-  update(leaves<T>(isa), trans_a, trans_b, alpha, a, b, c, /*lower=*/false);
+  update(lv, trans_a, trans_b, alpha, a, b, c, /*lower=*/false);
 }
 
 template <typename T>
-void syrk_lower(Isa isa, T alpha, MatrixView<const T> a, T beta,
-                MatrixView<T> c) {
+[[gnu::always_inline]] inline void syrk_lower_on(const Leaves<T>& lv, T alpha,
+                                                 const MatrixView<const T>& a,
+                                                 T beta,
+                                                 const MatrixView<T>& c) {
   const index_t n = c.rows();
   const index_t k = a.cols();
   MFGPU_CHECK(c.cols() == n && a.rows() == n, "syrk_lower: shape mismatch");
@@ -249,13 +392,16 @@ void syrk_lower(Isa isa, T alpha, MatrixView<const T> a, T beta,
     }
   }
   if (n == 0 || k == 0 || alpha == T{}) return;
-  update(leaves<T>(isa), Trans::NoTrans, Trans::Transpose, alpha, a, a, c,
+  update(lv, Trans::NoTrans, Trans::Transpose, alpha, a, a, c,
          /*lower=*/true);
 }
 
 template <typename T>
-void trsm(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          MatrixView<const T> a, MatrixView<T> b) {
+[[gnu::always_inline]] inline void trsm_on(const Leaves<T>& lv, Side side,
+                                           Uplo uplo, Trans trans, Diag diag,
+                                           T alpha,
+                                           const MatrixView<const T>& a,
+                                           const MatrixView<T>& b) {
   MFGPU_CHECK(a.rows() == a.cols(), "trsm: A must be square");
   MFGPU_CHECK(uplo == Uplo::Lower, "trsm: only lower-triangular A supported");
   const index_t n = a.rows();
@@ -264,49 +410,55 @@ void trsm(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
   if (side == Side::Right && trans == Trans::Transpose) {
     // Solve X * L^T = B  =>  x_j = (b_j - sum_{p<j} x_p l_jp) / l_jj.
     MFGPU_CHECK(b.cols() == n, "trsm right: B column count must match A");
-    trsm_right_lower_transpose(leaves<T>(isa), diag, a, b);
+    trsm_right_lower_transpose(lv, diag, a, b);
     return;
   }
 
-  if (side == Side::Left && trans == Trans::NoTrans) {
-    // Solve L * X = B (forward substitution down the columns of B).
+  if (side == Side::Left) {
+    // Solve L X = B (forward) or L^T X = B (backward substitution).
     MFGPU_CHECK(b.rows() == n, "trsm left: B row count must match A");
-    for (index_t j = 0; j < b.cols(); ++j) {
-      T* __restrict__ x = &b(0, j);
-      for (index_t p = 0; p < n; ++p) {
-        if (diag == Diag::NonUnit) x[p] /= a(p, p);
-        const T xp = x[p];
-        const T* __restrict__ lcol = &a(0, p);
-        for (index_t i = p + 1; i < n; ++i) x[i] -= lcol[i] * xp;
-      }
-    }
-    return;
-  }
-
-  if (side == Side::Left && trans == Trans::Transpose) {
-    // Solve L^T * X = B (backward substitution).
-    MFGPU_CHECK(b.rows() == n, "trsm left: B row count must match A");
-    for (index_t j = 0; j < b.cols(); ++j) {
-      T* __restrict__ x = &b(0, j);
-      for (index_t p = n - 1; p >= 0; --p) {
-        const T* __restrict__ lcol = &a(0, p);
-        T sum = x[p];
-        for (index_t i = p + 1; i < n; ++i) sum -= lcol[i] * x[i];
-        x[p] = (diag == Diag::NonUnit) ? sum / a(p, p) : sum;
-      }
-    }
+    trsm_left_lower(lv, trans, diag, a, b);
     return;
   }
 
   throw InvalidArgumentError("trsm: unsupported side/trans combination");
 }
 
+/// The selected variant's leaves, looked up once.
+template <typename T>
+const Leaves<T>& selected_leaves() {
+  static const Leaves<T>& lv = leaves<T>(selected_isa());
+  return lv;
+}
+
+}  // namespace
+
+template <typename T>
+void gemm(Isa isa, Trans trans_a, Trans trans_b, T alpha,
+          const MatrixView<const T>& a, const MatrixView<const T>& b, T beta,
+          const MatrixView<T>& c) {
+  gemm_on(leaves<T>(isa), trans_a, trans_b, alpha, a, b, beta, c);
+}
+
+template <typename T>
+void syrk_lower(Isa isa, T alpha, const MatrixView<const T>& a, T beta,
+                const MatrixView<T>& c) {
+  syrk_lower_on(leaves<T>(isa), alpha, a, beta, c);
+}
+
+template <typename T>
+void trsm(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
+          const MatrixView<const T>& a, const MatrixView<T>& b) {
+  trsm_on(leaves<T>(isa), side, uplo, trans, diag, alpha, a, b);
+}
+
 #define MFGPU_DENSE_INSTANTIATE(T)                                            \
-  template void gemm<T>(Isa, Trans, Trans, T, MatrixView<const T>,            \
-                        MatrixView<const T>, T, MatrixView<T>);               \
-  template void syrk_lower<T>(Isa, T, MatrixView<const T>, T, MatrixView<T>); \
-  template void trsm<T>(Isa, Side, Uplo, Trans, Diag, T, MatrixView<const T>, \
-                        MatrixView<T>);
+  template void gemm<T>(Isa, Trans, Trans, T, const MatrixView<const T>&,     \
+                        const MatrixView<const T>&, T, const MatrixView<T>&); \
+  template void syrk_lower<T>(Isa, T, const MatrixView<const T>&, T,          \
+                              const MatrixView<T>&);                          \
+  template void trsm<T>(Isa, Side, Uplo, Trans, Diag, T,                      \
+                        const MatrixView<const T>&, const MatrixView<T>&);
 MFGPU_DENSE_INSTANTIATE(float)
 MFGPU_DENSE_INSTANTIATE(double)
 #undef MFGPU_DENSE_INSTANTIATE
@@ -314,20 +466,23 @@ MFGPU_DENSE_INSTANTIATE(double)
 }  // namespace dense
 
 template <typename T>
-void gemm(Trans trans_a, Trans trans_b, T alpha, MatrixView<const T> a,
-          MatrixView<const T> b, T beta, MatrixView<T> c) {
-  dense::gemm(dense::selected_isa(), trans_a, trans_b, alpha, a, b, beta, c);
+void gemm(Trans trans_a, Trans trans_b, T alpha, const MatrixView<const T>& a,
+          const MatrixView<const T>& b, T beta, const MatrixView<T>& c) {
+  dense::gemm_on(dense::selected_leaves<T>(), trans_a, trans_b, alpha, a, b,
+                 beta, c);
 }
 
 template <typename T>
-void syrk_lower(T alpha, MatrixView<const T> a, T beta, MatrixView<T> c) {
-  dense::syrk_lower(dense::selected_isa(), alpha, a, beta, c);
+void syrk_lower(T alpha, const MatrixView<const T>& a, T beta,
+                const MatrixView<T>& c) {
+  dense::syrk_lower_on(dense::selected_leaves<T>(), alpha, a, beta, c);
 }
 
 template <typename T>
 void trsm(Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          MatrixView<const T> a, MatrixView<T> b) {
-  dense::trsm(dense::selected_isa(), side, uplo, trans, diag, alpha, a, b);
+          const MatrixView<const T>& a, const MatrixView<T>& b) {
+  dense::trsm_on(dense::selected_leaves<T>(), side, uplo, trans, diag, alpha,
+                 a, b);
 }
 
 index_t potrf_ops(index_t k) { return k * k * k / 3; }
@@ -336,18 +491,15 @@ index_t syrk_ops(index_t m, index_t k) { return m * m * k; }
 index_t gemm_ops(index_t m, index_t n, index_t k) { return 2 * m * n * k; }
 
 // Explicit instantiations for the two precisions the system uses.
-template void gemm<float>(Trans, Trans, float, MatrixView<const float>,
-                          MatrixView<const float>, float, MatrixView<float>);
-template void gemm<double>(Trans, Trans, double, MatrixView<const double>,
-                           MatrixView<const double>, double,
-                           MatrixView<double>);
-template void syrk_lower<float>(float, MatrixView<const float>, float,
-                                MatrixView<float>);
-template void syrk_lower<double>(double, MatrixView<const double>, double,
-                                 MatrixView<double>);
-template void trsm<float>(Side, Uplo, Trans, Diag, float,
-                          MatrixView<const float>, MatrixView<float>);
-template void trsm<double>(Side, Uplo, Trans, Diag, double,
-                           MatrixView<const double>, MatrixView<double>);
+#define MFGPU_BLAS_INSTANTIATE(T)                                             \
+  template void gemm<T>(Trans, Trans, T, const MatrixView<const T>&,          \
+                        const MatrixView<const T>&, T, const MatrixView<T>&); \
+  template void syrk_lower<T>(T, const MatrixView<const T>&, T,               \
+                              const MatrixView<T>&);                          \
+  template void trsm<T>(Side, Uplo, Trans, Diag, T, const MatrixView<const T>&, \
+                        const MatrixView<T>&);
+MFGPU_BLAS_INSTANTIATE(float)
+MFGPU_BLAS_INSTANTIATE(double)
+#undef MFGPU_BLAS_INSTANTIATE
 
 }  // namespace mfgpu

@@ -22,57 +22,136 @@ typedef double f64x2 __attribute__((vector_size(16)));
 template <typename T>
 using V128 = std::conditional_t<std::is_same_v<T, float>, f32x4, f64x2>;
 
-/// Rows [i, i + L * q) of one column of the small product, L = lanes of V,
-/// for A stored by columns (op(A)(i, p) = a[i + p * cas]); returns the first
-/// row left over.
-template <typename T, typename V>
-[[gnu::always_inline]] inline index_t small_rows(index_t i, index_t m,
-                                                 index_t k, T alpha,
-                                                 const T* a, index_t cas,
-                                                 const T* bj, index_t rbs,
-                                                 T* cj) {
+/// Rows [i, i + U * L + S) of NC columns of the small product: U vectors V
+/// of L lanes (which need A stored by columns, ras == 1), then S single
+/// rows, all summed in one pass over p so that their sums are in flight
+/// together.
+template <typename T, typename V, int U, int S, int NC>
+[[gnu::always_inline]] inline void small_tile(index_t i, index_t k, T alpha,
+                                              const T* a, index_t ras,
+                                              index_t cas, const T* b,
+                                              index_t rbs, index_t cbs, T* c,
+                                              index_t ldc) {
   constexpr index_t kLanes = sizeof(V) / sizeof(T);
-  for (; i + kLanes <= m; i += kLanes) {
-    V sum = {};
-    for (index_t p = 0; p < k; ++p) {
-      V x;
-      std::memcpy(&x, a + i + p * cas, sizeof(V));
-      sum += (alpha * x) * bj[p * rbs];
+  constexpr index_t kSingle = U * kLanes;  // first single row, from i
+  V vsum[NC][U > 0 ? U : 1] = {};
+  T ssum[NC][S > 0 ? S : 1] = {};
+  for (index_t p = 0; p < k; ++p) {
+    V x[U > 0 ? U : 1];
+    T y[S > 0 ? S : 1];
+#pragma GCC unroll 4
+    for (int u = 0; u < U; ++u) {
+      std::memcpy(&x[u], a + (i + u * kLanes) * ras + p * cas, sizeof(V));
+      x[u] = alpha * x[u];
     }
-    V cv;
-    std::memcpy(&cv, cj + i, sizeof(V));
-    cv += sum;
-    std::memcpy(cj + i, &cv, sizeof(V));
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) {
+      y[s] = alpha * a[(i + kSingle + s) * ras + p * cas];
+    }
+#pragma GCC unroll 4
+    for (int j = 0; j < NC; ++j) {
+      const T bj = b[p * rbs + j * cbs];
+#pragma GCC unroll 4
+      for (int u = 0; u < U; ++u) vsum[j][u] += x[u] * bj;
+#pragma GCC unroll 4
+      for (int s = 0; s < S; ++s) ssum[j][s] += y[s] * bj;
+    }
   }
-  return i;
+#pragma GCC unroll 4
+  for (int j = 0; j < NC; ++j) {
+    T* cj = c + j * ldc + i;
+#pragma GCC unroll 4
+    for (int u = 0; u < U; ++u) {
+      V cv;
+      std::memcpy(&cv, cj + u * kLanes, sizeof(V));
+      cv += vsum[j][u];
+      std::memcpy(cj + u * kLanes, &cv, sizeof(V));
+    }
+#pragma GCC unroll 4
+    for (int s = 0; s < S; ++s) cj[kSingle + s] += ssum[j][s];
+  }
+}
+
+/// The last `rows` < kEnd rows of NC columns from row i, as one tile:
+/// 16-byte vectors then single rows when A is stored by columns (kVec),
+/// single rows otherwise.
+template <typename T, bool kVec, int NC, int kEnd, int R = 1>
+[[gnu::always_inline]] inline void small_last(index_t rows, index_t i,
+                                              index_t k, T alpha, const T* a,
+                                              index_t ras, index_t cas,
+                                              const T* b, index_t rbs,
+                                              index_t cbs, T* c, index_t ldc) {
+  if constexpr (R < kEnd) {
+    constexpr int kLanes128 = sizeof(V128<T>) / sizeof(T);
+    if (rows != R) {
+      small_last<T, kVec, NC, kEnd, R + 1>(rows, i, k, alpha, a, ras, cas, b,
+                                           rbs, cbs, c, ldc);
+    } else if constexpr (kVec) {
+      small_tile<T, V128<T>, R / kLanes128, R % kLanes128, NC>(
+          i, k, alpha, a, ras, cas, b, rbs, cbs, c, ldc);
+    } else {
+      small_tile<T, T, 0, R, NC>(i, k, alpha, a, ras, cas, b, rbs, cbs, c,
+                                 ldc);
+    }
+  }
+}
+
+/// Rows [i, m) of NC columns of the small product. With A stored by
+/// columns: tiles of kUnits vectors, then the vectors left, then the rows
+/// left in one tile; otherwise tiles of kUnits single rows, then the rest.
+template <typename T, typename V, int NC>
+[[gnu::always_inline]] inline void small_cols(index_t i, index_t m, index_t k,
+                                              T alpha, const T* a, index_t ras,
+                                              index_t cas, const T* b,
+                                              index_t rbs, index_t cbs, T* c,
+                                              index_t ldc) {
+  constexpr int kUnits = NC == 1 ? 4 : 2;
+  constexpr index_t kLanes = sizeof(V) / sizeof(T);
+  if (ras == 1) {
+    for (; i + kUnits * kLanes <= m; i += kUnits * kLanes) {
+      small_tile<T, V, kUnits, 0, NC>(i, k, alpha, a, ras, cas, b, rbs, cbs, c,
+                                      ldc);
+    }
+    for (; i + kLanes <= m; i += kLanes) {
+      small_tile<T, V, 1, 0, NC>(i, k, alpha, a, ras, cas, b, rbs, cbs, c,
+                                 ldc);
+    }
+    small_last<T, true, NC, kLanes>(m - i, i, k, alpha, a, ras, cas, b, rbs,
+                                    cbs, c, ldc);
+    return;
+  }
+  for (; i + kUnits <= m; i += kUnits) {
+    small_tile<T, T, 0, kUnits, NC>(i, k, alpha, a, ras, cas, b, rbs, cbs, c,
+                                    ldc);
+  }
+  small_last<T, false, NC, kUnits>(m - i, i, k, alpha, a, ras, cas, b, rbs,
+                                   cbs, c, ldc);
 }
 
 /// C(m x n) += alpha * op(A) * op(B) (lower triangle only with `lower`)
 /// straight from the operands, for shapes too small to repay packing.
 /// op(A)(i, p) = a[i * ras + p * cas] and op(B)(p, j) = b[p * rbs + j * cbs].
 /// Each element takes the packed path's operations: (alpha * a) * b summed
-/// from zero in ascending p, then added to C.
+/// from zero in ascending p, then added to C. Tiles of rows and columns are
+/// computed together so that independent sums overlap; the tiling never
+/// changes an element's operations.
 template <typename T, typename V>
 [[gnu::always_inline]] inline void small_body(index_t m, index_t n, index_t k,
                                               T alpha, const T* a, index_t ras,
                                               index_t cas, const T* b,
                                               index_t rbs, index_t cbs, T* c,
                                               index_t ldc, bool lower) {
-  for (index_t j = 0; j < n; ++j) {
-    const T* bj = b + j * cbs;
-    T* cj = c + j * ldc;
-    index_t i = lower ? j : 0;
-    if (ras == 1) {
-      i = small_rows<T, V>(i, m, k, alpha, a, cas, bj, rbs, cj);
-      i = small_rows<T, V128<T>>(i, m, k, alpha, a, cas, bj, rbs, cj);
+  constexpr index_t kCols = 4;
+  index_t j = 0;
+  if (!lower) {
+    for (; j + kCols <= n; j += kCols) {
+      small_cols<T, V, kCols>(0, m, k, alpha, a, ras, cas, b + j * cbs, rbs,
+                              cbs, c + j * ldc, ldc);
     }
-    for (; i < m; ++i) {
-      T sum{};
-      for (index_t p = 0; p < k; ++p) {
-        sum += (alpha * a[i * ras + p * cas]) * bj[p * rbs];
-      }
-      cj[i] += sum;
-    }
+  }
+  for (; j < n; ++j) {
+    small_cols<T, V, 1>(lower ? j : 0, m, k, alpha, a, ras, cas, b + j * cbs,
+                        rbs, cbs, c + j * ldc, ldc);
   }
 }
 
@@ -231,7 +310,11 @@ template <typename T, typename V>
 
 // One set of wrappers per instruction set. Rows per micro-tile are two
 // vectors; columns are as many as the register file holds beside them
-// (AVX-512: 24 of 32 registers accumulate, AVX2/SSE2: 12 of 16).
+// (AVX-512: 24 of 32 registers accumulate, AVX2/SSE2: 12 of 16). Every set
+// that fuses a multiply-add at one vector width must fuse it at all of them,
+// the 16-byte steps and scalar tails included, or an element's bits would
+// depend on the step that computed it: AVX-512F alone fuses 512-bit and
+// scalar operations but not 128-bit ones, so its variant also enables FMA.
 #define MFGPU_DENSE_VARIANT(SUFFIX, ATTR, VEC, NR, STRIP)                     \
   template <typename T>                                                       \
   ATTR void small_##SUFFIX(index_t m, index_t n, index_t k, T alpha,       \
@@ -277,7 +360,8 @@ template <typename T>
 using V512 = std::conditional_t<std::is_same_v<T, float>, f32x16, f64x8>;
 
 MFGPU_DENSE_VARIANT(avx2, __attribute__((target("avx2,fma"))), V256, 6, 4)
-MFGPU_DENSE_VARIANT(avx512, __attribute__((target("avx512f"))), V512, 12, 4)
+MFGPU_DENSE_VARIANT(avx512, __attribute__((target("avx512f,fma"))), V512, 12,
+                    4)
 #endif
 
 #undef MFGPU_DENSE_VARIANT
@@ -287,7 +371,8 @@ bool cpu_supports(Isa isa) {
   __builtin_cpu_init();
   switch (isa) {
     case Isa::Avx512:
-      return __builtin_cpu_supports("avx512f");
+      return __builtin_cpu_supports("avx512f") &&
+             __builtin_cpu_supports("fma");
     case Isa::Avx2:
       return __builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma");
     case Isa::Sse2:

@@ -12,14 +12,20 @@
 //
 // Summation order: in gemm and syrk each element's terms are summed in
 // ascending p over one kc-deep block at a time, from zero, one multiply-add
-// per term, and each block's sum is added to C in ascending block order. The
-// right trsm subtracts the gemm updates of the diagonal blocks to an
-// element's left in the same way, then the leaf's terms one by one. (Products
-// small enough to skip packing sum all k terms as one block.) Packing
-// and tiling decide only which elements are computed together, never the
-// terms of an element or their order, so the bits depend on the operand
-// values, the shape and the fixed block sizes alone: not on pointer
-// alignment, leading dimension or the calling thread.
+// per term, and each block's sum is added to C in ascending block order.
+// Whether a multiply-add is fused belongs to the variant (AVX-512 and AVX2
+// fuse every one, SSE2 none), never to the vector width or loop step that
+// computes the element. The unpacked leaf that takes tiny and narrow
+// products does the same operations, block by block. The right trsm
+// subtracts the gemm updates of the diagonal blocks to an element's left in
+// the same way, then the leaf's terms one by one. Packing, tiling and the
+// choice between the packed path and the leaf decide only which elements
+// are computed together, never the terms of an element or their order. So
+// an element's bits depend on its row of op(A), its column of op(B), its
+// entry of C, the depth and the fixed block sizes alone: not on the other
+// rows or columns of the product (column j of an m x r gemm is bitwise the
+// m x 1 gemm of column j), pointer alignment, leading dimension or the
+// calling thread.
 #pragma once
 
 #include <vector>
@@ -54,10 +60,12 @@ struct Blocking<double> {
   static constexpr index_t mc = 128, kc = 192, nc = 384;
 };
 
-/// Products of depth k <= kSmallDepth, or of at most kSmallWork
-/// multiply-adds (m * n * k), skip packing: there packing and the padded
-/// micro-tile cost more than the arithmetic they feed.
+/// Products of depth k <= kSmallDepth, of at most kSmallCols columns, or of
+/// at most kSmallWork multiply-adds (m * n * k) skip packing: there packing
+/// and the padded micro-tile cost more than the arithmetic they feed (a
+/// one-column product would fill 1 of the tile's nr columns).
 inline constexpr index_t kSmallDepth = 4;
+inline constexpr index_t kSmallCols = 2;
 inline constexpr index_t kSmallWork = 512;
 
 /// Width of the diagonal blocks of the right trsm.
@@ -80,7 +88,7 @@ struct Leaves {
   /// C(m x n) += alpha * op(A) * op(B), or its lower triangle with `lower`,
   /// unpacked: op(A)(i, p) = a[i * ras + p * cas], op(B)(p, j) =
   /// b[p * rbs + j * cbs]. The same operations per element as the packed
-  /// path for k <= kc.
+  /// path for one block of k <= kc; deeper products are split by the caller.
   void (*small)(index_t m, index_t n, index_t k, T alpha, const T* a,
                 index_t ras, index_t cas, const T* b, index_t rbs,
                 index_t cbs, T* c, index_t ldc, bool lower);
@@ -99,16 +107,16 @@ const Leaves<T>& leaves(Isa isa);
 
 template <typename T>
 void gemm(Isa isa, Trans trans_a, Trans trans_b, T alpha,
-          MatrixView<const T> a, MatrixView<const T> b, T beta,
-          MatrixView<T> c);
+          const MatrixView<const T>& a, const MatrixView<const T>& b, T beta,
+          const MatrixView<T>& c);
 
 template <typename T>
-void syrk_lower(Isa isa, T alpha, MatrixView<const T> a, T beta,
-                MatrixView<T> c);
+void syrk_lower(Isa isa, T alpha, const MatrixView<const T>& a, T beta,
+                const MatrixView<T>& c);
 
 template <typename T>
 void trsm(Isa isa, Side side, Uplo uplo, Trans trans, Diag diag, T alpha,
-          MatrixView<const T> a, MatrixView<T> b);
+          const MatrixView<const T>& a, const MatrixView<T>& b);
 
 template <typename T>
 void potrf_unblocked(Isa isa, MatrixView<T> a, index_t column_offset);

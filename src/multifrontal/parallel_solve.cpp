@@ -3,8 +3,10 @@
 #include <algorithm>
 #include <memory>
 #include <span>
+#include <type_traits>
 #include <vector>
 
+#include "dense/blas.hpp"
 #include "gpusim/gpublas.hpp"
 #include "obs/obs.hpp"
 #include "sched/thread_pool.hpp"
@@ -216,73 +218,94 @@ std::vector<TaskKernels> backward_kernels(const SymbolicFactor& sym,
   return kernels;
 }
 
-/// Apply one incoming run at its target: the pull form of the serial
-/// sweep's scatter. Columns are independent; within a column the (source
-/// ascending, j ascending) order reproduces the serial subtraction sequence
-/// on every x entry exactly.
-template <typename T>
-void apply_run(const SymbolicFactor& sym, const std::vector<Matrix<T>>& panels,
-               const SolveRun& run, MatrixView<double> x) {
-  const SupernodeInfo& src =
-      sym.supernodes()[static_cast<std::size_t>(run.source)];
-  const auto& panel = panels[static_cast<std::size_t>(run.source)];
-  const index_t kc = src.width();
-  for (index_t col = 0; col < x.cols(); ++col) {
-    for (index_t j = 0; j < kc; ++j) {
-      const double xj = x(src.first_col + j, col);
-      for (index_t t = run.t_begin; t < run.t_end; ++t) {
-        x(src.update_rows[static_cast<std::size_t>(t)], col) -=
-            static_cast<double>(panel(kc + t, j)) * xj;
-      }
-    }
-  }
-}
-
-template <typename T>
-void pivot_forward(const SupernodeInfo& sn, const Matrix<T>& panel,
-                   MatrixView<double> x) {
-  const index_t k = sn.width();
-  for (index_t col = 0; col < x.cols(); ++col) {
-    for (index_t j = 0; j < k; ++j) {
-      x(sn.first_col + j, col) /= static_cast<double>(panel(j, j));
-      const double xj = x(sn.first_col + j, col);
-      for (index_t i = j + 1; i < k; ++i) {
-        x(sn.first_col + i, col) -= static_cast<double>(panel(i, j)) * xj;
-      }
-    }
-  }
-}
-
-template <typename T>
-void backward_supernode(const SupernodeInfo& sn, const Matrix<T>& panel,
-                        MatrixView<double> x) {
-  const index_t k = sn.width();
-  const index_t m = sn.num_update_rows();
-  for (index_t col = 0; col < x.cols(); ++col) {
-    for (index_t j = 0; j < k; ++j) {
-      double sum = 0.0;
-      for (index_t t = 0; t < m; ++t) {
-        sum += static_cast<double>(panel(k + t, j)) *
-               x(sn.update_rows[static_cast<std::size_t>(t)], col);
-      }
-      x(sn.first_col + j, col) -= sum;
-    }
-    for (index_t j = k - 1; j >= 0; --j) {
-      double sum = x(sn.first_col + j, col);
-      for (index_t i = j + 1; i < k; ++i) {
-        sum -= static_cast<double>(panel(i, j)) * x(sn.first_col + i, col);
-      }
-      x(sn.first_col + j, col) = sum / static_cast<double>(panel(j, j));
-    }
-  }
-}
-
-/// One worker's pricing state. The numeric work is identical on every
-/// backend; only where the virtual time is charged differs.
+/// One worker's pricing state and numeric scratch. The numeric work is
+/// identical on every backend; only where the virtual time is charged
+/// differs. The scratch is sized once per solve from the symbolic maxima,
+/// so no task allocates.
 struct SolveWorker {
   SimClock clock;
   std::unique_ptr<Device> device;  ///< GpuSim backend only
+  /// Max update rows x r: a forward run's product, or the backward gather.
+  std::vector<double> block;
+  /// Single-precision panels only: the panel rows a task reads, in double.
+  std::vector<double> wide;
 };
+
+/// Rows [row0, row0 + rows) of a panel, all its columns, as a double view:
+/// in place for double panels, widened into `wide` (exactly) for float.
+MatrixView<const double> panel_rows(const Matrix<double>& panel, index_t row0,
+                                    index_t rows, std::vector<double>&) {
+  return MatrixView<const double>(panel.data() + row0, rows, panel.cols(),
+                                  panel.rows());
+}
+
+MatrixView<const double> panel_rows(const Matrix<float>& panel, index_t row0,
+                                    index_t rows, std::vector<double>& wide) {
+  const MatrixView<double> out(wide.data(), rows, panel.cols(),
+                               std::max<index_t>(rows, 1));
+  copy_into<double>(MatrixView<const float>(panel.data() + row0, rows,
+                                            panel.cols(), panel.rows()),
+                    out);
+  return out;
+}
+
+/// Forward task of supernode s: pull every incoming run, sources ascending,
+/// as tmp = L[run rows, :] * X[source pivot rows] then X[run rows] -= tmp;
+/// then solve the pivot block, L11 X[s] = X[s].
+template <typename T>
+void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
+                  const std::vector<Matrix<T>>& panels, index_t s,
+                  MatrixView<double> x, SolveWorker& worker) {
+  const index_t r = x.cols();
+  for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
+       i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
+    const SolveRun& run = sched.runs[static_cast<std::size_t>(
+        sched.in_runs[static_cast<std::size_t>(i)])];
+    const SupernodeInfo& src =
+        sym.supernodes()[static_cast<std::size_t>(run.source)];
+    const index_t k = src.width();
+    const index_t len = run.t_end - run.t_begin;
+    const MatrixView<double> tmp(worker.block.data(), len, r, len);
+    gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0,
+                 panel_rows(panels[static_cast<std::size_t>(run.source)],
+                            k + run.t_begin, len, worker.wide),
+                 x.block(src.first_col, 0, k, r), 0.0, tmp);
+    const index_t* rows = src.update_rows.data() + run.t_begin;
+    for (index_t c = 0; c < r; ++c) {
+      for (index_t t = 0; t < len; ++t) x(rows[t], c) -= tmp(t, c);
+    }
+  }
+  const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
+  const index_t k = sn.width();
+  trsm<double>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, 1.0,
+               panel_rows(panels[static_cast<std::size_t>(s)], 0, k,
+                          worker.wide),
+               x.block(sn.first_col, 0, k, r));
+}
+
+/// Backward task of supernode s: gather G = X[update rows], then
+/// X[s] -= L21^T G and L11^T X[s] = X[s].
+template <typename T>
+void backward_task(const SupernodeInfo& sn, const Matrix<T>& panel,
+                   MatrixView<double> x, SolveWorker& worker) {
+  const index_t r = x.cols();
+  const index_t k = sn.width();
+  const index_t m = sn.num_update_rows();
+  const MatrixView<const double> l = panel_rows(panel, 0, k + m, worker.wide);
+  const MatrixView<double> xs = x.block(sn.first_col, 0, k, r);
+  if (m > 0) {
+    const MatrixView<double> g(worker.block.data(), m, r, m);
+    for (index_t c = 0; c < r; ++c) {
+      for (index_t t = 0; t < m; ++t) {
+        g(t, c) = x(sn.update_rows[static_cast<std::size_t>(t)], c);
+      }
+    }
+    gemm<double>(Trans::Transpose, Trans::NoTrans, -1.0, l.block(k, 0, m, k),
+                 g, 1.0, xs);
+  }
+  trsm<double>(Side::Left, Uplo::Lower, Trans::Transpose, Diag::NonUnit, 1.0,
+               l.block(0, 0, k, k), xs);
+}
 
 template <typename T>
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
@@ -293,13 +316,21 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
   const int threads = std::max(1, options.threads);
   const bool gpu = options.backend == SolveBackend::GpuSim;
 
+  std::size_t max_update_rows = 0;
+  std::size_t max_panel = 0;
+  for (const SupernodeInfo& sn : sym.supernodes()) {
+    const auto m = static_cast<std::size_t>(sn.num_update_rows());
+    const auto k = static_cast<std::size_t>(sn.width());
+    max_update_rows = std::max(max_update_rows, m);
+    max_panel = std::max(max_panel, (k + m) * k);
+  }
   std::vector<SolveWorker> workers(static_cast<std::size_t>(threads));
-  if (gpu) {
-    Device::Options device_options = options.device;
-    device_options.numeric = false;  // pricing only; math stays on the host
-    for (auto& w : workers) {
-      w.device = std::make_unique<Device>(device_options);
-    }
+  Device::Options device_options = options.device;
+  device_options.numeric = false;  // pricing only; math stays on the host
+  for (auto& w : workers) {
+    if (gpu) w.device = std::make_unique<Device>(device_options);
+    w.block.resize(max_update_rows * static_cast<std::size_t>(num_rhs));
+    if constexpr (std::is_same_v<T, float>) w.wide.resize(max_panel);
   }
 
   // Per-task virtual costs, precomputed so task bodies stay race-free.
@@ -375,10 +406,9 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
               sched.in_runs[static_cast<std::size_t>(i)])];
       dep_ready =
           std::max(dep_ready, ready[static_cast<std::size_t>(run.source)]);
-      apply_run(sym, panels, run, x);
     }
-    pivot_forward(sym.supernodes()[static_cast<std::size_t>(s)],
-                  panels[static_cast<std::size_t>(s)], x);
+    forward_task(sym, sched, panels, s, x,
+                 workers[static_cast<std::size_t>(w)]);
     price_task(s, w, fwd_work[static_cast<std::size_t>(s)],
                gpu ? &fwd_kernels[static_cast<std::size_t>(s)] : nullptr,
                dep_ready);
@@ -412,8 +442,9 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
           ready[static_cast<std::size_t>(
               sched.runs[static_cast<std::size_t>(i)].target)]);
     }
-    backward_supernode(sym.supernodes()[static_cast<std::size_t>(s)],
-                       panels[static_cast<std::size_t>(s)], x);
+    backward_task(sym.supernodes()[static_cast<std::size_t>(s)],
+                  panels[static_cast<std::size_t>(s)], x,
+                  workers[static_cast<std::size_t>(w)]);
     price_task(s, w, bwd_work[static_cast<std::size_t>(s)],
                gpu ? &bwd_kernels[static_cast<std::size_t>(s)] : nullptr,
                dep_ready);
@@ -510,6 +541,29 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
   }
   if (stats != nullptr) *stats = run_stats;
   return x;
+}
+
+std::vector<double> solve(const Analysis& analysis, const Factorization& factor,
+                          std::span<const double> b) {
+  const index_t n = analysis.symbolic.n();
+  MFGPU_CHECK(static_cast<index_t>(b.size()) == n, "solve: size mismatch");
+  Matrix<double> rhs(n, 1);
+  std::copy(b.begin(), b.end(), rhs.data());
+  const Matrix<double> x = solve(analysis, factor, rhs, 1);
+  return std::vector<double>(x.data(), x.data() + n);
+}
+
+double estimated_solve_seconds(const SymbolicFactor& sym, index_t num_rhs) {
+  MFGPU_CHECK(num_rhs >= 1, "estimated_solve_seconds: num_rhs must be >= 1");
+  // Factor panels are streamed once per blocked pass; the per-rhs cost is
+  // the gather/scatter of each supernode's update rows.
+  double update_rows = 0.0;
+  for (const auto& sn : sym.supernodes()) {
+    update_rows += 2.0 * static_cast<double>(sn.num_update_rows());
+  }
+  const double stream = 2.0 * static_cast<double>(sym.factor_nnz());
+  return (stream + static_cast<double>(num_rhs) * update_rows) /
+         host_assembly_rate();
 }
 
 double estimated_solve_seconds(const SymbolicFactor& sym,

@@ -1,10 +1,6 @@
-// Level-scheduled parallel supernodal triangular solves with blocked
-// multi-RHS streaming.
-//
-// The serial sweeps in multifrontal/solve.hpp walk the supernodes in
-// postorder, one RHS at a time. For serve-style workloads (many solves
-// against one cached factorization) that leaves two factors of performance
-// on the table:
+// Level-scheduled supernodal triangular solves on the dense kernels, for
+// one right-hand side or a block of them. This is the library's only solve
+// path: Solver, refinement and the serving layer all run it.
 //
 //   * Tree parallelism. Supernodes at the same elimination-tree LEVEL are
 //     never ancestor/descendant of one another, so their pivot solves are
@@ -13,17 +9,25 @@
 //     structure plus the exact dependency runs between supernodes once per
 //     symbolic analysis; the sweeps then execute as a dependency DAG on the
 //     work-stealing thread pool.
-//   * RHS blocking. A blocked solve streams every factor panel ONCE for a
-//     whole block of right-hand sides instead of once per RHS; only the
-//     per-RHS gather/scatter traffic scales with the block width.
+//   * Blocked kernels. Each supernode task is dense level-3 work on the
+//     whole block of r right-hand sides: per incoming run of the forward
+//     sweep one gemm, L[run rows, :] * X[source pivot rows], whose product
+//     is scattered into X, then one trsm on the pivot block; per supernode
+//     of the backward sweep a gather of X[update rows] into an m x r block,
+//     one gemm with L21^T and one trsm with L11^T. The panel is read once
+//     per kernel call, not once per right-hand side.
 //
-// Determinism: the forward sweep is formulated as a PULL — each supernode
-// applies its incoming update runs itself, sources in ascending supernode
-// order — so every x entry sees the exact subtraction sequence of the
-// serial sweep regardless of thread count, schedule, or backend. The
-// backward sweep is already a gather. Results are therefore bitwise
-// identical to multifrontal/solve.hpp's serial sweeps at every thread
-// count, with no separate "deterministic mode" to toggle.
+// Determinism, two invariants, both bitwise:
+//   * Column independence. Column c of an r-wide solve equals the 1-wide
+//     solve of that column, for every r: the dense kernels sum each element
+//     in an order fixed by the reduction length and the values alone
+//     (dense/kernels.hpp), never by the number of columns.
+//   * Thread and backend independence. The forward sweep is a PULL: each
+//     supernode applies its incoming runs itself, sources in ascending
+//     supernode order, so every x entry sees the same sequence of updates
+//     whatever the thread count, schedule or pricing backend. The backward
+//     sweep is a gather.
+// There is no separate "deterministic mode" to toggle.
 //
 // Timing is virtual, like everything else in this repo: each worker owns a
 // SimClock, CPU tasks are priced at the memory-bound host assembly rate,
@@ -33,6 +37,7 @@
 // backends bitwise identical).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "dense/matrix.hpp"
@@ -75,9 +80,9 @@ struct SolveSchedule {
   std::vector<SolveRun> runs;
   std::vector<index_t> out_ptr;
   /// Incoming runs per target as indices into `runs`, sources ascending:
-  /// in_runs[in_ptr[t] .. in_ptr[t+1]) all have target == t. The ascending
-  /// source order is what reproduces the serial sweep's per-entry
-  /// accumulation sequence bitwise.
+  /// in_runs[in_ptr[t] .. in_ptr[t+1]) all have target == t. The fixed
+  /// source order gives every entry the same update sequence on any number
+  /// of threads.
   std::vector<index_t> in_ptr;
   std::vector<index_t> in_runs;
   /// Widest level (supernode count) — the schedule's parallelism ceiling.
@@ -116,14 +121,26 @@ struct SolveStats {
 };
 
 /// Blocked multi-RHS solve of A X = B in the ORIGINAL ordering: solves the
-/// leading `num_rhs` columns of `b` in one level-scheduled pass that
-/// streams each factor panel once for the whole block. Bitwise identical,
-/// column for column, to solve(analysis, factor, b.col(j)) for every
-/// thread count and backend.
+/// leading `num_rhs` columns of `b` in one level-scheduled pass of blocked
+/// kernel calls. Bitwise identical, column for column, to the 1-wide solve
+/// of each column, for every thread count and backend.
 Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
                      const Matrix<double>& b, index_t num_rhs,
                      const ParallelSolveOptions& options = {},
                      SolveStats* stats = nullptr);
+
+/// One-RHS solve of A x = b in the ORIGINAL ordering: the blocked solve at
+/// width 1 on the calling thread.
+std::vector<double> solve(const Analysis& analysis, const Factorization& factor,
+                          std::span<const double> b);
+
+/// Simulated host seconds for a solve of `num_rhs` right-hand sides in one
+/// pass on one thread: the sweeps are memory bound — the factor panels are
+/// streamed once for the whole block, while the per-rhs gather/scatter
+/// traffic scales with the block width. The gap to
+/// num_rhs * estimated_solve_seconds(sym) is the serving layer's batching
+/// win.
+double estimated_solve_seconds(const SymbolicFactor& sym, index_t num_rhs = 1);
 
 /// Deterministic simulated seconds for a blocked `num_rhs` solve on
 /// `threads` level-scheduled solve threads: per level, the greedy bound

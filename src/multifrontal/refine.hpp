@@ -10,7 +10,6 @@
 
 #include "dense/matrix.hpp"
 #include "multifrontal/parallel_solve.hpp"
-#include "multifrontal/solve.hpp"
 #include "sparse/csc.hpp"
 
 namespace mfgpu {

@@ -2,7 +2,6 @@
 
 #include "gpusim/gpublas.hpp"
 #include "multifrontal/parallel_solve.hpp"
-#include "multifrontal/solve.hpp"
 
 namespace mfgpu::serve {
 

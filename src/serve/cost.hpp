@@ -24,7 +24,7 @@ double estimated_analyze_seconds(const SparseSpd& a,
 /// Simulated seconds the service charges for one blocked batch solve of
 /// `num_rhs` same-pattern right-hand sides on `solve_threads` solve
 /// threads. With solve_threads <= 1 this is exactly multifrontal's
-/// estimated_solve_seconds(sym, num_rhs) (the serial blocked sweep);
+/// estimated_solve_seconds(sym, num_rhs) (the one-thread blocked pass);
 /// more threads price the level-scheduled parallel sweep
 /// (multifrontal/parallel_solve.hpp's deterministic per-level bound).
 double estimated_batch_solve_seconds(const SymbolicFactor& sym,

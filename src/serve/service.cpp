@@ -6,7 +6,6 @@
 #include <thread>
 #include <utility>
 
-#include "multifrontal/solve.hpp"
 #include "obs/obs.hpp"
 #include "obs/request_context.hpp"
 #include "sched/bounded_queue.hpp"

@@ -611,5 +611,155 @@ TEST(DenseKernelDeterminism, BitsIndependentOfAlignmentLdAndThreads) {
   check_layout_and_thread_independence<double>();
 }
 
+// Column j of an m x r product is bitwise the 1-wide product of column j,
+// whether the r-wide call packs and the 1-wide call takes the unpacked leaf
+// or the other way round. The shapes straddle kSmallDepth, kSmallWork and
+// kc; the two modes are the solve's: C = A B and C -= op(A) B.
+template <typename T>
+void check_columns_independent_of_width(dense::Isa isa) {
+  using Block = dense::Blocking<T>;
+  const auto& lv = dense::leaves<T>(isa);
+  Rng rng(223);
+  const std::vector<index_t> ms = {1,  2,         3,         5,
+                                   13, lv.mr + 1, index_t{100}};
+  const std::vector<index_t> ks = {1,          dense::kSmallDepth,
+                                   dense::kSmallDepth + 1, 40,
+                                   Block::kc,  Block::kc + 1,
+                                   2 * Block::kc + 3};
+  for (index_t m : ms) {
+    for (index_t k : ks) {
+      for (Trans ta : {Trans::NoTrans, Trans::Transpose}) {
+        for (index_t r : {index_t{1}, index_t{2}, index_t{3}, index_t{16}}) {
+          for (const bool accumulate : {false, true}) {
+            const T alpha = accumulate ? T{-1} : T{1};
+            const T beta = accumulate ? T{1} : T{};
+            Strided<T> a(ta == Trans::NoTrans ? m : k,
+                         ta == Trans::NoTrans ? k : m, rng);
+            Strided<T> b(k, r, rng);
+            Strided<T> c(m, r, rng);
+            Matrix<T> wide(m, r);
+            copy_into<T>(c.cview(), wide.view());
+            dense::gemm<T>(isa, ta, Trans::NoTrans, alpha, a.cview(), b.cview(),
+                           beta, wide.view());
+            for (index_t j = 0; j < r; ++j) {
+              Matrix<T> narrow(m, 1);
+              copy_into<T>(c.cview().col(j), narrow.view());
+              dense::gemm<T>(isa, ta, Trans::NoTrans, alpha, a.cview(),
+                             b.cview().col(j), beta, narrow.view());
+              ASSERT_TRUE(same_bits<T>(wide.view().col(j), narrow.view()))
+                  << dense::isa_name(isa) << " m=" << m << " k=" << k
+                  << " r=" << r << " col=" << j << " ta=" << int(ta)
+                  << " accumulate=" << accumulate;
+            }
+          }
+        }
+      }
+    }
+  }
+}
+
+// The same for the left trsm the supernodal solve runs on its pivot blocks,
+// at orders around the trsm's diagonal block.
+template <typename T>
+void check_left_trsm_columns_independent_of_width(dense::Isa isa) {
+  Rng rng(229);
+  const index_t tb = dense::kTrsmBlock;
+  for (index_t n : {index_t{1}, index_t{3}, index_t{13}, tb, tb + 1,
+                    3 * tb + 5}) {
+    Strided<T> l(n, n, rng);
+    make_lower_factor(l);
+    for (Trans t : {Trans::NoTrans, Trans::Transpose}) {
+      for (index_t r : {index_t{1}, index_t{2}, index_t{3}, index_t{16}}) {
+        Strided<T> b(n, r, rng);
+        Matrix<T> wide(n, r);
+        copy_into<T>(b.cview(), wide.view());
+        dense::trsm<T>(isa, Side::Left, Uplo::Lower, t, Diag::NonUnit, T{1},
+                       l.cview(), wide.view());
+        for (index_t j = 0; j < r; ++j) {
+          Matrix<T> narrow(n, 1);
+          copy_into<T>(b.cview().col(j), narrow.view());
+          dense::trsm<T>(isa, Side::Left, Uplo::Lower, t, Diag::NonUnit, T{1},
+                         l.cview(), narrow.view());
+          ASSERT_TRUE(same_bits<T>(wide.view().col(j), narrow.view()))
+              << dense::isa_name(isa) << " trsm n=" << n << " r=" << r
+              << " col=" << j << " t=" << int(t);
+        }
+      }
+    }
+  }
+}
+
+TEST(DenseKernelDeterminism, ColumnsIndependentOfWidth) {
+  for (dense::Isa isa : dense::supported_isas()) {
+    check_columns_independent_of_width<float>(isa);
+    check_columns_independent_of_width<double>(isa);
+    check_left_trsm_columns_independent_of_width<float>(isa);
+    check_left_trsm_columns_independent_of_width<double>(isa);
+  }
+}
+
+// Rows of the right trsm and of the Cholesky factor are computed in strips
+// of vectors, then 16-byte vectors, then one by one; a row's bits must not
+// depend on which step computed it. Each row of a tall solve is compared
+// with the same row solved alone, and each row of L below a leading block
+// with the same row factored right under that block.
+template <typename T>
+void check_rows_independent_of_position(dense::Isa isa) {
+  Rng rng(227);
+  for (index_t n : {index_t{5}, index_t{20}, dense::kTrsmBlock + 6}) {
+    Strided<T> l(n, n, rng);
+    make_lower_factor(l);
+    const index_t m = 2 * dense::leaves<T>(isa).mr + 7;
+    Strided<T> b(m, n, rng);
+    Matrix<T> x(m, n);
+    copy_into<T>(b.cview(), x.view());
+    dense::trsm<T>(isa, Side::Right, Uplo::Lower, Trans::Transpose,
+                   Diag::NonUnit, T{1}, l.cview(), x.view());
+    for (index_t i = 0; i < m; ++i) {
+      Matrix<T> row(1, n);
+      copy_into<T>(b.cview().block(i, 0, 1, n), row.view());
+      dense::trsm<T>(isa, Side::Right, Uplo::Lower, Trans::Transpose,
+                     Diag::NonUnit, T{1}, l.cview(), row.view());
+      ASSERT_TRUE(same_bits<T>(x.view().block(i, 0, 1, n), row.view()))
+          << dense::isa_name(isa) << " trsm n=" << n << " row=" << i;
+    }
+  }
+  const index_t n = 41;
+  Matrix<T> g(n, n), spd(n, n);
+  for (index_t j = 0; j < n; ++j) {
+    for (index_t i = 0; i < n; ++i) g(i, j) = static_cast<T>(rng.uniform(-1.0, 1.0));
+  }
+  gemm<T>(Trans::NoTrans, Trans::Transpose, T{1}, g.view(), g.view(), T{},
+          spd.view());
+  for (index_t i = 0; i < n; ++i) spd(i, i) += static_cast<T>(n);
+  Matrix<T> full = spd;
+  dense::potrf_unblocked<T>(isa, full.view(), 0);
+  for (index_t lead : {index_t{1}, index_t{6}, index_t{17}}) {
+    for (index_t i = lead; i < n; ++i) {
+      // The leading block with row (and column) i appended.
+      Matrix<T> part(lead + 1, lead + 1);
+      for (index_t q = 0; q <= lead; ++q) {
+        const index_t sq = q < lead ? q : i;
+        for (index_t p = 0; p <= lead; ++p) {
+          part(p, q) = spd(p < lead ? p : i, sq);
+        }
+      }
+      dense::potrf_unblocked<T>(isa, part.view(), 0);
+      for (index_t j = 0; j < lead; ++j) {
+        ASSERT_EQ(std::memcmp(&part(lead, j), &full(i, j), sizeof(T)), 0)
+            << dense::isa_name(isa) << " potrf lead=" << lead << " row=" << i
+            << " col=" << j;
+      }
+    }
+  }
+}
+
+TEST(DenseKernelDeterminism, RowsIndependentOfPosition) {
+  for (dense::Isa isa : dense::supported_isas()) {
+    check_rows_independent_of_position<float>(isa);
+    check_rows_independent_of_position<double>(isa);
+  }
+}
+
 }  // namespace
 }  // namespace mfgpu

@@ -8,8 +8,8 @@
 
 #include "autotune/hybrid.hpp"
 #include "sparse/io.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/generators.hpp"

@@ -4,8 +4,8 @@
 
 #include <cmath>
 
+#include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "ordering/rcm.hpp"

@@ -3,8 +3,8 @@
 // ~half the digits, recover them with refinement.
 #include <gtest/gtest.h>
 
+#include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "policy/executors.hpp"
 #include "sparse/generators.hpp"
@@ -72,7 +72,7 @@ TEST(MixedPrecisionTest, MismatchedFactorRejected) {
   const BothFactors both = factor_both(small.matrix);
   Analysis other = analyze(big.matrix, minimum_degree(build_graph(big.matrix)));
   std::vector<double> x(static_cast<std::size_t>(big.matrix.n()), 0.0);
-  EXPECT_THROW(forward_solve(other, both.f64, x), InvalidArgumentError);
+  EXPECT_THROW(solve(other, both.f64, x), InvalidArgumentError);
 }
 
 }  // namespace

@@ -6,7 +6,7 @@
 #include <vector>
 
 #include "helpers/factor_bitwise.hpp"
-#include "multifrontal/solve.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"

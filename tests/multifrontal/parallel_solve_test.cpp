@@ -1,11 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <limits>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "policy/executors.hpp"
@@ -115,7 +117,7 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
   }
 
   // Incoming lists: a permutation of the runs, sources ascending per
-  // target (the order that reproduces the serial accumulation sequence).
+  // target (the fixed order every thread count applies them in).
   ASSERT_EQ(sched.in_runs.size(), sched.runs.size());
   std::vector<char> used(sched.runs.size(), 0);
   for (index_t t = 0; t < sched.num_supernodes; ++t) {
@@ -133,9 +135,9 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
   }
 }
 
-// The heart of the PR's determinism claim: the parallel blocked solve is
-// bitwise identical to the serial sweeps at every thread count, for both
-// double and float panel storage, on both pricing backends.
+// Thread and backend independence: the solve on 2/4/8 threads, priced on
+// either backend, is bitwise the one-thread solve, for both double and float
+// panel storage.
 TEST(ParallelSolveTest, BitwiseMatchesSerialAcrossThreadsAndBackends) {
   Rng rng(11);
   const GridProblem p = make_elasticity_3d(3, 3, 2, 3, rng);
@@ -145,9 +147,9 @@ TEST(ParallelSolveTest, BitwiseMatchesSerialAcrossThreadsAndBackends) {
   for (const SolveSetup& s : setups) {
     const index_t n = s.analysis.symbolic.n();
     const Matrix<double> b = make_block(n, 1);
-    const std::vector<double> serial = solve(
-        s.analysis, s.factor,
-        std::span<const double>(b.data(), static_cast<std::size_t>(n)));
+    ParallelSolveOptions one_thread;
+    one_thread.threads = 1;
+    const Matrix<double> serial = solve(s.analysis, s.factor, b, 1, one_thread);
     for (int threads : {1, 2, 4, 8}) {
       for (SolveBackend backend : {SolveBackend::Host, SolveBackend::GpuSim}) {
         ParallelSolveOptions options;
@@ -155,7 +157,7 @@ TEST(ParallelSolveTest, BitwiseMatchesSerialAcrossThreadsAndBackends) {
         options.backend = backend;
         const Matrix<double> x = solve(s.analysis, s.factor, b, 1, options);
         for (index_t i = 0; i < n; ++i) {
-          ASSERT_EQ(x(i, 0), serial[static_cast<std::size_t>(i)])
+          ASSERT_EQ(x(i, 0), serial(i, 0))
               << "threads=" << threads
               << " backend=" << (backend == SolveBackend::Host ? "host" : "gpu")
               << " float_panels=" << s.factor.single_precision() << " row=" << i;
@@ -165,6 +167,8 @@ TEST(ParallelSolveTest, BitwiseMatchesSerialAcrossThreadsAndBackends) {
   }
 }
 
+// Column independence on a small problem: each column of a 5-wide solve on
+// 4 threads is bitwise the 1-wide solve of that column.
 TEST(ParallelSolveTest, BlockedSolveMatchesPerColumn) {
   const GridProblem p = make_laplacian_3d(5, 5, 4);
   const SolveSetup s = factorize_nd(p);
@@ -183,6 +187,94 @@ TEST(ParallelSolveTest, BlockedSolveMatchesPerColumn) {
     for (index_t i = 0; i < n; ++i) {
       ASSERT_EQ(x(i, c), col[static_cast<std::size_t>(i)])
           << "col=" << c << " row=" << i;
+    }
+  }
+}
+
+// Column independence where the dense kernels change path: supernodes
+// wider than the kernels' depth block (kc = 192 in double) and update runs
+// longer than it, so wide solves pack their products while 1-wide ones take
+// the unpacked leaf. Every column of an r-wide solve must be bitwise the
+// 1-wide solve of that column, at every width, on 1 and 4 threads, for
+// double and single-precision panels.
+TEST(ParallelSolveTest, ColumnsMatchOneWideSolveAtEveryWidth) {
+  Rng rng(17);
+  const GridProblem p = make_elasticity_3d(9, 9, 9, 3, rng);
+  Analysis an = analyze(p.matrix, nested_dissection(p.coords));
+  const SymbolicFactor& sym = an.symbolic;
+  const SolveSchedule sched = build_solve_schedule(sym);
+  index_t widest = 0;
+  index_t longest_run = 0;
+  for (const SupernodeInfo& sn : sym.supernodes()) {
+    widest = std::max(widest, sn.width());
+  }
+  for (const SolveRun& run : sched.runs) {
+    longest_run = std::max(longest_run, run.t_end - run.t_begin);
+  }
+  ASSERT_GT(widest, 192);
+  ASSERT_GT(longest_run, 192);
+
+  const index_t n = sym.n();
+  const index_t kMaxRhs = 17;
+  const Matrix<double> b = make_block(n, kMaxRhs);
+  for (FactorPrecision precision :
+       {FactorPrecision::Float64, FactorPrecision::Float32}) {
+    PolicyExecutor p1(Policy::P1);
+    FactorContext ctx;
+    FactorizeOptions factor_options;
+    factor_options.precision = precision;
+    const Factorization factor =
+        factorize(an, p1, ctx, factor_options).factor;
+    ASSERT_EQ(factor.single_precision(),
+              precision == FactorPrecision::Float32);
+
+    std::vector<Matrix<double>> one_wide;
+    for (index_t c = 0; c < kMaxRhs; ++c) {
+      Matrix<double> col(n, 1);
+      std::copy(b.data() + c * n, b.data() + (c + 1) * n, col.data());
+      one_wide.push_back(solve(an, factor, col, 1));
+    }
+    for (int threads : {1, 4}) {
+      ParallelSolveOptions options;
+      options.threads = threads;
+      options.schedule = &sched;
+      for (index_t r : {1, 2, 3, 8, 16, 17}) {
+        const Matrix<double> x = solve(an, factor, b, r, options);
+        for (index_t c = 0; c < r; ++c) {
+          for (index_t i = 0; i < n; ++i) {
+            ASSERT_EQ(x(i, c), one_wide[static_cast<std::size_t>(c)](i, 0))
+                << "float_panels=" << factor.single_precision()
+                << " threads=" << threads << " r=" << r << " col=" << c
+                << " row=" << i;
+          }
+        }
+      }
+    }
+  }
+
+  // A NaN in an update-row entry of a panel reaches x even when every x
+  // entry it multiplies is exactly zero: no kernel skips a zero multiplier.
+  PolicyExecutor p1(Policy::P1);
+  FactorContext ctx;
+  Factorization poisoned = factorize(an, p1, ctx).factor;
+  for (index_t s = 0; s < sym.num_supernodes(); ++s) {
+    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
+    if (sn.num_update_rows() > 0) {
+      poisoned.panels[static_cast<std::size_t>(s)](sn.width(), 0) =
+          std::numeric_limits<double>::quiet_NaN();
+      break;
+    }
+  }
+  const Matrix<double> zeros(n, 16);
+  for (index_t r : {1, 16}) {
+    ParallelSolveOptions options;
+    options.threads = 4;
+    const Matrix<double> x = solve(an, poisoned, zeros, r, options);
+    for (index_t c = 0; c < r; ++c) {
+      bool has_nan = false;
+      for (index_t i = 0; i < n; ++i) has_nan = has_nan || std::isnan(x(i, c));
+      EXPECT_TRUE(has_nan) << "zero-rhs solve masked a NaN-poisoned panel, r="
+                           << r << " col=" << c;
     }
   }
 }

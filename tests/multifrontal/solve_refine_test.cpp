@@ -1,7 +1,7 @@
 #include <gtest/gtest.h>
 
+#include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
-#include "multifrontal/solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "policy/executors.hpp"

@@ -6,7 +6,7 @@
 
 #include <gtest/gtest.h>
 
-#include "multifrontal/solve.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "serve/cost.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
