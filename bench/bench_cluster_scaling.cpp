@@ -4,17 +4,12 @@
 // reference. Every swept point factors REAL numerics and is checked
 // bitwise against the serial driver — the determinism contract the
 // cluster subsystem guarantees.
-//
-// A second table reruns the dry-run scheduling simulation's placement
-// comparison (greedy earliest-finish vs proportional subtree mapping) on
-// the same links, as the analytical companion to the executed engines.
 #include "common.hpp"
 
 #include <cmath>
 #include <cstring>
 
 #include "cluster/cluster.hpp"
-#include "sched/list_scheduler.hpp"
 #include "symbolic/tree_stats.hpp"
 
 using namespace mfgpu;
@@ -128,42 +123,6 @@ int main() {
     }
   }
   bench::emit(table, "cluster_scaling.csv");
-
-  // Analytical companion: the list-scheduling simulation's placement
-  // comparison on the same links (dry run, no numerics).
-  const TaskGraph graph =
-      build_task_graph(bm.analysis.symbolic, bm.analysis.permuted);
-  const double sim_serial =
-      simulate_schedule(graph, std::vector<WorkerSpec>(1)).makespan;
-  Table sim_table("Scheduling simulation: speedup vs nodes x link "
-                  "(greedy / proportional placement)",
-                  {"workers (1 GPU each)", "shared memory", "1 GB/s greedy",
-                   "1 GB/s proportional", "0.1 GB/s greedy",
-                   "0.1 GB/s proportional"});
-  for (int workers : node_counts) {
-    std::vector<Cell> row;
-    row.push_back(static_cast<index_t>(workers));
-    const auto worker_set = std::vector<WorkerSpec>(
-        static_cast<std::size_t>(workers), WorkerSpec{true});
-    for (const InterconnectModel& model :
-         {shared_memory_link(), infiniband_link(), gigabit_link()}) {
-      for (const auto placement : {ScheduleOptions::Placement::Greedy,
-                                   ScheduleOptions::Placement::Proportional}) {
-        if (!model.enabled() &&
-            placement == ScheduleOptions::Placement::Proportional) {
-          continue;  // shared memory: one column suffices
-        }
-        ScheduleOptions options;
-        options.interconnect = model;
-        options.placement = placement;
-        const double makespan =
-            simulate_schedule(graph, worker_set, options).makespan;
-        row.push_back(sim_serial / makespan);
-      }
-    }
-    sim_table.add_row(std::move(row));
-  }
-  bench::emit(sim_table, "cluster_scaling_sim.csv");
 
   record.add_metric("bitwise_all", all_bitwise ? 1.0 : 0.0, exact);
   record.add_metric("fanboth_wins_somewhere",

@@ -3,10 +3,13 @@
 // 4-thread CPU run, and the copy-optimized model hybrid on 1 GPU and on
 // 2 threads + 2 GPUs. Paper ranges: P-hybrids 5-10x, 4-thread 2.7-4.3x,
 // copy-optimized 2-GPU 10-25x.
+//
+// The two multi-worker columns are executed by the fan-both engine on
+// shared-memory nodes (bench::shared_memory_makespan), against the
+// engine's 1-node CPU run, which equals the serial P1 time up to roundoff.
 #include "common.hpp"
 
 #include "autotune/trainer.hpp"
-#include "sched/list_scheduler.hpp"
 
 using namespace mfgpu;
 
@@ -55,29 +58,23 @@ int main() {
     DispatchExecutor baseline = make_baseline_hybrid(thresholds);
     DispatchExecutor copy_exec = make_model_hybrid(copy_model, copy_opt);
 
-    // Multi-worker runs via the scheduling simulation.
-    const TaskGraph graph =
-        build_task_graph(bm.analysis.symbolic, bm.analysis.permuted);
-    const double sched1 =
-        simulate_schedule(graph, std::vector<WorkerSpec>(1)).makespan;
-    const double sched4 =
-        simulate_schedule(graph, std::vector<WorkerSpec>(4)).makespan;
-    ScheduleOptions two_gpu_opt;
-    two_gpu_opt.exec = copy_opt;
-    two_gpu_opt.gpu_chooser = [&copy_model](const FuCall& call) {
-      return copy_model.choose(call.m, call.k);
-    };
-    const double sched_2gpu =
-        simulate_schedule(graph, {WorkerSpec{true}, WorkerSpec{true}},
-                          two_gpu_opt)
-            .makespan;
+    // Multi-worker runs on the fan-both engine: 4 CPU nodes, and 2 GPU
+    // nodes each dispatching the copy-optimized model hybrid.
+    const double engine1 = bench::shared_memory_makespan(bm.analysis, 1);
+    const double engine4 = bench::shared_memory_makespan(bm.analysis, 4);
+    const double engine_2gpu = bench::shared_memory_makespan(
+        bm.analysis, 2, /*nodes_have_gpu=*/true, copy_opt,
+        [&](const WorkerSpec&, int) {
+          return std::make_unique<DispatchExecutor>(
+              make_model_hybrid(copy_model, copy_opt));
+        });
 
     const double s_p2 = speedup_of(p2), s_p3 = speedup_of(p3),
                  s_p4 = speedup_of(p4);
     const double s_ideal = speedup_of(ideal), s_model = speedup_of(model_exec),
                  s_baseline = speedup_of(baseline);
-    const double s_4t = sched1 / sched4, s_copy = speedup_of(copy_exec),
-                 s_2gpu = sched1 / sched_2gpu;
+    const double s_4t = engine1 / engine4, s_copy = speedup_of(copy_exec),
+                 s_2gpu = engine1 / engine_2gpu;
     table.add_row({bm.problem.name, s_p2, s_p3, s_p4, s_ideal, s_model,
                    s_baseline, s_4t, s_copy, s_2gpu});
     const std::string& mat = bm.problem.name;

@@ -57,6 +57,19 @@ FactorizationTrace run_trace(const Analysis& analysis, FuExecutor& executor,
   return factorize(analysis, executor, ctx, options).trace;
 }
 
+double shared_memory_makespan(const Analysis& analysis, int nodes,
+                              bool nodes_have_gpu,
+                              const ExecutorOptions& executor,
+                              const WorkerExecutorFactory& make_executor) {
+  ClusterFactorizeOptions options;
+  options.cluster.num_nodes = nodes;
+  options.cluster.link = shared_memory_link();
+  options.cluster.nodes_have_gpu = nodes_have_gpu;
+  options.numeric.store_factor = false;
+  options.executor = executor;
+  return factorize_cluster(analysis, options, make_executor).trace.total_time;
+}
+
 ExecutorOptions basic_gpu_options() {
   ExecutorOptions options;
   options.overlapped_copies = false;

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "autotune/hybrid.hpp"
+#include "cluster/cluster.hpp"
 #include "multifrontal/factorization.hpp"
 #include "obs/bench_json.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -35,6 +36,16 @@ BenchMatrix load_matrix(std::size_t index);
 FactorizationTrace run_trace(const Analysis& analysis, FuExecutor& executor,
                              bool use_device,
                              Device::Options device_options = {});
+
+/// Virtual makespan of the fan-both engine (cluster/cluster.hpp) on `nodes`
+/// shared-memory nodes — threads on one host joined by a zero-cost link.
+/// This is the deterministic multi-worker schedule behind Table VII's
+/// multi-worker columns; it runs real numerics. Without a factory, CPU
+/// nodes run P1 and GPU nodes the baseline hybrid.
+double shared_memory_makespan(const Analysis& analysis, int nodes,
+                              bool nodes_have_gpu = false,
+                              const ExecutorOptions& executor = {},
+                              const WorkerExecutorFactory& make_executor = {});
 
 /// The Section IV "basic GPU implementation": P3 with synchronous pageable
 /// copies.

@@ -1,6 +1,7 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <limits>
 
@@ -37,8 +38,13 @@ ClusterOptions parse_cluster(const std::string& spec) {
   }
   char* parse_end = nullptr;
   const double nodes = std::strtod(tokens.front().c_str(), &parse_end);
+  // Range-check before converting: casting NaN, inf or anything past
+  // INT_MAX to int is undefined behaviour.
+  const bool in_range =
+      nodes >= 1.0 &&
+      nodes <= static_cast<double>(std::numeric_limits<int>::max());
   if (parse_end == tokens.front().c_str() || *parse_end != '\0' ||
-      nodes < 1.0 || nodes != static_cast<double>(static_cast<int>(nodes))) {
+      !in_range || nodes != std::floor(nodes)) {
     throw InvalidArgumentError("parse_cluster: bad node count in '" + spec +
                                "'");
   }

@@ -86,7 +86,8 @@ struct ClusterOptions {
 /// of a link spec handed to parse_link ("shared" | "infiniband" |
 /// "gigabit" | "<bandwidth>,<latency>"). Examples:
 ///   "4"  "8,gigabit"  "4,levelsync,1e9,5e-6"  "2,nogpu,shared"
-/// Throws InvalidArgumentError on malformed specs.
+/// Throws InvalidArgumentError on malformed specs, including a node count
+/// that is not an integer in [1, INT_MAX].
 ClusterOptions parse_cluster(const std::string& spec);
 
 /// Short human-readable description ("4 nodes, fan-both, infiniband").

@@ -448,12 +448,7 @@ const std::optional<ClusterStats>& Solver::cluster_stats() const noexcept {
 }
 
 obs::WhatIfResult Solver::schedule_whatif(const obs::WhatIfKnobs& knobs) const {
-  const obs::ScheduleRecord& record = schedule();
-  std::unique_ptr<PolicyTimer> timer;
-  if (knobs.force_policy >= 0 || knobs.batching == 0) {
-    timer = std::make_unique<PolicyTimer>(impl_->options.executor);
-  }
-  obs::WhatIfResult result = obs::whatif_replay(record, knobs, timer.get());
+  obs::WhatIfResult result = obs::whatif_replay(schedule(), knobs);
   obs::emit_whatif_metrics(result);
   return result;
 }

@@ -216,9 +216,8 @@ class Solver {
   /// makespan attribution, task spine, CPM slack). Emits sched.cp.* gauges
   /// when obs recording is active. Same preconditions as schedule().
   obs::CriticalPathReport schedule_report() const;
-  /// Counterfactual makespan prediction from the recorded schedule (no
+  /// Rate counterfactual of the recorded schedule by exact replay (no
   /// numeric rerun). Emits whatif.* metrics when obs recording is active.
-  /// Policy/batching knobs construct a PolicyTimer on demand.
   obs::WhatIfResult schedule_whatif(const obs::WhatIfKnobs& knobs) const;
 
   /// Schedule/traffic statistics of the last cluster-mode factor().

@@ -118,8 +118,9 @@ class FaultInjector {
   void reset() noexcept;
 
   /// The deterministic draw sample() uses, exposed as a pure function for
-  /// dry-run fault models (sched/list_scheduler.cpp): uniform in [0, 1)
-  /// from (seed, scope, op).
+  /// draws that must not depend on execution order (the cluster engine's
+  /// node deaths, cluster/cluster.cpp): uniform in [0, 1) from (seed,
+  /// scope, op).
   static double uniform(std::uint64_t seed, std::uint64_t scope,
                         std::uint64_t op) noexcept;
 

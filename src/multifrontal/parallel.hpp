@@ -1,8 +1,10 @@
 // Task-parallel numeric factorization: the assembly tree executed by real
-// threads on a work-stealing pool (sched/thread_pool.hpp), closing the gap
-// between the serial postorder driver (multifrontal/factorization.hpp) and
-// the paper's multi-worker runs that sched/list_scheduler.hpp only
-// *simulates* (Table VII: 4 CPU threads, 2 threads + 2 GPUs).
+// threads on a work-stealing pool (sched/thread_pool.hpp) — the wall-clock
+// counterpart of the serial postorder driver (multifrontal/factorization.hpp)
+// for the paper's multi-worker runs (Table VII: 4 CPU threads, 2 threads +
+// 2 GPUs). Table VII's multi-worker columns are priced by the deterministic
+// fan-both engine instead (cluster/cluster.hpp on shared_memory_link()),
+// because this pool's virtual makespan depends on which thread wins a steal.
 //
 // Execution model
 //   - One worker per WorkerSpec. Worker deques are seeded with the leaves
@@ -66,14 +68,14 @@ struct ParallelFactorizeOptions {
 using WorkerExecutorFactory =
     std::function<std::unique_ptr<FuExecutor>(const WorkerSpec& spec, int worker)>;
 
-/// The default factory, mirroring the scheduling simulation's semantics:
-/// CPU workers run P1; GPU workers dispatch the paper's baseline hybrid.
+/// The default factory: CPU workers run P1; GPU workers dispatch the
+/// paper's baseline hybrid.
 std::unique_ptr<FuExecutor> default_worker_executor(
     const WorkerSpec& spec, const ExecutorOptions& executor_options);
 
 /// Factor `analysis` with real threads. Matches factorize()'s contract
 /// (panels, trace, NotPositiveDefiniteError propagation from any worker);
-/// numeric execution only (use simulate_schedule for dry-run studies).
+/// numeric execution only.
 FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options = {},
                                    const WorkerExecutorFactory& make_executor = {});

@@ -8,8 +8,6 @@
 
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
-#include "policy/baseline_hybrid.hpp"
-#include "policy/executors.hpp"
 #include "support/table.hpp"
 
 namespace mfgpu::obs {
@@ -153,8 +151,8 @@ ReplayResult replay_exact(const ScheduleRecord& record,
 }
 
 // ---------------------------------------------------------------------------
-// Live fold: per-event post-state times and Ready positions, shared by the
-// critical-path walk and the list-scheduling engine.
+// Live fold: per-event post-state times and Ready positions for the
+// critical-path walk.
 
 namespace {
 
@@ -257,7 +255,9 @@ int task_containing(const ScheduleLane& lane, std::size_t i) {
 }
 
 int task_policy(const ScheduleTask& task) {
-  if (task.kind == TaskKind::Batch) return static_cast<int>(Policy::Batched);
+  if (task.kind == TaskKind::Batch) {
+    return static_cast<int>(CriticalPathReport::kBatchedPolicy);
+  }
   return task.member_policy.empty() ? 0 : task.member_policy.front();
 }
 
@@ -409,14 +409,7 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
 // ---------------------------------------------------------------------------
 // What-if replay.
 
-bool WhatIfKnobs::identity() const {
-  return num_workers == 0 && force_policy < 0 && batching < 0 &&
-         rates().identity();
-}
-
-bool WhatIfKnobs::rates_only() const {
-  return num_workers == 0 && force_policy < 0 && batching < 0;
-}
+bool WhatIfKnobs::identity() const { return rates().identity(); }
 
 RateScales WhatIfKnobs::rates() const {
   RateScales scales;
@@ -435,10 +428,6 @@ std::string WhatIfKnobs::label() const {
     if (!first) os << ",";
     first = false;
   };
-  if (num_workers > 0) {
-    sep();
-    os << "workers=" << num_workers;
-  }
   if (gpu_scale != 1.0) {
     sep();
     os << "gpu=x" << gpu_scale;
@@ -451,238 +440,16 @@ std::string WhatIfKnobs::label() const {
     sep();
     os << "host=x" << host_scale;
   }
-  if (force_policy >= 0) {
-    sep();
-    os << "policy=P" << force_policy;
-  }
-  if (batching == 0) {
-    sep();
-    os << "batching=off";
-  }
   return os.str();
 }
 
-namespace {
-
-/// Greedy critical-path list scheduler over the recorded task DAG, for
-/// worker-count / policy / batching counterfactuals. Workers are assumed
-/// interchangeable (task durations are treated as intrinsic).
-double schedule_counterfactual(const ScheduleRecord& record,
-                               const WhatIfKnobs& knobs, PolicyTimer* timer) {
-  const LiveFold fold = fold_live(record);
-  const RateScales scales = knobs.rates();
-  const bool reprice_policy = knobs.force_policy >= 1;
-  const bool unbatch = knobs.batching == 0;
-  MFGPU_CHECK(!(reprice_policy || unbatch) || timer != nullptr,
-              "whatif_replay: policy/batching knobs need a PolicyTimer");
-  const BaselineThresholds thresholds = paper_thresholds();
-
-  struct Task {
-    int lane = 0, index = 0;
-    double duration = 0.0;
-    std::vector<index_t> produces;   ///< member snodes
-    std::vector<double> ready_tail;  ///< per member, beyond task end
-    std::vector<int> deps;           ///< producing work-task ids
-    int missing = 0;
-    double priority = 0.0;  ///< bottom level
-  };
-  std::vector<Task> tasks;
-  std::vector<std::vector<int>> work_id(record.lanes.size());
-
-  for (std::size_t l = 0; l < record.lanes.size(); ++l) {
-    const ScheduleLane& lane = record.lanes[l];
-    work_id[l].assign(lane.tasks.size(), -1);
-    for (std::size_t t = 0; t < lane.tasks.size(); ++t) {
-      const ScheduleTask& st = lane.tasks[t];
-      if (!st.is_work()) continue;
-      Task task;
-      task.lane = static_cast<int>(l);
-      task.index = static_cast<int>(t);
-
-      const bool reprice =
-          reprice_policy || (unbatch && st.kind == TaskKind::Batch);
-      for (std::size_t i = st.ev_begin;
-           i < st.ev_end && i < lane.events.size(); ++i) {
-        if (reprice && i >= st.exec_begin && i < st.exec_end) continue;
-        const ClockEvent& ev = lane.events[i];
-        const double nb = now_before(record, fold, static_cast<int>(l), i);
-        const double na = fold.now_after[l][i];
-        switch (ev.op) {
-          case SchedOp::Add:
-            task.duration += ev.a * scales.duration_factor(ev.cls);
-            break;
-          case SchedOp::Wait:
-            // Own-device stall: scale the recorded gap by the stall class.
-            task.duration +=
-                std::max(0.0, na - nb) * scales.duration_factor(ev.cls);
-            break;
-          case SchedOp::Join:  // re-derived by the scheduler
-          case SchedOp::Ready:
-          case SchedOp::Enqueue:
-          case SchedOp::SyncCopy:
-            break;
-        }
-      }
-      if (reprice) {
-        for (const FuCall& call : st.calls) {
-          // Batching off: the dispatcher falls back to the baseline hybrid
-          // rule per member.
-          const Policy policy =
-              reprice_policy ? static_cast<Policy>(knobs.force_policy)
-                             : baseline_choice(thresholds, call);
-          task.duration += timer->time(policy, call) *
-                           scales.duration_factor(policy == Policy::P1
-                                                      ? CostClass::Host
-                                                      : CostClass::Gpu);
-        }
-      }
-
-      for (const FuCall& call : st.calls) {
-        if (call.snode < 0 || call.snode >= record.num_snodes) continue;
-        task.produces.push_back(call.snode);
-        double tail = 0.0;
-        if (!reprice) {
-          tail = std::max(0.0,
-                          fold.ready_live[static_cast<std::size_t>(
-                              call.snode)] -
-                              st.t_end) *
-                 scales.duration_factor(CostClass::Transfer);
-        }
-        task.ready_tail.push_back(tail);
-      }
-      work_id[l][t] = static_cast<int>(tasks.size());
-      tasks.push_back(std::move(task));
-    }
-  }
-  if (tasks.empty()) return record.makespan;
-
-  // Dependencies: the producer of each member's child snode.
-  std::vector<int> producer_task(static_cast<std::size_t>(record.num_snodes),
-                                 -1);
-  for (index_t s = 0; s < record.num_snodes; ++s) {
-    const auto ref = record.producer[static_cast<std::size_t>(s)];
-    if (ref.lane >= 0) {
-      producer_task[static_cast<std::size_t>(s)] =
-          work_id[static_cast<std::size_t>(ref.lane)]
-                 [static_cast<std::size_t>(ref.task)];
-    }
-  }
-  for (index_t s = 0; s < record.num_snodes; ++s) {
-    const index_t parent = record.parent[static_cast<std::size_t>(s)];
-    if (parent == -1) continue;
-    const int child_task = producer_task[static_cast<std::size_t>(s)];
-    const int parent_task = producer_task[static_cast<std::size_t>(parent)];
-    if (child_task < 0 || parent_task < 0 || child_task == parent_task) {
-      continue;
-    }
-    tasks[static_cast<std::size_t>(parent_task)].deps.push_back(child_task);
-    ++tasks[static_cast<std::size_t>(parent_task)].missing;
-  }
-
-  std::vector<std::vector<int>> succs(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    for (int d : tasks[t].deps) {
-      succs[static_cast<std::size_t>(d)].push_back(static_cast<int>(t));
-    }
-  }
-  // Bottom-level priorities over the counterfactual durations; per-lane task
-  // order is not globally topological, so iterate by descending recorded
-  // start time.
-  std::vector<std::size_t> topo(tasks.size());
-  for (std::size_t t = 0; t < tasks.size(); ++t) topo[t] = t;
-  auto recorded_begin = [&](std::size_t t) {
-    return record.lanes[static_cast<std::size_t>(tasks[t].lane)]
-        .tasks[static_cast<std::size_t>(tasks[t].index)]
-        .t_begin;
-  };
-  std::sort(topo.begin(), topo.end(), [&](std::size_t x, std::size_t y) {
-    return recorded_begin(x) > recorded_begin(y);
-  });
-  for (std::size_t t : topo) {
-    double best = 0.0;
-    for (int u : succs[t]) {
-      best = std::max(best, tasks[static_cast<std::size_t>(u)].priority);
-    }
-    tasks[t].priority = tasks[t].duration + best;
-  }
-
-  // Worker pool: per-worker prologue offsets carried over from the recorded
-  // lanes (cycled when the counterfactual has more workers).
-  const int num_workers = knobs.num_workers > 0
-                              ? knobs.num_workers
-                              : static_cast<int>(record.lanes.size());
-  std::vector<double> prologue(record.lanes.size(), 0.0);
-  for (std::size_t l = 0; l < record.lanes.size(); ++l) {
-    for (const ScheduleTask& t : record.lanes[l].tasks) {
-      if (t.kind == TaskKind::Prologue) prologue[l] += t.t_end - t.t_begin;
-    }
-  }
-  std::vector<double> worker_free(static_cast<std::size_t>(num_workers), 0.0);
-  for (int w = 0; w < num_workers; ++w) {
-    worker_free[static_cast<std::size_t>(w)] =
-        prologue[static_cast<std::size_t>(w) % prologue.size()];
-  }
-
-  std::vector<double> ready_at(static_cast<std::size_t>(record.num_snodes),
-                               0.0);
-  std::vector<int> ready;
-  for (std::size_t t = 0; t < tasks.size(); ++t) {
-    if (tasks[t].missing == 0) ready.push_back(static_cast<int>(t));
-  }
-  auto by_priority = [&](int x, int y) {
-    return tasks[static_cast<std::size_t>(x)].priority <
-           tasks[static_cast<std::size_t>(y)].priority;
-  };
-  double makespan = 0.0;
-  std::size_t scheduled = 0;
-  while (!ready.empty()) {
-    auto it = std::max_element(ready.begin(), ready.end(), by_priority);
-    const int id = *it;
-    ready.erase(it);
-    Task& task = tasks[static_cast<std::size_t>(id)];
-
-    auto wit = std::min_element(worker_free.begin(), worker_free.end());
-    double start = *wit;
-    for (int d : task.deps) {
-      for (index_t s : tasks[static_cast<std::size_t>(d)].produces) {
-        start = std::max(start, ready_at[static_cast<std::size_t>(s)]);
-      }
-    }
-    const double end = start + task.duration;
-    *wit = end;
-    makespan = std::max(makespan, end);
-    for (std::size_t m = 0; m < task.produces.size(); ++m) {
-      const std::size_t s = static_cast<std::size_t>(task.produces[m]);
-      ready_at[s] = end + task.ready_tail[m];
-      makespan = std::max(makespan, ready_at[s]);
-    }
-    ++scheduled;
-    for (int u : succs[static_cast<std::size_t>(id)]) {
-      if (--tasks[static_cast<std::size_t>(u)].missing == 0) {
-        ready.push_back(u);
-      }
-    }
-  }
-  MFGPU_CHECK(scheduled == tasks.size(),
-              "whatif_replay: task DAG did not drain");
-  return makespan;
-}
-
-}  // namespace
-
 WhatIfResult whatif_replay(const ScheduleRecord& record,
-                           const WhatIfKnobs& knobs, PolicyTimer* timer) {
+                           const WhatIfKnobs& knobs) {
   WhatIfResult out;
   out.knobs = knobs;
   out.recorded_makespan = record.makespan;
   if (record.empty()) return out;
-  if (knobs.rates_only()) {
-    out.exact_engine = true;
-    out.makespan = replay_exact(record, knobs.rates()).makespan;
-  } else {
-    out.exact_engine = false;
-    out.makespan = schedule_counterfactual(record, knobs, timer);
-  }
+  out.makespan = replay_exact(record, knobs.rates()).makespan;
   if (out.makespan > 0.0) {
     out.speedup = out.recorded_makespan / out.makespan;
   }
@@ -716,7 +483,7 @@ void CriticalPathReport::write_text(std::ostream& os) const {
     for (std::size_t p = 0; p < policy_seconds.size(); ++p) {
       if (policy_seconds[p] == 0.0) continue;
       const std::string name =
-          p == static_cast<std::size_t>(Policy::Batched)
+          p == kBatchedPolicy
               ? std::string("batched")
               : "P" + std::to_string(p);
       policies.add_row({name, policy_seconds[p]});

@@ -1,7 +1,8 @@
 // Critical-path causal analysis and what-if replay over a recorded schedule
 // (obs/schedule_record.hpp) — the analysis half of the flight recorder.
 //
-// Three engines, all operating purely on the record (no numeric rerun):
+// Three entry points, all operating purely on the record (no numeric
+// rerun):
 //
 //   1. replay_exact(record, scales): refolds every recorded primitive clock
 //      and stream operation in recorded per-lane order, with cross-task join
@@ -23,16 +24,14 @@
 //      computes the task spine of the critical path, per-policy attribution
 //      of on-path executor time, and CPM slack per work task.
 //
-//   3. whatif_replay(record, knobs[, timer]): counterfactual prediction.
-//      Pure rate knobs route to the exact engine; worker-count, policy, and
-//      batching knobs route to a greedy critical-path list scheduler over
-//      the recorded task DAG (durations re-folded from each task's own
-//      events; executor windows optionally repriced through a PolicyTimer).
-//      The scheduling engine is approximate by design — the live pool
-//      steals work in real time — and is validated against live reruns by
-//      bench/bench_whatif_accuracy.cpp (<= 2% makespan error gate).
+//   3. whatif_replay(record, knobs): counterfactual prediction under rate
+//      knobs through replay_exact. Structural questions (worker count,
+//      policy, batching) are answered by rerunning the factorization with
+//      the changed configuration, e.g. factorize_cluster on more
+//      shared-memory nodes. bench/bench_whatif_accuracy.cpp scores every
+//      rate knob against a live rerun (<= 2% makespan error gate).
 //
-// Assumption shared by all engines: the recorder was attached to quiescent
+// Assumption shared by all three: the recorder was attached to quiescent
 // devices (fresh streams), which the drivers guarantee by attaching before
 // executor prepare. Streams whose ready time predates the recording would
 // replay from zero instead.
@@ -44,10 +43,6 @@
 #include <vector>
 
 #include "obs/schedule_record.hpp"
-
-namespace mfgpu {
-class PolicyTimer;
-}
 
 namespace mfgpu::obs {
 
@@ -84,26 +79,14 @@ struct ReplayResult {
 ReplayResult replay_exact(const ScheduleRecord& record,
                           const RateScales& scales = {});
 
-/// Counterfactual knobs for whatif_replay. Defaults leave everything as
-/// recorded (the null counterfactual).
+/// Counterfactual rate knobs for whatif_replay. Defaults leave everything
+/// as recorded (the null counterfactual).
 struct WhatIfKnobs {
-  /// 0 = keep the recorded lanes; N > 0 = re-schedule the recorded task DAG
-  /// onto N equivalent workers (greedy critical-path list scheduling).
-  int num_workers = 0;
   double gpu_scale = 1.0;
   double transfer_scale = 1.0;
   double host_scale = 1.0;
-  /// -1 = keep each member's recorded policy; 1..4 = reprice every
-  /// factor-update through that policy (needs a PolicyTimer).
-  int force_policy = -1;
-  /// -1 = keep; 0 = disable batching: reprice each recorded batch as
-  /// per-member single dispatches (needs a PolicyTimer).
-  int batching = -1;
 
   bool identity() const;
-  /// True when only rate scales differ from the recording — the exact
-  /// event-replay engine applies.
-  bool rates_only() const;
   RateScales rates() const;
   std::string label() const;
 };
@@ -113,15 +96,12 @@ struct WhatIfResult {
   double makespan = 0.0;       ///< predicted virtual makespan
   double recorded_makespan = 0.0;
   double speedup = 1.0;        ///< recorded / predicted
-  bool exact_engine = false;   ///< event replay (true) or list scheduler
 };
 
-/// Predict the makespan of the recorded run under counterfactual knobs,
-/// without re-running any numerics. `timer` is required for policy and
-/// batching knobs (used to reprice executor windows) and ignored otherwise.
+/// Predict the makespan of the recorded run under rate knobs by exact event
+/// replay, without re-running any numerics.
 WhatIfResult whatif_replay(const ScheduleRecord& record,
-                           const WhatIfKnobs& knobs,
-                           PolicyTimer* timer = nullptr);
+                           const WhatIfKnobs& knobs);
 
 /// One step of the critical path's task spine.
 struct CriticalStep {
@@ -151,6 +131,8 @@ struct CriticalPathReport {
   /// Seconds of on-path executor-window time per policy index (0 = outside
   /// any executor window or unknown).
   std::array<double, 8> policy_seconds{};
+  /// policy_seconds slot of aggregated batch dispatches (Policy::Batched).
+  static constexpr std::size_t kBatchedPolicy = 5;
   double idle_seconds = 0.0;
   /// Task spine, in execution order (leaf-most first). Tasks contributing
   /// zero seconds are omitted.

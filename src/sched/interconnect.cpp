@@ -1,5 +1,6 @@
 #include "sched/interconnect.hpp"
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -45,11 +46,13 @@ InterconnectModel parse_link(const std::string& spec) {
   const std::string bw_str = spec.substr(0, comma);
   const std::string lat_str = spec.substr(comma + 1);
   const double bandwidth = std::strtod(bw_str.c_str(), &end);
-  if (end == bw_str.c_str() || *end != '\0' || bandwidth < 0.0) {
+  if (end == bw_str.c_str() || *end != '\0' || !std::isfinite(bandwidth) ||
+      bandwidth < 0.0) {
     throw InvalidArgumentError("parse_link: bad bandwidth \"" + bw_str + "\"");
   }
   const double latency = std::strtod(lat_str.c_str(), &end);
-  if (end == lat_str.c_str() || *end != '\0' || latency < 0.0) {
+  if (end == lat_str.c_str() || *end != '\0' || !std::isfinite(latency) ||
+      latency < 0.0) {
     throw InvalidArgumentError("parse_link: bad latency \"" + lat_str + "\"");
   }
   return {bandwidth, latency};

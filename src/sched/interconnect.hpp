@@ -1,6 +1,7 @@
-// Inter-node communication model shared by the scheduling simulator
-// (sched/list_scheduler.hpp) and the simulated-cluster factorization
-// engine (cluster/cluster.hpp).
+// Inter-node communication model of the simulated-cluster factorization
+// engine (cluster/cluster.hpp) and its subtree placement
+// (cluster/placement.hpp). Shared memory is the zero-cost link: threads on
+// one host are nodes joined by shared_memory_link().
 //
 // The paper closes by naming a distributed-memory (cluster) version of the
 // solver as its future work; this models the wire between nodes as a
@@ -50,8 +51,8 @@ InterconnectModel gigabit_link();         ///< 0.1 GB/s, 50 us
 std::string link_description(const InterconnectModel& link);
 
 /// Parse a link spec: "shared" | "infiniband" | "gigabit" |
-/// "<bandwidth>,<latency>" (B/s and seconds, e.g. "1e9,5e-6").
-/// Throws InvalidArgumentError on malformed specs.
+/// "<bandwidth>,<latency>" (B/s and seconds, e.g. "1e9,5e-6"; both finite
+/// and non-negative). Throws InvalidArgumentError on malformed specs.
 InterconnectModel parse_link(const std::string& spec);
 
 }  // namespace mfgpu

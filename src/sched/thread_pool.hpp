@@ -1,5 +1,7 @@
-// Work-stealing thread pool for tree-shaped task DAGs — the real-thread
-// counterpart of the list-scheduling *simulation* in sched/list_scheduler.hpp.
+// Work-stealing thread pool for tree-shaped task DAGs. Which OS thread wins
+// a steal decides placement here, so the virtual-time schedule it executes
+// is not deterministic; the deterministic multi-worker schedule is the
+// fan-both engine's (cluster/cluster.hpp on shared_memory_link()).
 //
 // The pool executes a forest given as a parent array (the supernodal
 // assembly tree: a task becomes ready when all of its children completed).

@@ -1,6 +1,6 @@
-// Worker descriptions shared by the scheduling simulator
-// (sched/list_scheduler.hpp) and the real-thread execution engine
-// (sched/thread_pool.hpp + multifrontal/parallel.hpp): the paper's Table VII
+// Worker descriptions shared by the real-thread execution engine
+// (sched/thread_pool.hpp + multifrontal/parallel.hpp) and the simulated
+// cluster's nodes (cluster/cluster.hpp): the paper's Table VII
 // configurations are lists of these (4 CPU threads; 2 threads + 2 GPUs).
 #pragma once
 

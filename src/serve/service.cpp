@@ -404,9 +404,20 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
       obs::record_span("request", "retry_enqueue", now_ns, now_ns,
                        request.ctx.request_id, request.ctx.root_span,
                        {{"attempt", request.attempts}});
+      // Count the retry before the push publishes the request: another
+      // session may finish it and fulfill its future at once, and a caller
+      // woken by that future must already see the retry in stats.
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex);
+        ++stats.retries;
+      }
       if (queue.try_push(request)) {
         ++retried;
         continue;
+      }
+      {
+        std::lock_guard<std::mutex> lock(stats_mutex);
+        --stats.retries;
       }
     } else if (request.attempts > 1) {
       ++exhausted;
@@ -417,7 +428,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
   {
     std::lock_guard<std::mutex> lock(stats_mutex);
     stats.failed += failed;
-    stats.retries += retried;
     stats.retry_exhausted += exhausted;
   }
   if (failed > 0) {

@@ -14,6 +14,10 @@
 namespace mfgpu {
 namespace {
 
+// obs/ names policies by index only; the batched slot must track the enum.
+static_assert(obs::CriticalPathReport::kBatchedPolicy ==
+              static_cast<std::size_t>(Policy::Batched));
+
 // The acceptance bar for the flight recorder: replaying the recorded event
 // stream with identity scales must reproduce the live virtual makespan
 // BITWISE (EXPECT_EQ on doubles, not EXPECT_NEAR) for every driver.
@@ -37,7 +41,6 @@ void expect_null_replay_exact(const Solver& solver) {
   }
 
   const obs::WhatIfResult null_wi = obs::whatif_replay(rec, obs::WhatIfKnobs{});
-  EXPECT_TRUE(null_wi.exact_engine);
   EXPECT_EQ(null_wi.makespan, rec.makespan);
   EXPECT_EQ(null_wi.recorded_makespan, rec.makespan);
   EXPECT_EQ(null_wi.speedup, 1.0);
@@ -137,47 +140,13 @@ TEST(ScheduleWhatIfTest, RateScalesMoveMakespanMonotonically) {
   obs::WhatIfKnobs faster;
   faster.gpu_scale = 2.0;
   const obs::WhatIfResult f = obs::whatif_replay(rec, faster);
-  EXPECT_TRUE(f.exact_engine);
   EXPECT_LE(f.makespan, rec.makespan);
 
   obs::WhatIfKnobs slower;
   slower.transfer_scale = 0.5;
   const obs::WhatIfResult s = obs::whatif_replay(rec, slower);
-  EXPECT_TRUE(s.exact_engine);
   EXPECT_GE(s.makespan, rec.makespan);
   EXPECT_GT(s.makespan, 0.0);
-}
-
-TEST(ScheduleWhatIfTest, WorkerKnobUsesListScheduler) {
-  const GridProblem p = make_laplacian_3d(6, 6, 5);
-  SolverOptions options;
-  options.mode = SolverMode::Serial;
-  options.num_threads = 2;
-  const Solver solver = factored(p, options);
-
-  obs::WhatIfKnobs knobs;
-  knobs.num_workers = 4;
-  const obs::WhatIfResult r = obs::whatif_replay(solver.schedule(), knobs);
-  EXPECT_FALSE(r.exact_engine);
-  EXPECT_GT(r.makespan, 0.0);
-  // More workers on the same DAG should never predict a (much) longer run.
-  EXPECT_LE(r.makespan, solver.schedule().makespan * 1.05);
-}
-
-TEST(ScheduleWhatIfTest, PolicyKnobRequiresTimerAndRepricesExactly) {
-  const GridProblem p = make_laplacian_3d(6, 6, 5);
-  SolverOptions options;
-  options.mode = SolverMode::BaselineHybrid;
-  const Solver solver = factored(p, options);
-
-  obs::WhatIfKnobs knobs;
-  knobs.force_policy = 1;  // everything on the host path
-  EXPECT_THROW(obs::whatif_replay(solver.schedule(), knobs),
-               InvalidArgumentError);
-
-  const obs::WhatIfResult r = solver.schedule_whatif(knobs);
-  EXPECT_FALSE(r.exact_engine);
-  EXPECT_GT(r.makespan, 0.0);
 }
 
 TEST(ScheduleWhatIfTest, CriticalPathAttributionTelescopes) {

@@ -1,5 +1,6 @@
 // mfgpu_explain — critical-path causal analysis of a factorization's
-// virtual-time schedule, with counterfactual what-if sweeps.
+// virtual-time schedule, with a what-if sweep over resource rates (exact
+// replay of the record; structural changes need a rerun).
 //
 // Runs a demo factorization (3-D Laplacian) with the schedule flight
 // recorder on, then answers "why is the makespan what it is, and what
@@ -116,14 +117,13 @@ void write_sweep_json(std::ostream& os, const Solver& solver,
     const obs::WhatIfResult r = solver.schedule_whatif(grid[i]);
     os << "    {\"label\": \"" << r.knobs.label()
        << "\", \"makespan_seconds\": " << r.makespan
-       << ", \"speedup\": " << r.speedup
-       << ", \"exact_engine\": " << (r.exact_engine ? "true" : "false")
-       << '}' << (i + 1 < grid.size() ? "," : "") << '\n';
+       << ", \"speedup\": " << r.speedup << '}'
+       << (i + 1 < grid.size() ? "," : "") << '\n';
   }
   os << "  ]\n}\n";
 }
 
-std::vector<obs::WhatIfKnobs> default_grid(const obs::ScheduleRecord& record) {
+std::vector<obs::WhatIfKnobs> default_grid() {
   std::vector<obs::WhatIfKnobs> grid;
   for (const double f : {0.5, 2.0, 4.0}) {
     obs::WhatIfKnobs k;
@@ -136,21 +136,6 @@ std::vector<obs::WhatIfKnobs> default_grid(const obs::ScheduleRecord& record) {
     grid.push_back(k);
     k = {};
     k.host_scale = f;
-    grid.push_back(k);
-  }
-  for (const int n : {1, 2, 4, 8}) {
-    obs::WhatIfKnobs k;
-    k.num_workers = n;
-    grid.push_back(k);
-  }
-  for (const int p : {1, 4}) {
-    obs::WhatIfKnobs k;
-    k.force_policy = p;
-    grid.push_back(k);
-  }
-  if (record.batched) {
-    obs::WhatIfKnobs k;
-    k.batching = 0;
     grid.push_back(k);
   }
   return grid;
@@ -254,15 +239,13 @@ int main(int argc, char** argv) {
     std::cout << "\nNull replay: exact (" << null_replay.makespan
               << " s, bitwise)\n";
 
-    const std::vector<obs::WhatIfKnobs> grid =
-        default_grid(solver.schedule());
+    const std::vector<obs::WhatIfKnobs> grid = default_grid();
     std::cout << "\nWhat-if sweep (" << grid.size() << " points):\n";
     std::cout.precision(6);
     for (const obs::WhatIfKnobs& knobs : grid) {
       const obs::WhatIfResult r = solver.schedule_whatif(knobs);
       std::cout << "  " << r.knobs.label() << ": " << r.makespan << " s ("
-                << r.speedup << "x, "
-                << (r.exact_engine ? "exact replay" : "list sched") << ")\n";
+                << r.speedup << "x)\n";
     }
 
     if (!args.sweep_path.empty()) {
