@@ -22,6 +22,31 @@ double matrix_bytes(index_t rows, index_t cols) {
          static_cast<double>(sizeof(float));
 }
 
+/// The numeric side of one host-to-device copy. An injected corruption
+/// poisons element (0, 0) of the device block.
+void land_upload(MatrixView<const double> src, MatrixView<float> block,
+                 FaultKind fault) {
+  copy_into<float>(src, block);
+  if (fault == FaultKind::TransferCorruption && !block.empty()) {
+    block(0, 0) = std::numeric_limits<float>::quiet_NaN();
+  }
+}
+
+/// The numeric side of one device-to-host copy: convert `block` into
+/// `dst`, or, when `dst` has no storage, leave the data in place for the
+/// host to read from `block`. An injected corruption poisons element (0, 0)
+/// of whichever of the two the host reads next.
+void land_download(MatrixView<float> block, MatrixView<double> dst,
+                   FaultKind fault) {
+  const bool poison = fault == FaultKind::TransferCorruption && !block.empty();
+  if (dst.data() == nullptr) {
+    if (poison) block(0, 0) = std::numeric_limits<float>::quiet_NaN();
+    return;
+  }
+  copy_into<double>(block, dst);
+  if (poison) dst(0, 0) = std::numeric_limits<double>::quiet_NaN();
+}
+
 [[noreturn]] void throw_transfer_death() {
   throw DeviceFaultError("gpusim: device died during transfer",
                          /*sticky=*/true);
@@ -56,15 +81,20 @@ void Device::check_alloc_fault(const char* what) {
   }
 }
 
-DeviceMatrix Device::allocate(index_t rows, index_t cols,
-                              const std::string& slot, SimClock& host) {
+double Device::reserve(index_t rows, index_t cols, const std::string& slot,
+                       SimClock& host) {
   MFGPU_CHECK(rows >= 0 && cols >= 0, "Device::allocate: negative dims");
   check_alloc_fault("Device::allocate");
   const auto bytes = static_cast<std::int64_t>(matrix_bytes(rows, cols));
-  {
-    CostClassScope cls(CostClass::Alloc);
-    host.advance(device_pool_.acquire(slot, bytes));
-  }
+  const double cost = device_pool_.acquire(slot, bytes);
+  CostClassScope cls(CostClass::Alloc);
+  host.advance(cost);
+  return cost;
+}
+
+DeviceMatrix Device::allocate(index_t rows, index_t cols,
+                              const std::string& slot, SimClock& host) {
+  reserve(rows, cols, slot, host);
   DeviceMatrix m;
   m.data = options_.numeric ? Matrix<float>(rows, cols, 0.0f)
                             : Matrix<float>(0, 0);
@@ -96,12 +126,7 @@ double Device::copy_to_device_sync(MatrixView<const double> src,
   const double bytes = matrix_bytes(src.rows(), src.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    auto block = device_block(dst, i0, j0, src.rows(), src.cols());
-    copy_into<float>(src, block);
-    if (fault == FaultKind::TransferCorruption && block.rows() > 0 &&
-        block.cols() > 0) {
-      block(0, 0) = std::numeric_limits<float>::quiet_NaN();
-    }
+    land_upload(src, device_block(dst, i0, j0, src.rows(), src.cols()), fault);
   }
   const double duration = transfer().sync_copy_time(bytes);
   count_transfer("h2d", bytes, duration);
@@ -125,16 +150,9 @@ double Device::copy_from_device_sync(const DeviceMatrix& src, index_t i0,
   const double bytes = matrix_bytes(dst.rows(), dst.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    auto block = const_cast<DeviceMatrix&>(src).data.view().block(
-        i0, j0, dst.rows(), dst.cols());
-    copy_into<double>(
-        MatrixView<const float>(block.data(), block.rows(), block.cols(),
-                                block.ld()),
-        dst);
-    if (fault == FaultKind::TransferCorruption && dst.rows() > 0 &&
-        dst.cols() > 0) {
-      dst(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    }
+    land_download(const_cast<DeviceMatrix&>(src).data.view().block(
+                      i0, j0, dst.rows(), dst.cols()),
+                  dst, fault);
   }
   const double duration = transfer().sync_copy_time(bytes);
   count_transfer("d2h", bytes, duration);
@@ -155,12 +173,7 @@ double Device::copy_to_device_async(MatrixView<const double> src,
   const double bytes = matrix_bytes(src.rows(), src.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    auto block = device_block(dst, i0, j0, src.rows(), src.cols());
-    copy_into<float>(src, block);
-    if (fault == FaultKind::TransferCorruption && block.rows() > 0 &&
-        block.cols() > 0) {
-      block(0, 0) = std::numeric_limits<float>::quiet_NaN();
-    }
+    land_upload(src, device_block(dst, i0, j0, src.rows(), src.cols()), fault);
   }
   CostClassScope cls(CostClass::Transfer);
   host.advance(transfer().enqueue_overhead);
@@ -183,16 +196,9 @@ double Device::copy_from_device_async(const DeviceMatrix& src, index_t i0,
   const double bytes = matrix_bytes(dst.rows(), dst.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    auto block = const_cast<DeviceMatrix&>(src).data.view().block(
-        i0, j0, dst.rows(), dst.cols());
-    copy_into<double>(
-        MatrixView<const float>(block.data(), block.rows(), block.cols(),
-                                block.ld()),
-        dst);
-    if (fault == FaultKind::TransferCorruption && dst.rows() > 0 &&
-        dst.cols() > 0) {
-      dst(0, 0) = std::numeric_limits<double>::quiet_NaN();
-    }
+    land_download(const_cast<DeviceMatrix&>(src).data.view().block(
+                      i0, j0, dst.rows(), dst.cols()),
+                  dst, fault);
   }
   CostClassScope cls(CostClass::Transfer);
   host.advance(transfer().enqueue_overhead);
@@ -227,13 +233,9 @@ double Device::copy_to_device_async_batched(
     const H2dCopy& b = blocks[i];
     bytes += matrix_bytes(b.src.rows(), b.src.cols());
     if (options_.numeric) {
-      auto block = device_block(*b.dst, b.i0, b.j0, b.src.rows(),
-                                b.src.cols());
-      copy_into<float>(b.src, block);
-      if (fault == FaultKind::TransferCorruption && block.rows() > 0 &&
-          block.cols() > 0) {
-        block(0, 0) = std::numeric_limits<float>::quiet_NaN();
-      }
+      land_upload(b.src,
+                  device_block(*b.dst, b.i0, b.j0, b.src.rows(), b.src.cols()),
+                  fault);
     }
     earliest_dep = std::max(earliest_dep, b.dst->available_at);
   }
@@ -273,17 +275,9 @@ double Device::copy_from_device_async_batched(
     const D2hCopy& b = blocks[i];
     bytes += matrix_bytes(b.dst.rows(), b.dst.cols());
     if (options_.numeric) {
-      auto block = const_cast<DeviceMatrix*>(b.src)->data.view().block(
-          b.i0, b.j0, b.dst.rows(), b.dst.cols());
-      MatrixView<double> dst = b.dst;
-      copy_into<double>(
-          MatrixView<const float>(block.data(), block.rows(), block.cols(),
-                                  block.ld()),
-          dst);
-      if (fault == FaultKind::TransferCorruption && dst.rows() > 0 &&
-          dst.cols() > 0) {
-        dst(0, 0) = std::numeric_limits<double>::quiet_NaN();
-      }
+      land_download(const_cast<DeviceMatrix*>(b.src)->data.view().block(
+                        b.i0, b.j0, b.dst.rows(), b.dst.cols()),
+                    b.dst, fault);
     }
     earliest_dep = std::max(earliest_dep, b.src->available_at);
   }

@@ -82,6 +82,12 @@ class Device {
   /// the matrix; its contents are zero in numeric mode.
   DeviceMatrix allocate(index_t rows, index_t cols, const std::string& slot,
                         SimClock& host);
+  /// allocate() without the matrix: charges the pool slot exactly as
+  /// allocate() does (fault draw, high-water growth) and returns the
+  /// seconds charged. Pool warm-up uses it so that sizing a slot never
+  /// materializes storage.
+  double reserve(index_t rows, index_t cols, const std::string& slot,
+                 SimClock& host);
 
   /// Charge the host for staging `bytes` of pinned memory in `slot`
   /// (required for async copies; pooled like device memory). Returns the
@@ -91,6 +97,12 @@ class Device {
 
   /// Synchronous pageable-memory copies: block the host clock. `dst`/`src`
   /// name a block inside the device matrix at (i0, j0).
+  ///
+  /// Device-to-host copies with a null-data `dst` are priced exactly like
+  /// any other (its shape sets the bytes), but in numeric mode the host
+  /// then reads the device block in place instead of a converted copy:
+  /// an injected corruption poisons element (0, 0) of that block. Dry runs
+  /// pass such views too, and move no data at all.
   double copy_to_device_sync(MatrixView<const double> src, DeviceMatrix& dst,
                              index_t i0, index_t j0, SimClock& host);
   double copy_from_device_sync(const DeviceMatrix& src, index_t i0, index_t j0,
@@ -98,7 +110,8 @@ class Device {
 
   /// Asynchronous pinned-memory copies on `stream`: the host clock only
   /// pays the enqueue overhead. Caller must have acquired pinned staging
-  /// and must synchronize before consuming the destination.
+  /// and must synchronize before consuming the destination (or, for a
+  /// null-data `dst`, the device block it reads in place).
   double copy_to_device_async(MatrixView<const double> src, DeviceMatrix& dst,
                               index_t i0, index_t j0, Stream& stream,
                               SimClock& host);

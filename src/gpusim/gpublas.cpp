@@ -375,9 +375,10 @@ double host_gemm_nt(const HostExec& exec, double alpha,
 double host_assembly_rate() { return 1.2e9; }
 
 double host_apply_update(const HostExec& exec,
-                         MatrixView<const double> product,
+                         MatrixView<const float> product,
                          MatrixView<double> c) {
-  MFGPU_CHECK(product.rows() == c.rows() && product.cols() == c.cols(),
+  MFGPU_CHECK(!exec.numeric || (product.rows() == c.rows() &&
+                                product.cols() == c.cols()),
               "host_apply_update: shape mismatch");
   const index_t n = c.rows();
   const double entries =
@@ -389,7 +390,9 @@ double host_apply_update(const HostExec& exec,
   }
   if (exec.numeric) {
     for (index_t j = 0; j < c.cols(); ++j) {
-      for (index_t i = j; i < n; ++i) c(i, j) -= product(i, j);
+      for (index_t i = j; i < n; ++i) {
+        c(i, j) -= static_cast<double>(product(i, j));
+      }
     }
   }
   return duration;

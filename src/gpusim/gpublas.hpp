@@ -120,9 +120,14 @@ double host_syrk(const HostExec& exec, double alpha,
 double host_gemm_nt(const HostExec& exec, double alpha,
                     MatrixView<const double> a, MatrixView<const double> b,
                     MatrixView<double> c);
-/// c(lower) -= product, elementwise (host application of a device-computed
-/// L2 L2^T, charged at memory-bound speed).
-double host_apply_update(const HostExec& exec, MatrixView<const double> product,
+/// c(lower) -= double(product), elementwise: the host applies a
+/// device-computed L2 L2^T straight from the device's float block (read in
+/// place after its priced download, see Device::copy_from_device_sync),
+/// charged at memory-bound speed. The float-to-double conversion is exact,
+/// so this is bitwise a converted copy followed by the subtraction; the
+/// strict upper triangle of c is never touched. Dry runs (exec.numeric
+/// false) only charge the time and may pass an empty product.
+double host_apply_update(const HostExec& exec, MatrixView<const float> product,
                          MatrixView<double> c);
 /// Charge generic memory-bound assembly work of `entries` moved entries.
 double host_assembly_cost(const HostExec& exec, double entries);

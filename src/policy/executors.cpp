@@ -18,6 +18,14 @@ std::int64_t float_bytes(index_t rows, index_t cols) {
          static_cast<std::int64_t>(sizeof(float));
 }
 
+/// Download target of a device-computed update product: a null-data view
+/// of its shape. The copy is priced in full and the host then reads the
+/// device block in place (Device::copy_from_device_sync).
+MatrixView<double> read_in_place(const DeviceMatrix& d) {
+  return MatrixView<double>(nullptr, d.rows(), d.cols(),
+                            std::max<index_t>(d.rows(), 1));
+}
+
 /// Finite check over the block's valid entries; lower_only limits the scan
 /// to the lower triangle (L1 and U carry garbage above the diagonal).
 bool block_finite(MatrixView<const double> v, bool lower_only) {
@@ -347,36 +355,26 @@ void PolicyExecutor::ensure_prepared(FactorContext& ctx) {
     case Policy::P1:
       break;
     case Policy::P2:
-      dev.allocate(m, k, "p2.l2", clock);
-      dev.allocate(m, m, "p2.prod", clock);
+      dev.reserve(m, k, "p2.l2", clock);
+      dev.reserve(m, m, "p2.prod", clock);
       dev.acquire_pinned("p2.l2", float_bytes(m, k), clock);
       dev.acquire_pinned("p2.prod", float_bytes(m, m), clock);
       break;
     case Policy::P3:
-      dev.allocate(k, k, "p3.l1", clock);
-      dev.allocate(m, k, "p3.l2", clock);
-      dev.allocate(m, m, "p3.prod", clock);
+      dev.reserve(k, k, "p3.l1", clock);
+      dev.reserve(m, k, "p3.l2", clock);
+      dev.reserve(m, m, "p3.prod", clock);
       dev.acquire_pinned("p3.l1", float_bytes(k, k), clock);
       dev.acquire_pinned("p3.l2", float_bytes(m, k), clock);
       dev.acquire_pinned("p3.prod", float_bytes(m, m), clock);
       break;
     case Policy::P4:
-      dev.allocate(k + m, k, "p4.panel", clock);
-      dev.allocate(m, m, "p4.prod", clock);
+      dev.reserve(k + m, k, "p4.panel", clock);
+      dev.reserve(m, m, "p4.prod", clock);
       dev.acquire_pinned("p4.panel", float_bytes(k + m, k), clock);
       dev.acquire_pinned("p4.prod", float_bytes(m, m), clock);
       break;
   }
-}
-
-MatrixView<double> PolicyExecutor::product_view(index_t m, bool numeric) {
-  if (!numeric) {
-    return MatrixView<double>(nullptr, m, m, std::max<index_t>(m, 1));
-  }
-  if (product_scratch_.rows() < m) {
-    product_scratch_ = Matrix<double>(m, m);
-  }
-  return product_scratch_.view().block(0, 0, m, m);
 }
 
 FuOutcome PolicyExecutor::execute(FrontBlocks front, FactorContext& ctx) {
@@ -430,7 +428,6 @@ FuOutcome PolicyExecutor::run_p2(const FrontBlocks& f, FactorContext& ctx) {
 
     DeviceMatrix l2_d = dev.allocate(f.m, f.k, "p2.l2", clock);
     DeviceMatrix prod_d = dev.allocate(f.m, f.m, "p2.prod", clock);
-    MatrixView<double> prod = product_view(f.m, ctx.numeric);
     if (options_.overlapped_copies) {
       out.record.t_copy +=
           dev.acquire_pinned("p2.l2", float_bytes(f.m, f.k), clock);
@@ -441,19 +438,16 @@ FuOutcome PolicyExecutor::run_p2(const FrontBlocks& f, FactorContext& ctx) {
       out.record.t_syrk = gpu_syrk(ctx.gpu_exec(dev.compute_stream()), 1.0f,
                                    dev_whole(l2_d), dev_whole(prod_d));
       out.record.t_copy += dev.copy_from_device_async(
-          prod_d, 0, 0, prod, dev.d2h_stream(), clock);
+          prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
       dev.synchronize_stream(dev.d2h_stream(), clock);
     } else {
       out.record.t_copy += dev.copy_to_device_sync(f.l2, l2_d, 0, 0, clock);
       out.record.t_syrk = gpu_syrk(ctx.gpu_exec(dev.compute_stream()), 1.0f,
                                    dev_whole(l2_d), dev_whole(prod_d));
-      out.record.t_copy += dev.copy_from_device_sync(prod_d, 0, 0, prod, clock);
+      out.record.t_copy +=
+          dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
     }
-    out.record.t_syrk += host_apply_update(
-        host,
-        MatrixView<const double>(prod.data(), prod.rows(), prod.cols(),
-                                 prod.ld()),
-        f.u);
+    out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
   }
   out.record.t_total = clock.now() - t0;
   out.update_ready_at = clock.now();
@@ -481,7 +475,6 @@ FuOutcome PolicyExecutor::run_p3(const FrontBlocks& f, FactorContext& ctx) {
   DeviceMatrix l1_d = dev.allocate(f.k, f.k, "p3.l1", clock);
   DeviceMatrix l2_d = dev.allocate(f.m, f.k, "p3.l2", clock);
   DeviceMatrix prod_d = dev.allocate(f.m, f.m, "p3.prod", clock);
-  MatrixView<double> prod = product_view(f.m, ctx.numeric);
   GpuExec compute = ctx.gpu_exec(dev.compute_stream());
 
   if (options_.overlapped_copies) {
@@ -503,8 +496,8 @@ FuOutcome PolicyExecutor::run_p3(const FrontBlocks& f, FactorContext& ctx) {
                                                     dev.d2h_stream(), clock);
     out.record.t_syrk =
         gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d));
-    out.record.t_copy += dev.copy_from_device_async(prod_d, 0, 0, prod,
-                                                    dev.d2h_stream(), clock);
+    out.record.t_copy += dev.copy_from_device_async(
+        prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
     dev.synchronize_stream(dev.d2h_stream(), clock);
   } else {
     // Basic implementation (paper Section IV): pageable synchronous copies.
@@ -515,13 +508,10 @@ FuOutcome PolicyExecutor::run_p3(const FrontBlocks& f, FactorContext& ctx) {
     out.record.t_copy += dev.copy_from_device_sync(l2_d, 0, 0, f.l2, clock);
     out.record.t_syrk =
         gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d));
-    out.record.t_copy += dev.copy_from_device_sync(prod_d, 0, 0, prod, clock);
+    out.record.t_copy +=
+        dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
   }
-  out.record.t_syrk += host_apply_update(
-      host,
-      MatrixView<const double>(prod.data(), prod.rows(), prod.cols(),
-                               prod.ld()),
-      f.u);
+  out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
   out.record.t_total = clock.now() - t0;
   out.update_ready_at = clock.now();
   return out;
@@ -540,7 +530,6 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
   DeviceMatrix panel_d = dev.allocate(f.k + f.m, f.k, "p4.panel", clock);
   DeviceMatrix prod_d =
       (f.m > 0) ? dev.allocate(f.m, f.m, "p4.prod", clock) : DeviceMatrix{};
-  MatrixView<double> prod = product_view(f.m, ctx.numeric);
   GpuExec compute = ctx.gpu_exec(dev.compute_stream());
   const index_t w = (options_.p4_panel_width > 0)
                         ? options_.p4_panel_width
@@ -579,8 +568,8 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
   if (options_.copy_optimized_p4 && f.m > 0) {
     // Wait only for the update matrix; the factored panel streams back
     // behind it while the host proceeds to the next front.
-    out.record.t_copy += dev.copy_from_device_async(prod_d, 0, 0, prod,
-                                                    dev.d2h_stream(), clock);
+    out.record.t_copy += dev.copy_from_device_async(
+        prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
     const Event prod_done = dev.record(dev.d2h_stream());
     out.record.t_copy += dev.copy_from_device_async(panel_d, 0, 0, f.l1,
                                                     dev.d2h_stream(), clock);
@@ -590,11 +579,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
       CostClassScope stall_cls(CostClass::Transfer);
       clock.advance_to(prod_done.time);
     }
-    out.record.t_syrk += host_apply_update(
-        host,
-        MatrixView<const double>(prod.data(), prod.rows(), prod.cols(),
-                                 prod.ld()),
-        f.u);
+    out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
     out.update_ready_at = clock.now();
   } else if (async) {
     out.record.t_copy += dev.copy_from_device_async(panel_d, 0, 0, f.l1,
@@ -602,16 +587,12 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
     if (f.m > 0) {
       out.record.t_copy += dev.copy_from_device_async(panel_d, f.k, 0, f.l2,
                                                       dev.d2h_stream(), clock);
-      out.record.t_copy += dev.copy_from_device_async(prod_d, 0, 0, prod,
-                                                      dev.d2h_stream(), clock);
+      out.record.t_copy += dev.copy_from_device_async(
+          prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
     }
     dev.synchronize_stream(dev.d2h_stream(), clock);
     if (f.m > 0) {
-      out.record.t_syrk += host_apply_update(
-          host,
-          MatrixView<const double>(prod.data(), prod.rows(), prod.cols(),
-                                   prod.ld()),
-          f.u);
+      out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
     }
     out.update_ready_at = clock.now();
   } else {
@@ -620,12 +601,8 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
       out.record.t_copy +=
           dev.copy_from_device_sync(panel_d, f.k, 0, f.l2, clock);
       out.record.t_copy +=
-          dev.copy_from_device_sync(prod_d, 0, 0, prod, clock);
-      out.record.t_syrk += host_apply_update(
-          host,
-          MatrixView<const double>(prod.data(), prod.rows(), prod.cols(),
-                                   prod.ld()),
-          f.u);
+          dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
+      out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
     }
     out.update_ready_at = clock.now();
   }

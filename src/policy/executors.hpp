@@ -57,18 +57,17 @@ class PolicyExecutor : public FuExecutor {
   Policy policy() const noexcept { return policy_; }
 
  private:
+  /// Grows this policy's pool slots to the prepared maximum on first use.
+  /// Only the pools are charged; no device storage is materialized.
   void ensure_prepared(FactorContext& ctx);
   FuOutcome run_p1(const FrontBlocks& f, FactorContext& ctx);
   FuOutcome run_p2(const FrontBlocks& f, FactorContext& ctx);
   FuOutcome run_p3(const FrontBlocks& f, FactorContext& ctx);
   FuOutcome run_p4(const FrontBlocks& f, FactorContext& ctx);
-  /// m x m host staging for device-computed L2 L2^T products.
-  MatrixView<double> product_view(index_t m, bool numeric);
 
   Policy policy_;
   ExecutorOptions options_;
   std::string name_;
-  Matrix<double> product_scratch_;
   index_t prepared_m_ = -1;
   index_t prepared_k_ = -1;
   bool prepared_applied_ = false;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "gpusim/gpublas.hpp"
 
 namespace mfgpu {
@@ -121,6 +123,84 @@ TEST(DeviceTest, ResetRestoresCleanState) {
   EXPECT_DOUBLE_EQ(dev.bytes_transferred(), 0.0);
   EXPECT_DOUBLE_EQ(dev.compute_stream().ready_at(), 0.0);
   EXPECT_EQ(dev.device_pool_stats().acquire_calls, 0);
+}
+
+TEST(DeviceTest, ReserveChargesThePoolLikeAllocate) {
+  Device allocating, reserving;
+  SimClock a_host, r_host;
+  allocating.allocate(300, 200, "slot", a_host);
+  const double charged = reserving.reserve(300, 200, "slot", r_host);
+  EXPECT_GT(charged, 0.0);
+  EXPECT_DOUBLE_EQ(r_host.now(), charged);
+  EXPECT_DOUBLE_EQ(r_host.now(), a_host.now());
+  // A later allocate in the reserved slot fits the high-water mark.
+  EXPECT_DOUBLE_EQ(reserving.reserve(100, 100, "slot", r_host), 0.0);
+  allocating.allocate(100, 100, "slot", a_host);
+  const PoolStats& a = allocating.device_pool_stats();
+  const PoolStats& r = reserving.device_pool_stats();
+  EXPECT_EQ(a.acquire_calls, r.acquire_calls);
+  EXPECT_EQ(a.charged_allocations, r.charged_allocations);
+  EXPECT_EQ(a.peak_bytes, r.peak_bytes);
+  EXPECT_EQ(a.current_high_water_bytes, r.current_high_water_bytes);
+}
+
+TEST(DeviceTest, NullDestinationDownloadIsPricedButReadInPlace) {
+  // A device-to-host copy into a null-data view costs exactly what a real
+  // copy costs (clock, stream, bytes) and leaves the data on the device.
+  for (const bool async : {false, true}) {
+    Device copying, in_place;
+    SimClock c_host, p_host;
+    DeviceMatrix c_d = copying.allocate(30, 20, "x", c_host);
+    DeviceMatrix p_d = in_place.allocate(30, 20, "x", p_host);
+    c_d.data(4, 5) = p_d.data(4, 5) = 2.5f;
+    Matrix<double> out(30, 20, 0.0);
+    const MatrixView<double> none(nullptr, 30, 20, 30);
+    double c_time = 0.0, p_time = 0.0;
+    if (async) {
+      copying.acquire_pinned("x", 30 * 20 * 4, c_host);
+      in_place.acquire_pinned("x", 30 * 20 * 4, p_host);
+      c_time = copying.copy_from_device_async(c_d, 0, 0, out.view(),
+                                              copying.d2h_stream(), c_host);
+      p_time = in_place.copy_from_device_async(p_d, 0, 0, none,
+                                               in_place.d2h_stream(), p_host);
+    } else {
+      c_time = copying.copy_from_device_sync(c_d, 0, 0, out.view(), c_host);
+      p_time = in_place.copy_from_device_sync(p_d, 0, 0, none, p_host);
+    }
+    EXPECT_DOUBLE_EQ(out(4, 5), 2.5);
+    EXPECT_DOUBLE_EQ(p_time, c_time);
+    EXPECT_DOUBLE_EQ(p_host.now(), c_host.now());
+    EXPECT_DOUBLE_EQ(in_place.d2h_stream().ready_at(),
+                     copying.d2h_stream().ready_at());
+    EXPECT_DOUBLE_EQ(in_place.bytes_transferred(),
+                     copying.bytes_transferred());
+    EXPECT_FLOAT_EQ(p_d.data(4, 5), 2.5f);
+  }
+}
+
+TEST(DeviceTest, CorruptedInPlaceDownloadPoisonsTheDeviceBlock) {
+  // With no host copy to poison, an injected corruption lands in the
+  // device block the host reads next.
+  const double rate = 0.9;
+  std::uint64_t seed = 0;
+  while (FaultInjector::uniform(seed, 0, 0) >= rate) ++seed;
+  Device::Options options;
+  options.faults.seed = seed;
+  options.faults.transfer_corruption_rate = rate;
+  Device dev(options);
+  SimClock host;
+  DeviceMatrix d;
+  {
+    FaultSuppressionGuard quiet(&dev.fault_injector());
+    d = dev.allocate(8, 8, "x", host);
+  }
+  d.data(3, 1) = 1.0f;
+  dev.fault_injector().begin_scope(0);
+  dev.copy_from_device_sync(d, 2, 1, MatrixView<double>(nullptr, 4, 4, 4),
+                            host);
+  EXPECT_EQ(dev.fault_injector().stats().transfer_corruption, 1);
+  EXPECT_TRUE(std::isnan(d.data(2, 1)));
+  EXPECT_FLOAT_EQ(d.data(3, 1), 1.0f);  // only the block's first element
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
+#include <limits>
+#include <utility>
+
 #include "dense/potrf.hpp"
 #include "sparse/dense_convert.hpp"
 
@@ -146,6 +150,83 @@ TEST(GpublasTest, AssemblyCostScalesLinearly) {
   const double t2 = host_assembly_cost(exec, 2e6);
   EXPECT_NEAR(t2, 2.0 * t1, 1e-12);
   EXPECT_THROW(host_assembly_cost(exec, -1.0), InvalidArgumentError);
+}
+
+TEST(GpublasTest, ApplyUpdateFromFloatIsBitwiseConvertThenSubtract) {
+  // The host applies the device's float product straight from the device
+  // block. It must equal, bit for bit, converting the product to double
+  // first and subtracting that — special values included — and must leave
+  // c's strict upper triangle and everything outside the view untouched.
+  using fl = std::numeric_limits<float>;
+  using dl = std::numeric_limits<double>;
+  const float float_specials[] = {0.0f,          -0.0f,
+                                  fl::denorm_min(), -fl::denorm_min(),
+                                  1e-40f,        fl::infinity(),
+                                  -fl::infinity(), fl::quiet_NaN()};
+  const double double_specials[] = {0.0,           -0.0,
+                                    dl::denorm_min(), 1e-310,
+                                    dl::infinity(), -dl::infinity(),
+                                    dl::quiet_NaN()};
+  struct Shape {
+    index_t rows, cols, pad;  ///< pad = extra leading-dimension rows
+  };
+  const Shape shapes[] = {{1, 1, 0},  {8, 8, 0},   {17, 17, 3},
+                          {64, 64, 1}, {20, 13, 5}, {33, 7, 0}};
+  ProcessorModel cpu = xeon5160_model();
+  Rng rng(11);
+  for (const Shape& shape : shapes) {
+    const index_t ld = shape.rows + shape.pad;
+    Matrix<float> product(ld, shape.cols);
+    Matrix<double> c(ld, shape.cols);
+    for (index_t j = 0; j < shape.cols; ++j) {
+      for (index_t i = 0; i < ld; ++i) {
+        product(i, j) = static_cast<float>(rng.uniform(-4.0, 4.0));
+        c(i, j) = rng.uniform(-4.0, 4.0);
+        if (rng.bernoulli(0.15)) {
+          product(i, j) = float_specials[rng.uniform_int(0, 7)];
+        }
+        if (rng.bernoulli(0.15)) {
+          c(i, j) = double_specials[rng.uniform_int(0, 6)];
+        }
+      }
+    }
+    const Matrix<double> original = c;
+    MatrixView<const float> p_view =
+        std::as_const(product).view().block(0, 0, shape.rows, shape.cols);
+    MatrixView<double> c_view = c.view().block(0, 0, shape.rows, shape.cols);
+
+    // The reference: a converted copy of the product, then the subtraction.
+    Matrix<double> expected = original;
+    Matrix<double> converted(shape.rows, shape.cols);
+    copy_into<double>(p_view, converted.view());
+    for (index_t j = 0; j < shape.cols; ++j) {
+      for (index_t i = j; i < shape.rows; ++i) {
+        expected(i, j) -= converted(i, j);
+      }
+    }
+
+    SimClock clock;
+    const double duration =
+        host_apply_update(HostExec{&clock, &cpu, true}, p_view, c_view);
+    const double n = static_cast<double>(shape.rows);
+    EXPECT_DOUBLE_EQ(duration, 0.5 * n * (n + 1.0) / host_assembly_rate());
+    EXPECT_DOUBLE_EQ(clock.now(), duration);
+    const auto bytes = static_cast<std::size_t>(ld) *
+                       static_cast<std::size_t>(shape.cols) * sizeof(double);
+    EXPECT_EQ(std::memcmp(c.data(), expected.data(), bytes), 0)
+        << shape.rows << "x" << shape.cols << " ld " << ld;
+
+    // A dry run charges the same time from an empty product and writes
+    // nothing.
+    SimClock dry_clock;
+    Matrix<double> dry = original;
+    EXPECT_DOUBLE_EQ(
+        host_apply_update(HostExec{&dry_clock, &cpu, false},
+                          MatrixView<const float>(),
+                          dry.view().block(0, 0, shape.rows, shape.cols)),
+        duration);
+    EXPECT_EQ(std::memcmp(dry.data(), original.data(), bytes), 0);
+  }
 }
 
 }  // namespace

@@ -4,6 +4,8 @@
 // wasted time to the virtual clock.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "dense/potrf.hpp"
 #include "obs/metrics.hpp"
 #include "obs/obs.hpp"
@@ -267,6 +269,88 @@ TEST(FaultToleranceTest, SpuriousOomFallsBackInsteadOfAborting) {
   EXPECT_GE(out.record.faults, 1);
   EXPECT_LT(max_abs_diff<double>(front.storage.view(), front.reference.view()),
             5e-3);
+}
+
+TEST(FaultToleranceTest, CorruptedProductDownloadIsRetriedToTheFaultFreeFront) {
+  // The update product is the one device block the host consumes without
+  // downloading it into the front: a corruption of its device-to-host copy
+  // must still surface in U, be detected, and be retried on device. Each
+  // case names the op index of the product's download within the front's
+  // fault scope (allocs, pinned acquires, copies and launches each draw one
+  // op; pool warm-up draws none). With only the transfer rate set, the seed
+  // is chosen so that this op is the only draw below the rate among the
+  // first 64 — both attempts' worth — so no other transfer is corrupted.
+  struct Case {
+    const char* name;
+    Policy policy;
+    bool overlapped;
+    bool copy_optimized;
+    std::uint64_t product_op;
+  };
+  const Case cases[] = {
+      // alloc l2, prod; pin l2, prod; h2d l2; syrk; d2h prod
+      {"p2.overlapped", Policy::P2, true, false, 6},
+      // alloc l2, prod; h2d l2; syrk; d2h prod
+      {"p2.sync", Policy::P2, false, false, 4},
+      // alloc l1, l2, prod; pin l1, l2, prod; h2d l2, l1; trsm; d2h l2;
+      // syrk; d2h prod
+      {"p3.overlapped", Policy::P3, true, false, 11},
+      // alloc l1, l2, prod; h2d l1, l2; trsm; d2h l2; syrk; d2h prod
+      {"p3.sync", Policy::P3, false, false, 8},
+      // alloc panel, prod; pin panel, prod; h2d l1, l2; potrf, trsm, syrk
+      // (one panel step: k <= width); d2h l1, l2, prod
+      {"p4.async", Policy::P4, true, false, 11},
+      // as p4.async, but the product comes back first
+      {"p4.copy_optimized", Policy::P4, true, true, 9},
+      // alloc panel, prod; h2d l1, l2; potrf, trsm, syrk; d2h l1, l2, prod
+      {"p4.sync", Policy::P4, false, false, 9},
+  };
+  const double rate = 0.05;
+  const std::uint64_t scope = 0;  // the front's global column
+  for (const Case& c : cases) {
+    std::uint64_t seed = 0;
+    for (;; ++seed) {
+      ASSERT_LT(seed, 1'000'000u) << c.name;
+      bool only_product = true;
+      for (std::uint64_t op = 0; op < 64 && only_product; ++op) {
+        const bool hit = FaultInjector::uniform(seed, scope, op) < rate;
+        only_product = hit == (op == c.product_op);
+      }
+      if (only_product) break;
+    }
+    ExecutorOptions options;
+    options.overlapped_copies = c.overlapped;
+    options.copy_optimized_p4 = c.copy_optimized;
+    const auto run = [&](Device& device, TestFront& front) {
+      DispatchExecutor dispatch(
+          c.name, [&](const FuCall&) { return c.policy; }, options);
+      FactorContext ctx;
+      ctx.device = &device;
+      return dispatch.execute(front.blocks(), ctx);
+    };
+
+    Device clean_device;
+    TestFront clean = make_front(16, 8, 41);
+    run(clean_device, clean);
+
+    Device device = make_faulty_device(0.0, rate, 0.0, 0.0, seed);
+    TestFront front = make_front(16, 8, 41);
+    const FuOutcome out = run(device, front);
+    const auto corrupted =
+        static_cast<std::size_t>(FaultKind::TransferCorruption);
+    EXPECT_EQ(device.fault_injector().stats().transfer_corruption, 1)
+        << c.name;
+    EXPECT_GE(out.record.fault_kinds[corrupted], 1) << c.name;
+    EXPECT_EQ(out.record.faults, 1) << c.name;
+    EXPECT_FALSE(out.record.fell_back) << c.name;
+    EXPECT_EQ(out.record.policy, static_cast<int>(c.policy)) << c.name;
+    const auto bytes = static_cast<std::size_t>(front.storage.rows()) *
+                       static_cast<std::size_t>(front.storage.cols()) *
+                       sizeof(double);
+    EXPECT_EQ(std::memcmp(front.storage.data(), clean.storage.data(), bytes),
+              0)
+        << c.name << ": the retried front differs from the fault-free one";
+  }
 }
 
 }  // namespace
