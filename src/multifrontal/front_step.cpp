@@ -289,7 +289,6 @@ void FrontWorker::run_front(index_t s) {
   assemble(s, front);
 
   FrontBlocks blocks = blocks_of(s, front, 0);
-  if (rec_ != nullptr) rec_->add_call(lane_, blocks.call());
   FuOutcome outcome;
   {
     obs::ScopedSpan fu_span("multifrontal", "factor_update", &ctx.host_clock);
@@ -327,7 +326,6 @@ void FrontWorker::run_batch(index_t b) {
         tree_->setup_.numeric);
     assemble(member, fronts.back());
     blocks.push_back(blocks_of(member, fronts.back(), batch.level));
-    if (rec_ != nullptr) rec_->add_call(lane_, blocks.back().call());
   }
   std::vector<FuOutcome> outcomes;
   {

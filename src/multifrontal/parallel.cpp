@@ -72,111 +72,103 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
                              : default_worker_executor(spec, options.executor));
   }
 
-  auto body = [&](index_t s, int w) {
+  // Condensed node graph: one node per batch, one per unbatched supernode
+  // (without a batch plan, exactly the assembly tree). Edges follow the
+  // tree (one per member-parent pair; duplicate edges between the same
+  // nodes are fine — GraphDag counts each).
+  const std::size_t nbatches = plan.batches.size();
+  auto batch_of = [&](index_t s) {
+    return plan.any() ? plan.batch_of[static_cast<std::size_t>(s)] : -1;
+  };
+  std::vector<index_t> node_of(static_cast<std::size_t>(nsup), -1);
+  std::vector<index_t> batch_node(nbatches, -1);
+  index_t num_nodes = 0;
+  for (index_t s = 0; s < nsup; ++s) {
+    const int b = batch_of(s);
+    if (b < 0) {
+      node_of[static_cast<std::size_t>(s)] = num_nodes++;
+    } else {
+      if (batch_node[static_cast<std::size_t>(b)] == -1) {
+        batch_node[static_cast<std::size_t>(b)] = num_nodes++;
+      }
+      node_of[static_cast<std::size_t>(s)] =
+          batch_node[static_cast<std::size_t>(b)];
+    }
+  }
+  std::vector<index_t> node_single(static_cast<std::size_t>(num_nodes), -1);
+  std::vector<index_t> node_batch(static_cast<std::size_t>(num_nodes), -1);
+  for (index_t s = 0; s < nsup; ++s) {
+    if (batch_of(s) < 0) {
+      node_single[static_cast<std::size_t>(
+          node_of[static_cast<std::size_t>(s)])] = s;
+    }
+  }
+  for (std::size_t b = 0; b < nbatches; ++b) {
+    node_batch[static_cast<std::size_t>(batch_node[b])] =
+        static_cast<index_t>(b);
+  }
+
+  std::vector<index_t> succ_ptr(static_cast<std::size_t>(num_nodes) + 1, 0);
+  std::vector<index_t> deps(static_cast<std::size_t>(num_nodes), 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t p = graph.parent[static_cast<std::size_t>(s)];
+    MFGPU_CHECK(p == -1 || (p > s && p < nsup),
+                "factorize_parallel: assembly tree must be postordered");
+    if (p == -1) continue;
+    ++succ_ptr[static_cast<std::size_t>(
+                   node_of[static_cast<std::size_t>(s)]) +
+               1];
+    ++deps[static_cast<std::size_t>(node_of[static_cast<std::size_t>(p)])];
+  }
+  for (index_t nd = 0; nd < num_nodes; ++nd) {
+    succ_ptr[static_cast<std::size_t>(nd) + 1] +=
+        succ_ptr[static_cast<std::size_t>(nd)];
+  }
+  std::vector<index_t> succ(
+      static_cast<std::size_t>(succ_ptr[static_cast<std::size_t>(num_nodes)]));
+  std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t p = graph.parent[static_cast<std::size_t>(s)];
+    if (p == -1) continue;
+    const index_t src = node_of[static_cast<std::size_t>(s)];
+    succ[static_cast<std::size_t>(cursor[static_cast<std::size_t>(src)]++)] =
+        node_of[static_cast<std::size_t>(p)];
+  }
+
+  // Critical-path priority and seeded worker per node: max member
+  // priority (bottom levels are >= 0), first member's proportional mapping.
+  std::vector<double> node_priority(static_cast<std::size_t>(num_nodes), 0.0);
+  std::vector<int> node_worker(static_cast<std::size_t>(num_nodes), -1);
+  for (index_t s = 0; s < nsup; ++s) {
+    const std::size_t nd =
+        static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)]);
+    node_priority[nd] =
+        std::max(node_priority[nd], bottom[static_cast<std::size_t>(s)]);
+    if (node_worker[nd] < 0) {
+      node_worker[nd] = mapping[static_cast<std::size_t>(s)];
+    }
+  }
+
+  auto node_body = [&](index_t node, int w) {
     obs::RequestScope request_scope(request);
-    workers[static_cast<std::size_t>(w)].run_front(s);
+    FrontWorker& worker = workers[static_cast<std::size_t>(w)];
+    const index_t b = node_batch[static_cast<std::size_t>(node)];
+    if (b >= 0) {
+      worker.run_batch(b);
+    } else {
+      worker.run_front(node_single[static_cast<std::size_t>(node)]);
+    }
   };
 
   ThreadPool pool(num_workers);
   const auto wall_t0 = std::chrono::steady_clock::now();
-  PoolRunStats stats;
-  if (!plan.any()) {
-    TreeDag dag;
-    dag.parent = graph.parent;
-    dag.preferred_worker = mapping;
-    dag.priority = bottom;
-    stats = pool.run_tree(dag, body);
-  } else {
-    // Condensed node graph: one node per batch, one per unbatched supernode.
-    // Edges follow the assembly tree (one per member-parent pair; duplicate
-    // edges between the same nodes are fine — GraphDag counts each).
-    const std::size_t nbatches = plan.batches.size();
-    std::vector<index_t> node_of(static_cast<std::size_t>(nsup), -1);
-    std::vector<index_t> batch_node(nbatches, -1);
-    index_t num_nodes = 0;
-    for (index_t s = 0; s < nsup; ++s) {
-      const int b = plan.batch_of[static_cast<std::size_t>(s)];
-      if (b < 0) {
-        node_of[static_cast<std::size_t>(s)] = num_nodes++;
-      } else {
-        if (batch_node[static_cast<std::size_t>(b)] == -1) {
-          batch_node[static_cast<std::size_t>(b)] = num_nodes++;
-        }
-        node_of[static_cast<std::size_t>(s)] =
-            batch_node[static_cast<std::size_t>(b)];
-      }
-    }
-    std::vector<index_t> node_single(static_cast<std::size_t>(num_nodes), -1);
-    std::vector<index_t> node_batch(static_cast<std::size_t>(num_nodes), -1);
-    for (index_t s = 0; s < nsup; ++s) {
-      if (plan.batch_of[static_cast<std::size_t>(s)] < 0) {
-        node_single[static_cast<std::size_t>(
-            node_of[static_cast<std::size_t>(s)])] = s;
-      }
-    }
-    for (std::size_t b = 0; b < nbatches; ++b) {
-      node_batch[static_cast<std::size_t>(batch_node[b])] =
-          static_cast<index_t>(b);
-    }
-
-    std::vector<index_t> succ_ptr(static_cast<std::size_t>(num_nodes) + 1, 0);
-    std::vector<index_t> deps(static_cast<std::size_t>(num_nodes), 0);
-    for (index_t s = 0; s < nsup; ++s) {
-      const index_t p = graph.parent[static_cast<std::size_t>(s)];
-      if (p == -1) continue;
-      ++succ_ptr[static_cast<std::size_t>(
-                     node_of[static_cast<std::size_t>(s)]) +
-                 1];
-      ++deps[static_cast<std::size_t>(node_of[static_cast<std::size_t>(p)])];
-    }
-    for (index_t nd = 0; nd < num_nodes; ++nd) {
-      succ_ptr[static_cast<std::size_t>(nd) + 1] +=
-          succ_ptr[static_cast<std::size_t>(nd)];
-    }
-    std::vector<index_t> succ(
-        static_cast<std::size_t>(succ_ptr[static_cast<std::size_t>(num_nodes)]));
-    std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
-    for (index_t s = 0; s < nsup; ++s) {
-      const index_t p = graph.parent[static_cast<std::size_t>(s)];
-      if (p == -1) continue;
-      const index_t src = node_of[static_cast<std::size_t>(s)];
-      succ[static_cast<std::size_t>(cursor[static_cast<std::size_t>(src)]++)] =
-          node_of[static_cast<std::size_t>(p)];
-    }
-
-    // Critical-path priority and seeded worker per node: max member
-    // priority, first member's proportional mapping.
-    std::vector<double> node_priority(static_cast<std::size_t>(num_nodes),
-                                      0.0);
-    std::vector<int> node_worker(static_cast<std::size_t>(num_nodes), -1);
-    for (index_t s = 0; s < nsup; ++s) {
-      const std::size_t nd =
-          static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)]);
-      node_priority[nd] =
-          std::max(node_priority[nd], bottom[static_cast<std::size_t>(s)]);
-      if (node_worker[nd] < 0) {
-        node_worker[nd] = mapping[static_cast<std::size_t>(s)];
-      }
-    }
-
-    auto node_body = [&](index_t node, int w) {
-      const index_t b = node_batch[static_cast<std::size_t>(node)];
-      if (b >= 0) {
-        obs::RequestScope request_scope(request);
-        workers[static_cast<std::size_t>(w)].run_batch(b);
-      } else {
-        body(node_single[static_cast<std::size_t>(node)], w);
-      }
-    };
-
-    GraphDag dag;
-    dag.succ_ptr = succ_ptr;
-    dag.succ = succ;
-    dag.num_deps = deps;
-    dag.preferred_worker = node_worker;
-    dag.priority = node_priority;
-    stats = pool.run_dag(dag, node_body);
-  }
+  GraphDag dag;
+  dag.succ_ptr = succ_ptr;
+  dag.succ = succ;
+  dag.num_deps = deps;
+  dag.preferred_worker = node_worker;
+  dag.priority = node_priority;
+  const PoolRunStats stats = pool.run_dag(dag, node_body);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0)
           .count();

@@ -1,13 +1,12 @@
 #include "multifrontal/parallel_solve.hpp"
 
 #include <algorithm>
-#include <memory>
 #include <span>
 #include <type_traits>
 #include <vector>
 
 #include "dense/blas.hpp"
-#include "gpusim/gpublas.hpp"
+#include "gpusim/gpublas.hpp"  // host_assembly_rate
 #include "obs/obs.hpp"
 #include "sched/thread_pool.hpp"
 
@@ -113,7 +112,8 @@ double pivot_triangle_entries(index_t k) {
 /// (once per block) and the x rows it gathers/scatters (once per RHS).
 /// Summed over all tasks, one sweep streams every stored factor entry
 /// exactly once and moves every update row once per RHS — which is how the
-/// one-thread makespan reproduces estimated_solve_seconds(sym, num_rhs).
+/// one-thread leveled estimate reproduces estimated_solve_seconds(sym,
+/// num_rhs).
 struct TaskWork {
   double entries = 0.0;
   double rows = 0.0;
@@ -159,72 +159,9 @@ double host_task_seconds(const TaskWork& work, index_t num_rhs) {
          host_assembly_rate();
 }
 
-/// Simulated kernel launches of one sweep task on the GpuSim backend: one
-/// trsm against the pivot block plus one gemm per dependency run (forward)
-/// or one gemm for the whole gather (backward).
-struct TaskKernels {
-  double seconds = 0.0;  ///< kernel time on the compute stream
-  int launches = 0;      ///< host-side enqueues
-};
-
-std::vector<TaskKernels> forward_kernels(const SymbolicFactor& sym,
-                                         const SolveSchedule& sched,
-                                         const ProcessorModel& gpu,
-                                         index_t num_rhs) {
-  const double r = static_cast<double>(num_rhs);
-  std::vector<TaskKernels> kernels(
-      static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
-    TaskKernels& tk = kernels[static_cast<std::size_t>(s)];
-    const double k = static_cast<double>(
-        sym.supernodes()[static_cast<std::size_t>(s)].width());
-    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
-         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-      const SolveRun& run =
-          sched.runs[static_cast<std::size_t>(
-              sched.in_runs[static_cast<std::size_t>(i)])];
-      const double len = static_cast<double>(run.t_end - run.t_begin);
-      const double kc = static_cast<double>(
-          sym.supernodes()[static_cast<std::size_t>(run.source)].width());
-      tk.seconds +=
-          gpu.gemm.time(2.0 * len * kc * r, std::min({len, kc, r}));
-      ++tk.launches;
-    }
-    tk.seconds += gpu.trsm.time(k * k * r, std::min(k, r));
-    ++tk.launches;
-  }
-  return kernels;
-}
-
-std::vector<TaskKernels> backward_kernels(const SymbolicFactor& sym,
-                                          const SolveSchedule& sched,
-                                          const ProcessorModel& gpu,
-                                          index_t num_rhs) {
-  const double r = static_cast<double>(num_rhs);
-  std::vector<TaskKernels> kernels(
-      static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    TaskKernels& tk = kernels[static_cast<std::size_t>(s)];
-    const double k = static_cast<double>(sn.width());
-    const double m = static_cast<double>(sn.num_update_rows());
-    if (m > 0.0) {
-      tk.seconds += gpu.gemm.time(2.0 * m * k * r, std::min({m, k, r}));
-      ++tk.launches;
-    }
-    tk.seconds += gpu.trsm.time(k * k * r, std::min(k, r));
-    ++tk.launches;
-  }
-  return kernels;
-}
-
-/// One worker's pricing state and numeric scratch. The numeric work is
-/// identical on every backend; only where the virtual time is charged
-/// differs. The scratch is sized once per solve from the symbolic maxima,
-/// so no task allocates.
+/// One worker's numeric scratch, sized once per solve from the symbolic
+/// maxima, so no task allocates.
 struct SolveWorker {
-  SimClock clock;
-  std::unique_ptr<Device> device;  ///< GpuSim backend only
   /// Max update rows x r: a forward run's product, or the backward gather.
   std::vector<double> block;
   /// Single-precision panels only: the panel rows a task reads, in double.
@@ -310,11 +247,9 @@ void backward_task(const SupernodeInfo& sn, const Matrix<T>& panel,
 template <typename T>
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
                 const std::vector<Matrix<T>>& panels, MatrixView<double> x,
-                const ParallelSolveOptions& options, SolveStats& stats) {
+                int threads) {
   const index_t nsup = sched.num_supernodes;
   const index_t num_rhs = x.cols();
-  const int threads = std::max(1, options.threads);
-  const bool gpu = options.backend == SolveBackend::GpuSim;
 
   std::size_t max_update_rows = 0;
   std::size_t max_panel = 0;
@@ -325,28 +260,10 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
     max_panel = std::max(max_panel, (k + m) * k);
   }
   std::vector<SolveWorker> workers(static_cast<std::size_t>(threads));
-  Device::Options device_options = options.device;
-  device_options.numeric = false;  // pricing only; math stays on the host
   for (auto& w : workers) {
-    if (gpu) w.device = std::make_unique<Device>(device_options);
     w.block.resize(max_update_rows * static_cast<std::size_t>(num_rhs));
     if constexpr (std::is_same_v<T, float>) w.wide.resize(max_panel);
   }
-
-  // Per-task virtual costs, precomputed so task bodies stay race-free.
-  const std::vector<TaskWork> fwd_work = forward_work(sym, sched);
-  const std::vector<TaskWork> bwd_work = backward_work(sym, sched);
-  std::vector<TaskKernels> fwd_kernels, bwd_kernels;
-  if (gpu) {
-    const ProcessorModel& model = workers.front().device->model();
-    fwd_kernels = forward_kernels(sym, sched, model, num_rhs);
-    bwd_kernels = backward_kernels(sym, sched, model, num_rhs);
-  }
-
-  // Virtual completion time of each supernode's segment in the current
-  // sweep. Written by the owning task, read by dependents; the pool's
-  // acquire-release completion counters order the accesses.
-  std::vector<double> ready(static_cast<std::size_t>(nsup), 0.0);
 
   // Forward edges follow the runs (source -> target); priorities drain the
   // levels bottom-up.
@@ -375,45 +292,6 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
         static_cast<double>(sched.level_of[static_cast<std::size_t>(s)]);
   }
 
-  const TransferModel* transfer =
-      gpu ? &workers.front().device->transfer() : nullptr;
-
-  auto price_task = [&](index_t s, int w, const TaskWork& work,
-                        const TaskKernels* kernels, double dep_ready) {
-    SolveWorker& worker = workers[static_cast<std::size_t>(w)];
-    if (!gpu) {
-      worker.clock.advance_to(dep_ready);
-      worker.clock.advance(host_task_seconds(work, num_rhs));
-      ready[static_cast<std::size_t>(s)] = worker.clock.now();
-      return;
-    }
-    // Kernel launches are asynchronous: the host pays the enqueues, the
-    // compute stream runs the kernels once the dependencies' segments are
-    // (virtually) available.
-    worker.clock.advance(static_cast<double>(kernels->launches) *
-                         transfer->kernel_enqueue);
-    const double done = worker.device->compute_stream().enqueue(
-        std::max(worker.clock.now(), dep_ready), kernels->seconds);
-    ready[static_cast<std::size_t>(s)] = done;
-  };
-
-  auto fwd_body = [&](index_t s, int w) {
-    double dep_ready = 0.0;
-    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
-         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-      const SolveRun& run =
-          sched.runs[static_cast<std::size_t>(
-              sched.in_runs[static_cast<std::size_t>(i)])];
-      dep_ready =
-          std::max(dep_ready, ready[static_cast<std::size_t>(run.source)]);
-    }
-    forward_task(sym, sched, panels, s, x,
-                 workers[static_cast<std::size_t>(w)]);
-    price_task(s, w, fwd_work[static_cast<std::size_t>(s)],
-               gpu ? &fwd_kernels[static_cast<std::size_t>(s)] : nullptr,
-               dep_ready);
-  };
-
   ThreadPool pool(threads);
   {
     obs::ScopedSpan span("solve", "forward_sweep");
@@ -423,33 +301,11 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
     dag.succ = fwd_succ;
     dag.num_deps = fwd_deps;
     dag.priority = fwd_priority;
-    pool.run_dag(dag, fwd_body);
+    pool.run_dag(dag, [&](index_t s, int w) {
+      forward_task(sym, sched, panels, s, x,
+                   workers[static_cast<std::size_t>(w)]);
+    });
   }
-  double forward_done = 0.0;
-  for (double t : ready) forward_done = std::max(forward_done, t);
-  stats.forward_sim_seconds = forward_done;
-
-  // A supernode's backward task re-reads its own forward segment, so its
-  // earliest start also folds the forward completion time.
-  const std::vector<double> fwd_ready = ready;
-
-  auto bwd_body = [&](index_t s, int w) {
-    double dep_ready = fwd_ready[static_cast<std::size_t>(s)];
-    for (index_t i = sched.out_ptr[static_cast<std::size_t>(s)];
-         i < sched.out_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-      dep_ready = std::max(
-          dep_ready,
-          ready[static_cast<std::size_t>(
-              sched.runs[static_cast<std::size_t>(i)].target)]);
-    }
-    backward_task(sym.supernodes()[static_cast<std::size_t>(s)],
-                  panels[static_cast<std::size_t>(s)], x,
-                  workers[static_cast<std::size_t>(w)]);
-    price_task(s, w, bwd_work[static_cast<std::size_t>(s)],
-               gpu ? &bwd_kernels[static_cast<std::size_t>(s)] : nullptr,
-               dep_ready);
-  };
-
   {
     obs::ScopedSpan span("solve", "backward_sweep");
     span.set_arg(0, "levels", sched.num_levels);
@@ -458,19 +314,19 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
     dag.succ = bwd_succ;
     dag.num_deps = bwd_deps;
     dag.priority = bwd_priority;
-    pool.run_dag(dag, bwd_body);
+    pool.run_dag(dag, [&](index_t s, int w) {
+      backward_task(sym.supernodes()[static_cast<std::size_t>(s)],
+                    panels[static_cast<std::size_t>(s)], x,
+                    workers[static_cast<std::size_t>(w)]);
+    });
   }
-  double total = forward_done;
-  for (double t : ready) total = std::max(total, t);
-  stats.backward_sim_seconds = total - forward_done;
-  stats.sim_seconds = total;
 }
 
 }  // namespace
 
 Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
                      const Matrix<double>& b, index_t num_rhs,
-                     const ParallelSolveOptions& options, SolveStats* stats) {
+                     const ParallelSolveOptions& options) {
   const SymbolicFactor& sym = analysis.symbolic;
   const index_t n = sym.n();
   MFGPU_CHECK(factor.numeric, "solve: factor has no numeric data");
@@ -489,14 +345,11 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
   MFGPU_CHECK(sched->num_supernodes == sym.num_supernodes(),
               "solve: schedule does not match the analysis");
 
-  SolveStats run_stats;
-  run_stats.levels = sched->num_levels;
-  run_stats.num_rhs = num_rhs;
-  run_stats.threads = std::max(1, options.threads);
+  const int threads = std::max(1, options.threads);
 
   obs::ScopedSpan span("solve", "blocked_solve");
   span.set_arg(0, "rhs", num_rhs);
-  span.set_arg(1, "threads", run_stats.threads);
+  span.set_arg(1, "threads", threads);
   span.set_arg(2, "levels", sched->num_levels);
 
   Matrix<double> x(n, num_rhs);
@@ -511,9 +364,9 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
   }
 
   if (factor.single_precision()) {
-    run_sweeps(sym, *sched, factor.panels32, x.view(), options, run_stats);
+    run_sweeps(sym, *sched, factor.panels32, x.view(), threads);
   } else {
-    run_sweeps(sym, *sched, factor.panels, x.view(), options, run_stats);
+    run_sweeps(sym, *sched, factor.panels, x.view(), threads);
   }
 
   {
@@ -531,15 +384,10 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
     metrics.increment("solve.calls");
     metrics.observe("solve.rhs", static_cast<double>(num_rhs));
     metrics.gauge_set("solve.levels", static_cast<double>(sched->num_levels));
-    metrics.gauge_set("solve.threads",
-                      static_cast<double>(run_stats.threads));
-    metrics.add("solve.sim.forward_seconds", run_stats.forward_sim_seconds);
-    metrics.add("solve.sim.backward_seconds", run_stats.backward_sim_seconds);
-    metrics.add("solve.sim.seconds", run_stats.sim_seconds);
+    metrics.gauge_set("solve.threads", static_cast<double>(threads));
     metrics.add("solve.supernode_tasks",
                 2.0 * static_cast<double>(sym.num_supernodes()));
   }
-  if (stats != nullptr) *stats = run_stats;
   return x;
 }
 

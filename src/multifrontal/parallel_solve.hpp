@@ -22,26 +22,24 @@
 //     solve of that column, for every r: the dense kernels sum each element
 //     in an order fixed by the reduction length and the values alone
 //     (dense/kernels.hpp), never by the number of columns.
-//   * Thread and backend independence. The forward sweep is a PULL: each
-//     supernode applies its incoming runs itself, sources in ascending
-//     supernode order, so every x entry sees the same sequence of updates
-//     whatever the thread count, schedule or pricing backend. The backward
-//     sweep is a gather.
+//   * Thread independence. The forward sweep is a PULL: each supernode
+//     applies its incoming runs itself, sources in ascending supernode
+//     order, so every x entry sees the same sequence of updates whatever
+//     the thread count or schedule. The backward sweep is a gather.
 // There is no separate "deterministic mode" to toggle.
 //
-// Timing is virtual, like everything else in this repo: each worker owns a
-// SimClock, CPU tasks are priced at the memory-bound host assembly rate,
-// and SolveBackend::GpuSim prices each supernode task as trsm/gemm kernel
-// launches against the device cost model (priced, not computed — the
-// authoritative math stays on the host in double, which is what keeps the
-// backends bitwise identical).
+// The solve does numerics only; it keeps no clock. Its simulated time is
+// the deterministic level estimate estimated_solve_seconds(sym, schedule,
+// num_rhs, threads) below: the paper runs the triangular solves on the
+// host, at the memory-bound host assembly rate, and a clock advanced by
+// whichever worker won each task would only restate that estimate less
+// repeatably.
 #pragma once
 
 #include <span>
 #include <vector>
 
 #include "dense/matrix.hpp"
-#include "gpusim/device.hpp"
 #include "multifrontal/factorization.hpp"
 #include "symbolic/symbolic_factor.hpp"
 
@@ -91,43 +89,21 @@ struct SolveSchedule {
 
 SolveSchedule build_solve_schedule(const SymbolicFactor& sym);
 
-/// Where the per-supernode solve tasks are PRICED (the numeric work always
-/// runs on the host in double — see the determinism note above).
-enum class SolveBackend {
-  Host,   ///< memory-bound host assembly rate per panel stream
-  GpuSim  ///< trsm/gemm kernel launches on a simulated device per worker
-};
-
 struct ParallelSolveOptions {
   /// Solve thread count; 1 executes entirely on the caller.
   int threads = 1;
-  SolveBackend backend = SolveBackend::Host;
-  /// Device template for SolveBackend::GpuSim (each worker prices against a
-  /// private device built from this).
-  Device::Options device;
   /// Optional precomputed schedule for analysis.symbolic (must match).
   /// When null, the schedule is built on the fly.
   const SolveSchedule* schedule = nullptr;
 };
 
-/// Virtual-time accounting of one blocked solve.
-struct SolveStats {
-  index_t levels = 0;
-  index_t num_rhs = 0;
-  int threads = 1;
-  double forward_sim_seconds = 0.0;   ///< forward-sweep virtual makespan
-  double backward_sim_seconds = 0.0;  ///< backward-sweep virtual makespan
-  double sim_seconds = 0.0;           ///< total virtual makespan
-};
-
 /// Blocked multi-RHS solve of A X = B in the ORIGINAL ordering: solves the
 /// leading `num_rhs` columns of `b` in one level-scheduled pass of blocked
 /// kernel calls. Bitwise identical, column for column, to the 1-wide solve
-/// of each column, for every thread count and backend.
+/// of each column, for every thread count.
 Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
                      const Matrix<double>& b, index_t num_rhs,
-                     const ParallelSolveOptions& options = {},
-                     SolveStats* stats = nullptr);
+                     const ParallelSolveOptions& options = {});
 
 /// One-RHS solve of A x = b in the ORIGINAL ordering: the blocked solve at
 /// width 1 on the calling thread.
@@ -146,9 +122,9 @@ double estimated_solve_seconds(const SymbolicFactor& sym, index_t num_rhs = 1);
 /// `threads` level-scheduled solve threads: per level, the greedy bound
 /// max(longest task, level work / threads), summed over both sweeps. With
 /// threads == 1 this equals estimated_solve_seconds(sym, num_rhs) (up to
-/// summation-order roundoff), and it is what the solve-throughput bench
-/// gates on — unlike an executed work-stealing makespan it does not depend
-/// on which worker won each task.
+/// summation-order roundoff). It is the only simulated time of a solve,
+/// and what the solve-throughput bench gates on: it does not depend on
+/// which worker won each task.
 double estimated_solve_seconds(const SymbolicFactor& sym,
                                const SolveSchedule& schedule, index_t num_rhs,
                                int threads);

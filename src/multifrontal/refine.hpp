@@ -40,8 +40,8 @@ struct BlockRefineResult {
 /// improving, drops below `tol * ||b||`, or `max_iterations` is reached.
 /// Returns the best (smallest-residual) iterate encountered.
 /// `solve_options` selects the level-scheduled solve used for the initial
-/// solve and every correction (threads/backend); the result is bitwise
-/// independent of that choice.
+/// solve and every correction (threads, cached schedule); the result is
+/// bitwise independent of that choice.
 RefineResult solve_with_refinement(const SparseSpd& a_original,
                                    const Analysis& analysis,
                                    const Factorization& factor,

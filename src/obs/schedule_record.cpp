@@ -54,8 +54,8 @@ void ScheduleRecord::write_json(std::ostream& os) const {
       if (!task.member_policy.empty()) {
         os << ", \"policy\": " << task.member_policy.front();
       }
-      if (task.calls.size() > 1) {
-        os << ", \"members\": " << task.calls.size();
+      if (task.members.size() > 1) {
+        os << ", \"members\": " << task.members.size();
       }
       if (task.request_id != 0) {
         os << ", \"request_id\": " << task.request_id;
@@ -175,11 +175,6 @@ void ScheduleRecorder::begin_task(int lane, TaskKind kind, index_t id,
   rec_lane.tasks.push_back(std::move(task));
 }
 
-void ScheduleRecorder::add_call(int lane, const FuCall& call) {
-  record_.lanes[static_cast<std::size_t>(lane)].tasks.back().calls.push_back(
-      call);
-}
-
 void ScheduleRecorder::note_join(int lane, index_t child) {
   pending_join_[static_cast<std::size_t>(lane)] = child;
 }
@@ -202,6 +197,7 @@ void ScheduleRecorder::note_ready(int lane, index_t snode, double extra,
   ev.dep = snode;
   ev.a = extra;
   rec_lane.events.push_back(ev);
+  rec_lane.tasks.back().members.push_back(snode);
   rec_lane.tasks.back().member_policy.push_back(policy);
 }
 
@@ -227,9 +223,9 @@ ScheduleRecord ScheduleRecorder::take() {
     for (std::size_t t = 0; t < lane.tasks.size(); ++t) {
       const ScheduleTask& task = lane.tasks[t];
       if (!task.is_work()) continue;
-      for (const FuCall& call : task.calls) {
-        if (call.snode >= 0 && call.snode < record_.num_snodes) {
-          auto& ref = record_.producer[static_cast<std::size_t>(call.snode)];
+      for (const index_t snode : task.members) {
+        if (snode >= 0 && snode < record_.num_snodes) {
+          auto& ref = record_.producer[static_cast<std::size_t>(snode)];
           ref.lane = static_cast<int>(l);
           ref.task = static_cast<int>(t);
         }

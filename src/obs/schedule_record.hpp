@@ -27,7 +27,7 @@
 
 #include "gpusim/clock.hpp"
 #include "gpusim/cost_class.hpp"
-#include "multifrontal/fu_call.hpp"
+#include "support/error.hpp"
 
 namespace mfgpu::obs {
 
@@ -60,9 +60,9 @@ struct ScheduleTask {
   int worker = 0;
   index_t snode = -1;  ///< Front tasks
   index_t batch = -1;  ///< Batch tasks: plan batch index
-  /// Factor-update descriptors of the members (one for Front tasks).
-  std::vector<FuCall> calls;
-  /// Policy that executed each member (parallel to `calls` after the run).
+  /// Supernodes whose update matrices the task published, in publish order
+  /// (one for Front tasks), and the policy that executed each.
+  std::vector<index_t> members;
   std::vector<int> member_policy;
   std::size_t ev_begin = 0, ev_end = 0;      ///< lane event range
   std::size_t exec_begin = 0, exec_end = 0;  ///< executor window within it
@@ -127,14 +127,13 @@ class ScheduleRecorder {
   void detach(int lane, SimClock& clock);
 
   void begin_task(int lane, TaskKind kind, index_t id, const SimClock& clock);
-  /// Register one member factor-update descriptor of the current task.
-  void add_call(int lane, const FuCall& call);
   /// The next advance_to on this lane is the dependency join on `child`.
   void note_join(int lane, index_t child);
   /// Executor window markers (around execute / execute_batch).
   void begin_exec(int lane);
   void end_exec(int lane);
   /// update_ready[snode] = max(extra, now) happened; `policy` executed it.
+  /// Records `snode` as a member of the current task.
   void note_ready(int lane, index_t snode, double extra, int policy);
   void end_task(int lane, const SimClock& clock);
 

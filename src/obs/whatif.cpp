@@ -373,10 +373,9 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
   for (auto it = order.rbegin(); it != order.rend(); ++it) {
     const std::size_t w = *it;
     const ScheduleTask& task = task_of(w);
-    for (const FuCall& call : task.calls) {
-      if (call.snode < 0 || call.snode >= record.num_snodes) continue;
-      const index_t parent =
-          record.parent[static_cast<std::size_t>(call.snode)];
+    for (const index_t snode : task.members) {
+      if (snode < 0 || snode >= record.num_snodes) continue;
+      const index_t parent = record.parent[static_cast<std::size_t>(snode)];
       if (parent == -1) continue;
       const int consumer =
           work_of(record.producer[static_cast<std::size_t>(parent)]);
@@ -628,7 +627,7 @@ void write_schedule_chrome_trace(const ScheduleRecord& record,
       if (critical) os << ",\"cname\":\"terrible\"";
       os << ",\"ts\":" << us(task.t_begin)
          << ",\"dur\":" << us(std::max(0.0, task.t_end - task.t_begin))
-         << ",\"args\":{\"members\":" << task.calls.size();
+         << ",\"args\":{\"members\":" << task.members.size();
       if (task.request_id != 0) {
         os << ",\"request_id\":" << task.request_id;
       }

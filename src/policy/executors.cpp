@@ -18,17 +18,22 @@ std::int64_t float_bytes(index_t rows, index_t cols) {
          static_cast<std::int64_t>(sizeof(float));
 }
 
-/// Download target of a device-computed update product: a null-data view
-/// of its shape. The copy is priced in full and the host then reads the
-/// device block in place (Device::copy_from_device_sync).
+/// Download target that leaves the data on the device: a null-data view of
+/// the block's shape. The copy is priced in full and the host then reads
+/// the device block in place (Device::copy_from_device_*).
+MatrixView<double> in_place(index_t rows, index_t cols) {
+  return MatrixView<double>(nullptr, rows, cols, std::max<index_t>(rows, 1));
+}
+
+/// In-place download target of a whole device-computed update product.
 MatrixView<double> read_in_place(const DeviceMatrix& d) {
-  return MatrixView<double>(nullptr, d.rows(), d.cols(),
-                            std::max<index_t>(d.rows(), 1));
+  return in_place(d.rows(), d.cols());
 }
 
 /// Finite check over the block's valid entries; lower_only limits the scan
 /// to the lower triangle (L1 and U carry garbage above the diagonal).
-bool block_finite(MatrixView<const double> v, bool lower_only) {
+template <typename T>
+bool block_finite(MatrixView<const T> v, bool lower_only) {
   for (index_t j = 0; j < v.cols(); ++j) {
     for (index_t i = lower_only ? j : 0; i < v.rows(); ++i) {
       if (!std::isfinite(v(i, j))) return false;
@@ -80,7 +85,8 @@ std::size_t restore_block(const MatrixView<double>& v,
 /// group runs as ONE simulated dispatch: three shared device slabs (each
 /// member a row band), one coalesced upload (every member's L1 + L2),
 /// batched potrf/trsm/syrk launches, one coalesced download (factored L1,
-/// L2, and the update product). The simulated kernels are priced FP64 batched launches
+/// L2, and the update product), read in place on the slabs. The simulated
+/// kernels are priced FP64 batched launches
 /// (gpublas.hpp): the authoritative member math runs here on the host in
 /// double — exactly the per-front P1 kernels, in ascending member order —
 /// so the factor is bitwise identical to the per-front host path no matter
@@ -92,8 +98,7 @@ std::size_t restore_block(const MatrixView<double>& v,
 std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
                                             FactorContext& ctx,
                                             std::span<char> skip,
-                                            std::vector<BatchFault>& faulted,
-                                            std::vector<Matrix<double>>& prods) {
+                                            std::vector<BatchFault>& faulted) {
   const std::size_t n = fronts.size();
   Device& dev = *ctx.device;
   SimClock& clock = ctx.host_clock;
@@ -155,31 +160,6 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
     t_copy_total += dev.acquire_pinned("batch.d2h", d2h_bytes, clock);
   }
 
-  // Host-side download staging shaped like each front. The batched device
-  // kernels are priced, not computed (gpublas.hpp), so the downloads land
-  // here — never in the panels — and only serve transfer validation: an
-  // injected corruption in either direction surfaces as a non-finite entry
-  // in these copies.
-  if (prods.size() < n) prods.resize(n);
-  const bool stage_real = dev.numeric();
-  std::vector<MatrixView<double>> l1_stage(n), l2_stage(n), prod_stage(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    const index_t m = fronts[i].m;
-    const index_t k = fronts[i].k;
-    if (!stage_real) {
-      l1_stage[i] = MatrixView<double>(nullptr, k, k, std::max<index_t>(k, 1));
-      l2_stage[i] = MatrixView<double>(nullptr, m, k, std::max<index_t>(m, 1));
-      prod_stage[i] =
-          MatrixView<double>(nullptr, m, m, std::max<index_t>(m, 1));
-    } else {
-      const index_t order = m + k;
-      if (prods[i].rows() < order) prods[i] = Matrix<double>(order, order);
-      l1_stage[i] = prods[i].view().block(0, 0, k, k);
-      l2_stage[i] = prods[i].view().block(k, 0, m, k);
-      prod_stage[i] = prods[i].view().block(k, k, m, m);
-    }
-  }
-
   // ONE coalesced upload: each member's L1 then L2, member-major. Each item
   // consumes exactly one fault op, so the per-item op indices are knowable
   // up front; the member counters resume from the written-back values.
@@ -220,17 +200,25 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
   gpu_syrk_batched(compute, 1.0f, l2_blocks, prod_blocks, scopes, ops, skip,
                    faulted);
 
-  // ONE coalesced download: factored L1, solved L2, and the product.
+  // ONE coalesced download: factored L1, solved L2, and the product. The
+  // batched device kernels are priced, not computed (gpublas.hpp), so the
+  // downloads only serve transfer validation: each lands in place (a
+  // null-data target), and an injected corruption poisons the member's
+  // slab band.
   {
     std::vector<Device::D2hCopy> down;
     std::vector<std::uint64_t> item_scopes, item_ops;
     std::vector<char> item_skip;
     down.reserve(3 * n);
     for (std::size_t i = 0; i < n; ++i) {
-      down.push_back(Device::D2hCopy{&l1_slab, l1_off[i], 0, l1_stage[i]});
-      down.push_back(Device::D2hCopy{&l2_slab, l2_off[i], 0, l2_stage[i]});
-      down.push_back(
-          Device::D2hCopy{&prod_slab, l2_off[i], 0, prod_stage[i]});
+      const index_t m = fronts[i].m;
+      const index_t k = fronts[i].k;
+      down.push_back(Device::D2hCopy{&l1_slab, l1_off[i], 0,
+                                     in_place(k, k)});
+      down.push_back(Device::D2hCopy{&l2_slab, l2_off[i], 0,
+                                     in_place(m, k)});
+      down.push_back(Device::D2hCopy{&prod_slab, l2_off[i], 0,
+                                     in_place(m, m)});
       item_scopes.insert(item_scopes.end(),
                          {scopes[i], scopes[i], scopes[i]});
       item_ops.insert(item_ops.end(), {ops[i], ops[i] + 1, ops[i] + 2});
@@ -245,15 +233,21 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
   dev.synchronize_stream(dev.d2h_stream(), clock);
 
   // Validate the downloads: injected transfer corruption (either
-  // direction) ends up as a non-finite entry in the staged copies. The
-  // member's panels are untouched — mark it faulted and let the caller
+  // direction) ends up as a non-finite entry in the member's slab bands.
+  // The member's panels are untouched — mark it faulted and let the caller
   // re-run it per-front.
-  if (stage_real) {
+  if (dev.numeric()) {
+    auto band_finite = [](const DeviceMatrix& slab, index_t row0,
+                          index_t rows, index_t cols) {
+      return block_finite(slab.data.view().block(row0, 0, rows, cols),
+                          /*lower_only=*/false);
+    };
     for (std::size_t i = 0; i < n; ++i) {
       if (skip[i] != 0) continue;
-      if (!block_finite(const_view(l1_stage[i]), /*lower_only=*/false) ||
-          !block_finite(const_view(l2_stage[i]), /*lower_only=*/false) ||
-          !block_finite(const_view(prod_stage[i]), /*lower_only=*/false)) {
+      const FrontBlocks& f = fronts[i];
+      if (!band_finite(l1_slab, l1_off[i], f.k, f.k) ||
+          !band_finite(l2_slab, l2_off[i], f.m, f.k) ||
+          !band_finite(prod_slab, l2_off[i], f.m, f.m)) {
         skip[i] = 1;
         faulted.push_back(BatchFault{i, FaultKind::TransferCorruption});
       }
@@ -531,9 +525,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
   DeviceMatrix prod_d =
       (f.m > 0) ? dev.allocate(f.m, f.m, "p4.prod", clock) : DeviceMatrix{};
   GpuExec compute = ctx.gpu_exec(dev.compute_stream());
-  const index_t w = (options_.p4_panel_width > 0)
-                        ? options_.p4_panel_width
-                        : p4_auto_panel_width(f.k, f.m);
+  const index_t w = p4_auto_panel_width(f.k, f.m);
   const bool async = options_.overlapped_copies || options_.copy_optimized_p4;
 
   // Upload L1 and L2 into the combined panel.
@@ -700,7 +692,7 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
   bool batch_failed = false;
   FaultKind batch_kind = FaultKind::None;
   try {
-    outcomes = run_batched_dispatch(fronts, ctx, skip, faulted, batch_prods_);
+    outcomes = run_batched_dispatch(fronts, ctx, skip, faulted);
   } catch (const DeviceFaultError& e) {
     batch_failed = true;
     batch_kind =
@@ -736,8 +728,8 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
   }
 
   // (Transfer corruption is validated inside run_batched_dispatch against
-  // the staged downloads; corrupted members arrive in `faulted` with their
-  // panels untouched.)
+  // the downloaded slab bands; corrupted members arrive in `faulted` with
+  // their panels untouched.)
 
   if (audited) {
     auto& metrics = obs::MetricsRegistry::global();
@@ -964,7 +956,7 @@ double PolicyTimer::time_batched(const FuCall& call, int batch) {
     faulted.clear();
     const double t0 = ctx_.host_clock.now();
     (void)run_batched_dispatch(std::span<FrontBlocks>(fronts), ctx_, skip,
-                               faulted, batch_prods_);
+                               faulted);
     device_->synchronize(ctx_.host_clock);
     share = (ctx_.host_clock.now() - t0) / static_cast<double>(batch);
   }

@@ -32,8 +32,6 @@ struct ExecutorOptions {
   /// columns): the host waits only for the update-matrix transfer; the
   /// factored panel streams back while the host moves on.
   bool copy_optimized_p4 = false;
-  /// 0 = p4_auto_panel_width(k).
-  index_t p4_panel_width = 0;
   /// Fault tolerance of DispatchExecutor: validate GPU panels (finite
   /// check), retry a faulted F-U once on-device, then redo the front on the
   /// host P1 path. Auto keeps fault-free runs byte-identical to the
@@ -131,9 +129,7 @@ class DispatchExecutor : public FuExecutor {
   std::int64_t fault_count_ = 0;
   bool quarantined_ = false;
   std::vector<double> snapshot_;  ///< pre-attempt copy of l1/l2/u
-  /// Batched-path scratch: per-member m x m host product staging and
-  /// pre-dispatch snapshots.
-  std::vector<Matrix<double>> batch_prods_;
+  /// Batched-path scratch: per-member pre-dispatch snapshots.
   std::vector<std::vector<double>> batch_snapshots_;
 };
 
@@ -175,7 +171,6 @@ class PolicyTimer {
   std::unique_ptr<Device> device_;
   std::array<std::unique_ptr<PolicyExecutor>, 4> executors_;
   std::map<std::tuple<index_t, index_t, int>, double> batched_cache_;
-  std::vector<Matrix<double>> batch_prods_;
 };
 
 }  // namespace mfgpu

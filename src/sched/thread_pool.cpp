@@ -49,9 +49,10 @@ struct Job {
   const GraphDag* dag = nullptr;
   const std::function<void(index_t, int)>* body = nullptr;
   std::vector<WorkerDeque> deques;
-  /// Children still outstanding per task; the worker that drops a counter
-  /// to zero pushes the parent onto its own deque. acq_rel ordering makes
-  /// every child's writes visible to the parent's executor.
+  /// Predecessors still outstanding per task; the worker that drops a
+  /// counter to zero pushes the successor onto its own deque. acq_rel
+  /// ordering makes every predecessor's writes visible to its successor's
+  /// executor.
   std::vector<std::atomic<index_t>> pending;
   std::atomic<index_t> remaining{0};
   std::atomic<bool> abort{false};
@@ -195,37 +196,6 @@ ThreadPool::~ThreadPool() {
 
 int ThreadPool::num_threads() const noexcept { return impl_->num_workers; }
 
-PoolRunStats ThreadPool::run_tree(
-    const TreeDag& dag, const std::function<void(index_t, int)>& body) {
-  const index_t n = static_cast<index_t>(dag.parent.size());
-
-  // Lower the parent array into CSR successor form: each task's single
-  // successor is its parent.
-  std::vector<index_t> succ_ptr(static_cast<std::size_t>(n) + 1, 0);
-  std::vector<index_t> succ;
-  std::vector<index_t> deps(static_cast<std::size_t>(n), 0);
-  succ.reserve(static_cast<std::size_t>(n));
-  for (index_t t = 0; t < n; ++t) {
-    const index_t p = dag.parent[static_cast<std::size_t>(t)];
-    MFGPU_CHECK(p == -1 || (p > t && p < n),
-                "ThreadPool: dag must be a postordered forest");
-    if (p != -1) {
-      succ.push_back(p);
-      ++deps[static_cast<std::size_t>(p)];
-    }
-    succ_ptr[static_cast<std::size_t>(t) + 1] =
-        static_cast<index_t>(succ.size());
-  }
-
-  GraphDag graph;
-  graph.succ_ptr = succ_ptr;
-  graph.succ = succ;
-  graph.num_deps = deps;
-  graph.preferred_worker = dag.preferred_worker;
-  graph.priority = dag.priority;
-  return run_dag(graph, body);
-}
-
 PoolRunStats ThreadPool::run_dag(
     const GraphDag& dag, const std::function<void(index_t, int)>& body) {
   const int W = impl_->num_workers;
@@ -302,7 +272,7 @@ PoolRunStats ThreadPool::run_dag(
   if (W > 1) {
     {
       std::lock_guard<std::mutex> lock(impl_->mu);
-      MFGPU_CHECK(impl_->job == nullptr, "ThreadPool: run_tree is not reentrant");
+      MFGPU_CHECK(impl_->job == nullptr, "ThreadPool: run_dag is not reentrant");
       impl_->job = &job;
       impl_->helpers_running = W - 1;
       ++impl_->epoch;

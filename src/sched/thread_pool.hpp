@@ -1,43 +1,35 @@
-// Work-stealing thread pool for tree-shaped task DAGs. Which OS thread wins
-// a steal decides placement here, so the virtual-time schedule it executes
-// is not deterministic; the deterministic multi-worker schedule is the
-// fan-both engine's (cluster/cluster.hpp on shared_memory_link()).
+// Work-stealing thread pool for task DAGs. Which OS thread wins a steal
+// decides placement here, so the virtual-time schedule it executes is not
+// deterministic; the deterministic multi-worker schedule is the fan-both
+// engine's (cluster/cluster.hpp on shared_memory_link()).
 //
-// The pool executes a forest given as a parent array (the supernodal
-// assembly tree: a task becomes ready when all of its children completed).
-// Each worker owns a deque: it pushes newly readied parents at the bottom
-// and pops from the bottom (LIFO, cache-friendly — the parent's front is
+// The pool executes a dependency DAG in CSR successor form (GraphDag): a
+// task becomes ready when all of its predecessors completed. The
+// multifrontal driver passes the supernodal assembly tree, condensed to one
+// node per front batch; the triangular solve passes its sweep DAGs. Each
+// worker owns a deque: it pushes newly readied successors at the bottom and
+// pops from the bottom (LIFO, cache-friendly — a parent's front is
 // assembled from update matrices the worker just produced); idle workers
 // steal from the top of a victim's deque (FIFO, taking the oldest seeded
-// subtree). Initial ready tasks (leaves) are seeded per worker — the caller
+// subtree). Initially ready tasks are seeded per worker — the caller
 // typically passes sched/proportional_map.hpp's mapping so subtrees stay
 // worker-local — ordered by a priority (critical-path bottom level): the
-// highest-priority leaf is popped first by its owner.
+// highest-priority task is popped first by its owner.
 //
 // Completion counters are atomics with acquire-release ordering, so every
-// write a child task made (its packed update matrix) happens-before the
-// parent task's execution, on whichever worker it lands.
+// write a predecessor made (its packed update matrix) happens-before its
+// successor's execution, on whichever worker it lands.
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <span>
+#include <vector>
 
 #include "support/error.hpp"
 
 namespace mfgpu {
-
-/// A forest of tasks: parent[t] == -1 for roots. Must be postordered
-/// (parent[t] > t), which the supernodal assembly tree always is.
-struct TreeDag {
-  std::span<const index_t> parent;
-  /// Optional (empty = round-robin): worker whose deque each initially-ready
-  /// task is seeded into; values are clamped into [0, num_threads).
-  std::span<const int> preferred_worker;
-  /// Optional (empty = task index): higher runs first on its seeded worker.
-  std::span<const double> priority;
-};
 
 /// A general dependency DAG in CSR successor form: task t becomes ready once
 /// `num_deps[t]` completion notifications arrived, and on completion notifies
@@ -47,10 +39,9 @@ struct TreeDag {
 /// one edge per member. The graph must be acyclic; run_dag validates that
 /// num_deps matches the indegree implied by succ.
 ///
-/// This generalizes TreeDag (each tree task has at most one successor, its
-/// parent); run_tree lowers to this form. The batched multifrontal driver
-/// uses it directly: one node per front *batch*, with successor edges to
-/// every member's parent node.
+/// A tree is the special case of one successor per task, its parent. The
+/// multifrontal driver condenses its tree to one node per front *batch*,
+/// with successor edges to every member's parent node.
 struct GraphDag {
   std::span<const index_t> succ_ptr;  ///< size num_tasks + 1
   std::span<const index_t> succ;      ///< flattened successor lists
@@ -98,7 +89,7 @@ struct PoolRunStats {
 /// participates in every run as worker 0, so `num_threads == 1` executes
 /// entirely on the caller (no concurrency — bitwise-reproducible ordering).
 ///
-/// `run_tree` blocks until every task ran (or an exception aborted the run),
+/// `run_dag` blocks until every task ran (or an exception aborted the run),
 /// and may be called repeatedly; the destructor shuts the helpers down.
 class ThreadPool {
  public:
@@ -110,16 +101,10 @@ class ThreadPool {
 
   int num_threads() const noexcept;
 
-  /// Execute `body(task, worker)` for every task of `dag`, children before
-  /// parents. If any body throws, remaining tasks are abandoned and the
-  /// first exception is rethrown here (the pool stays usable). Not
-  /// reentrant: one run at a time.
-  PoolRunStats run_tree(const TreeDag& dag,
-                        const std::function<void(index_t task, int worker)>& body);
-
   /// Execute `body(task, worker)` for every task of `dag`, predecessors
-  /// before successors. Same error and reentrancy contract as run_tree
-  /// (which is implemented on top of this).
+  /// before successors. If any body throws, remaining tasks are abandoned
+  /// and the first exception is rethrown here (the pool stays usable). Not
+  /// reentrant: one run at a time.
   PoolRunStats run_dag(const GraphDag& dag,
                        const std::function<void(index_t task, int worker)>& body);
 

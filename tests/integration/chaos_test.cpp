@@ -17,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers/factor_bitwise.hpp"
 #include "multifrontal/parallel.hpp"
 #include "multifrontal/refine.hpp"
 #include "obs/metrics.hpp"
@@ -206,6 +207,61 @@ TEST(ChaosTest, FaultInsideBatchRetriesOnlyTheAffectedFront) {
       }
     }
   }
+}
+
+TEST(ChaosTest, CorruptedBatchDownloadRetriesOnlyThatMember) {
+  // One corrupted draw in the whole run, and it lands on a batched member's
+  // download: seed 6 at this rate corrupts only the update-product download
+  // of supernode 7's batch dispatch. The batched path reads its downloads in
+  // place on the device slabs, so the poisoned entry must still be caught
+  // there: that member alone records the corruption and re-runs per-front,
+  // its batch mates stay clean, and the factor is bitwise the fault-free
+  // one.
+  Rng rng(17);
+  const GridProblem p = make_elasticity_3d(6, 6, 5, 3, rng);
+  const Analysis analysis = analyze_md(p.matrix);
+
+  PolicyExecutor reference_executor(Policy::P1);
+  FactorContext reference_ctx;
+  const FactorizeResult reference =
+      factorize(analysis, reference_executor, reference_ctx);
+
+  Device::Options device_options;
+  device_options.faults.seed = 6;
+  device_options.faults.transfer_corruption_rate = 0.01;
+  Device device(device_options);
+  DispatchExecutor dispatch("batch-download",
+                            [](const FuCall&) { return Policy::P1; });
+  FactorContext ctx;
+  ctx.device = &device;
+  FactorizeOptions options;
+  options.batching = parse_batching("on,min=2");
+  FactorizeResult result;
+  ASSERT_NO_THROW(result = factorize(analysis, dispatch, ctx, options));
+
+  const FaultInjectorStats& injected = device.fault_injector().stats();
+  ASSERT_EQ(injected.transfer_corruption, 1);
+  ASSERT_EQ(injected.total_faults(), 1);
+
+  constexpr auto kCorrupted =
+      static_cast<std::size_t>(FaultKind::TransferCorruption);
+  int faulted_calls = 0;
+  int batched_calls = 0;
+  for (const FuCallRecord& r : result.trace.calls) {
+    if (r.faults == 0) {
+      batched_calls += r.batch > 1 ? 1 : 0;
+      continue;
+    }
+    ++faulted_calls;
+    EXPECT_EQ(r.snode, 7);
+    EXPECT_EQ(r.faults, 1);
+    EXPECT_EQ(r.fault_kinds[kCorrupted], 1) << "snode " << r.snode;
+    EXPECT_EQ(r.batch, 1) << "snode " << r.snode;
+  }
+  EXPECT_EQ(faulted_calls, 1);
+  EXPECT_GE(batched_calls, 1);
+  EXPECT_TRUE(
+      testing_helpers::factors_bitwise_equal(reference.factor, result.factor));
 }
 
 TEST(ChaosTest, NanPoisonedPanelSurfacesInSolution) {

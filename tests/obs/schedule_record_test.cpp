@@ -40,15 +40,15 @@ void expect_well_formed(const obs::ScheduleRecord& rec) {
       prev_end = task.t_end;
       prev_ev = task.ev_end;
       if (task.is_work()) {
-        EXPECT_FALSE(task.calls.empty());
-        EXPECT_EQ(task.member_policy.size(), task.calls.size());
+        EXPECT_FALSE(task.members.empty());
+        EXPECT_EQ(task.member_policy.size(), task.members.size());
         EXPECT_LE(task.exec_begin, task.exec_end);
         EXPECT_GE(task.exec_begin, task.ev_begin);
         EXPECT_LE(task.exec_end, task.ev_end);
-        for (const auto& call : task.calls) {
-          EXPECT_GE(call.snode, 0);
-          EXPECT_LT(call.snode, rec.num_snodes);
-          produced.insert(call.snode);
+        for (const index_t snode : task.members) {
+          EXPECT_GE(snode, 0);
+          EXPECT_LT(snode, rec.num_snodes);
+          produced.insert(snode);
         }
       }
     }
@@ -74,8 +74,8 @@ void expect_well_formed(const obs::ScheduleRecord& rec) {
         rec.lanes[static_cast<std::size_t>(ref.lane)]
             .tasks[static_cast<std::size_t>(ref.task)];
     bool covers = false;
-    for (const auto& call : task.calls) {
-      covers |= call.snode == s;
+    for (const index_t snode : task.members) {
+      covers |= snode == s;
     }
     EXPECT_TRUE(covers) << "snode " << s;
   }
@@ -120,7 +120,7 @@ TEST(ScheduleRecordTest, BatchedRecordGroupsMembers) {
   for (const auto& task : rec.lanes[0].tasks)
     if (task.kind == obs::TaskKind::Batch) {
       EXPECT_GE(task.batch, 0);
-      multi_member |= task.calls.size() > 1;
+      multi_member |= task.members.size() > 1;
     }
   EXPECT_TRUE(multi_member);
 }

@@ -6,6 +6,7 @@
 #include <atomic>
 #include <chrono>
 #include <numeric>
+#include <span>
 #include <stdexcept>
 #include <thread>
 #include <vector>
@@ -28,6 +29,37 @@ std::vector<index_t> random_forest(index_t n, Rng& rng) {
   return parent;
 }
 
+/// A forest given as a parent array (parent[t] == -1 for roots), lowered to
+/// the pool's CSR successor form: each task's one successor is its parent.
+struct ForestDag {
+  std::vector<index_t> succ_ptr;
+  std::vector<index_t> succ;
+  std::vector<index_t> deps;
+  GraphDag dag;
+
+  explicit ForestDag(std::span<const index_t> parent,
+                     std::span<const int> preferred_worker = {},
+                     std::span<const double> priority = {}) {
+    const std::size_t n = parent.size();
+    succ_ptr.assign(n + 1, 0);
+    deps.assign(n, 0);
+    for (std::size_t t = 0; t < n; ++t) {
+      if (parent[t] != -1) {
+        succ.push_back(parent[t]);
+        ++deps[static_cast<std::size_t>(parent[t])];
+      }
+      succ_ptr[t + 1] = static_cast<index_t>(succ.size());
+    }
+    dag.succ_ptr = succ_ptr;
+    dag.succ = succ;
+    dag.num_deps = deps;
+    dag.preferred_worker = preferred_worker;
+    dag.priority = priority;
+  }
+  ForestDag(const ForestDag&) = delete;
+  ForestDag& operator=(const ForestDag&) = delete;
+};
+
 TEST(ThreadPoolTest, RunsEveryTaskExactlyOnceChildrenFirst) {
   Rng rng(7);
   for (int threads : {1, 2, 4, 8}) {
@@ -41,9 +73,8 @@ TEST(ThreadPoolTest, RunsEveryTaskExactlyOnceChildrenFirst) {
       const index_t p = parent[static_cast<std::size_t>(t)];
       if (p != -1) open_children[static_cast<std::size_t>(p)].fetch_add(1);
     }
-    TreeDag dag;
-    dag.parent = parent;
-    const PoolRunStats stats = pool.run_tree(dag, [&](index_t t, int w) {
+    const ForestDag forest(parent);
+    const PoolRunStats stats = pool.run_dag(forest.dag, [&](index_t t, int w) {
       ASSERT_GE(w, 0);
       ASSERT_LT(w, threads);
       // Ready only when every child already ran.
@@ -69,10 +100,8 @@ TEST(ThreadPoolTest, SingleThreadRunsOnCallerInPriorityOrder) {
   const std::vector<double> priority = {3.0, 1.0, 5.0, 0.0, 4.0, 2.0};
   const auto caller = std::this_thread::get_id();
   std::vector<index_t> order;
-  TreeDag dag;
-  dag.parent = parent;
-  dag.priority = priority;
-  pool.run_tree(dag, [&](index_t t, int w) {
+  const ForestDag forest(parent, {}, priority);
+  pool.run_dag(forest.dag, [&](index_t t, int w) {
     EXPECT_EQ(w, 0);
     EXPECT_EQ(std::this_thread::get_id(), caller);
     order.push_back(t);
@@ -89,10 +118,8 @@ TEST(ThreadPoolTest, StealsWhenSeedingIsImbalanced) {
   std::vector<index_t> parent(static_cast<std::size_t>(n), -1);
   const std::vector<int> preferred(static_cast<std::size_t>(n), 0);
   std::vector<std::atomic<int>> worker_of(static_cast<std::size_t>(n));
-  TreeDag dag;
-  dag.parent = parent;
-  dag.preferred_worker = preferred;
-  const PoolRunStats stats = pool.run_tree(dag, [&](index_t t, int w) {
+  const ForestDag forest(parent, preferred);
+  const PoolRunStats stats = pool.run_dag(forest.dag, [&](index_t t, int w) {
     worker_of[static_cast<std::size_t>(t)].store(w);
     std::this_thread::sleep_for(std::chrono::milliseconds(2));
   });
@@ -113,19 +140,18 @@ TEST(ThreadPoolTest, ExceptionAbortsRunAndPropagatesToCaller) {
   for (index_t t = 0; t < n; ++t) parent[static_cast<std::size_t>(t)] = t + 1;
   parent[static_cast<std::size_t>(n - 1)] = -1;
   std::atomic<index_t> ran{0};
-  TreeDag dag;
-  dag.parent = parent;
-  EXPECT_THROW(pool.run_tree(dag,
-                             [&](index_t t, int) {
-                               if (t == 50) throw std::runtime_error("poison");
-                               ran.fetch_add(1);
-                             }),
+  const ForestDag forest(parent);
+  EXPECT_THROW(pool.run_dag(forest.dag,
+                            [&](index_t t, int) {
+                              if (t == 50) throw std::runtime_error("poison");
+                              ran.fetch_add(1);
+                            }),
                std::runtime_error);
   EXPECT_LT(ran.load(), n);
 
   // The pool survives a failed run and is reusable afterwards.
   std::atomic<index_t> second{0};
-  pool.run_tree(dag, [&](index_t, int) { second.fetch_add(1); });
+  pool.run_dag(forest.dag, [&](index_t, int) { second.fetch_add(1); });
   EXPECT_EQ(second.load(), n);
 }
 
@@ -135,11 +161,10 @@ TEST(ThreadPoolTest, CleanShutdownWithUnusedAndReusedPools) {
   }
   ThreadPool pool(3);
   const std::vector<index_t> parent = {1, 2, -1};
-  TreeDag dag;
-  dag.parent = parent;
+  const ForestDag forest(parent);
   for (int round = 0; round < 10; ++round) {
     std::atomic<int> count{0};
-    pool.run_tree(dag, [&](index_t, int) { count.fetch_add(1); });
+    pool.run_dag(forest.dag, [&](index_t, int) { count.fetch_add(1); });
     EXPECT_EQ(count.load(), 3);
   }
 }
