@@ -92,7 +92,7 @@ int main() {
   identity_options.batching = parse_batching(spec);
   const Factorization batched_factor =
       factorize(analysis, p1_dispatch, identity_ctx, identity_options).factor;
-  bool bitwise = host_factor.num_panels() == batched_factor.num_panels();
+  bool bitwise = host_factor.panels.size() == batched_factor.panels.size();
   for (std::size_t s = 0; bitwise && s < host_factor.panels.size(); ++s) {
     const Matrix<double>& a = host_factor.panels[s];
     const Matrix<double>& b = batched_factor.panels[s];

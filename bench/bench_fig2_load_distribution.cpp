@@ -7,7 +7,7 @@
 
 #include <sstream>
 
-#include "support/binning.hpp"
+#include "multifrontal/trace_stats.hpp"
 
 using namespace mfgpu;
 
@@ -15,13 +15,7 @@ namespace {
 
 std::string render(const FactorizationTrace& trace, bool subtract_copy,
                    const std::string& csv_name) {
-  Grid2D grid(10000, 10000, 500);
-  for (const auto& call : trace.calls) {
-    const double t =
-        subtract_copy ? std::max(call.t_total - call.t_copy, 0.0) : call.t_total;
-    grid.add(call.m, call.k, t);
-  }
-  grid.normalize();
+  const Grid2D grid = time_distribution_grid(trace, 10000, 500, subtract_copy);
   std::ostringstream csv;
   grid.write_csv(csv);
   bench::emit_text(csv.str(), csv_name);
@@ -43,17 +37,12 @@ int main() {
       bench::run_trace(bm.analysis, basic_gpu, true);
 
   // Section IV-A headline statistic.
-  index_t small_calls = 0;
-  for (const auto& call : host.calls) {
-    if (call.k <= 500 && call.m <= 1000) ++small_calls;
-  }
   Table stats("Fig. 2 companion — call-size distribution (audikw1_s)",
               {"quantity", "value", "paper"});
   stats.add_row({std::string("F-U calls"),
                  static_cast<index_t>(host.calls.size()), std::string("-")});
   stats.add_row({std::string("% calls with k<=500, m<=1000"),
-                 100.0 * static_cast<double>(small_calls) /
-                     static_cast<double>(host.calls.size()),
+                 100.0 * small_call_fraction(host, 1000, 500),
                  std::string("~97%")});
   bench::emit(stats, "fig2_call_stats.csv");
 

@@ -6,43 +6,24 @@
 // large ones (#ops > 1e8).
 #include "common.hpp"
 
-#include <cmath>
 #include <map>
+
+#include "multifrontal/trace_stats.hpp"
 
 using namespace mfgpu;
 
 namespace {
 
-struct Accum {
-  double potrf = 0, trsm = 0, syrk = 0, copy = 0, total = 0, n = 0;
-};
-
-std::map<int, Accum> bin_trace(const FactorizationTrace& trace) {
-  std::map<int, Accum> bins;
-  for (const auto& call : trace.calls) {
-    const double ops = call.ops_total();
-    if (ops <= 0) continue;
-    auto& bin = bins[static_cast<int>(std::floor(std::log10(ops)))];
-    bin.potrf += call.t_potrf;
-    bin.trsm += call.t_trsm;
-    bin.syrk += call.t_syrk;
-    bin.copy += call.t_copy;
-    bin.total += call.t_total;
-    bin.n += 1.0;
-  }
-  return bins;
-}
-
-void emit_bins(const char* title, const std::map<int, Accum>& bins,
+void emit_bins(const char* title, const std::map<int, TraceBin>& bins,
                bool fractional, const std::string& csv) {
   Table table(title, {"ops decade", "calls", "potrf", "trsm", "syrk", "copy"});
   for (const auto& [decade, a] : bins) {
-    const double denom = fractional ? (a.potrf + a.trsm + a.syrk + a.copy)
-                                    : a.n;
+    const double denom = fractional ? a.kernels() + a.copy
+                                    : static_cast<double>(a.calls);
     if (denom <= 0) continue;
-    table.add_row({std::string("1e") + std::to_string(decade),
-                   static_cast<index_t>(a.n), a.potrf / denom, a.trsm / denom,
-                   a.syrk / denom, a.copy / denom});
+    table.add_row({std::string("1e") + std::to_string(decade), a.calls,
+                   a.potrf / denom, a.trsm / denom, a.syrk / denom,
+                   a.copy / denom});
   }
   bench::emit(table, csv);
 }
@@ -58,8 +39,8 @@ int main() {
   const FactorizationTrace gpu =
       bench::run_trace(bm.analysis, basic_gpu, true);
 
-  const auto host_bins = bin_trace(host);
-  const auto gpu_bins = bin_trace(gpu);
+  const auto host_bins = bin_by_ops_decade(host);
+  const auto gpu_bins = bin_by_ops_decade(gpu);
   emit_bins("Fig. 5a — mean component seconds per call, host CPU", host_bins,
             false, "fig5_host_components.csv");
   emit_bins("Fig. 5b — mean component seconds per call, basic GPU", gpu_bins,
@@ -70,10 +51,12 @@ int main() {
             true, "fig6_gpu_fractions.csv");
 
   // The small/large comparison the paper calls out.
-  auto mean_kernel_time = [](const std::map<int, Accum>& bins, int decade) {
+  auto mean_kernel_time = [](const std::map<int, TraceBin>& bins,
+                             int decade) {
     const auto it = bins.find(decade);
-    if (it == bins.end() || it->second.n == 0) return 0.0;
-    return (it->second.trsm + it->second.syrk) / it->second.n;
+    if (it == bins.end() || it->second.calls == 0) return 0.0;
+    return (it->second.trsm + it->second.syrk) /
+           static_cast<double>(it->second.calls);
   };
   Table cross("Fig. 5/6 companion — trsm+syrk per call, CPU vs GPU",
               {"ops decade", "CPU (s)", "GPU (s)", "GPU/CPU"});

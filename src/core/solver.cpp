@@ -10,15 +10,14 @@
 #include "obs/schedule_record.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
-#include "policy/baseline_hybrid.hpp"
 
 namespace mfgpu {
 
 namespace {
 
 /// Ideal-hybrid executor with its OWN timing oracle. PolicyTimer memoizes
-/// through a private simulated device and is not thread-safe, so each
-/// parallel GPU worker gets one of these instead of sharing the Solver's.
+/// through a private simulated device and is not thread-safe, so each GPU
+/// worker owns one.
 class OwnedTimerIdealHybrid : public FuExecutor {
  public:
   explicit OwnedTimerIdealHybrid(const ExecutorOptions& options)
@@ -66,7 +65,6 @@ struct Solver::Impl {
   FactorizationTrace trace;
   std::optional<TrainedPolicyModel> model;
   std::unique_ptr<Device> device;
-  std::unique_ptr<PolicyTimer> timer;
   PoolRunStats pool_stats;
   /// Per-worker memory high-water marks of the last numeric phase.
   std::vector<WorkerMemory> memory;
@@ -82,7 +80,6 @@ struct Solver::Impl {
   Permutation choose_ordering() const;
   /// Level-scheduled solve configuration (threads + cached schedule).
   ParallelSolveOptions solve_options() const;
-  std::unique_ptr<FuExecutor> choose_executor();
   void ensure_model();
   WorkerExecutorFactory worker_factory();
   void run_factor();
@@ -107,34 +104,15 @@ void Solver::Impl::ensure_model() {
   // Train on this matrix's own call distribution (the paper's methodology:
   // learn from the observed timing data).
   obs::ScopedSpan span("solver", "train_policy_model");
-  timer = std::make_unique<PolicyTimer>(options.executor);
+  PolicyTimer timer(options.executor);
   const PolicyDataset dataset =
-      build_dataset(dims_from_symbolic(analysis->symbolic), *timer);
+      build_dataset(dims_from_symbolic(analysis->symbolic), timer);
   model = train_expected_time(dataset);
 }
 
-std::unique_ptr<FuExecutor> Solver::Impl::choose_executor() {
-  switch (options.mode) {
-    case SolverMode::Serial:
-      return std::make_unique<PolicyExecutor>(Policy::P1, options.executor);
-    case SolverMode::BaselineHybrid:
-      return std::make_unique<DispatchExecutor>(
-          make_baseline_hybrid(paper_thresholds(), options.executor));
-    case SolverMode::ModelHybrid:
-      ensure_model();
-      return std::make_unique<DispatchExecutor>(
-          make_model_hybrid(*model, options.executor));
-    case SolverMode::IdealHybrid:
-      timer = std::make_unique<PolicyTimer>(options.executor);
-      return std::make_unique<DispatchExecutor>(
-          make_ideal_hybrid(*timer, options.executor));
-  }
-  throw InvalidArgumentError("Solver: invalid mode");
-}
-
-/// Per-worker executor construction for the parallel numeric phase. CPU
-/// workers always run P1 in double; GPU workers run the mode's dispatcher
-/// against their private simulated device.
+/// Per-worker executor construction for every numeric phase (the serial
+/// driver is one worker). CPU workers always run P1 in double; GPU workers
+/// run the mode's dispatcher against their private simulated device.
 WorkerExecutorFactory Solver::Impl::worker_factory() {
   const ExecutorOptions executor_options = options.executor;
   switch (options.mode) {
@@ -198,9 +176,13 @@ void Solver::Impl::run_factor() {
     obs::ScopedSpan span("solver", "numeric_factorization");
     result = factorize_parallel(*analysis, parallel_options, worker_factory());
   } else {
-    const auto executor = choose_executor();
+    const WorkerSpec spec{.has_gpu = options.mode != SolverMode::Serial};
+    const WorkerExecutorFactory make_executor = worker_factory();
+    const std::unique_ptr<FuExecutor> executor =
+        make_executor ? make_executor(spec, 0)
+                      : default_worker_executor(spec, options.executor);
     FactorContext ctx;
-    if (options.mode != SolverMode::Serial) {
+    if (spec.has_gpu) {
       Device::Options device_options = options.device;
       device_options.numeric = true;
       device = std::make_unique<Device>(device_options);

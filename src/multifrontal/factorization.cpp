@@ -12,9 +12,6 @@ std::int64_t Factorization::storage_bytes() const noexcept {
   for (const auto& p : panels) {
     bytes += static_cast<std::int64_t>(p.rows()) * p.cols() * 8;
   }
-  for (const auto& p : panels32) {
-    bytes += static_cast<std::int64_t>(p.rows()) * p.cols() * 4;
-  }
   return bytes;
 }
 

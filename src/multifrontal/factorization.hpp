@@ -27,21 +27,13 @@ class ScheduleRecorder;
 /// valid — and L2 below); row i of the panel corresponds to global permuted
 /// index (cols ++ update_rows)[i] from the symbolic structure.
 ///
-/// Panels are stored in double by default, or in single precision when the
-/// factorization was run with FactorPrecision::Float32 — halving the factor
-/// memory at the cost of ~half the digits, which iterative refinement
-/// recovers (the storage-side counterpart of the paper's single-precision
-/// GPU arithmetic).
+/// Panels are stored in double. The paper's single-precision arithmetic
+/// lives on the device (policies P2–P4), and double-precision iterative
+/// refinement recovers the digits it loses.
 struct Factorization {
   std::vector<Matrix<double>> panels;
-  std::vector<Matrix<float>> panels32;
   bool numeric = true;
 
-  bool single_precision() const noexcept { return !panels32.empty(); }
-  index_t num_panels() const noexcept {
-    return static_cast<index_t>(single_precision() ? panels32.size()
-                                                   : panels.size());
-  }
   /// Bytes used by the stored factor.
   std::int64_t storage_bytes() const noexcept;
 };
@@ -82,13 +74,9 @@ struct FactorizeResult {
   int quarantined_workers = 0;
 };
 
-enum class FactorPrecision { Float64, Float32 };
-
 struct FactorizeOptions {
   /// Keep the numeric factor (disable for timing-only studies to save RAM).
   bool store_factor = true;
-  /// Storage precision of the panels (solves always accumulate in double).
-  FactorPrecision precision = FactorPrecision::Float64;
   /// Aggregated small-front execution (multifrontal/batched.hpp). Off keeps
   /// the postorder per-front driver bit-for-bit unchanged; On/Auto sweep
   /// the tree level by level and run each planned group through the

@@ -42,11 +42,7 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
 
   factor_.numeric = setup_.numeric;
   if (options_.store_factor && setup_.numeric) {
-    if (options_.precision == FactorPrecision::Float32) {
-      factor_.panels32.resize(static_cast<std::size_t>(nsup_));
-    } else {
-      factor_.panels.resize(static_cast<std::size_t>(nsup_));
-    }
+    factor_.panels.resize(static_cast<std::size_t>(nsup_));
   }
   if (options_.recorder != nullptr) {
     options_.recorder->start(setup_.num_lanes, nsup_, parent, setup_.parallel,
@@ -221,15 +217,9 @@ void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
   if (tree.options_.store_factor && tree.setup_.numeric) {
     const MatrixView<const double> source(front.full().data(), front.order(),
                                           front.k(), front.full().ld());
-    if (tree.options_.precision == FactorPrecision::Float32) {
-      auto& panel = tree.factor_.panels32[slot];
-      panel = Matrix<float>(front.order(), front.k());
-      copy_into<float>(source, panel.view());
-    } else {
-      auto& panel = tree.factor_.panels[slot];
-      panel = Matrix<double>(front.order(), front.k());
-      copy_into<double>(source, panel.view());
-    }
+    auto& panel = tree.factor_.panels[slot];
+    panel = Matrix<double>(front.order(), front.k());
+    copy_into<double>(source, panel.view());
   }
   charge_assembly(static_cast<double>(front.order()) *
                   static_cast<double>(front.k()));

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <span>
-#include <type_traits>
 #include <vector>
 
 #include "dense/blas.hpp"
@@ -160,38 +159,24 @@ double host_task_seconds(const TaskWork& work, index_t num_rhs) {
 }
 
 /// One worker's numeric scratch, sized once per solve from the symbolic
-/// maxima, so no task allocates.
+/// maxima, so no task allocates: max update rows x r, a forward run's
+/// product or the backward gather.
 struct SolveWorker {
-  /// Max update rows x r: a forward run's product, or the backward gather.
   std::vector<double> block;
-  /// Single-precision panels only: the panel rows a task reads, in double.
-  std::vector<double> wide;
 };
 
-/// Rows [row0, row0 + rows) of a panel, all its columns, as a double view:
-/// in place for double panels, widened into `wide` (exactly) for float.
+/// Rows [row0, row0 + rows) of a panel, all its columns.
 MatrixView<const double> panel_rows(const Matrix<double>& panel, index_t row0,
-                                    index_t rows, std::vector<double>&) {
+                                    index_t rows) {
   return MatrixView<const double>(panel.data() + row0, rows, panel.cols(),
                                   panel.rows());
-}
-
-MatrixView<const double> panel_rows(const Matrix<float>& panel, index_t row0,
-                                    index_t rows, std::vector<double>& wide) {
-  const MatrixView<double> out(wide.data(), rows, panel.cols(),
-                               std::max<index_t>(rows, 1));
-  copy_into<double>(MatrixView<const float>(panel.data() + row0, rows,
-                                            panel.cols(), panel.rows()),
-                    out);
-  return out;
 }
 
 /// Forward task of supernode s: pull every incoming run, sources ascending,
 /// as tmp = L[run rows, :] * X[source pivot rows] then X[run rows] -= tmp;
 /// then solve the pivot block, L11 X[s] = X[s].
-template <typename T>
 void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
-                  const std::vector<Matrix<T>>& panels, index_t s,
+                  const std::vector<Matrix<double>>& panels, index_t s,
                   MatrixView<double> x, SolveWorker& worker) {
   const index_t r = x.cols();
   for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
@@ -205,7 +190,7 @@ void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
     const MatrixView<double> tmp(worker.block.data(), len, r, len);
     gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0,
                  panel_rows(panels[static_cast<std::size_t>(run.source)],
-                            k + run.t_begin, len, worker.wide),
+                            k + run.t_begin, len),
                  x.block(src.first_col, 0, k, r), 0.0, tmp);
     const index_t* rows = src.update_rows.data() + run.t_begin;
     for (index_t c = 0; c < r; ++c) {
@@ -215,20 +200,18 @@ void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
   const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
   const index_t k = sn.width();
   trsm<double>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, 1.0,
-               panel_rows(panels[static_cast<std::size_t>(s)], 0, k,
-                          worker.wide),
+               panel_rows(panels[static_cast<std::size_t>(s)], 0, k),
                x.block(sn.first_col, 0, k, r));
 }
 
 /// Backward task of supernode s: gather G = X[update rows], then
 /// X[s] -= L21^T G and L11^T X[s] = X[s].
-template <typename T>
-void backward_task(const SupernodeInfo& sn, const Matrix<T>& panel,
+void backward_task(const SupernodeInfo& sn, const Matrix<double>& panel,
                    MatrixView<double> x, SolveWorker& worker) {
   const index_t r = x.cols();
   const index_t k = sn.width();
   const index_t m = sn.num_update_rows();
-  const MatrixView<const double> l = panel_rows(panel, 0, k + m, worker.wide);
+  const MatrixView<const double> l = panel_rows(panel, 0, k + m);
   const MatrixView<double> xs = x.block(sn.first_col, 0, k, r);
   if (m > 0) {
     const MatrixView<double> g(worker.block.data(), m, r, m);
@@ -244,25 +227,20 @@ void backward_task(const SupernodeInfo& sn, const Matrix<T>& panel,
                l.block(0, 0, k, k), xs);
 }
 
-template <typename T>
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
-                const std::vector<Matrix<T>>& panels, MatrixView<double> x,
+                const std::vector<Matrix<double>>& panels, MatrixView<double> x,
                 int threads) {
   const index_t nsup = sched.num_supernodes;
   const index_t num_rhs = x.cols();
 
   std::size_t max_update_rows = 0;
-  std::size_t max_panel = 0;
   for (const SupernodeInfo& sn : sym.supernodes()) {
-    const auto m = static_cast<std::size_t>(sn.num_update_rows());
-    const auto k = static_cast<std::size_t>(sn.width());
-    max_update_rows = std::max(max_update_rows, m);
-    max_panel = std::max(max_panel, (k + m) * k);
+    max_update_rows = std::max(
+        max_update_rows, static_cast<std::size_t>(sn.num_update_rows()));
   }
   std::vector<SolveWorker> workers(static_cast<std::size_t>(threads));
   for (auto& w : workers) {
     w.block.resize(max_update_rows * static_cast<std::size_t>(num_rhs));
-    if constexpr (std::is_same_v<T, float>) w.wide.resize(max_panel);
   }
 
   // Forward edges follow the runs (source -> target); priorities drain the
@@ -330,7 +308,8 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
   const SymbolicFactor& sym = analysis.symbolic;
   const index_t n = sym.n();
   MFGPU_CHECK(factor.numeric, "solve: factor has no numeric data");
-  MFGPU_CHECK(factor.num_panels() == sym.num_supernodes(),
+  MFGPU_CHECK(static_cast<index_t>(factor.panels.size()) ==
+                  sym.num_supernodes(),
               "solve: factor does not match the analysis");
   MFGPU_CHECK(b.rows() == n, "solve: rhs row count mismatch");
   MFGPU_CHECK(num_rhs >= 1 && num_rhs <= b.cols(),
@@ -363,11 +342,7 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
     }
   }
 
-  if (factor.single_precision()) {
-    run_sweeps(sym, *sched, factor.panels32, x.view(), threads);
-  } else {
-    run_sweeps(sym, *sched, factor.panels, x.view(), threads);
-  }
+  run_sweeps(sym, *sched, factor.panels, x.view(), threads);
 
   {
     std::vector<double> column(static_cast<std::size_t>(n));

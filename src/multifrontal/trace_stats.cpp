@@ -57,16 +57,6 @@ double small_call_fraction(const FactorizationTrace& trace, index_t max_m,
          static_cast<double>(trace.calls.size());
 }
 
-double small_call_time_fraction(const FactorizationTrace& trace, index_t max_m,
-                                index_t max_k) {
-  double small = 0.0, total = 0.0;
-  for (const auto& call : trace.calls) {
-    total += call.t_total;
-    if (call.m <= max_m && call.k <= max_k) small += call.t_total;
-  }
-  return (total > 0.0) ? small / total : 0.0;
-}
-
 Grid2D time_distribution_grid(const FactorizationTrace& trace, index_t extent,
                               index_t bin, bool subtract_copy) {
   Grid2D grid(extent, extent, bin);

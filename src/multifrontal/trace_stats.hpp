@@ -45,10 +45,6 @@ PolicyBreakdown policy_breakdown(const FactorizationTrace& trace);
 double small_call_fraction(const FactorizationTrace& trace, index_t max_m,
                            index_t max_k);
 
-/// Fraction of total F-U time spent on those calls.
-double small_call_time_fraction(const FactorizationTrace& trace, index_t max_m,
-                                index_t max_k);
-
 /// Fig. 2-style normalized time distribution over the (m, k) plane.
 /// `subtract_copy` reproduces the paper's "excluding copy" variant.
 Grid2D time_distribution_grid(const FactorizationTrace& trace, index_t extent,

@@ -115,17 +115,6 @@ int& TraceSession::thread_depth() noexcept {
   return depth;
 }
 
-std::size_t TraceSession::current_thread_event_count() {
-  return impl_->local().events.size();
-}
-
-std::vector<SpanEvent> TraceSession::current_thread_events_since(
-    std::size_t mark) {
-  const std::vector<SpanEvent>& events = impl_->local().events;
-  if (mark >= events.size()) return {};
-  return {events.begin() + static_cast<std::ptrdiff_t>(mark), events.end()};
-}
-
 void ScopedSpan::begin(const char* category, const char* name,
                        const SimClock* sim) {
   active_ = true;

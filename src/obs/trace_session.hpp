@@ -90,15 +90,6 @@ class TraceSession {
   /// Nanoseconds of host wall clock since the session epoch.
   std::int64_t now_ns() const noexcept;
 
-  /// Number of events the CALLING thread has recorded so far. Reading your
-  /// own buffer is always race-free, so a thread can mark a position and
-  /// later collect its own spans with current_thread_events_since() — the
-  /// serving layer's per-request trace-dump path.
-  std::size_t current_thread_event_count();
-  /// Copy of the calling thread's events from `mark` (a prior
-  /// current_thread_event_count() value) to now.
-  std::vector<SpanEvent> current_thread_events_since(std::size_t mark);
-
   /// Nesting depth counter of the calling thread (managed by ScopedSpan).
   static int& thread_depth() noexcept;
 

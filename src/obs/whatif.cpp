@@ -552,20 +552,6 @@ void emit_critical_path_metrics(const CriticalPathReport& report) {
                     static_cast<double>(zero_slack));
 }
 
-ScheduleSummary summarize(const CriticalPathReport& report, int lanes) {
-  ScheduleSummary summary;
-  summary.valid = true;
-  summary.makespan = report.makespan;
-  summary.class_seconds = report.class_seconds;
-  summary.idle_seconds = report.idle_seconds;
-  summary.lanes = lanes;
-  summary.spine_tasks = static_cast<int>(report.spine.size());
-  for (const TaskSlack& ts : report.slack) {
-    if (ts.slack <= 0.0) ++summary.zero_slack_tasks;
-  }
-  return summary;
-}
-
 void write_schedule_chrome_trace(const ScheduleRecord& record,
                                  const CriticalPathReport* report,
                                  std::ostream& os) {

@@ -151,27 +151,6 @@ struct CriticalPathReport {
 
 CriticalPathReport analyze_critical_path(const ScheduleRecord& record);
 
-/// Compact critical-path digest — the per-request schedule summary the
-/// serving layer attaches to SolveResult (serve/service.hpp) without
-/// shipping the full spine/slack vectors.
-struct ScheduleSummary {
-  bool valid = false;  ///< false when no schedule was recorded
-  double makespan = 0.0;
-  std::array<double, kNumCostClasses> class_seconds{};
-  double idle_seconds = 0.0;
-  int lanes = 0;
-  int spine_tasks = 0;
-  int zero_slack_tasks = 0;
-
-  double class_fraction(CostClass cls) const {
-    return makespan > 0.0
-               ? class_seconds[static_cast<std::size_t>(cls)] / makespan
-               : 0.0;
-  }
-};
-
-ScheduleSummary summarize(const CriticalPathReport& report, int lanes);
-
 /// Chrome-trace (chrome://tracing / Perfetto JSON) export of the recorded
 /// task schedule on the VIRTUAL clock: one trace thread per lane, one "X"
 /// complete event per task (µs = simulated seconds × 1e6). When `report` is

@@ -13,6 +13,10 @@
 namespace mfgpu {
 namespace {
 
+/// Salt of a batched dispatch's own fault scope. Front scopes are global
+/// column indices, which never reach the top bit.
+constexpr std::uint64_t kDispatchScopeSalt = 0x8000'0000'0000'0000ULL;
+
 std::int64_t float_bytes(index_t rows, index_t cols) {
   return static_cast<std::int64_t>(rows) * static_cast<std::int64_t>(cols) *
          static_cast<std::int64_t>(sizeof(float));
@@ -124,8 +128,10 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
   // each member owns a row band at a fixed offset. The three pool slots are
   // high-water reused across dispatches, so slab growth is charged like any
   // other pool warm-up instead of 3B per-member cudaMalloc latencies. Alloc
-  // faults sample under the first active member's scope — an injected OOM
-  // or death aborts the whole dispatch no matter which member it lands on.
+  // faults sample under a dispatch scope (the first active member's column,
+  // salted apart from every front scope), so no member's own op counter
+  // moves: a front's schedule stays independent of whether it leads its
+  // batch. An injected OOM or death here aborts the whole dispatch.
   std::vector<index_t> l1_off(n, 0), l2_off(n, 0);
   index_t l1_rows = 0, l2_rows = 0, slab_k = 0, slab_m = 0;
   std::int64_t h2d_bytes = 0, d2h_bytes = 0;
@@ -144,11 +150,10 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
     d2h_bytes += float_bytes(f.k, f.k) + float_bytes(f.m, f.k) +
                  float_bytes(f.m, f.m);
   }
-  injector.resume_scope(scopes[first_active], ops[first_active]);
+  injector.begin_scope(scopes[first_active] ^ kDispatchScopeSalt);
   DeviceMatrix l1_slab = dev.allocate(l1_rows, slab_k, "batch.l1", clock);
   DeviceMatrix l2_slab = dev.allocate(l2_rows, slab_k, "batch.l2", clock);
   DeviceMatrix prod_slab = dev.allocate(l2_rows, slab_m, "batch.prod", clock);
-  ops[first_active] = injector.op_index();
 
   // One pinned staging slab per direction for the whole batch. Growing it
   // is history-dependent (like pool warm-up), so injection is suppressed —

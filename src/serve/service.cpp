@@ -30,8 +30,6 @@ struct Request {
   /// Session whose batch last failed this request (-1 = none). Set only in
   /// a multi-session service; that session does not pick the retry up.
   int failed_on = -1;
-  bool collect_trace = false;
-  bool explain_schedule = false;
   /// Causal identity carried through sessions, Solver phases, executors,
   /// and fault injection (see obs/request_context.hpp).
   obs::RequestContext ctx;
@@ -203,15 +201,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
   // their queue_wait/complete markers.
   obs::RequestScope request_scope(&head.ctx);
   obs::TraceSession& trace = obs::TraceSession::global();
-  const bool collect =
-      obs::enabled() && std::any_of(batch.begin(), batch.end(),
-                                    [](const Request& r) {
-                                      return r.collect_trace;
-                                    });
-  // Mark this thread's buffer position BEFORE recording anything for the
-  // batch: the per-request trace dump is everything the session thread
-  // records from here to fulfillment (own-buffer reads are race-free).
-  const std::size_t trace_mark = trace.current_thread_event_count();
   {
     // Queue wait as a real interval per request: admission -> pickup.
     const std::int64_t now = trace.now_ns();
@@ -231,9 +220,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
   bool exec_failed = false;
   std::string exec_error;
   {
-    // The batch span closes at this block's end — BEFORE results are
-    // fulfilled — so a collect_trace dump taken afterwards contains the
-    // complete execution tree, not a still-open span.
     obs::ScopedSpan span("serve", "request_batch");
     span.set_arg(0, "n", n);
     span.set_arg(1, "batch_rhs", k);
@@ -331,19 +317,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
 
     const double sim_share = (analyze_sim + factor_sim + solve_sim) /
                              static_cast<double>(k);
-    // Critical-path digest of the factorization behind this batch's factor,
-    // computed once and shared by every requester that asked for it.
-    obs::ScheduleSummary schedule_summary;
-    bool want_schedule = false;
-    for (const Request& request : batch) {
-      want_schedule = want_schedule || request.explain_schedule;
-    }
-    if (want_schedule && session.solver != nullptr &&
-        session.solver->schedule_recorded()) {
-      const obs::ScheduleRecord& schedule = session.solver->schedule();
-      schedule_summary = obs::summarize(obs::analyze_critical_path(schedule),
-                                        static_cast<int>(schedule.lanes.size()));
-    }
     const Clock::time_point now = Clock::now();
     const std::int64_t now_ns = trace.now_ns();
     for (const Request& request : batch) {
@@ -351,9 +324,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
                        request.ctx.request_id, request.ctx.root_span,
                        {{"attempts", request.attempts}});
     }
-    // Dump AFTER the completion markers so they are part of the slice.
-    std::vector<obs::SpanEvent> dumped;
-    if (collect) dumped = trace.current_thread_events_since(trace_mark);
 
     for (index_t j = 0; j < k; ++j) {
       Request& request = batch[static_cast<std::size_t>(j)];
@@ -368,15 +338,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
       result.batch_size = static_cast<int>(k);
       result.simulated_seconds = sim_share;
       result.attempts = request.attempts;
-      if (request.explain_schedule) result.schedule = schedule_summary;
-      if (request.collect_trace) {
-        result.trace.reserve(dumped.size());
-        for (const obs::SpanEvent& ev : dumped) {
-          result.trace.push_back(RequestTraceSpan{
-              ev.category, ev.name, ev.start_ns, ev.end_ns, ev.span_id,
-              ev.parent_span});
-        }
-      }
       metrics.observe(
           "serve.request.latency_seconds",
           std::chrono::duration<double>(now - request.enqueued).count());
@@ -439,10 +400,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
   if (exhausted > 0) {
     metrics.add("serve.retry.exhausted", static_cast<double>(exhausted));
   }
-  // The failure-path dump: queue waits, the partial execution tree, and
-  // the retry markers recorded above.
-  std::vector<obs::SpanEvent> dumped;
-  if (collect) dumped = trace.current_thread_events_since(trace_mark);
   // Fulfill only after the stats/metrics are published: a caller blocked
   // on the future must observe consistent counters once it wakes.
   for (std::size_t i : failing) {
@@ -450,14 +407,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     SolveResult failure =
         make_status_result(RequestStatus::Failed, exec_error);
     failure.attempts = request.attempts;
-    if (request.collect_trace) {
-      failure.trace.reserve(dumped.size());
-      for (const obs::SpanEvent& ev : dumped) {
-        failure.trace.push_back(RequestTraceSpan{ev.category, ev.name,
-                                                 ev.start_ns, ev.end_ns,
-                                                 ev.span_id, ev.parent_span});
-      }
-    }
     fulfill(request, std::move(failure));
   }
 }
@@ -497,8 +446,6 @@ std::future<SolveResult> SolverService::submit(
   request.rhs = std::move(rhs);
   request.enqueued = Clock::now();
   request.retries_left = std::max(0, options.max_retries);
-  request.collect_trace = options.collect_trace;
-  request.explain_schedule = options.explain_schedule;
   // Compared in double nanoseconds: any budget below the clock's remaining
   // range converts back to Clock::duration without overflow. A budget at or
   // past that range (including +inf) can never expire: no deadline.

@@ -49,8 +49,7 @@
 //     recorded while the request is bound are parent-linked, so the
 //     Chrome-trace export renders each request's causal tree
 //     (queue wait -> analyze/factor -> per-front F-U calls -> solve ->
-//     retries); RequestOptions::collect_trace additionally returns the
-//     session-thread slice of that tree inline in the SolveResult.
+//     retries).
 #pragma once
 
 #include <cstdint>
@@ -92,30 +91,6 @@ struct RequestOptions {
   /// original enqueue time, so their extra latency shows up in the
   /// serve.request.latency_seconds histogram (p50/p99).
   int max_retries = 0;
-  /// Return the request's trace slice inline in SolveResult::trace: every
-  /// span the executing session thread recorded for this request's batch
-  /// (queue wait, analyze/factor/solve tree, fault and retry markers).
-  /// Requires obs recording to be on (an ObsScope / MFGPU_TRACE); the
-  /// vector stays empty otherwise.
-  bool collect_trace = false;
-  /// Attach a critical-path summary of the factorization schedule that
-  /// produced this request's factor (obs::ScheduleSummary on
-  /// SolveResult::schedule). Requires ServeOptions::solver.record_schedule
-  /// — sessions record schedules only when the service opted in; without
-  /// it (or when the factor predates the recording), the summary comes
-  /// back with valid == false.
-  bool explain_schedule = false;
-};
-
-/// One span copied out of the trace for SolveResult::trace — an owned
-/// snapshot (strings copied) so it outlives the obs session.
-struct RequestTraceSpan {
-  std::string category;
-  std::string name;
-  std::int64_t start_ns = 0;  ///< relative to the obs session epoch
-  std::int64_t end_ns = 0;
-  std::uint64_t span_id = 0;
-  std::uint64_t parent_span = 0;  ///< 0 = root of this request's tree
 };
 
 struct SolveResult {
@@ -135,17 +110,6 @@ struct SolveResult {
   /// including rejected ones) — the key to find this request's spans in a
   /// Chrome-trace export.
   std::uint64_t request_id = 0;
-  /// Critical-path summary of the factorization that produced the factor
-  /// this request used (RequestOptions::explain_schedule): makespan and its
-  /// per-cost-class attribution over the virtual schedule. valid == false
-  /// unless the service records schedules (ServeOptions::solver
-  /// .record_schedule) and the executing session factored with recording.
-  obs::ScheduleSummary schedule;
-  /// Per-request trace dump (RequestOptions::collect_trace): the executing
-  /// session thread's spans for the batch that finished this request,
-  /// parent-linked via span_id/parent_span. Empty unless requested AND obs
-  /// recording was on.
-  std::vector<RequestTraceSpan> trace;
 
   bool ok() const noexcept { return status == RequestStatus::Ok; }
 };

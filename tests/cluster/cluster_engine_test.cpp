@@ -44,15 +44,14 @@ const Analysis& test_analysis() {
 /// Serial reference with the cluster's default node executor (baseline
 /// hybrid on a private simulated device).
 FactorizeResult serial_reference(const Analysis& analysis,
-                                 Device::Options device_options = {},
-                                 const FactorizeOptions& numeric = {}) {
+                                 Device::Options device_options = {}) {
   FactorContext ctx;
   device_options.numeric = true;
   Device device(device_options);
   ctx.device = &device;
   const std::unique_ptr<FuExecutor> executor =
       default_worker_executor(WorkerSpec{true}, ExecutorOptions{});
-  return factorize(analysis, *executor, ctx, numeric);
+  return factorize(analysis, *executor, ctx);
 }
 
 /// GPU-forcing chooser for the fault tests (the test grids' fronts are
@@ -76,21 +75,6 @@ TEST(ClusterEngineTest, FactorIsBitwiseSerialAcrossNodesLinksEngines) {
       }
     }
   }
-}
-
-TEST(ClusterEngineTest, Float32FactorIsBitwiseSerialFloat32) {
-  FactorizeOptions single;
-  single.precision = FactorPrecision::Float32;
-  const FactorizeResult serial = serial_reference(test_analysis(), {}, single);
-  ASSERT_TRUE(serial.factor.single_precision());
-
-  ClusterFactorizeOptions options;
-  options.cluster.num_nodes = 3;
-  options.cluster.engine = ClusterEngine::FanBoth;
-  options.numeric = single;
-  const FactorizeResult result = factorize_cluster(test_analysis(), options);
-  ASSERT_TRUE(result.factor.single_precision());
-  EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor));
 }
 
 TEST(ClusterEngineTest, RepeatRunsAreFullyDeterministic) {

@@ -123,7 +123,7 @@ TEST(ChaosTest, ParallelIsBitwiseEqualAcrossWorkerCountsUnderFaults) {
   EXPECT_GT(one.faults_survived, 0) << "schedule never faulted";
   EXPECT_EQ(one.faults_survived, four.faults_survived);
 
-  ASSERT_EQ(one.factor.num_panels(), four.factor.num_panels());
+  ASSERT_EQ(one.factor.panels.size(), four.factor.panels.size());
   for (std::size_t s = 0; s < one.factor.panels.size(); ++s) {
     const Matrix<double>& pa = one.factor.panels[s];
     const Matrix<double>& pb = four.factor.panels[s];
@@ -196,7 +196,7 @@ TEST(ChaosTest, FaultInsideBatchRetriesOnlyTheAffectedFront) {
   }
   EXPECT_GE(faulted_calls, 1);
 
-  ASSERT_EQ(reference.factor.num_panels(), result.factor.num_panels());
+  ASSERT_EQ(reference.factor.panels.size(), result.factor.panels.size());
   for (std::size_t s = 0; s < reference.factor.panels.size(); ++s) {
     const Matrix<double>& pa = reference.factor.panels[s];
     const Matrix<double>& pb = result.factor.panels[s];
@@ -260,6 +260,68 @@ TEST(ChaosTest, CorruptedBatchDownloadRetriesOnlyThatMember) {
   }
   EXPECT_EQ(faulted_calls, 1);
   EXPECT_GE(batched_calls, 1);
+  EXPECT_TRUE(
+      testing_helpers::factors_bitwise_equal(reference.factor, result.factor));
+}
+
+TEST(ChaosTest, BatchLeaderKeepsItsOwnFaultSchedule) {
+  // A front's fault schedule is a pure function of (seed, front, op),
+  // whether or not it leads its batch (FaultInjector::resume_scope). The
+  // seed is chosen so that the first batch leader's op-0 draw corrupts
+  // and its next fifteen draws are clean: op 0 is the leader's L1 upload,
+  // so the leader must record a TransferCorruption and re-run per-front.
+  // If the dispatch's slab allocations consumed the leader's first ops,
+  // its upload would draw a clean op and no fault would reach it.
+  Rng rng(17);
+  const GridProblem p = make_elasticity_3d(6, 6, 5, 3, rng);
+  const Analysis analysis = analyze_md(p.matrix);
+  const BatchingOptions batching = parse_batching("on,min=2");
+  const BatchPlan plan = group_batches(analysis.symbolic, batching);
+  ASSERT_TRUE(plan.any());
+  const index_t leader = plan.batches.front().snodes.front();
+  const auto scope = static_cast<std::uint64_t>(
+      analysis.symbolic.supernodes()[static_cast<std::size_t>(leader)]
+          .first_col);
+
+  constexpr double kRate = 0.01;
+  std::uint64_t seed = 0;
+  const auto leader_schedule_fits = [&](std::uint64_t s) {
+    if (FaultInjector::uniform(s, scope, 0) >= kRate) return false;
+    for (std::uint64_t op = 1; op < 16; ++op) {
+      if (FaultInjector::uniform(s, scope, op) < kRate) return false;
+    }
+    return true;
+  };
+  while (!leader_schedule_fits(seed)) ++seed;
+
+  PolicyExecutor reference_executor(Policy::P1);
+  FactorContext reference_ctx;
+  const FactorizeResult reference =
+      factorize(analysis, reference_executor, reference_ctx);
+
+  Device::Options device_options;
+  device_options.faults.seed = seed;
+  device_options.faults.transfer_corruption_rate = kRate;
+  Device device(device_options);
+  DispatchExecutor dispatch("batch-leader",
+                            [](const FuCall&) { return Policy::P1; });
+  FactorContext ctx;
+  ctx.device = &device;
+  FactorizeOptions options;
+  options.batching = batching;
+  FactorizeResult result;
+  ASSERT_NO_THROW(result = factorize(analysis, dispatch, ctx, options));
+
+  constexpr auto kCorrupted =
+      static_cast<std::size_t>(FaultKind::TransferCorruption);
+  const FuCallRecord* leader_record = nullptr;
+  for (const FuCallRecord& r : result.trace.calls) {
+    if (r.snode == leader) leader_record = &r;
+  }
+  ASSERT_NE(leader_record, nullptr);
+  EXPECT_EQ(leader_record->faults, 1) << "seed " << seed;
+  EXPECT_EQ(leader_record->fault_kinds[kCorrupted], 1) << "seed " << seed;
+  EXPECT_EQ(leader_record->batch, 1) << "seed " << seed;
   EXPECT_TRUE(
       testing_helpers::factors_bitwise_equal(reference.factor, result.factor));
 }

@@ -21,11 +21,10 @@ Analysis analyze_md(const SparseSpd& a) {
   return analyze(a, minimum_degree(build_graph(a)));
 }
 
-FactorizeResult factorize_serial(const Analysis& analysis,
-                                 const FactorizeOptions& options = {}) {
+FactorizeResult factorize_serial(const Analysis& analysis) {
   PolicyExecutor executor(Policy::P1);
   FactorContext ctx;
-  return factorize(analysis, executor, ctx, options);
+  return factorize(analysis, executor, ctx);
 }
 
 double solve_residual(const SparseSpd& a, const Analysis& analysis,
@@ -56,24 +55,6 @@ TEST_P(ParallelFactorize, BitwiseEqualToSerialWithDeterministicReduction) {
 
   EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
   EXPECT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
-}
-
-TEST_P(ParallelFactorize, Float32BitwiseEqualToSerialFloat32) {
-  const int threads = GetParam();
-  Rng rng(11);
-  const GridProblem p = make_elasticity_3d(7, 6, 5, 3, rng);
-  const Analysis analysis = analyze_md(p.matrix);
-  FactorizeOptions single;
-  single.precision = FactorPrecision::Float32;
-  const FactorizeResult serial = factorize_serial(analysis, single);
-  ASSERT_TRUE(serial.factor.single_precision());
-
-  ParallelFactorizeOptions options;
-  options.num_threads = threads;
-  options.numeric = single;
-  const FactorizeResult parallel = factorize_parallel(analysis, options);
-  ASSERT_TRUE(parallel.factor.single_precision());
-  EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
 }
 
 TEST_P(ParallelFactorize, NonDeterministicReductionStaysAccurate) {

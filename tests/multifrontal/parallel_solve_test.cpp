@@ -136,7 +136,7 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
 }
 
 // Thread independence: the solve on 2/4/8 threads is bitwise the
-// one-thread solve, for both double and float panel storage.
+// one-thread solve, for a double factor and a P3 (device float) factor.
 TEST(ParallelSolveTest, BitwiseMatchesOneThreadAcrossThreads) {
   Rng rng(11);
   const GridProblem p = make_elasticity_3d(3, 3, 2, 3, rng);
@@ -155,8 +155,7 @@ TEST(ParallelSolveTest, BitwiseMatchesOneThreadAcrossThreads) {
       const Matrix<double> x = solve(s.analysis, s.factor, b, 1, options);
       for (index_t i = 0; i < n; ++i) {
         ASSERT_EQ(x(i, 0), serial(i, 0))
-            << "threads=" << threads
-            << " float_panels=" << s.factor.single_precision() << " row=" << i;
+            << "threads=" << threads << " row=" << i;
       }
     }
   }
@@ -190,8 +189,7 @@ TEST(ParallelSolveTest, BlockedSolveMatchesPerColumn) {
 // wider than the kernels' depth block (kc = 192 in double) and update runs
 // longer than it, so wide solves pack their products while 1-wide ones take
 // the unpacked leaf. Every column of an r-wide solve must be bitwise the
-// 1-wide solve of that column, at every width, on 1 and 4 threads, for
-// double and single-precision panels.
+// 1-wide solve of that column, at every width, on 1 and 4 threads.
 TEST(ParallelSolveTest, ColumnsMatchOneWideSolveAtEveryWidth) {
   Rng rng(17);
   const GridProblem p = make_elasticity_3d(9, 9, 9, 3, rng);
@@ -212,16 +210,10 @@ TEST(ParallelSolveTest, ColumnsMatchOneWideSolveAtEveryWidth) {
   const index_t n = sym.n();
   const index_t kMaxRhs = 17;
   const Matrix<double> b = make_block(n, kMaxRhs);
-  for (FactorPrecision precision :
-       {FactorPrecision::Float64, FactorPrecision::Float32}) {
+  {
     PolicyExecutor p1(Policy::P1);
     FactorContext ctx;
-    FactorizeOptions factor_options;
-    factor_options.precision = precision;
-    const Factorization factor =
-        factorize(an, p1, ctx, factor_options).factor;
-    ASSERT_EQ(factor.single_precision(),
-              precision == FactorPrecision::Float32);
+    const Factorization factor = factorize(an, p1, ctx).factor;
 
     std::vector<Matrix<double>> one_wide;
     for (index_t c = 0; c < kMaxRhs; ++c) {
@@ -238,8 +230,7 @@ TEST(ParallelSolveTest, ColumnsMatchOneWideSolveAtEveryWidth) {
         for (index_t c = 0; c < r; ++c) {
           for (index_t i = 0; i < n; ++i) {
             ASSERT_EQ(x(i, c), one_wide[static_cast<std::size_t>(c)](i, 0))
-                << "float_panels=" << factor.single_precision()
-                << " threads=" << threads << " r=" << r << " col=" << c
+                << "threads=" << threads << " r=" << r << " col=" << c
                 << " row=" << i;
           }
         }

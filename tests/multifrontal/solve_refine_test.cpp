@@ -158,5 +158,21 @@ TEST(SolveTest, SizeMismatchThrows) {
   EXPECT_THROW(solve(s.analysis, s.factor, bad), InvalidArgumentError);
 }
 
+TEST(SolveTest, OnePanelPerSupernode) {
+  const GridProblem p = make_laplacian_3d(4, 4, 3);
+  const SolveSetup s = factorize_p1(p.matrix);
+  EXPECT_EQ(static_cast<index_t>(s.factor.panels.size()),
+            s.analysis.symbolic.num_supernodes());
+}
+
+TEST(SolveTest, MismatchedFactorRejected) {
+  const GridProblem small = make_laplacian_3d(3, 3, 2);
+  const GridProblem big = make_laplacian_3d(4, 4, 3);
+  const SolveSetup s = factorize_p1(small.matrix);
+  Analysis other = analyze(big.matrix, minimum_degree(build_graph(big.matrix)));
+  std::vector<double> x(static_cast<std::size_t>(big.matrix.n()), 0.0);
+  EXPECT_THROW(solve(other, s.factor, x), InvalidArgumentError);
+}
+
 }  // namespace
 }  // namespace mfgpu

@@ -59,7 +59,6 @@ TEST(TraceStatsTest, PolicyBreakdownRejectsCorruptTrace) {
 TEST(TraceStatsTest, SmallCallFractions) {
   const FactorizationTrace trace = sample_trace();
   EXPECT_DOUBLE_EQ(small_call_fraction(trace, 1000, 500), 0.5);
-  EXPECT_DOUBLE_EQ(small_call_time_fraction(trace, 1000, 500), 3.0 / 15.0);
   EXPECT_DOUBLE_EQ(small_call_fraction({}, 10, 10), 0.0);
 }
 

@@ -3,6 +3,7 @@
 // small self-contained JSON parser (no external dependencies).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cctype>
 #include <cmath>
@@ -677,6 +678,81 @@ TEST(ChromeTraceTest, ServeTraceParentsBatchedSpansAndEmitsRequestFlows) {
     EXPECT_EQ(flow.finishes, 1) << "flow " << id;
     EXPECT_NE(flow.s_tid, flow.f_tid) << "flow " << id;
   }
+}
+
+// One served request's causal tree in the export: its queue wait, its
+// batch span (hung off the admission root), the solver-phase spans inside
+// the batch, and its completion marker all carry its request id and a span
+// id.
+TEST(ChromeTraceTest, ServeTraceHangsEachRequestsBatchOffItsAdmission) {
+  const std::string dir = ::testing::TempDir();
+  obs::ObsConfig config;
+  config.trace_path = dir + "mfgpu_serve_request_tree.json";
+  std::uint64_t request_id = 0;
+  {
+    obs::ObsScope scope(config);
+    ASSERT_TRUE(scope.active());
+    {
+      const GridProblem p = make_laplacian_3d(5, 4, 3);
+      serve::ServeOptions options;
+      options.num_sessions = 1;
+      serve::SolverService service(options);
+      Rng rng(3);
+      std::vector<double> b(static_cast<std::size_t>(p.matrix.n()));
+      for (double& v : b) v = rng.uniform(-1.0, 1.0);
+      const serve::SolveResult result =
+          service.submit(std::make_shared<SparseSpd>(p.matrix), b).get();
+      ASSERT_TRUE(result.ok()) << result.error;
+      request_id = result.request_id;
+    }
+    scope.finish();
+  }
+  ASSERT_NE(request_id, 0u);
+
+  JsonValue root;
+  ASSERT_NO_THROW(root = parse_file(config.trace_path));
+  const JsonValue* events = root.find("traceEvents");
+  ASSERT_NE(events, nullptr);
+
+  double admit_span = 0.0;
+  double batch_span = 0.0;
+  double batch_parent = 0.0;
+  int queue_waits = 0;
+  int completes = 0;
+  std::vector<double> parents;  // parent_span of every request span
+  for (const JsonValue& event : events->items) {
+    if (event.find("ph")->text != "X" || event.find("pid")->number != 1.0) {
+      continue;
+    }
+    const JsonValue* args = event.find("args");
+    if (args == nullptr) continue;
+    const JsonValue* rid = args->find("request_id");
+    if (rid == nullptr ||
+        rid->number != static_cast<double>(request_id)) {
+      continue;
+    }
+    const JsonValue* span_id = args->find("span_id");
+    ASSERT_NE(span_id, nullptr);
+    EXPECT_NE(span_id->number, 0.0);
+    const JsonValue* parent = args->find("parent_span");
+    if (parent != nullptr) parents.push_back(parent->number);
+    const std::string& name = event.find("name")->text;
+    if (name == "admit") admit_span = span_id->number;
+    if (name == "queue_wait") ++queue_waits;
+    if (name == "complete") ++completes;
+    if (name == "request_batch") {
+      batch_span = span_id->number;
+      ASSERT_NE(parent, nullptr);
+      batch_parent = parent->number;
+    }
+  }
+  EXPECT_EQ(queue_waits, 1);
+  EXPECT_EQ(completes, 1);
+  ASSERT_NE(admit_span, 0.0);
+  ASSERT_NE(batch_span, 0.0);
+  EXPECT_EQ(batch_parent, admit_span);
+  // Solver-phase spans are children inside the batch subtree.
+  EXPECT_NE(std::count(parents.begin(), parents.end(), batch_span), 0);
 }
 
 }  // namespace

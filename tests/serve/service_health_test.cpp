@@ -78,55 +78,6 @@ TEST(ServeHealth, EveryResultCarriesAUniqueRequestId) {
   EXPECT_NE(rejected.request_id, 0u);
 }
 
-TEST(ServeHealth, CollectTraceReturnsParentLinkedSpans) {
-  RecordingGuard guard;
-  const GridProblem p = make_laplacian_3d(5, 4, 3);
-  ServeOptions options;
-  options.num_sessions = 1;
-  SolverService service(options);
-
-  RequestOptions traced;
-  traced.collect_trace = true;
-  const SolveResult result =
-      service
-          .submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 3), traced)
-          .get();
-  ASSERT_TRUE(result.ok()) << result.error;
-  ASSERT_FALSE(result.trace.empty());
-
-  bool saw_queue_wait = false;
-  bool saw_batch = false;
-  bool saw_complete = false;
-  std::uint64_t batch_span = 0;
-  for (const RequestTraceSpan& span : result.trace) {
-    EXPECT_NE(span.span_id, 0u);
-    if (span.name == "queue_wait") saw_queue_wait = true;
-    if (span.name == "request_batch") {
-      saw_batch = true;
-      batch_span = span.span_id;
-      // The batch hangs off the request's admission root span.
-      EXPECT_NE(span.parent_span, 0u);
-    }
-    if (span.name == "complete") saw_complete = true;
-  }
-  EXPECT_TRUE(saw_queue_wait);
-  EXPECT_TRUE(saw_batch);
-  EXPECT_TRUE(saw_complete);
-  // Solver-phase spans are children inside the batch subtree.
-  bool saw_batch_child = false;
-  for (const RequestTraceSpan& span : result.trace) {
-    if (span.parent_span == batch_span) saw_batch_child = true;
-  }
-  EXPECT_TRUE(saw_batch_child);
-
-  // Without collect_trace the dump stays empty even while recording.
-  const SolveResult plain =
-      service.submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 4))
-          .get();
-  ASSERT_TRUE(plain.ok());
-  EXPECT_TRUE(plain.trace.empty());
-}
-
 TEST(ServeHealth, AdmitSpanCarriesRetryBudget) {
   RecordingGuard guard;
   const GridProblem p = make_laplacian_3d(4, 4, 3);

@@ -537,61 +537,5 @@ TEST(ServeThroughput, WarmServiceBeatsNaivePerRequestSolversBy3x) {
                           << service_sim << "s";
 }
 
-TEST(ServeService, ExplainScheduleReturnsCriticalPathSummary) {
-  const GridProblem p = make_laplacian_3d(6, 5, 4);
-  const auto a = shared_matrix(p.matrix);
-
-  ServeOptions options;
-  options.num_sessions = 1;
-  options.solver.record_schedule = true;
-  SolverService service(options);
-
-  RequestOptions explain;
-  explain.explain_schedule = true;
-  const SolveResult result =
-      service.submit(a, random_rhs(p.matrix.n(), 7), explain).get();
-  ASSERT_TRUE(result.ok()) << result.error;
-  ASSERT_TRUE(result.schedule.valid);
-  EXPECT_GT(result.schedule.makespan, 0.0);
-  EXPECT_GE(result.schedule.lanes, 1);
-  EXPECT_GT(result.schedule.spine_tasks, 0);
-  double accounted = result.schedule.idle_seconds;
-  for (const double s : result.schedule.class_seconds) accounted += s;
-  EXPECT_NEAR(accounted, result.schedule.makespan,
-              1e-12 * result.schedule.makespan);
-
-  // Factor reuse: the summary still describes the factorization that
-  // produced the reused factor, so it matches the first request's bitwise.
-  const SolveResult reused =
-      service.submit(a, random_rhs(p.matrix.n(), 8), explain).get();
-  ASSERT_TRUE(reused.ok()) << reused.error;
-  EXPECT_TRUE(reused.factor_reused);
-  ASSERT_TRUE(reused.schedule.valid);
-  EXPECT_EQ(reused.schedule.makespan, result.schedule.makespan);
-
-  // Requests that did not opt in get the defaulted (invalid) summary.
-  const SolveResult plain =
-      service.submit(a, random_rhs(p.matrix.n(), 9)).get();
-  ASSERT_TRUE(plain.ok()) << plain.error;
-  EXPECT_FALSE(plain.schedule.valid);
-}
-
-TEST(ServeService, ExplainScheduleInvalidWhenServiceDoesNotRecord) {
-  const GridProblem p = make_laplacian_3d(5, 5, 4);
-  const auto a = shared_matrix(p.matrix);
-
-  ServeOptions options;
-  options.num_sessions = 1;  // default solver options: record_schedule off
-  SolverService service(options);
-
-  RequestOptions explain;
-  explain.explain_schedule = true;
-  const SolveResult result =
-      service.submit(a, random_rhs(p.matrix.n(), 21), explain).get();
-  ASSERT_TRUE(result.ok()) << result.error;
-  EXPECT_FALSE(result.schedule.valid);
-  EXPECT_EQ(result.schedule.makespan, 0.0);
-}
-
 }  // namespace
 }  // namespace mfgpu::serve
