@@ -92,20 +92,8 @@ int main() {
   identity_options.batching = parse_batching(spec);
   const Factorization batched_factor =
       factorize(analysis, p1_dispatch, identity_ctx, identity_options).factor;
-  bool bitwise = host_factor.panels.size() == batched_factor.panels.size();
-  for (std::size_t s = 0; bitwise && s < host_factor.panels.size(); ++s) {
-    const Matrix<double>& a = host_factor.panels[s];
-    const Matrix<double>& b = batched_factor.panels[s];
-    bitwise = a.rows() == b.rows() && a.cols() == b.cols();
-    for (index_t j = 0; bitwise && j < a.cols(); ++j) {
-      for (index_t i = j; i < a.rows(); ++i) {
-        if (a(i, j) != b(i, j)) {
-          bitwise = false;
-          break;
-        }
-      }
-    }
-  }
+  const bool bitwise =
+      !first_factor_difference(host_factor, batched_factor).has_value();
 
   const double batched_share =
       batched.calls == 0

@@ -5,8 +5,6 @@
 #include <cstdlib>
 #include <limits>
 
-#include "gpusim/cost_class.hpp"
-#include "gpusim/fault_injector.hpp"
 #include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
 #include "sched/task_graph.hpp"
@@ -81,20 +79,13 @@ namespace {
 /// The cluster bookkeeping of one simulated node (its execution state is a
 /// FrontWorker): its two interconnect lanes — send_free (egress: when the
 /// wire out of this node is next idle) and recv_free (ingress: when this
-/// node can next absorb a message) — and its death schedule. The lanes are
-/// virtual times, not clocks: they let transfers overlap compute on both
-/// endpoints while messages still serialize.
+/// node can next absorb a message). The lanes are virtual times, not
+/// clocks: they let transfers overlap compute on both endpoints while
+/// messages still serialize.
 struct NodeState {
   double send_free = 0.0;
   double recv_free = 0.0;
-  bool dead = false;
-  index_t executed = 0;
-  index_t death_after = -1;  ///< dies after this many executed tasks; -1 = never
 };
-
-/// Salt mixed into the death draws so they never collide with the device
-/// fault injector's per-front scopes.
-constexpr std::uint64_t kDeathScope = 0x636c757374ULL;  // "clust"
 
 }  // namespace
 
@@ -131,8 +122,8 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   placement_options.num_nodes = num_nodes;
   placement_options.link = link;
   placement_options.refine = cluster.refine_placement;
-  PlacementResult placement = place_subtrees(graph, placement_options);
-  std::vector<int> node_of = std::move(placement.node_of);
+  const PlacementResult placement = place_subtrees(graph, placement_options);
+  const std::vector<int>& node_of = placement.node_of;
   stats.placement_seed_cost = placement.seed_cost;
   stats.placement_refined_cost = placement.refined_cost;
   stats.placement_moves = placement.moves;
@@ -156,44 +147,10 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     return workers[static_cast<std::size_t>(n)].ctx().host_clock;
   };
 
-  // Remaining assigned work per node (death failover picks the least
-  // loaded survivor) and the deterministic death draws: whether node n dies
-  // and after how many of its assigned tasks are pure functions of
-  // (death_seed, n) — independent of execution order.
-  std::vector<double> remaining(static_cast<std::size_t>(num_nodes), 0.0);
-  std::vector<index_t> assigned(static_cast<std::size_t>(num_nodes), 0);
-  for (index_t t = 0; t < nsup; ++t) {
-    const std::size_t n = static_cast<std::size_t>(node_of[static_cast<std::size_t>(t)]);
-    remaining[n] += graph.work(t);
-    ++assigned[n];
-  }
-  if (cluster.node_death_rate > 0.0) {
-    for (int n = 0; n < num_nodes; ++n) {
-      if (assigned[static_cast<std::size_t>(n)] == 0) continue;
-      const std::uint64_t scope =
-          kDeathScope ^ static_cast<std::uint64_t>(n);
-      if (FaultInjector::uniform(cluster.death_seed, scope, 0) >=
-          cluster.node_death_rate) {
-        continue;
-      }
-      const double u = FaultInjector::uniform(cluster.death_seed, scope, 1);
-      const index_t span = assigned[static_cast<std::size_t>(n)];
-      nodes[static_cast<std::size_t>(n)].death_after = std::clamp<index_t>(
-          1 + static_cast<index_t>(u * static_cast<double>(span - 1)), 1,
-          span);
-    }
-  }
-  int alive = num_nodes;
-
-  // The node that produced each published update (for message routing — a
-  // dead node's published updates stay readable, i.e. checkpointed).
-  std::vector<int> producer_node(static_cast<std::size_t>(nsup), -1);
-  std::vector<char> done(static_cast<std::size_t>(nsup), 0);
-
   // A child's update is local when the link is shared memory, the producer
   // is the consumer, or the update is empty; otherwise it is a message.
   auto is_local = [&](index_t c, int dst) {
-    return !wired || producer_node[static_cast<std::size_t>(c)] == dst ||
+    return !wired || node_of[static_cast<std::size_t>(c)] == dst ||
            graph.ms[static_cast<std::size_t>(c)] <= 0;
   };
 
@@ -205,8 +162,8 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   // estimates start times during task selection.
   auto wire_time = [&](index_t c, int dst, bool commit) {
     if (is_local(c, dst)) return tree.update_ready(c);
-    NodeState& src = nodes[static_cast<std::size_t>(
-        producer_node[static_cast<std::size_t>(c)])];
+    NodeState& src =
+        nodes[static_cast<std::size_t>(node_of[static_cast<std::size_t>(c)])];
     NodeState& sink = nodes[static_cast<std::size_t>(dst)];
     const index_t m = graph.ms[static_cast<std::size_t>(c)];
     const double start = std::max(tree.update_ready(c), src.send_free);
@@ -229,56 +186,9 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     if (is_local(c, n)) return std::nullopt;
     return wire_time(c, n, /*commit=*/true);
   };
-  auto run_task = [&](index_t s, int n) {
-    workers[static_cast<std::size_t>(n)].run_front(s);
-    producer_node[static_cast<std::size_t>(s)] = n;
-  };
-
-  // Node death: re-place every unexecuted task of the dead node onto the
-  // least-loaded survivor, which stalls for a failure-detection window
-  // before picking the work up. Published updates survive (checkpointed),
-  // so the numerics are untouched — only the schedule shifts.
-  auto kill_node = [&](int n) {
-    NodeState& node = nodes[static_cast<std::size_t>(n)];
-    node.dead = true;
-    ++stats.node_deaths;
-    --alive;
-    const double death_time = clock_of(n).now();
-    int target = -1;
-    for (int x = 0; x < num_nodes; ++x) {
-      if (nodes[static_cast<std::size_t>(x)].dead) continue;
-      if (target < 0 || remaining[static_cast<std::size_t>(x)] <
-                            remaining[static_cast<std::size_t>(target)]) {
-        target = x;
-      }
-    }
-    MFGPU_CHECK(target >= 0, "factorize_cluster: no surviving node");
-    for (index_t t = 0; t < nsup; ++t) {
-      if (done[static_cast<std::size_t>(t)] != 0 ||
-          node_of[static_cast<std::size_t>(t)] != n) {
-        continue;
-      }
-      node_of[static_cast<std::size_t>(t)] = target;
-      remaining[static_cast<std::size_t>(target)] += graph.work(t);
-      ++stats.replaced_tasks;
-    }
-    remaining[static_cast<std::size_t>(n)] = 0.0;
-    {
-      CostClassScope transfer(CostClass::Transfer);
-      clock_of(target).advance_to(death_time + 10.0 * link.latency);
-    }
-  };
-
-  auto finish_task = [&](index_t s) {
-    const int n = node_of[static_cast<std::size_t>(s)];
-    NodeState& node = nodes[static_cast<std::size_t>(n)];
-    done[static_cast<std::size_t>(s)] = 1;
-    remaining[static_cast<std::size_t>(n)] -= graph.work(s);
-    ++node.executed;
-    if (node.death_after >= 0 && !node.dead &&
-        node.executed >= node.death_after && alive > 1) {
-      kill_node(n);
-    }
+  auto run_task = [&](index_t s) {
+    workers[static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)])]
+        .run_front(s);
   };
 
   // Earliest virtual start of a ready task on its node, for selection.
@@ -338,8 +248,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     index_t executed_total = 0;
     while (!ready.empty()) {
       const index_t s = pick_next(ready);
-      run_task(s, node_of[static_cast<std::size_t>(s)]);
-      finish_task(s);
+      run_task(s);
       ++executed_total;
       const index_t p = graph.parent[static_cast<std::size_t>(s)];
       if (p != -1 && --pending[static_cast<std::size_t>(p)] == 0) {
@@ -374,19 +283,15 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
       std::vector<index_t> ready = level;
       while (!ready.empty()) {
         const index_t s = pick_next(ready);
-        run_task(s, node_of[static_cast<std::size_t>(s)]);
-        finish_task(s);
+        run_task(s);
       }
-      // Barrier: every surviving node (and its lanes) waits for the level.
+      // Barrier: every node (and its lanes) waits for the level.
       double level_end = 0.0;
       for (int n = 0; n < num_nodes; ++n) {
-        if (!nodes[static_cast<std::size_t>(n)].dead) {
-          level_end = std::max(level_end, clock_of(n).now());
-        }
+        level_end = std::max(level_end, clock_of(n).now());
       }
       for (int n = 0; n < num_nodes; ++n) {
         NodeState& node = nodes[static_cast<std::size_t>(n)];
-        if (node.dead) continue;
         clock_of(n).advance_to(level_end);
         node.send_free = std::max(node.send_free, level_end);
         node.recv_free = std::max(node.recv_free, level_end);
@@ -408,12 +313,6 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     metrics.gauge_set("cluster.placement.moves",
                       static_cast<double>(stats.placement_moves));
     metrics.gauge_set("cluster.placement.cost", stats.placement_refined_cost);
-    if (stats.node_deaths > 0) {
-      metrics.add("cluster.node_deaths",
-                  static_cast<double>(stats.node_deaths));
-      metrics.add("cluster.replaced_tasks",
-                  static_cast<double>(stats.replaced_tasks));
-    }
   }
 
   if (stats_out != nullptr) *stats_out = stats;

@@ -29,13 +29,11 @@
 // (descending child index) and device-fault fates are a pure function of
 // (seed, front, op) — never of placement — so the cluster factor is
 // BITWISE identical to the serial factorize() for every node count, link
-// speed, engine, and non-death fault seed.
+// speed, engine, and fault seed.
 //
-// Node death (chaos): node_death_rate > 0 draws a deterministic death
-// point per node from death_seed; a dead node's unexecuted tasks are
-// re-placed onto the least-loaded survivor (its already-published updates
-// remain readable — checkpointed messages). Re-placement never changes the
-// numerics, only the simulated schedule.
+// Nodes never fail: the only simulated failure source is each node's
+// device fault injector (gpusim/fault_injector.hpp), answered inside the
+// node's dispatcher, so a task always runs on the node its placement chose.
 //
 // Aggregated small-front batching (multifrontal/batched.hpp) is a
 // per-node device concern orthogonal to this simulation; the cluster
@@ -73,10 +71,6 @@ struct ClusterOptions {
   /// Give every node a private simulated GPU (hybrid dispatch); off = all
   /// nodes run host-only P1.
   bool nodes_have_gpu = true;
-  /// Chaos: probability each node dies mid-run (deterministic per
-  /// death_seed; at least one node always survives).
-  double node_death_rate = 0.0;
-  std::uint64_t death_seed = 0;
 
   bool enabled() const noexcept { return num_nodes > 0; }
 };
@@ -107,9 +101,6 @@ struct ClusterStats {
   double placement_seed_cost = 0.0;
   double placement_refined_cost = 0.0;
   int placement_moves = 0;
-  /// Chaos outcomes.
-  int node_deaths = 0;
-  std::int64_t replaced_tasks = 0;
 };
 
 struct ClusterFactorizeOptions {

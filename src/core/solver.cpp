@@ -36,7 +36,6 @@ class OwnedTimerIdealHybrid : public FuExecutor {
   }
   const char* name() const override { return inner_.name(); }
   std::int64_t fault_count() const override { return inner_.fault_count(); }
-  bool quarantined() const override { return inner_.quarantined(); }
 
  private:
   std::unique_ptr<PolicyTimer> timer_;  // must outlive inner_

@@ -117,10 +117,9 @@ class FaultInjector {
   /// Clears death, stats, and scope state (options and seed survive).
   void reset() noexcept;
 
-  /// The deterministic draw sample() uses, exposed as a pure function for
-  /// draws that must not depend on execution order (the cluster engine's
-  /// node deaths, cluster/cluster.cpp): uniform in [0, 1) from (seed,
-  /// scope, op).
+  /// The deterministic draw sample() uses, exposed as a pure function so a
+  /// front's fault schedule can be predicted without running it (tests
+  /// pick seeds with it): uniform in [0, 1) from (seed, scope, op).
   static double uniform(std::uint64_t seed, std::uint64_t scope,
                         std::uint64_t op) noexcept;
 

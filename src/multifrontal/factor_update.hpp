@@ -93,9 +93,6 @@ class FuExecutor {
   /// Device faults this executor detected and survived (fault-tolerant
   /// dispatchers override; plain executors never detect faults).
   virtual std::int64_t fault_count() const { return 0; }
-  /// True once the executor's circuit breaker tripped and it runs
-  /// CPU-only for the rest of the run.
-  virtual bool quarantined() const { return false; }
 };
 
 }  // namespace mfgpu

@@ -15,6 +15,29 @@ std::int64_t Factorization::storage_bytes() const noexcept {
   return bytes;
 }
 
+std::optional<FactorDifference> first_factor_difference(
+    const Factorization& a, const Factorization& b) {
+  if (a.panels.size() != b.panels.size()) {
+    return FactorDifference{.panel = std::min(a.panels.size(),
+                                              b.panels.size())};
+  }
+  for (std::size_t s = 0; s < a.panels.size(); ++s) {
+    const Matrix<double>& pa = a.panels[s];
+    const Matrix<double>& pb = b.panels[s];
+    if (pa.rows() != pb.rows() || pa.cols() != pb.cols()) {
+      return FactorDifference{.panel = s};
+    }
+    for (index_t j = 0; j < pa.cols(); ++j) {
+      for (index_t i = j; i < pa.rows(); ++i) {
+        if (pa(i, j) != pb(i, j)) {
+          return FactorDifference{s, i, j, pa(i, j), pb(i, j)};
+        }
+      }
+    }
+  }
+  return std::nullopt;
+}
+
 FactorizeResult factorize(const Analysis& analysis, FuExecutor& executor,
                           FactorContext& ctx,
                           const FactorizeOptions& options) {

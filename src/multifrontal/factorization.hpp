@@ -6,6 +6,7 @@
 #pragma once
 
 #include <cstdint>
+#include <optional>
 #include <vector>
 
 #include "dense/matrix.hpp"
@@ -38,6 +39,25 @@ struct Factorization {
   std::int64_t storage_bytes() const noexcept;
 };
 
+/// Where two factors first differ. row == -1 means the panel counts (panel
+/// is then the shorter count) or panel `panel`'s shapes differ; otherwise
+/// (row, col) is the first differing entry of that panel, holding a / b.
+struct FactorDifference {
+  std::size_t panel = 0;
+  index_t row = -1;
+  index_t col = -1;
+  double a = 0.0;
+  double b = 0.0;
+};
+
+/// The first entry, in panel then column-major order, where `a` and `b`
+/// differ — over the lower triangle of each pivot block and every row below
+/// it, the entries a factor defines. std::nullopt when they are bitwise
+/// identical there: the check behind every "factor equals the serial
+/// factor bit for bit" contract.
+std::optional<FactorDifference> first_factor_difference(
+    const Factorization& a, const Factorization& b);
+
 /// High-water memory marks of one worker's numeric phase: its arena plus —
 /// for GPU-bearing workers — its private simulated device's pool slabs and
 /// pinned staging. The profiler aggregates these into the report's memory
@@ -68,10 +88,8 @@ struct FactorizeResult {
   PoolRunStats pool_stats;
   double pool_wall_seconds = 0.0;
   /// Fault tolerance: device faults detected and survived by the run's
-  /// executors, and how many workers ended the run quarantined to CPU-only
-  /// (circuit breaker; see policy/executors.hpp).
+  /// executors (see policy/executors.hpp).
   std::int64_t faults_survived = 0;
-  int quarantined_workers = 0;
 };
 
 struct FactorizeOptions {

@@ -360,7 +360,6 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
     start = std::min(start, worker.start_time_);
     assembly_total += worker.assembly_time_;
     result.faults_survived += worker.executor_->fault_count();
-    if (worker.executor_->quarantined()) ++result.quarantined_workers;
 
     // The arena holding the worker's fronts or — for the serial drivers,
     // whose fronts are heap-allocated — the update matrices.
@@ -412,10 +411,6 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
     if (result.faults_survived > 0) {
       metrics.add("fault.run.survived",
                   static_cast<double>(result.faults_survived));
-    }
-    if (result.quarantined_workers > 0) {
-      metrics.gauge_set("fault.workers.quarantined",
-                        static_cast<double>(result.quarantined_workers));
     }
   }
   return result;

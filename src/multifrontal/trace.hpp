@@ -36,8 +36,6 @@ struct FuCallRecord {
   /// includes the wasted time of the failed on-device attempts.
   int faults = 0;
   bool fell_back = false;
-  /// One of the faults charged to this call tripped the circuit breaker.
-  bool quarantined = false;
   /// A hybrid dispatcher (DispatchExecutor) chose this call's policy; the
   /// profiler's policy audit covers exactly these calls.
   bool dispatched = false;

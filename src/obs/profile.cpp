@@ -289,7 +289,6 @@ void build_faults(FaultProfile& faults, const FactorizationTrace& trace) {
     faults.events += events;
     faults.fallbacks += fallbacks;
     faults.retries += events - fallbacks;
-    if (call.quarantined) ++faults.quarantines;
     faults.wasted_seconds += call.fault_wasted_seconds;
   }
 }
@@ -356,8 +355,6 @@ void publish_gauges(const ProfileReport& report) {
                       static_cast<double>(faults.events));
     metrics.gauge_set("profile.fault.fallbacks",
                       static_cast<double>(faults.fallbacks));
-    metrics.gauge_set("profile.fault.quarantines",
-                      static_cast<double>(faults.quarantines));
     metrics.gauge_set("profile.fault.wasted_seconds", faults.wasted_seconds);
   }
 }
@@ -480,7 +477,6 @@ void ProfileReport::write_json(std::ostream& os) const {
   os << ",\n  \"fault_audit\": {\"events\": " << faults.events
      << ", \"retries\": " << faults.retries
      << ", \"fallbacks\": " << faults.fallbacks
-     << ", \"quarantines\": " << faults.quarantines
      << ", \"wasted_seconds\": " << full_double(faults.wasted_seconds)
      << ", \"kinds\": {";
   first = true;
@@ -576,7 +572,6 @@ void ProfileReport::print(std::ostream& os) const {
     }
     table.add_row({std::string("retries"), faults.retries});
     table.add_row({std::string("fallbacks"), faults.fallbacks});
-    table.add_row({std::string("quarantines"), faults.quarantines});
     table.add_row({std::string("wasted_seconds"), faults.wasted_seconds});
     table.print(os);
   }

@@ -95,14 +95,13 @@ struct PolicyAudit {
 /// Fault-tolerance audit from the faults charged to trace records: what
 /// injected device faults cost the run — the "fault regret" is the
 /// simulated device time thrown away on failed attempts, plus how the
-/// dispatcher answered (on-device retry, host fallback, worker quarantine).
+/// dispatcher answered (on-device retry or host fallback).
 struct FaultProfile {
   std::int64_t events = 0;                    ///< faults detected in-run
   std::array<std::int64_t, 5> kind_counts{};  ///< indexed by gpusim FaultKind
-  std::int64_t retries = 0;      ///< answered by another on-device attempt
-  std::int64_t fallbacks = 0;    ///< answered by the host P1 redo
-  std::int64_t quarantines = 0;  ///< circuit-breaker trips
-  double wasted_seconds = 0.0;   ///< simulated device time thrown away
+  std::int64_t retries = 0;     ///< answered by another on-device attempt
+  std::int64_t fallbacks = 0;   ///< answered by the host P1 redo
+  double wasted_seconds = 0.0;  ///< simulated device time thrown away
 };
 
 struct ProfileReport {

@@ -49,15 +49,38 @@ int stream_slot(std::int8_t stream) {
   return (s >= 0 && s < kMaxStreams) ? s : kMaxStreams - 1;
 }
 
-}  // namespace
+struct ReadyPos {
+  int lane = -1;
+  std::size_t index = 0;  ///< position of the Ready event in its lane
+};
 
-ReplayResult replay_exact(const ScheduleRecord& record,
-                          const RateScales& scales) {
+/// The live run's per-event trail, which the critical-path walk reads back.
+struct LiveTrail {
+  /// now_after[l][i]: lane l's live clock after event i replays.
+  std::vector<std::vector<double>> now_after;
+  std::vector<double> ready_live;  ///< per snode
+  std::vector<ReadyPos> ready_pos;
+  int makespan_lane = 0;  ///< first lane whose live clock ends at the makespan
+};
+
+/// The one dependency-driven traversal of a record: refolds the replayed
+/// clocks under `scales` and the live clocks alongside. A non-null `trail`
+/// also receives the live per-event post-states and Ready positions.
+ReplayResult fold_record(const ScheduleRecord& record,
+                         const RateScales& scales, LiveTrail* trail) {
   ReplayResult out;
   const std::size_t num_lanes = record.lanes.size();
   out.lane_final.assign(num_lanes, 0.0);
   out.update_ready.assign(static_cast<std::size_t>(record.num_snodes), 0.0);
   if (record.empty()) return out;
+  if (trail != nullptr) {
+    trail->now_after.resize(num_lanes);
+    for (std::size_t l = 0; l < num_lanes; ++l) {
+      trail->now_after[l].resize(record.lanes[l].events.size());
+    }
+    trail->ready_pos.assign(static_cast<std::size_t>(record.num_snodes),
+                            ReadyPos{});
+  }
 
   std::vector<LaneCursor> cursors(num_lanes);
   for (std::size_t l = 0; l < num_lanes; ++l) {
@@ -82,7 +105,8 @@ ReplayResult replay_exact(const ScheduleRecord& record,
   while (remaining > 0) {
     MFGPU_CHECK(progress, "replay_exact: dependency cycle in record");
     progress = false;
-    for (LaneCursor& cur : cursors) {
+    for (std::size_t l = 0; l < num_lanes; ++l) {
+      LaneCursor& cur = cursors[l];
       const auto& events = cur.lane->events;
       while (cur.pos < events.size()) {
         const ClockEvent& ev = events[cur.pos];
@@ -115,6 +139,9 @@ ReplayResult replay_exact(const ScheduleRecord& record,
             out.update_ready[dep] = rr;
             ready_set[dep] = 1;
             cur.map[rl] = rr;
+            if (trail != nullptr) {
+              trail->ready_pos[dep] = ReadyPos{static_cast<int>(l), cur.pos};
+            }
             break;
           }
           case SchedOp::Enqueue: {
@@ -135,6 +162,9 @@ ReplayResult replay_exact(const ScheduleRecord& record,
           }
         }
         cur.map[cur.live_now] = cur.replay_now;
+        if (trail != nullptr) {
+          trail->now_after[l][cur.pos] = cur.live_now;
+        }
         ++cur.pos;
         --remaining;
         progress = true;
@@ -145,104 +175,31 @@ ReplayResult replay_exact(const ScheduleRecord& record,
   for (std::size_t l = 0; l < num_lanes; ++l) {
     out.lane_final[l] = cursors[l].replay_now;
     out.makespan = std::max(out.makespan, cursors[l].replay_now);
-    out.live_makespan = std::max(out.live_makespan, cursors[l].live_now);
+    if (cursors[l].live_now > out.live_makespan) {
+      out.live_makespan = cursors[l].live_now;
+      if (trail != nullptr) trail->makespan_lane = static_cast<int>(l);
+    }
   }
+  if (trail != nullptr) trail->ready_live = std::move(ready_live);
   return out;
 }
 
+}  // namespace
+
+ReplayResult replay_exact(const ScheduleRecord& record,
+                          const RateScales& scales) {
+  return fold_record(record, scales, nullptr);
+}
+
 // ---------------------------------------------------------------------------
-// Live fold: per-event post-state times and Ready positions for the
-// critical-path walk.
+// Critical path.
 
 namespace {
 
-struct ReadyPos {
-  int lane = -1;
-  std::size_t index = 0;  ///< position of the Ready event in its lane
-};
-
-struct LiveFold {
-  /// now_after[l][i]: lane l's clock after event i replays.
-  std::vector<std::vector<double>> now_after;
-  std::vector<double> ready_live;  ///< per snode
-  std::vector<ReadyPos> ready_pos;
-  double makespan = 0.0;
-  int makespan_lane = 0;
-};
-
-LiveFold fold_live(const ScheduleRecord& record) {
-  LiveFold fold;
-  const std::size_t num_lanes = record.lanes.size();
-  fold.now_after.resize(num_lanes);
-  fold.ready_live.assign(static_cast<std::size_t>(record.num_snodes), 0.0);
-  fold.ready_pos.assign(static_cast<std::size_t>(record.num_snodes),
-                        ReadyPos{});
-
-  std::vector<std::size_t> pos(num_lanes, 0);
-  std::vector<double> now(num_lanes);
-  std::vector<char> ready_set(static_cast<std::size_t>(record.num_snodes), 0);
-  std::size_t remaining = 0;
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    now[l] = record.lanes[l].start_now;
-    fold.now_after[l].resize(record.lanes[l].events.size());
-    remaining += record.lanes[l].events.size();
-  }
-
-  bool progress = true;
-  while (remaining > 0) {
-    MFGPU_CHECK(progress, "fold_live: dependency cycle in record");
-    progress = false;
-    for (std::size_t l = 0; l < num_lanes; ++l) {
-      const auto& events = record.lanes[l].events;
-      while (pos[l] < events.size()) {
-        const ClockEvent& ev = events[pos[l]];
-        if (ev.op == SchedOp::Join &&
-            ready_set[static_cast<std::size_t>(ev.dep)] == 0) {
-          break;
-        }
-        switch (ev.op) {
-          case SchedOp::Add:
-            now[l] += ev.a;
-            break;
-          case SchedOp::Wait:
-            now[l] = std::max(now[l], ev.a);
-            break;
-          case SchedOp::Join:
-            now[l] = std::max(
-                now[l], fold.ready_live[static_cast<std::size_t>(ev.dep)]);
-            break;
-          case SchedOp::Ready: {
-            const std::size_t dep = static_cast<std::size_t>(ev.dep);
-            fold.ready_live[dep] = std::max(ev.a, now[l]);
-            fold.ready_pos[dep] = ReadyPos{static_cast<int>(l), pos[l]};
-            ready_set[dep] = 1;
-            break;
-          }
-          case SchedOp::Enqueue:
-          case SchedOp::SyncCopy:
-            break;
-        }
-        fold.now_after[l][pos[l]] = now[l];
-        ++pos[l];
-        --remaining;
-        progress = true;
-      }
-    }
-  }
-
-  for (std::size_t l = 0; l < num_lanes; ++l) {
-    if (now[l] > fold.makespan) {
-      fold.makespan = now[l];
-      fold.makespan_lane = static_cast<int>(l);
-    }
-  }
-  return fold;
-}
-
-double now_before(const ScheduleRecord& record, const LiveFold& fold, int lane,
-                  std::size_t i) {
+double now_before(const ScheduleRecord& record, const LiveTrail& trail,
+                  int lane, std::size_t i) {
   if (i == 0) return record.lanes[static_cast<std::size_t>(lane)].start_now;
-  return fold.now_after[static_cast<std::size_t>(lane)][i - 1];
+  return trail.now_after[static_cast<std::size_t>(lane)][i - 1];
 }
 
 /// Task on `lane` whose event range contains `i` (-1 when between tasks).
@@ -266,13 +223,13 @@ int task_policy(const ScheduleTask& task) {
 CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
   CriticalPathReport report;
   if (record.empty()) return report;
-  const LiveFold fold = fold_live(record);
-  report.makespan = fold.makespan;
+  LiveTrail trail;
+  report.makespan = fold_record(record, RateScales{}, &trail).live_makespan;
 
   // Backward walk from the makespan lane's last event, jumping through
   // binding joins onto the producing lane. Every attributed chunk is a
   // post-state difference, so the sum telescopes to the makespan.
-  int lane = fold.makespan_lane;
+  int lane = trail.makespan_lane;
   const ScheduleLane* lp = &record.lanes[static_cast<std::size_t>(lane)];
   std::size_t i = lp->events.size();
   std::vector<CriticalStep> spine;  // walk order = root-most first
@@ -309,8 +266,8 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
     }
     --i;
     const ClockEvent& ev = lp->events[i];
-    const double nb = now_before(record, fold, lane, i);
-    const double na = fold.now_after[static_cast<std::size_t>(lane)][i];
+    const double nb = now_before(record, trail, lane, i);
+    const double na = trail.now_after[static_cast<std::size_t>(lane)][i];
     const double gap = na - nb;
     if (gap <= 0.0) continue;
     if (ev.op == SchedOp::Join) {
@@ -318,11 +275,11 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
       // became ready. Any excess of the ready time over the producing
       // lane's clock at that point is an in-flight d2h tail.
       const std::size_t dep = static_cast<std::size_t>(ev.dep);
-      const ReadyPos rp = fold.ready_pos[dep];
+      const ReadyPos rp = trail.ready_pos[dep];
       MFGPU_CHECK(rp.lane >= 0, "analyze_critical_path: missing producer");
-      const double ready = fold.ready_live[dep];
+      const double ready = trail.ready_live[dep];
       const double child_now =
-          fold.now_after[static_cast<std::size_t>(rp.lane)][rp.index];
+          trail.now_after[static_cast<std::size_t>(rp.lane)][rp.index];
       attribute(i, na - ready, ev.cls);  // zero unless the fold saturated
       lane = rp.lane;
       lp = &record.lanes[static_cast<std::size_t>(lane)];
@@ -361,7 +318,7 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
         task_index[static_cast<std::size_t>(ref.lane)]
                   [static_cast<std::size_t>(ref.task)]);
   };
-  std::vector<double> lf(work.size(), fold.makespan);
+  std::vector<double> lf(work.size(), report.makespan);
   // Reverse topological order: descending actual start time is consistent
   // with the consumer relation (a consumer's window ends after its
   // producer's began).

@@ -22,7 +22,8 @@
 //      binding dependency joins onto the producing lane. The attribution
 //      telescopes: the per-class seconds sum to the makespan exactly. Also
 //      computes the task spine of the critical path, per-policy attribution
-//      of on-path executor time, and CPM slack per work task.
+//      of on-path executor time, and CPM slack per work task. The live
+//      clocks it walks come from replay_exact's own traversal.
 //
 //   3. whatif_replay(record, knobs): counterfactual prediction under rate
 //      knobs through replay_exact. Structural questions (worker count,

@@ -48,11 +48,9 @@ bool block_finite(MatrixView<const T> v, bool lower_only) {
 
 /// Charges one detected device fault to the record of the call it hit —
 /// the profiler's fault audit reads these fields back from the trace.
-void charge_fault(FuCallRecord& record, FaultKind kind, double wasted,
-                  bool quarantined) {
+void charge_fault(FuCallRecord& record, FaultKind kind, double wasted) {
   ++record.fault_kinds[static_cast<std::size_t>(kind)];
   record.fault_wasted_seconds += wasted;
-  record.quarantined = record.quarantined || quarantined;
 }
 
 MatrixView<const double> const_view(const MatrixView<double>& v) {
@@ -628,14 +626,11 @@ FuOutcome DispatchExecutor::execute(FrontBlocks front, FactorContext& ctx) {
     // plan — a chooser returning it for a lone call degrades to P1.
     choice = Policy::P1;
   }
-  const bool tolerant =
-      options_.fault_tolerance != FaultTolerance::Off &&
-      ctx.device != nullptr &&
-      (options_.fault_tolerance == FaultTolerance::On ||
-       ctx.device->fault_injector().enabled());
-  if (tolerant &&
-      (quarantined_ || ctx.device->fault_injector().dead())) {
-    // Circuit breaker tripped (or the device died): CPU-only from here on.
+  const bool tolerant = options_.fault_tolerance != FaultTolerance::Off &&
+                        ctx.device != nullptr &&
+                        ctx.device->fault_injector().enabled();
+  if (tolerant && ctx.device->fault_injector().dead()) {
+    // The device died: CPU-only from here on.
     choice = Policy::P1;
   }
   if (obs::enabled()) {
@@ -667,16 +662,14 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
   if (fronts.empty()) return {};
   const bool injecting =
       ctx.device != nullptr && ctx.device->fault_injector().enabled();
-  const bool tolerant = options_.fault_tolerance != FaultTolerance::Off &&
-                        ctx.device != nullptr &&
-                        (options_.fault_tolerance == FaultTolerance::On ||
-                         injecting);
+  const bool tolerant =
+      injecting && options_.fault_tolerance != FaultTolerance::Off;
   // Per-front loop when there is nothing to aggregate on: no device; the
-  // breaker tripped (CPU-only); or faults are injected with tolerance
+  // device died (CPU-only); or faults are injected with tolerance
   // explicitly off, where batch-internal degradation would hide faults the
   // caller asked to observe.
   if (ctx.device == nullptr || (injecting && !tolerant) ||
-      (tolerant && (quarantined_ || ctx.device->fault_injector().dead()))) {
+      (tolerant && ctx.device->fault_injector().dead())) {
     return batch_singles(fronts, ctx);
   }
 
@@ -717,18 +710,17 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
         restore_front(fronts[i], batch_snapshots_[i]);
       }
     }
-    const bool newly_quarantined = count_fault();
+    ++fault_count_;
     if (audited) {
       auto& metrics = obs::MetricsRegistry::global();
       metrics.increment(std::string("fault.detected.") +
                         fault_kind_name(batch_kind));
       metrics.add("fault.wasted_seconds", wasted);
       metrics.increment("batch.aborts");
-      if (newly_quarantined) metrics.increment("fault.quarantines");
     }
     // The lost dispatch is charged to the first member's record.
     std::vector<FuOutcome> singles = batch_singles(fronts, ctx);
-    charge_fault(singles[0].record, batch_kind, wasted, newly_quarantined);
+    charge_fault(singles[0].record, batch_kind, wasted);
     return singles;
   }
 
@@ -750,34 +742,23 @@ std::vector<FuOutcome> DispatchExecutor::execute_batch(
   for (const BatchFault& bf : faulted) {
     const std::size_t i = bf.index;
     const double wasted = outcomes[i].record.t_total;
-    const bool newly_quarantined = count_fault();
+    ++fault_count_;
     if (audited) {
       auto& metrics = obs::MetricsRegistry::global();
       metrics.increment(std::string("fault.detected.") +
                         fault_kind_name(bf.kind));
       metrics.add("fault.wasted_seconds", wasted);
       metrics.increment("batch.faulted");
-      if (newly_quarantined) metrics.increment("fault.quarantines");
     }
     if (tolerant && numeric) restore_front(fronts[i], batch_snapshots_[i]);
     const int wasted_faults = outcomes[i].record.faults;
     outcomes[i] = execute(fronts[i], ctx);
     outcomes[i].record.faults += wasted_faults + 1;
-    charge_fault(outcomes[i].record, bf.kind, wasted, newly_quarantined);
+    charge_fault(outcomes[i].record, bf.kind, wasted);
   }
 
   for (FuOutcome& outcome : outcomes) outcome.record.dispatched = true;
   return outcomes;
-}
-
-bool DispatchExecutor::count_fault() {
-  ++fault_count_;
-  if (options_.quarantine_after_faults <= 0 || quarantined_ ||
-      fault_count_ < options_.quarantine_after_faults) {
-    return false;
-  }
-  quarantined_ = true;
-  return true;
 }
 
 void DispatchExecutor::snapshot_front(const FrontBlocks& front,
@@ -819,7 +800,6 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
   FuCallRecord charged;
   const auto finish = [&](FuOutcome& out) {
     out.record.faults = charged.faults;
-    out.record.quarantined = charged.quarantined;
     out.record.fault_kinds = charged.fault_kinds;
     out.record.fault_wasted_seconds = charged.fault_wasted_seconds;
     out.record.t_total = ctx.host_clock.now() - t0;
@@ -859,9 +839,8 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
     const double wasted = ctx.host_clock.now() - attempt_t0;
     if (numeric) restore_front(front, snapshot_);
     ++charged.faults;
-    const bool newly_quarantined = count_fault();
+    ++fault_count_;
     const bool will_retry = retriable && !injector.dead() &&
-                            !quarantined_ &&
                             attempt + 1 < max_device_attempts;
     if (audited) {
       auto& metrics = obs::MetricsRegistry::global();
@@ -869,9 +848,8 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
                         fault_kind_name(observed));
       metrics.add("fault.wasted_seconds", wasted);
       metrics.increment(will_retry ? "fault.retries" : "fault.fallbacks");
-      if (newly_quarantined) metrics.increment("fault.quarantines");
     }
-    charge_fault(charged, observed, wasted, newly_quarantined);
+    charge_fault(charged, observed, wasted);
     if (!will_retry) break;
   }
 

@@ -17,9 +17,12 @@
 namespace mfgpu {
 
 /// When the hybrid dispatchers detect and survive device faults.
+/// A dispatcher is tolerant exactly when its device injects faults, unless
+/// switched Off. Off is how one session's factor can fail while another
+/// session's succeeds under the same injector — the serve retry tests run
+/// on that.
 enum class FaultTolerance {
   Auto,  ///< active exactly when the context device injects faults
-  On,    ///< always validate GPU results and fall back on faults
   Off    ///< never: faults propagate to the caller (pre-robustness behavior)
 };
 
@@ -37,11 +40,6 @@ struct ExecutorOptions {
   /// host P1 path. Auto keeps fault-free runs byte-identical to the
   /// untolerant dispatcher.
   FaultTolerance fault_tolerance = FaultTolerance::Auto;
-  /// Circuit breaker: after this many detected device faults the dispatcher
-  /// quarantines itself to CPU-only for the rest of the run (0 = never).
-  /// Quarantine changes which fronts run in which precision, so runs that
-  /// must stay bitwise-reproducible under work stealing leave this at 0.
-  int quarantine_after_faults = 0;
 };
 
 /// Executes a fixed policy for every call.
@@ -105,18 +103,15 @@ class DispatchExecutor : public FuExecutor {
   void prepare(index_t max_m, index_t max_k, FactorContext& ctx) override;
   const char* name() const override { return name_.c_str(); }
   std::int64_t fault_count() const override { return fault_count_; }
-  bool quarantined() const override { return quarantined_; }
 
  private:
   /// Fault-tolerant path: scoped injection, validate/retry/fallback.
   FuOutcome execute_tolerant(const FrontBlocks& front, FactorContext& ctx,
                              Policy choice);
-  /// Counts one detected fault; true when it trips the circuit breaker.
-  bool count_fault();
   void snapshot_front(const FrontBlocks& front, std::vector<double>& buf);
   void restore_front(const FrontBlocks& front,
                      const std::vector<double>& buf) const;
-  /// Per-front loop fallback for execute_batch (no device, quarantined,
+  /// Per-front loop fallback for execute_batch (no device, a dead device,
   /// or fault tolerance explicitly off under an active injector).
   std::vector<FuOutcome> batch_singles(std::span<FrontBlocks> fronts,
                                        FactorContext& ctx);
@@ -127,7 +122,6 @@ class DispatchExecutor : public FuExecutor {
   ExecutorOptions options_;
   std::array<std::unique_ptr<PolicyExecutor>, 4> executors_;
   std::int64_t fault_count_ = 0;
-  bool quarantined_ = false;
   std::vector<double> snapshot_;  ///< pre-attempt copy of l1/l2/u
   /// Batched-path scratch: per-member pre-dispatch snapshots.
   std::vector<std::vector<double>> batch_snapshots_;

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <condition_variable>
+#include <mutex>
 #include <thread>
 #include <utility>
 
@@ -116,6 +118,13 @@ struct SolverService::Impl {
 
   std::mutex shutdown_mutex;
   bool closed = false;
+
+  /// Paused start: sessions take their first batch in session-id order
+  /// (see run_session), so which session serves the first queued request
+  /// never depends on thread timing.
+  std::mutex first_turn_mutex;
+  std::condition_variable first_turn_cv;
+  int first_turn = 0;
 };
 
 void SolverService::Impl::finish_expired(Request& request) {
@@ -148,6 +157,24 @@ void SolverService::Impl::run_session(int id) {
   // A retry is tagged with the session whose batch failed it; skip those so
   // another session gets the next attempt.
   const auto eligible = [id](const Request& r) { return r.failed_on != id; };
+  // A paused service releases its sessions one at a time: session id waits
+  // for its turn before its first pop and hands the turn on once its first
+  // batch is formed (or the queue closed), so the queued requests are dealt
+  // in session order. The un-paused path never waits.
+  bool holds_first_turn = options.start_paused;
+  if (holds_first_turn) {
+    std::unique_lock<std::mutex> lock(first_turn_mutex);
+    first_turn_cv.wait(lock, [&] { return first_turn == id; });
+  }
+  const auto pass_first_turn = [&] {
+    if (!holds_first_turn) return;
+    holds_first_turn = false;
+    {
+      std::lock_guard<std::mutex> lock(first_turn_mutex);
+      ++first_turn;
+    }
+    first_turn_cv.notify_all();
+  };
   while (std::optional<Request> request = queue.pop(eligible)) {
     if (!named_lane && obs::enabled()) {
       obs::TraceSession::global().set_current_thread_name(
@@ -182,8 +209,10 @@ void SolverService::Impl::run_session(int id) {
         }
       }
     }
+    pass_first_turn();
     process_batch(batch, session, id);
   }
+  pass_first_turn();
 }
 
 void SolverService::Impl::process_batch(std::vector<Request>& batch,

@@ -134,7 +134,9 @@ struct ServeOptions {
   /// identical to single-threaded serving.
   SolverOptions solver;
   /// Construct with idle sessions; call start() to begin draining. Gives
-  /// tests and benchmarks a deterministic queue composition.
+  /// tests and benchmarks a deterministic queue composition: sessions take
+  /// their first batch in session order, so session 0 always serves the
+  /// first queued request, session 1 the next one left, and so on.
   bool start_paused = false;
 };
 

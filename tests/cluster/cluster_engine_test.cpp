@@ -3,8 +3,8 @@
 // serial driver, the asynchronous fan-both engine against the
 // level-synchronous reference, multi-worker scaling on shared-memory
 // nodes (the schedule behind Table VII's multi-worker columns), placement
-// invariants, the schedule flight record per node, Solver routing, spec
-// parsing, and node-death chaos.
+// invariants, the schedule flight record per node, Solver routing, and
+// spec parsing.
 #include "cluster/cluster.hpp"
 
 #include <gtest/gtest.h>
@@ -16,7 +16,6 @@
 #include "cluster/placement.hpp"
 #include "core/solver.hpp"
 #include "helpers/factor_bitwise.hpp"
-#include "multifrontal/refine.hpp"
 #include "obs/schedule_record.hpp"
 #include "obs/whatif.hpp"
 #include "ordering/nested_dissection.hpp"
@@ -347,53 +346,6 @@ TEST(ClusterPlacementTest, EveryTaskPlacedOnceAndRefinementNeverHurts) {
     EXPECT_EQ(seed_only.moves, 0);
     EXPECT_EQ(seed_only.refined_cost, seed_only.seed_cost);
   }
-}
-
-TEST(ClusterChaosTest, NodeDeathReplacesWorkAndPreservesTheFactor) {
-  // Chaos contract: a node death re-places its unexecuted tasks onto a
-  // survivor and the run completes with the factor still bitwise equal to
-  // serial — death moves work, never changes numerics.
-  const FactorizeResult serial = serial_reference(test_analysis());
-
-  bool saw_death = false;
-  for (std::uint64_t seed = 0; seed < 6 && !saw_death; ++seed) {
-    ClusterFactorizeOptions options;
-    options.cluster.num_nodes = 4;
-    options.cluster.node_death_rate = 0.8;
-    options.cluster.death_seed = seed;
-    ClusterStats stats;
-    FactorizeResult result;
-    ASSERT_NO_THROW(
-        result = factorize_cluster(test_analysis(), options, {}, &stats))
-        << "seed " << seed;
-    if (stats.node_deaths == 0) continue;
-    saw_death = true;
-    EXPECT_GT(stats.replaced_tasks, 0) << "seed " << seed;
-    EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor))
-        << "death seed " << seed;
-
-    // The re-placed run still solves to full accuracy.
-    const GridProblem& p = test_problem();
-    std::vector<double> ones(static_cast<std::size_t>(p.matrix.n()), 1.0);
-    std::vector<double> b(ones.size());
-    p.matrix.multiply(ones, b);
-    const std::vector<double> x = solve(test_analysis(), result.factor, b);
-    for (double v : x) EXPECT_NEAR(v, 1.0, 1e-8);
-  }
-  EXPECT_TRUE(saw_death) << "no death triggered across seeds: rate too low?";
-}
-
-TEST(ClusterChaosTest, DeathScheduleIsDeterministicPerSeed) {
-  ClusterFactorizeOptions options;
-  options.cluster.num_nodes = 4;
-  options.cluster.node_death_rate = 0.8;
-  options.cluster.death_seed = 1;
-  ClusterStats first, second;
-  factorize_cluster(test_analysis(), options, {}, &first);
-  factorize_cluster(test_analysis(), options, {}, &second);
-  EXPECT_EQ(first.node_deaths, second.node_deaths);
-  EXPECT_EQ(first.replaced_tasks, second.replaced_tasks);
-  EXPECT_EQ(first.makespan, second.makespan);
 }
 
 }  // namespace
