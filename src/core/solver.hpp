@@ -19,17 +19,6 @@
 //
 // The classic one-shot constructor Solver(a, options) remains as a thin
 // wrapper equivalent to analyze(a, options) followed by factor().
-//
-// Migration notes (pre-phase-split code keeps compiling unchanged):
-//   - Solver(a, options) still analyzes AND factors in one step.
-//   - SolverOptions::coordinates is now COPIED during analyze(); callers no
-//     longer need to keep the coordinate array alive past construction.
-//   - solve() now validates the right-hand-side length and throws
-//     InvalidArgumentError on mismatch (previously out-of-bounds reads);
-//     calling solve() before factor() throws InvalidStateError.
-//   - New options: num_threads / workers / deterministic_reduction select
-//     the work-stealing parallel numeric phase (multifrontal/parallel.hpp);
-//     the defaults preserve the previous serial behavior exactly.
 #pragma once
 
 #include <cstdint>

@@ -158,9 +158,9 @@ void write_chrome_trace(std::ostream& os, const std::vector<SpanEvent>& events,
 
   // Flow events stitch a request's causal tree across thread lanes: for
   // every span whose parent lives on a DIFFERENT thread (admission span ->
-  // session queue wait, failed batch -> retry pickup), emit an "s"/"f"
-  // arrow from the parent's end to the child's start. Same-thread links
-  // are already visible through nesting.
+  // session queue wait and completion), emit an "s"/"f" arrow from the
+  // parent's end to the child's start. Same-thread links are already
+  // visible through nesting.
   std::map<std::uint64_t, const SpanEvent*> by_span_id;
   for (const auto& ev : events) {
     if (ev.span_id != 0) by_span_id.emplace(ev.span_id, &ev);

@@ -144,8 +144,8 @@ void ScopedSpan::finish() {
 
 std::uint64_t record_span(const char* category, const char* name,
                           std::int64_t start_ns, std::int64_t end_ns,
-                          std::uint64_t request_id, std::uint64_t parent_span,
-                          std::initializer_list<SpanEvent::Arg> args) {
+                          std::uint64_t request_id,
+                          std::uint64_t parent_span) {
   if (!enabled()) return 0;
   SpanEvent ev;
   ev.name = name;
@@ -156,11 +156,6 @@ std::uint64_t record_span(const char* category, const char* name,
   ev.span_id = next_span_id();
   ev.parent_span = parent_span;
   ev.request_id = request_id;
-  int slot = 0;
-  for (const SpanEvent::Arg& arg : args) {
-    if (slot >= 3) break;
-    ev.args[slot++] = arg;
-  }
   TraceSession::global().record(ev);
   return ev.span_id;
 }

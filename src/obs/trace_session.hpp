@@ -14,7 +14,6 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <initializer_list>
 #include <string>
 #include <vector>
 
@@ -142,14 +141,14 @@ class ScopedSpan {
 
 /// Record one already-timed span directly (no RAII): for intervals whose
 /// endpoints were observed at different places (a request's queue wait) or
-/// for instant markers (retry enqueues, alert firings — start == end).
+/// for instant markers (request completions, injected faults — start ==
+/// end).
 /// `request_id`/`parent_span` stamp the causal links explicitly; the span
 /// lands in the calling thread's lane. No-op (returns 0) while recording
 /// is off; otherwise returns the new span's id.
 std::uint64_t record_span(const char* category, const char* name,
                           std::int64_t start_ns, std::int64_t end_ns,
                           std::uint64_t request_id = 0,
-                          std::uint64_t parent_span = 0,
-                          std::initializer_list<SpanEvent::Arg> args = {});
+                          std::uint64_t parent_span = 0);
 
 }  // namespace mfgpu::obs

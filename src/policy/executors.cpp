@@ -350,6 +350,7 @@ void PolicyExecutor::ensure_prepared(FactorContext& ctx) {
   const index_t m = prepared_m_, k = prepared_k_;
   switch (policy_) {
     case Policy::P1:
+    case Policy::Batched:
       break;
     case Policy::P2:
       dev.reserve(m, k, "p2.l2", clock);
@@ -387,6 +388,7 @@ FuOutcome PolicyExecutor::execute(FrontBlocks front, FactorContext& ctx) {
     case Policy::P2: return run_p2(front, ctx);
     case Policy::P3: return run_p3(front, ctx);
     case Policy::P4: return run_p4(front, ctx);
+    case Policy::Batched: break;
   }
   throw InvalidArgumentError("PolicyExecutor: invalid policy");
 }
@@ -607,7 +609,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
 
 DispatchExecutor::DispatchExecutor(std::string name, Chooser chooser,
                                    ExecutorOptions options)
-    : name_(std::move(name)), chooser_(std::move(chooser)), options_(options) {
+    : name_(std::move(name)), chooser_(std::move(chooser)) {
   for (int p = 1; p <= 4; ++p) {
     executors_[static_cast<std::size_t>(p - 1)] =
         std::make_unique<PolicyExecutor>(policy_from_index(p), options);
@@ -626,9 +628,8 @@ FuOutcome DispatchExecutor::execute(FrontBlocks front, FactorContext& ctx) {
     // plan — a chooser returning it for a lone call degrades to P1.
     choice = Policy::P1;
   }
-  const bool tolerant = options_.fault_tolerance != FaultTolerance::Off &&
-                        ctx.device != nullptr &&
-                        ctx.device->fault_injector().enabled();
+  const bool tolerant =
+      ctx.device != nullptr && ctx.device->fault_injector().enabled();
   if (tolerant && ctx.device->fault_injector().dead()) {
     // The device died: CPU-only from here on.
     choice = Policy::P1;
@@ -660,16 +661,11 @@ std::vector<FuOutcome> DispatchExecutor::batch_singles(
 std::vector<FuOutcome> DispatchExecutor::execute_batch(
     std::span<FrontBlocks> fronts, FactorContext& ctx) {
   if (fronts.empty()) return {};
-  const bool injecting =
-      ctx.device != nullptr && ctx.device->fault_injector().enabled();
-  const bool tolerant =
-      injecting && options_.fault_tolerance != FaultTolerance::Off;
-  // Per-front loop when there is nothing to aggregate on: no device; the
-  // device died (CPU-only); or faults are injected with tolerance
-  // explicitly off, where batch-internal degradation would hide faults the
-  // caller asked to observe.
-  if (ctx.device == nullptr || (injecting && !tolerant) ||
-      (tolerant && ctx.device->fault_injector().dead())) {
+  // Per-front loop when there is nothing to aggregate on: no device, or the
+  // device died (CPU-only).
+  if (ctx.device == nullptr) return batch_singles(fronts, ctx);
+  const bool tolerant = ctx.device->fault_injector().enabled();
+  if (tolerant && ctx.device->fault_injector().dead()) {
     return batch_singles(fronts, ctx);
   }
 

@@ -16,16 +16,6 @@
 
 namespace mfgpu {
 
-/// When the hybrid dispatchers detect and survive device faults.
-/// A dispatcher is tolerant exactly when its device injects faults, unless
-/// switched Off. Off is how one session's factor can fail while another
-/// session's succeeds under the same injector — the serve retry tests run
-/// on that.
-enum class FaultTolerance {
-  Auto,  ///< active exactly when the context device injects faults
-  Off    ///< never: faults propagate to the caller (pre-robustness behavior)
-};
-
 struct ExecutorOptions {
   /// Async pinned-memory copies overlapped with computation (paper §V-A2).
   /// false = pageable synchronous copies — the Section IV "basic GPU
@@ -35,11 +25,6 @@ struct ExecutorOptions {
   /// columns): the host waits only for the update-matrix transfer; the
   /// factored panel streams back while the host moves on.
   bool copy_optimized_p4 = false;
-  /// Fault tolerance of DispatchExecutor: validate GPU panels (finite
-  /// check), retry a faulted F-U once on-device, then redo the front on the
-  /// host P1 path. Auto keeps fault-free runs byte-identical to the
-  /// untolerant dispatcher.
-  FaultTolerance fault_tolerance = FaultTolerance::Auto;
 };
 
 /// Executes a fixed policy for every call.
@@ -70,7 +55,11 @@ class PolicyExecutor : public FuExecutor {
 };
 
 /// Chooses a policy per call from the FuCall descriptor — the hybrid
-/// schemes plug in here. Every outcome record it returns is marked
+/// schemes plug in here. A dispatcher is fault tolerant exactly when its
+/// device injects faults: it validates GPU panels (finite check), retries a
+/// faulted F-U once on the device, then redoes the front on the host P1
+/// path; a fault-free device runs the plain policy executors, byte for
+/// byte. Every outcome record it returns is marked
 /// `dispatched`, carries the predictor's estimate when one is attached, and
 /// has the device faults it survived charged to it: the trace record is the
 /// profiler's policy- and fault-audit source.
@@ -111,15 +100,14 @@ class DispatchExecutor : public FuExecutor {
   void snapshot_front(const FrontBlocks& front, std::vector<double>& buf);
   void restore_front(const FrontBlocks& front,
                      const std::vector<double>& buf) const;
-  /// Per-front loop fallback for execute_batch (no device, a dead device,
-  /// or fault tolerance explicitly off under an active injector).
+  /// Per-front loop fallback for execute_batch (no device or a dead
+  /// device).
   std::vector<FuOutcome> batch_singles(std::span<FrontBlocks> fronts,
                                        FactorContext& ctx);
 
   std::string name_;
   Chooser chooser_;
   TimePredictor predictor_;
-  ExecutorOptions options_;
   std::array<std::unique_ptr<PolicyExecutor>, 4> executors_;
   std::int64_t fault_count_ = 0;
   std::vector<double> snapshot_;  ///< pre-attempt copy of l1/l2/u

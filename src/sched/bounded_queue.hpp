@@ -3,13 +3,9 @@
 // next to the other scheduling building blocks.
 //
 // Semantics chosen for request serving:
-//   - push() blocks while full (the Block admission policy);
-//     try_push() fails immediately instead (the Reject policy).
+//   - push() blocks while full (backpressure on the submitter).
 //   - pop() blocks while empty (and while paused), returning std::nullopt
 //     only once the queue is closed AND empty — the consumer's exit signal.
-//     pop(eligible) does the same over the items a consumer accepts: it
-//     takes the first queued item satisfying the predicate, leaving the
-//     ones before it in place (routing a retry away from a consumer).
 //   - close() wakes every waiter; subsequent pushes fail, already-queued
 //     items remain poppable (drain), or can be flushed with drain_now().
 //   - extract_if() lets a consumer pull additional matching items out of
@@ -18,7 +14,6 @@
 //     gives tests and benchmarks a deterministic queue composition.
 #pragma once
 
-#include <algorithm>
 #include <condition_variable>
 #include <deque>
 #include <mutex>
@@ -40,8 +35,6 @@ class BoundedQueue {
   /// Blocking push. Returns false only when the queue is or becomes closed
   /// while waiting; the item is consumed (moved from) only on success, so a
   /// failed push leaves it intact for the caller (e.g. to fail its promise).
-  /// Pushes wake every consumer: one waiting in pop(eligible) may not
-  /// accept the new item while another would.
   bool push(T& item) {
     std::unique_lock<std::mutex> lock(mutex_);
     not_full_.wait(lock,
@@ -49,7 +42,7 @@ class BoundedQueue {
     if (closed_) return false;
     items_.push_back(std::move(item));
     lock.unlock();
-    not_empty_.notify_all();
+    not_empty_.notify_one();
     return true;
   }
   bool push(T&& item) {
@@ -57,37 +50,17 @@ class BoundedQueue {
     return push(local);
   }
 
-  /// Non-blocking push: false when full or closed.
-  bool try_push(T& item) {
-    {
-      std::lock_guard<std::mutex> lock(mutex_);
-      if (closed_ || items_.size() >= capacity_) return false;
-      items_.push_back(std::move(item));
-    }
-    not_empty_.notify_all();
-    return true;
-  }
-
-  /// Blocking pop; std::nullopt once closed and drained.
+  /// Blocking pop; waits while paused or empty, std::nullopt once closed
+  /// and drained.
   std::optional<T> pop() {
-    return pop([](const T&) { return true; });
-  }
-
-  /// Blocking pop of the first queued item satisfying `eligible`. Waits
-  /// while paused or while no queued item qualifies; std::nullopt once the
-  /// queue is closed and no queued item qualifies.
-  template <typename Pred>
-  std::optional<T> pop(Pred eligible) {
     std::unique_lock<std::mutex> lock(mutex_);
-    auto it = items_.end();
     not_empty_.wait(lock, [&] {
-      if (paused_) return false;  // closing clears the pause
-      it = std::find_if(items_.begin(), items_.end(), eligible);
-      return it != items_.end() || closed_;
+      // Closing clears the pause.
+      return !paused_ && (!items_.empty() || closed_);
     });
-    if (it == items_.end()) return std::nullopt;
-    T item = std::move(*it);
-    items_.erase(it);
+    if (items_.empty()) return std::nullopt;
+    T item = std::move(items_.front());
+    items_.pop_front();
     lock.unlock();
     not_full_.notify_one();
     return item;

@@ -1,9 +1,7 @@
 #include "serve/service.hpp"
 
-#include <algorithm>
 #include <chrono>
 #include <cmath>
-#include <condition_variable>
 #include <mutex>
 #include <thread>
 #include <utility>
@@ -27,11 +25,6 @@ struct Request {
   Clock::time_point enqueued{};
   Clock::time_point deadline{};
   bool has_deadline = false;
-  int retries_left = 0;
-  int attempts = 0;
-  /// Session whose batch last failed this request (-1 = none). Set only in
-  /// a multi-session service; that session does not pick the retry up.
-  int failed_on = -1;
   /// Causal identity carried through sessions, Solver phases, executors,
   /// and fault injection (see obs/request_context.hpp).
   obs::RequestContext ctx;
@@ -70,9 +63,7 @@ const char* status_name(RequestStatus status) noexcept {
 struct SolverService::Impl {
   explicit Impl(ServeOptions options_in)
       : options(std::move(options_in)),
-        sessions(options.session_workers.empty()
-                     ? options.num_sessions
-                     : static_cast<int>(options.session_workers.size())),
+        sessions(options.num_sessions),
         cache(options.analysis_cache_bytes),
         queue(options.queue_capacity) {
     MFGPU_CHECK(options.max_batch_rhs >= 1,
@@ -93,17 +84,8 @@ struct SolverService::Impl {
     std::uint64_t values_fp = 0;
   };
 
-  SolverOptions session_solver_options(int id) const {
-    SolverOptions solver_options = options.solver;
-    if (!options.session_workers.empty()) {
-      solver_options.workers = {
-          options.session_workers[static_cast<std::size_t>(id)]};
-    }
-    return solver_options;
-  }
-
   void run_session(int id);
-  void process_batch(std::vector<Request>& batch, Session& session, int id);
+  void process_batch(std::vector<Request>& batch, Session& session);
   void finish_expired(Request& request);
   void cancel(Request& request);
 
@@ -118,13 +100,6 @@ struct SolverService::Impl {
 
   std::mutex shutdown_mutex;
   bool closed = false;
-
-  /// Paused start: sessions take their first batch in session-id order
-  /// (see run_session), so which session serves the first queued request
-  /// never depends on thread timing.
-  std::mutex first_turn_mutex;
-  std::condition_variable first_turn_cv;
-  int first_turn = 0;
 };
 
 void SolverService::Impl::finish_expired(Request& request) {
@@ -154,28 +129,7 @@ void SolverService::Impl::cancel(Request& request) {
 void SolverService::Impl::run_session(int id) {
   Session session;
   bool named_lane = false;
-  // A retry is tagged with the session whose batch failed it; skip those so
-  // another session gets the next attempt.
-  const auto eligible = [id](const Request& r) { return r.failed_on != id; };
-  // A paused service releases its sessions one at a time: session id waits
-  // for its turn before its first pop and hands the turn on once its first
-  // batch is formed (or the queue closed), so the queued requests are dealt
-  // in session order. The un-paused path never waits.
-  bool holds_first_turn = options.start_paused;
-  if (holds_first_turn) {
-    std::unique_lock<std::mutex> lock(first_turn_mutex);
-    first_turn_cv.wait(lock, [&] { return first_turn == id; });
-  }
-  const auto pass_first_turn = [&] {
-    if (!holds_first_turn) return;
-    holds_first_turn = false;
-    {
-      std::lock_guard<std::mutex> lock(first_turn_mutex);
-      ++first_turn;
-    }
-    first_turn_cv.notify_all();
-  };
-  while (std::optional<Request> request = queue.pop(eligible)) {
+  while (std::optional<Request> request = queue.pop()) {
     if (!named_lane && obs::enabled()) {
       obs::TraceSession::global().set_current_thread_name(
           "serve session " + std::to_string(id));
@@ -196,8 +150,7 @@ void SolverService::Impl::run_session(int id) {
       const std::uint64_t values_fp = batch.front().values_fp;
       std::vector<Request> extracted = queue.extract_if(
           [&](const Request& r) {
-            return r.pattern_fp == pattern_fp && r.values_fp == values_fp &&
-                   eligible(r);
+            return r.pattern_fp == pattern_fp && r.values_fp == values_fp;
           },
           static_cast<std::size_t>(options.max_batch_rhs) - 1);
       const Clock::time_point now = Clock::now();
@@ -209,15 +162,12 @@ void SolverService::Impl::run_session(int id) {
         }
       }
     }
-    pass_first_turn();
-    process_batch(batch, session, id);
+    process_batch(batch, session);
   }
-  pass_first_turn();
 }
 
 void SolverService::Impl::process_batch(std::vector<Request>& batch,
-                                        Session& session, int id) {
-  for (Request& request : batch) ++request.attempts;
+                                        Session& session) {
   Request& head = batch.front();
   const index_t n = head.matrix->n();
   const index_t k = static_cast<index_t>(batch.size());
@@ -235,8 +185,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     const std::int64_t now = trace.now_ns();
     for (const Request& r : batch) {
       obs::record_span("request", "queue_wait", r.ctx.admitted_ns, now,
-                       r.ctx.request_id, r.ctx.root_span,
-                       {{"attempt", r.attempts}});
+                       r.ctx.request_id, r.ctx.root_span);
     }
   }
 
@@ -271,11 +220,11 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
           analysis_reused = true;
           obs::ScopedSpan adopt_span("serve", "adopt_cached_analysis");
           session.solver = std::make_unique<Solver>(Solver::analyze(
-              *head.matrix, std::move(shared), session_solver_options(id)));
+              *head.matrix, std::move(shared), options.solver));
         } else {
           obs::ScopedSpan analyze_span("serve", "analyze_miss");
           session.solver = std::make_unique<Solver>(
-              Solver::analyze(*head.matrix, session_solver_options(id)));
+              Solver::analyze(*head.matrix, options.solver));
           cache.insert(session.solver->share_analysis());
           analyze_sim = estimated_analyze_seconds(
               *head.matrix, session.solver->analysis().symbolic);
@@ -350,8 +299,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     const std::int64_t now_ns = trace.now_ns();
     for (const Request& request : batch) {
       obs::record_span("request", "complete", now_ns, now_ns,
-                       request.ctx.request_id, request.ctx.root_span,
-                       {{"attempts", request.attempts}});
+                       request.ctx.request_id, request.ctx.root_span);
     }
 
     for (index_t j = 0; j < k; ++j) {
@@ -366,7 +314,6 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
       result.factor_reused = factor_reused;
       result.batch_size = static_cast<int>(k);
       result.simulated_seconds = sim_share;
-      result.attempts = request.attempts;
       metrics.observe(
           "serve.request.latency_seconds",
           std::chrono::duration<double>(now - request.enqueued).count());
@@ -375,68 +322,15 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
     return;
   }
 
-  // Execution failed. Requests with retry budget left go back to the queue
-  // for another attempt, tagged so that a different session runs it when
-  // there is one; the rest fail. try_push never blocks a session thread
-  // and fails once the queue is closed or full, in which case the request
-  // fails like one with no budget.
-  std::int64_t failed = 0;
-  std::int64_t retried = 0;
-  std::int64_t exhausted = 0;
-  std::vector<std::size_t> failing;
-  for (std::size_t i = 0; i < batch.size(); ++i) {
-    Request& request = batch[i];
-    if (request.retries_left > 0) {
-      --request.retries_left;
-      if (sessions > 1) request.failed_on = id;
-      // Marker first: try_push moves the request out on success.
-      const std::int64_t now_ns = trace.now_ns();
-      obs::record_span("request", "retry_enqueue", now_ns, now_ns,
-                       request.ctx.request_id, request.ctx.root_span,
-                       {{"attempt", request.attempts}});
-      // Count the retry before the push publishes the request: another
-      // session may finish it and fulfill its future at once, and a caller
-      // woken by that future must already see the retry in stats.
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        ++stats.retries;
-      }
-      if (queue.try_push(request)) {
-        ++retried;
-        continue;
-      }
-      {
-        std::lock_guard<std::mutex> lock(stats_mutex);
-        --stats.retries;
-      }
-    } else if (request.attempts > 1) {
-      ++exhausted;
-    }
-    ++failed;
-    failing.push_back(i);
-  }
+  // Execution failed: every request of the batch fails. Publish the stats
+  // and metrics first, so a caller woken by its future sees them.
   {
     std::lock_guard<std::mutex> lock(stats_mutex);
-    stats.failed += failed;
-    stats.retry_exhausted += exhausted;
+    stats.failed += k;
   }
-  if (failed > 0) {
-    metrics.add("serve.requests.failed", static_cast<double>(failed));
-  }
-  if (retried > 0) {
-    metrics.add("serve.retry.scheduled", static_cast<double>(retried));
-  }
-  if (exhausted > 0) {
-    metrics.add("serve.retry.exhausted", static_cast<double>(exhausted));
-  }
-  // Fulfill only after the stats/metrics are published: a caller blocked
-  // on the future must observe consistent counters once it wakes.
-  for (std::size_t i : failing) {
-    Request& request = batch[i];
-    SolveResult failure =
-        make_status_result(RequestStatus::Failed, exec_error);
-    failure.attempts = request.attempts;
-    fulfill(request, std::move(failure));
+  metrics.add("serve.requests.failed", static_cast<double>(k));
+  for (Request& request : batch) {
+    fulfill(request, make_status_result(RequestStatus::Failed, exec_error));
   }
 }
 
@@ -474,7 +368,6 @@ std::future<SolveResult> SolverService::submit(
   request.values_fp = request.matrix->values_fingerprint();
   request.rhs = std::move(rhs);
   request.enqueued = Clock::now();
-  request.retries_left = std::max(0, options.max_retries);
   // Compared in double nanoseconds: any budget below the clock's remaining
   // range converts back to Clock::duration without overflow. A budget at or
   // past that range (including +inf) can never expire: no deadline.
@@ -494,18 +387,15 @@ std::future<SolveResult> SolverService::submit(
   obs::TraceSession& trace = obs::TraceSession::global();
   request.ctx.request_id = obs::next_request_id();
   request.ctx.admitted_ns = trace.now_ns();
-  request.ctx.root_span = obs::record_span(
-      "request", "admit", request.ctx.admitted_ns, request.ctx.admitted_ns,
-      request.ctx.request_id, 0, {{"max_retries", request.retries_left}});
+  request.ctx.root_span =
+      obs::record_span("request", "admit", request.ctx.admitted_ns,
+                       request.ctx.admitted_ns, request.ctx.request_id);
 
   std::future<SolveResult> future = request.promise.get_future();
 
-  const bool accepted = impl_->options.admission == AdmissionPolicy::Block
-                            ? impl_->queue.push(request)
-                            : impl_->queue.try_push(request);
-  if (!accepted) {
-    // Blocked pushes only fail once the queue is closed; try_push also
-    // fails on a full queue. Either way the request was never admitted.
+  if (!impl_->queue.push(request)) {
+    // The push blocks while the queue is full and fails only once it is
+    // closed: the request was never admitted.
     {
       std::lock_guard<std::mutex> lock(impl_->stats_mutex);
       ++impl_->stats.rejected;

@@ -3,7 +3,7 @@
 // asynchronous task-based solvers use to reach throughput at scale):
 //
 //   submit() --> bounded request queue --> N worker sessions
-//                 (admission control)       each owns a Solver + WorkerSpec
+//                 (backpressure)            each owns a Solver
 //                                           |
 //              AnalysisCache (shared) <-----+--> batched multi-RHS solves
 //
@@ -24,32 +24,27 @@
 // numeric path per right-hand side is IDENTICAL to a direct
 // Solver::solve(), so batched answers are bitwise equal to unbatched ones.
 //
-// Backpressure: the queue is bounded. AdmissionPolicy::Reject fails
-// submit() immediately with RequestStatus::Rejected when full;
-// AdmissionPolicy::Block blocks the submitter until space frees up.
-// Per-request deadlines cancel requests that wait in the queue past their
-// budget. shutdown(true) drains queued and in-flight work; shutdown(false)
-// cancels what is still queued and finishes only in-flight batches.
+// Backpressure: the queue is bounded; a full queue blocks the submitter
+// until space frees up. Per-request deadlines cancel requests that wait in
+// the queue past their budget. shutdown(true) drains queued and in-flight
+// work; shutdown(false) cancels what is still queued and finishes only
+// in-flight batches.
 //
-// Fault handling: a batch whose execution throws (device fault that
-// exhausted its CPU fallbacks, non-SPD matrix, ...) fails only that batch;
-// the session drops its solver and rebuilds from a clean state on the next
-// request. Requests carrying a RequestOptions::max_retries budget are
-// re-enqueued instead of failed, tagged with the failing session so that
-// another session picks the retry up, with serve.retry.* metrics tracking
-// the budget's use.
+// Fault handling: a batch whose execution throws (e.g. a non-SPD matrix)
+// fails only that batch's requests; the session drops its solver and
+// rebuilds from a clean state on the next request. Injected device faults
+// are answered inside the dispatcher (on-device retry, then a host redo).
 //
 // Observability. Two layers, from cheapest to richest:
 //   - serve.* counters/gauges/histograms per stage (queue depth, cache hit
-//     rate, admission rejects, batch widths, request latency);
+//     rate, batch widths, request latency);
 //   - request-scoped tracing: every admitted request gets an
 //     obs::RequestContext (process-unique id, admission span as causal
 //     root) that rides with it through sessions, Solver phases,
-//     DispatchExecutor decisions, retries, and injected faults. Spans
-//     recorded while the request is bound are parent-linked, so the
-//     Chrome-trace export renders each request's causal tree
-//     (queue wait -> analyze/factor -> per-front F-U calls -> solve ->
-//     retries).
+//     DispatchExecutor decisions and injected faults. Spans recorded while
+//     the request is bound are parent-linked, so the Chrome-trace export
+//     renders each request's causal tree (queue wait -> analyze/factor ->
+//     per-front F-U calls -> solve -> complete).
 #pragma once
 
 #include <cstdint>
@@ -63,14 +58,9 @@
 
 namespace mfgpu::serve {
 
-enum class AdmissionPolicy {
-  Reject,  ///< full queue fails the submit immediately (load shedding)
-  Block    ///< full queue blocks the submitter (backpressure)
-};
-
 enum class RequestStatus {
   Ok,
-  Rejected,          ///< admission control turned the request away
+  Rejected,          ///< submitted after shutdown
   Cancelled,         ///< still queued when a non-draining shutdown hit
   DeadlineExceeded,  ///< queue wait exceeded the request's deadline
   Failed             ///< execution error (e.g. matrix not SPD)
@@ -83,14 +73,6 @@ struct RequestOptions {
   /// deadline; NaN or negative is an InvalidArgumentError). Checked when a
   /// session picks the request up.
   double deadline_seconds = 0.0;
-  /// Bounded retry budget: when a batch execution fails (e.g. a device
-  /// fault exhausted its CPU fallbacks), requests with budget left are
-  /// re-enqueued for another attempt instead of failing; with more than one
-  /// session, the retry goes to a session other than the one whose batch
-  /// just failed it. 0 = fail on the first error. Retries keep the
-  /// original enqueue time, so their extra latency shows up in the
-  /// serve.request.latency_seconds histogram (p50/p99).
-  int max_retries = 0;
 };
 
 struct SolveResult {
@@ -104,8 +86,6 @@ struct SolveResult {
   /// analyze + factor + blocked-solve cost) — the unit of the service's
   /// deterministic throughput metrics.
   double simulated_seconds = 0.0;
-  /// Execution attempts this request consumed (1 = no retries).
-  int attempts = 1;
   /// Process-unique request id (nonzero for every submitted request,
   /// including rejected ones) — the key to find this request's spans in a
   /// Chrome-trace export.
@@ -116,13 +96,9 @@ struct SolveResult {
 
 struct ServeOptions {
   /// Worker sessions. Each owns its Solver; requests are multiplexed over
-  /// them. Ignored when `session_workers` is non-empty.
+  /// them.
   int num_sessions = 2;
-  /// Optional per-session WorkerSpec list ({.has_gpu=true} gives that
-  /// session a simulated-GPU numeric phase). Size overrides num_sessions.
-  std::vector<WorkerSpec> session_workers;
   std::size_t queue_capacity = 64;
-  AdmissionPolicy admission = AdmissionPolicy::Block;
   /// Byte budget of the shared pattern-keyed AnalysisCache.
   std::size_t analysis_cache_bytes = 256u << 20;
   /// Max right-hand sides coalesced into one blocked solve pass.
@@ -134,9 +110,7 @@ struct ServeOptions {
   /// identical to single-threaded serving.
   SolverOptions solver;
   /// Construct with idle sessions; call start() to begin draining. Gives
-  /// tests and benchmarks a deterministic queue composition: sessions take
-  /// their first batch in session order, so session 0 always serves the
-  /// first queued request, session 1 the next one left, and so on.
+  /// tests and benchmarks a deterministic queue composition.
   bool start_paused = false;
 };
 
@@ -155,8 +129,6 @@ struct ServiceStats {
   std::int64_t analysis_reuses = 0;  ///< batches served without a full analyze
   std::int64_t factorizations = 0;   ///< numeric factor/refactor runs
   std::int64_t factor_reuses = 0;    ///< batches reusing the current factor
-  std::int64_t retries = 0;          ///< failed requests re-enqueued
-  std::int64_t retry_exhausted = 0;  ///< requests that failed after retrying
   double sim_analyze_seconds = 0.0;
   double sim_factor_seconds = 0.0;
   double sim_solve_seconds = 0.0;
@@ -188,8 +160,9 @@ class SolverService {
   /// copies. Throws InvalidArgumentError on a null matrix, an rhs whose
   /// size differs from the matrix dimension, or a NaN or negative
   /// deadline; every other failure is reported through the returned
-  /// future's SolveResult. After shutdown (or when a Reject-policy queue is
-  /// full) the future resolves immediately with RequestStatus::Rejected.
+  /// future's SolveResult. A full queue blocks the call until space frees
+  /// up; after shutdown the future resolves immediately with
+  /// RequestStatus::Rejected.
   std::future<SolveResult> submit(std::shared_ptr<const SparseSpd> a,
                                   std::vector<double> rhs,
                                   const RequestOptions& options = {});

@@ -95,7 +95,7 @@ TEST(TrainerTest, PredictionIsCheap) {
   const auto t0 = std::chrono::steady_clock::now();
   volatile int sink = 0;
   for (int i = 0; i < 10000; ++i) {
-    sink += static_cast<int>(model.choose(100 + i % 50, 60 + i % 20));
+    sink = sink + static_cast<int>(model.choose(100 + i % 50, 60 + i % 20));
   }
   const auto dt = std::chrono::steady_clock::now() - t0;
   EXPECT_LT(std::chrono::duration<double>(dt).count(), 1.0);

@@ -183,7 +183,9 @@ TEST(MetricsRegistryConcurrency, ConcurrentWritersAndSnapshotsAreClean) {
       const auto snapshot = metrics.snapshot();
       // Shared-counter value only grows (mutex-serialized adds).
       const auto it = snapshot.counters.find("hammer.shared");
-      if (it != snapshot.counters.end()) EXPECT_GE(it->second, 0.0);
+      if (it != snapshot.counters.end()) {
+        EXPECT_GE(it->second, 0.0);
+      }
       (void)metrics.counter("hammer.shared");
       (void)metrics.gauge("hammer.gauge.0");
     }

@@ -188,30 +188,30 @@ TEST(FaultToleranceTest, GenuineIndefiniteMatrixStillThrows) {
 }
 
 TEST(FaultToleranceTest, FaultFreeRunsAreByteIdenticalToTolerantOff) {
-  // FaultTolerance::Auto with a disabled injector must not perturb the
-  // numeric path at all.
-  TestFront tolerant_front = make_front(18, 9, 21);
-  TestFront off_front = make_front(18, 9, 21);
+  // A dispatcher whose device injects no faults runs the plain policy
+  // executor: the tolerant path must not perturb the numeric result at all.
+  TestFront dispatched_front = make_front(18, 9, 21);
+  TestFront direct_front = make_front(18, 9, 21);
 
-  Device tolerant_device;
-  DispatchExecutor tolerant(
-      "p3", [](const FuCall&) { return Policy::P3; });
-  FactorContext tolerant_ctx;
-  tolerant_ctx.device = &tolerant_device;
-  tolerant.execute(tolerant_front.blocks(), tolerant_ctx);
+  Device dispatch_device;
+  ASSERT_FALSE(dispatch_device.fault_injector().enabled());
+  DispatchExecutor dispatch("p3", [](const FuCall&) { return Policy::P3; });
+  FactorContext dispatch_ctx;
+  dispatch_ctx.device = &dispatch_device;
+  dispatch.execute(dispatched_front.blocks(), dispatch_ctx);
 
-  ExecutorOptions off_options;
-  off_options.fault_tolerance = FaultTolerance::Off;
-  Device off_device;
-  DispatchExecutor off(
-      "p3", [](const FuCall&) { return Policy::P3; }, off_options);
-  FactorContext off_ctx;
-  off_ctx.device = &off_device;
-  off.execute(off_front.blocks(), off_ctx);
+  Device direct_device;
+  PolicyExecutor direct(Policy::P3);
+  FactorContext direct_ctx;
+  direct_ctx.device = &direct_device;
+  direct.execute(direct_front.blocks(), direct_ctx);
 
-  EXPECT_EQ(max_abs_diff<double>(tolerant_front.storage.view(),
-                                 off_front.storage.view()),
-            0.0);
+  const auto bytes = static_cast<std::size_t>(direct_front.storage.rows()) *
+                     static_cast<std::size_t>(direct_front.storage.cols()) *
+                     sizeof(double);
+  EXPECT_EQ(std::memcmp(dispatched_front.storage.data(),
+                        direct_front.storage.data(), bytes),
+            0);
 }
 
 TEST(FaultToleranceTest, FaultsAreChargedToTheCallRecordAndMetrics) {

@@ -55,7 +55,9 @@ TEST_P(P4FactorTest, MatchesHostFactorization) {
       exec, panel, (m > 0) ? &prod : nullptr, m, k, /*panel_width=*/8, 0);
 
   EXPECT_GT(times.potrf, 0.0);
-  if (k > 8) EXPECT_GT(times.trsm + times.syrk, 0.0);
+  if (k > 8) {
+    EXPECT_GT(times.trsm + times.syrk, 0.0);
+  }
 
   // Compare factor panel (float precision).
   Matrix<double> panel_back(s, k, 0.0);

@@ -21,17 +21,6 @@ TEST(BoundedQueue, FifoOrderAndSize) {
   EXPECT_EQ(q.size(), 0u);
 }
 
-TEST(BoundedQueue, TryPushFailsWhenFull) {
-  BoundedQueue<int> q(2);
-  int a = 1, b = 2, c = 3;
-  EXPECT_TRUE(q.try_push(a));
-  EXPECT_TRUE(q.try_push(b));
-  EXPECT_FALSE(q.try_push(c));
-  EXPECT_EQ(c, 3);  // rejected item is left intact
-  q.pop();
-  EXPECT_TRUE(q.try_push(c));
-}
-
 TEST(BoundedQueue, PushBlocksUntilSpaceFreesUp) {
   BoundedQueue<int> q(1);
   ASSERT_TRUE(q.push(1));
@@ -54,9 +43,9 @@ TEST(BoundedQueue, CloseFailsProducersButDrainsConsumers) {
   ASSERT_TRUE(q.push(8));
   q.close();
   EXPECT_TRUE(q.closed());
-  EXPECT_FALSE(q.push(9));
-  int ten = 10;
-  EXPECT_FALSE(q.try_push(ten));
+  int nine = 9;
+  EXPECT_FALSE(q.push(nine));
+  EXPECT_EQ(nine, 9);  // a failed push leaves the item intact
   EXPECT_EQ(q.pop(), 7);
   EXPECT_EQ(q.pop(), 8);
   EXPECT_EQ(q.pop(), std::nullopt);
@@ -118,52 +107,6 @@ TEST(BoundedQueue, CloseClearsPause) {
   ASSERT_TRUE(q.push(5));
   q.close();
   EXPECT_EQ(q.pop(), 5);  // would deadlock if close left the pause in place
-  EXPECT_EQ(q.pop(), std::nullopt);
-}
-
-TEST(BoundedQueue, PredicatePopSkipsIneligibleItemsInOrder) {
-  BoundedQueue<int> q(4);
-  for (int v : {2, 3, 4, 5}) ASSERT_TRUE(q.push(v));
-  const auto odd = [](int v) { return v % 2 == 1; };
-  EXPECT_EQ(q.pop(odd), 3);
-  EXPECT_EQ(q.pop(odd), 5);
-  // The skipped items stay queued in their original order.
-  EXPECT_EQ(q.size(), 2u);
-  EXPECT_EQ(q.pop(), 2);
-  EXPECT_EQ(q.pop(), 4);
-}
-
-TEST(BoundedQueue, PredicatePopWakesWhenAnEligibleItemArrives) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(2));
-  std::atomic<bool> popped{false};
-  std::thread consumer([&] {
-    EXPECT_EQ(q.pop([](int v) { return v % 2 == 1; }), 7);
-    popped.store(true);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  EXPECT_FALSE(popped.load());  // 2 is queued but not eligible
-  ASSERT_TRUE(q.push(7));
-  consumer.join();
-  EXPECT_TRUE(popped.load());
-  EXPECT_EQ(q.pop(), 2);
-}
-
-TEST(BoundedQueue, PredicatePopDrainsEligibleItemsOnClose) {
-  BoundedQueue<int> q(4);
-  ASSERT_TRUE(q.push(1));
-  std::thread blocked([&] {
-    EXPECT_EQ(q.pop([](int v) { return v % 2 == 0; }), std::nullopt);
-  });
-  std::this_thread::sleep_for(std::chrono::milliseconds(10));
-  ASSERT_TRUE(q.push(3));
-  q.close();  // wakes the blocked consumer: nothing eligible remains
-  blocked.join();
-  // Eligible items stay poppable after close, then the consumer's exit.
-  const auto above_one = [](int v) { return v > 1; };
-  EXPECT_EQ(q.pop(above_one), 3);
-  EXPECT_EQ(q.pop(above_one), std::nullopt);
-  EXPECT_EQ(q.pop(), 1);
   EXPECT_EQ(q.pop(), std::nullopt);
 }
 

@@ -163,42 +163,12 @@ TEST(ServeService, CacheSharesOneAnalysisAcrossSessions) {
   EXPECT_EQ(stats.analyses + stats.analysis_reuses, stats.batches);
 }
 
-TEST(ServeService, RejectPolicyShedsLoadWhenFull) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const auto a = shared_matrix(p.matrix);
-  ServeOptions options;
-  options.num_sessions = 1;
-  options.queue_capacity = 2;
-  options.admission = AdmissionPolicy::Reject;
-  options.start_paused = true;
-  SolverService service(options);
-
-  auto f1 = service.submit(a, random_rhs(p.matrix.n(), 1));
-  auto f2 = service.submit(a, random_rhs(p.matrix.n(), 2));
-  auto f3 = service.submit(a, random_rhs(p.matrix.n(), 3));
-  // The queue holds 2; the third is turned away immediately.
-  const SolveResult rejected = f3.get();
-  EXPECT_EQ(rejected.status, RequestStatus::Rejected);
-  EXPECT_FALSE(rejected.ok());
-  EXPECT_STREQ(status_name(rejected.status), "rejected");
-
-  service.start();
-  EXPECT_TRUE(f1.get().ok());
-  EXPECT_TRUE(f2.get().ok());
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.submitted, 3);
-  EXPECT_EQ(stats.admitted, 2);
-  EXPECT_EQ(stats.rejected, 1);
-  EXPECT_EQ(stats.completed, 2);
-}
-
 TEST(ServeService, BlockPolicyAppliesBackpressure) {
   const GridProblem p = make_laplacian_3d(4, 4, 3);
   const auto a = shared_matrix(p.matrix);
   ServeOptions options;
   options.num_sessions = 1;
   options.queue_capacity = 1;
-  options.admission = AdmissionPolicy::Block;
   SolverService service(options);
 
   constexpr int kRequests = 5;
@@ -356,54 +326,10 @@ TEST(ServeService, DestructorDrainsOutstandingWork) {
   EXPECT_TRUE(future.get().ok());
 }
 
-TEST(ServeService, RetryBudgetReenqueuesThenExhausts) {
-  // A deterministically failing request with a 2-retry budget: the service
-  // re-enqueues it twice (possibly onto the same healed session) before
-  // giving up, and the stats account for every attempt.
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const auto bad = scaled_copy(p.matrix, -1.0);  // not SPD: factor throws
-  ServeOptions options;
-  options.num_sessions = 1;
-  SolverService service(options);
-
-  RequestOptions with_retries;
-  with_retries.max_retries = 2;
-  const SolveResult failed =
-      service.submit(bad, random_rhs(p.matrix.n(), 3), with_retries).get();
-  EXPECT_EQ(failed.status, RequestStatus::Failed);
-  EXPECT_EQ(failed.attempts, 3);  // first try + both retries
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.retries, 2);
-  EXPECT_EQ(stats.retry_exhausted, 1);
-  EXPECT_EQ(stats.failed, 1);  // the request fails once, not per attempt
-
-  // The retry churn left the session healthy.
-  const SolveResult ok =
-      service.submit(shared_matrix(p.matrix), random_rhs(p.matrix.n(), 4))
-          .get();
-  EXPECT_TRUE(ok.ok()) << ok.error;
-  EXPECT_EQ(ok.attempts, 1);
-}
-
-TEST(ServeService, ZeroRetryBudgetFailsOnFirstAttempt) {
-  const GridProblem p = make_laplacian_3d(4, 4, 3);
-  const auto bad = scaled_copy(p.matrix, -1.0);
-  ServeOptions options;
-  options.num_sessions = 1;
-  SolverService service(options);
-
-  const SolveResult failed =
-      service.submit(bad, random_rhs(p.matrix.n(), 5)).get();
-  EXPECT_EQ(failed.status, RequestStatus::Failed);
-  EXPECT_EQ(failed.attempts, 1);
-  EXPECT_EQ(service.stats().retries, 0);
-  EXPECT_EQ(service.stats().retry_exhausted, 0);
-}
-
-TEST(ServeService, RetriedRequestsKeepBatchmatesIndependent) {
+TEST(ServeService, FailedRequestKeepsBatchmatesIndependent) {
   // One poisoned request in a queued batch must not take healthy requests
   // down with it: they were batched by fingerprint, so the bad matrix forms
-  // its own batch and only it burns retries.
+  // its own batch and only it fails.
   const GridProblem p = make_laplacian_3d(4, 4, 3);
   const auto good = shared_matrix(p.matrix);
   const auto bad = scaled_copy(p.matrix, -1.0);
@@ -412,58 +338,15 @@ TEST(ServeService, RetriedRequestsKeepBatchmatesIndependent) {
   options.start_paused = true;
   SolverService service(options);
 
-  RequestOptions with_retries;
-  with_retries.max_retries = 1;
   auto good_future = service.submit(good, random_rhs(p.matrix.n(), 6));
-  auto bad_future =
-      service.submit(bad, random_rhs(p.matrix.n(), 7), with_retries);
+  auto bad_future = service.submit(bad, random_rhs(p.matrix.n(), 7));
   service.start();
 
   EXPECT_TRUE(good_future.get().ok());
   const SolveResult failed = bad_future.get();
   EXPECT_EQ(failed.status, RequestStatus::Failed);
-  EXPECT_EQ(failed.attempts, 2);
   EXPECT_EQ(service.stats().completed, 1);
   EXPECT_EQ(service.stats().failed, 1);
-}
-
-TEST(ServeService, RetryRunsOnAnotherSessionThanTheOneThatFailedIt) {
-  // One GPU session that faults on (nearly) every device op and one CPU
-  // session that never touches the device. A request the GPU session fails
-  // is retried on the CPU session, never again on the GPU one, so every
-  // request completes within two attempts however the threads interleave.
-  Rng rng(21);
-  const GridProblem p = make_elasticity_3d(7, 7, 7, 3, rng);
-  const auto a = shared_matrix(p.matrix);
-  ServeOptions options;
-  options.session_workers = {WorkerSpec{.has_gpu = true},
-                             WorkerSpec{.has_gpu = false}};
-  options.max_batch_rhs = 1;
-  options.start_paused = true;
-  options.solver.executor.fault_tolerance = FaultTolerance::Off;
-  options.solver.device.faults.seed = 21;
-  options.solver.device.faults.transient_kernel_rate = 0.999;
-  SolverService service(options);
-
-  RequestOptions retryable;
-  retryable.max_retries = 20;
-  std::vector<std::future<SolveResult>> futures;
-  for (int r = 0; r < 6; ++r) {
-    futures.push_back(
-        service.submit(a, random_rhs(p.matrix.n(), 40 + r), retryable));
-  }
-  service.start();
-  std::int64_t retried = 0;
-  for (auto& future : futures) {
-    const SolveResult result = future.get();
-    ASSERT_TRUE(result.ok()) << result.error;
-    EXPECT_LE(result.attempts, 2);
-    if (result.attempts == 2) ++retried;
-  }
-  const ServiceStats stats = service.stats();
-  EXPECT_EQ(stats.completed, 6);
-  EXPECT_EQ(stats.retries, retried);
-  EXPECT_EQ(stats.retry_exhausted, 0);
 }
 
 // The acceptance gate of the serving layer: on a refactor-heavy workload

@@ -33,8 +33,8 @@ TEST(PostorderTest, ForestWithTwoRoots) {
 }
 
 TEST(PostorderTest, SubtreesAreContiguous) {
-  //      5
-  //    /   \
+  //      5        the elimination tree
+  //    /   \      that `parent` encodes
   //   2     4
   //  / \    |
   // 0   1   3
