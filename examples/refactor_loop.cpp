@@ -2,8 +2,9 @@
 //
 // A transient heat problem factors (I + dt*A) once per step as dt changes:
 // the sparsity pattern never changes, so the symbolic analysis (ordering,
-// supernodes, task graph) is paid once and each step only reruns the
-// numeric phase — here on 4 work-stealing threads.
+// supernodes, the value permutation map) and the pool's task graph are paid
+// once, and each step only reruns the numeric phase — here on 4
+// work-stealing threads, overwriting the previous factor in place.
 #include <cstdio>
 #include <vector>
 

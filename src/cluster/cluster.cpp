@@ -92,7 +92,8 @@ struct NodeState {
 FactorizeResult factorize_cluster(const Analysis& analysis,
                                   const ClusterFactorizeOptions& options,
                                   const WorkerExecutorFactory& make_executor,
-                                  ClusterStats* stats_out) {
+                                  ClusterStats* stats_out,
+                                  Factorization recycled) {
   const index_t nsup = analysis.symbolic.num_supernodes();
   const ClusterOptions& cluster = options.cluster;
   MFGPU_CHECK(cluster.num_nodes > 0,
@@ -131,7 +132,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   FrontTree::Setup setup;
   setup.num_lanes = num_nodes;
   setup.parallel = true;
-  FrontTree tree(analysis, options.numeric, setup);
+  FrontTree tree(analysis, options.numeric, setup, std::move(recycled));
 
   std::vector<FrontWorker> workers;
   workers.reserve(static_cast<std::size_t>(num_nodes));

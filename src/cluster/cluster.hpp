@@ -120,10 +120,12 @@ struct ClusterFactorizeOptions {
 /// contract (panels, trace, error propagation); trace.total_time is the
 /// cluster's virtual makespan. `make_executor` builds each node's executor
 /// (default: GPU nodes dispatch the paper's baseline hybrid, CPU nodes run
-/// P1); `stats_out` (optional) receives the schedule/traffic statistics.
+/// P1); `stats_out` (optional) receives the schedule/traffic statistics;
+/// `recycled` is an earlier factor whose store is overwritten in place.
 FactorizeResult factorize_cluster(const Analysis& analysis,
                                   const ClusterFactorizeOptions& options = {},
                                   const WorkerExecutorFactory& make_executor = {},
-                                  ClusterStats* stats_out = nullptr);
+                                  ClusterStats* stats_out = nullptr,
+                                  Factorization recycled = {});
 
 }  // namespace mfgpu

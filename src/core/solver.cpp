@@ -61,6 +61,9 @@ struct Solver::Impl {
   /// and refactor. Built on first use (solve() is const).
   mutable std::shared_ptr<const SolveSchedule> solve_schedule;
   std::optional<Factorization> factor;
+  /// The threaded numeric phase's pool plan, built by the first factor()
+  /// and reused by every refactor (options are fixed at analyze time).
+  std::optional<PoolPlan> pool_plan;
   FactorizationTrace trace;
   std::optional<TrainedPolicyModel> model;
   std::unique_ptr<Device> device;
@@ -152,6 +155,12 @@ void Solver::Impl::run_factor() {
       options.record_schedule ? &recorder : nullptr;
   FactorizeResult result;
   cluster_stats.reset();
+  // The previous factor's store is recycled in place: it is never alive
+  // next to the new one, and a failed factorization leaves none.
+  factored = false;
+  Factorization recycled = factor.has_value() ? std::move(*factor)
+                                              : Factorization{};
+  factor.reset();
   if (options.cluster.enabled()) {
     ClusterFactorizeOptions cluster_options;
     cluster_options.cluster = options.cluster;
@@ -161,7 +170,7 @@ void Solver::Impl::run_factor() {
     ClusterStats stats;
     obs::ScopedSpan span("solver", "numeric_factorization");
     result = factorize_cluster(*analysis, cluster_options, worker_factory(),
-                               &stats);
+                               &stats, std::move(recycled));
     cluster_stats = stats;
   } else if (parallel) {
     ParallelFactorizeOptions parallel_options;
@@ -172,8 +181,12 @@ void Solver::Impl::run_factor() {
     parallel_options.executor = options.executor;
     parallel_options.device = options.device;
     parallel_options.numeric.recorder = rec;
+    if (!pool_plan.has_value()) {
+      pool_plan = plan_pool(*analysis, parallel_options);
+    }
     obs::ScopedSpan span("solver", "numeric_factorization");
-    result = factorize_parallel(*analysis, parallel_options, worker_factory());
+    result = factorize_parallel(*analysis, *pool_plan, parallel_options,
+                                worker_factory(), std::move(recycled));
   } else {
     const WorkerSpec spec{.has_gpu = options.mode != SolverMode::Serial};
     const WorkerExecutorFactory make_executor = worker_factory();
@@ -191,7 +204,8 @@ void Solver::Impl::run_factor() {
     factorize_options.batching = options.batching;
     factorize_options.recorder = rec;
     obs::ScopedSpan span("solver", "numeric_factorization", &ctx.host_clock);
-    result = factorize(*analysis, *executor, ctx, factorize_options);
+    result = factorize(*analysis, *executor, ctx, factorize_options,
+                       std::move(recycled));
   }
   if (rec != nullptr) schedule = recorder.take();
   factor = std::move(result.factor);
@@ -209,13 +223,16 @@ void Solver::Impl::run_factor() {
 PatternAnalysis::PatternAnalysis(std::uint64_t fingerprint_in,
                                  Permutation perm_in,
                                  SymbolicFactor symbolic_in,
-                                 AnalyzeOptions analysis_in)
+                                 AnalyzeOptions analysis_in,
+                                 std::vector<index_t> value_source_in)
     : fingerprint(fingerprint_in),
       perm(std::move(perm_in)),
       symbolic(std::move(symbolic_in)),
+      value_source(std::move(value_source_in)),
       analysis_options(analysis_in) {
   std::size_t bytes = sizeof(PatternAnalysis);
   bytes += 2 * static_cast<std::size_t>(perm.n()) * sizeof(index_t);  // perm
+  bytes += value_source.size() * sizeof(index_t);
   bytes += 2 * static_cast<std::size_t>(symbolic.n()) * sizeof(index_t);
   for (const SupernodeInfo& sn : symbolic.supernodes()) {
     bytes += sizeof(SupernodeInfo) + sn.update_rows.size() * sizeof(index_t);
@@ -264,7 +281,7 @@ Solver Solver::analyze(const SparseSpd& a,
   // no ordering / etree / symbolic recomputation.
   impl.analysis.emplace(
       Analysis{shared->perm, a.permuted(shared->perm.new_of_old()),
-               shared->symbolic});
+               shared->symbolic, shared->value_source});
   return solver;
 }
 
@@ -274,7 +291,7 @@ std::shared_ptr<const PatternAnalysis> Solver::share_analysis() const {
               "Solver::share_analysis: not analyzed");
   return std::make_shared<const PatternAnalysis>(
       impl.pattern_fp, impl.analysis->perm, impl.analysis->symbolic,
-      impl.options.analysis);
+      impl.options.analysis, impl.analysis->value_source);
 }
 
 std::uint64_t Solver::pattern_fingerprint() const noexcept {
@@ -305,10 +322,10 @@ void Solver::refactor(const SparseSpd& a) {
   }
   impl.matrix = a;
   // Same pattern => the composed permutation and symbolic structure are
-  // still exact; only the permuted values need recomputing.
-  impl.analysis->permuted =
-      impl.matrix.permuted(impl.analysis->perm.new_of_old());
-  impl.factored = false;
+  // still exact; only the permuted values need recomputing, in place
+  // through the value map.
+  impl.analysis->permuted.gather_values(impl.matrix.values(),
+                                        impl.analysis->value_source);
   impl.run_factor();
 }
 

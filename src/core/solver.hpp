@@ -110,11 +110,14 @@ struct SolverOptions {
 /// AnalysisCache stores.
 struct PatternAnalysis {
   PatternAnalysis(std::uint64_t fingerprint_in, Permutation perm_in,
-                  SymbolicFactor symbolic_in, AnalyzeOptions analysis_in);
+                  SymbolicFactor symbolic_in, AnalyzeOptions analysis_in,
+                  std::vector<index_t> value_source_in = {});
 
   std::uint64_t fingerprint;  ///< SparseSpd::pattern_fingerprint() of the pattern
   Permutation perm;
   SymbolicFactor symbolic;
+  /// Analysis::value_source: permutes a refactor's values without a sort.
+  std::vector<index_t> value_source;
   /// Options the symbolic analysis was built with (adopters must match).
   AnalyzeOptions analysis_options;
   /// Approximate heap footprint — the unit of AnalysisCache byte budgets.
@@ -154,7 +157,10 @@ class Solver {
   /// again to refactor the same values.
   void factor();
   /// Refactor with new values on the SAME sparsity pattern (the symbolic
-  /// analysis is reused — the cheap path for time-stepping / Newton loops).
+  /// analysis is reused — the cheap path for time-stepping / Newton loops):
+  /// the values are permuted through the analysis's value map, the pool
+  /// plan of a threaded numeric phase is the one built by the first
+  /// factor(), and the new factor overwrites the old one's storage in place.
   /// Throws InvalidArgumentError if the pattern differs.
   void refactor(const SparseSpd& a);
   /// True once factor()/refactor() (or the one-shot constructor) completed.

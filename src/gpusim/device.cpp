@@ -96,8 +96,14 @@ DeviceMatrix Device::allocate(index_t rows, index_t cols,
                               const std::string& slot, SimClock& host) {
   reserve(rows, cols, slot, host);
   DeviceMatrix m;
-  m.data = options_.numeric ? Matrix<float>(rows, cols, 0.0f)
-                            : Matrix<float>(0, 0);
+  if (options_.numeric) {
+    std::vector<float>& storage = storage_[slot];
+    const auto entries =
+        static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
+    if (storage.size() < entries) storage = std::vector<float>(entries);
+    m.data = MatrixView<float>(storage.data(), rows, cols,
+                               std::max<index_t>(rows, 1));
+  }
   m.shape_rows = rows;
   m.shape_cols = cols;
   m.available_at = host.now();
@@ -115,7 +121,7 @@ double Device::acquire_pinned(const std::string& slot, std::int64_t bytes,
 
 MatrixView<float> Device::device_block(DeviceMatrix& m, index_t i0, index_t j0,
                                        index_t rows, index_t cols) const {
-  return m.data.view().block(i0, j0, rows, cols);
+  return m.data.block(i0, j0, rows, cols);
 }
 
 double Device::copy_to_device_sync(MatrixView<const double> src,
@@ -150,9 +156,7 @@ double Device::copy_from_device_sync(const DeviceMatrix& src, index_t i0,
   const double bytes = matrix_bytes(dst.rows(), dst.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    land_download(const_cast<DeviceMatrix&>(src).data.view().block(
-                      i0, j0, dst.rows(), dst.cols()),
-                  dst, fault);
+    land_download(src.data.block(i0, j0, dst.rows(), dst.cols()), dst, fault);
   }
   const double duration = transfer().sync_copy_time(bytes);
   count_transfer("d2h", bytes, duration);
@@ -196,9 +200,7 @@ double Device::copy_from_device_async(const DeviceMatrix& src, index_t i0,
   const double bytes = matrix_bytes(dst.rows(), dst.cols());
   bytes_transferred_ += bytes;
   if (options_.numeric) {
-    land_download(const_cast<DeviceMatrix&>(src).data.view().block(
-                      i0, j0, dst.rows(), dst.cols()),
-                  dst, fault);
+    land_download(src.data.block(i0, j0, dst.rows(), dst.cols()), dst, fault);
   }
   CostClassScope cls(CostClass::Transfer);
   host.advance(transfer().enqueue_overhead);
@@ -275,8 +277,7 @@ double Device::copy_from_device_async_batched(
     const D2hCopy& b = blocks[i];
     bytes += matrix_bytes(b.dst.rows(), b.dst.cols());
     if (options_.numeric) {
-      land_download(const_cast<DeviceMatrix*>(b.src)->data.view().block(
-                        b.i0, b.j0, b.dst.rows(), b.dst.cols()),
+      land_download(b.src->data.block(b.i0, b.j0, b.dst.rows(), b.dst.cols()),
                     b.dst, fault);
     }
     earliest_dep = std::max(earliest_dep, b.src->available_at);
@@ -304,7 +305,10 @@ void Device::synchronize(SimClock& host) {
   }
 }
 
+void Device::release_storage() { storage_.clear(); }
+
 void Device::reset() {
+  release_storage();
   for (auto& s : streams_) s.reset();
   device_pool_.reset();
   pinned_pool_.reset();

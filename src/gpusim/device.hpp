@@ -19,6 +19,7 @@
 
 #include <span>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
 #include "gpusim/clock.hpp"
@@ -78,8 +79,12 @@ class Device {
   }
 
   /// Allocate a device matrix in the named pool slot, charging the host
-  /// clock for the (possibly pooled-away) cudaMalloc-equivalent. Returns
-  /// the matrix; its contents are zero in numeric mode.
+  /// clock for the (possibly pooled-away) cudaMalloc-equivalent. In numeric
+  /// mode the matrix views the slot's storage, which is kept at the slot's
+  /// high-water size until release_storage(): its contents are what the
+  /// slot last held (zero when the slot grows), so an upload or a kernel
+  /// with beta 0 must define every entry that is read. A later allocate in
+  /// the same slot invalidates the matrix.
   DeviceMatrix allocate(index_t rows, index_t cols, const std::string& slot,
                         SimClock& host);
   /// allocate() without the matrix: charges the pool slot exactly as
@@ -167,6 +172,11 @@ class Device {
   /// Total bytes moved over the (simulated) PCIe link so far.
   double bytes_transferred() const noexcept { return bytes_transferred_; }
 
+  /// Free every slot's storage (the pools' high-water marks, which price
+  /// allocations, are kept). The drivers call it when a factorization ends,
+  /// so an idle device holds no matrix memory.
+  void release_storage();
+
   void reset();
 
  private:
@@ -181,6 +191,8 @@ class Device {
   std::vector<Stream> streams_;
   MemoryPool device_pool_;
   MemoryPool pinned_pool_;
+  /// Host memory behind each pool slot's device matrices (numeric mode).
+  std::unordered_map<std::string, std::vector<float>> storage_;
   FaultInjector injector_;
   double bytes_transferred_ = 0.0;
 };

@@ -171,7 +171,8 @@ double gpu_trsm(const GpuExec& exec, DevBlock tri, DevBlock rhs) {
   return duration;
 }
 
-double gpu_syrk(const GpuExec& exec, float alpha, DevBlock a, DevBlock c) {
+double gpu_syrk(const GpuExec& exec, float alpha, DevBlock a, DevBlock c,
+                float beta) {
   MFGPU_CHECK(c.rows == c.cols && a.rows == c.rows, "gpu_syrk: shape mismatch");
   const auto ops = static_cast<double>(syrk_ops(c.rows, a.cols));
   const double min_dim = static_cast<double>(std::min(c.rows, a.cols));
@@ -180,7 +181,7 @@ double gpu_syrk(const GpuExec& exec, float alpha, DevBlock a, DevBlock c) {
   enqueue_kernel(exec, duration, {a.mat}, {c.mat});
   count_kernel("gpu.syrk", ops, duration);
   if (exec.device->numeric()) {
-    syrk_lower<float>(alpha, a.view(), 1.0f, c.view());
+    syrk_lower<float>(alpha, a.view(), beta, c.view());
   }
   return duration;
 }

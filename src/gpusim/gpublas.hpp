@@ -22,7 +22,7 @@ struct DevBlock {
   index_t i0 = 0, j0 = 0, rows = 0, cols = 0;
 
   MatrixView<float> view() const {
-    return mat->data.view().block(i0, j0, rows, cols);
+    return mat->data.block(i0, j0, rows, cols);
   }
 };
 
@@ -43,8 +43,11 @@ double gpu_potrf(const GpuExec& exec, DevBlock a, index_t column_offset = 0);
 /// rhs := rhs * tri^{-T} (the paper's trsm; tri lower-triangular k x k,
 /// rhs m x k).
 double gpu_trsm(const GpuExec& exec, DevBlock tri, DevBlock rhs);
-/// c(lower) := c + alpha * a * a^T  (paper's syrk).
-double gpu_syrk(const GpuExec& exec, float alpha, DevBlock a, DevBlock c);
+/// c(lower) := beta * c + alpha * a * a^T  (paper's syrk). beta 0 writes
+/// the lower triangle without reading it: bitwise the result of beta 1 on
+/// a zeroed block.
+double gpu_syrk(const GpuExec& exec, float alpha, DevBlock a, DevBlock c,
+                float beta = 1.0f);
 /// c := c + alpha * a * b^T (panel update inside P4).
 double gpu_gemm_nt(const GpuExec& exec, float alpha, DevBlock a, DevBlock b,
                    DevBlock c);

@@ -18,13 +18,14 @@
 
 namespace mfgpu {
 
-/// A matrix resident in simulated device memory. Contents are real (the
-/// simulated kernels execute on the host in float — the precision the paper
-/// uses on the T10); `available_at` is the virtual time at which the last
-/// producing operation completes, which is how cross-stream data
-/// dependencies serialize.
+/// A matrix resident in simulated device memory: a view into its pool
+/// slot's storage (Device::allocate). Contents are real (the simulated
+/// kernels execute on the host in float — the precision the paper uses on
+/// the T10); `available_at` is the virtual time at which the last producing
+/// operation completes, which is how cross-stream data dependencies
+/// serialize.
 struct DeviceMatrix {
-  Matrix<float> data;  ///< empty in dry-run mode (shape_* still set)
+  MatrixView<float> data;  ///< empty in dry-run mode (shape_* still set)
   index_t shape_rows = 0;
   index_t shape_cols = 0;
   double available_at = 0.0;

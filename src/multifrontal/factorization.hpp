@@ -6,7 +6,9 @@
 #pragma once
 
 #include <cstdint>
+#include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "dense/matrix.hpp"
@@ -28,15 +30,36 @@ class ScheduleRecorder;
 /// valid — and L2 below); row i of the panel corresponds to global permuted
 /// index (cols ++ update_rows)[i] from the symbolic structure.
 ///
+/// All panels live in one contiguous store laid out by the symbolic factor
+/// (panel s right after panel s - 1, leading dimension k + m); `panels` are
+/// views into it. The drivers assemble every front's factor columns in its
+/// panel, so nothing is copied out, and a refactor of the same analysis
+/// overwrites the store in place. Copies are deep.
+///
 /// Panels are stored in double. The paper's single-precision arithmetic
 /// lives on the device (policies P2–P4), and double-precision iterative
 /// refinement recovers the digits it loses.
 struct Factorization {
-  std::vector<Matrix<double>> panels;
+  std::vector<MatrixView<double>> panels;
   bool numeric = true;
+
+  Factorization() = default;
+  Factorization(const Factorization& other);
+  Factorization& operator=(const Factorization& other);
+  Factorization(Factorization&&) noexcept = default;
+  Factorization& operator=(Factorization&&) noexcept = default;
+
+  /// Lay the store out for `supernodes`, keeping it (and its contents) when
+  /// the layout already matches. New storage is left uninitialized: the
+  /// drivers zero each panel as they assemble its front.
+  void lay_out(std::span<const SupernodeInfo> supernodes);
 
   /// Bytes used by the stored factor.
   std::int64_t storage_bytes() const noexcept;
+
+ private:
+  std::unique_ptr<double[]> store_;
+  std::size_t store_entries_ = 0;
 };
 
 /// Where two factors first differ. row == -1 means the panel counts (panel
@@ -67,7 +90,8 @@ std::optional<FactorDifference> first_factor_difference(
 /// reports its update-matrix stack: the LIFO StackArena in postorder (the
 /// paper's real-stack bound), or the live per-supernode update buffers when
 /// level-batched. factorize_parallel and factorize_cluster report the
-/// per-worker StackArena holding the working fronts.
+/// per-worker StackArena holding the working fronts' update blocks (the
+/// panels live in the factor's store).
 struct WorkerMemory {
   int worker = 0;
   std::int64_t arena_peak_bytes = 0;        ///< arena high water (above)
@@ -113,8 +137,11 @@ struct FactorizeOptions {
 /// Factor the permuted matrix using the symbolic structure in `analysis`.
 /// `executor` decides and executes the policy for each factor-update call;
 /// `ctx` carries the virtual clocks (and the device, for GPU policies).
+/// `recycled` is an earlier factor of the analysis whose store is
+/// overwritten in place (a refactor holds one factor, not two).
 FactorizeResult factorize(const Analysis& analysis, FuExecutor& executor,
                           FactorContext& ctx,
-                          const FactorizeOptions& options = {});
+                          const FactorizeOptions& options = {},
+                          Factorization recycled = {});
 
 }  // namespace mfgpu

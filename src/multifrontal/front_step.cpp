@@ -11,7 +11,7 @@
 namespace mfgpu {
 
 FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
-                     const Setup& setup)
+                     const Setup& setup, Factorization recycled)
     : sym_(analysis.symbolic),
       a_(analysis.permuted),
       options_(options),
@@ -20,12 +20,27 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
   MFGPU_CHECK(!setup_.update_stack || setup_.deterministic_reduction,
               "FrontTree: the update stack needs the deterministic order");
   std::vector<index_t> parent(static_cast<std::size_t>(nsup_));
+  std::vector<index_t> batch_entries(
+      setup_.plan != nullptr ? setup_.plan->batches.size() : 0, 0);
   for (index_t s = 0; s < nsup_; ++s) {
     const SupernodeInfo& sn = sym_.supernodes()[static_cast<std::size_t>(s)];
     parent[static_cast<std::size_t>(s)] = sn.parent;
     max_m_ = std::max(max_m_, sn.num_update_rows());
     max_k_ = std::max(max_k_, sn.width());
-    max_order_ = std::max(max_order_, sn.front_order());
+    if (!setup_.numeric) continue;
+    const index_t entries =
+        sn.num_update_rows() * sn.num_update_rows() +
+        (keeps_panels() ? 0 : sn.front_order() * sn.width());
+    const int b = setup_.plan != nullptr
+                      ? setup_.plan->batch_of[static_cast<std::size_t>(s)]
+                      : -1;
+    if (b >= 0) {
+      index_t& sum = batch_entries[static_cast<std::size_t>(b)];
+      sum += entries;
+      front_entries_ = std::max(front_entries_, sum);
+    } else {
+      front_entries_ = std::max(front_entries_, entries);
+    }
   }
   children_ = children_lists(parent);
 
@@ -40,10 +55,11 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
   ticket_.assign(static_cast<std::size_t>(nsup_), 0);
   records_.resize(static_cast<std::size_t>(nsup_));
 
-  factor_.numeric = setup_.numeric;
-  if (options_.store_factor && setup_.numeric) {
-    factor_.panels.resize(static_cast<std::size_t>(nsup_));
+  if (keeps_panels()) {
+    factor_ = std::move(recycled);
+    factor_.lay_out(sym_.supernodes());
   }
+  factor_.numeric = setup_.numeric;
   if (options_.recorder != nullptr) {
     options_.recorder->start(setup_.num_lanes, nsup_, parent, setup_.parallel,
                              setup_.plan != nullptr);
@@ -93,6 +109,7 @@ FrontWorker::FrontWorker(FrontTree& tree, FuExecutor& executor,
     : tree_(&tree),
       ctx_(&ctx),
       executor_(&executor),
+      front_arena_(std::make_unique<StackArena>(tree.front_entries_)),
       rec_(tree.options_.recorder) {
   prepare();
 }
@@ -106,8 +123,7 @@ FrontWorker::FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
       own_executor_(std::move(executor)),
       ctx_(own_ctx_.get()),
       executor_(own_executor_.get()),
-      front_arena_(std::make_unique<StackArena>(tree.max_order_ *
-                                                tree.max_order_)),
+      front_arena_(std::make_unique<StackArena>(tree.front_entries_)),
       rec_(tree.options_.recorder) {
   MFGPU_CHECK(executor_ != nullptr,
               "FrontWorker: executor factory returned null");
@@ -141,6 +157,41 @@ void FrontWorker::charge_assembly(double entries) {
   const double t0 = ctx.host_clock.now();
   host_assembly_cost(host, entries);
   assembly_time_ += ctx.host_clock.now() - t0;
+}
+
+FrontalMatrix FrontWorker::open_front(index_t s) {
+  FrontTree& tree = *tree_;
+  const SupernodeInfo& sn = tree.sym_.supernodes()[static_cast<std::size_t>(s)];
+  if (!tree.setup_.numeric) return FrontalMatrix(sn);
+  const index_t k = sn.width();
+  const index_t m = sn.num_update_rows();
+  const index_t order = k + m;
+  double* update = nullptr;
+  MatrixView<double> panel;
+  if (tree.keeps_panels()) {
+    panel = tree.factor_.panels[static_cast<std::size_t>(s)];
+    std::fill_n(panel.data(), order * k, 0.0);
+    if (tree.setup_.update_stack) {
+      // The serial postorder factors every supernode after s later, so the
+      // store's tail — their panels, not yet written — holds s's update
+      // block when it fits there, and the front costs no memory beyond the
+      // factor's own.
+      double* const begin = tree.factor_.panels.front().data();
+      const MatrixView<double>& last = tree.factor_.panels.back();
+      const index_t end = (last.data() - begin) + last.rows() * last.cols();
+      const index_t free_from = (panel.data() - begin) + order * k;
+      if (end - free_from >= m * m) {
+        update = begin + (end - m * m);
+        std::fill_n(update, m * m, 0.0);
+      }
+    }
+  } else {
+    panel = MatrixView<double>(front_arena_->push(order * k).data(), order, k,
+                               std::max<index_t>(order, 1));
+  }
+  if (update == nullptr) update = front_arena_->push(m * m).data();
+  return FrontalMatrix(sn, panel,
+                       MatrixView<double>(update, m, m, std::max<index_t>(m, 1)));
 }
 
 void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
@@ -213,14 +264,8 @@ void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
   outcome.record.snode = s;
   tree.records_[slot] = outcome.record;
 
-  // Store the factor panel (columns of L for this supernode).
-  if (tree.options_.store_factor && tree.setup_.numeric) {
-    const MatrixView<const double> source(front.full().data(), front.order(),
-                                          front.k(), front.full().ld());
-    auto& panel = tree.factor_.panels[slot];
-    panel = Matrix<double>(front.order(), front.k());
-    copy_into<double>(source, panel.view());
-  }
+  // The factor panel was assembled in place; storing it is still charged
+  // as the memory-bound pass it is in the calibrated model.
   charge_assembly(static_cast<double>(front.order()) *
                   static_cast<double>(front.k()));
 
@@ -247,11 +292,13 @@ void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
 
 namespace {
 
-/// Pops a worker's front off its arena when the step leaves, thrown or not.
-struct ArenaPop {
-  StackArena* arena;
-  ~ArenaPop() {
-    if (arena != nullptr) arena->pop();
+/// Pops the blocks a step pushed on its worker's arena when the step
+/// leaves, thrown or not.
+struct ArenaMark {
+  StackArena& arena;
+  index_t blocks = arena.num_blocks();
+  ~ArenaMark() {
+    while (arena.num_blocks() > blocks) arena.pop();
   }
 };
 
@@ -259,8 +306,6 @@ struct ArenaPop {
 
 void FrontWorker::run_front(index_t s) {
   FactorContext& ctx = *ctx_;
-  const SupernodeInfo& sn =
-      tree_->sym_.supernodes()[static_cast<std::size_t>(s)];
   obs::ScopedSpan task_span("multifrontal", "fu_task", &ctx.host_clock);
   task_span.set_arg(0, "snode", s);
   task_span.set_arg(1, "worker", lane_);
@@ -268,14 +313,8 @@ void FrontWorker::run_front(index_t s) {
     rec_->begin_task(lane_, obs::TaskKind::Front, s, ctx.host_clock);
   }
 
-  std::span<double> storage;
-  if (front_arena_ != nullptr) {
-    storage = front_arena_->push(sn.front_order() * sn.front_order());
-  }
-  const ArenaPop arena_guard{front_arena_.get()};
-  FrontalMatrix front = front_arena_ != nullptr
-                            ? FrontalMatrix(sn, storage)
-                            : FrontalMatrix(sn, tree_->setup_.numeric);
+  const ArenaMark arena_mark{*front_arena_};
+  FrontalMatrix front = open_front(s);
   assemble(s, front);
 
   FrontBlocks blocks = blocks_of(s, front, 0);
@@ -306,14 +345,13 @@ void FrontWorker::run_batch(index_t b) {
     rec_->begin_task(lane_, obs::TaskKind::Batch, b, ctx.host_clock);
   }
 
+  const ArenaMark arena_mark{*front_arena_};
   std::vector<FrontalMatrix> fronts;
-  fronts.reserve(width);  // no reallocation: blocks hold views inside
+  fronts.reserve(width);
   std::vector<FrontBlocks> blocks;
   blocks.reserve(width);
   for (index_t member : batch.snodes) {
-    fronts.emplace_back(
-        tree_->sym_.supernodes()[static_cast<std::size_t>(member)],
-        tree_->setup_.numeric);
+    fronts.push_back(open_front(member));
     assemble(member, fronts.back());
     blocks.push_back(blocks_of(member, fronts.back(), batch.level));
   }
@@ -351,7 +389,10 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
       rec->begin_task(worker.lane_, obs::TaskKind::Epilogue, -1,
                       ctx.host_clock);
     }
-    if (ctx.device != nullptr) ctx.device->synchronize(ctx.host_clock);
+    if (ctx.device != nullptr) {
+      ctx.device->synchronize(ctx.host_clock);
+      ctx.device->release_storage();
+    }
     if (rec != nullptr) {
       rec->end_task(worker.lane_, ctx.host_clock);
       rec->detach(worker.lane_, ctx.host_clock);
@@ -361,9 +402,9 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
     assembly_total += worker.assembly_time_;
     result.faults_survived += worker.executor_->fault_count();
 
-    // The arena holding the worker's fronts or — for the serial drivers,
-    // whose fronts are heap-allocated — the update matrices.
-    const std::int64_t arena_peak = worker.front_arena_ != nullptr
+    // The arena holding the worker's fronts or — for the serial drivers —
+    // the update matrices.
+    const std::int64_t arena_peak = setup_.parallel
                                         ? worker.front_arena_->peak_entries()
                                         : update_peak_entries();
     arena_peak_entries = std::max(arena_peak_entries, arena_peak);

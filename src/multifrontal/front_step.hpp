@@ -52,8 +52,10 @@ class FrontTree {
     bool deterministic_reduction = true;
   };
 
+  /// `recycled` is the store of an earlier factor, overwritten in place
+  /// when its layout matches this analysis (Factorization::lay_out).
   FrontTree(const Analysis& analysis, const FactorizeOptions& options,
-            const Setup& setup);
+            const Setup& setup, Factorization recycled = {});
   // Workers and the cluster's hooks hold its address.
   FrontTree(const FrontTree&) = delete;
   FrontTree& operator=(const FrontTree&) = delete;
@@ -79,6 +81,10 @@ class FrontTree {
  private:
   friend class FrontWorker;
 
+  /// Panels are assembled in place in the factor's store.
+  bool keeps_panels() const noexcept {
+    return options_.store_factor && setup_.numeric;
+  }
   std::span<const double> take_update(index_t child);
   void release_update(index_t child);
   std::span<double> publish_update(index_t s, index_t entries);
@@ -91,7 +97,10 @@ class FrontTree {
   index_t nsup_ = 0;
   index_t max_m_ = 0;
   index_t max_k_ = 0;
-  index_t max_order_ = 0;
+  /// Doubles a worker's front arena needs for its largest task (a front or
+  /// a batch): each front's update block, plus its panel when the factor
+  /// is not kept.
+  index_t front_entries_ = 0;
   std::vector<std::vector<index_t>> children_;
 
   std::optional<StackArena> stack_;
@@ -111,12 +120,12 @@ class FrontTree {
 // one.
 class alignas(64) FrontWorker {
  public:
-  /// Lane 0 on the caller's executor and context (the serial drivers):
-  /// fronts are heap-allocated one at a time.
+  /// Lane 0 on the caller's executor and context (the serial drivers).
   FrontWorker(FrontTree& tree, FuExecutor& executor, FactorContext& ctx);
-  /// A worker owning its context, its executor, a private simulated device
-  /// when `spec.has_gpu` (built from `device`), and an arena holding its
-  /// working fronts (the threaded and cluster drivers).
+  /// A worker owning its context, its executor, and a private simulated
+  /// device when `spec.has_gpu` (built from `device`) — the threaded and
+  /// cluster drivers. Every worker holds its working fronts' update blocks
+  /// on its own arena.
   FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
               const Device::Options& device,
               std::unique_ptr<FuExecutor> executor);
@@ -133,6 +142,11 @@ class alignas(64) FrontWorker {
   friend class FrontTree;
 
   void prepare();
+  /// The front of supernode s: its panel (in the factor's store, or on the
+  /// arena when the factor is not kept) and its update block (in the
+  /// store's unwritten tail in the serial postorder when it fits, else on
+  /// the arena), both zeroed.
+  FrontalMatrix open_front(index_t s);
   void assemble(index_t s, FrontalMatrix& front);
   FrontBlocks blocks_of(index_t s, FrontalMatrix& front, index_t level) const;
   void publish(index_t s, FrontalMatrix& front, FuOutcome outcome);

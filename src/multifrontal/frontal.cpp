@@ -6,32 +6,42 @@
 
 namespace mfgpu {
 
-FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn, bool numeric)
-    : k_(sn.width()), m_(sn.num_update_rows()), numeric_(numeric) {
-  build_rows(sn);
-  if (numeric_) {
-    storage_ = Matrix<double>(order(), order(), 0.0);
-    view_ = storage_.view();
-  }
+namespace {
+
+std::vector<index_t> front_rows(const SupernodeInfo& sn) {
+  std::vector<index_t> rows;
+  rows.reserve(static_cast<std::size_t>(sn.front_order()));
+  for (index_t j = sn.first_col; j < sn.last_col; ++j) rows.push_back(j);
+  rows.insert(rows.end(), sn.update_rows.begin(), sn.update_rows.end());
+  return rows;
 }
 
-FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn, std::span<double> storage)
-    : k_(sn.width()), m_(sn.num_update_rows()), numeric_(true) {
-  build_rows(sn);
-  MFGPU_CHECK(static_cast<index_t>(storage.size()) >= order() * order(),
-              "FrontalMatrix: external storage too small");
-  view_ = MatrixView<double>(storage.data(), order(), order(), order());
+}  // namespace
+
+FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn)
+    : k_(sn.width()), m_(sn.num_update_rows()), rows_(front_rows(sn)) {}
+
+FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn, MatrixView<double> panel,
+                             MatrixView<double> update)
+    : k_(sn.width()),
+      m_(sn.num_update_rows()),
+      numeric_(true),
+      rows_(front_rows(sn)),
+      panel_(panel),
+      update_(update) {
+  MFGPU_CHECK(panel.rows() == order() && panel.cols() == k_ &&
+                  update.rows() == m_ && update.cols() == m_,
+              "FrontalMatrix: storage shape mismatch");
 }
 
-void FrontalMatrix::build_rows(const SupernodeInfo& sn) {
-  rows_.reserve(static_cast<std::size_t>(order()));
-  for (index_t j = sn.first_col; j < sn.last_col; ++j) rows_.push_back(j);
-  rows_.insert(rows_.end(), sn.update_rows.begin(), sn.update_rows.end());
-}
-
-MatrixView<double> FrontalMatrix::full() const {
+MatrixView<double> FrontalMatrix::panel() const {
   MFGPU_CHECK(numeric_, "FrontalMatrix: no storage in dry-run mode");
-  return view_;
+  return panel_;
+}
+
+MatrixView<double> FrontalMatrix::update() const {
+  MFGPU_CHECK(numeric_, "FrontalMatrix: no storage in dry-run mode");
+  return update_;
 }
 
 index_t FrontalMatrix::local_index(index_t global_row) const {
@@ -53,7 +63,7 @@ index_t FrontalMatrix::assemble_from_matrix(const SparseSpd& a,
     moved += static_cast<index_t>(rows.size());
     if (!numeric_) continue;
     for (std::size_t t = 0; t < rows.size(); ++t) {
-      view_(local_index(rows[t]), local_col) += vals[t];
+      panel_(local_index(rows[t]), local_col) += vals[t];
     }
   }
   return moved;
@@ -73,14 +83,22 @@ index_t FrontalMatrix::extend_add(std::span<const index_t> child_rows,
   for (index_t t = 0; t < mc; ++t) {
     rel[static_cast<std::size_t>(t)] = local_index(child_rows[static_cast<std::size_t>(t)]);
   }
+  // Both rel indices increase with their arguments, so ci >= cj and the
+  // target stays in the lower triangle. Child columns that are this
+  // supernode's columns come first and land in the panel; the rest land in
+  // the update block, shifted by k.
   for (index_t j = 0; j < mc; ++j) {
     const index_t cj = rel[static_cast<std::size_t>(j)];
-    for (index_t i = j; i < mc; ++i) {
-      const index_t ci = rel[static_cast<std::size_t>(i)];
-      // Both rel indices increase with their arguments, so ci >= cj and the
-      // target stays in the lower triangle.
-      view_(ci, cj) +=
-          child_update_packed[static_cast<std::size_t>(packed_index(mc, i, j))];
+    const double* column =
+        child_update_packed.data() + packed_index(mc, j, j) - j;
+    if (cj < k_) {
+      for (index_t i = j; i < mc; ++i) {
+        panel_(rel[static_cast<std::size_t>(i)], cj) += column[i];
+      }
+    } else {
+      for (index_t i = j; i < mc; ++i) {
+        update_(rel[static_cast<std::size_t>(i)] - k_, cj - k_) += column[i];
+      }
     }
   }
   return entries;
@@ -93,8 +111,7 @@ index_t FrontalMatrix::pack_update(std::span<double> out) const {
   if (!numeric_) return entries;
   for (index_t j = 0; j < m_; ++j) {
     for (index_t i = j; i < m_; ++i) {
-      out[static_cast<std::size_t>(packed_index(m_, i, j))] =
-          view_(k_ + i, k_ + j);
+      out[static_cast<std::size_t>(packed_index(m_, i, j))] = update_(i, j);
     }
   }
   return entries;

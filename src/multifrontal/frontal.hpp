@@ -11,53 +11,57 @@
 
 namespace mfgpu {
 
-/// Dense working storage for one front: an s x s column-major square with
-/// s = k + m; only the lower triangle is referenced.
-/// Row/column i of the front corresponds to global (permuted) index
-/// rows()[i], where the first k entries are the supernode's own columns.
+/// One front of order s = k + m, in two blocks of caller storage: the
+/// panel (s x k: the supernode's columns, L1 on top of L2), which the
+/// drivers place in the factor's own store, and the m x m update block.
+/// Only lower triangles are referenced. Row/column i of the front
+/// corresponds to global (permuted) index rows()[i], where the first k
+/// entries are the supernode's own columns; front column j < k is panel
+/// column j, and column j >= k is update column j - k.
 class FrontalMatrix {
  public:
-  FrontalMatrix(const SupernodeInfo& sn, bool numeric);
-  /// Places the front in caller-provided storage (>= order()^2 doubles,
-  /// already zeroed — e.g. a block pushed onto a worker's StackArena) instead
-  /// of allocating. The storage must outlive this object.
-  FrontalMatrix(const SupernodeInfo& sn, std::span<double> storage);
+  /// A shape-only front for timing-only dry runs: assembly counts entries
+  /// and touches no storage.
+  explicit FrontalMatrix(const SupernodeInfo& sn);
+  /// A front in caller-provided storage, already zeroed; it must outlive
+  /// this object.
+  FrontalMatrix(const SupernodeInfo& sn, MatrixView<double> panel,
+                MatrixView<double> update);
 
   index_t k() const noexcept { return k_; }
   index_t m() const noexcept { return m_; }
   index_t order() const noexcept { return k_ + m_; }
   std::span<const index_t> rows() const noexcept { return rows_; }
 
-  MatrixView<double> full() const;
-  MatrixView<double> l1() { return full().block(0, 0, k_, k_); }
-  MatrixView<double> l2() { return full().block(k_, 0, m_, k_); }
-  MatrixView<double> update() { return full().block(k_, k_, m_, m_); }
+  MatrixView<double> panel() const;
+  MatrixView<double> l1() const { return panel().block(0, 0, k_, k_); }
+  MatrixView<double> l2() const { return panel().block(k_, 0, m_, k_); }
+  MatrixView<double> update() const;
 
-  /// Scatter the supernode's columns of A (lower triangle) into the front.
+  /// Scatter the supernode's columns of A (lower triangle) into the panel.
   /// Returns the number of entries moved (for assembly-cost charging).
   index_t assemble_from_matrix(const SparseSpd& a, const SupernodeInfo& sn);
 
   /// Extend-add a child's packed-lower update matrix. `child_rows` are the
   /// child's update rows (global indices, sorted — a subset of this front's
-  /// rows). Returns entries added.
+  /// rows). Rows that are this supernode's columns land in the panel, the
+  /// rest in the update block. Returns entries added.
   index_t extend_add(std::span<const index_t> child_rows,
                      std::span<const double> child_update_packed);
 
-  /// Pack this front's update block (lower triangle) into `out`
-  /// (packed-lower layout). Returns entries moved.
+  /// Pack the update block (lower triangle) into `out` (packed-lower
+  /// layout). Returns entries moved.
   index_t pack_update(std::span<double> out) const;
 
  private:
   index_t local_index(index_t global_row) const;
 
-  void build_rows(const SupernodeInfo& sn);
-
   index_t k_ = 0;
   index_t m_ = 0;
-  bool numeric_ = true;
+  bool numeric_ = false;
   std::vector<index_t> rows_;
-  Matrix<double> storage_;     ///< owning case; empty with external storage
-  MatrixView<double> view_;    ///< the front, wherever it lives
+  MatrixView<double> panel_;
+  MatrixView<double> update_;
 };
 
 }  // namespace mfgpu

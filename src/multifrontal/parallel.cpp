@@ -23,25 +23,24 @@ std::unique_ptr<FuExecutor> default_worker_executor(
   return std::make_unique<PolicyExecutor>(Policy::P1, executor_options);
 }
 
-FactorizeResult factorize_parallel(const Analysis& analysis,
-                                   const ParallelFactorizeOptions& options,
-                                   const WorkerExecutorFactory& make_executor) {
+namespace {
+
+std::vector<WorkerSpec> worker_specs(const ParallelFactorizeOptions& options) {
+  if (!options.workers.empty()) return options.workers;
+  return cpu_workers(std::max(1, options.num_threads));
+}
+
+}  // namespace
+
+PoolPlan plan_pool(const Analysis& analysis,
+                   const ParallelFactorizeOptions& options) {
   const SymbolicFactor& sym = analysis.symbolic;
   const index_t nsup = sym.num_supernodes();
-
-  std::vector<WorkerSpec> specs = options.workers;
-  if (specs.empty()) specs = cpu_workers(std::max(1, options.num_threads));
-  const int num_workers = static_cast<int>(specs.size());
-
-  obs::ScopedSpan factorize_span("multifrontal", "parallel_factorize");
-  factorize_span.set_arg(0, "supernodes", nsup);
-  factorize_span.set_arg(1, "workers", num_workers);
-  // Capture the serving request bound to the calling thread (if any) so the
-  // pool workers' spans, dispatch decisions, and fault events stay attributed
-  // to it across the thread hop.
-  const obs::RequestContext* request = obs::current_request();
-
-  if (nsup == 0) return {};
+  const int num_workers = static_cast<int>(worker_specs(options).size());
+  const BatchingOptions& batching = options.numeric.batching;
+  PoolPlan plan;
+  plan.num_workers = num_workers;
+  if (nsup == 0) return plan;
 
   const TaskGraph graph = build_task_graph(sym, analysis.permuted);
   const std::vector<double> bottom = bottom_levels(graph);
@@ -51,34 +50,16 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
   // the symbolic structure alone, so grouping is independent of the thread
   // count and the batched factor stays bitwise identical to the per-front
   // one under deterministic reduction.
-  const BatchPlan plan = options.numeric.batching.enabled()
-                             ? group_batches(sym, options.numeric.batching)
-                             : BatchPlan{};
-
-  FrontTree::Setup setup;
-  setup.num_lanes = num_workers;
-  setup.parallel = true;
-  setup.plan = plan.any() ? &plan : nullptr;
-  setup.deterministic_reduction = options.deterministic_reduction;
-  FrontTree tree(analysis, options.numeric, setup);
-
-  std::vector<FrontWorker> workers;
-  workers.reserve(static_cast<std::size_t>(num_workers));
-  for (int w = 0; w < num_workers; ++w) {
-    const WorkerSpec& spec = specs[static_cast<std::size_t>(w)];
-    workers.emplace_back(tree, w, spec, options.device,
-                         make_executor
-                             ? make_executor(spec, w)
-                             : default_worker_executor(spec, options.executor));
-  }
+  if (batching.enabled()) plan.batches = group_batches(sym, batching);
+  const BatchPlan& batches = plan.batches;
 
   // Condensed node graph: one node per batch, one per unbatched supernode
   // (without a batch plan, exactly the assembly tree). Edges follow the
   // tree (one per member-parent pair; duplicate edges between the same
   // nodes are fine — GraphDag counts each).
-  const std::size_t nbatches = plan.batches.size();
+  const std::size_t nbatches = batches.batches.size();
   auto batch_of = [&](index_t s) {
-    return plan.any() ? plan.batch_of[static_cast<std::size_t>(s)] : -1;
+    return batches.any() ? batches.batch_of[static_cast<std::size_t>(s)] : -1;
   };
   std::vector<index_t> node_of(static_cast<std::size_t>(nsup), -1);
   std::vector<index_t> batch_node(nbatches, -1);
@@ -95,21 +76,23 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
           batch_node[static_cast<std::size_t>(b)];
     }
   }
-  std::vector<index_t> node_single(static_cast<std::size_t>(num_nodes), -1);
-  std::vector<index_t> node_batch(static_cast<std::size_t>(num_nodes), -1);
+  plan.node_single.assign(static_cast<std::size_t>(num_nodes), -1);
+  plan.node_batch.assign(static_cast<std::size_t>(num_nodes), -1);
   for (index_t s = 0; s < nsup; ++s) {
     if (batch_of(s) < 0) {
-      node_single[static_cast<std::size_t>(
+      plan.node_single[static_cast<std::size_t>(
           node_of[static_cast<std::size_t>(s)])] = s;
     }
   }
   for (std::size_t b = 0; b < nbatches; ++b) {
-    node_batch[static_cast<std::size_t>(batch_node[b])] =
+    plan.node_batch[static_cast<std::size_t>(batch_node[b])] =
         static_cast<index_t>(b);
   }
 
-  std::vector<index_t> succ_ptr(static_cast<std::size_t>(num_nodes) + 1, 0);
-  std::vector<index_t> deps(static_cast<std::size_t>(num_nodes), 0);
+  std::vector<index_t>& succ_ptr = plan.succ_ptr;
+  std::vector<index_t>& deps = plan.num_deps;
+  succ_ptr.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
+  deps.assign(static_cast<std::size_t>(num_nodes), 0);
   for (index_t s = 0; s < nsup; ++s) {
     const index_t p = graph.parent[static_cast<std::size_t>(s)];
     MFGPU_CHECK(p == -1 || (p > s && p < nsup),
@@ -124,50 +107,102 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
     succ_ptr[static_cast<std::size_t>(nd) + 1] +=
         succ_ptr[static_cast<std::size_t>(nd)];
   }
-  std::vector<index_t> succ(
+  plan.succ.resize(
       static_cast<std::size_t>(succ_ptr[static_cast<std::size_t>(num_nodes)]));
   std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
   for (index_t s = 0; s < nsup; ++s) {
     const index_t p = graph.parent[static_cast<std::size_t>(s)];
     if (p == -1) continue;
     const index_t src = node_of[static_cast<std::size_t>(s)];
-    succ[static_cast<std::size_t>(cursor[static_cast<std::size_t>(src)]++)] =
+    plan.succ[static_cast<std::size_t>(
+        cursor[static_cast<std::size_t>(src)]++)] =
         node_of[static_cast<std::size_t>(p)];
   }
 
   // Critical-path priority and seeded worker per node: max member
   // priority (bottom levels are >= 0), first member's proportional mapping.
-  std::vector<double> node_priority(static_cast<std::size_t>(num_nodes), 0.0);
-  std::vector<int> node_worker(static_cast<std::size_t>(num_nodes), -1);
+  plan.priority.assign(static_cast<std::size_t>(num_nodes), 0.0);
+  plan.preferred_worker.assign(static_cast<std::size_t>(num_nodes), -1);
   for (index_t s = 0; s < nsup; ++s) {
     const std::size_t nd =
         static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)]);
-    node_priority[nd] =
-        std::max(node_priority[nd], bottom[static_cast<std::size_t>(s)]);
-    if (node_worker[nd] < 0) {
-      node_worker[nd] = mapping[static_cast<std::size_t>(s)];
+    plan.priority[nd] =
+        std::max(plan.priority[nd], bottom[static_cast<std::size_t>(s)]);
+    if (plan.preferred_worker[nd] < 0) {
+      plan.preferred_worker[nd] = mapping[static_cast<std::size_t>(s)];
     }
+  }
+  return plan;
+}
+
+FactorizeResult factorize_parallel(const Analysis& analysis,
+                                   const ParallelFactorizeOptions& options,
+                                   const WorkerExecutorFactory& make_executor) {
+  return factorize_parallel(analysis, plan_pool(analysis, options), options,
+                            make_executor);
+}
+
+FactorizeResult factorize_parallel(const Analysis& analysis,
+                                   const PoolPlan& plan,
+                                   const ParallelFactorizeOptions& options,
+                                   const WorkerExecutorFactory& make_executor,
+                                   Factorization recycled) {
+  const SymbolicFactor& sym = analysis.symbolic;
+  const index_t nsup = sym.num_supernodes();
+
+  const std::vector<WorkerSpec> specs = worker_specs(options);
+  const int num_workers = static_cast<int>(specs.size());
+  MFGPU_CHECK(plan.num_workers == num_workers,
+              "factorize_parallel: plan built for another worker count");
+  MFGPU_CHECK(!plan.batches.any() || options.numeric.batching.enabled(),
+              "factorize_parallel: batched plan for an unbatched run");
+
+  obs::ScopedSpan factorize_span("multifrontal", "parallel_factorize");
+  factorize_span.set_arg(0, "supernodes", nsup);
+  factorize_span.set_arg(1, "workers", num_workers);
+  // Capture the serving request bound to the calling thread (if any) so the
+  // pool workers' spans, dispatch decisions, and fault events stay attributed
+  // to it across the thread hop.
+  const obs::RequestContext* request = obs::current_request();
+
+  if (nsup == 0) return {};
+
+  FrontTree::Setup setup;
+  setup.num_lanes = num_workers;
+  setup.parallel = true;
+  setup.plan = plan.batches.any() ? &plan.batches : nullptr;
+  setup.deterministic_reduction = options.deterministic_reduction;
+  FrontTree tree(analysis, options.numeric, setup, std::move(recycled));
+
+  std::vector<FrontWorker> workers;
+  workers.reserve(static_cast<std::size_t>(num_workers));
+  for (int w = 0; w < num_workers; ++w) {
+    const WorkerSpec& spec = specs[static_cast<std::size_t>(w)];
+    workers.emplace_back(tree, w, spec, options.device,
+                         make_executor
+                             ? make_executor(spec, w)
+                             : default_worker_executor(spec, options.executor));
   }
 
   auto node_body = [&](index_t node, int w) {
     obs::RequestScope request_scope(request);
     FrontWorker& worker = workers[static_cast<std::size_t>(w)];
-    const index_t b = node_batch[static_cast<std::size_t>(node)];
+    const index_t b = plan.node_batch[static_cast<std::size_t>(node)];
     if (b >= 0) {
       worker.run_batch(b);
     } else {
-      worker.run_front(node_single[static_cast<std::size_t>(node)]);
+      worker.run_front(plan.node_single[static_cast<std::size_t>(node)]);
     }
   };
 
   ThreadPool pool(num_workers);
   const auto wall_t0 = std::chrono::steady_clock::now();
   GraphDag dag;
-  dag.succ_ptr = succ_ptr;
-  dag.succ = succ;
-  dag.num_deps = deps;
-  dag.preferred_worker = node_worker;
-  dag.priority = node_priority;
+  dag.succ_ptr = plan.succ_ptr;
+  dag.succ = plan.succ;
+  dag.num_deps = plan.num_deps;
+  dag.preferred_worker = plan.preferred_worker;
+  dag.priority = plan.priority;
   const PoolRunStats stats = pool.run_dag(dag, node_body);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0)

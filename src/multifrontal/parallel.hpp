@@ -13,7 +13,7 @@
 //     priority orders each worker's seeds.
 //   - Every worker is a FrontWorker (multifrontal/front_step.hpp) owning its
 //     full execution state: a FactorContext (virtual host clock + calibrated
-//     host model), a StackArena backing its frontal working storage, its
+//     host model), a StackArena holding its fronts' update blocks, its
 //     FuExecutor, and — for GPU-bearing workers — a private simulated Device
 //     with its own streams, so no gpusim state is ever shared between
 //     threads. Each pool task runs the same front step as the serial
@@ -73,11 +73,43 @@ using WorkerExecutorFactory =
 std::unique_ptr<FuExecutor> default_worker_executor(
     const WorkerSpec& spec, const ExecutorOptions& executor_options);
 
+/// The values-independent half of a pool run, reusable across refactors
+/// of one analysis: the batch plan and the assembly tree condensed to one
+/// node per batch (or per unbatched front), in the pool's CSR form, with
+/// each node's critical-path priority and proportional-mapping seed.
+/// Immutable once built; every worker thread only reads it.
+struct PoolPlan {
+  int num_workers = 0;
+  BatchPlan batches;
+  std::vector<index_t> succ_ptr;
+  std::vector<index_t> succ;
+  std::vector<index_t> num_deps;
+  std::vector<double> priority;
+  std::vector<int> preferred_worker;
+  /// Per node: its supernode (-1 for a batch node) and its batch (-1 for a
+  /// single front).
+  std::vector<index_t> node_single;
+  std::vector<index_t> node_batch;
+};
+
+/// Build the pool plan for the workers and batching of `options`.
+PoolPlan plan_pool(const Analysis& analysis,
+                   const ParallelFactorizeOptions& options);
+
 /// Factor `analysis` with real threads. Matches factorize()'s contract
 /// (panels, trace, NotPositiveDefiniteError propagation from any worker);
-/// numeric execution only.
+/// numeric execution only. Builds the pool plan, then runs the overload
+/// below.
 FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options = {},
                                    const WorkerExecutorFactory& make_executor = {});
+/// The same run on a plan from plan_pool(analysis, options), which a
+/// caller factoring one pattern many times builds once. `recycled` is an
+/// earlier factor of the analysis whose store is overwritten in place.
+FactorizeResult factorize_parallel(const Analysis& analysis,
+                                   const PoolPlan& plan,
+                                   const ParallelFactorizeOptions& options,
+                                   const WorkerExecutorFactory& make_executor = {},
+                                   Factorization recycled = {});
 
 }  // namespace mfgpu

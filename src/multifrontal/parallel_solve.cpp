@@ -166,17 +166,17 @@ struct SolveWorker {
 };
 
 /// Rows [row0, row0 + rows) of a panel, all its columns.
-MatrixView<const double> panel_rows(const Matrix<double>& panel, index_t row0,
-                                    index_t rows) {
+MatrixView<const double> panel_rows(const MatrixView<double>& panel,
+                                    index_t row0, index_t rows) {
   return MatrixView<const double>(panel.data() + row0, rows, panel.cols(),
-                                  panel.rows());
+                                  panel.ld());
 }
 
 /// Forward task of supernode s: pull every incoming run, sources ascending,
 /// as tmp = L[run rows, :] * X[source pivot rows] then X[run rows] -= tmp;
 /// then solve the pivot block, L11 X[s] = X[s].
 void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
-                  const std::vector<Matrix<double>>& panels, index_t s,
+                  std::span<const MatrixView<double>> panels, index_t s,
                   MatrixView<double> x, SolveWorker& worker) {
   const index_t r = x.cols();
   for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
@@ -206,7 +206,7 @@ void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
 
 /// Backward task of supernode s: gather G = X[update rows], then
 /// X[s] -= L21^T G and L11^T X[s] = X[s].
-void backward_task(const SupernodeInfo& sn, const Matrix<double>& panel,
+void backward_task(const SupernodeInfo& sn, const MatrixView<double>& panel,
                    MatrixView<double> x, SolveWorker& worker) {
   const index_t r = x.cols();
   const index_t k = sn.width();
@@ -228,7 +228,7 @@ void backward_task(const SupernodeInfo& sn, const Matrix<double>& panel,
 }
 
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
-                const std::vector<Matrix<double>>& panels, MatrixView<double> x,
+                std::span<const MatrixView<double>> panels, MatrixView<double> x,
                 int threads) {
   const index_t nsup = sched.num_supernodes;
   const index_t num_rhs = x.cols();

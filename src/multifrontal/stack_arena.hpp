@@ -12,6 +12,7 @@
 //   the task ends.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -21,6 +22,9 @@ namespace mfgpu {
 
 class StackArena {
  public:
+  /// Capacity is reserved, not touched: pages are faulted in by the first
+  /// push that reaches them, so an arena sized for the worst case costs
+  /// memory only up to its actual high water.
   explicit StackArena(index_t capacity_entries);
 
   /// Push a block of `entries` doubles (zero-initialized); returns its view.
@@ -37,7 +41,8 @@ class StackArena {
   index_t peak_entries() const noexcept { return peak_; }
 
  private:
-  std::vector<double> buffer_;
+  std::unique_ptr<double[]> buffer_;
+  index_t capacity_ = 0;
   std::vector<index_t> offsets_;  ///< start offset of each live block
   index_t top_ = 0;
   index_t peak_ = 0;

@@ -152,6 +152,11 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
   DeviceMatrix l1_slab = dev.allocate(l1_rows, slab_k, "batch.l1", clock);
   DeviceMatrix l2_slab = dev.allocate(l2_rows, slab_k, "batch.l2", clock);
   DeviceMatrix prod_slab = dev.allocate(l2_rows, slab_m, "batch.prod", clock);
+  // The batched syrk below is priced, not computed, so nothing else defines
+  // the product bands the download validates.
+  if (dev.numeric()) {
+    std::fill_n(prod_slab.data.data(), l2_rows * slab_m, 0.0f);
+  }
 
   // One pinned staging slab per direction for the whole batch. Growing it
   // is history-dependent (like pool warm-up), so injection is suppressed —
@@ -242,7 +247,7 @@ std::vector<FuOutcome> run_batched_dispatch(std::span<FrontBlocks> fronts,
   if (dev.numeric()) {
     auto band_finite = [](const DeviceMatrix& slab, index_t row0,
                           index_t rows, index_t cols) {
-      return block_finite(slab.data.view().block(row0, 0, rows, cols),
+      return block_finite<float>(slab.data.block(row0, 0, rows, cols),
                           /*lower_only=*/false);
     };
     for (std::size_t i = 0; i < n; ++i) {
@@ -435,18 +440,18 @@ FuOutcome PolicyExecutor::run_p2(const FrontBlocks& f, FactorContext& ctx) {
       out.record.t_copy +=
           dev.copy_to_device_async(f.l2, l2_d, 0, 0, dev.h2d_stream(), clock);
       out.record.t_syrk = gpu_syrk(ctx.gpu_exec(dev.compute_stream()), 1.0f,
-                                   dev_whole(l2_d), dev_whole(prod_d));
+                                   dev_whole(l2_d), dev_whole(prod_d), 0.0f);
       out.record.t_copy += dev.copy_from_device_async(
           prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
       dev.synchronize_stream(dev.d2h_stream(), clock);
     } else {
       out.record.t_copy += dev.copy_to_device_sync(f.l2, l2_d, 0, 0, clock);
       out.record.t_syrk = gpu_syrk(ctx.gpu_exec(dev.compute_stream()), 1.0f,
-                                   dev_whole(l2_d), dev_whole(prod_d));
+                                   dev_whole(l2_d), dev_whole(prod_d), 0.0f);
       out.record.t_copy +=
           dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
     }
-    out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
+    out.record.t_syrk += host_apply_update(host, prod_d.data, f.u);
   }
   out.record.t_total = clock.now() - t0;
   out.update_ready_at = clock.now();
@@ -494,7 +499,7 @@ FuOutcome PolicyExecutor::run_p3(const FrontBlocks& f, FactorContext& ctx) {
     out.record.t_copy += dev.copy_from_device_async(l2_d, 0, 0, f.l2,
                                                     dev.d2h_stream(), clock);
     out.record.t_syrk =
-        gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d));
+        gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d), 0.0f);
     out.record.t_copy += dev.copy_from_device_async(
         prod_d, 0, 0, read_in_place(prod_d), dev.d2h_stream(), clock);
     dev.synchronize_stream(dev.d2h_stream(), clock);
@@ -506,11 +511,11 @@ FuOutcome PolicyExecutor::run_p3(const FrontBlocks& f, FactorContext& ctx) {
     out.record.t_trsm = gpu_trsm(compute, dev_whole(l1_d), dev_whole(l2_d));
     out.record.t_copy += dev.copy_from_device_sync(l2_d, 0, 0, f.l2, clock);
     out.record.t_syrk =
-        gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d));
+        gpu_syrk(compute, 1.0f, dev_whole(l2_d), dev_whole(prod_d), 0.0f);
     out.record.t_copy +=
         dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
   }
-  out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
+  out.record.t_syrk += host_apply_update(host, prod_d.data, f.u);
   out.record.t_total = clock.now() - t0;
   out.update_ready_at = clock.now();
   return out;
@@ -576,7 +581,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
       CostClassScope stall_cls(CostClass::Transfer);
       clock.advance_to(prod_done.time);
     }
-    out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
+    out.record.t_syrk += host_apply_update(host, prod_d.data, f.u);
     out.update_ready_at = clock.now();
   } else if (async) {
     out.record.t_copy += dev.copy_from_device_async(panel_d, 0, 0, f.l1,
@@ -589,7 +594,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
     }
     dev.synchronize_stream(dev.d2h_stream(), clock);
     if (f.m > 0) {
-      out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
+      out.record.t_syrk += host_apply_update(host, prod_d.data, f.u);
     }
     out.update_ready_at = clock.now();
   } else {
@@ -599,7 +604,7 @@ FuOutcome PolicyExecutor::run_p4(const FrontBlocks& f, FactorContext& ctx) {
           dev.copy_from_device_sync(panel_d, f.k, 0, f.l2, clock);
       out.record.t_copy +=
           dev.copy_from_device_sync(prod_d, 0, 0, read_in_place(prod_d), clock);
-      out.record.t_syrk += host_apply_update(host, prod_d.data.view(), f.u);
+      out.record.t_syrk += host_apply_update(host, prod_d.data, f.u);
     }
     out.update_ready_at = clock.now();
   }

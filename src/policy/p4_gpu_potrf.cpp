@@ -47,9 +47,10 @@ P4KernelTimes p4_factor_on_gpu(const GpuExec& exec, DeviceMatrix& panel,
       }
     }
     if (m > 0) {
-      // 5. Partial update of U from this panel of L2.
+      // 5. Partial update of U from this panel of L2; the first panel
+      // defines the product (beta 0), the rest accumulate.
       times.syrk += gpu_syrk(exec, 1.0f, dev_block(panel, k, p, m, w),
-                             dev_whole(*u_product));
+                             dev_whole(*u_product), p == 0 ? 0.0f : 1.0f);
     }
   }
   return times;

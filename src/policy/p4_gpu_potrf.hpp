@@ -31,7 +31,8 @@ struct P4KernelTimes {
 index_t p4_auto_panel_width(index_t k, index_t m = 0);
 
 /// Factor `panel` ((k+m) x k, L1 in the top k rows) in place on the device
-/// and accumulate U -= L2 L2^T into `u_product` (m x m; may be null when
+/// and write the update product L2 L2^T into the lower triangle of
+/// `u_product` (m x m; its prior contents are not read; may be null when
 /// m == 0). Returns per-kernel accumulated model durations.
 P4KernelTimes p4_factor_on_gpu(const GpuExec& exec, DeviceMatrix& panel,
                                DeviceMatrix* u_product, index_t m, index_t k,

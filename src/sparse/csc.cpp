@@ -84,7 +84,8 @@ void SparseSpd::multiply(std::span<const double> x, std::span<double> y) const {
   }
 }
 
-SparseSpd SparseSpd::permuted(std::span<const index_t> new_of_old) const {
+SparseSpd SparseSpd::permuted(std::span<const index_t> new_of_old,
+                              std::vector<index_t>* value_source) const {
   MFGPU_CHECK(static_cast<index_t>(new_of_old.size()) == n_,
               "SparseSpd::permuted: permutation size mismatch");
   // Count entries per new column (entry lands in the lower triangle of the
@@ -100,40 +101,56 @@ SparseSpd SparseSpd::permuted(std::span<const index_t> new_of_old) const {
   }
   std::partial_sum(count.begin(), count.end(), count.begin());
 
+  // Scatter (row, source entry) pairs into their new columns, then sort
+  // each column by row (rows are unique within a column) and gather values.
   std::vector<index_t> col_ptr = count;
-  std::vector<index_t> row_idx(static_cast<std::size_t>(col_ptr.back()));
-  std::vector<double> values(row_idx.size());
+  std::vector<index_t> row_idx(row_idx_.size());
+  std::vector<index_t> source(row_idx_.size());
   std::vector<index_t> next(count.begin(), count.end() - 1);
   for (index_t j = 0; j < n_; ++j) {
-    const auto rows = column_rows(j);
-    const auto vals = column_values(j);
     const index_t nj = new_of_old[static_cast<std::size_t>(j)];
-    for (std::size_t t = 0; t < rows.size(); ++t) {
-      const index_t ni = new_of_old[static_cast<std::size_t>(rows[t])];
-      const index_t col = std::min(ni, nj);
-      const index_t row = std::max(ni, nj);
-      const auto slot = static_cast<std::size_t>(next[static_cast<std::size_t>(col)]++);
-      row_idx[slot] = row;
-      values[slot] = vals[t];
+    for (index_t p = col_ptr_[static_cast<std::size_t>(j)];
+         p < col_ptr_[static_cast<std::size_t>(j) + 1]; ++p) {
+      const index_t ni =
+          new_of_old[static_cast<std::size_t>(row_idx_[static_cast<std::size_t>(p)])];
+      const auto slot = static_cast<std::size_t>(
+          next[static_cast<std::size_t>(std::min(ni, nj))]++);
+      row_idx[slot] = std::max(ni, nj);
+      source[slot] = p;
     }
   }
-  // Sort each column by row index (values follow).
+  std::vector<std::pair<index_t, index_t>> column;
   for (index_t j = 0; j < n_; ++j) {
     const auto begin = static_cast<std::size_t>(col_ptr[static_cast<std::size_t>(j)]);
     const auto end = static_cast<std::size_t>(col_ptr[static_cast<std::size_t>(j) + 1]);
-    std::vector<std::pair<index_t, double>> entries;
-    entries.reserve(end - begin);
+    column.clear();
     for (std::size_t t = begin; t < end; ++t) {
-      entries.emplace_back(row_idx[t], values[t]);
+      column.emplace_back(row_idx[t], source[t]);
     }
-    std::sort(entries.begin(), entries.end());
+    std::sort(column.begin(), column.end());
     for (std::size_t t = begin; t < end; ++t) {
-      row_idx[t] = entries[t - begin].first;
-      values[t] = entries[t - begin].second;
+      row_idx[t] = column[t - begin].first;
+      source[t] = column[t - begin].second;
     }
   }
+  std::vector<double> values(source.size());
+  for (std::size_t t = 0; t < source.size(); ++t) {
+    values[t] = values_[static_cast<std::size_t>(source[t])];
+  }
+  if (value_source != nullptr) *value_source = std::move(source);
   return SparseSpd(n_, std::move(col_ptr), std::move(row_idx),
                    std::move(values));
+}
+
+void SparseSpd::gather_values(std::span<const double> from,
+                              std::span<const index_t> value_source) {
+  MFGPU_CHECK(value_source.size() == values_.size(),
+              "SparseSpd::gather_values: map size mismatch");
+  for (std::size_t t = 0; t < values_.size(); ++t) {
+    const auto p = static_cast<std::size_t>(value_source[t]);
+    MFGPU_CHECK(p < from.size(), "SparseSpd::gather_values: map out of range");
+    values_[t] = from[p];
+  }
 }
 
 std::uint64_t SparseSpd::pattern_fingerprint() const noexcept {

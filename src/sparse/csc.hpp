@@ -42,7 +42,17 @@ class SparseSpd {
 
   /// Symmetric permutation B = P A P^T where new index = perm_inverse[old]
   /// is given as `new_of_old` (i.e. B(new_of_old[i], new_of_old[j]) = A(i,j)).
-  SparseSpd permuted(std::span<const index_t> new_of_old) const;
+  /// When `value_source` is given it receives B's value map: B.values()[t]
+  /// == values()[(*value_source)[t]], a function of the pattern and the
+  /// permutation alone.
+  SparseSpd permuted(std::span<const index_t> new_of_old,
+                     std::vector<index_t>* value_source = nullptr) const;
+
+  /// Overwrite the values in place with from[value_source[t]]: the values
+  /// of a same-pattern matrix permuted through a map permuted() reported,
+  /// without redoing its per-column sort.
+  void gather_values(std::span<const double> from,
+                     std::span<const index_t> value_source);
 
   /// FNV-1a hash of the sparsity pattern (n, col_ptr, row_idx) — values are
   /// NOT included, so all matrices sharing one pattern share one

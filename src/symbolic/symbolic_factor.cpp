@@ -208,7 +208,8 @@ Analysis analyze(const SparseSpd& a, const Permutation& fill_perm,
   MFGPU_CHECK(fill_perm.n() == a.n(), "analyze: permutation size mismatch");
   obs::ScopedSpan span("symbolic", "analyze");
   span.set_arg(0, "n", a.n());
-  SparseSpd permuted = a.permuted(fill_perm.new_of_old());
+  std::vector<index_t> value_source;
+  SparseSpd permuted = a.permuted(fill_perm.new_of_old(), &value_source);
 
   // Postorder the elimination tree and fold it into the permutation; the
   // postorder is an equivalent reordering (same fill) that makes supernode
@@ -233,11 +234,12 @@ Analysis analyze(const SparseSpd& a, const Permutation& fill_perm,
           fill_map[static_cast<std::size_t>(i)])];
     }
     total = Permutation(std::move(composed));
-    permuted = a.permuted(total.new_of_old());
+    permuted = a.permuted(total.new_of_old(), &value_source);
   }
 
   SymbolicFactor symbolic(permuted, options);
-  return Analysis{std::move(total), std::move(permuted), std::move(symbolic)};
+  return Analysis{std::move(total), std::move(permuted), std::move(symbolic),
+                  std::move(value_source)};
 }
 
 }  // namespace mfgpu

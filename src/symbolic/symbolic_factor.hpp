@@ -77,11 +77,15 @@ class SymbolicFactor {
 };
 
 /// End-to-end analysis result: the composed permutation (fill ordering +
-/// etree postorder), the permuted matrix, and its symbolic factorization.
+/// etree postorder), the permuted matrix, its symbolic factorization, and
+/// the permuted matrix's value map (SparseSpd::permuted): new values of the
+/// same pattern are permuted with permuted.gather_values(a.values(),
+/// value_source).
 struct Analysis {
   Permutation perm;
   SparseSpd permuted;
   SymbolicFactor symbolic;
+  std::vector<index_t> value_source;
 };
 
 /// Orders with `fill_perm` (e.g. minimum_degree / nested_dissection), then

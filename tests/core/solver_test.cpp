@@ -8,6 +8,7 @@
 #include "multifrontal/refine.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
+#include "support/rng.hpp"
 
 namespace mfgpu {
 namespace {
@@ -194,6 +195,76 @@ TEST(SolverPhases, RefactorReusesAnalysisForNewValues) {
   solver.refactor(a2);
   const auto x = solver.solve(b);
   for (double v : x) EXPECT_NEAR(v, 0.5, 1e-8);
+}
+
+/// Same pattern, new values: every off-diagonal scaled by its own factor in
+/// [0.5, 1) and every diagonal raised by up to 1 — still diagonally
+/// dominant, so SPD, and different entry by entry.
+SparseSpd perturbed(const SparseSpd& a, std::uint64_t seed) {
+  Rng rng(seed);
+  std::vector<double> values(a.values().begin(), a.values().end());
+  for (index_t j = 0; j < a.n(); ++j) {
+    const index_t begin = a.col_ptr()[static_cast<std::size_t>(j)];
+    const index_t end = a.col_ptr()[static_cast<std::size_t>(j) + 1];
+    for (index_t p = begin; p < end; ++p) {
+      double& v = values[static_cast<std::size_t>(p)];
+      v = (p == begin) ? v + rng.uniform() : v * rng.uniform(0.5, 1.0);
+    }
+  }
+  return SparseSpd(a.n(),
+                   std::vector<index_t>(a.col_ptr().begin(), a.col_ptr().end()),
+                   std::vector<index_t>(a.row_idx().begin(), a.row_idx().end()),
+                   std::move(values));
+}
+
+/// Two successive refactors (values B, then C) recycle the factor's store
+/// in place; the solution must be bitwise the one of a fresh solver on C —
+/// a front that missed its zeroing would carry B's values into C's factor.
+void expect_refactors_match_fresh(const SolverOptions& options,
+                                  bool expect_gpu_calls) {
+  // Big enough for the top fronts to pass the paper's P1 -> P2 threshold.
+  const GridProblem p = make_laplacian_3d(16, 16, 14);
+  const SparseSpd b_values = perturbed(p.matrix, 11);
+  const SparseSpd c_values = perturbed(p.matrix, 12);
+  Solver solver = Solver::analyze(p.matrix, options);
+  solver.factor();
+  solver.refactor(b_values);
+  solver.refactor(c_values);
+  const Solver fresh(c_values, options);
+
+  if (expect_gpu_calls) {
+    std::size_t gpu_calls = 0;
+    for (const FuCallRecord& call : solver.trace().calls) {
+      gpu_calls += call.policy != 1 ? 1 : 0;
+    }
+    EXPECT_GT(gpu_calls, 0u);
+  }
+  const auto rhs = rhs_for_ones(c_values);
+  const auto x = solver.solve(rhs);
+  const auto expected = fresh.solve(rhs);
+  ASSERT_EQ(x.size(), expected.size());
+  for (std::size_t i = 0; i < x.size(); ++i) {
+    ASSERT_EQ(x[i], expected[i]) << "entry " << i;
+  }
+}
+
+TEST(SolverPhases, RefactorsInPlaceMatchAFreshSolverSerialHybrid) {
+  SolverOptions options;
+  options.mode = SolverMode::BaselineHybrid;
+  expect_refactors_match_fresh(options, /*expect_gpu_calls=*/true);
+}
+
+TEST(SolverPhases, RefactorsInPlaceMatchAFreshSolverFourThreads) {
+  SolverOptions options;
+  options.num_threads = 4;
+  expect_refactors_match_fresh(options, /*expect_gpu_calls=*/false);
+}
+
+TEST(SolverPhases, RefactorsInPlaceMatchAFreshSolverBatched) {
+  SolverOptions options;
+  options.mode = SolverMode::BaselineHybrid;
+  options.batching.mode = BatchingMode::On;
+  expect_refactors_match_fresh(options, /*expect_gpu_calls=*/true);
 }
 
 TEST(SolverPhases, RefactorRejectsDifferentPattern) {

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
+
 #include "dense/potrf.hpp"
+#include "multifrontal/parallel_solve.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "policy/executors.hpp"
 #include "sparse/coo.hpp"
@@ -57,6 +61,35 @@ TEST(FactorizationTest, MatchesDenseCholeskyOnGrid) {
                     1e-9);
       }
     }
+  }
+}
+
+TEST(FactorizationTest, CopyIsDeep) {
+  // Panels are views into the factor's own store: a copy must get its own
+  // store, so poisoning the copy leaves the original's solve unchanged.
+  const GridProblem p = make_laplacian_3d(5, 4, 4);
+  const Analysis an =
+      analyze(p.matrix, minimum_degree(build_graph(p.matrix)));
+  PolicyExecutor p1(Policy::P1);
+  FactorContext ctx;
+  const Factorization original = factorize(an, p1, ctx).factor;
+  const Matrix<double> b(p.matrix.n(), 1, 1.0);
+  const Matrix<double> before = solve(an, original, b, 1);
+
+  Factorization copied = original;
+  Factorization assigned;
+  assigned = original;
+  for (Factorization* copy : {&copied, &assigned}) {
+    EXPECT_FALSE(first_factor_difference(*copy, original).has_value());
+    for (MatrixView<double>& panel : copy->panels) {
+      panel(0, 0) = std::numeric_limits<double>::quiet_NaN();
+    }
+    EXPECT_TRUE(std::isnan(solve(an, *copy, b, 1)(0, 0)));
+  }
+
+  const Matrix<double> after = solve(an, original, b, 1);
+  for (index_t i = 0; i < p.matrix.n(); ++i) {
+    ASSERT_EQ(after(i, 0), before(i, 0)) << "row " << i;
   }
 }
 
