@@ -6,9 +6,8 @@
 //               [--ordering natural|md|nd]
 //               [--repeat N]
 //               [--solve-threads N] [--rhs N]
-//               [--threads N] [--workers SPEC] [--nondeterministic]
+//               [--threads N] [--workers SPEC]
 //               [--batch off|on|auto[,max_k=..,max_m=..,min=..,max=..,ops=..]]
-//               [--cluster off|N[,fanboth|levelsync][,norefine][,nogpu][,LINK]]
 //               [--save-model FILE] [--load-model FILE]
 //               [--out FILE.mtx]
 //               [--trace FILE] [--metrics FILE] [--report FILE]
@@ -22,7 +21,9 @@
 // --threads N runs the numeric phase on N work-stealing CPU workers;
 // --workers SPEC gives an explicit worker list instead, e.g. "cgg" = one
 // CPU worker plus two GPU workers (each with a private simulated device).
-// Parallel runs are bitwise-reproducible unless --nondeterministic.
+// Parallel runs are bitwise-reproducible: the factor equals the serial one.
+// Every count flag (--repeat, --threads, --solve-threads, --rhs) wants a
+// whole number of at least 1.
 //
 // --solve-threads N runs the triangular solves as a level-scheduled
 // dependency DAG on N solve threads (multifrontal/parallel_solve.hpp);
@@ -37,12 +38,6 @@
 // variable, which wins over the default (off). The factor is bitwise
 // identical with batching on or off.
 //
-// --cluster runs the numeric phase on the simulated distributed cluster
-// (cluster/cluster.hpp): N nodes exchanging update-matrix messages over
-// the named link ("shared" | "infiniband" | "gigabit" | "<bw>,<lat>").
-// Takes precedence over --threads/--workers; the factor stays bitwise
-// identical to the serial driver.
-//
 // Observability: --trace and --metrics take the same values as the
 // MFGPU_TRACE / MFGPU_METRICS environment variables and WIN over them when
 // both are given. When trace and metrics are both set, the trace file gets
@@ -53,11 +48,13 @@
 // Reads (or generates) an SPD system, factors it under the chosen policy
 // mode, solves for a manufactured right-hand side, reports simulated
 // timings and accuracy, and can persist/reuse a trained policy model.
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <string>
 
 #include "autotune/model_io.hpp"
@@ -83,9 +80,7 @@ namespace {
                "[--ordering natural|md|nd] [--repeat N] "
                "[--solve-threads N] [--rhs N] "
                "[--threads N] [--workers SPEC] "
-               "[--nondeterministic] "
                "[--batch off|on|auto[,max_k=..,max_m=..,min=..,max=..,ops=..]] "
-               "[--cluster off|N[,fanboth|levelsync][,norefine][,nogpu][,LINK]] "
                "[--save-model FILE] "
                "[--load-model FILE] [--out FILE.mtx] [--trace FILE] "
                "[--metrics FILE] [--report FILE]\n"
@@ -111,9 +106,7 @@ struct CliOptions {
   int solve_threads = 1;
   index_t rhs = 1;  // --rhs N: blocked multi-RHS solve of N right-hand sides
   std::string workers;  // e.g. "cgg": CPU + two GPU workers
-  bool deterministic = true;
   std::string batch;  // --batch= spec; "" = flag absent (MFGPU_BATCH applies)
-  std::string cluster;  // --cluster= spec; "" = flag absent (cluster off)
   std::string save_model;
   std::string load_model;
   std::string out_path;
@@ -123,6 +116,7 @@ struct CliOptions {
 };
 
 CliOptions parse(int argc, char** argv) {
+  constexpr long long kMaxInt = std::numeric_limits<int>::max();
   CliOptions cli;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
@@ -132,6 +126,21 @@ CliOptions parse(int argc, char** argv) {
         usage(argv[0]);
       }
       return argv[++i];
+    };
+    // The value of a count flag: a whole number in [1, max], else a usage
+    // error.
+    auto count_flag = [&](const char* flag, long long max) {
+      const std::string value = next(flag);
+      char* end = nullptr;
+      errno = 0;
+      const long long count = std::strtoll(value.c_str(), &end, 10);
+      if (end == value.c_str() || *end != '\0' || errno == ERANGE ||
+          count < 1 || count > max) {
+        std::fprintf(stderr, "%s wants a positive count, got '%s'\n", flag,
+                     value.c_str());
+        usage(argv[0]);
+      }
+      return count;
     };
     if (arg == "--matrix") {
       cli.matrix_path = next("--matrix");
@@ -146,43 +155,21 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--ordering") {
       cli.ordering = next("--ordering");
     } else if (arg == "--repeat") {
-      cli.repeat = std::atoi(next("--repeat").c_str());
-      if (cli.repeat < 1) {
-        std::fprintf(stderr, "--repeat wants a positive count\n");
-        usage(argv[0]);
-      }
+      cli.repeat = static_cast<int>(count_flag("--repeat", kMaxInt));
     } else if (arg == "--threads") {
-      cli.threads = std::atoi(next("--threads").c_str());
+      cli.threads = static_cast<int>(count_flag("--threads", kMaxInt));
     } else if (arg == "--solve-threads") {
-      cli.solve_threads = std::atoi(next("--solve-threads").c_str());
-      if (cli.solve_threads < 1) {
-        std::fprintf(stderr, "--solve-threads wants a positive count\n");
-        usage(argv[0]);
-      }
+      cli.solve_threads =
+          static_cast<int>(count_flag("--solve-threads", kMaxInt));
     } else if (arg == "--rhs") {
-      cli.rhs = std::atoll(next("--rhs").c_str());
-      if (cli.rhs < 1) {
-        std::fprintf(stderr, "--rhs wants a positive count\n");
-        usage(argv[0]);
-      }
+      cli.rhs = count_flag("--rhs", std::numeric_limits<index_t>::max());
     } else if (arg == "--workers") {
       cli.workers = next("--workers");
-    } else if (arg == "--nondeterministic") {
-      cli.deterministic = false;
     } else if (arg == "--batch" || arg.rfind("--batch=", 0) == 0) {
       cli.batch =
           arg == "--batch" ? next("--batch") : arg.substr(std::strlen("--batch="));
       if (cli.batch.empty()) {
         std::fprintf(stderr, "--batch wants a spec (off|on|auto[,key=val])\n");
-        usage(argv[0]);
-      }
-    } else if (arg == "--cluster" || arg.rfind("--cluster=", 0) == 0) {
-      cli.cluster = arg == "--cluster"
-                        ? next("--cluster")
-                        : arg.substr(std::strlen("--cluster="));
-      if (cli.cluster.empty()) {
-        std::fprintf(stderr,
-                     "--cluster wants a spec (off|N[,engine][,link])\n");
         usage(argv[0]);
       }
     } else if (arg == "--save-model") {
@@ -294,7 +281,6 @@ int main(int argc, char** argv) {
     options.coordinates = problem.coords;
     options.num_threads = cli.threads;
     options.solve_threads = cli.solve_threads;
-    options.deterministic_reduction = cli.deterministic;
     options.batching = resolve_batching(cli.batch, std::getenv("MFGPU_BATCH"));
     if (options.batching.enabled()) {
       std::printf("batching: mode %s (max_k=%lld max_m=%lld min=%d max=%d)\n",
@@ -309,13 +295,6 @@ int main(int argc, char** argv) {
         return 2;
       }
       options.workers.push_back(WorkerSpec{.has_gpu = (c == 'g')});
-    }
-    if (!cli.cluster.empty()) {
-      options.cluster = parse_cluster(cli.cluster);
-      if (options.cluster.enabled()) {
-        std::printf("cluster: %s\n",
-                    cluster_description(options.cluster).c_str());
-      }
     }
 
     // Phase-split API: the symbolic handle is built once and could be
@@ -345,16 +324,6 @@ int main(int argc, char** argv) {
                   static_cast<long long>(
                       breakdown.calls[static_cast<std::size_t>(p)]),
                   breakdown.time[static_cast<std::size_t>(p)]);
-    }
-    if (solver.cluster_stats().has_value()) {
-      const ClusterStats& cs = *solver.cluster_stats();
-      std::printf(
-          "  cluster: %d nodes (%s), %lld messages, %.2f MB on wire, "
-          "placement %.4g -> %.4g (%d moves)\n",
-          cs.num_nodes, cluster_engine_name(cs.engine),
-          static_cast<long long>(cs.messages), cs.bytes_on_wire / 1e6,
-          cs.placement_seed_cost, cs.placement_refined_cost,
-          cs.placement_moves);
     }
 
     // Persist / reuse the trained model.

@@ -35,13 +35,27 @@ double expected_time_objective(const TrainedPolicyModel& model,
 
 namespace {
 
+// Adam hyper-parameters of both trainers.
+constexpr int kMaxIterations = 4000;
+constexpr double kLearningRate = 0.08;
+constexpr double kL2Penalty = 1e-4;
+constexpr double kAdamBeta1 = 0.9;
+constexpr double kAdamBeta2 = 0.999;
+/// Stop when the relative objective improvement over 50 iterations is below
+/// this.
+constexpr double kTolerance = 1e-8;
+/// Iterations of the cross-entropy warm start of train_expected_time.
+constexpr int kWarmStartIterations = std::max(500, kMaxIterations / 4);
+
+using ScoreGradient =
+    std::function<void(const PolicyDataset&, std::size_t,
+                       const std::vector<double>&, std::vector<double>&)>;
+
 /// Shared Adam loop over the classifier weights. `gradient(features, i, p)`
 /// returns the per-class dL/dscore for example i with probabilities p.
 TrainedPolicyModel train_common(
-    const PolicyDataset& ds, const TrainOptions& options,
-    const std::function<void(const PolicyDataset&, std::size_t,
-                             const std::vector<double>&,
-                             std::vector<double>&)>& score_gradient,
+    const PolicyDataset& ds, int max_iterations,
+    const ScoreGradient& score_gradient,
     const TrainedPolicyModel* warm_start = nullptr) {
   MFGPU_CHECK(ds.size() > 0, "train: empty dataset");
   TrainedPolicyModel result;
@@ -72,7 +86,7 @@ TrainedPolicyModel train_common(
 
   const double inv_n = 1.0 / static_cast<double>(ds.size());
   double previous_objective = std::numeric_limits<double>::infinity();
-  for (int iter = 1; iter <= options.max_iterations; ++iter) {
+  for (int iter = 1; iter <= max_iterations; ++iter) {
     std::fill(grad.begin(), grad.end(), 0.0);
     double objective = 0.0;
     for (std::size_t i = 0; i < ds.size(); ++i) {
@@ -96,23 +110,23 @@ TrainedPolicyModel train_common(
       const std::size_t base = static_cast<std::size_t>(j * (d + 1));
       for (int f = 0; f < d; ++f) {
         grad[base + static_cast<std::size_t>(f)] +=
-            options.l2_penalty * weights[base + static_cast<std::size_t>(f)];
+            kL2Penalty * weights[base + static_cast<std::size_t>(f)];
       }
     }
     // Adam step.
-    const double b1t = 1.0 - std::pow(options.adam_beta1, iter);
-    const double b2t = 1.0 - std::pow(options.adam_beta2, iter);
+    const double b1t = 1.0 - std::pow(kAdamBeta1, iter);
+    const double b2t = 1.0 - std::pow(kAdamBeta2, iter);
     for (std::size_t w = 0; w < num_weights; ++w) {
-      m1[w] = options.adam_beta1 * m1[w] + (1.0 - options.adam_beta1) * grad[w];
-      m2[w] = options.adam_beta2 * m2[w] +
-              (1.0 - options.adam_beta2) * grad[w] * grad[w];
+      m1[w] = kAdamBeta1 * m1[w] + (1.0 - kAdamBeta1) * grad[w];
+      m2[w] = kAdamBeta2 * m2[w] +
+              (1.0 - kAdamBeta2) * grad[w] * grad[w];
       const double mhat = m1[w] / b1t;
       const double vhat = m2[w] / b2t;
-      weights[w] -= options.learning_rate * mhat / (std::sqrt(vhat) + 1e-9);
+      weights[w] -= kLearningRate * mhat / (std::sqrt(vhat) + 1e-9);
     }
     if (iter % 50 == 0) {
       if (previous_objective - objective <
-          options.tolerance * std::abs(previous_objective)) {
+          kTolerance * std::abs(previous_objective)) {
         break;
       }
       previous_objective = objective;
@@ -121,10 +135,20 @@ TrainedPolicyModel train_common(
   return result;
 }
 
+/// dL/ds_j of the 0/1 cross-entropy on the argmin label.
+void cross_entropy_gradient(const PolicyDataset& data, std::size_t i,
+                            const std::vector<double>& p,
+                            std::vector<double>& dscore) {
+  const int label = data.best_policy_index(i);
+  for (int j = 0; j < data.num_policies; ++j) {
+    dscore[static_cast<std::size_t>(j)] =
+        p[static_cast<std::size_t>(j)] - (j == label ? 1.0 : 0.0);
+  }
+}
+
 }  // namespace
 
-TrainedPolicyModel train_expected_time(const PolicyDataset& ds,
-                                       const TrainOptions& options) {
+TrainedPolicyModel train_expected_time(const PolicyDataset& ds) {
   // Normalize times so the gradient scale is data-independent; the RELATIVE
   // weighting across examples (big calls matter more) is preserved, which
   // is exactly the cost-sensitivity the paper wants.
@@ -140,12 +164,11 @@ TrainedPolicyModel train_expected_time(const PolicyDataset& ds,
   // cold start Adam can settle on a poor boundary layout. Warm-start from
   // the (convex) cross-entropy solution — calibrate the boundaries first,
   // then shift them cost-sensitively.
-  TrainOptions warm_options = options;
-  warm_options.max_iterations = std::max(500, options.max_iterations / 4);
-  const TrainedPolicyModel warm = train_cross_entropy(ds, warm_options);
+  const TrainedPolicyModel warm =
+      train_common(ds, kWarmStartIterations, cross_entropy_gradient);
 
   return train_common(
-      ds, options,
+      ds, kMaxIterations,
       [scale](const PolicyDataset& data, std::size_t i,
               const std::vector<double>& p, std::vector<double>& dscore) {
         // dL/ds_j = p_j (T_j - sum_l p_l T_l), with T in normalized units.
@@ -162,18 +185,8 @@ TrainedPolicyModel train_expected_time(const PolicyDataset& ds,
       &warm);
 }
 
-TrainedPolicyModel train_cross_entropy(const PolicyDataset& ds,
-                                       const TrainOptions& options) {
-  return train_common(
-      ds, options,
-      [](const PolicyDataset& data, std::size_t i, const std::vector<double>& p,
-         std::vector<double>& dscore) {
-        const int label = data.best_policy_index(i);
-        for (int j = 0; j < data.num_policies; ++j) {
-          dscore[static_cast<std::size_t>(j)] =
-              p[static_cast<std::size_t>(j)] - (j == label ? 1.0 : 0.0);
-        }
-      });
+TrainedPolicyModel train_cross_entropy(const PolicyDataset& ds) {
+  return train_common(ds, kMaxIterations, cross_entropy_gradient);
 }
 
 }  // namespace mfgpu

@@ -17,17 +17,6 @@
 
 namespace mfgpu {
 
-struct TrainOptions {
-  int max_iterations = 4000;
-  double learning_rate = 0.08;
-  double l2_penalty = 1e-4;
-  double adam_beta1 = 0.9;
-  double adam_beta2 = 0.999;
-  /// Stop when the relative objective improvement over 50 iterations is
-  /// below this.
-  double tolerance = 1e-8;
-};
-
 /// A trained policy predictor: scaler + classifier + the glue to Policy.
 /// 4-class models choose among the per-front policies P1..P4; 5-class
 /// models (trained on a dataset with the batched column) may also return
@@ -46,11 +35,9 @@ double expected_time_objective(const TrainedPolicyModel& model,
                                const PolicyDataset& ds);
 
 /// The paper's trainer: minimize expected computation time.
-TrainedPolicyModel train_expected_time(const PolicyDataset& ds,
-                                       const TrainOptions& options = {});
+TrainedPolicyModel train_expected_time(const PolicyDataset& ds);
 
 /// Ablation trainer: standard 0/1 cross-entropy on the argmin labels.
-TrainedPolicyModel train_cross_entropy(const PolicyDataset& ds,
-                                       const TrainOptions& options = {});
+TrainedPolicyModel train_cross_entropy(const PolicyDataset& ds);
 
 }  // namespace mfgpu

@@ -1,8 +1,6 @@
 #include "cluster/cluster.hpp"
 
 #include <algorithm>
-#include <cmath>
-#include <cstdlib>
 #include <limits>
 
 #include "multifrontal/front_step.hpp"
@@ -17,61 +15,6 @@ const char* cluster_engine_name(ClusterEngine engine) noexcept {
     case ClusterEngine::LevelSync: return "level-sync";
   }
   return "?";
-}
-
-ClusterOptions parse_cluster(const std::string& spec) {
-  ClusterOptions options;
-  if (spec == "off" || spec.empty()) {
-    options.num_nodes = 0;
-    return options;
-  }
-  std::vector<std::string> tokens;
-  std::size_t begin = 0;
-  while (begin <= spec.size()) {
-    const std::size_t comma = spec.find(',', begin);
-    const std::size_t end = (comma == std::string::npos) ? spec.size() : comma;
-    tokens.push_back(spec.substr(begin, end - begin));
-    if (comma == std::string::npos) break;
-    begin = comma + 1;
-  }
-  char* parse_end = nullptr;
-  const double nodes = std::strtod(tokens.front().c_str(), &parse_end);
-  // Range-check before converting: casting NaN, inf or anything past
-  // INT_MAX to int is undefined behaviour.
-  const bool in_range =
-      nodes >= 1.0 &&
-      nodes <= static_cast<double>(std::numeric_limits<int>::max());
-  if (parse_end == tokens.front().c_str() || *parse_end != '\0' ||
-      !in_range || nodes != std::floor(nodes)) {
-    throw InvalidArgumentError("parse_cluster: bad node count in '" + spec +
-                               "'");
-  }
-  options.num_nodes = static_cast<int>(nodes);
-  std::string link_spec;
-  for (std::size_t i = 1; i < tokens.size(); ++i) {
-    const std::string& token = tokens[i];
-    if (token == "fanboth") {
-      options.engine = ClusterEngine::FanBoth;
-    } else if (token == "levelsync") {
-      options.engine = ClusterEngine::LevelSync;
-    } else if (token == "norefine") {
-      options.refine_placement = false;
-    } else if (token == "nogpu") {
-      options.nodes_have_gpu = false;
-    } else {
-      if (!link_spec.empty()) link_spec += ',';
-      link_spec += token;
-    }
-  }
-  if (!link_spec.empty()) options.link = parse_link(link_spec);
-  return options;
-}
-
-std::string cluster_description(const ClusterOptions& options) {
-  if (!options.enabled()) return "off";
-  return std::to_string(options.num_nodes) + " nodes, " +
-         cluster_engine_name(options.engine) + ", " +
-         link_description(options.link);
 }
 
 namespace {
@@ -122,10 +65,8 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   PlacementOptions placement_options;
   placement_options.num_nodes = num_nodes;
   placement_options.link = link;
-  placement_options.refine = cluster.refine_placement;
   const PlacementResult placement = place_subtrees(graph, placement_options);
   const std::vector<int>& node_of = placement.node_of;
-  stats.placement_seed_cost = placement.seed_cost;
   stats.placement_refined_cost = placement.refined_cost;
   stats.placement_moves = placement.moves;
 

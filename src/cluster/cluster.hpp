@@ -1,6 +1,8 @@
 // Simulated distributed-cluster factorization — the paper's named future
 // work ("a distributed-memory version of the solver") executed as real
-// numerics over simulated nodes.
+// numerics over simulated nodes. It is a library driver, not a Solver
+// mode: Table VII's multi-worker columns, bench_cluster_scaling and the
+// examples call factorize_cluster directly.
 //
 // Model
 //   - Elimination subtrees map to simulated cluster nodes: the proportional
@@ -42,7 +44,6 @@
 #pragma once
 
 #include <cstdint>
-#include <string>
 
 #include "cluster/placement.hpp"
 #include "multifrontal/parallel.hpp"
@@ -57,35 +58,17 @@ enum class ClusterEngine {
 
 const char* cluster_engine_name(ClusterEngine engine) noexcept;
 
-/// Knobs for the simulated cluster (SolverOptions::cluster and the
-/// `--cluster=` CLI flag funnel here). num_nodes == 0 disables the cluster
-/// path entirely.
+/// Knobs for the simulated cluster.
 struct ClusterOptions {
-  /// Simulated node count; 0 = cluster path off.
-  int num_nodes = 0;
+  /// Simulated node count (at least 1).
+  int num_nodes = 1;
   /// Inter-node link for update-matrix messages.
   InterconnectModel link = infiniband_link();
   ClusterEngine engine = ClusterEngine::FanBoth;
-  /// Refine the proportional placement for interconnect cost.
-  bool refine_placement = true;
   /// Give every node a private simulated GPU (hybrid dispatch); off = all
   /// nodes run host-only P1.
   bool nodes_have_gpu = true;
-
-  bool enabled() const noexcept { return num_nodes > 0; }
 };
-
-/// Parse a cluster spec: "off" | "<nodes>[,<token>...]" where each token is
-/// an engine name ("fanboth" | "levelsync"), "norefine", "nogpu", or part
-/// of a link spec handed to parse_link ("shared" | "infiniband" |
-/// "gigabit" | "<bandwidth>,<latency>"). Examples:
-///   "4"  "8,gigabit"  "4,levelsync,1e9,5e-6"  "2,nogpu,shared"
-/// Throws InvalidArgumentError on malformed specs, including a node count
-/// that is not an integer in [1, INT_MAX].
-ClusterOptions parse_cluster(const std::string& spec);
-
-/// Short human-readable description ("4 nodes, fan-both, infiniband").
-std::string cluster_description(const ClusterOptions& options);
 
 /// Simulated-schedule outcomes of one cluster factorization.
 struct ClusterStats {
@@ -97,8 +80,7 @@ struct ClusterStats {
   std::int64_t messages = 0;
   double bytes_on_wire = 0.0;
   double send_busy_seconds = 0.0;  ///< total egress-lane busy time
-  /// Placement objective (cluster/placement.hpp).
-  double placement_seed_cost = 0.0;
+  /// Placement objective after refinement (cluster/placement.hpp).
   double placement_refined_cost = 0.0;
   int placement_moves = 0;
 };

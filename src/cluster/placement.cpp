@@ -8,11 +8,19 @@
 namespace mfgpu {
 namespace {
 
-std::vector<double> task_seconds(const TaskGraph& graph,
-                                 const PlacementOptions& options) {
+/// Converts task work units (F-U flops + assembly entries) to seconds so
+/// compute and wire cost share one objective. The refinement only needs
+/// the ratio to be plausible, not calibrated.
+constexpr double kOpsPerSecond = 2.0e9;
+/// Refinement sweeps over the tree (each sweep visits every movable subtree
+/// once, root to leaves); the refinement stops early when a sweep moves
+/// nothing.
+constexpr int kMaxPasses = 4;
+
+std::vector<double> task_seconds(const TaskGraph& graph) {
   std::vector<double> seconds(static_cast<std::size_t>(graph.num_tasks), 0.0);
   for (index_t t = 0; t < graph.num_tasks; ++t) {
-    seconds[static_cast<std::size_t>(t)] = graph.work(t) / options.ops_per_second;
+    seconds[static_cast<std::size_t>(t)] = graph.work(t) / kOpsPerSecond;
   }
   return seconds;
 }
@@ -27,7 +35,7 @@ double max_load(const std::vector<double>& load) {
 
 double placement_cost(const TaskGraph& graph, const std::vector<int>& node_of,
                       const PlacementOptions& options) {
-  const std::vector<double> seconds = task_seconds(graph, options);
+  const std::vector<double> seconds = task_seconds(graph);
   std::vector<double> load(static_cast<std::size_t>(options.num_nodes), 0.0);
   double comm = 0.0;
   for (index_t t = 0; t < graph.num_tasks; ++t) {
@@ -49,11 +57,11 @@ PlacementResult place_subtrees(const TaskGraph& graph,
   result.node_of = proportional_mapping(graph, options.num_nodes);
   result.seed_cost = placement_cost(graph, result.node_of, options);
   result.refined_cost = result.seed_cost;
-  if (!options.refine || options.num_nodes == 1 || graph.num_tasks == 0) {
+  if (options.num_nodes == 1 || graph.num_tasks == 0) {
     return result;
   }
 
-  const std::vector<double> seconds = task_seconds(graph, options);
+  const std::vector<double> seconds = task_seconds(graph);
   std::vector<int>& node_of = result.node_of;
 
   // Incremental objective state: per-node compute load and the total
@@ -107,7 +115,7 @@ PlacementResult place_subtrees(const TaskGraph& graph,
     }
   };
 
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     bool moved = false;
     // Root-to-leaf sweep (reverse postorder): parents settle before their
     // children consider chasing them.

@@ -16,15 +16,6 @@ namespace mfgpu {
 struct PlacementOptions {
   int num_nodes = 1;
   InterconnectModel link;
-  /// Run the greedy refinement after the proportional seed.
-  bool refine = true;
-  /// Refinement sweeps over the tree (each sweep visits every movable
-  /// subtree once, root to leaves); stops early when a sweep moves nothing.
-  int max_passes = 4;
-  /// Converts task work units (F-U flops + assembly entries) to seconds so
-  /// compute and wire cost share one objective. The refinement only needs
-  /// the ratio to be plausible, not calibrated.
-  double ops_per_second = 2.0e9;
 };
 
 struct PlacementResult {
@@ -32,19 +23,19 @@ struct PlacementResult {
   std::vector<int> node_of;
   double seed_cost = 0.0;     ///< objective of the proportional seed
   double refined_cost = 0.0;  ///< objective after refinement (== seed_cost
-                              ///< when refinement is off or found nothing)
+                              ///< when refinement found nothing)
   int moves = 0;              ///< subtree moves the refinement accepted
 };
 
 /// Objective: max per-node compute seconds + total cross-node transfer
-/// seconds. Lower is better; the two terms share the seconds unit via
-/// PlacementOptions::ops_per_second.
+/// seconds. Lower is better; task work is converted to seconds at a fixed
+/// nominal rate so the two terms share one unit.
 double placement_cost(const TaskGraph& graph, const std::vector<int>& node_of,
                       const PlacementOptions& options);
 
 /// Proportional seed + greedy subtree refinement. Every task is assigned
-/// exactly one node; with one node (or a disabled link and refine off) the
-/// result is the plain proportional mapping.
+/// exactly one node; with one node the result is the plain proportional
+/// mapping.
 PlacementResult place_subtrees(const TaskGraph& graph,
                                const PlacementOptions& options);
 

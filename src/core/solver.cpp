@@ -42,6 +42,16 @@ class OwnedTimerIdealHybrid : public FuExecutor {
   DispatchExecutor inner_;
 };
 
+/// Every driver extend-adds children in the fixed serial order;
+/// deterministic_reduction is a pinned input whose only valid value is true.
+void check_reduction_order(const SolverOptions& options) {
+  if (!options.deterministic_reduction) {
+    throw InvalidArgumentError(
+        "Solver::analyze: deterministic_reduction must be true (children are "
+        "always assembled in the fixed serial order)");
+  }
+}
+
 }  // namespace
 
 struct Solver::Impl {
@@ -76,8 +86,6 @@ struct Solver::Impl {
   bool factored = false;
   /// Flight record of the last numeric phase (options.record_schedule).
   obs::ScheduleRecord schedule;
-  /// Set when the last numeric phase ran on the simulated cluster.
-  std::optional<ClusterStats> cluster_stats;
 
   Permutation choose_ordering() const;
   /// Level-scheduled solve configuration (threads + cached schedule).
@@ -154,29 +162,16 @@ void Solver::Impl::run_factor() {
   obs::ScheduleRecorder* rec =
       options.record_schedule ? &recorder : nullptr;
   FactorizeResult result;
-  cluster_stats.reset();
   // The previous factor's store is recycled in place: it is never alive
   // next to the new one, and a failed factorization leaves none.
   factored = false;
   Factorization recycled = factor.has_value() ? std::move(*factor)
                                               : Factorization{};
   factor.reset();
-  if (options.cluster.enabled()) {
-    ClusterFactorizeOptions cluster_options;
-    cluster_options.cluster = options.cluster;
-    cluster_options.executor = options.executor;
-    cluster_options.device = options.device;
-    cluster_options.numeric.recorder = rec;
-    ClusterStats stats;
-    obs::ScopedSpan span("solver", "numeric_factorization");
-    result = factorize_cluster(*analysis, cluster_options, worker_factory(),
-                               &stats, std::move(recycled));
-    cluster_stats = stats;
-  } else if (parallel) {
+  if (parallel) {
     ParallelFactorizeOptions parallel_options;
     parallel_options.num_threads = options.num_threads;
     parallel_options.workers = options.workers;
-    parallel_options.deterministic_reduction = options.deterministic_reduction;
     parallel_options.numeric.batching = options.batching;
     parallel_options.executor = options.executor;
     parallel_options.device = options.device;
@@ -243,6 +238,7 @@ PatternAnalysis::PatternAnalysis(std::uint64_t fingerprint_in,
 Solver::Solver() : impl_(std::make_unique<Impl>()) {}
 
 Solver Solver::analyze(const SparseSpd& a, const SolverOptions& options) {
+  check_reduction_order(options);
   Solver solver;
   Impl& impl = *solver.impl_;
   impl.matrix = a;
@@ -262,6 +258,7 @@ Solver Solver::analyze(const SparseSpd& a,
                        std::shared_ptr<const PatternAnalysis> shared,
                        const SolverOptions& options) {
   MFGPU_CHECK(shared != nullptr, "Solver::analyze: null shared analysis");
+  check_reduction_order(options);
   const std::uint64_t fingerprint = a.pattern_fingerprint();
   if (fingerprint != shared->fingerprint) {
     throw InvalidArgumentError(
@@ -439,10 +436,6 @@ obs::CriticalPathReport Solver::schedule_report() const {
   obs::CriticalPathReport report = obs::analyze_critical_path(schedule());
   obs::emit_critical_path_metrics(report);
   return report;
-}
-
-const std::optional<ClusterStats>& Solver::cluster_stats() const noexcept {
-  return impl_->cluster_stats;
 }
 
 obs::WhatIfResult Solver::schedule_whatif(const obs::WhatIfKnobs& knobs) const {

@@ -23,16 +23,15 @@
 
 #include <cstdint>
 #include <memory>
-#include <optional>
 #include <span>
 #include <vector>
 
 #include "autotune/trainer.hpp"
-#include "cluster/cluster.hpp"
 #include "multifrontal/factorization.hpp"
 #include "multifrontal/refine.hpp"
 #include "obs/profile.hpp"
 #include "obs/whatif.hpp"
+#include "policy/executors.hpp"
 #include "sched/worker.hpp"
 #include "sparse/csc.hpp"
 #include "symbolic/symbolic_factor.hpp"
@@ -69,6 +68,10 @@ struct SolverOptions {
   int max_refinement_steps = 5;
   double refinement_tolerance = 1e-14;
 
+  /// The numeric phase's topology is num_threads or workers, on the
+  /// work-stealing pool; the simulated cluster engine is the library driver
+  /// factorize_cluster (cluster/cluster.hpp), not a Solver mode.
+  ///
   /// Numeric-phase thread count (> 1 executes the assembly tree on the
   /// work-stealing pool; 1 preserves the serial driver).
   int num_threads = 1;
@@ -77,9 +80,9 @@ struct SolverOptions {
   /// Overrides num_threads when non-empty; CPU workers run P1, GPU workers
   /// the mode's policy dispatch, each on a private simulated device.
   std::vector<WorkerSpec> workers;
-  /// Fixed child-assembly order in the parallel phase: results are bitwise
-  /// identical to the serial factorization for any thread count. Off trades
-  /// that for assembling in completion order (roundoff-level differences).
+  /// Must stay true: every driver extend-adds children in one fixed order,
+  /// so the factor is bitwise identical to the serial factorization at any
+  /// thread count. analyze() throws InvalidArgumentError on false.
   bool deterministic_reduction = true;
   /// Thread count for the level-scheduled triangular solves
   /// (multifrontal/parallel_solve.hpp): every solve()/solve_with_history()
@@ -93,13 +96,6 @@ struct SolverOptions {
   /// virtual-timing operation, replayable bitwise by obs/whatif.hpp. Costs
   /// a few dozen bytes per event; off by default.
   bool record_schedule = false;
-  /// Simulated distributed-cluster numeric phase (cluster/cluster.hpp):
-  /// cluster.num_nodes > 0 routes factor() through factorize_cluster —
-  /// elimination subtrees on simulated nodes exchanging update-matrix
-  /// messages over cluster.link. Takes precedence over num_threads/workers;
-  /// the factor stays bitwise identical to the serial driver. The mode's
-  /// policy dispatch runs on each GPU-bearing node.
-  ClusterOptions cluster;
 };
 
 /// The values-independent half of an Analysis: the composed fill ordering
@@ -137,14 +133,15 @@ class Solver {
 
   /// Phase 1: ordering + symbolic analysis only (no numeric work). The
   /// matrix values and coordinates are copied; `a` need not outlive the
-  /// returned Solver.
+  /// returned Solver. Throws InvalidArgumentError when
+  /// options.deterministic_reduction is false.
   static Solver analyze(const SparseSpd& a, const SolverOptions& options = {});
   /// Phase 1, skipping the expensive part: adopt a previously computed
   /// PatternAnalysis for a matrix with the SAME sparsity pattern (new
   /// values welcome). Costs one structure copy plus the value permutation —
   /// no ordering, elimination tree, or symbolic factorization is rerun.
   /// Throws InvalidArgumentError when `a`'s pattern fingerprint differs
-  /// from `shared->fingerprint`.
+  /// from `shared->fingerprint` or options.deterministic_reduction is false.
   static Solver analyze(const SparseSpd& a,
                         std::shared_ptr<const PatternAnalysis> shared,
                         const SolverOptions& options = {});
@@ -214,11 +211,6 @@ class Solver {
   /// Rate counterfactual of the recorded schedule by exact replay (no
   /// numeric rerun). Emits whatif.* metrics when obs recording is active.
   obs::WhatIfResult schedule_whatif(const obs::WhatIfKnobs& knobs) const;
-
-  /// Schedule/traffic statistics of the last cluster-mode factor().
-  /// Empty optional when the last numeric phase did not run on the
-  /// simulated cluster (SolverOptions::cluster disabled).
-  const std::optional<ClusterStats>& cluster_stats() const noexcept;
 
  private:
   Solver();  ///< used by analyze()

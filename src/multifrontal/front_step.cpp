@@ -17,8 +17,6 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
       options_(options),
       setup_(setup),
       nsup_(analysis.symbolic.num_supernodes()) {
-  MFGPU_CHECK(!setup_.update_stack || setup_.deterministic_reduction,
-              "FrontTree: the update stack needs the deterministic order");
   std::vector<index_t> parent(static_cast<std::size_t>(nsup_));
   std::vector<index_t> batch_entries(
       setup_.plan != nullptr ? setup_.plan->batches.size() : 0, 0);
@@ -52,7 +50,6 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
     buffers_.resize(static_cast<std::size_t>(nsup_));
   }
   ready_.assign(static_cast<std::size_t>(nsup_), 0.0);
-  ticket_.assign(static_cast<std::size_t>(nsup_), 0);
   records_.resize(static_cast<std::size_t>(nsup_));
 
   if (keeps_panels()) {
@@ -214,30 +211,21 @@ void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
     ctx.host_clock.advance_to(tree.update_ready(c));
   }
 
-  // Scatter A's entries, then extend-add the children.
+  // Scatter A's entries, then extend-add the children in descending child
+  // index: the order the serial LIFO stack pops them, so every driver sums
+  // each entry in the same order.
   double entries = static_cast<double>(front.assemble_from_matrix(tree.a_, sn));
-  const auto add_child = [&](index_t c) {
+  for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
     const SupernodeInfo& child =
-        tree.sym_.supernodes()[static_cast<std::size_t>(c)];
+        tree.sym_.supernodes()[static_cast<std::size_t>(*it)];
     if (tree.setup_.numeric) {
       entries += static_cast<double>(
-          front.extend_add(child.update_rows, tree.take_update(c)));
-      tree.release_update(c);
+          front.extend_add(child.update_rows, tree.take_update(*it)));
+      tree.release_update(*it);
     } else {
       entries +=
           static_cast<double>(packed_lower_size(child.num_update_rows()));
     }
-  };
-  if (tree.setup_.deterministic_reduction) {
-    // Descending child index: the order the serial LIFO stack pops them.
-    for (auto it = kids.rbegin(); it != kids.rend(); ++it) add_child(*it);
-  } else {
-    std::vector<index_t> order(kids.begin(), kids.end());
-    std::sort(order.begin(), order.end(), [&](index_t x, index_t y) {
-      return tree.ticket_[static_cast<std::size_t>(x)] <
-             tree.ticket_[static_cast<std::size_t>(y)];
-    });
-    for (index_t c : order) add_child(c);
   }
   charge_assembly(entries);
 }
@@ -286,8 +274,6 @@ void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
     rec_->note_ready(lane_, s, outcome.update_ready_at, policy);
   }
   tree.ready_[slot] = std::max(outcome.update_ready_at, ctx.host_clock.now());
-  tree.ticket_[slot] =
-      tree.next_ticket_.fetch_add(1, std::memory_order_relaxed);
 }
 
 namespace {

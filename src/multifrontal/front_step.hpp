@@ -14,7 +14,6 @@
 // them into the FactorizeResult.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -47,9 +46,6 @@ class FrontTree {
     /// are consumed in reverse production order. Otherwise every supernode
     /// publishes into its own buffer, freed once the parent consumed it.
     bool update_stack = false;
-    /// Extend-add children in descending child index (the serial order,
-    /// bitwise reproducible); false = completion order.
-    bool deterministic_reduction = true;
   };
 
   /// `recycled` is the store of an earlier factor, overwritten in place
@@ -108,8 +104,6 @@ class FrontTree {
   std::int64_t live_entries_ = 0;
   std::int64_t peak_entries_ = 0;
   std::vector<double> ready_;
-  std::vector<index_t> ticket_;
-  std::atomic<index_t> next_ticket_{0};
 
   std::vector<FuCallRecord> records_;
   Factorization factor_;

@@ -49,7 +49,7 @@ PoolPlan plan_pool(const Analysis& analysis,
   // Aggregated small-front batching (multifrontal/batched.hpp): planned on
   // the symbolic structure alone, so grouping is independent of the thread
   // count and the batched factor stays bitwise identical to the per-front
-  // one under deterministic reduction.
+  // one.
   if (batching.enabled()) plan.batches = group_batches(sym, batching);
   const BatchPlan& batches = plan.batches;
 
@@ -147,6 +147,11 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options,
                                    const WorkerExecutorFactory& make_executor,
                                    Factorization recycled) {
+  if (!options.deterministic_reduction) {
+    throw InvalidArgumentError(
+        "factorize_parallel: deterministic_reduction must be true (children "
+        "are always assembled in the fixed serial order)");
+  }
   const SymbolicFactor& sym = analysis.symbolic;
   const index_t nsup = sym.num_supernodes();
 
@@ -171,7 +176,6 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
   setup.num_lanes = num_workers;
   setup.parallel = true;
   setup.plan = plan.batches.any() ? &plan.batches : nullptr;
-  setup.deterministic_reduction = options.deterministic_reduction;
   FrontTree tree(analysis, options.numeric, setup, std::move(recycled));
 
   std::vector<FrontWorker> workers;

@@ -29,11 +29,9 @@
 // trace.total_time is the virtual makespan max over workers — the executed
 // schedule priced on the paper's calibrated hardware model.
 //
-// Determinism: with deterministic_reduction (default), children are
-// extend-added in the serial driver's order (descending child index), so the
-// result is BITWISE identical to factorize() for any thread count. With it
-// off, children are assembled in completion order (roundoff-level
-// differences; iterative refinement absorbs them).
+// Determinism: children are extend-added in the serial driver's order
+// (descending child index), so the result is BITWISE identical to
+// factorize() for any thread count.
 #pragma once
 
 #include <functional>
@@ -53,7 +51,8 @@ struct ParallelFactorizeOptions {
   /// Explicit worker list (overrides num_threads); GPU-bearing workers get
   /// a private simulated Device and run the hybrid policy dispatch.
   std::vector<WorkerSpec> workers;
-  /// Fixed child-assembly order: bitwise-equal to the serial factorization.
+  /// Must stay true (the fixed child-assembly order is the only one);
+  /// factorize_parallel throws InvalidArgumentError on false.
   bool deterministic_reduction = true;
   /// Storage, batching, and the schedule flight recorder (one lane per
   /// worker).
@@ -98,7 +97,8 @@ PoolPlan plan_pool(const Analysis& analysis,
 
 /// Factor `analysis` with real threads. Matches factorize()'s contract
 /// (panels, trace, NotPositiveDefiniteError propagation from any worker);
-/// numeric execution only. Builds the pool plan, then runs the overload
+/// numeric execution only. Throws InvalidArgumentError when
+/// options.deterministic_reduction is false. Builds the pool plan, then runs the overload
 /// below.
 FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options = {},

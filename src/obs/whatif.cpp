@@ -12,17 +12,6 @@
 
 namespace mfgpu::obs {
 
-double RateScales::duration_factor(CostClass cls) const {
-  switch (cls) {
-    case CostClass::Host: return 1.0 / host;
-    case CostClass::Assembly: return 1.0;  // fixed-rate; see header
-    case CostClass::Gpu: return 1.0 / gpu;
-    case CostClass::Transfer: return 1.0 / transfer;
-    case CostClass::Alloc: return 1.0 / alloc;
-  }
-  return 1.0;
-}
-
 namespace {
 
 constexpr int kMaxStreams = 8;
@@ -64,10 +53,10 @@ struct LiveTrail {
 };
 
 /// The one dependency-driven traversal of a record: refolds the replayed
-/// clocks under `scales` and the live clocks alongside. A non-null `trail`
+/// clocks under `knobs` and the live clocks alongside. A non-null `trail`
 /// also receives the live per-event post-states and Ready positions.
 ReplayResult fold_record(const ScheduleRecord& record,
-                         const RateScales& scales, LiveTrail* trail) {
+                         const WhatIfKnobs& knobs, LiveTrail* trail) {
   ReplayResult out;
   const std::size_t num_lanes = record.lanes.size();
   out.lane_final.assign(num_lanes, 0.0);
@@ -115,7 +104,7 @@ ReplayResult fold_record(const ScheduleRecord& record,
                       "replay_exact: join on invalid snode");
           if (ready_set[static_cast<std::size_t>(ev.dep)] == 0) break;
         }
-        const double f = scales.duration_factor(ev.cls);
+        const double f = knobs.duration_factor(ev.cls);
         switch (ev.op) {
           case SchedOp::Add:
             cur.live_now += ev.a;
@@ -187,8 +176,8 @@ ReplayResult fold_record(const ScheduleRecord& record,
 }  // namespace
 
 ReplayResult replay_exact(const ScheduleRecord& record,
-                          const RateScales& scales) {
-  return fold_record(record, scales, nullptr);
+                          const WhatIfKnobs& knobs) {
+  return fold_record(record, knobs, nullptr);
 }
 
 // ---------------------------------------------------------------------------
@@ -224,7 +213,7 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
   CriticalPathReport report;
   if (record.empty()) return report;
   LiveTrail trail;
-  report.makespan = fold_record(record, RateScales{}, &trail).live_makespan;
+  report.makespan = fold_record(record, WhatIfKnobs{}, &trail).live_makespan;
 
   // Backward walk from the makespan lane's last event, jumping through
   // binding joins onto the producing lane. Every attributed chunk is a
@@ -365,15 +354,19 @@ CriticalPathReport analyze_critical_path(const ScheduleRecord& record) {
 // ---------------------------------------------------------------------------
 // What-if replay.
 
-bool WhatIfKnobs::identity() const { return rates().identity(); }
+bool WhatIfKnobs::identity() const {
+  return gpu_scale == 1.0 && transfer_scale == 1.0 && host_scale == 1.0;
+}
 
-RateScales WhatIfKnobs::rates() const {
-  RateScales scales;
-  scales.gpu = gpu_scale;
-  scales.transfer = transfer_scale;
-  scales.alloc = transfer_scale;
-  scales.host = host_scale;
-  return scales;
+double WhatIfKnobs::duration_factor(CostClass cls) const {
+  switch (cls) {
+    case CostClass::Host: return 1.0 / host_scale;
+    case CostClass::Assembly: return 1.0;  // fixed-rate; see header
+    case CostClass::Gpu: return 1.0 / gpu_scale;
+    case CostClass::Transfer:
+    case CostClass::Alloc: return 1.0 / transfer_scale;
+  }
+  return 1.0;
 }
 
 std::string WhatIfKnobs::label() const {
@@ -405,7 +398,7 @@ WhatIfResult whatif_replay(const ScheduleRecord& record,
   out.knobs = knobs;
   out.recorded_makespan = record.makespan;
   if (record.empty()) return out;
-  out.makespan = replay_exact(record, knobs.rates()).makespan;
+  out.makespan = replay_exact(record, knobs).makespan;
   if (out.makespan > 0.0) {
     out.speedup = out.recorded_makespan / out.makespan;
   }

@@ -4,11 +4,11 @@
 // Three entry points, all operating purely on the record (no numeric
 // rerun):
 //
-//   1. replay_exact(record, scales): refolds every recorded primitive clock
+//   1. replay_exact(record, knobs): refolds every recorded primitive clock
 //      and stream operation in recorded per-lane order, with cross-task join
 //      targets RECOMPUTED from the children's replayed ready times and every
 //      absolute operand translated through an incrementally built
-//      live-time -> replay-time dictionary. With identity scales the
+//      live-time -> replay-time dictionary. With identity knobs the
 //      arithmetic is operation-for-operation the live simulator's, so the
 //      replayed makespan equals the recorded one BITWISE. With per-class
 //      duration scales it re-simulates the same DAG under a faster/slower
@@ -47,50 +47,39 @@
 
 namespace mfgpu::obs {
 
-/// Per-cost-class duration multipliers applied during exact replay. A value
-/// f scales the RESOURCE speed: durations of that class are divided by f
-/// (f = 2 -> twice as fast). Assembly is deliberately not scalable: the
-/// simulator's host assembly rate is a fixed constant, so a live rerun
-/// cannot scale it either and the accuracy bench compares like with like.
-struct RateScales {
-  double gpu = 1.0;       ///< GPU kernel durations and compute-stream stalls
-  double transfer = 1.0;  ///< copies, enqueue overheads, copy-stream stalls
-  double host = 1.0;      ///< host BLAS kernel durations
-  double alloc = 1.0;     ///< pool growth latencies (scaled with transfers)
-
-  bool identity() const {
-    return gpu == 1.0 && transfer == 1.0 && host == 1.0 && alloc == 1.0;
-  }
-  /// Duration multiplier (1 / speed factor) for one cost class.
-  double duration_factor(CostClass cls) const;
-};
-
 /// Outcome of one exact event replay.
 struct ReplayResult {
   double makespan = 0.0;            ///< max replayed lane-final time
   std::vector<double> lane_final;   ///< per lane
   std::vector<double> update_ready; ///< per snode, replayed ready time
   /// The live makespan re-folded from the recorded operands (independent of
-  /// the scales) — equals record.makespan when the record is consistent.
+  /// the knobs) — equals record.makespan when the record is consistent.
   double live_makespan = 0.0;
 };
 
-/// Refold the recorded schedule under per-class rate scales. With identity
-/// scales the result reproduces the recorded makespan bitwise.
-ReplayResult replay_exact(const ScheduleRecord& record,
-                          const RateScales& scales = {});
-
-/// Counterfactual rate knobs for whatif_replay. Defaults leave everything
-/// as recorded (the null counterfactual).
+/// Counterfactual rate knobs for replay_exact and whatif_replay. A value f
+/// scales the RESOURCE speed: durations of that class are divided by f
+/// (f = 2 -> twice as fast). Defaults leave everything as recorded (the
+/// null counterfactual). Assembly is deliberately not scalable: the
+/// simulator's host assembly rate is a fixed constant, so a live rerun
+/// cannot scale it either and the accuracy bench compares like with like.
 struct WhatIfKnobs {
-  double gpu_scale = 1.0;
+  double gpu_scale = 1.0;       ///< GPU kernel durations, compute-stream stalls
+  /// Copies, enqueue overheads, copy-stream stalls, and pool growth
+  /// latencies.
   double transfer_scale = 1.0;
-  double host_scale = 1.0;
+  double host_scale = 1.0;      ///< host BLAS kernel durations
 
   bool identity() const;
-  RateScales rates() const;
+  /// Duration multiplier (1 / speed factor) for one cost class.
+  double duration_factor(CostClass cls) const;
   std::string label() const;
 };
+
+/// Refold the recorded schedule under the knobs' per-class rate scales.
+/// With identity knobs the result reproduces the recorded makespan bitwise.
+ReplayResult replay_exact(const ScheduleRecord& record,
+                          const WhatIfKnobs& knobs = {});
 
 struct WhatIfResult {
   WhatIfKnobs knobs;

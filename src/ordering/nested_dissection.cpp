@@ -8,17 +8,13 @@
 namespace mfgpu {
 namespace {
 
-struct Job {
-  index_t begin;  ///< range into the shared work vector
-  index_t end;
-};
+/// Subsets at or below this size are ordered locally without dissection.
+constexpr index_t kLeafSize = 48;
 
 }  // namespace
 
-Permutation nested_dissection(std::span<const std::array<index_t, 3>> coords,
-                              const NestedDissectionOptions& options) {
+Permutation nested_dissection(std::span<const std::array<index_t, 3>> coords) {
   const index_t n = static_cast<index_t>(coords.size());
-  MFGPU_CHECK(options.leaf_size > 0, "nested_dissection: leaf_size positive");
   obs::ScopedSpan span("ordering", "nested_dissection");
   span.set_arg(0, "n", n);
 
@@ -43,7 +39,7 @@ Permutation nested_dissection(std::span<const std::array<index_t, 3>> coords,
     Frame& frame = stack.back();
     if (frame.phase == 0) {
       const index_t size = frame.end - frame.begin;
-      if (size <= options.leaf_size) {
+      if (size <= kLeafSize) {
         // Leaf: keep the (node-grouped) natural order.
         for (index_t t = frame.begin; t < frame.end; ++t) {
           order.push_back(work[static_cast<std::size_t>(t)]);

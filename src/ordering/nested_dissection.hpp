@@ -14,15 +14,9 @@
 
 namespace mfgpu {
 
-struct NestedDissectionOptions {
-  /// Subsets at or below this size are ordered locally without dissection.
-  index_t leaf_size = 48;
-};
-
 /// `coords[i]` is the grid coordinate of unknown i (unknowns sharing a node,
 /// e.g. the 3 dof of an elasticity node, share coordinates and are kept
 /// adjacent in the ordering, which helps supernode formation).
-Permutation nested_dissection(std::span<const std::array<index_t, 3>> coords,
-                              const NestedDissectionOptions& options = {});
+Permutation nested_dissection(std::span<const std::array<index_t, 3>> coords);
 
 }  // namespace mfgpu

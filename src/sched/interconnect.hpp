@@ -8,8 +8,6 @@
 // bandwidth + latency link over which packed update matrices travel.
 #pragma once
 
-#include <string>
-
 #include "support/error.hpp"
 
 namespace mfgpu {
@@ -46,13 +44,5 @@ struct InterconnectModel {
 InterconnectModel shared_memory_link();   ///< free (bandwidth 0)
 InterconnectModel infiniband_link();      ///< 1 GB/s, 5 us
 InterconnectModel gigabit_link();         ///< 0.1 GB/s, 50 us
-
-/// Short human-readable description ("shared", "1.0e+09 B/s + 5.0e-06 s").
-std::string link_description(const InterconnectModel& link);
-
-/// Parse a link spec: "shared" | "infiniband" | "gigabit" |
-/// "<bandwidth>,<latency>" (B/s and seconds, e.g. "1e9,5e-6"; both finite
-/// and non-negative). Throws InvalidArgumentError on malformed specs.
-InterconnectModel parse_link(const std::string& spec);
 
 }  // namespace mfgpu

@@ -1,6 +1,18 @@
 #include "symbolic/supernodes.hpp"
 
 namespace mfgpu {
+namespace {
+
+// Relaxation thresholds on the merged width k and the fraction of explicit
+// zeros the merge adds.
+constexpr index_t kTinyWidth = 4;     ///< always merge at or below this width
+constexpr index_t kSmallWidth = 16;   ///< merge if zeros <= kSmallZeros
+constexpr double kSmallZeros = 0.8;
+constexpr index_t kMediumWidth = 48;  ///< merge if zeros <= kMediumZeros
+constexpr double kMediumZeros = 0.1;
+constexpr double kLargeZeros = 0.05;  ///< any width: merge if zeros <= this
+
+}  // namespace
 
 SupernodePartition fundamental_supernodes(std::span<const index_t> parent,
                                           std::span<const index_t> colcount) {
@@ -48,10 +60,10 @@ bool should_amalgamate(index_t k_child, index_t m_child, index_t k_parent,
   MFGPU_CHECK(new_nnz >= old_nnz, "amalgamate: merged front cannot shrink");
   const double zero_fraction =
       static_cast<double>(new_nnz - old_nnz) / static_cast<double>(new_nnz);
-  if (k <= options.tiny_width) return true;
-  if (k <= options.small_width && zero_fraction <= options.small_zeros) return true;
-  if (k <= options.medium_width && zero_fraction <= options.medium_zeros) return true;
-  return zero_fraction <= options.large_zeros;
+  if (k <= kTinyWidth) return true;
+  if (k <= kSmallWidth && zero_fraction <= kSmallZeros) return true;
+  if (k <= kMediumWidth && zero_fraction <= kMediumZeros) return true;
+  return zero_fraction <= kLargeZeros;
 }
 
 }  // namespace mfgpu

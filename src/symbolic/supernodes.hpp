@@ -31,16 +31,11 @@ struct SupernodePartition {
 SupernodePartition fundamental_supernodes(std::span<const index_t> parent,
                                           std::span<const index_t> colcount);
 
-/// Relaxation rule (CHOLMOD-style): merge when the merged width stays tiny
-/// or the fraction of explicit zeros stays below a width-dependent budget.
+/// Relaxed amalgamation (CHOLMOD-style): merge when the merged width stays
+/// tiny or the fraction of explicit zeros stays below a width-dependent
+/// budget. Off keeps the fundamental supernodes.
 struct RelaxOptions {
   bool enabled = true;
-  index_t tiny_width = 4;     ///< always merge below this merged width
-  index_t small_width = 16;   ///< merge if zero fraction <= small_zeros
-  double small_zeros = 0.8;
-  index_t medium_width = 48;  ///< merge if zero fraction <= medium_zeros
-  double medium_zeros = 0.1;
-  double large_zeros = 0.05;  ///< any width: merge if fraction <= this
 };
 
 /// Decide whether a child/parent pair with the given widths, update-row

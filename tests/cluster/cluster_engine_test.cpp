@@ -3,18 +3,15 @@
 // serial driver, the asynchronous fan-both engine against the
 // level-synchronous reference, multi-worker scaling on shared-memory
 // nodes (the schedule behind Table VII's multi-worker columns), placement
-// invariants, the schedule flight record per node, Solver routing, and
-// spec parsing.
+// invariants, and the schedule flight record per node.
 #include "cluster/cluster.hpp"
 
 #include <gtest/gtest.h>
 
-#include <limits>
 #include <memory>
 #include <vector>
 
 #include "cluster/placement.hpp"
-#include "core/solver.hpp"
 #include "helpers/factor_bitwise.hpp"
 #include "obs/schedule_record.hpp"
 #include "obs/whatif.hpp"
@@ -115,7 +112,7 @@ TEST(ClusterEngineTest, FanBothBeatsLevelSync) {
         makespan[static_cast<std::size_t>(engine)] = stats.makespan;
       }
       EXPECT_LE(makespan[0], makespan[1] * 1.001)
-          << nodes << " nodes, " << link_description(link);
+          << nodes << " nodes, " << link.bandwidth << " B/s";
       strict_win = strict_win || makespan[0] < makespan[1] * 0.999;
     }
   }
@@ -208,74 +205,22 @@ TEST(ClusterEngineTest, RecorderGetsOneLanePerNodeAndReplaysBitwise) {
   EXPECT_LE(wi.makespan, record.makespan);
 }
 
-TEST(ClusterEngineTest, SolverRoutesThroughClusterAndReportsStats) {
-  const GridProblem& p = test_problem();
-  SolverOptions serial_options;
-  Solver serial(p.matrix, serial_options);
-  EXPECT_FALSE(serial.cluster_stats().has_value());
+TEST(ClusterEngineTest, WiredRunReportsMakespanTrafficAndOneLanePerNode) {
+  const FactorizeResult serial = serial_reference(test_analysis());
+  obs::ScheduleRecorder recorder;
+  ClusterFactorizeOptions options;
+  options.cluster.num_nodes = 4;
+  options.cluster.link = infiniband_link();
+  options.numeric.recorder = &recorder;
+  ClusterStats stats;
+  const FactorizeResult result =
+      factorize_cluster(test_analysis(), options, {}, &stats);
 
-  SolverOptions cluster_options;
-  // norefine keeps the proportional seed placement, so separator updates
-  // genuinely cross the wire (refinement on a slow link may legitimately
-  // collapse every cross-edge).
-  cluster_options.cluster = parse_cluster("4,norefine");
-  cluster_options.record_schedule = true;
-  Solver clustered(p.matrix, cluster_options);
-  ASSERT_TRUE(clustered.cluster_stats().has_value());
-  EXPECT_EQ(clustered.cluster_stats()->num_nodes, 4);
-  EXPECT_GT(clustered.cluster_stats()->messages, 0);
-  EXPECT_EQ(clustered.factor_time(), clustered.cluster_stats()->makespan);
-  ASSERT_TRUE(clustered.schedule_recorded());
-  EXPECT_EQ(clustered.schedule().lanes.size(), 4u);
-
-  // Same factor => bitwise identical solves.
-  std::vector<double> ones(static_cast<std::size_t>(p.matrix.n()), 1.0);
-  std::vector<double> b(ones.size());
-  p.matrix.multiply(ones, b);
-  const std::vector<double> xs = serial.solve(b);
-  const std::vector<double> xc = clustered.solve(b);
-  ASSERT_EQ(xs.size(), xc.size());
-  for (std::size_t i = 0; i < xs.size(); ++i) {
-    ASSERT_EQ(xs[i], xc[i]) << "component " << i;
-  }
-}
-
-TEST(ClusterEngineTest, ParseClusterSpecs) {
-  EXPECT_FALSE(parse_cluster("off").enabled());
-
-  const ClusterOptions four = parse_cluster("4");
-  EXPECT_EQ(four.num_nodes, 4);
-  EXPECT_EQ(four.engine, ClusterEngine::FanBoth);
-  EXPECT_EQ(four.link, infiniband_link());
-  EXPECT_TRUE(four.refine_placement);
-  EXPECT_TRUE(four.nodes_have_gpu);
-
-  const ClusterOptions gig = parse_cluster("8,gigabit");
-  EXPECT_EQ(gig.num_nodes, 8);
-  EXPECT_EQ(gig.link, gigabit_link());
-
-  const ClusterOptions full = parse_cluster("4,levelsync,1e9,5e-6");
-  EXPECT_EQ(full.engine, ClusterEngine::LevelSync);
-  EXPECT_DOUBLE_EQ(full.link.bandwidth, 1e9);
-  EXPECT_DOUBLE_EQ(full.link.latency, 5e-6);
-
-  const ClusterOptions bare = parse_cluster("2,nogpu,norefine,shared");
-  EXPECT_FALSE(bare.nodes_have_gpu);
-  EXPECT_FALSE(bare.refine_placement);
-  EXPECT_FALSE(bare.link.enabled());
-
-  EXPECT_THROW(parse_cluster("x"), InvalidArgumentError);
-  EXPECT_THROW(parse_cluster("0"), InvalidArgumentError);
-  EXPECT_THROW(parse_cluster("-2"), InvalidArgumentError);
-  EXPECT_THROW(parse_cluster("4,bogus"), InvalidArgumentError);
-  EXPECT_EQ(parse_cluster("2147483647").num_nodes,
-            std::numeric_limits<int>::max());
-  // Typed errors, never an undefined int conversion or a non-finite link.
-  for (const char* spec :
-       {"nan", "inf", "-inf", "2147483648", "1e10", "1e400", "2.5",
-        "4,1e9,inf", "4,1e9,nan", "4,nan,5e-6", "4,inf,5e-6"}) {
-    EXPECT_THROW(parse_cluster(spec), InvalidArgumentError) << spec;
-  }
+  EXPECT_EQ(stats.num_nodes, 4);
+  EXPECT_GT(stats.messages, 0);
+  EXPECT_EQ(stats.makespan, result.trace.total_time);
+  EXPECT_EQ(recorder.take().lanes.size(), 4u);
+  EXPECT_TRUE(factors_bitwise_equal(serial.factor, result.factor));
 }
 
 /// The multi-worker scheduling grid: a 10x10x6 Laplacian under nested
@@ -339,12 +284,6 @@ TEST(ClusterPlacementTest, EveryTaskPlacedOnceAndRefinementNeverHurts) {
     }
     EXPECT_LE(placement.refined_cost, placement.seed_cost * (1.0 + 1e-12))
         << nodes << " nodes";
-
-    PlacementOptions frozen = options;
-    frozen.refine = false;
-    const PlacementResult seed_only = place_subtrees(graph, frozen);
-    EXPECT_EQ(seed_only.moves, 0);
-    EXPECT_EQ(seed_only.refined_cost, seed_only.seed_cost);
   }
 }
 

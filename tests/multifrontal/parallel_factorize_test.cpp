@@ -5,6 +5,7 @@
 #include <cmath>
 #include <vector>
 
+#include "core/solver.hpp"
 #include "helpers/factor_bitwise.hpp"
 #include "multifrontal/parallel_solve.hpp"
 #include "ordering/minimum_degree.hpp"
@@ -57,18 +58,27 @@ TEST_P(ParallelFactorize, BitwiseEqualToSerialWithDeterministicReduction) {
   EXPECT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
 }
 
-TEST_P(ParallelFactorize, NonDeterministicReductionStaysAccurate) {
+TEST_P(ParallelFactorize, NonDeterministicReductionIsRejected) {
+  // The fixed child order is the only assembly order: asking for completion
+  // order is an input error at both entry points, never a silent fallback.
   const int threads = GetParam();
-  const GridProblem p = make_laplacian_3d(8, 7, 6);
+  const GridProblem p = make_laplacian_3d(6, 5, 4);
   const Analysis analysis = analyze_md(p.matrix);
 
   ParallelFactorizeOptions options;
   options.num_threads = threads;
   options.deterministic_reduction = false;
-  const FactorizeResult result = factorize_parallel(analysis, options);
-  // Completion-order assembly reorders sums: not bitwise, but a plain
-  // (unrefined) solve must still hit near machine precision.
-  EXPECT_LT(solve_residual(p.matrix, analysis, result.factor), 1e-10);
+  EXPECT_THROW(factorize_parallel(analysis, options), InvalidArgumentError);
+
+  SolverOptions solver_options;
+  solver_options.num_threads = threads;
+  solver_options.deterministic_reduction = false;
+  EXPECT_THROW(Solver::analyze(p.matrix, solver_options),
+               InvalidArgumentError);
+  EXPECT_THROW(Solver::analyze(p.matrix,
+                               Solver::analyze(p.matrix).share_analysis(),
+                               solver_options),
+               InvalidArgumentError);
 }
 
 INSTANTIATE_TEST_SUITE_P(Threads, ParallelFactorize,

@@ -69,23 +69,6 @@ TEST(InterconnectModelTest, WireSecondsExcludesLatency) {
   EXPECT_DOUBLE_EQ(InterconnectModel::update_bytes(3), 3.0 * 4 / 2 * 8);
 }
 
-TEST(InterconnectModelTest, PresetsAndParseAgree) {
-  EXPECT_FALSE(shared_memory_link().enabled());
-  EXPECT_EQ(parse_link("shared"), shared_memory_link());
-  EXPECT_EQ(parse_link("infiniband"), infiniband_link());
-  EXPECT_EQ(parse_link("gigabit"), gigabit_link());
-  const InterconnectModel custom = parse_link("2e9,1e-6");
-  EXPECT_DOUBLE_EQ(custom.bandwidth, 2e9);
-  EXPECT_DOUBLE_EQ(custom.latency, 1e-6);
-  EXPECT_THROW(parse_link("warp-drive"), InvalidArgumentError);
-  // Non-finite values are typed errors: a NaN bandwidth must not pass for
-  // shared memory, nor an infinite latency land every message at inf.
-  for (const char* spec : {"nan,5e-6", "inf,5e-6", "-inf,5e-6", "1e9,nan",
-                           "1e9,inf", "-1,5e-6", "1e9,-1e-6"}) {
-    EXPECT_THROW(parse_link(spec), InvalidArgumentError) << spec;
-  }
-}
-
 TEST(ProportionalMapTest, SubtreeWorkAccumulates) {
   const TaskGraph g = test_graph();
   const std::vector<double> work = subtree_work(g);
