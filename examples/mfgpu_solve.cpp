@@ -145,9 +145,9 @@ CliOptions parse(int argc, char** argv) {
     if (arg == "--matrix") {
       cli.matrix_path = next("--matrix");
     } else if (arg == "--grid") {
-      cli.nx = std::atoll(next("--grid nx").c_str());
-      cli.ny = std::atoll(next("--grid ny").c_str());
-      cli.nz = std::atoll(next("--grid nz").c_str());
+      cli.nx = count_flag("--grid nx", kMaxInt);
+      cli.ny = count_flag("--grid ny", kMaxInt);
+      cli.nz = count_flag("--grid nz", kMaxInt);
     } else if (arg == "--elasticity") {
       cli.elasticity = true;
     } else if (arg == "--mode") {
@@ -341,15 +341,17 @@ int main(int argc, char** argv) {
                   policy_name(loaded.choose(2000, 1000)));
     }
 
-    // Level schedule behind the triangular solves: its depth is the solve's
-    // critical path, its width the parallelism ceiling.
+    // Schedule behind the triangular solves: its level depth is the solve's
+    // critical path, its width the parallelism ceiling, and its subtree
+    // groups the sweep tasks.
     const SolveSchedule solve_schedule =
         build_solve_schedule(solver.analysis().symbolic);
     std::printf(
-        "solve schedule: %lld levels (max width %lld), %d solve threads\n",
+        "solve schedule: %lld levels (max width %lld), %lld subtree groups, "
+        "%d solve threads\n",
         static_cast<long long>(solve_schedule.num_levels),
         static_cast<long long>(solve_schedule.max_level_width),
-        cli.solve_threads);
+        static_cast<long long>(solve_schedule.num_groups()), cli.solve_threads);
 
     // Solve for x* = 1.
     std::vector<double> x_true(static_cast<std::size_t>(problem.matrix.n()),

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <mutex>
 
 #include "autotune/hybrid.hpp"
 #include "multifrontal/parallel.hpp"
@@ -10,6 +11,7 @@
 #include "obs/schedule_record.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
+#include "sched/thread_pool.hpp"
 
 namespace mfgpu {
 
@@ -68,12 +70,19 @@ struct Solver::Impl {
   std::optional<Analysis> analysis;
   /// Lazily built level schedule for the triangular solves — a pattern
   /// artifact like the symbolic factorization, reused across every solve
-  /// and refactor. Built on first use (solve() is const).
+  /// and refactor. Built on first use, under solve_mu (solve() is const).
   mutable std::shared_ptr<const SolveSchedule> solve_schedule;
   std::optional<Factorization> factor;
   /// The threaded numeric phase's pool plan, built by the first factor()
   /// and reused by every refactor (options are fixed at analyze time).
   std::optional<PoolPlan> pool_plan;
+  /// The one worker runtime: sized at analyze time to the larger of the
+  /// numeric phase's worker count and solve_threads, it runs every factor,
+  /// refactor, solve sweep and refinement residual (null when both are 1).
+  std::unique_ptr<ThreadPool> pool;
+  /// Serializes the const solve paths: the pool runs one DAG at a time, and
+  /// the solve schedule is built on first use.
+  mutable std::mutex solve_mu;
   FactorizationTrace trace;
   std::optional<TrainedPolicyModel> model;
   std::unique_ptr<Device> device;
@@ -88,7 +97,9 @@ struct Solver::Impl {
   obs::ScheduleRecord schedule;
 
   Permutation choose_ordering() const;
-  /// Level-scheduled solve configuration (threads + cached schedule).
+  void make_pool();
+  /// Level-scheduled solve configuration (threads, cached schedule, the
+  /// pool). Call with solve_mu held.
   ParallelSolveOptions solve_options() const;
   void ensure_model();
   WorkerExecutorFactory worker_factory();
@@ -107,6 +118,14 @@ Permutation Solver::Impl::choose_ordering() const {
       return nested_dissection(coordinates);
   }
   throw InvalidArgumentError("Solver: invalid ordering choice");
+}
+
+void Solver::Impl::make_pool() {
+  const int numeric_workers = options.workers.empty()
+                                  ? options.num_threads
+                                  : static_cast<int>(options.workers.size());
+  const int threads = std::max(numeric_workers, options.solve_threads);
+  if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 }
 
 void Solver::Impl::ensure_model() {
@@ -176,6 +195,7 @@ void Solver::Impl::run_factor() {
     parallel_options.executor = options.executor;
     parallel_options.device = options.device;
     parallel_options.numeric.recorder = rec;
+    parallel_options.pool = pool.get();
     if (!pool_plan.has_value()) {
       pool_plan = plan_pool(*analysis, parallel_options);
     }
@@ -251,6 +271,7 @@ Solver Solver::analyze(const SparseSpd& a, const SolverOptions& options) {
   span.set_arg(0, "n", a.n());
   impl.analysis =
       mfgpu::analyze(impl.matrix, impl.choose_ordering(), options.analysis);
+  impl.make_pool();
   return solver;
 }
 
@@ -279,6 +300,7 @@ Solver Solver::analyze(const SparseSpd& a,
   impl.analysis.emplace(
       Analysis{shared->perm, a.permuted(shared->perm.new_of_old()),
                shared->symbolic, shared->value_source});
+  impl.make_pool();
   return solver;
 }
 
@@ -340,6 +362,7 @@ ParallelSolveOptions Solver::Impl::solve_options() const {
   ParallelSolveOptions opts;
   opts.threads = std::max(1, options.solve_threads);
   opts.schedule = solve_schedule.get();
+  opts.pool = pool.get();
   return opts;
 }
 
@@ -358,6 +381,7 @@ Matrix<double> Solver::solve(const Matrix<double>& b) const {
   // streamed once per refinement step instead of once per column, and the
   // level-scheduled sweeps keep every column bitwise identical to a
   // per-column solve(b.col(j)).
+  const std::lock_guard<std::mutex> lock(impl_->solve_mu);
   obs::ScopedSpan span("solve", "blocked_solve_with_refinement");
   span.set_arg(0, "rhs", b.cols());
   BlockRefineResult refined = solve_with_refinement(
@@ -377,6 +401,7 @@ RefineResult Solver::solve_with_history(std::span<const double> b) const {
         "Solver::solve: rhs has " + std::to_string(b.size()) +
         " entries, matrix dimension is " + std::to_string(impl_->matrix.n()));
   }
+  const std::lock_guard<std::mutex> lock(impl_->solve_mu);
   obs::ScopedSpan span("solve", "solve_with_refinement");
   return solve_with_refinement(impl_->matrix, *impl_->analysis,
                                *impl_->factor, b,

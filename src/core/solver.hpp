@@ -84,12 +84,17 @@ struct SolverOptions {
   /// so the factor is bitwise identical to the serial factorization at any
   /// thread count. analyze() throws InvalidArgumentError on false.
   bool deterministic_reduction = true;
-  /// Thread count for the level-scheduled triangular solves
+  /// Thread count for the triangular solves and refinement
   /// (multifrontal/parallel_solve.hpp): every solve()/solve_with_history()
-  /// call runs its sweeps as a dependency DAG on a work-stealing pool of
-  /// this many threads. Solutions are bitwise identical at every thread
-  /// count (the sweeps are pull-formulated), so this is purely a
-  /// throughput knob; 1 (the default) executes entirely on the caller.
+  /// call runs its two sweeps as DAGs of subtree-group tasks, and its
+  /// per-column refinement residuals as independent column tasks, on this
+  /// many workers of the Solver's pool. Solutions are bitwise identical at
+  /// every thread count (the sweeps are pull-formulated), so this is purely
+  /// a throughput knob; 1 (the default) executes entirely on the caller.
+  ///
+  /// The Solver owns one work-stealing pool, built by analyze() with
+  /// max(numeric worker count, solve_threads) threads; factor(),
+  /// refactor() and every solve run on it.
   int solve_threads = 1;
   /// Record the numeric phase's schedule flight record
   /// (obs/schedule_record.hpp): every task, dependency join, and primitive
@@ -120,8 +125,12 @@ struct PatternAnalysis {
   std::size_t approx_bytes = 0;
 };
 
-/// Owns the full pipeline state for one matrix. Thread-compatible (no
-/// internal synchronization); reuse the factorization across many solves.
+/// Owns the full pipeline state for one matrix; reuse the factorization
+/// across many solves. Thread-compatible: the non-const phases (factor,
+/// refactor) must not overlap any other call, while any number of threads
+/// may call the const solve paths at once. Those take turns on an internal
+/// mutex, because they share the Solver's one pool, which runs one task DAG
+/// at a time; a solve that waits for another is not an error.
 class Solver {
  public:
   /// One-shot: analyze(a, options) + factor(). Throws

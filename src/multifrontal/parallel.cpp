@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 
 #include "multifrontal/batched.hpp"
 #include "multifrontal/front_step.hpp"
@@ -199,7 +200,11 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
     }
   };
 
-  ThreadPool pool(num_workers);
+  std::optional<ThreadPool> transient;
+  ThreadPool& pool =
+      options.pool != nullptr ? *options.pool : transient.emplace(num_workers);
+  MFGPU_CHECK(pool.num_threads() >= num_workers,
+              "factorize_parallel: pool has fewer threads than workers");
   const auto wall_t0 = std::chrono::steady_clock::now();
   GraphDag dag;
   dag.succ_ptr = plan.succ_ptr;
@@ -207,7 +212,7 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
   dag.num_deps = plan.num_deps;
   dag.preferred_worker = plan.preferred_worker;
   dag.priority = plan.priority;
-  const PoolRunStats stats = pool.run_dag(dag, node_body);
+  const PoolRunStats stats = pool.run_dag(dag, node_body, num_workers);
   const double wall_seconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - wall_t0)
           .count();

@@ -44,6 +44,8 @@
 
 namespace mfgpu {
 
+class ThreadPool;
+
 struct ParallelFactorizeOptions {
   /// Worker count when `workers` is empty (CPU-only workers, policy P1 —
   /// the paper's multithreaded WSMP baseline).
@@ -60,6 +62,9 @@ struct ParallelFactorizeOptions {
   ExecutorOptions executor;
   /// Template for each GPU worker's private device.
   Device::Options device;
+  /// Pool to run on, with at least one thread per worker (a Solver passes
+  /// its own); null builds a transient pool for this call.
+  ThreadPool* pool = nullptr;
 };
 
 /// Builds one worker's executor; called once per worker before the run (the

@@ -1,6 +1,8 @@
 #include "multifrontal/parallel_solve.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <optional>
 #include <span>
 #include <vector>
 
@@ -11,6 +13,166 @@
 
 namespace mfgpu {
 
+namespace {
+
+double pivot_triangle_entries(index_t k) {
+  return 0.5 * static_cast<double>(k) * static_cast<double>(k + 1);
+}
+
+/// Per-supernode cost of one sweep task: the factor entries it streams
+/// (once per block) and the x rows it gathers/scatters (once per RHS).
+/// Summed over all tasks, one sweep streams every stored factor entry
+/// exactly once and moves every update row once per RHS — which is how the
+/// one-thread leveled estimate reproduces estimated_solve_seconds(sym,
+/// num_rhs).
+struct TaskWork {
+  double entries = 0.0;
+  double rows = 0.0;
+};
+
+std::vector<TaskWork> forward_work(const SymbolicFactor& sym,
+                                   const SolveSchedule& sched) {
+  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
+  for (index_t s = 0; s < sched.num_supernodes; ++s) {
+    TaskWork& w = work[static_cast<std::size_t>(s)];
+    w.entries = pivot_triangle_entries(
+        sym.supernodes()[static_cast<std::size_t>(s)].width());
+    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
+         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
+      const SolveRun& run =
+          sched.runs[static_cast<std::size_t>(
+              sched.in_runs[static_cast<std::size_t>(i)])];
+      const double len = static_cast<double>(run.t_end - run.t_begin);
+      w.entries += len * static_cast<double>(
+          sym.supernodes()[static_cast<std::size_t>(run.source)].width());
+      w.rows += len;
+    }
+  }
+  return work;
+}
+
+std::vector<TaskWork> backward_work(const SymbolicFactor& sym,
+                                    const SolveSchedule& sched) {
+  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
+  for (index_t s = 0; s < sched.num_supernodes; ++s) {
+    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
+    TaskWork& w = work[static_cast<std::size_t>(s)];
+    const double m = static_cast<double>(sn.num_update_rows());
+    w.entries =
+        pivot_triangle_entries(sn.width()) + m * static_cast<double>(sn.width());
+    w.rows = m;
+  }
+  return work;
+}
+
+/// Cut the tree into subtree groups (kSubtreeGroupShare) and build the two
+/// grouped sweep DAGs from the runs that cross a group boundary.
+void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
+  const index_t nsup = sched.num_supernodes;
+  auto parent = [&](index_t s) {
+    return sym.supernodes()[static_cast<std::size_t>(s)].parent;
+  };
+
+  // Each supernode's work in both sweeps at one right-hand side, and each
+  // subtree's, folded into the parent in postorder.
+  std::vector<double> own(static_cast<std::size_t>(nsup));
+  {
+    const std::vector<TaskWork> fwd = forward_work(sym, sched);
+    const std::vector<TaskWork> bwd = backward_work(sym, sched);
+    for (std::size_t i = 0; i < own.size(); ++i) {
+      own[i] = fwd[i].entries + fwd[i].rows + bwd[i].entries + bwd[i].rows;
+    }
+  }
+  std::vector<double> subtree(static_cast<std::size_t>(nsup), 0.0);
+  double total = 0.0;
+  for (index_t s = 0; s < nsup; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    subtree[i] += own[i];
+    if (parent(s) == -1) {
+      total += subtree[i];
+    } else {
+      subtree[static_cast<std::size_t>(parent(s))] += subtree[i];
+    }
+  }
+
+  // A light subtree under a heavy parent (or a light tree) closes a group
+  // spanning its whole postorder range; a heavy supernode is a group of
+  // its own. Subtree work only grows toward the root, so every supernode
+  // lands in exactly one group and the groups tile 0..nsup-1 in order.
+  const double grain = kSubtreeGroupShare * total;
+  std::vector<index_t> group_of(static_cast<std::size_t>(nsup));
+  sched.group_ptr.assign(1, 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    const bool light = subtree[static_cast<std::size_t>(s)] <= grain;
+    const index_t p = parent(s);
+    if (light && p != -1 && subtree[static_cast<std::size_t>(p)] <= grain) {
+      continue;  // closed by the light ancestor
+    }
+    const index_t g = sched.num_groups();
+    double work = 0.0;
+    for (index_t m = sched.group_ptr.back(); m <= s; ++m) {
+      const auto i = static_cast<std::size_t>(m);
+      group_of[i] = g;
+      work += own[i];
+    }
+    sched.group_work.push_back(work);
+    sched.group_ptr.push_back(s + 1);
+  }
+
+  // Forward edges: one per (source group, target group) pair of a run that
+  // crosses groups. Targets are ancestors, so edges point up the tree.
+  const index_t ngroups = sched.num_groups();
+  SweepDag& fw = sched.forward;
+  fw.succ_ptr.assign(static_cast<std::size_t>(ngroups) + 1, 0);
+  fw.num_deps.assign(static_cast<std::size_t>(ngroups), 0);
+  std::vector<index_t> targets;
+  for (index_t g = 0; g < ngroups; ++g) {
+    targets.clear();
+    for (index_t run = sched.out_ptr[static_cast<std::size_t>(
+             sched.group_ptr[static_cast<std::size_t>(g)])];
+         run < sched.out_ptr[static_cast<std::size_t>(
+             sched.group_ptr[static_cast<std::size_t>(g) + 1])];
+         ++run) {
+      const index_t h = group_of[static_cast<std::size_t>(
+          sched.runs[static_cast<std::size_t>(run)].target)];
+      if (h != g) targets.push_back(h);
+    }
+    std::sort(targets.begin(), targets.end());
+    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
+    for (const index_t h : targets) {
+      fw.succ.push_back(h);
+      ++fw.num_deps[static_cast<std::size_t>(h)];
+    }
+    fw.succ_ptr[static_cast<std::size_t>(g) + 1] =
+        static_cast<index_t>(fw.succ.size());
+  }
+
+  // Backward edges: the forward ones reversed.
+  SweepDag& bw = sched.backward;
+  bw.succ_ptr.assign(static_cast<std::size_t>(ngroups) + 1, 0);
+  bw.num_deps.assign(static_cast<std::size_t>(ngroups), 0);
+  bw.succ.resize(fw.succ.size());
+  for (const index_t h : fw.succ) ++bw.succ_ptr[static_cast<std::size_t>(h) + 1];
+  for (index_t g = 0; g < ngroups; ++g) {
+    bw.succ_ptr[static_cast<std::size_t>(g) + 1] +=
+        bw.succ_ptr[static_cast<std::size_t>(g)];
+    bw.num_deps[static_cast<std::size_t>(g)] =
+        fw.succ_ptr[static_cast<std::size_t>(g) + 1] -
+        fw.succ_ptr[static_cast<std::size_t>(g)];
+  }
+  std::vector<index_t> cursor(bw.succ_ptr.begin(), bw.succ_ptr.end() - 1);
+  for (index_t g = 0; g < ngroups; ++g) {
+    for (index_t e = fw.succ_ptr[static_cast<std::size_t>(g)];
+         e < fw.succ_ptr[static_cast<std::size_t>(g) + 1]; ++e) {
+      const index_t h = fw.succ[static_cast<std::size_t>(e)];
+      bw.succ[static_cast<std::size_t>(
+          cursor[static_cast<std::size_t>(h)]++)] = g;
+    }
+  }
+}
+
+}  // namespace
+
 SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
   const index_t nsup = sym.num_supernodes();
   SolveSchedule sched;
@@ -20,6 +182,7 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
   sched.in_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
   if (nsup == 0) {
     sched.level_ptr.assign(1, 0);
+    build_groups(sym, sched);
     return sched;
   }
 
@@ -98,60 +261,15 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
           static_cast<index_t>(i);
     }
   }
+  for (const SupernodeInfo& sn : sym.supernodes()) {
+    sched.max_update_rows =
+        std::max(sched.max_update_rows, sn.num_update_rows());
+  }
+  build_groups(sym, sched);
   return sched;
 }
 
 namespace {
-
-double pivot_triangle_entries(index_t k) {
-  return 0.5 * static_cast<double>(k) * static_cast<double>(k + 1);
-}
-
-/// Per-supernode cost of one sweep task: the factor entries it streams
-/// (once per block) and the x rows it gathers/scatters (once per RHS).
-/// Summed over all tasks, one sweep streams every stored factor entry
-/// exactly once and moves every update row once per RHS — which is how the
-/// one-thread leveled estimate reproduces estimated_solve_seconds(sym,
-/// num_rhs).
-struct TaskWork {
-  double entries = 0.0;
-  double rows = 0.0;
-};
-
-std::vector<TaskWork> forward_work(const SymbolicFactor& sym,
-                                   const SolveSchedule& sched) {
-  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
-    TaskWork& w = work[static_cast<std::size_t>(s)];
-    w.entries = pivot_triangle_entries(
-        sym.supernodes()[static_cast<std::size_t>(s)].width());
-    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
-         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-      const SolveRun& run =
-          sched.runs[static_cast<std::size_t>(
-              sched.in_runs[static_cast<std::size_t>(i)])];
-      const double len = static_cast<double>(run.t_end - run.t_begin);
-      w.entries += len * static_cast<double>(
-          sym.supernodes()[static_cast<std::size_t>(run.source)].width());
-      w.rows += len;
-    }
-  }
-  return work;
-}
-
-std::vector<TaskWork> backward_work(const SymbolicFactor& sym,
-                                    const SolveSchedule& sched) {
-  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    TaskWork& w = work[static_cast<std::size_t>(s)];
-    const double m = static_cast<double>(sn.num_update_rows());
-    w.entries =
-        pivot_triangle_entries(sn.width()) + m * static_cast<double>(sn.width());
-    w.rows = m;
-  }
-  return work;
-}
 
 double host_task_seconds(const TaskWork& work, index_t num_rhs) {
   return (work.entries + static_cast<double>(num_rhs) * work.rows) /
@@ -227,75 +345,56 @@ void backward_task(const SupernodeInfo& sn, const MatrixView<double>& panel,
                l.block(0, 0, k, k), xs);
 }
 
+/// One sweep over the grouped DAG: on the pool's first `threads` workers,
+/// or on one thread by walking the groups in dependency order (ascending
+/// for the forward sweep, descending for the backward one).
+void run_sweep(const SolveSchedule& sched, const SweepDag& sweep,
+               bool forward, ThreadPool* pool, int threads,
+               const std::function<void(index_t, int)>& body) {
+  const index_t ngroups = sched.num_groups();
+  if (threads == 1) {
+    for (index_t i = 0; i < ngroups; ++i) body(forward ? i : ngroups - 1 - i, 0);
+    return;
+  }
+  GraphDag dag;
+  dag.succ_ptr = sweep.succ_ptr;
+  dag.succ = sweep.succ;
+  dag.num_deps = sweep.num_deps;
+  dag.priority = sched.group_work;
+  pool->run_dag(dag, body, threads);
+}
+
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
                 std::span<const MatrixView<double>> panels, MatrixView<double> x,
-                int threads) {
-  const index_t nsup = sched.num_supernodes;
-  const index_t num_rhs = x.cols();
-
-  std::size_t max_update_rows = 0;
-  for (const SupernodeInfo& sn : sym.supernodes()) {
-    max_update_rows = std::max(
-        max_update_rows, static_cast<std::size_t>(sn.num_update_rows()));
-  }
+                ThreadPool* pool, int threads) {
   std::vector<SolveWorker> workers(static_cast<std::size_t>(threads));
   for (auto& w : workers) {
-    w.block.resize(max_update_rows * static_cast<std::size_t>(num_rhs));
+    w.block.resize(static_cast<std::size_t>(sched.max_update_rows) *
+                   static_cast<std::size_t>(x.cols()));
   }
-
-  // Forward edges follow the runs (source -> target); priorities drain the
-  // levels bottom-up.
-  std::vector<index_t> fwd_succ(sched.runs.size());
-  std::vector<index_t> fwd_deps(static_cast<std::size_t>(nsup));
-  std::vector<index_t> bwd_succ(sched.runs.size());
-  std::vector<index_t> bwd_deps(static_cast<std::size_t>(nsup));
-  std::vector<double> fwd_priority(static_cast<std::size_t>(nsup));
-  std::vector<double> bwd_priority(static_cast<std::size_t>(nsup));
-  for (std::size_t i = 0; i < sched.runs.size(); ++i) {
-    fwd_succ[i] = sched.runs[i].target;
-    bwd_succ[i] =
-        sched.runs[static_cast<std::size_t>(
-            sched.in_runs[i])].source;
-  }
-  for (index_t s = 0; s < nsup; ++s) {
-    fwd_deps[static_cast<std::size_t>(s)] =
-        sched.in_ptr[static_cast<std::size_t>(s) + 1] -
-        sched.in_ptr[static_cast<std::size_t>(s)];
-    bwd_deps[static_cast<std::size_t>(s)] =
-        sched.out_ptr[static_cast<std::size_t>(s) + 1] -
-        sched.out_ptr[static_cast<std::size_t>(s)];
-    fwd_priority[static_cast<std::size_t>(s)] =
-        -static_cast<double>(sched.level_of[static_cast<std::size_t>(s)]);
-    bwd_priority[static_cast<std::size_t>(s)] =
-        static_cast<double>(sched.level_of[static_cast<std::size_t>(s)]);
-  }
-
-  ThreadPool pool(threads);
   {
     obs::ScopedSpan span("solve", "forward_sweep");
     span.set_arg(0, "levels", sched.num_levels);
-    GraphDag dag;
-    dag.succ_ptr = sched.out_ptr;
-    dag.succ = fwd_succ;
-    dag.num_deps = fwd_deps;
-    dag.priority = fwd_priority;
-    pool.run_dag(dag, [&](index_t s, int w) {
-      forward_task(sym, sched, panels, s, x,
-                   workers[static_cast<std::size_t>(w)]);
+    span.set_arg(1, "groups", sched.num_groups());
+    run_sweep(sched, sched.forward, true, pool, threads, [&](index_t g, int w) {
+      for (index_t s = sched.group_ptr[static_cast<std::size_t>(g)];
+           s < sched.group_ptr[static_cast<std::size_t>(g) + 1]; ++s) {
+        forward_task(sym, sched, panels, s, x,
+                     workers[static_cast<std::size_t>(w)]);
+      }
     });
   }
   {
     obs::ScopedSpan span("solve", "backward_sweep");
     span.set_arg(0, "levels", sched.num_levels);
-    GraphDag dag;
-    dag.succ_ptr = sched.in_ptr;
-    dag.succ = bwd_succ;
-    dag.num_deps = bwd_deps;
-    dag.priority = bwd_priority;
-    pool.run_dag(dag, [&](index_t s, int w) {
-      backward_task(sym.supernodes()[static_cast<std::size_t>(s)],
-                    panels[static_cast<std::size_t>(s)], x,
-                    workers[static_cast<std::size_t>(w)]);
+    span.set_arg(1, "groups", sched.num_groups());
+    run_sweep(sched, sched.backward, false, pool, threads, [&](index_t g, int w) {
+      for (index_t s = sched.group_ptr[static_cast<std::size_t>(g) + 1] - 1;
+           s >= sched.group_ptr[static_cast<std::size_t>(g)]; --s) {
+        backward_task(sym.supernodes()[static_cast<std::size_t>(s)],
+                      panels[static_cast<std::size_t>(s)], x,
+                      workers[static_cast<std::size_t>(w)]);
+      }
     });
   }
 }
@@ -325,6 +424,11 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
               "solve: schedule does not match the analysis");
 
   const int threads = std::max(1, options.threads);
+  std::optional<ThreadPool> transient;
+  ThreadPool* pool = options.pool;
+  if (threads > 1 && pool == nullptr) pool = &transient.emplace(threads);
+  MFGPU_CHECK(threads == 1 || pool->num_threads() >= threads,
+              "solve: pool has fewer threads than the solve asks for");
 
   obs::ScopedSpan span("solve", "blocked_solve");
   span.set_arg(0, "rhs", num_rhs);
@@ -342,7 +446,7 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
     }
   }
 
-  run_sweeps(sym, *sched, factor.panels, x.view(), threads);
+  run_sweeps(sym, *sched, factor.panels, x.view(), pool, threads);
 
   {
     std::vector<double> column(static_cast<std::size_t>(n));
@@ -360,8 +464,8 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
     metrics.observe("solve.rhs", static_cast<double>(num_rhs));
     metrics.gauge_set("solve.levels", static_cast<double>(sched->num_levels));
     metrics.gauge_set("solve.threads", static_cast<double>(threads));
-    metrics.add("solve.supernode_tasks",
-                2.0 * static_cast<double>(sym.num_supernodes()));
+    metrics.add("solve.sweep_tasks",
+                2.0 * static_cast<double>(sched->num_groups()));
   }
   return x;
 }

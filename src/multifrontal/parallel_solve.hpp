@@ -7,8 +7,18 @@
 //     independent (Ruipeng Li, "On Parallel Solution of Sparse Triangular
 //     Linear Systems in CUDA"). build_solve_schedule() extracts the level
 //     structure plus the exact dependency runs between supernodes once per
-//     symbolic analysis; the sweeps then execute as a dependency DAG on the
-//     work-stealing thread pool.
+//     symbolic analysis, and cuts the tree once into SUBTREE GROUPS: every
+//     maximal subtree whose sweep work is at most kSubtreeGroupShare of the
+//     whole is one group, and each supernode above that cut is a group of
+//     its own (the "layer 0" of subtree-to-core codes, as in Le Fevre et
+//     al.'s A64FX solver). A group is a contiguous postorder range, so a
+//     forward task runs its members in ascending order and a backward task
+//     in descending order. The cut depends on the pattern alone, never on
+//     the thread or RHS count. Only runs between groups become edges of the
+//     two grouped sweep DAGs, which the schedule stores; a sweep pass hands
+//     them to the work-stealing pool as they are (a caller's pool, or a
+//     transient one), and on one thread it walks the groups in order on
+//     the caller.
 //   * Blocked kernels. Each supernode task is dense level-3 work on the
 //     whole block of r right-hand sides: per incoming run of the forward
 //     sweep one gemm, L[run rows, :] * X[source pivot rows], whose product
@@ -57,6 +67,22 @@ struct SolveRun {
   index_t t_end = 0;
 };
 
+/// Largest share of the pattern's total sweep work (factor entries plus
+/// update rows of both sweeps, for one right-hand side) that one subtree
+/// group may carry. A subtree at most this heavy runs as one serial task;
+/// the supernodes above the cut run one task each.
+inline constexpr double kSubtreeGroupShare = 1.0 / 64.0;
+
+/// One sweep's task DAG over the subtree groups in the pool's CSR form
+/// (sched/thread_pool.hpp GraphDag): group g notifies
+/// succ[succ_ptr[g] .. succ_ptr[g+1]) when done, and is ready once
+/// num_deps[g] notifications arrived. Each cross-group pair is one edge.
+struct SweepDag {
+  std::vector<index_t> succ_ptr;
+  std::vector<index_t> succ;
+  std::vector<index_t> num_deps;
+};
+
 /// Values-independent schedule for the triangular sweeps, built once per
 /// symbolic factorization (it is a pattern artifact, reusable across
 /// refactorizations — cache it next to the Analysis).
@@ -85,9 +111,28 @@ struct SolveSchedule {
   std::vector<index_t> in_runs;
   /// Widest level (supernode count) — the schedule's parallelism ceiling.
   index_t max_level_width = 0;
+  /// Most update rows of any supernode: sizes each worker's scratch block.
+  index_t max_update_rows = 0;
+  /// Subtree groups, the sweeps' unit of work: group g is the postorder
+  /// range [group_ptr[g], group_ptr[g+1]), and its last member is an
+  /// ancestor of every other member.
+  std::vector<index_t> group_ptr;
+  /// Sweep work of each group, in the cut's units: the seed priority of
+  /// both sweep DAGs (heaviest first).
+  std::vector<double> group_work;
+  /// Forward edges run from a run's source group to its target group; the
+  /// backward DAG is the same edges reversed.
+  SweepDag forward;
+  SweepDag backward;
+
+  index_t num_groups() const noexcept {
+    return group_ptr.empty() ? 0 : static_cast<index_t>(group_ptr.size()) - 1;
+  }
 };
 
 SolveSchedule build_solve_schedule(const SymbolicFactor& sym);
+
+class ThreadPool;
 
 struct ParallelSolveOptions {
   /// Solve thread count; 1 executes entirely on the caller.
@@ -95,6 +140,9 @@ struct ParallelSolveOptions {
   /// Optional precomputed schedule for analysis.symbolic (must match).
   /// When null, the schedule is built on the fly.
   const SolveSchedule* schedule = nullptr;
+  /// Pool to run on when threads > 1, with at least `threads` threads (a
+  /// Solver passes its own). When null, each call builds a transient one.
+  ThreadPool* pool = nullptr;
 };
 
 /// Blocked multi-RHS solve of A X = B in the ORIGINAL ordering: solves the

@@ -1,22 +1,56 @@
 #include "multifrontal/refine.hpp"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <functional>
+#include <optional>
+
+#include "sched/thread_pool.hpp"
 
 namespace mfgpu {
+
+namespace {
+
+/// 2-norm of b - A x, with A x in the caller's scratch `ax`.
+double residual_norm(const SparseSpd& a, std::span<const double> x,
+                     std::span<const double> b, std::span<double> ax) {
+  a.multiply(x, ax);
+  double sum = 0.0;
+  for (std::size_t i = 0; i < ax.size(); ++i) {
+    const double r = b[i] - ax[i];
+    sum += r * r;
+  }
+  return std::sqrt(sum);
+}
+
+/// body(j, worker) for every j in [0, count), as independent column tasks
+/// on the solve's pool, or in order on the caller (worker 0) when the solve
+/// runs on one thread. Each task touches only its own column's state and
+/// its worker's scratch.
+void for_each_column(index_t count, const ParallelSolveOptions& options,
+                     const std::function<void(index_t, int)>& body) {
+  if (options.threads == 1 || count == 1) {
+    for (index_t j = 0; j < count; ++j) body(j, 0);
+    return;
+  }
+  const std::vector<index_t> succ_ptr(static_cast<std::size_t>(count) + 1, 0);
+  const std::vector<index_t> num_deps(static_cast<std::size_t>(count), 0);
+  GraphDag dag;
+  dag.succ_ptr = succ_ptr;
+  dag.num_deps = num_deps;
+  options.pool->run_dag(
+      dag, body, static_cast<int>(std::min<index_t>(options.threads, count)));
+}
+
+}  // namespace
 
 double residual_norm(const SparseSpd& a, std::span<const double> x,
                      std::span<const double> b) {
   const auto n = static_cast<std::size_t>(a.n());
   MFGPU_CHECK(x.size() == n && b.size() == n, "residual_norm: size mismatch");
   std::vector<double> ax(n);
-  a.multiply(x, ax);
-  double sum = 0.0;
-  for (std::size_t i = 0; i < n; ++i) {
-    const double r = b[i] - ax[i];
-    sum += r * r;
-  }
-  return std::sqrt(sum);
+  return residual_norm(a, x, b, ax);
 }
 
 // The scalar API is the one-column case of the blocked loop below — one
@@ -51,8 +85,16 @@ BlockRefineResult solve_with_refinement(
               "solve_with_refinement: size mismatch");
   MFGPU_CHECK(num_rhs >= 1, "solve_with_refinement: empty rhs block");
 
+  // One pool for every solve and residual of the loop.
+  ParallelSolveOptions options = solve_options;
+  options.threads = std::max(1, options.threads);
+  std::optional<ThreadPool> transient;
+  if (options.threads > 1 && options.pool == nullptr) {
+    options.pool = &transient.emplace(options.threads);
+  }
+
   BlockRefineResult result;
-  result.x = solve(analysis, factor, b, num_rhs, solve_options);
+  result.x = solve(analysis, factor, b, num_rhs, options);
   result.residual_norms.resize(static_cast<std::size_t>(num_rhs));
   result.iterations.assign(static_cast<std::size_t>(num_rhs), 0);
 
@@ -67,28 +109,32 @@ BlockRefineResult solve_with_refinement(
   // diverges), so the smallest-residual iterate is tracked per column and
   // the recorded history is truncated back to it on revert — back() always
   // equals residual_norm(a, x_col, b_col), with no duplicated entries.
+  // best_x[c] holds the best iterate once a step has moved past it: it is
+  // copied only when a step is about to overwrite it.
   std::vector<double> target(static_cast<std::size_t>(num_rhs));
   std::vector<double> best_norm(static_cast<std::size_t>(num_rhs));
   std::vector<std::size_t> best_pos(static_cast<std::size_t>(num_rhs), 0);
   std::vector<std::vector<double>> best_x(static_cast<std::size_t>(num_rhs));
   std::vector<char> done(static_cast<std::size_t>(num_rhs), 0);
+  // A x scratch per worker, allocated here so no column task allocates.
+  std::vector<std::vector<double>> ax(static_cast<std::size_t>(options.threads),
+                                      std::vector<double>(n));
+  auto norm_of = [&](index_t col, int w) {
+    return residual_norm(a_original, col_span(result.x, col), col_span(b, col),
+                         ax[static_cast<std::size_t>(w)]);
+  };
 
-  for (index_t col = 0; col < num_rhs; ++col) {
+  for_each_column(num_rhs, options, [&](index_t col, int w) {
     const auto c = static_cast<std::size_t>(col);
-    auto& norms = result.residual_norms[c];
-    norms.push_back(
-        residual_norm(a_original, col_span(result.x, col), col_span(b, col)));
+    result.residual_norms[c].push_back(norm_of(col, w));
     double b_norm = 0.0;
     for (double v : col_span(b, col)) b_norm += v * v;
     b_norm = std::sqrt(b_norm);
     target[c] = tol * (b_norm > 0.0 ? b_norm : 1.0);
-    best_norm[c] = norms.back();
-    best_x[c].assign(col_span(result.x, col).begin(),
-                     col_span(result.x, col).end());
-  }
+    best_norm[c] = result.residual_norms[c].back();
+  });
 
   std::vector<index_t> active;
-  std::vector<double> residual(n);
   for (int it = 0; it < max_iterations; ++it) {
     active.clear();
     for (index_t col = 0; col < num_rhs; ++col) {
@@ -98,44 +144,39 @@ BlockRefineResult solve_with_refinement(
       }
     }
     if (active.empty()) break;
+    const auto num_active = static_cast<index_t>(active.size());
 
     // r = b - A x per active column, in double precision; then one blocked
     // correction solve for the whole active set.
-    Matrix<double> rblock(static_cast<index_t>(n),
-                          static_cast<index_t>(active.size()));
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const index_t col = active[a];
-      std::span<double> r(rblock.data() + static_cast<index_t>(a) *
-                                              static_cast<index_t>(n),
-                          n);
+    Matrix<double> rblock(static_cast<index_t>(n), num_active);
+    for_each_column(num_active, options, [&](index_t a, int) {
+      const index_t col = active[static_cast<std::size_t>(a)];
+      std::span<double> r(rblock.data() + a * static_cast<index_t>(n), n);
       a_original.multiply(col_span(result.x, col), r);
       const std::span<const double> bc = col_span(b, col);
       for (std::size_t i = 0; i < n; ++i) r[i] = bc[i] - r[i];
-    }
+    });
     const Matrix<double> dx =
-        solve(analysis, factor, rblock, static_cast<index_t>(active.size()),
-              solve_options);
+        solve(analysis, factor, rblock, num_active, options);
 
-    for (std::size_t a = 0; a < active.size(); ++a) {
-      const index_t col = active[a];
+    for_each_column(num_active, options, [&](index_t a, int w) {
+      const index_t col = active[static_cast<std::size_t>(a)];
       const auto c = static_cast<std::size_t>(col);
       double* x_col = result.x.data() + col * static_cast<index_t>(n);
-      const double* dx_col =
-          dx.data() + static_cast<index_t>(a) * static_cast<index_t>(n);
-      for (std::size_t i = 0; i < n; ++i) x_col[i] += dx_col[i];
+      const double* dx_col = dx.data() + a * static_cast<index_t>(n);
       auto& norms = result.residual_norms[c];
-      const double norm =
-          residual_norm(a_original, col_span(result.x, col), col_span(b, col));
+      if (best_pos[c] + 1 == norms.size()) best_x[c].assign(x_col, x_col + n);
+      for (std::size_t i = 0; i < n; ++i) x_col[i] += dx_col[i];
+      const double norm = norm_of(col, w);
       ++result.iterations[c];
       if (norm < best_norm[c]) {
         best_norm[c] = norm;
         best_pos[c] = norms.size();
-        best_x[c].assign(x_col, x_col + n);
       }
       // Stop this column when refinement stagnates (no ~2x improvement).
       if (norm > 0.5 * norms.back()) done[c] = 1;
       norms.push_back(norm);
-    }
+    });
   }
 
   for (index_t col = 0; col < num_rhs; ++col) {

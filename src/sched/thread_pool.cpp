@@ -152,6 +152,9 @@ struct ThreadPool::Impl {
   bool shutdown = false;
   std::uint64_t epoch = 0;
   Job* job = nullptr;
+  /// Workers taking part in the current run; helpers at or above it sit
+  /// the run out.
+  int active = 1;
   int helpers_running = 0;
   std::vector<std::thread> helpers;
 
@@ -159,15 +162,18 @@ struct ThreadPool::Impl {
     std::uint64_t seen = 0;
     for (;;) {
       Job* current = nullptr;
+      int workers = 0;
       {
         std::unique_lock<std::mutex> lock(mu);
         cv_start.wait(lock,
                       [&] { return shutdown || (job != nullptr && epoch != seen); });
         if (shutdown) return;
         seen = epoch;
+        if (w >= active) continue;
         current = job;
+        workers = active;
       }
-      work(*current, w, num_workers);
+      work(*current, w, workers);
       {
         std::lock_guard<std::mutex> lock(mu);
         if (--helpers_running == 0) cv_done.notify_all();
@@ -197,8 +203,11 @@ ThreadPool::~ThreadPool() {
 int ThreadPool::num_threads() const noexcept { return impl_->num_workers; }
 
 PoolRunStats ThreadPool::run_dag(
-    const GraphDag& dag, const std::function<void(index_t, int)>& body) {
-  const int W = impl_->num_workers;
+    const GraphDag& dag, const std::function<void(index_t, int)>& body,
+    int workers) {
+  MFGPU_CHECK(workers >= 0 && workers <= impl_->num_workers,
+              "ThreadPool: more workers requested than the pool has");
+  const int W = workers == 0 ? impl_->num_workers : workers;
   const index_t n = dag.num_tasks();
   MFGPU_CHECK(static_cast<index_t>(dag.succ_ptr.size()) == n + 1,
               "ThreadPool: succ_ptr size mismatch");
@@ -274,6 +283,7 @@ PoolRunStats ThreadPool::run_dag(
       std::lock_guard<std::mutex> lock(impl_->mu);
       MFGPU_CHECK(impl_->job == nullptr, "ThreadPool: run_dag is not reentrant");
       impl_->job = &job;
+      impl_->active = W;
       impl_->helpers_running = W - 1;
       ++impl_->epoch;
     }

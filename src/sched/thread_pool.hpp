@@ -6,7 +6,8 @@
 // The pool executes a dependency DAG in CSR successor form (GraphDag): a
 // task becomes ready when all of its predecessors completed. The
 // multifrontal driver passes the supernodal assembly tree, condensed to one
-// node per front batch; the triangular solve passes its sweep DAGs. Each
+// node per front batch; the triangular solve passes its two sweep DAGs over
+// subtree groups, and refinement its independent column tasks. Each
 // worker owns a deque: it pushes newly readied successors at the bottom and
 // pops from the bottom (LIFO, cache-friendly — a parent's front is
 // assembled from update matrices the worker just produced); idle workers
@@ -102,11 +103,14 @@ class ThreadPool {
   int num_threads() const noexcept;
 
   /// Execute `body(task, worker)` for every task of `dag`, predecessors
-  /// before successors. If any body throws, remaining tasks are abandoned
-  /// and the first exception is rethrown here (the pool stays usable). Not
-  /// reentrant: one run at a time.
+  /// before successors, on the first `workers` workers (0 = all of them;
+  /// the stats then have one slot per participating worker). If any body
+  /// throws, remaining tasks are abandoned and the first exception is
+  /// rethrown here (the pool stays usable). Not reentrant: one run at a
+  /// time.
   PoolRunStats run_dag(const GraphDag& dag,
-                       const std::function<void(index_t task, int worker)>& body);
+                       const std::function<void(index_t task, int worker)>& body,
+                       int workers = 0);
 
  private:
   struct Impl;

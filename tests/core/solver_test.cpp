@@ -416,5 +416,53 @@ TEST(SolverParallel, GpuWorkerListSolvesAccurately) {
   EXPECT_GT(solver.factor_time(), 0.0);
 }
 
+/// The Solver's one pool runs factor, refactor, both sweeps and the
+/// refinement residuals; a failed refactor leaves it usable. Every solve is
+/// bitwise the solve of a fresh one-thread Solver on the same values.
+TEST(SolverParallel, OnePoolAcrossPhases) {
+  const GridProblem p = make_laplacian_3d(9, 8, 7);
+  const index_t n = p.matrix.n();
+  const SparseSpd b_values = perturbed(p.matrix, 21);
+  std::vector<double> negated(p.matrix.values().begin(),
+                              p.matrix.values().end());
+  for (double& v : negated) v = -v;
+  const SparseSpd not_spd(
+      n, std::vector<index_t>(p.matrix.col_ptr().begin(), p.matrix.col_ptr().end()),
+      std::vector<index_t>(p.matrix.row_idx().begin(), p.matrix.row_idx().end()),
+      std::move(negated));
+  Matrix<double> rhs(n, 4);
+  for (index_t c = 0; c < 4; ++c) {
+    for (index_t i = 0; i < n; ++i) {
+      rhs(i, c) = 1.0 + static_cast<double>((i * 5 + c * 3) % 11);
+    }
+  }
+
+  SolverOptions serial;
+  serial.mode = SolverMode::Serial;
+  SolverOptions pooled = serial;
+  pooled.num_threads = 4;
+  pooled.solve_threads = 4;
+  auto expect_fresh = [&](const Solver& solver, const SparseSpd& values) {
+    const Matrix<double> x = solver.solve(rhs);
+    const Matrix<double> expected = Solver(values, serial).solve(rhs);
+    for (index_t c = 0; c < 4; ++c) {
+      for (index_t i = 0; i < n; ++i) {
+        ASSERT_EQ(x(i, c), expected(i, c)) << "col " << c << " row " << i;
+      }
+    }
+  };
+
+  Solver solver = Solver::analyze(p.matrix, pooled);
+  solver.factor();
+  expect_fresh(solver, p.matrix);
+  solver.refactor(b_values);
+  expect_fresh(solver, b_values);
+
+  EXPECT_THROW(solver.refactor(not_spd), NotPositiveDefiniteError);
+  EXPECT_FALSE(solver.factored());
+  solver.refactor(b_values);
+  expect_fresh(solver, b_values);
+}
+
 }  // namespace
 }  // namespace mfgpu

@@ -3,11 +3,15 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <set>
+#include <utility>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
+#include "obs/metrics.hpp"
+#include "obs/obs.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "policy/executors.hpp"
@@ -263,6 +267,142 @@ TEST(ParallelSolveTest, ColumnsMatchOneWideSolveAtEveryWidth) {
                            << r << " col=" << c;
     }
   }
+}
+
+// The subtree groups tile the postorder: every supernode lies in exactly
+// one group; a group is a contiguous range whose last member is the root of
+// the subtree the group covers; light groups stay under the grain; the two
+// grouped DAGs carry exactly the cross-group runs, one edge per group pair.
+// The cut is a pattern artifact: every solve, at any thread or RHS count,
+// executes the same 2 x groups sweep tasks.
+TEST(ParallelSolveTest, SubtreeGroupsPartitionThePostorder) {
+  const GridProblem p = make_laplacian_2d_9pt(40, 40);
+  const SolveSetup s = [&] {
+    Analysis an = analyze(p.matrix, minimum_degree(build_graph(p.matrix)));
+    PolicyExecutor p1(Policy::P1);
+    FactorContext ctx;
+    Factorization factor = factorize(an, p1, ctx).factor;
+    return SolveSetup{std::move(an), std::move(factor)};
+  }();
+  const SymbolicFactor& sym = s.analysis.symbolic;
+  const index_t nsup = sym.num_supernodes();
+  const SolveSchedule sched = build_solve_schedule(sym);
+  const index_t ngroups = sched.num_groups();
+  ASSERT_GT(ngroups, 1);
+  ASSERT_LT(ngroups, nsup);  // some subtrees were folded into one task
+
+  // Contiguous tiling of 0..nsup-1.
+  ASSERT_EQ(sched.group_ptr.front(), 0);
+  ASSERT_EQ(sched.group_ptr.back(), nsup);
+  ASSERT_EQ(sched.group_work.size(), static_cast<std::size_t>(ngroups));
+  std::vector<index_t> group_of(static_cast<std::size_t>(nsup), -1);
+  for (index_t g = 0; g < ngroups; ++g) {
+    ASSERT_LT(sched.group_ptr[static_cast<std::size_t>(g)],
+              sched.group_ptr[static_cast<std::size_t>(g) + 1]);
+    for (index_t m = sched.group_ptr[static_cast<std::size_t>(g)];
+         m < sched.group_ptr[static_cast<std::size_t>(g) + 1]; ++m) {
+      group_of[static_cast<std::size_t>(m)] = g;
+    }
+  }
+
+  // Each group is its last member's whole subtree or that member alone:
+  // every other member's parent is in the group, and the first member is
+  // the root's first descendant in postorder.
+  std::vector<index_t> first_desc(static_cast<std::size_t>(nsup));
+  for (index_t sn = 0; sn < nsup; ++sn) {
+    first_desc[static_cast<std::size_t>(sn)] = sn;
+  }
+  for (index_t sn = 0; sn < nsup; ++sn) {
+    const index_t parent = sym.supernodes()[static_cast<std::size_t>(sn)].parent;
+    if (parent != -1) {
+      auto& f = first_desc[static_cast<std::size_t>(parent)];
+      f = std::min(f, first_desc[static_cast<std::size_t>(sn)]);
+    }
+  }
+  double total = 0.0;
+  for (const double w : sched.group_work) total += w;
+  for (index_t g = 0; g < ngroups; ++g) {
+    const index_t first = sched.group_ptr[static_cast<std::size_t>(g)];
+    const index_t last = sched.group_ptr[static_cast<std::size_t>(g) + 1] - 1;
+    for (index_t m = first; m < last; ++m) {
+      const index_t parent =
+          sym.supernodes()[static_cast<std::size_t>(m)].parent;
+      ASSERT_NE(parent, -1);
+      EXPECT_EQ(group_of[static_cast<std::size_t>(parent)], g) << "member " << m;
+    }
+    if (last > first) {
+      EXPECT_EQ(first, first_desc[static_cast<std::size_t>(last)]);
+      EXPECT_LE(sched.group_work[static_cast<std::size_t>(g)],
+                kSubtreeGroupShare * total * (1.0 + 1e-12));
+    }
+  }
+
+  // Edges: exactly the distinct cross-group (source, target) group pairs of
+  // the runs, forward up the tree and backward down it, with num_deps the
+  // indegree.
+  std::set<std::pair<index_t, index_t>> expected;
+  for (const SolveRun& run : sched.runs) {
+    const index_t from = group_of[static_cast<std::size_t>(run.source)];
+    const index_t to = group_of[static_cast<std::size_t>(run.target)];
+    if (from != to) expected.emplace(from, to);
+  }
+  auto edges_of = [&](const SweepDag& dag, bool reversed) {
+    std::set<std::pair<index_t, index_t>> edges;
+    std::vector<index_t> indegree(static_cast<std::size_t>(ngroups), 0);
+    EXPECT_EQ(dag.succ_ptr.size(), static_cast<std::size_t>(ngroups) + 1);
+    for (index_t g = 0; g < ngroups; ++g) {
+      for (index_t e = dag.succ_ptr[static_cast<std::size_t>(g)];
+           e < dag.succ_ptr[static_cast<std::size_t>(g) + 1]; ++e) {
+        const index_t h = dag.succ[static_cast<std::size_t>(e)];
+        ++indegree[static_cast<std::size_t>(h)];
+        EXPECT_TRUE(edges.emplace(reversed ? h : g, reversed ? g : h).second)
+            << "duplicate edge " << g << " -> " << h;
+      }
+    }
+    for (index_t g = 0; g < ngroups; ++g) {
+      EXPECT_EQ(dag.num_deps[static_cast<std::size_t>(g)],
+                indegree[static_cast<std::size_t>(g)]);
+    }
+    return edges;
+  };
+  EXPECT_EQ(edges_of(sched.forward, false), expected);
+  EXPECT_EQ(edges_of(sched.backward, true), expected);
+
+  // The cut depends on the pattern alone.
+  const SolveSchedule again = build_solve_schedule(sym);
+  EXPECT_EQ(again.group_ptr, sched.group_ptr);
+  EXPECT_EQ(again.forward.succ, sched.forward.succ);
+  EXPECT_EQ(again.backward.succ, sched.backward.succ);
+
+  // Every solve runs the same 2 x groups sweep tasks, bitwise equal to the
+  // one-thread solve.
+  const index_t n = sym.n();
+  const Matrix<double> b = make_block(n, 16);
+  const Matrix<double> reference = solve(s.analysis, s.factor, b, 16);
+  obs::MetricsRegistry::global().clear();
+  obs::enable();
+  for (int threads : {1, 2, 4}) {
+    for (index_t r : {1, 16}) {
+      const double before =
+          obs::MetricsRegistry::global().counter("solve.sweep_tasks");
+      ParallelSolveOptions options;
+      options.threads = threads;
+      options.schedule = &sched;
+      const Matrix<double> x = solve(s.analysis, s.factor, b, r, options);
+      EXPECT_EQ(obs::MetricsRegistry::global().counter("solve.sweep_tasks") -
+                    before,
+                2.0 * static_cast<double>(ngroups))
+          << "threads=" << threads << " r=" << r;
+      for (index_t c = 0; c < r; ++c) {
+        for (index_t i = 0; i < n; ++i) {
+          ASSERT_EQ(x(i, c), reference(i, c))
+              << "threads=" << threads << " r=" << r << " col=" << c;
+        }
+      }
+    }
+  }
+  obs::disable();
+  obs::MetricsRegistry::global().clear();
 }
 
 TEST(ParallelSolveTest, EstimateOverloadsAgree) {
