@@ -72,7 +72,6 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
 
   FrontTree::Setup setup;
   setup.num_lanes = num_nodes;
-  setup.parallel = true;
   FrontTree tree(analysis, options.numeric, setup, std::move(recycled));
 
   std::vector<FrontWorker> workers;

@@ -73,8 +73,8 @@ struct Solver::Impl {
   /// and refactor. Built on first use, under solve_mu (solve() is const).
   mutable std::shared_ptr<const SolveSchedule> solve_schedule;
   std::optional<Factorization> factor;
-  /// The threaded numeric phase's pool plan, built by the first factor()
-  /// and reused by every refactor (options are fixed at analyze time).
+  /// The numeric phase's plan, built by the first factor() and reused by
+  /// every refactor (options are fixed at analyze time).
   std::optional<PoolPlan> pool_plan;
   /// The one worker runtime: sized at analyze time to the larger of the
   /// numeric phase's worker count and solve_threads, it runs every factor,
@@ -85,7 +85,6 @@ struct Solver::Impl {
   mutable std::mutex solve_mu;
   FactorizationTrace trace;
   std::optional<TrainedPolicyModel> model;
-  std::unique_ptr<Device> device;
   PoolRunStats pool_stats;
   /// Per-worker memory high-water marks of the last numeric phase.
   std::vector<WorkerMemory> memory;
@@ -97,6 +96,9 @@ struct Solver::Impl {
   obs::ScheduleRecord schedule;
 
   Permutation choose_ordering() const;
+  /// The numeric phase's topology: `workers`, else num_threads CPU workers
+  /// when above 1, else one worker with a GPU unless SolverMode::Serial.
+  std::vector<WorkerSpec> numeric_workers() const;
   void make_pool();
   /// Level-scheduled solve configuration (threads, cached schedule, the
   /// pool). Call with solve_mu held.
@@ -120,11 +122,15 @@ Permutation Solver::Impl::choose_ordering() const {
   throw InvalidArgumentError("Solver: invalid ordering choice");
 }
 
+std::vector<WorkerSpec> Solver::Impl::numeric_workers() const {
+  if (!options.workers.empty()) return options.workers;
+  if (options.num_threads > 1) return cpu_workers(options.num_threads);
+  return {{.has_gpu = options.mode != SolverMode::Serial}};
+}
+
 void Solver::Impl::make_pool() {
-  const int numeric_workers = options.workers.empty()
-                                  ? options.num_threads
-                                  : static_cast<int>(options.workers.size());
-  const int threads = std::max(numeric_workers, options.solve_threads);
+  const int threads = std::max(static_cast<int>(numeric_workers().size()),
+                               options.solve_threads);
   if (threads > 1) pool = std::make_unique<ThreadPool>(threads);
 }
 
@@ -139,9 +145,9 @@ void Solver::Impl::ensure_model() {
   model = train_expected_time(dataset);
 }
 
-/// Per-worker executor construction for every numeric phase (the serial
-/// driver is one worker). CPU workers always run P1 in double; GPU workers
-/// run the mode's dispatcher against their private simulated device.
+/// Per-worker executor construction for every numeric phase. CPU workers
+/// always run P1 in double; GPU workers run the mode's dispatcher against
+/// their private simulated device.
 WorkerExecutorFactory Solver::Impl::worker_factory() {
   const ExecutorOptions executor_options = options.executor;
   switch (options.mode) {
@@ -175,54 +181,37 @@ WorkerExecutorFactory Solver::Impl::worker_factory() {
 }
 
 void Solver::Impl::run_factor() {
-  const bool parallel = !options.workers.empty() || options.num_threads > 1;
   const auto wall_t0 = std::chrono::steady_clock::now();
   obs::ScheduleRecorder recorder;
-  obs::ScheduleRecorder* rec =
+  ParallelFactorizeOptions parallel_options;
+  parallel_options.workers = numeric_workers();
+  parallel_options.numeric.batching = options.batching;
+  parallel_options.numeric.recorder =
       options.record_schedule ? &recorder : nullptr;
-  FactorizeResult result;
+  parallel_options.executor = options.executor;
+  parallel_options.device = options.device;
+  parallel_options.pool = pool.get();
+  if (!pool_plan.has_value()) {
+    pool_plan = plan_pool(*analysis, parallel_options);
+  }
+  const WorkerExecutorFactory make_executor = worker_factory();
   // The previous factor's store is recycled in place: it is never alive
   // next to the new one, and a failed factorization leaves none.
   factored = false;
   Factorization recycled = factor.has_value() ? std::move(*factor)
                                               : Factorization{};
   factor.reset();
-  if (parallel) {
-    ParallelFactorizeOptions parallel_options;
-    parallel_options.num_threads = options.num_threads;
-    parallel_options.workers = options.workers;
-    parallel_options.numeric.batching = options.batching;
-    parallel_options.executor = options.executor;
-    parallel_options.device = options.device;
-    parallel_options.numeric.recorder = rec;
-    parallel_options.pool = pool.get();
-    if (!pool_plan.has_value()) {
-      pool_plan = plan_pool(*analysis, parallel_options);
-    }
-    obs::ScopedSpan span("solver", "numeric_factorization");
+  FactorizeResult result;
+  {
+    // Stands at the run's virtual makespan when the span closes: the
+    // numeric phase's simulated seconds in the profile.
+    SimClock phase_clock;
+    obs::ScopedSpan span("solver", "numeric_factorization", &phase_clock);
     result = factorize_parallel(*analysis, *pool_plan, parallel_options,
-                                worker_factory(), std::move(recycled));
-  } else {
-    const WorkerSpec spec{.has_gpu = options.mode != SolverMode::Serial};
-    const WorkerExecutorFactory make_executor = worker_factory();
-    const std::unique_ptr<FuExecutor> executor =
-        make_executor ? make_executor(spec, 0)
-                      : default_worker_executor(spec, options.executor);
-    FactorContext ctx;
-    if (spec.has_gpu) {
-      Device::Options device_options = options.device;
-      device_options.numeric = true;
-      device = std::make_unique<Device>(device_options);
-      ctx.device = device.get();
-    }
-    FactorizeOptions factorize_options;
-    factorize_options.batching = options.batching;
-    factorize_options.recorder = rec;
-    obs::ScopedSpan span("solver", "numeric_factorization", &ctx.host_clock);
-    result = factorize(*analysis, *executor, ctx, factorize_options,
-                       std::move(recycled));
+                                make_executor, std::move(recycled));
+    phase_clock.advance(result.trace.total_time);
   }
-  if (rec != nullptr) schedule = recorder.take();
+  if (options.record_schedule) schedule = recorder.take();
   factor = std::move(result.factor);
   trace = std::move(result.trace);
   pool_stats = std::move(result.pool_stats);
@@ -239,15 +228,17 @@ PatternAnalysis::PatternAnalysis(std::uint64_t fingerprint_in,
                                  Permutation perm_in,
                                  SymbolicFactor symbolic_in,
                                  AnalyzeOptions analysis_in,
-                                 std::vector<index_t> value_source_in)
+                                 std::shared_ptr<const std::vector<index_t>>
+                                     value_source_in)
     : fingerprint(fingerprint_in),
       perm(std::move(perm_in)),
       symbolic(std::move(symbolic_in)),
       value_source(std::move(value_source_in)),
       analysis_options(analysis_in) {
+  MFGPU_CHECK(value_source != nullptr, "PatternAnalysis: null value map");
   std::size_t bytes = sizeof(PatternAnalysis);
   bytes += 2 * static_cast<std::size_t>(perm.n()) * sizeof(index_t);  // perm
-  bytes += value_source.size() * sizeof(index_t);
+  bytes += value_source->size() * sizeof(index_t);
   bytes += 2 * static_cast<std::size_t>(symbolic.n()) * sizeof(index_t);
   for (const SupernodeInfo& sn : symbolic.supernodes()) {
     bytes += sizeof(SupernodeInfo) + sn.update_rows.size() * sizeof(index_t);
@@ -295,8 +286,8 @@ Solver Solver::analyze(const SparseSpd& a,
   impl.options.analysis = shared->analysis_options;
   obs::ScopedSpan span("solver", "analyze_shared");
   span.set_arg(0, "n", a.n());
-  // Adoption copies the immutable structures and permutes the new values —
-  // no ordering / etree / symbolic recomputation.
+  // Adoption copies the immutable structures, shares the value map, and
+  // permutes the new values — no ordering / etree / symbolic recomputation.
   impl.analysis.emplace(
       Analysis{shared->perm, a.permuted(shared->perm.new_of_old()),
                shared->symbolic, shared->value_source});
@@ -344,7 +335,7 @@ void Solver::refactor(const SparseSpd& a) {
   // still exact; only the permuted values need recomputing, in place
   // through the value map.
   impl.analysis->permuted.gather_values(impl.matrix.values(),
-                                        impl.analysis->value_source);
+                                        *impl.analysis->value_source);
   impl.run_factor();
 }
 

@@ -68,17 +68,21 @@ struct SolverOptions {
   int max_refinement_steps = 5;
   double refinement_tolerance = 1e-14;
 
-  /// The numeric phase's topology is num_threads or workers, on the
-  /// work-stealing pool; the simulated cluster engine is the library driver
-  /// factorize_cluster (cluster/cluster.hpp), not a Solver mode.
+  /// The numeric phase's topology is a worker list: `workers` when set,
+  /// else num_threads CPU workers when num_threads > 1, else one worker
+  /// with a GPU (none under SolverMode::Serial). Every topology runs the
+  /// one planned driver (multifrontal/parallel.hpp): one worker walks the
+  /// tree on the calling thread, more run on the work-stealing pool. The
+  /// simulated cluster engine is the library driver factorize_cluster
+  /// (cluster/cluster.hpp), not a Solver mode.
   ///
-  /// Numeric-phase thread count (> 1 executes the assembly tree on the
-  /// work-stealing pool; 1 preserves the serial driver).
+  /// Numeric-phase thread count (> 1 executes the assembly tree on that
+  /// many CPU workers of the pool).
   int num_threads = 1;
-  /// Explicit worker list for the parallel numeric phase — e.g.
-  /// {{.has_gpu=true}, {.has_gpu=true}} for the paper's 2-GPU runs.
-  /// Overrides num_threads when non-empty; CPU workers run P1, GPU workers
-  /// the mode's policy dispatch, each on a private simulated device.
+  /// Explicit worker list — e.g. {{.has_gpu=true}, {.has_gpu=true}} for
+  /// the paper's 2-GPU runs. Overrides num_threads when non-empty; CPU
+  /// workers run P1, GPU workers the mode's policy dispatch, each on a
+  /// private simulated device.
   std::vector<WorkerSpec> workers;
   /// Must stay true: every driver extend-adds children in one fixed order,
   /// so the factor is bitwise identical to the serial factorization at any
@@ -112,13 +116,14 @@ struct SolverOptions {
 struct PatternAnalysis {
   PatternAnalysis(std::uint64_t fingerprint_in, Permutation perm_in,
                   SymbolicFactor symbolic_in, AnalyzeOptions analysis_in,
-                  std::vector<index_t> value_source_in = {});
+                  std::shared_ptr<const std::vector<index_t>> value_source_in);
 
   std::uint64_t fingerprint;  ///< SparseSpd::pattern_fingerprint() of the pattern
   Permutation perm;
   SymbolicFactor symbolic;
   /// Analysis::value_source: permutes a refactor's values without a sort.
-  std::vector<index_t> value_source;
+  /// Shared with the exporting Solver and every adopter, never copied.
+  std::shared_ptr<const std::vector<index_t>> value_source;
   /// Options the symbolic analysis was built with (adopters must match).
   AnalyzeOptions analysis_options;
   /// Approximate heap footprint — the unit of AnalysisCache byte budgets.
@@ -164,9 +169,9 @@ class Solver {
   void factor();
   /// Refactor with new values on the SAME sparsity pattern (the symbolic
   /// analysis is reused — the cheap path for time-stepping / Newton loops):
-  /// the values are permuted through the analysis's value map, the pool
-  /// plan of a threaded numeric phase is the one built by the first
-  /// factor(), and the new factor overwrites the old one's storage in place.
+  /// the values are permuted through the analysis's value map, the numeric
+  /// phase's plan is the one built by the first factor(), and the new
+  /// factor overwrites the old one's storage in place.
   /// Throws InvalidArgumentError if the pattern differs.
   void refactor(const SparseSpd& a);
   /// True once factor()/refactor() (or the one-shot constructor) completed.

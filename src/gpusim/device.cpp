@@ -47,6 +47,16 @@ void land_download(MatrixView<float> block, MatrixView<double> dst,
   if (poison) dst(0, 0) = std::numeric_limits<double>::quiet_NaN();
 }
 
+/// The storage a device matrix of `slot` views. One F-U call has only one
+/// policy's slots live, so P2–P4 share storage by slot role ("p2.prod",
+/// "p3.prod" and "p4.prod" view one buffer, as do the l1 and the l2 slots);
+/// P4's panel and the batch.* slabs keep their own.
+std::string storage_role(const std::string& slot) {
+  const bool policy_slot = slot.size() > 3 && slot[0] == 'p' &&
+                           slot[1] >= '2' && slot[1] <= '4' && slot[2] == '.';
+  return policy_slot ? slot.substr(3) : slot;
+}
+
 [[noreturn]] void throw_transfer_death() {
   throw DeviceFaultError("gpusim: device died during transfer",
                          /*sticky=*/true);
@@ -97,7 +107,7 @@ DeviceMatrix Device::allocate(index_t rows, index_t cols,
   reserve(rows, cols, slot, host);
   DeviceMatrix m;
   if (options_.numeric) {
-    std::vector<float>& storage = storage_[slot];
+    std::vector<float>& storage = storage_[storage_role(slot)];
     const auto entries =
         static_cast<std::size_t>(rows) * static_cast<std::size_t>(cols);
     if (storage.size() < entries) storage = std::vector<float>(entries);

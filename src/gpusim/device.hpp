@@ -79,12 +79,15 @@ class Device {
   }
 
   /// Allocate a device matrix in the named pool slot, charging the host
-  /// clock for the (possibly pooled-away) cudaMalloc-equivalent. In numeric
-  /// mode the matrix views the slot's storage, which is kept at the slot's
-  /// high-water size until release_storage(): its contents are what the
-  /// slot last held (zero when the slot grows), so an upload or a kernel
-  /// with beta 0 must define every entry that is read. A later allocate in
-  /// the same slot invalidates the matrix.
+  /// clock for the (possibly pooled-away) cudaMalloc-equivalent; pricing is
+  /// per slot name. In numeric mode the matrix views the storage of the
+  /// slot's role: the policy slots share it across P2–P4 by the name after
+  /// the policy prefix ("p2.prod", "p3.prod" and "p4.prod" view one
+  /// buffer), while P4's panel and the batch.* slabs keep their own. The
+  /// storage is kept at the role's high-water size until release_storage():
+  /// its contents are what the role last held (zero when it grows), so an
+  /// upload or a kernel with beta 0 must define every entry that is read. A
+  /// later allocate in a slot of the same role invalidates the matrix.
   DeviceMatrix allocate(index_t rows, index_t cols, const std::string& slot,
                         SimClock& host);
   /// allocate() without the matrix: charges the pool slot exactly as
@@ -191,7 +194,7 @@ class Device {
   std::vector<Stream> streams_;
   MemoryPool device_pool_;
   MemoryPool pinned_pool_;
-  /// Host memory behind each pool slot's device matrices (numeric mode).
+  /// Host memory behind each slot role's device matrices (numeric mode).
   std::unordered_map<std::string, std::vector<float>> storage_;
   FaultInjector injector_;
   double bytes_transferred_ = 0.0;

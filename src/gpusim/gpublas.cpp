@@ -355,24 +355,6 @@ double host_syrk(const HostExec& exec, double alpha,
   return duration;
 }
 
-double host_gemm_nt(const HostExec& exec, double alpha,
-                    MatrixView<const double> a, MatrixView<const double> b,
-                    MatrixView<double> c) {
-  const auto ops = static_cast<double>(gemm_ops(c.rows(), c.cols(), a.cols()));
-  const double min_dim =
-      static_cast<double>(std::min({c.rows(), c.cols(), a.cols()}));
-  const double duration = exec.model->gemm.time(ops, min_dim);
-  {
-    CostClassScope cls(CostClass::Host);
-    exec.clock->advance(duration);
-  }
-  count_kernel("host.gemm", ops, duration);
-  if (exec.numeric) {
-    gemm<double>(Trans::NoTrans, Trans::Transpose, alpha, a, b, 1.0, c);
-  }
-  return duration;
-}
-
 double host_assembly_rate() { return 1.2e9; }
 
 double host_apply_update(const HostExec& exec,

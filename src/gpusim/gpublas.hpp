@@ -120,9 +120,6 @@ double host_trsm(const HostExec& exec, MatrixView<const double> tri,
                  MatrixView<double> rhs);
 double host_syrk(const HostExec& exec, double alpha,
                  MatrixView<const double> a, MatrixView<double> c);
-double host_gemm_nt(const HostExec& exec, double alpha,
-                    MatrixView<const double> a, MatrixView<const double> b,
-                    MatrixView<double> c);
 /// c(lower) -= double(product), elementwise: the host applies a
 /// device-computed L2 L2^T straight from the device's float block (read in
 /// place after its priced download, see Device::copy_from_device_sync),

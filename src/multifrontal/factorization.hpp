@@ -1,8 +1,11 @@
-// The multifrontal Cholesky driver: postorder traversal of the supernodal
-// assembly tree (or a level sweep when batching), running the shared front
-// step (multifrontal/front_step.hpp: frontal assembly, factor-update
-// execution via a pluggable policy executor, publication of the panel and
-// the update matrix) on each supernode, and supernodal factor storage.
+// Supernodal factor storage and the serial entry to the multifrontal
+// Cholesky driver: factorize() walks the supernodal assembly tree in
+// postorder (or height-major when batching) on the caller's executor and
+// context, running the shared front step (multifrontal/front_step.hpp:
+// frontal assembly, factor-update execution via a pluggable policy
+// executor, publication of the panel and the update matrix) on each
+// supernode. It is the one-worker case of the planned driver
+// (multifrontal/parallel.hpp), which defines it.
 #pragma once
 
 #include <cstdint>
@@ -86,12 +89,13 @@ std::optional<FactorDifference> first_factor_difference(
 /// pinned staging. The profiler aggregates these into the report's memory
 /// section and the mem.* gauges.
 ///
-/// What the arena holds depends on the driver. The serial factorize()
-/// reports its update-matrix stack: the LIFO StackArena in postorder (the
-/// paper's real-stack bound), or the live per-supernode update buffers when
-/// level-batched. factorize_parallel and factorize_cluster report the
-/// per-worker StackArena holding the working fronts' update blocks (the
-/// panels live in the factor's store).
+/// What the arena holds depends on the lane count. A one-lane run (a
+/// one-worker walk, factorize() included, or a one-node cluster) reports
+/// its update matrices: the LIFO StackArena in postorder (the paper's
+/// real-stack bound), or the live per-supernode update buffers otherwise
+/// (height-major batched walk, one-node cluster). With more lanes every
+/// worker or node reports its StackArena holding the working fronts'
+/// update blocks (the panels live in the factor's store).
 struct WorkerMemory {
   int worker = 0;
   std::int64_t arena_peak_bytes = 0;        ///< arena high water (above)
@@ -104,11 +108,11 @@ struct WorkerMemory {
 struct FactorizeResult {
   Factorization factor;
   FactorizationTrace trace;
-  /// Per-worker memory high-water marks (one entry for the serial driver).
+  /// Per-worker memory high-water marks (one entry per worker).
   std::vector<WorkerMemory> memory;
-  /// Work-stealing pool statistics of the run (empty for the serial driver)
-  /// and the real seconds the pool spent executing the tree — the profiler's
-  /// per-worker utilization source.
+  /// Work-stealing pool statistics of the run (empty for one worker, which
+  /// runs on the calling thread) and the real seconds the pool spent
+  /// executing the tree — the profiler's per-worker utilization source.
   PoolRunStats pool_stats;
   double pool_wall_seconds = 0.0;
   /// Fault tolerance: device faults detected and survived by the run's
@@ -120,10 +124,10 @@ struct FactorizeOptions {
   /// Keep the numeric factor (disable for timing-only studies to save RAM).
   bool store_factor = true;
   /// Aggregated small-front execution (multifrontal/batched.hpp). Off keeps
-  /// the postorder per-front driver bit-for-bit unchanged; On/Auto sweep
-  /// the tree level by level and run each planned group through the
-  /// executor's execute_batch. Per-front numeric math and the extend-add
-  /// order are identical either way, so the factor matches bitwise.
+  /// the postorder per-front walk bit-for-bit unchanged; On/Auto walk the
+  /// tree height-major and run each planned group through the executor's
+  /// execute_batch. Per-front numeric math and the extend-add order are
+  /// identical either way, so the factor matches bitwise.
   BatchingOptions batching;
   /// Optional schedule flight recorder (obs/schedule_record.hpp). When set,
   /// the driver attaches it to every worker's host clock (one lane per
@@ -138,7 +142,9 @@ struct FactorizeOptions {
 /// `executor` decides and executes the policy for each factor-update call;
 /// `ctx` carries the virtual clocks (and the device, for GPU policies).
 /// `recycled` is an earlier factor of the analysis whose store is
-/// overwritten in place (a refactor holds one factor, not two).
+/// overwritten in place (a refactor holds one factor, not two). The
+/// one-worker walk of the planned driver on the calling thread: bitwise the
+/// result of factorize_parallel with one worker running this executor.
 FactorizeResult factorize(const Analysis& analysis, FuExecutor& executor,
                           FactorContext& ctx,
                           const FactorizeOptions& options = {},

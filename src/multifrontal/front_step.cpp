@@ -58,7 +58,7 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
   }
   factor_.numeric = setup_.numeric;
   if (options_.recorder != nullptr) {
-    options_.recorder->start(setup_.num_lanes, nsup_, parent, setup_.parallel,
+    options_.recorder->start(setup_.num_lanes, nsup_, parent, parallel(),
                              setup_.plan != nullptr);
   }
 }
@@ -76,7 +76,7 @@ void FrontTree::release_update(index_t child) {
     return;
   }
   auto& buffer = buffers_[static_cast<std::size_t>(child)];
-  if (!setup_.parallel) {
+  if (!parallel()) {
     live_entries_ -= static_cast<std::int64_t>(buffer.size());
   }
   buffer = {};  // freed once consumed
@@ -86,10 +86,10 @@ std::span<double> FrontTree::publish_update(index_t s, index_t entries) {
   if (stack_) return stack_->push(entries);
   auto& buffer = buffers_[static_cast<std::size_t>(s)];
   buffer.resize(static_cast<std::size_t>(entries));
-  // Only the single-worker level sweep reports its live buffers (threaded
-  // and cluster workers report their front arenas), so only it counts them
-  // and worker threads share no counter.
-  if (!setup_.parallel) {
+  // Only a one-lane run reports its live buffers (parallel workers report
+  // their front arenas), so only it counts them and worker threads share no
+  // counter.
+  if (!parallel()) {
     live_entries_ += entries;
     peak_entries_ = std::max(peak_entries_, live_entries_);
   }
@@ -169,8 +169,8 @@ FrontalMatrix FrontWorker::open_front(index_t s) {
     panel = tree.factor_.panels[static_cast<std::size_t>(s)];
     std::fill_n(panel.data(), order * k, 0.0);
     if (tree.setup_.update_stack) {
-      // The serial postorder factors every supernode after s later, so the
-      // store's tail — their panels, not yet written — holds s's update
+      // The one-worker postorder factors every supernode after s later, so
+      // the store's tail — their panels, not yet written — holds s's update
       // block when it fits there, and the front costs no memory beyond the
       // factor's own.
       double* const begin = tree.factor_.panels.front().data();
@@ -388,9 +388,9 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
     assembly_total += worker.assembly_time_;
     result.faults_survived += worker.executor_->fault_count();
 
-    // The arena holding the worker's fronts or — for the serial drivers —
-    // the update matrices.
-    const std::int64_t arena_peak = setup_.parallel
+    // The arena holding the worker's fronts or — for a one-lane run — the
+    // update matrices.
+    const std::int64_t arena_peak = parallel()
                                         ? worker.front_arena_->peak_entries()
                                         : update_peak_entries();
     arena_peak_entries = std::max(arena_peak_entries, arena_peak);

@@ -1,9 +1,9 @@
 // The front step: the one unit of work of the multifrontal numeric phase —
 // assemble a front, run its factor-update call through the worker's
 // executor, publish the factor panel and the update matrix for the parent —
-// shared by every factorization driver (serial postorder, serial level
-// sweep, factorize_parallel, factorize_cluster). The drivers differ only in
-// the order in which they schedule this task body.
+// shared by every factorization driver (the planned walk of
+// multifrontal/parallel.hpp at any worker count, factorize_cluster). The
+// drivers differ only in the order in which they schedule this task body.
 //
 // FrontTree holds what all workers of one run share: the symbolic
 // structure, the update hand-off between children and parents, and the
@@ -33,16 +33,15 @@ class FrontWorker;
 class FrontTree {
  public:
   struct Setup {
-    /// Recorder lanes: one per worker.
+    /// Recorder lanes: one per worker. More than one makes the run
+    /// parallel (the flight record's `parallel` flag).
     int num_lanes = 1;
-    /// Threaded or cluster run (the flight record's `parallel` flag).
-    bool parallel = false;
     /// false = timing-only dry run (shape-only blocks, no numeric storage).
     bool numeric = true;
     /// Aggregated small-front plan; run_batch() executes its batches.
     const BatchPlan* plan = nullptr;
     /// Keep child updates on one LIFO StackArena sized to the symbolic
-    /// peak — valid only for the serial postorder traversal, where updates
+    /// peak — valid only for the one-worker postorder walk, where updates
     /// are consumed in reverse production order. Otherwise every supernode
     /// publishes into its own buffer, freed once the parent consumed it.
     bool update_stack = false;
@@ -77,6 +76,9 @@ class FrontTree {
  private:
   friend class FrontWorker;
 
+  /// More than one lane: workers run on threads (or cluster nodes) and
+  /// report their front arenas.
+  bool parallel() const noexcept { return setup_.num_lanes > 1; }
   /// Panels are assembled in place in the factor's store.
   bool keeps_panels() const noexcept {
     return options_.store_factor && setup_.numeric;
@@ -114,12 +116,12 @@ class FrontTree {
 // one.
 class alignas(64) FrontWorker {
  public:
-  /// Lane 0 on the caller's executor and context (the serial drivers).
+  /// Lane 0 on the caller's executor and context (factorize()).
   FrontWorker(FrontTree& tree, FuExecutor& executor, FactorContext& ctx);
   /// A worker owning its context, its executor, and a private simulated
-  /// device when `spec.has_gpu` (built from `device`) — the threaded and
-  /// cluster drivers. Every worker holds its working fronts' update blocks
-  /// on its own arena.
+  /// device when `spec.has_gpu` (built from `device`) — factorize_parallel
+  /// and the cluster driver. Every worker holds its working fronts' update
+  /// blocks on its own arena.
   FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
               const Device::Options& device,
               std::unique_ptr<FuExecutor> executor);
@@ -138,8 +140,8 @@ class alignas(64) FrontWorker {
   void prepare();
   /// The front of supernode s: its panel (in the factor's store, or on the
   /// arena when the factor is not kept) and its update block (in the
-  /// store's unwritten tail in the serial postorder when it fits, else on
-  /// the arena), both zeroed.
+  /// store's unwritten tail in the one-worker postorder when it fits, else
+  /// on the arena), both zeroed.
   FrontalMatrix open_front(index_t s);
   void assemble(index_t s, FrontalMatrix& front);
   FrontBlocks blocks_of(index_t s, FrontalMatrix& front, index_t level) const;

@@ -1,26 +1,30 @@
-// Task-parallel numeric factorization: the assembly tree executed by real
-// threads on a work-stealing pool (sched/thread_pool.hpp) — the wall-clock
-// counterpart of the serial postorder driver (multifrontal/factorization.hpp)
+// The planned numeric driver: every factorization is a walk of one
+// PoolPlan by FrontWorkers (multifrontal/front_step.hpp). One worker walks
+// the plan's nodes on the calling thread in the serial order — the paper's
+// postorder with one LIFO update stack, or, when batching, a height-major
+// sweep — and starts no thread; more workers hand the same plan to a
+// work-stealing pool (sched/thread_pool.hpp), the wall-clock counterpart
 // for the paper's multi-worker runs (Table VII: 4 CPU threads, 2 threads +
-// 2 GPUs). Table VII's multi-worker columns are priced by the deterministic
-// fan-both engine instead (cluster/cluster.hpp on shared_memory_link()),
-// because this pool's virtual makespan depends on which thread wins a steal.
+// 2 GPUs). factorize() (multifrontal/factorization.hpp) is the one-worker
+// walk on the caller's executor and context. Table VII's multi-worker
+// columns are priced by the deterministic fan-both engine instead
+// (cluster/cluster.hpp on shared_memory_link()), because the pool's virtual
+// makespan depends on which thread wins a steal.
 //
 // Execution model
-//   - One worker per WorkerSpec. Worker deques are seeded with the leaves
-//     via proportional mapping, so whole subtrees stay worker-local and only
-//     separator update matrices cross queues; critical-path (bottom-level)
-//     priority orders each worker's seeds.
-//   - Every worker is a FrontWorker (multifrontal/front_step.hpp) owning its
-//     full execution state: a FactorContext (virtual host clock + calibrated
-//     host model), a StackArena holding its fronts' update blocks, its
-//     FuExecutor, and — for GPU-bearing workers — a private simulated Device
-//     with its own streams, so no gpusim state is ever shared between
-//     threads. Each pool task runs the same front step as the serial
-//     driver; only the traversal differs.
-//   - A parent assembles only after its ready-counter hits zero (pool
-//     acquire-release hand-off); children publish packed update matrices in
-//     per-task buffers, freed as soon as the parent consumed them.
+//   - One worker per WorkerSpec. With more than one, worker deques are
+//     seeded with the leaves via proportional mapping, so whole subtrees
+//     stay worker-local and only separator update matrices cross queues;
+//     critical-path (bottom-level) priority orders each worker's seeds.
+//   - Every worker is a FrontWorker owning its full execution state: a
+//     FactorContext (virtual host clock + calibrated host model), a
+//     StackArena holding its fronts' update blocks, its FuExecutor, and —
+//     for GPU-bearing workers — a private simulated Device with its own
+//     streams, so no gpusim state is ever shared between threads. Every
+//     node runs the same front step; only the traversal differs.
+//   - On the pool a parent assembles only after its ready-counter hits zero
+//     (acquire-release hand-off); children publish packed update matrices
+//     in per-task buffers, freed as soon as the parent consumed them.
 //
 // Time has two domains here. Wall-clock time is real (kernels do real work
 // on real threads; see bench/bench_parallel_scaling.cpp). Virtual time is
@@ -29,9 +33,10 @@
 // trace.total_time is the virtual makespan max over workers — the executed
 // schedule priced on the paper's calibrated hardware model.
 //
-// Determinism: children are extend-added in the serial driver's order
-// (descending child index), so the result is BITWISE identical to
-// factorize() for any thread count.
+// Determinism: children are extend-added in the serial order (descending
+// child index), so the factor is BITWISE identical for any worker count,
+// and one worker reproduces factorize() exactly — factor, trace, times,
+// memory marks and schedule record.
 #pragma once
 
 #include <functional>
@@ -62,8 +67,9 @@ struct ParallelFactorizeOptions {
   ExecutorOptions executor;
   /// Template for each GPU worker's private device.
   Device::Options device;
-  /// Pool to run on, with at least one thread per worker (a Solver passes
-  /// its own); null builds a transient pool for this call.
+  /// Pool to run more than one worker on, with at least one thread per
+  /// worker (a Solver passes its own); null builds a transient pool for
+  /// this call. One worker runs on the calling thread.
   ThreadPool* pool = nullptr;
 };
 
@@ -77,34 +83,38 @@ using WorkerExecutorFactory =
 std::unique_ptr<FuExecutor> default_worker_executor(
     const WorkerSpec& spec, const ExecutorOptions& executor_options);
 
-/// The values-independent half of a pool run, reusable across refactors
-/// of one analysis: the batch plan and the assembly tree condensed to one
-/// node per batch (or per unbatched front), in the pool's CSR form, with
-/// each node's critical-path priority and proportional-mapping seed.
-/// Immutable once built; every worker thread only reads it.
+/// The values-independent half of a run, reusable across refactors of one
+/// analysis: the batch plan and the assembly tree condensed to one node per
+/// batch (or per unbatched front). Nodes are numbered in the one-worker
+/// walk order: postorder, or height-major (ascending etree height, then
+/// supernode; a batch at its first member) when batched. With more than
+/// one worker the plan also holds the condensed tree in the pool's CSR
+/// form, with each node's critical-path priority and proportional-mapping
+/// seed. Immutable once built; every worker thread only reads it.
 struct PoolPlan {
   int num_workers = 0;
   BatchPlan batches;
+  /// Per node: its supernode (-1 for a batch node) and its batch (-1 for a
+  /// single front).
+  std::vector<index_t> node_single;
+  std::vector<index_t> node_batch;
+  /// More than one worker only.
   std::vector<index_t> succ_ptr;
   std::vector<index_t> succ;
   std::vector<index_t> num_deps;
   std::vector<double> priority;
   std::vector<int> preferred_worker;
-  /// Per node: its supernode (-1 for a batch node) and its batch (-1 for a
-  /// single front).
-  std::vector<index_t> node_single;
-  std::vector<index_t> node_batch;
 };
 
 /// Build the pool plan for the workers and batching of `options`.
 PoolPlan plan_pool(const Analysis& analysis,
                    const ParallelFactorizeOptions& options);
 
-/// Factor `analysis` with real threads. Matches factorize()'s contract
-/// (panels, trace, NotPositiveDefiniteError propagation from any worker);
-/// numeric execution only. Throws InvalidArgumentError when
-/// options.deterministic_reduction is false. Builds the pool plan, then runs the overload
-/// below.
+/// Factor `analysis` on the workers of `options`. Matches factorize()'s
+/// contract (panels, trace, NotPositiveDefiniteError propagation from any
+/// worker); numeric execution only. pool_stats stays empty for one worker.
+/// Throws InvalidArgumentError when options.deterministic_reduction is
+/// false. Builds the pool plan, then runs the overload below.
 FactorizeResult factorize_parallel(const Analysis& analysis,
                                    const ParallelFactorizeOptions& options = {},
                                    const WorkerExecutorFactory& make_executor = {});

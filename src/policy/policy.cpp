@@ -21,18 +21,6 @@ Policy policy_from_index(int index) {
   return static_cast<Policy>(index);
 }
 
-FuCall make_fu_call(index_t m, index_t k, index_t snode, index_t level,
-                    index_t global_col) {
-  FuCall call;
-  call.snode = snode;
-  call.m = m;
-  call.k = k;
-  call.level = level;
-  call.flops = fu_total_ops(m, k);
-  call.global_col = global_col;
-  return call;
-}
-
 double fu_total_ops(index_t m, index_t k) {
   return static_cast<double>(potrf_ops(k)) +
          static_cast<double>(trsm_ops(m, k)) +

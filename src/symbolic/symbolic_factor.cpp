@@ -239,7 +239,8 @@ Analysis analyze(const SparseSpd& a, const Permutation& fill_perm,
 
   SymbolicFactor symbolic(permuted, options);
   return Analysis{std::move(total), std::move(permuted), std::move(symbolic),
-                  std::move(value_source)};
+                  std::make_shared<const std::vector<index_t>>(
+                      std::move(value_source))};
 }
 
 }  // namespace mfgpu

@@ -5,6 +5,7 @@
 // analysis and auto-tuner operate on.
 #pragma once
 
+#include <memory>
 #include <span>
 #include <vector>
 
@@ -80,12 +81,13 @@ class SymbolicFactor {
 /// etree postorder), the permuted matrix, its symbolic factorization, and
 /// the permuted matrix's value map (SparseSpd::permuted): new values of the
 /// same pattern are permuted with permuted.gather_values(a.values(),
-/// value_source).
+/// *value_source). The map is immutable and shared: every Solver adopting
+/// one cached analysis of the pattern holds the same copy.
 struct Analysis {
   Permutation perm;
   SparseSpd permuted;
   SymbolicFactor symbolic;
-  std::vector<index_t> value_source;
+  std::shared_ptr<const std::vector<index_t>> value_source;
 };
 
 /// Orders with `fill_perm` (e.g. minimum_degree / nested_dissection), then

@@ -1,11 +1,13 @@
 #include "core/solver.hpp"
 
+#include <array>
 #include <atomic>
 #include <thread>
 
 #include <gtest/gtest.h>
 
 #include "multifrontal/refine.hpp"
+#include "policy/baseline_hybrid.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
@@ -414,6 +416,41 @@ TEST(SolverParallel, GpuWorkerListSolvesAccurately) {
   const auto x = solver.solve(rhs_for_ones(p.matrix));
   for (double v : x) EXPECT_NEAR(v, 1.0, 1e-8);
   EXPECT_GT(solver.factor_time(), 0.0);
+}
+
+/// A one-thread Solver and a one-GPU-worker Solver run the same one-worker
+/// walk: bitwise the composed factorize() with the paper's baseline hybrid
+/// on one device, in simulated factor time and in policy counts.
+TEST(SolverParallel, OneWorkerMatchesComposedBaselineHybrid) {
+  Rng rng(7);
+  const GridProblem p = make_elasticity_3d(10, 10, 8, 3, rng);
+  SolverOptions options;
+  options.mode = SolverMode::BaselineHybrid;
+  const Solver one_thread(p.matrix, options);
+  options.workers = {{.has_gpu = true}};
+  const Solver gpu_worker(p.matrix, options);
+
+  DispatchExecutor executor = make_baseline_hybrid(paper_thresholds());
+  Device device;
+  FactorContext ctx;
+  ctx.device = &device;
+  const FactorizeResult composed =
+      factorize(one_thread.analysis(), executor, ctx);
+
+  const auto policy_counts = [](const FactorizationTrace& trace) {
+    std::array<int, 6> counts{};
+    for (const FuCallRecord& call : trace.calls) {
+      ++counts[static_cast<std::size_t>(call.policy)];
+    }
+    return counts;
+  };
+  const std::array<int, 6> expected = policy_counts(composed.trace);
+  EXPECT_GT(expected[2] + expected[3] + expected[4], 0)
+      << "no call left the host";
+  for (const Solver* solver : {&one_thread, &gpu_worker}) {
+    EXPECT_EQ(solver->factor_time(), composed.trace.total_time);
+    EXPECT_EQ(policy_counts(solver->trace()), expected);
+  }
 }
 
 /// The Solver's one pool runs factor, refactor, both sweeps and the

@@ -125,6 +125,21 @@ TEST(DeviceTest, ResetRestoresCleanState) {
   EXPECT_EQ(dev.device_pool_stats().acquire_calls, 0);
 }
 
+// One F-U call has only one policy's slots live, so the policies share
+// storage by slot role while each slot keeps its own pricing.
+TEST(DeviceTest, PolicySlotsShareStorageByRole) {
+  Device dev;
+  SimClock host;
+  const DeviceMatrix p2 = dev.allocate(40, 40, "p2.prod", host);
+  const DeviceMatrix p3 = dev.allocate(30, 30, "p3.prod", host);
+  EXPECT_EQ(p3.data.data(), p2.data.data());
+  EXPECT_EQ(dev.device_pool_stats().charged_allocations, 2);
+  const DeviceMatrix batch = dev.allocate(30, 30, "batch.prod", host);
+  const DeviceMatrix panel = dev.allocate(30, 30, "p4.panel", host);
+  EXPECT_NE(batch.data.data(), p2.data.data());
+  EXPECT_NE(panel.data.data(), p2.data.data());
+}
+
 TEST(DeviceTest, ReserveChargesThePoolLikeAllocate) {
   Device allocating, reserving;
   SimClock a_host, r_host;

@@ -3,11 +3,14 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/solver.hpp"
 #include "helpers/factor_bitwise.hpp"
 #include "multifrontal/parallel_solve.hpp"
+#include "obs/schedule_record.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "sparse/coo.hpp"
 #include "sparse/generators.hpp"
@@ -118,18 +121,126 @@ TEST(ParallelFactorizeTest, VirtualMakespanShrinksWithWorkers) {
   EXPECT_LT(t4, t1);
 }
 
+void expect_same_call(const FuCallRecord& a, const FuCallRecord& b) {
+  EXPECT_EQ(a.snode, b.snode);
+  EXPECT_EQ(a.m, b.m);
+  EXPECT_EQ(a.k, b.k);
+  EXPECT_EQ(a.policy, b.policy);
+  EXPECT_EQ(a.batch, b.batch);
+  EXPECT_EQ(a.t_potrf, b.t_potrf);
+  EXPECT_EQ(a.t_trsm, b.t_trsm);
+  EXPECT_EQ(a.t_syrk, b.t_syrk);
+  EXPECT_EQ(a.t_copy, b.t_copy);
+  EXPECT_EQ(a.t_total, b.t_total);
+  EXPECT_EQ(a.faults, b.faults);
+  EXPECT_EQ(a.fell_back, b.fell_back);
+  EXPECT_EQ(a.dispatched, b.dispatched);
+  EXPECT_EQ(a.predicted_seconds, b.predicted_seconds);
+}
+
+void expect_same_record(const obs::ScheduleRecord& a,
+                        const obs::ScheduleRecord& b) {
+  EXPECT_EQ(a.parallel, b.parallel);
+  EXPECT_EQ(a.batched, b.batched);
+  EXPECT_EQ(a.makespan, b.makespan);
+  EXPECT_EQ(a.num_snodes, b.num_snodes);
+  EXPECT_EQ(a.parent, b.parent);
+  ASSERT_EQ(a.lanes.size(), b.lanes.size());
+  for (std::size_t l = 0; l < a.lanes.size(); ++l) {
+    const obs::ScheduleLane& la = a.lanes[l];
+    const obs::ScheduleLane& lb = b.lanes[l];
+    EXPECT_EQ(la.has_gpu, lb.has_gpu);
+    EXPECT_EQ(la.start_now, lb.start_now);
+    EXPECT_EQ(la.final_now, lb.final_now);
+    ASSERT_EQ(la.events.size(), lb.events.size());
+    for (std::size_t e = 0; e < la.events.size(); ++e) {
+      const obs::ClockEvent& ea = la.events[e];
+      const obs::ClockEvent& eb = lb.events[e];
+      ASSERT_TRUE(ea.op == eb.op && ea.cls == eb.cls &&
+                  ea.stream == eb.stream && ea.dep == eb.dep &&
+                  ea.a == eb.a && ea.b == eb.b && ea.c == eb.c)
+          << "lane " << l << " event " << e;
+    }
+    ASSERT_EQ(la.tasks.size(), lb.tasks.size());
+    for (std::size_t t = 0; t < la.tasks.size(); ++t) {
+      const obs::ScheduleTask& ta = la.tasks[t];
+      const obs::ScheduleTask& tb = lb.tasks[t];
+      EXPECT_TRUE(ta.kind == tb.kind && ta.snode == tb.snode &&
+                  ta.batch == tb.batch && ta.members == tb.members &&
+                  ta.member_policy == tb.member_policy &&
+                  ta.ev_begin == tb.ev_begin && ta.ev_end == tb.ev_end &&
+                  ta.exec_begin == tb.exec_begin &&
+                  ta.exec_end == tb.exec_end && ta.t_begin == tb.t_begin &&
+                  ta.t_end == tb.t_end)
+          << "lane " << l << " task " << t;
+    }
+  }
+}
+
+// factorize() is the one-worker walk of the planned driver on the caller's
+// executor and context, so one-worker factorize_parallel with the same
+// executor is the same run bit for bit: factor, every call record, the
+// times, the memory marks (the LIFO stack bound when unbatched) and the
+// schedule record. It runs on the calling thread, so no pool statistics.
 TEST(ParallelFactorizeTest, SingleThreadMatchesSerialTrace) {
-  const GridProblem p = make_laplacian_3d(6, 6, 4);
+  const GridProblem p = make_laplacian_3d(8, 8, 6);
   const Analysis analysis = analyze_md(p.matrix);
-  const FactorizeResult serial = factorize_serial(analysis);
-  const FactorizeResult parallel = factorize_parallel(analysis, {});
-  EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
-  // One worker runs the exact serial schedule: same calls, same per-call
-  // policies.
-  ASSERT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
-  for (std::size_t i = 0; i < serial.trace.calls.size(); ++i) {
-    EXPECT_EQ(serial.trace.calls[i].snode, parallel.trace.calls[i].snode);
-    EXPECT_EQ(serial.trace.calls[i].policy, parallel.trace.calls[i].policy);
+  for (const bool gpu : {false, true}) {
+    for (const BatchingMode mode : {BatchingMode::Off, BatchingMode::On}) {
+      SCOPED_TRACE(std::string(gpu ? "gpu" : "cpu") + " worker, batching " +
+                   batching_mode_name(mode));
+      obs::ScheduleRecorder serial_recorder;
+      FactorizeOptions numeric;
+      numeric.batching.mode = mode;
+      numeric.recorder = &serial_recorder;
+      Device device;
+      FactorContext ctx;
+      if (gpu) ctx.device = &device;
+      const std::unique_ptr<FuExecutor> executor =
+          default_worker_executor({.has_gpu = gpu}, {});
+      const FactorizeResult serial =
+          factorize(analysis, *executor, ctx, numeric);
+      const obs::ScheduleRecord serial_record = serial_recorder.take();
+
+      obs::ScheduleRecorder parallel_recorder;
+      ParallelFactorizeOptions options;
+      options.workers = {{.has_gpu = gpu}};
+      options.numeric = numeric;
+      options.numeric.recorder = &parallel_recorder;
+      const FactorizeResult parallel = factorize_parallel(analysis, options);
+      const obs::ScheduleRecord parallel_record = parallel_recorder.take();
+
+      EXPECT_EQ(serial_record.batched, mode == BatchingMode::On);
+      EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
+      ASSERT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
+      for (std::size_t i = 0; i < serial.trace.calls.size(); ++i) {
+        expect_same_call(serial.trace.calls[i], parallel.trace.calls[i]);
+      }
+      EXPECT_EQ(serial.trace.total_time, parallel.trace.total_time);
+      EXPECT_EQ(serial.trace.assembly_time, parallel.trace.assembly_time);
+      ASSERT_EQ(serial.memory.size(), 1u);
+      ASSERT_EQ(parallel.memory.size(), 1u);
+      EXPECT_EQ(serial.memory[0].arena_peak_bytes,
+                parallel.memory[0].arena_peak_bytes);
+      EXPECT_EQ(serial.memory[0].device_pool_peak_bytes,
+                parallel.memory[0].device_pool_peak_bytes);
+      EXPECT_EQ(serial.memory[0].pinned_pool_peak_bytes,
+                parallel.memory[0].pinned_pool_peak_bytes);
+      EXPECT_EQ(serial.memory[0].device_pool_charged_allocs,
+                parallel.memory[0].device_pool_charged_allocs);
+      EXPECT_EQ(serial.memory[0].pinned_pool_charged_allocs,
+                parallel.memory[0].pinned_pool_charged_allocs);
+      if (mode == BatchingMode::Off) {
+        // The LIFO update stack, within its symbolic bound.
+        EXPECT_GT(parallel.memory[0].arena_peak_bytes, 0);
+        EXPECT_LE(parallel.memory[0].arena_peak_bytes,
+                  analysis.symbolic.peak_update_stack_entries() *
+                      static_cast<std::int64_t>(sizeof(double)));
+      }
+      expect_same_record(serial_record, parallel_record);
+      EXPECT_EQ(parallel.pool_stats.num_workers(), 0);
+      EXPECT_EQ(parallel.pool_wall_seconds, 0.0);
+    }
   }
 }
 
