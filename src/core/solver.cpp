@@ -54,6 +54,13 @@ void check_reduction_order(const SolverOptions& options) {
   }
 }
 
+/// An empty system has nothing to order, factor or solve.
+void check_not_empty(const SparseSpd& a) {
+  if (a.n() == 0) {
+    throw InvalidArgumentError("Solver::analyze: the matrix is empty (n = 0)");
+  }
+}
+
 }  // namespace
 
 struct Solver::Impl {
@@ -249,6 +256,7 @@ PatternAnalysis::PatternAnalysis(std::uint64_t fingerprint_in,
 Solver::Solver() : impl_(std::make_unique<Impl>()) {}
 
 Solver Solver::analyze(const SparseSpd& a, const SolverOptions& options) {
+  check_not_empty(a);
   check_reduction_order(options);
   Solver solver;
   Impl& impl = *solver.impl_;
@@ -270,6 +278,7 @@ Solver Solver::analyze(const SparseSpd& a,
                        std::shared_ptr<const PatternAnalysis> shared,
                        const SolverOptions& options) {
   MFGPU_CHECK(shared != nullptr, "Solver::analyze: null shared analysis");
+  check_not_empty(a);
   check_reduction_order(options);
   const std::uint64_t fingerprint = a.pattern_fingerprint();
   if (fingerprint != shared->fingerprint) {

@@ -147,15 +147,16 @@ class Solver {
 
   /// Phase 1: ordering + symbolic analysis only (no numeric work). The
   /// matrix values and coordinates are copied; `a` need not outlive the
-  /// returned Solver. Throws InvalidArgumentError when
-  /// options.deterministic_reduction is false.
+  /// returned Solver. Throws InvalidArgumentError on an empty matrix
+  /// (n = 0) or when options.deterministic_reduction is false.
   static Solver analyze(const SparseSpd& a, const SolverOptions& options = {});
   /// Phase 1, skipping the expensive part: adopt a previously computed
   /// PatternAnalysis for a matrix with the SAME sparsity pattern (new
   /// values welcome). Costs one structure copy plus the value permutation —
   /// no ordering, elimination tree, or symbolic factorization is rerun.
-  /// Throws InvalidArgumentError when `a`'s pattern fingerprint differs
-  /// from `shared->fingerprint` or options.deterministic_reduction is false.
+  /// Throws InvalidArgumentError on an empty matrix, when `a`'s pattern
+  /// fingerprint differs from `shared->fingerprint`, or when
+  /// options.deterministic_reduction is false.
   static Solver analyze(const SparseSpd& a,
                         std::shared_ptr<const PatternAnalysis> shared,
                         const SolverOptions& options = {});

@@ -345,6 +345,9 @@ std::future<SolveResult> SolverService::submit(
   if (a == nullptr) {
     throw InvalidArgumentError("SolverService::submit: null matrix");
   }
+  if (a->n() == 0) {
+    throw InvalidArgumentError("SolverService::submit: the matrix is empty (n = 0)");
+  }
   if (static_cast<index_t>(rhs.size()) != a->n()) {
     throw InvalidArgumentError(
         "SolverService::submit: rhs has " + std::to_string(rhs.size()) +

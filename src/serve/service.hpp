@@ -157,7 +157,8 @@ class SolverService {
 
   /// Submit one solve request: find x with A x = rhs. The matrix is held
   /// by shared_ptr so many requests can reference one instance without
-  /// copies. Throws InvalidArgumentError on a null matrix, an rhs whose
+  /// copies. Throws InvalidArgumentError on a null or empty (n = 0)
+  /// matrix, an rhs whose
   /// size differs from the matrix dimension, or a NaN or negative
   /// deadline; every other failure is reported through the returned
   /// future's SolveResult. A full queue blocks the call until space frees

@@ -3,6 +3,7 @@
 // Cholesky factor L; the tree drives all multifrontal data flow.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sparse/csc.hpp"
@@ -11,5 +12,10 @@ namespace mfgpu {
 
 /// Returns parent[j] for each column (-1 for roots).
 std::vector<index_t> elimination_tree(const SparseSpd& a);
+
+/// The elimination tree of P A P^T (new_of_old as in SparseSpd::permuted),
+/// in new indices, from the pattern of `a` alone: nothing is permuted.
+std::vector<index_t> elimination_tree(const SparseSpd& a,
+                                      std::span<const index_t> new_of_old);
 
 }  // namespace mfgpu

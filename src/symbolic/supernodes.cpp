@@ -41,7 +41,7 @@ SupernodePartition fundamental_supernodes(std::span<const index_t> parent,
     part.snode_of_col[static_cast<std::size_t>(j)] =
         static_cast<index_t>(part.start.size()) - 1;
   }
-  part.start.push_back(n);
+  if (n > 0) part.start.push_back(n);  // an empty matrix has no supernode
   return part;
 }
 

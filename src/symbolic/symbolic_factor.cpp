@@ -22,9 +22,24 @@ SymbolicFactor::SymbolicFactor(const SparseSpd& a_permuted,
   }
   MFGPU_CHECK(is_postordered(col_parent_),
               "SymbolicFactor: matrix must be postordered (use analyze())");
+  build(a_permuted, options);
+}
+
+SymbolicFactor::SymbolicFactor(const SparseSpd& a_permuted,
+                               std::vector<index_t> postordered_parent,
+                               const AnalyzeOptions& options)
+    : n_(a_permuted.n()), col_parent_(std::move(postordered_parent)) {
+  obs::ScopedSpan span("symbolic", "symbolic_factor");
+  span.set_arg(0, "n", n_);
+  MFGPU_CHECK(static_cast<index_t>(col_parent_.size()) == n_,
+              "SymbolicFactor: parent size mismatch");
+  build(a_permuted, options);
+}
+
+void SymbolicFactor::build(const SparseSpd& a, const AnalyzeOptions& options) {
   const auto counts = [&] {
     obs::ScopedSpan counts_span("symbolic", "column_counts");
-    return factor_column_counts(a_permuted, col_parent_);
+    return factor_column_counts(a, col_parent_);
   }();
   const auto part = [&] {
     obs::ScopedSpan snode_span("symbolic", "fundamental_supernodes");
@@ -32,18 +47,8 @@ SymbolicFactor::SymbolicFactor(const SparseSpd& a_permuted,
   }();
   {
     obs::ScopedSpan structures_span("symbolic", "row_structures");
-    compute_structures(a_permuted, part);
+    compute_structures(a, part, counts);
   }
-
-  // Sanity: the fundamental supernode structure must reproduce the column
-  // counts exactly (update rows + remaining columns of the supernode).
-  for (const auto& sn : snodes_) {
-    const index_t expected = counts[static_cast<std::size_t>(sn.first_col)];
-    const index_t actual = sn.width() + sn.num_update_rows();
-    MFGPU_CHECK(actual == expected,
-                "SymbolicFactor: supernode structure disagrees with column counts");
-  }
-
   {
     obs::ScopedSpan relax_span("symbolic", "amalgamate");
     amalgamate(options.relax);
@@ -61,13 +66,18 @@ SymbolicFactor::SymbolicFactor(const SparseSpd& a_permuted,
 }
 
 void SymbolicFactor::compute_structures(const SparseSpd& a,
-                                        const SupernodePartition& part) {
+                                        const SupernodePartition& part,
+                                        std::span<const index_t> counts) {
   const index_t nsup = part.count();
   snodes_.assign(static_cast<std::size_t>(nsup), SupernodeInfo{});
   snode_of_col_ = part.snode_of_col;
 
   std::vector<index_t> mark(static_cast<std::size_t>(n_), -1);
-  std::vector<std::vector<index_t>> snode_children(static_cast<std::size_t>(nsup));
+  // Children of each supernode as sibling lists; the union below is sorted,
+  // so the order children are visited in does not matter.
+  std::vector<index_t> first_child(static_cast<std::size_t>(nsup), -1);
+  std::vector<index_t> next_sibling(static_cast<std::size_t>(nsup), -1);
+  std::vector<index_t> rows;
 
   // Supernodes are numbered by increasing first column; because columns are
   // postordered, every child supernode has a smaller index than its parent,
@@ -77,7 +87,7 @@ void SymbolicFactor::compute_structures(const SparseSpd& a,
     sn.first_col = part.start[static_cast<std::size_t>(s)];
     sn.last_col = part.start[static_cast<std::size_t>(s) + 1];
 
-    auto& rows = sn.update_rows;
+    rows.clear();
     auto add_row = [&](index_t r) {
       if (r >= sn.last_col && mark[static_cast<std::size_t>(r)] != s) {
         mark[static_cast<std::size_t>(r)] = s;
@@ -87,17 +97,26 @@ void SymbolicFactor::compute_structures(const SparseSpd& a,
     for (index_t j = sn.first_col; j < sn.last_col; ++j) {
       for (index_t r : a.column_rows(j)) add_row(r);
     }
-    for (index_t c : snode_children[static_cast<std::size_t>(s)]) {
+    for (index_t c = first_child[static_cast<std::size_t>(s)]; c != -1;
+         c = next_sibling[static_cast<std::size_t>(c)]) {
       for (index_t r : snodes_[static_cast<std::size_t>(c)].update_rows) {
         add_row(r);
       }
     }
     std::sort(rows.begin(), rows.end());
+    // The fundamental supernode structure must reproduce the column counts
+    // exactly (update rows + remaining columns of the supernode).
+    MFGPU_CHECK(sn.width() + static_cast<index_t>(rows.size()) ==
+                    counts[static_cast<std::size_t>(sn.first_col)],
+                "SymbolicFactor: supernode structure disagrees with column counts");
+    sn.update_rows.assign(rows.begin(), rows.end());
 
     if (!rows.empty()) {
       sn.parent = snode_of_col_[static_cast<std::size_t>(rows.front())];
       MFGPU_CHECK(sn.parent > s, "SymbolicFactor: parent must follow child");
-      snode_children[static_cast<std::size_t>(sn.parent)].push_back(s);
+      next_sibling[static_cast<std::size_t>(s)] =
+          first_child[static_cast<std::size_t>(sn.parent)];
+      first_child[static_cast<std::size_t>(sn.parent)] = s;
     }
   }
 }
@@ -115,6 +134,7 @@ void SymbolicFactor::amalgamate(const RelaxOptions& relax) {
     }
     return s;
   };
+  std::vector<index_t> merged;
 
   for (index_t s = 0; s < nsup; ++s) {
     if (!alive[static_cast<std::size_t>(s)]) continue;
@@ -127,25 +147,32 @@ void SymbolicFactor::amalgamate(const RelaxOptions& relax) {
     if (par.first_col != child.last_col) continue;
 
     // Merged update rows: parent's rows plus the child's rows that fall
-    // beyond the parent's column range.
-    std::vector<index_t> merged;
-    merged.reserve(par.update_rows.size() + child.update_rows.size());
-    std::vector<index_t> child_beyond;
-    for (index_t r : child.update_rows) {
-      if (r >= par.last_col) child_beyond.push_back(r);
+    // beyond the parent's column range. Count the ones the parent lacks
+    // first; the union is only built for a merge that adds rows.
+    const auto beyond = std::lower_bound(child.update_rows.begin(),
+                                         child.update_rows.end(), par.last_col);
+    index_t missing = 0;
+    {
+      auto p = par.update_rows.begin();
+      for (auto c = beyond; c != child.update_rows.end(); ++c) {
+        p = std::lower_bound(p, par.update_rows.end(), *c);
+        if (p == par.update_rows.end() || *p != *c) ++missing;
+      }
     }
-    std::set_union(par.update_rows.begin(), par.update_rows.end(),
-                   child_beyond.begin(), child_beyond.end(),
-                   std::back_inserter(merged));
-
     if (!should_amalgamate(child.width(), child.num_update_rows(), par.width(),
                            par.num_update_rows(),
-                           static_cast<index_t>(merged.size()), relax)) {
+                           par.num_update_rows() + missing, relax)) {
       continue;
     }
 
+    if (missing > 0) {
+      merged.clear();
+      std::set_union(par.update_rows.begin(), par.update_rows.end(), beyond,
+                     child.update_rows.end(), std::back_inserter(merged));
+      par.update_rows.assign(merged.begin(), merged.end());
+    }
     par.first_col = child.first_col;
-    par.update_rows = std::move(merged);
+    std::vector<index_t>().swap(child.update_rows);
     alive[static_cast<std::size_t>(s)] = 0;
     absorbed_into[static_cast<std::size_t>(s)] = t;
   }
@@ -205,39 +232,43 @@ void SymbolicFactor::finalize_metrics() {
 
 Analysis analyze(const SparseSpd& a, const Permutation& fill_perm,
                  const AnalyzeOptions& options) {
+  if (a.n() == 0) {
+    throw InvalidArgumentError("analyze: the matrix is empty (n = 0)");
+  }
   MFGPU_CHECK(fill_perm.n() == a.n(), "analyze: permutation size mismatch");
   obs::ScopedSpan span("symbolic", "analyze");
   span.set_arg(0, "n", a.n());
+  const auto n = static_cast<std::size_t>(a.n());
+
+  // Postorder the fill order's elimination tree, taken from the pattern
+  // alone, and fold it into the permutation; the postorder is an equivalent
+  // reordering (same fill) that makes supernode columns contiguous and the
+  // update stack LIFO. The tree relabeled through the postorder is the tree
+  // of the final matrix, so the values are permuted once.
+  const std::vector<index_t> parent = [&] {
+    obs::ScopedSpan etree_span("symbolic", "elimination_tree");
+    return elimination_tree(a, fill_perm.new_of_old());
+  }();
+  const std::vector<index_t> post = postorder_forest(parent);
+  std::vector<index_t> post_of_fill(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    post_of_fill[static_cast<std::size_t>(post[k])] = static_cast<index_t>(k);
+  }
+  std::vector<index_t> post_parent(n);
+  for (std::size_t k = 0; k < n; ++k) {
+    const index_t p = parent[static_cast<std::size_t>(post[k])];
+    post_parent[k] = p == -1 ? -1 : post_of_fill[static_cast<std::size_t>(p)];
+  }
+  std::vector<index_t> composed(n);
+  const auto fill_map = fill_perm.new_of_old();
+  for (std::size_t i = 0; i < n; ++i) {
+    composed[i] = post_of_fill[static_cast<std::size_t>(fill_map[i])];
+  }
+  Permutation total(std::move(composed));
+
   std::vector<index_t> value_source;
-  SparseSpd permuted = a.permuted(fill_perm.new_of_old(), &value_source);
-
-  // Postorder the elimination tree and fold it into the permutation; the
-  // postorder is an equivalent reordering (same fill) that makes supernode
-  // columns contiguous and the update stack LIFO.
-  const auto parent = elimination_tree(permuted);
-  const auto post = postorder_forest(parent);
-  bool already = true;
-  for (index_t p = 0; p < static_cast<index_t>(post.size()); ++p) {
-    if (post[static_cast<std::size_t>(p)] != p) { already = false; break; }
-  }
-  Permutation total = fill_perm;
-  if (!already) {
-    // post[p] = old column at postorder position p, i.e. old_of_new.
-    const Permutation post_perm =
-        Permutation::from_elimination_order(std::vector<index_t>(post));
-    // Compose: new = post(fill(old)).
-    std::vector<index_t> composed(static_cast<std::size_t>(a.n()));
-    const auto fill_map = fill_perm.new_of_old();
-    const auto post_map = post_perm.new_of_old();
-    for (index_t i = 0; i < a.n(); ++i) {
-      composed[static_cast<std::size_t>(i)] = post_map[static_cast<std::size_t>(
-          fill_map[static_cast<std::size_t>(i)])];
-    }
-    total = Permutation(std::move(composed));
-    permuted = a.permuted(total.new_of_old(), &value_source);
-  }
-
-  SymbolicFactor symbolic(permuted, options);
+  SparseSpd permuted = a.permuted(total.new_of_old(), &value_source);
+  SymbolicFactor symbolic(permuted, std::move(post_parent), options);
   return Analysis{std::move(total), std::move(permuted), std::move(symbolic),
                   std::make_shared<const std::vector<index_t>>(
                       std::move(value_source))};

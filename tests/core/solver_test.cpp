@@ -501,5 +501,31 @@ TEST(SolverParallel, OnePoolAcrossPhases) {
   expect_fresh(solver, b_values);
 }
 
+TEST(SolverTest, EmptyMatrixIsAnInvalidArgument) {
+  const SparseSpd empty(0, {0}, {}, {});
+  EXPECT_THROW(Solver::analyze(empty), InvalidArgumentError);
+  EXPECT_THROW(Solver solver(empty), InvalidArgumentError);
+  // Adopting a shared analysis of the empty pattern is rejected the same way.
+  const auto shared = std::make_shared<const PatternAnalysis>(
+      empty.pattern_fingerprint(), Permutation::identity(0),
+      SymbolicFactor(empty, AnalyzeOptions{}), AnalyzeOptions{},
+      std::make_shared<const std::vector<index_t>>());
+  EXPECT_THROW(Solver::analyze(empty, shared), InvalidArgumentError);
+}
+
+TEST(SolverTest, OneUnknownSolvesThroughEveryPhase) {
+  const SparseSpd one(1, {0, 1}, {0}, {4.0});
+  Solver solver = Solver::analyze(one);
+  EXPECT_EQ(solver.analysis().symbolic.num_supernodes(), 1);
+  solver.factor();
+  EXPECT_NEAR(solver.solve(std::vector<double>{2.0}).at(0), 0.5, 1e-15);
+  solver.refactor(SparseSpd(1, {0, 1}, {0}, {8.0}));
+  EXPECT_NEAR(solver.solve(std::vector<double>{2.0}).at(0), 0.25, 1e-15);
+
+  Solver adopted = Solver::analyze(one, solver.share_analysis());
+  adopted.factor();
+  EXPECT_NEAR(adopted.solve(std::vector<double>{1.0}).at(0), 0.25, 1e-15);
+}
+
 }  // namespace
 }  // namespace mfgpu

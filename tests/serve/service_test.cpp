@@ -420,5 +420,23 @@ TEST(ServeThroughput, WarmServiceBeatsNaivePerRequestSolversBy3x) {
                           << service_sim << "s";
 }
 
+TEST(ServeService, EmptyAndOneUnknownRequests) {
+  SolverService service(ServeOptions{});
+  // An empty system is refused at admission: it never reaches a session.
+  EXPECT_THROW(service.submit(std::make_shared<const SparseSpd>(
+                                  0, std::vector<index_t>{0},
+                                  std::vector<index_t>{}, std::vector<double>{}),
+                              {}),
+               InvalidArgumentError);
+  const auto one = std::make_shared<const SparseSpd>(
+      1, std::vector<index_t>{0, 1}, std::vector<index_t>{0},
+      std::vector<double>{4.0});
+  const SolveResult result = service.submit(one, {2.0}).get();
+  ASSERT_TRUE(result.ok()) << result.error;
+  ASSERT_EQ(result.x.size(), 1u);
+  EXPECT_NEAR(result.x[0], 0.5, 1e-15);
+  EXPECT_EQ(service.stats().failed, 0);
+}
+
 }  // namespace
 }  // namespace mfgpu::serve

@@ -149,5 +149,27 @@ TEST(SymbolicFactorTest, AnalyzeComposesPostorderTransparently) {
   EXPECT_EQ(an.permuted.nnz_lower(), a.nnz_lower());
 }
 
+TEST(SymbolicFactorTest, EmptyAndOneUnknownPatterns) {
+  // An empty matrix has no supernode; the end-to-end analysis rejects it.
+  const SparseSpd empty(0, {0}, {}, {});
+  const SymbolicFactor none(empty, AnalyzeOptions{});
+  EXPECT_EQ(none.num_supernodes(), 0);
+  EXPECT_EQ(none.factor_nnz(), 0);
+  EXPECT_THROW(analyze(empty, Permutation::identity(0)), InvalidArgumentError);
+  EXPECT_THROW(analyze_md(empty), InvalidArgumentError);
+
+  const SparseSpd one(1, {0, 1}, {0}, {4.0});
+  const Analysis an = analyze_md(one);
+  ASSERT_EQ(an.symbolic.num_supernodes(), 1);
+  const SupernodeInfo& sn = an.symbolic.supernodes()[0];
+  EXPECT_EQ(sn.first_col, 0);
+  EXPECT_EQ(sn.last_col, 1);
+  EXPECT_EQ(sn.parent, -1);
+  EXPECT_TRUE(sn.update_rows.empty());
+  EXPECT_EQ(an.symbolic.factor_nnz(), 1);
+  EXPECT_EQ(an.perm.n(), 1);
+  EXPECT_EQ(*an.value_source, std::vector<index_t>{0});
+}
+
 }  // namespace
 }  // namespace mfgpu
