@@ -19,7 +19,6 @@
 #include <string>
 #include <vector>
 
-#include "multifrontal/batched.hpp"
 #include "multifrontal/parallel.hpp"
 #include "obs/schedule_record.hpp"
 #include "obs/whatif.hpp"
@@ -70,7 +69,7 @@ struct SerialConfig {
   double gpu_f = 1.0;
   double transfer_f = 1.0;
   double host_f = 1.0;
-  std::string batching = "off";
+  bool batching = false;
 };
 
 // One live serial run with a recorder attached; the recorded makespan IS
@@ -92,7 +91,7 @@ obs::ScheduleRecord run_serial(const Analysis& analysis,
   obs::ScheduleRecorder recorder;
   FactorizeOptions options;
   options.store_factor = false;
-  options.batching = parse_batching(cfg.batching);
+  options.batching = cfg.batching;
   options.recorder = &recorder;
   (void)factorize(analysis, executor, ctx, options);
   return recorder.take();
@@ -133,7 +132,7 @@ int main() {
   // Base recordings: serial hybrid, serial batched, 4-wide parallel.
   const obs::ScheduleRecord base = run_serial(analysis, {});
   SerialConfig batched_cfg;
-  batched_cfg.batching = "on,min=2,max=64";
+  batched_cfg.batching = true;
   const obs::ScheduleRecord base_batched = run_serial(analysis, batched_cfg);
   const obs::ScheduleRecord base_par = run_parallel(analysis, 4);
 
@@ -148,7 +147,7 @@ int main() {
   auto rate_point = [&](const std::string& name,
                         const obs::ScheduleRecord& record, double gpu_f,
                         double transfer_f, double host_f,
-                        const std::string& batching) {
+                        bool batching) {
     obs::WhatIfKnobs knobs;
     knobs.gpu_scale = gpu_f;
     knobs.transfer_scale = transfer_f;
@@ -161,14 +160,14 @@ int main() {
     cfg.batching = batching;
     points.push_back({name, r.makespan, run_serial(analysis, cfg).makespan});
   };
-  rate_point("gpu_x0.5", base, 0.5, 1.0, 1.0, "off");
-  rate_point("gpu_x2", base, 2.0, 1.0, 1.0, "off");
-  rate_point("transfer_x0.5", base, 1.0, 0.5, 1.0, "off");
-  rate_point("transfer_x2", base, 1.0, 2.0, 1.0, "off");
-  rate_point("host_x0.5", base, 1.0, 1.0, 0.5, "off");
-  rate_point("host_x2", base, 1.0, 1.0, 2.0, "off");
-  rate_point("gpu_x2_transfer_x2", base, 2.0, 2.0, 1.0, "off");
-  rate_point("gpu_x0.5_host_x2", base, 0.5, 1.0, 2.0, "off");
+  rate_point("gpu_x0.5", base, 0.5, 1.0, 1.0, false);
+  rate_point("gpu_x2", base, 2.0, 1.0, 1.0, false);
+  rate_point("transfer_x0.5", base, 1.0, 0.5, 1.0, false);
+  rate_point("transfer_x2", base, 1.0, 2.0, 1.0, false);
+  rate_point("host_x0.5", base, 1.0, 1.0, 0.5, false);
+  rate_point("host_x2", base, 1.0, 1.0, 2.0, false);
+  rate_point("gpu_x2_transfer_x2", base, 2.0, 2.0, 1.0, false);
+  rate_point("gpu_x0.5_host_x2", base, 0.5, 1.0, 2.0, false);
   rate_point("batched_gpu_x2", base_batched, 2.0, 1.0, 1.0,
              batched_cfg.batching);
   rate_point("batched_transfer_x2", base_batched, 1.0, 2.0, 1.0,

@@ -7,7 +7,7 @@
 //               [--repeat N]
 //               [--solve-threads N] [--rhs N]
 //               [--threads N] [--workers SPEC]
-//               [--batch off|on|auto[,max_k=..,max_m=..,min=..,max=..,ops=..]]
+//               [--batch off|on]
 //               [--save-model FILE] [--load-model FILE]
 //               [--out FILE.mtx]
 //               [--trace FILE] [--metrics FILE] [--report FILE]
@@ -32,11 +32,10 @@
 // refinement step, and reports the simulated RHS/sec against N one-RHS
 // solves.
 //
-// --batch selects the aggregated small-front execution path (one simulated
-// kernel dispatch + one coalesced transfer per level group of small
-// fronts). Precedence: --batch= wins over the MFGPU_BATCH environment
-// variable, which wins over the default (off). The factor is bitwise
-// identical with batching on or off.
+// --batch on selects the aggregated small-front execution path (one
+// simulated kernel dispatch + one coalesced transfer per level group of
+// small fronts); off is the default. Any other value is a usage error. The
+// factor is bitwise identical with batching on or off.
 //
 // Observability: --trace and --metrics take the same values as the
 // MFGPU_TRACE / MFGPU_METRICS environment variables and WIN over them when
@@ -80,12 +79,9 @@ namespace {
                "[--ordering natural|md|nd] [--repeat N] "
                "[--solve-threads N] [--rhs N] "
                "[--threads N] [--workers SPEC] "
-               "[--batch off|on|auto[,max_k=..,max_m=..,min=..,max=..,ops=..]] "
-               "[--save-model FILE] "
+               "[--batch off|on] [--save-model FILE] "
                "[--load-model FILE] [--out FILE.mtx] [--trace FILE] "
                "[--metrics FILE] [--report FILE]\n"
-               "batching precedence: --batch overrides the MFGPU_BATCH "
-               "environment variable; default off.\n"
                "observability precedence: --trace/--metrics override the "
                "MFGPU_TRACE/MFGPU_METRICS environment variables; with both "
                "trace and metrics set, spans go to the trace file and the "
@@ -106,7 +102,7 @@ struct CliOptions {
   int solve_threads = 1;
   index_t rhs = 1;  // --rhs N: blocked multi-RHS solve of N right-hand sides
   std::string workers;  // e.g. "cgg": CPU + two GPU workers
-  std::string batch;  // --batch= spec; "" = flag absent (MFGPU_BATCH applies)
+  bool batch = false;
   std::string save_model;
   std::string load_model;
   std::string out_path;
@@ -166,12 +162,14 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--workers") {
       cli.workers = next("--workers");
     } else if (arg == "--batch" || arg.rfind("--batch=", 0) == 0) {
-      cli.batch =
+      const std::string value =
           arg == "--batch" ? next("--batch") : arg.substr(std::strlen("--batch="));
-      if (cli.batch.empty()) {
-        std::fprintf(stderr, "--batch wants a spec (off|on|auto[,key=val])\n");
+      if (value != "on" && value != "off") {
+        std::fprintf(stderr, "--batch wants on or off, got '%s'\n",
+                     value.c_str());
         usage(argv[0]);
       }
+      cli.batch = value == "on";
     } else if (arg == "--save-model") {
       cli.save_model = next("--save-model");
     } else if (arg == "--load-model") {
@@ -281,14 +279,7 @@ int main(int argc, char** argv) {
     options.coordinates = problem.coords;
     options.num_threads = cli.threads;
     options.solve_threads = cli.solve_threads;
-    options.batching = resolve_batching(cli.batch, std::getenv("MFGPU_BATCH"));
-    if (options.batching.enabled()) {
-      std::printf("batching: mode %s (max_k=%lld max_m=%lld min=%d max=%d)\n",
-                  batching_mode_name(options.batching.mode),
-                  static_cast<long long>(options.batching.max_k),
-                  static_cast<long long>(options.batching.max_m),
-                  options.batching.min_batch, options.batching.max_batch);
-    }
+    options.batching = cli.batch;
     for (char c : cli.workers) {
       if (c != 'c' && c != 'g') {
         std::fprintf(stderr, "--workers wants a string of 'c'/'g'\n");

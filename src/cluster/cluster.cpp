@@ -6,6 +6,7 @@
 #include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
 #include "sched/task_graph.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 
@@ -203,21 +204,12 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     // height with a global barrier after every level — the classic
     // fan-in/fan-out discipline the asynchronous engine is measured
     // against.
-    std::vector<index_t> height(static_cast<std::size_t>(nsup), 0);
-    index_t num_levels = 1;
-    for (index_t t = 0; t < nsup; ++t) {
-      const index_t p = graph.parent[static_cast<std::size_t>(t)];
-      if (p != -1) {
-        height[static_cast<std::size_t>(p)] =
-            std::max(height[static_cast<std::size_t>(p)],
-                     height[static_cast<std::size_t>(t)] + 1);
-      }
-      num_levels = std::max(num_levels, height[static_cast<std::size_t>(t)] + 1);
-    }
+    const SupernodeHeights heights = supernode_heights(analysis.symbolic);
     std::vector<std::vector<index_t>> levels(
-        static_cast<std::size_t>(num_levels));
+        static_cast<std::size_t>(heights.num_levels));
     for (index_t t = 0; t < nsup; ++t) {
-      levels[static_cast<std::size_t>(height[static_cast<std::size_t>(t)])]
+      levels[static_cast<std::size_t>(
+                 heights.height[static_cast<std::size_t>(t)])]
           .push_back(t);
     }
     for (auto& level : levels) {

@@ -419,8 +419,13 @@ double Solver::factor_wall_seconds() const noexcept {
   return impl_->factor_wall;
 }
 
-double Solver::solve_time_estimate() const {
-  return estimated_solve_seconds(impl_->analysis->symbolic);
+double Solver::solve_time_estimate(index_t num_rhs) const {
+  const SymbolicFactor& sym = impl_->analysis->symbolic;
+  const int threads = impl_->options.solve_threads;
+  if (threads <= 1) return estimated_solve_seconds(sym, num_rhs);
+  const std::lock_guard<std::mutex> lock(impl_->solve_mu);
+  return estimated_solve_seconds(sym, *impl_->solve_options().schedule,
+                                 num_rhs, threads);
 }
 const TrainedPolicyModel* Solver::model() const noexcept {
   return impl_->model.has_value() ? &*impl_->model : nullptr;

@@ -62,9 +62,9 @@ struct SolverOptions {
   Device::Options device;
   /// Aggregated small-front execution (multifrontal/batched.hpp): groups
   /// independent same-level small fronts into one simulated kernel dispatch
-  /// per step. Off (the default) keeps the per-front drivers bit-for-bit
-  /// unchanged; On/Auto produce a bitwise-identical factor either way.
-  BatchingOptions batching;
+  /// per step. The factor is bitwise identical with batching on or off
+  /// (the default).
+  bool batching = false;
   int max_refinement_steps = 5;
   double refinement_tolerance = 1e-14;
 
@@ -194,9 +194,13 @@ class Solver {
   double factor_time() const noexcept;
   /// Real seconds the last factor()/refactor() took on this machine.
   double factor_wall_seconds() const noexcept;
-  /// Simulated host seconds per forward+backward solve (memory-bound
-  /// estimate; refinement multiplies this by 1 + #steps).
-  double solve_time_estimate() const;
+  /// Simulated host seconds of one blocked forward+backward solve of
+  /// `num_rhs` right-hand sides at this solver's solve_threads
+  /// (memory-bound estimate; refinement multiplies this by 1 + #steps).
+  /// One thread prices the blocked pass, estimated_solve_seconds(sym,
+  /// num_rhs); more price the grouped parallel sweeps over the cached
+  /// solve schedule (multifrontal/parallel_solve.hpp).
+  double solve_time_estimate(index_t num_rhs = 1) const;
   /// The trained policy model (ModelHybrid mode only).
   const TrainedPolicyModel* model() const noexcept;
 

@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "dense/matrix.hpp"
-#include "multifrontal/batched.hpp"
 #include "multifrontal/factor_update.hpp"
 #include "multifrontal/trace.hpp"
 #include "sched/thread_pool.hpp"
@@ -124,11 +123,11 @@ struct FactorizeOptions {
   /// Keep the numeric factor (disable for timing-only studies to save RAM).
   bool store_factor = true;
   /// Aggregated small-front execution (multifrontal/batched.hpp). Off keeps
-  /// the postorder per-front walk bit-for-bit unchanged; On/Auto walk the
-  /// tree height-major and run each planned group through the executor's
-  /// execute_batch. Per-front numeric math and the extend-add order are
-  /// identical either way, so the factor matches bitwise.
-  BatchingOptions batching;
+  /// the postorder per-front walk; on walks the tree height-major and runs
+  /// each planned group through the executor's execute_batch. Per-front
+  /// numeric math and the extend-add order are identical either way, so the
+  /// factor matches bitwise.
+  bool batching = false;
   /// Optional schedule flight recorder (obs/schedule_record.hpp). When set,
   /// the driver attaches it to every worker's host clock (one lane per
   /// worker or cluster node) and records every task, dependency join, and

@@ -21,6 +21,7 @@
 #include <span>
 #include <vector>
 
+#include "multifrontal/batched.hpp"
 #include "multifrontal/factorization.hpp"
 #include "multifrontal/stack_arena.hpp"
 #include "sched/worker.hpp"

@@ -31,8 +31,7 @@ std::vector<WorkerSpec> worker_specs(const ParallelFactorizeOptions& options) {
   return cpu_workers(std::max(1, options.num_threads));
 }
 
-PoolPlan plan_walk(const Analysis& analysis, int num_workers,
-                   const BatchingOptions& batching) {
+PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
   const SymbolicFactor& sym = analysis.symbolic;
   const index_t nsup = sym.num_supernodes();
   PoolPlan plan;
@@ -43,7 +42,7 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers,
   // the symbolic structure alone, so grouping is independent of the worker
   // count and the batched factor stays bitwise identical to the per-front
   // one.
-  if (batching.enabled()) plan.batches = group_batches(sym, batching);
+  if (batching) plan.batches = group_batches(sym);
   const BatchPlan& batches = plan.batches;
 
   // Nodes in walk order: one per batch, one per unbatched supernode. Without
@@ -253,7 +252,7 @@ FactorizeResult factorize_parallel(const Analysis& analysis,
   const int num_workers = static_cast<int>(specs.size());
   MFGPU_CHECK(plan.num_workers == num_workers,
               "factorize_parallel: plan built for another worker count");
-  MFGPU_CHECK(!plan.batches.any() || options.numeric.batching.enabled(),
+  MFGPU_CHECK(!plan.batches.any() || options.numeric.batching,
               "factorize_parallel: batched plan for an unbatched run");
 
   obs::ScopedSpan factorize_span("multifrontal", "parallel_factorize");

@@ -43,6 +43,7 @@
 #include <memory>
 #include <vector>
 
+#include "multifrontal/batched.hpp"
 #include "multifrontal/factorization.hpp"
 #include "policy/executors.hpp"
 #include "sched/worker.hpp"

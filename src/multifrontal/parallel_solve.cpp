@@ -10,6 +10,7 @@
 #include "gpusim/gpublas.hpp"  // host_assembly_rate
 #include "obs/obs.hpp"
 #include "sched/thread_pool.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 
@@ -177,27 +178,15 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
   const index_t nsup = sym.num_supernodes();
   SolveSchedule sched;
   sched.num_supernodes = nsup;
-  sched.level_of.assign(static_cast<std::size_t>(nsup), 0);
+  SupernodeHeights heights = supernode_heights(sym);
+  sched.level_of = std::move(heights.height);
+  sched.num_levels = heights.num_levels;
   sched.out_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
   sched.in_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
   if (nsup == 0) {
     sched.level_ptr.assign(1, 0);
     build_groups(sym, sched);
     return sched;
-  }
-
-  // Height above the leaves. Supernodes are postordered (parent > child),
-  // so one ascending pass folds every child into its parent.
-  for (index_t s = 0; s < nsup; ++s) {
-    const index_t p = sym.supernodes()[static_cast<std::size_t>(s)].parent;
-    if (p != -1) {
-      auto& lp = sched.level_of[static_cast<std::size_t>(p)];
-      lp = std::max(lp, sched.level_of[static_cast<std::size_t>(s)] + 1);
-    }
-  }
-  for (index_t s = 0; s < nsup; ++s) {
-    sched.num_levels =
-        std::max(sched.num_levels, sched.level_of[static_cast<std::size_t>(s)] + 1);
   }
 
   // Level-major lists via counting sort (keeps supernode order within a

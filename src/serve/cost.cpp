@@ -1,7 +1,6 @@
 #include "serve/cost.hpp"
 
 #include "gpusim/gpublas.hpp"
-#include "multifrontal/parallel_solve.hpp"
 
 namespace mfgpu::serve {
 
@@ -18,13 +17,6 @@ double estimated_analyze_seconds(const SparseSpd& a,
       16.0 * static_cast<double>(a.n());
   const double symbolic_touches = 4.0 * static_cast<double>(sym.factor_nnz());
   return (ordering_touches + symbolic_touches) / host_assembly_rate();
-}
-
-double estimated_batch_solve_seconds(const SymbolicFactor& sym,
-                                     index_t num_rhs, int solve_threads) {
-  if (solve_threads <= 1) return estimated_solve_seconds(sym, num_rhs);
-  const SolveSchedule schedule = build_solve_schedule(sym);
-  return estimated_solve_seconds(sym, schedule, num_rhs, solve_threads);
 }
 
 }  // namespace mfgpu::serve

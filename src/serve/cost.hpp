@@ -4,7 +4,7 @@
 // regression gate compares them against checked-in baselines), so each
 // request is priced in SIMULATED seconds, in the same spirit as the gpusim
 // cost models: the analysis charge below, Solver::factor_time() for the
-// numeric phase, and multifrontal's estimated_solve_seconds for the solves.
+// numeric phase, and Solver::solve_time_estimate for the solves.
 #pragma once
 
 #include "sparse/csc.hpp"
@@ -20,14 +20,5 @@ namespace mfgpu::serve {
 /// pattern once. This is the charge a warm AnalysisCache saves per request.
 double estimated_analyze_seconds(const SparseSpd& a,
                                  const SymbolicFactor& sym);
-
-/// Simulated seconds the service charges for one blocked batch solve of
-/// `num_rhs` same-pattern right-hand sides on `solve_threads` solve
-/// threads. With solve_threads <= 1 this is exactly multifrontal's
-/// estimated_solve_seconds(sym, num_rhs) (the one-thread blocked pass);
-/// more threads price the level-scheduled parallel sweep
-/// (multifrontal/parallel_solve.hpp's deterministic per-level bound).
-double estimated_batch_solve_seconds(const SymbolicFactor& sym,
-                                     index_t num_rhs, int solve_threads);
 
 }  // namespace mfgpu::serve

@@ -255,9 +255,7 @@ void SolverService::Impl::process_batch(std::vector<Request>& batch,
         solve_span.set_arg(0, "batch_rhs", k);
         solution = session.solver->solve(block);
       }
-      solve_sim =
-          estimated_batch_solve_seconds(session.solver->analysis().symbolic, k,
-                                        options.solver.solve_threads);
+      solve_sim = session.solver->solve_time_estimate(k);
     } catch (const Error& e) {
       // The session's solver may be mid-phase — drop it so the next request
       // rebuilds from a clean state (the shared cache entry, if any, is

@@ -4,8 +4,28 @@
 #include <vector>
 
 #include "dense/blas.hpp"
+#include "support/error.hpp"
 
 namespace mfgpu {
+
+SupernodeHeights supernode_heights(const SymbolicFactor& sym) {
+  const index_t nsup = sym.num_supernodes();
+  const auto snodes = sym.supernodes();
+  SupernodeHeights out;
+  out.height.assign(static_cast<std::size_t>(nsup), 0);
+  // Supernodes are postordered (children precede parents), so one forward
+  // pass folds every child into its parent.
+  for (index_t s = 0; s < nsup; ++s) {
+    const index_t h = out.height[static_cast<std::size_t>(s)];
+    out.num_levels = std::max(out.num_levels, h + 1);
+    const index_t parent = snodes[static_cast<std::size_t>(s)].parent;
+    if (parent == -1) continue;
+    MFGPU_CHECK(parent > s, "supernode_heights: supernodes not postordered");
+    auto& hp = out.height[static_cast<std::size_t>(parent)];
+    hp = std::max(hp, h + 1);
+  }
+  return out;
+}
 
 TreeStats supernode_tree_stats(const SymbolicFactor& sym) {
   TreeStats stats;

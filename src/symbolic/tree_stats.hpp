@@ -4,9 +4,23 @@
 // better than 2-D ones — the paper's closing remark).
 #pragma once
 
+#include <vector>
+
 #include "symbolic/symbolic_factor.hpp"
 
 namespace mfgpu {
+
+/// Etree height of every supernode above the leaves. Fronts of one height
+/// are never ancestor-related: the level-synchronous sweeps and same-level
+/// batching both rely on that.
+struct SupernodeHeights {
+  /// Per supernode: leaves 0, a parent one above its highest child.
+  std::vector<index_t> height;
+  /// 1 + the largest height; 0 without supernodes.
+  index_t num_levels = 0;
+};
+
+SupernodeHeights supernode_heights(const SymbolicFactor& sym);
 
 struct TreeStats {
   index_t num_supernodes = 0;

@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "multifrontal/parallel_solve.hpp"
 #include "multifrontal/refine.hpp"
 #include "policy/baseline_hybrid.hpp"
 #include "sparse/coo.hpp"
@@ -92,6 +93,27 @@ TEST(SolverTest, TraceAndTimeExposed) {
   const GridProblem bigger = make_laplacian_3d(8, 8, 6);
   const Solver solver2(bigger.matrix);
   EXPECT_GT(solver2.solve_time_estimate(), solver.solve_time_estimate());
+}
+
+// The service prices every batch solve through the session's Solver, so the
+// estimate must stay the one-thread blocked pass at one solve thread and
+// the grouped parallel sweep over a fresh schedule at more, bit for bit.
+TEST(SolverTest, SolveTimeEstimatePricesItsOwnSolveThreads) {
+  const GridProblem p = make_laplacian_3d(7, 6, 5);
+  for (const int threads : {1, 4}) {
+    SolverOptions options;
+    options.solve_threads = threads;
+    const Solver solver(p.matrix, options);
+    const SymbolicFactor& sym = solver.analysis().symbolic;
+    const SolveSchedule schedule = build_solve_schedule(sym);
+    for (const index_t rhs : {1, 3, 16}) {
+      const double expected =
+          threads == 1 ? estimated_solve_seconds(sym, rhs)
+                       : estimated_solve_seconds(sym, schedule, rhs, threads);
+      EXPECT_EQ(solver.solve_time_estimate(rhs), expected)
+          << threads << " threads, " << rhs << " rhs";
+    }
+  }
 }
 
 TEST(SolverTest, ModelHybridExposesTrainedModel) {
@@ -265,7 +287,7 @@ TEST(SolverPhases, RefactorsInPlaceMatchAFreshSolverFourThreads) {
 TEST(SolverPhases, RefactorsInPlaceMatchAFreshSolverBatched) {
   SolverOptions options;
   options.mode = SolverMode::BaselineHybrid;
-  options.batching.mode = BatchingMode::On;
+  options.batching = true;
   expect_refactors_match_fresh(options, /*expect_gpu_calls=*/true);
 }
 

@@ -156,7 +156,7 @@ TEST(ChaosTest, FaultInsideBatchRetriesOnlyTheAffectedFront) {
   FactorContext ctx;
   ctx.device = &device;
   FactorizeOptions options;
-  options.batching = parse_batching("on,min=2");
+  options.batching = true;
   FactorizeResult result;
   ASSERT_NO_THROW(result = factorize(analysis, dispatch, ctx, options));
   obs::disable();
@@ -212,7 +212,7 @@ TEST(ChaosTest, CorruptedBatchDownloadRetriesOnlyThatMember) {
   FactorContext ctx;
   ctx.device = &device;
   FactorizeOptions options;
-  options.batching = parse_batching("on,min=2");
+  options.batching = true;
   FactorizeResult result;
   ASSERT_NO_THROW(result = factorize(analysis, dispatch, ctx, options));
 
@@ -252,8 +252,7 @@ TEST(ChaosTest, BatchLeaderKeepsItsOwnFaultSchedule) {
   Rng rng(17);
   const GridProblem p = make_elasticity_3d(6, 6, 5, 3, rng);
   const Analysis analysis = analyze_md(p.matrix);
-  const BatchingOptions batching = parse_batching("on,min=2");
-  const BatchPlan plan = group_batches(analysis.symbolic, batching);
+  const BatchPlan plan = group_batches(analysis.symbolic);
   ASSERT_TRUE(plan.any());
   const index_t leader = plan.batches.front().snodes.front();
   const auto scope = static_cast<std::uint64_t>(
@@ -285,7 +284,7 @@ TEST(ChaosTest, BatchLeaderKeepsItsOwnFaultSchedule) {
   FactorContext ctx;
   ctx.device = &device;
   FactorizeOptions options;
-  options.batching = batching;
+  options.batching = true;
   FactorizeResult result;
   ASSERT_NO_THROW(result = factorize(analysis, dispatch, ctx, options));
 

@@ -1,7 +1,7 @@
-// Batched small-front execution: symbolic batch planning (group_batches),
-// the --batch/MFGPU_BATCH option plumbing, and the headline numeric
-// contract — aggregated dispatch is a scheduling/pricing decision that
-// never changes a bit of the factor relative to the per-front host path.
+// Batched small-front execution: symbolic batch planning (group_batches)
+// against its fixed thresholds, and the headline numeric contract —
+// aggregated dispatch is a scheduling/pricing decision that never changes a
+// bit of the factor relative to the per-front host path.
 #include "multifrontal/batched.hpp"
 
 #include <gtest/gtest.h>
@@ -34,10 +34,9 @@ Analysis elasticity_analysis() {
 TEST(BatchPlanTest, HeightsFollowTheEliminationTree) {
   const Analysis analysis = elasticity_analysis();
   const SymbolicFactor& sym = analysis.symbolic;
-  const BatchPlan plan = group_batches(sym, {});  // mode Off: heights only
+  const BatchPlan plan = group_batches(sym);
   ASSERT_EQ(plan.height.size(),
             static_cast<std::size_t>(sym.num_supernodes()));
-  EXPECT_FALSE(plan.any());
 
   // Leaves sit at height 0; every parent is strictly above its children and
   // exactly 1 + max over them.
@@ -59,30 +58,35 @@ TEST(BatchPlanTest, HeightsFollowTheEliminationTree) {
   EXPECT_EQ(plan.num_levels, levels);
 }
 
+bool qualifies(const SupernodeInfo& sn) {
+  return sn.width() <= kBatchMaxK && sn.num_update_rows() > 0 &&
+         sn.num_update_rows() <= kBatchMaxM;
+}
+
 TEST(BatchPlanTest, GroupsAreLevelPureQualifiedAndWithinBounds) {
   const Analysis analysis = elasticity_analysis();
   const SymbolicFactor& sym = analysis.symbolic;
-  BatchingOptions options = parse_batching("on,min=2,max=8");
-  const BatchPlan plan = group_batches(sym, options);
+  const BatchPlan plan = group_batches(sym);
   ASSERT_TRUE(plan.any());
 
+  std::vector<std::size_t> batched_at(
+      static_cast<std::size_t>(plan.num_levels), 0);
   std::size_t members = 0;
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {
     const FrontBatch& batch = plan.batches[b];
-    EXPECT_GE(batch.snodes.size(), 2u);
-    EXPECT_LE(batch.snodes.size(), 8u);
+    EXPECT_GE(batch.snodes.size(), static_cast<std::size_t>(kMinBatch));
+    EXPECT_LE(batch.snodes.size(), static_cast<std::size_t>(kMaxBatch));
     index_t prev = -1;
     for (index_t s : batch.snodes) {
       ++members;
+      ++batched_at[static_cast<std::size_t>(batch.level)];
       EXPECT_GT(s, prev) << "members must be ascending";  // deterministic order
       prev = s;
       EXPECT_EQ(plan.height[static_cast<std::size_t>(s)], batch.level);
       EXPECT_EQ(plan.batch_of[static_cast<std::size_t>(s)],
                 static_cast<int>(b));
-      const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-      EXPECT_GT(sn.num_update_rows(), 0);
-      EXPECT_LE(sn.num_update_rows(), options.max_m);
-      EXPECT_LE(sn.width(), options.max_k);
+      EXPECT_TRUE(qualifies(sym.supernodes()[static_cast<std::size_t>(s)]))
+          << "supernode " << s;
     }
   }
   // batch_of maps exactly the batched members and nobody else.
@@ -91,83 +95,112 @@ TEST(BatchPlanTest, GroupsAreLevelPureQualifiedAndWithinBounds) {
     if (b >= 0) ++mapped;
   }
   EXPECT_EQ(mapped, members);
+
+  // Every qualifying front is batched, except a level's single trailing
+  // front after its full-width batches.
+  std::vector<std::size_t> qualifying_at(batched_at.size(), 0);
+  for (index_t s = 0; s < sym.num_supernodes(); ++s) {
+    if (qualifies(sym.supernodes()[static_cast<std::size_t>(s)])) {
+      ++qualifying_at[static_cast<std::size_t>(
+          plan.height[static_cast<std::size_t>(s)])];
+    }
+  }
+  for (std::size_t level = 0; level < batched_at.size(); ++level) {
+    const std::size_t q = qualifying_at[level];
+    EXPECT_EQ(batched_at[level],
+              q % static_cast<std::size_t>(kMaxBatch) == 1 ? q - 1 : q)
+        << "level " << level;
+  }
+}
+
+/// An SPD matrix whose strictly lower pattern is `below[j]` for column j,
+/// analyzed in natural order without relaxed amalgamation, so every
+/// supernode is a fundamental one the test can predict.
+Analysis analyze_pattern(const std::vector<std::vector<index_t>>& below) {
+  const auto n = static_cast<index_t>(below.size());
+  std::vector<index_t> col_ptr{0};
+  std::vector<index_t> rows;
+  std::vector<double> values;
+  for (index_t j = 0; j < n; ++j) {
+    rows.push_back(j);
+    values.push_back(2.0 * static_cast<double>(n));
+    for (index_t i : below[static_cast<std::size_t>(j)]) {
+      rows.push_back(i);
+      values.push_back(-1.0);
+    }
+    col_ptr.push_back(static_cast<index_t>(rows.size()));
+  }
+  AnalyzeOptions options;
+  options.relax.enabled = false;
+  return analyze(SparseSpd(n, std::move(col_ptr), std::move(rows),
+                           std::move(values)),
+                 Permutation::identity(n), options);
+}
+
+/// Columns [first, first + size) as a clique that also couples to `extra`.
+void add_clique(std::vector<std::vector<index_t>>& below, index_t first,
+                index_t size, const std::vector<index_t>& extra) {
+  for (index_t j = first; j < first + size; ++j) {
+    auto& rows = below[static_cast<std::size_t>(j)];
+    for (index_t i = j + 1; i < first + size; ++i) rows.push_back(i);
+    rows.insert(rows.end(), extra.begin(), extra.end());
+  }
 }
 
 TEST(BatchPlanTest, MinBatchDissolvesSliversAndMaxZeroQualifiers) {
-  const Analysis analysis = elasticity_analysis();
-  const SymbolicFactor& sym = analysis.symbolic;
-
-  BatchingOptions huge_min = parse_batching("on,min=1000,max=2000");
-  EXPECT_FALSE(group_batches(sym, huge_min).any());
-
-  // Nothing qualifies when the size caps exclude every front.
-  BatchingOptions tiny_caps = parse_batching("on,max_k=1,max_m=1,min=2");
-  bool any_single_col = false;
-  for (const SupernodeInfo& sn : sym.supernodes()) {
-    any_single_col = any_single_col ||
-                     (sn.width() == 1 && sn.num_update_rows() == 1);
+  // A star: 2 * kMaxBatch + 1 one-column leaves under one root. Level 0
+  // splits into two full-width batches; the single trailing leaf stays
+  // per-front.
+  {
+    const index_t leaves = 2 * kMaxBatch + 1;
+    std::vector<std::vector<index_t>> below(
+        static_cast<std::size_t>(leaves + 1));
+    for (index_t j = 0; j < leaves; ++j) {
+      below[static_cast<std::size_t>(j)] = {leaves};
+    }
+    const Analysis analysis = analyze_pattern(below);
+    const BatchPlan plan = group_batches(analysis.symbolic);
+    ASSERT_EQ(analysis.symbolic.num_supernodes(), leaves + 1);
+    ASSERT_EQ(plan.batches.size(), 2u);
+    for (const FrontBatch& batch : plan.batches) {
+      EXPECT_EQ(batch.level, 0);
+      EXPECT_EQ(batch.snodes.size(), static_cast<std::size_t>(kMaxBatch));
+    }
+    int per_front_leaves = 0;
+    for (index_t s = 0; s < leaves; ++s) {
+      if (plan.batch_of[static_cast<std::size_t>(s)] < 0) ++per_front_leaves;
+    }
+    EXPECT_EQ(per_front_leaves, 1);
+    EXPECT_EQ(plan.batch_of.back(), -1) << "the root has no update rows";
   }
-  if (!any_single_col) {
-    EXPECT_FALSE(group_batches(sym, tiny_caps).any());
+
+  // Two leaves with kBatchMaxM + 1 update rows each (a clique above them):
+  // a pair at one level, but neither qualifies.
+  {
+    const index_t top = kBatchMaxM + 1;
+    std::vector<std::vector<index_t>> below(static_cast<std::size_t>(top + 2));
+    std::vector<index_t> clique(static_cast<std::size_t>(top));
+    for (index_t i = 0; i < top; ++i) clique[static_cast<std::size_t>(i)] = 2 + i;
+    below[0] = clique;
+    below[1] = clique;
+    add_clique(below, 2, top, {});
+    const Analysis analysis = analyze_pattern(below);
+    ASSERT_EQ(analysis.symbolic.supernodes()[0].num_update_rows(), top);
+    EXPECT_FALSE(group_batches(analysis.symbolic).any());
   }
-}
 
-TEST(BatchPlanTest, AutoModeDropsGroupsAboveTheOpsThreshold) {
-  const Analysis analysis = elasticity_analysis();
-  const SymbolicFactor& sym = analysis.symbolic;
-  // A 1-flop threshold rejects every group; a huge one accepts exactly what
-  // mode=on would.
-  EXPECT_FALSE(group_batches(sym, parse_batching("auto,min=2,ops=1")).any());
-  const BatchPlan open = group_batches(sym, parse_batching("on,min=2"));
-  const BatchPlan wide =
-      group_batches(sym, parse_batching("auto,min=2,ops=1000000000"));
-  ASSERT_EQ(wide.batches.size(), open.batches.size());
-  for (std::size_t b = 0; b < wide.batches.size(); ++b) {
-    EXPECT_EQ(wide.batches[b].snodes, open.batches[b].snodes);
+  // Two leaf cliques of width kBatchMaxK + 1 under one root: a pair at one
+  // level, but neither qualifies.
+  {
+    const index_t width = kBatchMaxK + 1;
+    const index_t root = 2 * width;
+    std::vector<std::vector<index_t>> below(static_cast<std::size_t>(root + 1));
+    add_clique(below, 0, width, {root});
+    add_clique(below, width, width, {root});
+    const Analysis analysis = analyze_pattern(below);
+    ASSERT_EQ(analysis.symbolic.supernodes()[0].width(), width);
+    EXPECT_FALSE(group_batches(analysis.symbolic).any());
   }
-}
-
-TEST(BatchingOptionsTest, ParseModesAndOverrides) {
-  EXPECT_FALSE(parse_batching("off").enabled());
-  EXPECT_EQ(parse_batching("on").mode, BatchingMode::On);
-  EXPECT_EQ(parse_batching("auto").mode, BatchingMode::Auto);
-
-  const BatchingOptions o =
-      parse_batching("auto,max_k=96,max_m=256,min=2,max=64,ops=5000000");
-  EXPECT_EQ(o.mode, BatchingMode::Auto);
-  EXPECT_EQ(o.max_k, 96);
-  EXPECT_EQ(o.max_m, 256);
-  EXPECT_EQ(o.min_batch, 2);
-  EXPECT_EQ(o.max_batch, 64);
-  EXPECT_DOUBLE_EQ(o.auto_ops_threshold, 5.0e6);
-
-  EXPECT_STREQ(batching_mode_name(BatchingMode::Off), "off");
-  EXPECT_STREQ(batching_mode_name(BatchingMode::On), "on");
-  EXPECT_STREQ(batching_mode_name(BatchingMode::Auto), "auto");
-}
-
-TEST(BatchingOptionsTest, ParseRejectsMalformedSpecs) {
-  EXPECT_THROW(parse_batching(""), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("sideways"), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,max_k="), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,max_k=0"), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,max_k=abc"), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,bogus=3"), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,min"), InvalidArgumentError);
-  EXPECT_THROW(parse_batching("on,min=8,max=4"), InvalidArgumentError);
-}
-
-TEST(BatchingOptionsTest, ResolvePrecedenceIsCliThenEnvThenDefault) {
-  // CLI beats the environment — including an explicit "off".
-  EXPECT_EQ(resolve_batching("on", "auto").mode, BatchingMode::On);
-  EXPECT_EQ(resolve_batching("off", "on").mode, BatchingMode::Off);
-  // Environment applies only when the flag is absent.
-  const BatchingOptions env = resolve_batching("", "auto,max_k=64");
-  EXPECT_EQ(env.mode, BatchingMode::Auto);
-  EXPECT_EQ(env.max_k, 64);
-  // Neither set: the default (Off).
-  EXPECT_FALSE(resolve_batching("", nullptr).enabled());
-  EXPECT_FALSE(resolve_batching("", "").enabled());
 }
 
 // ---------------------------------------------------------------------------
@@ -197,7 +230,7 @@ TEST(BatchedFactorizeTest, SerialBatchedIsBitwiseEqualToPerFront) {
   FactorContext ctx;
   ctx.device = &device;
   FactorizeOptions options;
-  options.batching = parse_batching("on,min=2");
+  options.batching = true;
   const FactorizeResult batched = factorize(analysis, dispatch, ctx, options);
 
   EXPECT_GT(batched_calls(batched.trace), 0) << "plan never batched";
@@ -216,7 +249,7 @@ TEST_P(ParallelFactorizeBatched, BitwiseEqualToPerFrontSerialAtAnyWidth) {
   options.workers.assign(static_cast<std::size_t>(threads),
                          WorkerSpec{.has_gpu = true});
   options.deterministic_reduction = true;
-  options.numeric.batching = parse_batching("on,min=2");
+  options.numeric.batching = true;
   const FactorizeResult batched = factorize_parallel(
       analysis, options, [](const WorkerSpec&, int) {
         return std::make_unique<DispatchExecutor>(
@@ -241,7 +274,7 @@ TEST(BatchedFactorizeTest, BatchedDispatchesStampTheServingRequestId) {
   FactorContext ctx;
   ctx.device = &device;
   FactorizeOptions options;
-  options.batching = parse_batching("on,min=2");
+  options.batching = true;
   FactorizeResult result;
   {
     obs::RequestScope scope(&request);

@@ -186,12 +186,12 @@ TEST(ParallelFactorizeTest, SingleThreadMatchesSerialTrace) {
   const GridProblem p = make_laplacian_3d(8, 8, 6);
   const Analysis analysis = analyze_md(p.matrix);
   for (const bool gpu : {false, true}) {
-    for (const BatchingMode mode : {BatchingMode::Off, BatchingMode::On}) {
+    for (const bool batching : {false, true}) {
       SCOPED_TRACE(std::string(gpu ? "gpu" : "cpu") + " worker, batching " +
-                   batching_mode_name(mode));
+                   (batching ? "on" : "off"));
       obs::ScheduleRecorder serial_recorder;
       FactorizeOptions numeric;
-      numeric.batching.mode = mode;
+      numeric.batching = batching;
       numeric.recorder = &serial_recorder;
       Device device;
       FactorContext ctx;
@@ -210,7 +210,7 @@ TEST(ParallelFactorizeTest, SingleThreadMatchesSerialTrace) {
       const FactorizeResult parallel = factorize_parallel(analysis, options);
       const obs::ScheduleRecord parallel_record = parallel_recorder.take();
 
-      EXPECT_EQ(serial_record.batched, mode == BatchingMode::On);
+      EXPECT_EQ(serial_record.batched, batching);
       EXPECT_TRUE(factors_bitwise_equal(serial.factor, parallel.factor));
       ASSERT_EQ(serial.trace.calls.size(), parallel.trace.calls.size());
       for (std::size_t i = 0; i < serial.trace.calls.size(); ++i) {
@@ -230,7 +230,7 @@ TEST(ParallelFactorizeTest, SingleThreadMatchesSerialTrace) {
                 parallel.memory[0].device_pool_charged_allocs);
       EXPECT_EQ(serial.memory[0].pinned_pool_charged_allocs,
                 parallel.memory[0].pinned_pool_charged_allocs);
-      if (mode == BatchingMode::Off) {
+      if (!batching) {
         // The LIFO update stack, within its symbolic bound.
         EXPECT_GT(parallel.memory[0].arena_peak_bytes, 0);
         EXPECT_LE(parallel.memory[0].arena_peak_bytes,

@@ -21,7 +21,6 @@
 #include <memory>
 
 #include "core/solver.hpp"
-#include "multifrontal/batched.hpp"
 #include "obs/obs.hpp"
 #include "obs/whatif.hpp"
 #include "serve/service.hpp"
@@ -578,7 +577,7 @@ TEST(ChromeTraceTest, ServeTraceParentsBatchedSpansAndEmitsRequestFlows) {
       options.num_sessions = 1;
       options.start_paused = true;  // queue everything, then one batch
       options.max_batch_rhs = 4;
-      options.solver.batching = parse_batching("on,min=2");
+      options.solver.batching = true;
       serve::SolverService service(options);
       std::vector<std::future<serve::SolveResult>> futures;
       for (int r = 0; r < 4; ++r) {

@@ -111,7 +111,7 @@ TEST(ScheduleRecordTest, BatchedRecordGroupsMembers) {
   const GridProblem p = make_laplacian_3d(6, 6, 5);
   SolverOptions options;
   options.mode = SolverMode::BaselineHybrid;
-  options.batching.mode = BatchingMode::On;
+  options.batching = true;
   const Solver solver = recorded(p, options);
   const auto& rec = solver.schedule();
   EXPECT_TRUE(rec.batched);

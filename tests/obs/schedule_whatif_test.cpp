@@ -71,7 +71,7 @@ TEST(ScheduleWhatIfTest, NullReplayExactBatched) {
   const GridProblem p = make_laplacian_3d(6, 6, 5);
   SolverOptions options;
   options.mode = SolverMode::BaselineHybrid;
-  options.batching.mode = BatchingMode::On;
+  options.batching = true;
   const Solver solver = factored(p, options);
   const obs::ScheduleRecord& rec = solver.schedule();
   EXPECT_TRUE(rec.batched);

@@ -40,7 +40,7 @@ struct Args {
   int nx = 12, ny = 12, nz = 10;
   std::string mode = "baseline";
   int workers = 0;
-  std::string batching = "off";
+  bool batching = false;
   std::string trace_path;
   std::string sweep_path;
   std::string check_trace_path;
@@ -52,7 +52,7 @@ int usage() {
   std::cerr
       << "usage: mfgpu_explain [--nx N --ny N --nz N] [--mode serial|"
          "baseline|model]\n"
-         "                     [--workers N] [--batching SPEC] [--trace "
+         "                     [--workers N] [--batching on|off] [--trace "
          "FILE]\n"
          "                     [--sweep FILE] [--once] [--check-trace "
          "FILE]\n";
@@ -162,7 +162,13 @@ int main(int argc, char** argv) {
       if (const char* v = next()) args.workers = std::stoi(v);
       else return usage();
     } else if (arg == "--batching") {
-      if (const char* v = next()) args.batching = v; else return usage();
+      const char* v = next();
+      const std::string value = v != nullptr ? v : "";
+      if (value != "on" && value != "off") {
+        std::cerr << "mfgpu_explain: --batching wants on or off\n";
+        return usage();
+      }
+      args.batching = value == "on";
     } else if (arg == "--trace") {
       if (const char* v = next()) args.trace_path = v; else return usage();
     } else if (arg == "--sweep") {
@@ -206,7 +212,7 @@ int main(int argc, char** argv) {
       std::cerr << "mfgpu_explain: unknown mode " << args.mode << "\n";
       return usage();
     }
-    options.batching = parse_batching(args.batching);
+    options.batching = args.batching;
     if (args.workers > 0) {
       options.workers.assign(static_cast<std::size_t>(args.workers),
                              WorkerSpec{.has_gpu = true});
@@ -220,7 +226,7 @@ int main(int argc, char** argv) {
               << (args.workers > 0 ? std::to_string(args.workers) +
                                          " gpu workers"
                                    : std::string("serial driver"))
-              << ", batching " << args.batching << ")\n\n";
+              << ", batching " << (args.batching ? "on" : "off") << ")\n\n";
     const Solver solver(problem.matrix, options);
 
     const obs::CriticalPathReport report = solver.schedule_report();
