@@ -34,8 +34,10 @@ int main() {
       {0, 1000}, {0, 5000}, {2000, 1000}, {8000, 4000}};
   for (const auto& [m, k] : fronts) {
     const index_t auto_w = p4_auto_panel_width(k, m);
-    table.add_row({std::string("(") + std::to_string(m) + ", " +
-                       std::to_string(k) + ")",
+    std::string front = "(";
+    front.append(std::to_string(m)).append(", ").append(std::to_string(k));
+    front.append(")");
+    table.add_row({front,
                    p4_time(m, k, 32), p4_time(m, k, 64), p4_time(m, k, 128),
                    p4_time(m, k, 256), p4_time(m, k, 512),
                    static_cast<index_t>(auto_w), p4_time(m, k, auto_w)});

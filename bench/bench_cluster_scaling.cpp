@@ -92,8 +92,8 @@ int main() {
                      stats[0].bytes_on_wire / 1e6,
                      (bitwise[0] && bitwise[1]) ? "yes" : "NO"});
 
-      const std::string key =
-          "n" + std::to_string(nodes) + "." + link.key;
+      std::string key = "n";
+      key.append(std::to_string(nodes)).append(".").append(link.key);
       // The engines' virtual makespans are deterministic — gate the
       // speedups; traffic counts are structural and must match exactly.
       record.add_metric(key + ".fanboth_speedup", fanboth, higher);

@@ -66,8 +66,7 @@ void check_not_empty(const SparseSpd& a) {
 struct Solver::Impl {
   SparseSpd matrix;
   /// Cached SparseSpd::pattern_fingerprint() of `matrix`, computed once at
-  /// analyze time; refactor() compares against it instead of walking the
-  /// index arrays.
+  /// analyze time (the serving layer's cache key).
   std::uint64_t pattern_fp = 0;
   SolverOptions options;
   /// Owned copy of options.coordinates: the phase-split API lets arbitrary
@@ -333,13 +332,14 @@ void Solver::refactor(const SparseSpd& a) {
   if (a.n() != impl.matrix.n()) {
     throw InvalidArgumentError("Solver::refactor: dimension mismatch");
   }
-  // The pattern fingerprint covers (n, col_ptr, row_idx), so one hash pass
-  // replaces the old element-wise index comparison.
-  if (a.pattern_fingerprint() != impl.pattern_fp) {
+  // An exact comparison with the analyzed pattern: memcmp speed, and unlike
+  // a hash it accepts no colliding pattern.
+  if (!std::ranges::equal(a.col_ptr(), impl.matrix.col_ptr()) ||
+      !std::ranges::equal(a.row_idx(), impl.matrix.row_idx())) {
     throw InvalidArgumentError(
         "Solver::refactor: sparsity pattern differs from the analyzed matrix");
   }
-  impl.matrix = a;
+  impl.matrix.assign_values(a.values());
   // Same pattern => the composed permutation and symbolic structure are
   // still exact; only the permuted values need recomputing, in place
   // through the value map.

@@ -36,10 +36,12 @@ class PackBuffer {
   }
 
   /// The calling thread's buffer. A thread that exits returns its buffer to
-  /// a process-wide free list instead of freeing it: the solve and
-  /// factorization pools start fresh threads on every call, and reusing the
-  /// buffers spares each thread the allocation and its page faults and
-  /// keeps freed buffers from piling up in per-thread allocator arenas.
+  /// a process-wide free list instead of freeing it: a Solver's pool keeps
+  /// its threads for the Solver's lifetime, but every Solver starts its own,
+  /// and a factor or solve call given no pool runs on a transient one.
+  /// Reusing the buffers spares each new thread the allocation and its page
+  /// faults and keeps freed buffers from piling up in per-thread allocator
+  /// arenas.
   static const PackBuffer& local() {
     thread_local const Lease lease;
     return *lease.buffer;

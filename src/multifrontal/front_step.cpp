@@ -44,11 +44,8 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
 
   // Dry runs skip the numeric hand-off entirely (the assembly cost is
   // charged from the symbolic sizes), so huge matrices can be timed cheaply.
-  if (setup_.update_stack) {
-    stack_.emplace(setup_.numeric ? sym_.peak_update_stack_entries() : 0);
-  } else {
-    buffers_.resize(static_cast<std::size_t>(nsup_));
-  }
+  for (index_t s = 0; s < nsup_ && !any_stacked_; ++s) any_stacked_ = stacked(s);
+  if (!setup_.update_stack) buffers_.resize(static_cast<std::size_t>(nsup_));
   ready_.assign(static_cast<std::size_t>(nsup_), 0.0);
   records_.resize(static_cast<std::size_t>(nsup_));
 
@@ -63,42 +60,12 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
   }
 }
 
-std::span<const double> FrontTree::take_update(index_t child) {
-  // LIFO: the topmost block belongs to the most recently finished child,
-  // which is the next one in descending child order.
-  if (stack_) return stack_->from_top(0);
-  return buffers_[static_cast<std::size_t>(child)];
-}
-
-void FrontTree::release_update(index_t child) {
-  if (stack_) {
-    stack_->pop();
-    return;
-  }
-  auto& buffer = buffers_[static_cast<std::size_t>(child)];
-  if (!parallel()) {
-    live_entries_ -= static_cast<std::int64_t>(buffer.size());
-  }
-  buffer = {};  // freed once consumed
-}
-
-std::span<double> FrontTree::publish_update(index_t s, index_t entries) {
-  if (stack_) return stack_->push(entries);
-  auto& buffer = buffers_[static_cast<std::size_t>(s)];
-  buffer.resize(static_cast<std::size_t>(entries));
-  // Only a one-lane run reports its live buffers (parallel workers report
-  // their front arenas), so only it counts them and worker threads share no
-  // counter.
-  if (!parallel()) {
-    live_entries_ += entries;
-    peak_entries_ = std::max(peak_entries_, live_entries_);
-  }
-  return buffer;
-}
-
-std::int64_t FrontTree::update_peak_entries() const {
-  if (stack_) return stack_->peak_entries();
-  return peak_entries_;
+bool FrontTree::stacked(index_t s) const {
+  if (setup_.update_stack) return true;
+  if (setup_.node_of.empty()) return false;
+  const index_t p = sym_.supernodes()[static_cast<std::size_t>(s)].parent;
+  return p != -1 && setup_.node_of[static_cast<std::size_t>(p)] ==
+                        setup_.node_of[static_cast<std::size_t>(s)];
 }
 
 FrontWorker::FrontWorker(FrontTree& tree, FuExecutor& executor,
@@ -134,6 +101,14 @@ FrontWorker::FrontWorker(FrontTree& tree, int lane, const WorkerSpec& spec,
 }
 
 void FrontWorker::prepare() {
+  FrontTree& tree = *tree_;
+  if (tree.any_stacked_) {
+    update_stack_ = std::make_unique<StackArena>(
+        tree.setup_.numeric ? tree.sym_.peak_update_stack_entries() : 0);
+  }
+  if (tree.setup_.numeric) {
+    rel_scratch_.resize(static_cast<std::size_t>(tree.max_m_));
+  }
   FactorContext& ctx = *ctx_;
   if (rec_ != nullptr) {
     rec_->attach(lane_, ctx.host_clock, ctx.device != nullptr);
@@ -144,8 +119,50 @@ void FrontWorker::prepare() {
   if (rec_ != nullptr) {
     rec_->begin_task(lane_, obs::TaskKind::Prologue, -1, ctx.host_clock);
   }
-  executor_->prepare(tree_->max_m_, tree_->max_k_, ctx);
+  executor_->prepare(tree.max_m_, tree.max_k_, ctx);
   if (rec_ != nullptr) rec_->end_task(lane_, ctx.host_clock);
+}
+
+std::span<const double> FrontWorker::take_update(index_t child) {
+  // LIFO: the topmost block belongs to the most recently finished child,
+  // which is the next one in descending child order.
+  if (tree_->stacked(child)) return update_stack_->from_top(0);
+  const SupernodeInfo& sn =
+      tree_->sym_.supernodes()[static_cast<std::size_t>(child)];
+  return {tree_->buffers_[static_cast<std::size_t>(child)].get(),
+          static_cast<std::size_t>(packed_lower_size(sn.num_update_rows()))};
+}
+
+void FrontWorker::release_update(index_t child) {
+  FrontTree& tree = *tree_;
+  if (tree.stacked(child)) {
+    update_stack_->pop();
+    return;
+  }
+  // Only a one-lane run reports its live buffers (parallel workers report
+  // their arenas), so only it counts them and worker threads share no
+  // counter.
+  if (!tree.parallel()) {
+    tree.live_entries_ -= packed_lower_size(
+        tree.sym_.supernodes()[static_cast<std::size_t>(child)]
+            .num_update_rows());
+  }
+  tree.buffers_[static_cast<std::size_t>(child)].reset();  // freed once consumed
+}
+
+std::span<double> FrontWorker::publish_update(index_t s, index_t entries) {
+  FrontTree& tree = *tree_;
+  if (tree.stacked(s)) return update_stack_->push_for_overwrite(entries);
+  // Crosses to another task: a buffer of its own, left uninitialized for
+  // pack_update to fill.
+  auto& buffer = tree.buffers_[static_cast<std::size_t>(s)];
+  buffer = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(entries));
+  if (!tree.parallel()) {
+    tree.live_entries_ += entries;
+    tree.peak_entries_ = std::max(tree.peak_entries_, tree.live_entries_);
+  }
+  return {buffer.get(), static_cast<std::size_t>(entries)};
 }
 
 void FrontWorker::charge_assembly(double entries) {
@@ -188,13 +205,13 @@ FrontalMatrix FrontWorker::open_front(index_t s) {
   }
   if (update == nullptr) update = front_arena_->push(m * m).data();
   return FrontalMatrix(sn, panel,
-                       MatrixView<double>(update, m, m, std::max<index_t>(m, 1)));
+                       MatrixView<double>(update, m, m, std::max<index_t>(m, 1)),
+                       rel_scratch_);
 }
 
 void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
   FrontTree& tree = *tree_;
   FactorContext& ctx = *ctx_;
-  const SupernodeInfo& sn = tree.sym_.supernodes()[static_cast<std::size_t>(s)];
   const auto& kids = tree.children_[static_cast<std::size_t>(s)];
 
   // Virtual start: a front cannot assemble before its children's update
@@ -214,14 +231,14 @@ void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
   // Scatter A's entries, then extend-add the children in descending child
   // index: the order the serial LIFO stack pops them, so every driver sums
   // each entry in the same order.
-  double entries = static_cast<double>(front.assemble_from_matrix(tree.a_, sn));
+  double entries = static_cast<double>(front.assemble_from_matrix(tree.a_));
   for (auto it = kids.rbegin(); it != kids.rend(); ++it) {
     const SupernodeInfo& child =
         tree.sym_.supernodes()[static_cast<std::size_t>(*it)];
     if (tree.setup_.numeric) {
       entries += static_cast<double>(
-          front.extend_add(child.update_rows, tree.take_update(*it)));
-      tree.release_update(*it);
+          front.extend_add(child.update_rows, take_update(*it)));
+      release_update(*it);
     } else {
       entries +=
           static_cast<double>(packed_lower_size(child.num_update_rows()));
@@ -268,7 +285,7 @@ void FrontWorker::publish(index_t s, FrontalMatrix& front, FuOutcome outcome) {
   }
   // Hand the update matrix to the parent.
   const index_t entries = packed_lower_size(front.m());
-  if (tree.setup_.numeric) front.pack_update(tree.publish_update(s, entries));
+  if (tree.setup_.numeric) front.pack_update(publish_update(s, entries));
   charge_assembly(static_cast<double>(entries));
   if (rec_ != nullptr) {
     rec_->note_ready(lane_, s, outcome.update_ready_at, policy);
@@ -388,11 +405,15 @@ FactorizeResult FrontTree::finish(std::span<FrontWorker> workers) {
     assembly_total += worker.assembly_time_;
     result.faults_survived += worker.executor_->fault_count();
 
-    // The arena holding the worker's fronts or — for a one-lane run — the
-    // update matrices.
-    const std::int64_t arena_peak = parallel()
-                                        ? worker.front_arena_->peak_entries()
-                                        : update_peak_entries();
+    // The arenas holding the worker's fronts and the updates inside its
+    // subtree tasks or — for a one-lane run — the update matrices.
+    const std::int64_t stack_peak =
+        worker.update_stack_ != nullptr ? worker.update_stack_->peak_entries()
+                                        : 0;
+    const std::int64_t arena_peak =
+        parallel() ? worker.front_arena_->peak_entries() + stack_peak
+        : setup_.update_stack ? stack_peak
+                              : peak_entries_;
     arena_peak_entries = std::max(arena_peak_entries, arena_peak);
     WorkerMemory mem;
     mem.worker = worker.lane_;

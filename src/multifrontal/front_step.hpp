@@ -6,12 +6,13 @@
 // drivers differ only in the order in which they schedule this task body.
 //
 // FrontTree holds what all workers of one run share: the symbolic
-// structure, the update hand-off between children and parents, and the
+// structure, the buffers of the updates that cross tasks, and the
 // per-supernode outputs (each slot written by exactly one step, so worker
 // threads never contend). FrontWorker holds one worker's execution state —
-// context, executor, optional private device, front arena, recorder lane —
-// and runs the step. FrontTree::finish() drains every worker and reduces
-// them into the FactorizeResult.
+// context, executor, optional private device, front arena, LIFO stack of
+// the updates its own walk consumes, relative-index scratch, recorder
+// lane — and runs the step. FrontTree::finish() drains every worker and
+// reduces them into the FactorizeResult.
 #pragma once
 
 #include <cstdint>
@@ -41,11 +42,16 @@ class FrontTree {
     bool numeric = true;
     /// Aggregated small-front plan; run_batch() executes its batches.
     const BatchPlan* plan = nullptr;
-    /// Keep child updates on one LIFO StackArena sized to the symbolic
-    /// peak — valid only for the one-worker postorder walk, where updates
-    /// are consumed in reverse production order. Otherwise every supernode
-    /// publishes into its own buffer, freed once the parent consumed it.
+    /// Keep every child update on the worker's LIFO StackArena sized to
+    /// the symbolic peak — valid only for the one-worker postorder walk,
+    /// where updates are consumed in reverse production order.
     bool update_stack = false;
+    /// Per supernode (or empty): the walk node it runs in. A node holding a
+    /// whole subtree runs it in postorder on one worker, so an update whose
+    /// parent is in the same node stays on that worker's LIFO stack. Every
+    /// other update is published into a buffer of its own, freed once the
+    /// parent consumed it.
+    std::span<const index_t> node_of;
   };
 
   /// `recycled` is the store of an earlier factor, overwritten in place
@@ -84,10 +90,8 @@ class FrontTree {
   bool keeps_panels() const noexcept {
     return options_.store_factor && setup_.numeric;
   }
-  std::span<const double> take_update(index_t child);
-  void release_update(index_t child);
-  std::span<double> publish_update(index_t s, index_t entries);
-  std::int64_t update_peak_entries() const;
+  /// Whether s's update stays on its worker's LIFO update stack.
+  bool stacked(index_t s) const;
 
   const SymbolicFactor& sym_;
   const SparseSpd& a_;
@@ -102,8 +106,11 @@ class FrontTree {
   index_t front_entries_ = 0;
   std::vector<std::vector<index_t>> children_;
 
-  std::optional<StackArena> stack_;
-  std::vector<std::vector<double>> buffers_;
+  /// Whether any update stays on a worker's stack: each worker then owns
+  /// one, sized to the symbolic peak.
+  bool any_stacked_ = false;
+  /// The updates that cross tasks, each in a buffer of its own.
+  std::vector<std::unique_ptr<double[]>> buffers_;
   std::int64_t live_entries_ = 0;
   std::int64_t peak_entries_ = 0;
   std::vector<double> ready_;
@@ -148,6 +155,9 @@ class alignas(64) FrontWorker {
   FrontBlocks blocks_of(index_t s, FrontalMatrix& front, index_t level) const;
   void publish(index_t s, FrontalMatrix& front, FuOutcome outcome);
   void charge_assembly(double entries);
+  std::span<const double> take_update(index_t child);
+  void release_update(index_t child);
+  std::span<double> publish_update(index_t s, index_t entries);
 
   FrontTree* tree_;
   int lane_ = 0;
@@ -157,6 +167,10 @@ class alignas(64) FrontWorker {
   FactorContext* ctx_;
   FuExecutor* executor_;
   std::unique_ptr<StackArena> front_arena_;
+  /// The updates consumed inside this worker's walk (FrontTree::stacked).
+  std::unique_ptr<StackArena> update_stack_;
+  /// A child's relative indices during extend-add.
+  std::vector<index_t> rel_scratch_;
   obs::ScheduleRecorder* rec_;
   double start_time_ = 0.0;
   double assembly_time_ = 0.0;

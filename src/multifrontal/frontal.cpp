@@ -8,27 +8,46 @@ namespace mfgpu {
 
 namespace {
 
-std::vector<index_t> front_rows(const SupernodeInfo& sn) {
-  std::vector<index_t> rows;
-  rows.reserve(static_cast<std::size_t>(sn.front_order()));
-  for (index_t j = sn.first_col; j < sn.last_col; ++j) rows.push_back(j);
-  rows.insert(rows.end(), sn.update_rows.begin(), sn.update_rows.end());
-  return rows;
-}
+/// Front rows of ascending global rows, by one merge against the front's
+/// sorted rows: rows below last_col are the supernode's own columns and map
+/// by offset, the rest advance one cursor along the update rows.
+class RowMerge {
+ public:
+  explicit RowMerge(const SupernodeInfo& sn) : sn_(sn) {}
+
+  index_t next(index_t row) {
+    if (row < sn_.last_col) {
+      MFGPU_CHECK(row >= sn_.first_col,
+                  "FrontalMatrix: row not part of this front");
+      return row - sn_.first_col;
+    }
+    const std::span<const index_t> rows = sn_.update_rows;
+    while (u_ < rows.size() && rows[u_] < row) ++u_;
+    MFGPU_CHECK(u_ < rows.size() && rows[u_] == row,
+                "FrontalMatrix: row not part of this front");
+    return sn_.width() + static_cast<index_t>(u_);
+  }
+
+ private:
+  const SupernodeInfo& sn_;
+  std::size_t u_ = 0;
+};
 
 }  // namespace
 
 FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn)
-    : k_(sn.width()), m_(sn.num_update_rows()), rows_(front_rows(sn)) {}
+    : sn_(&sn), k_(sn.width()), m_(sn.num_update_rows()) {}
 
 FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn, MatrixView<double> panel,
-                             MatrixView<double> update)
-    : k_(sn.width()),
+                             MatrixView<double> update,
+                             std::span<index_t> scratch)
+    : sn_(&sn),
+      k_(sn.width()),
       m_(sn.num_update_rows()),
       numeric_(true),
-      rows_(front_rows(sn)),
       panel_(panel),
-      update_(update) {
+      update_(update),
+      scratch_(scratch) {
   MFGPU_CHECK(panel.rows() == order() && panel.cols() == k_ &&
                   update.rows() == m_ && update.cols() == m_,
               "FrontalMatrix: storage shape mismatch");
@@ -44,26 +63,17 @@ MatrixView<double> FrontalMatrix::update() const {
   return update_;
 }
 
-index_t FrontalMatrix::local_index(index_t global_row) const {
-  // Front rows = [first_col .. last_col) ++ update_rows; the first segment
-  // maps directly, the second via binary search (rows_ is sorted).
-  const auto it = std::lower_bound(rows_.begin(), rows_.end(), global_row);
-  MFGPU_CHECK(it != rows_.end() && *it == global_row,
-              "FrontalMatrix: row not part of this front");
-  return static_cast<index_t>(it - rows_.begin());
-}
-
-index_t FrontalMatrix::assemble_from_matrix(const SparseSpd& a,
-                                            const SupernodeInfo& sn) {
+index_t FrontalMatrix::assemble_from_matrix(const SparseSpd& a) {
   index_t moved = 0;
-  for (index_t j = sn.first_col; j < sn.last_col; ++j) {
-    const index_t local_col = j - sn.first_col;
+  for (index_t j = sn_->first_col; j < sn_->last_col; ++j) {
     const auto rows = a.column_rows(j);
-    const auto vals = a.column_values(j);
     moved += static_cast<index_t>(rows.size());
     if (!numeric_) continue;
+    const auto vals = a.column_values(j);
+    double* const column = panel_.data() + (j - sn_->first_col) * panel_.ld();
+    RowMerge merge(*sn_);
     for (std::size_t t = 0; t < rows.size(); ++t) {
-      panel_(local_index(rows[t]), local_col) += vals[t];
+      column[merge.next(rows[t])] += vals[t];
     }
   }
   return moved;
@@ -78,27 +88,24 @@ index_t FrontalMatrix::extend_add(std::span<const index_t> child_rows,
   const index_t entries = packed_lower_size(mc);
   if (!numeric_) return entries;
 
-  // Relative indices: child rows are a subset of this front's rows.
-  std::vector<index_t> rel(static_cast<std::size_t>(mc));
-  for (index_t t = 0; t < mc; ++t) {
-    rel[static_cast<std::size_t>(t)] = local_index(child_rows[static_cast<std::size_t>(t)]);
-  }
-  // Both rel indices increase with their arguments, so ci >= cj and the
-  // target stays in the lower triangle. Child columns that are this
+  MFGPU_CHECK(scratch_.size() >= child_rows.size(),
+              "extend_add: relative-index scratch too small");
+  index_t* const rel = scratch_.data();
+  RowMerge merge(*sn_);
+  for (index_t t = 0; t < mc; ++t) rel[t] = merge.next(child_rows[t]);
+  // Both rel indices increase with their arguments, so rel[i] >= rel[j] and
+  // the target stays in the lower triangle. Child columns that are this
   // supernode's columns come first and land in the panel; the rest land in
-  // the update block, shifted by k.
+  // the update block, shifted by k. The packed columns are read in order.
+  const double* src = child_update_packed.data();
   for (index_t j = 0; j < mc; ++j) {
-    const index_t cj = rel[static_cast<std::size_t>(j)];
-    const double* column =
-        child_update_packed.data() + packed_index(mc, j, j) - j;
+    const index_t cj = rel[j];
     if (cj < k_) {
-      for (index_t i = j; i < mc; ++i) {
-        panel_(rel[static_cast<std::size_t>(i)], cj) += column[i];
-      }
+      double* const column = panel_.data() + cj * panel_.ld();
+      for (index_t i = j; i < mc; ++i) column[rel[i]] += *src++;
     } else {
-      for (index_t i = j; i < mc; ++i) {
-        update_(rel[static_cast<std::size_t>(i)] - k_, cj - k_) += column[i];
-      }
+      double* const column = update_.data() + (cj - k_) * update_.ld();
+      for (index_t i = j; i < mc; ++i) column[rel[i] - k_] += *src++;
     }
   }
   return entries;
@@ -109,10 +116,10 @@ index_t FrontalMatrix::pack_update(std::span<double> out) const {
   MFGPU_CHECK(static_cast<index_t>(out.size()) == entries,
               "pack_update: output size mismatch");
   if (!numeric_) return entries;
+  double* dst = out.data();
   for (index_t j = 0; j < m_; ++j) {
-    for (index_t i = j; i < m_; ++i) {
-      out[static_cast<std::size_t>(packed_index(m_, i, j))] = update_(i, j);
-    }
+    const double* const tail = update_.data() + j * update_.ld() + j;
+    dst = std::copy(tail, tail + (m_ - j), dst);
   }
   return entries;
 }

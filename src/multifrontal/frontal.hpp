@@ -3,7 +3,6 @@
 #pragma once
 
 #include <span>
-#include <vector>
 
 #include "dense/matrix.hpp"
 #include "sparse/csc.hpp"
@@ -14,24 +13,29 @@ namespace mfgpu {
 /// One front of order s = k + m, in two blocks of caller storage: the
 /// panel (s x k: the supernode's columns, L1 on top of L2), which the
 /// drivers place in the factor's own store, and the m x m update block.
-/// Only lower triangles are referenced. Row/column i of the front
-/// corresponds to global (permuted) index rows()[i], where the first k
-/// entries are the supernode's own columns; front column j < k is panel
-/// column j, and column j >= k is update column j - k.
+/// Only lower triangles are referenced. Front row/column i is global
+/// (permuted) index first_col + i for i < k, the supernode's own columns,
+/// and update_rows[i - k] after them; front column j < k is panel column
+/// j, and column j >= k is update column j - k.
+///
+/// Global rows map to front rows by one merge of a sorted row list against
+/// the front's sorted rows. The supernode is read in place and must outlive
+/// the front.
 class FrontalMatrix {
  public:
   /// A shape-only front for timing-only dry runs: assembly counts entries
   /// and touches no storage.
   explicit FrontalMatrix(const SupernodeInfo& sn);
   /// A front in caller-provided storage, already zeroed; it must outlive
-  /// this object.
+  /// this object. `scratch` receives a child's relative indices during
+  /// extend_add, so it must hold as many entries as any child has update
+  /// rows.
   FrontalMatrix(const SupernodeInfo& sn, MatrixView<double> panel,
-                MatrixView<double> update);
+                MatrixView<double> update, std::span<index_t> scratch);
 
   index_t k() const noexcept { return k_; }
   index_t m() const noexcept { return m_; }
   index_t order() const noexcept { return k_ + m_; }
-  std::span<const index_t> rows() const noexcept { return rows_; }
 
   MatrixView<double> panel() const;
   MatrixView<double> l1() const { return panel().block(0, 0, k_, k_); }
@@ -40,7 +44,7 @@ class FrontalMatrix {
 
   /// Scatter the supernode's columns of A (lower triangle) into the panel.
   /// Returns the number of entries moved (for assembly-cost charging).
-  index_t assemble_from_matrix(const SparseSpd& a, const SupernodeInfo& sn);
+  index_t assemble_from_matrix(const SparseSpd& a);
 
   /// Extend-add a child's packed-lower update matrix. `child_rows` are the
   /// child's update rows (global indices, sorted — a subset of this front's
@@ -54,14 +58,13 @@ class FrontalMatrix {
   index_t pack_update(std::span<double> out) const;
 
  private:
-  index_t local_index(index_t global_row) const;
-
+  const SupernodeInfo* sn_;
   index_t k_ = 0;
   index_t m_ = 0;
   bool numeric_ = false;
-  std::vector<index_t> rows_;
   MatrixView<double> panel_;
   MatrixView<double> update_;
+  std::span<index_t> scratch_;
 };
 
 }  // namespace mfgpu

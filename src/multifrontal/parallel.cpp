@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <numeric>
 #include <optional>
 
 #include "multifrontal/batched.hpp"
@@ -12,6 +13,7 @@
 #include "sched/proportional_map.hpp"
 #include "sched/task_graph.hpp"
 #include "sched/thread_pool.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 
@@ -44,55 +46,88 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
   // one.
   if (batching) plan.batches = group_batches(sym);
   const BatchPlan& batches = plan.batches;
+  std::optional<TaskGraph> graph;
+  if (num_workers > 1) graph.emplace(build_task_graph(sym, analysis.permuted));
 
-  // Nodes in walk order: one per batch, one per unbatched supernode. Without
-  // a batch plan that is the postorder itself. With one, fronts go by
-  // ascending etree height (all children of a height-h front have height
-  // < h), so every member of a batch is independent and ready together.
-  std::vector<index_t> order(static_cast<std::size_t>(nsup));
-  for (index_t s = 0; s < nsup; ++s) order[static_cast<std::size_t>(s)] = s;
+  plan.node_of.assign(static_cast<std::size_t>(nsup), -1);
+  auto add_node = [&](index_t begin, index_t end, index_t batch) {
+    plan.node_begin.push_back(begin);
+    plan.node_end.push_back(end);
+    plan.node_batch.push_back(batch);
+  };
   if (batches.any()) {
+    // One node per batch and one per unbatched supernode, by ascending
+    // etree height (all children of a height-h front have height < h), so
+    // every member of a batch is independent and ready together.
+    std::vector<index_t> order(static_cast<std::size_t>(nsup));
+    std::iota(order.begin(), order.end(), index_t{0});
     std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
       return batches.height[static_cast<std::size_t>(a)] <
              batches.height[static_cast<std::size_t>(b)];
     });
-  }
-  auto batch_of = [&](index_t s) {
-    return batches.any() ? batches.batch_of[static_cast<std::size_t>(s)] : -1;
-  };
-  std::vector<index_t> node_of(static_cast<std::size_t>(nsup), -1);
-  std::vector<index_t> batch_node(batches.batches.size(), -1);
-  for (index_t s : order) {
-    const int b = batch_of(s);
-    index_t& node = b < 0 ? node_of[static_cast<std::size_t>(s)]
-                          : batch_node[static_cast<std::size_t>(b)];
-    if (node == -1) {
-      node = static_cast<index_t>(plan.node_single.size());
-      plan.node_single.push_back(b < 0 ? s : -1);
-      plan.node_batch.push_back(b);
+    std::vector<index_t> batch_node(batches.batches.size(), -1);
+    for (index_t s : order) {
+      const int b = batches.batch_of[static_cast<std::size_t>(s)];
+      index_t& node = b < 0 ? plan.node_of[static_cast<std::size_t>(s)]
+                            : batch_node[static_cast<std::size_t>(b)];
+      if (node == -1) {
+        node = static_cast<index_t>(plan.node_batch.size());
+        if (b < 0) {
+          add_node(s, s + 1, -1);
+        } else {
+          add_node(-1, -1, b);
+        }
+      }
+      plan.node_of[static_cast<std::size_t>(s)] = node;
     }
-    node_of[static_cast<std::size_t>(s)] = node;
+  } else {
+    // Postorder ranges: one supernode each for one worker; for more, the
+    // solve's subtree cut (symbolic/tree_stats.hpp) on factor work, so each
+    // node is a whole subtree, its root last, or a lone supernode above
+    // the cut.
+    std::vector<index_t> ptr(static_cast<std::size_t>(nsup) + 1);
+    if (graph) {
+      std::vector<double> work(static_cast<std::size_t>(nsup));
+      for (index_t s = 0; s < nsup; ++s) {
+        work[static_cast<std::size_t>(s)] = graph->work(s);
+      }
+      ptr = subtree_groups(sym, work);
+    } else {
+      std::iota(ptr.begin(), ptr.end(), index_t{0});
+    }
+    for (std::size_t g = 0; g + 1 < ptr.size(); ++g) {
+      for (index_t s = ptr[g]; s < ptr[g + 1]; ++s) {
+        plan.node_of[static_cast<std::size_t>(s)] = static_cast<index_t>(g);
+      }
+      add_node(ptr[g], ptr[g + 1], -1);
+    }
   }
-  if (num_workers == 1) return plan;
+  if (!graph) return plan;
 
   // The condensed tree for the pool. Edges follow the tree (one per
-  // member-parent pair; duplicate edges between the same nodes are fine —
-  // GraphDag counts each).
-  const auto num_nodes = static_cast<index_t>(plan.node_single.size());
-  const TaskGraph graph = build_task_graph(sym, analysis.permuted);
-  const std::vector<double> bottom = bottom_levels(graph);
-  const std::vector<int> mapping = proportional_mapping(graph, num_workers);
+  // member-parent pair that crosses nodes; duplicate edges between the same
+  // nodes are fine — GraphDag counts each).
+  const auto num_nodes = static_cast<index_t>(plan.node_batch.size());
+  const std::vector<double> bottom = bottom_levels(*graph);
+  const std::vector<int> mapping = proportional_mapping(*graph, num_workers);
+  const std::vector<index_t>& node_of = plan.node_of;
+  auto crossing_parent = [&](index_t s) {
+    const index_t p = graph->parent[static_cast<std::size_t>(s)];
+    MFGPU_CHECK(p == -1 || (p > s && p < nsup),
+                "factorize_parallel: assembly tree must be postordered");
+    return p != -1 && node_of[static_cast<std::size_t>(p)] !=
+                          node_of[static_cast<std::size_t>(s)]
+               ? p
+               : index_t{-1};
+  };
   std::vector<index_t>& succ_ptr = plan.succ_ptr;
   std::vector<index_t>& deps = plan.num_deps;
   succ_ptr.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
   deps.assign(static_cast<std::size_t>(num_nodes), 0);
   for (index_t s = 0; s < nsup; ++s) {
-    const index_t p = graph.parent[static_cast<std::size_t>(s)];
-    MFGPU_CHECK(p == -1 || (p > s && p < nsup),
-                "factorize_parallel: assembly tree must be postordered");
+    const index_t p = crossing_parent(s);
     if (p == -1) continue;
-    ++succ_ptr[static_cast<std::size_t>(
-                   node_of[static_cast<std::size_t>(s)]) +
+    ++succ_ptr[static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)]) +
                1];
     ++deps[static_cast<std::size_t>(node_of[static_cast<std::size_t>(p)])];
   }
@@ -104,7 +139,7 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
       static_cast<std::size_t>(succ_ptr[static_cast<std::size_t>(num_nodes)]));
   std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
   for (index_t s = 0; s < nsup; ++s) {
-    const index_t p = graph.parent[static_cast<std::size_t>(s)];
+    const index_t p = crossing_parent(s);
     if (p == -1) continue;
     const index_t src = node_of[static_cast<std::size_t>(s)];
     plan.succ[static_cast<std::size_t>(
@@ -137,6 +172,7 @@ FrontTree::Setup walk_setup(const PoolPlan& plan, bool numeric) {
   setup.numeric = numeric;
   setup.plan = plan.batches.any() ? &plan.batches : nullptr;
   setup.update_stack = plan.num_workers == 1 && setup.plan == nullptr;
+  setup.node_of = plan.node_of;
   return setup;
 }
 
@@ -146,14 +182,16 @@ FrontTree::Setup walk_setup(const PoolPlan& plan, bool numeric) {
 FactorizeResult walk(FrontTree& tree, std::span<FrontWorker> workers,
                      const PoolPlan& plan, ThreadPool* pool) {
   auto run_node = [&](index_t node, FrontWorker& worker) {
-    const index_t b = plan.node_batch[static_cast<std::size_t>(node)];
-    if (b >= 0) {
-      worker.run_batch(b);
-    } else {
-      worker.run_front(plan.node_single[static_cast<std::size_t>(node)]);
+    const auto nd = static_cast<std::size_t>(node);
+    if (plan.node_batch[nd] >= 0) {
+      worker.run_batch(plan.node_batch[nd]);
+      return;
+    }
+    for (index_t s = plan.node_begin[nd]; s < plan.node_end[nd]; ++s) {
+      worker.run_front(s);
     }
   };
-  const auto num_nodes = static_cast<index_t>(plan.node_single.size());
+  const auto num_nodes = static_cast<index_t>(plan.node_batch.size());
   const int num_workers = static_cast<int>(workers.size());
   if (num_workers == 1) {
     for (index_t node = 0; node < num_nodes; ++node) {

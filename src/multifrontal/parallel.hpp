@@ -12,9 +12,12 @@
 // makespan depends on which thread wins a steal.
 //
 // Execution model
-//   - One worker per WorkerSpec. With more than one, worker deques are
-//     seeded with the leaves via proportional mapping, so whole subtrees
-//     stay worker-local and only separator update matrices cross queues;
+//   - One worker per WorkerSpec. With more than one (and no batching),
+//     the tree is cut as the solve cuts it: every maximal subtree carrying
+//     at most 1/64 of the factor work is one pool node, walked in postorder
+//     on one worker, and each supernode above the cut is a node of its
+//     own. Worker deques are seeded via proportional mapping, so only the
+//     update matrices of the nodes' top supernodes cross queues;
 //     critical-path (bottom-level) priority orders each worker's seeds.
 //   - Every worker is a FrontWorker owning its full execution state: a
 //     FactorContext (virtual host clock + calibrated host model), a
@@ -22,9 +25,11 @@
 //     for GPU-bearing workers — a private simulated Device with its own
 //     streams, so no gpusim state is ever shared between threads. Every
 //     node runs the same front step; only the traversal differs.
-//   - On the pool a parent assembles only after its ready-counter hits zero
-//     (acquire-release hand-off); children publish packed update matrices
-//     in per-task buffers, freed as soon as the parent consumed them.
+//   - On the pool a node runs only after its ready-counter hits zero
+//     (acquire-release hand-off). Inside a subtree node, updates go on the
+//     worker's own LIFO update stack, as in the one-worker walk; a node's
+//     top supernode publishes its packed update in a buffer of its own,
+//     freed as soon as the parent consumed it.
 //
 // Time has two domains here. Wall-clock time is real (kernels do real work
 // on real threads; see bench/bench_parallel_scaling.cpp). Virtual time is
@@ -86,8 +91,10 @@ std::unique_ptr<FuExecutor> default_worker_executor(
 
 /// The values-independent half of a run, reusable across refactors of one
 /// analysis: the batch plan and the assembly tree condensed to one node per
-/// batch (or per unbatched front). Nodes are numbered in the one-worker
-/// walk order: postorder, or height-major (ascending etree height, then
+/// batch, per unbatched front or — with more than one worker and no
+/// batching — per subtree group (subtree_groups, symbolic/tree_stats.hpp,
+/// on TaskGraph::work: F-U ops plus assembly entries). Nodes are numbered
+/// in walk order: postorder, or height-major (ascending etree height, then
 /// supernode; a batch at its first member) when batched. With more than
 /// one worker the plan also holds the condensed tree in the pool's CSR
 /// form, with each node's critical-path priority and proportional-mapping
@@ -95,10 +102,14 @@ std::unique_ptr<FuExecutor> default_worker_executor(
 struct PoolPlan {
   int num_workers = 0;
   BatchPlan batches;
-  /// Per node: its supernode (-1 for a batch node) and its batch (-1 for a
-  /// single front).
-  std::vector<index_t> node_single;
+  /// Per node: the postorder range [node_begin, node_end) of its
+  /// supernodes — one front, or a whole subtree whose root is the last —
+  /// empty for a batch node, and its batch (-1 unless a batch node).
+  std::vector<index_t> node_begin;
+  std::vector<index_t> node_end;
   std::vector<index_t> node_batch;
+  /// Per supernode: the node it runs in.
+  std::vector<index_t> node_of;
   /// More than one worker only.
   std::vector<index_t> succ_ptr;
   std::vector<index_t> succ;

@@ -66,16 +66,13 @@ std::vector<TaskWork> backward_work(const SymbolicFactor& sym,
   return work;
 }
 
-/// Cut the tree into subtree groups (kSubtreeGroupShare) and build the two
+/// Cut the tree into subtree groups (subtree_groups) and build the two
 /// grouped sweep DAGs from the runs that cross a group boundary.
 void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   const index_t nsup = sched.num_supernodes;
-  auto parent = [&](index_t s) {
-    return sym.supernodes()[static_cast<std::size_t>(s)].parent;
-  };
 
-  // Each supernode's work in both sweeps at one right-hand side, and each
-  // subtree's, folded into the parent in postorder.
+  // Each supernode's work in both sweeps at one right-hand side: factor
+  // entries plus update rows.
   std::vector<double> own(static_cast<std::size_t>(nsup));
   {
     const std::vector<TaskWork> fwd = forward_work(sym, sched);
@@ -84,40 +81,17 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
       own[i] = fwd[i].entries + fwd[i].rows + bwd[i].entries + bwd[i].rows;
     }
   }
-  std::vector<double> subtree(static_cast<std::size_t>(nsup), 0.0);
-  double total = 0.0;
-  for (index_t s = 0; s < nsup; ++s) {
-    const auto i = static_cast<std::size_t>(s);
-    subtree[i] += own[i];
-    if (parent(s) == -1) {
-      total += subtree[i];
-    } else {
-      subtree[static_cast<std::size_t>(parent(s))] += subtree[i];
-    }
-  }
-
-  // A light subtree under a heavy parent (or a light tree) closes a group
-  // spanning its whole postorder range; a heavy supernode is a group of
-  // its own. Subtree work only grows toward the root, so every supernode
-  // lands in exactly one group and the groups tile 0..nsup-1 in order.
-  const double grain = kSubtreeGroupShare * total;
+  sched.group_ptr = subtree_groups(sym, own);
   std::vector<index_t> group_of(static_cast<std::size_t>(nsup));
-  sched.group_ptr.assign(1, 0);
-  for (index_t s = 0; s < nsup; ++s) {
-    const bool light = subtree[static_cast<std::size_t>(s)] <= grain;
-    const index_t p = parent(s);
-    if (light && p != -1 && subtree[static_cast<std::size_t>(p)] <= grain) {
-      continue;  // closed by the light ancestor
-    }
-    const index_t g = sched.num_groups();
+  for (index_t g = 0; g < sched.num_groups(); ++g) {
     double work = 0.0;
-    for (index_t m = sched.group_ptr.back(); m <= s; ++m) {
+    for (index_t m = sched.group_ptr[static_cast<std::size_t>(g)];
+         m < sched.group_ptr[static_cast<std::size_t>(g) + 1]; ++m) {
       const auto i = static_cast<std::size_t>(m);
       group_of[i] = g;
       work += own[i];
     }
     sched.group_work.push_back(work);
-    sched.group_ptr.push_back(s + 1);
   }
 
   // Forward edges: one per (source group, target group) pair of a run that

@@ -7,11 +7,13 @@
 //     independent (Ruipeng Li, "On Parallel Solution of Sparse Triangular
 //     Linear Systems in CUDA"). build_solve_schedule() extracts the level
 //     structure plus the exact dependency runs between supernodes once per
-//     symbolic analysis, and cuts the tree once into SUBTREE GROUPS: every
-//     maximal subtree whose sweep work is at most kSubtreeGroupShare of the
-//     whole is one group, and each supernode above that cut is a group of
-//     its own (the "layer 0" of subtree-to-core codes, as in Le Fevre et
-//     al.'s A64FX solver). A group is a contiguous postorder range, so a
+//     symbolic analysis, and cuts the tree once into SUBTREE GROUPS
+//     (subtree_groups, symbolic/tree_stats.hpp — the factor's pool uses
+//     the same cut): every maximal subtree whose sweep work (factor entries
+//     plus update rows of both sweeps, for one right-hand side) is at most
+//     kSubtreeGroupShare of the whole is one group, and each supernode
+//     above that cut is a group of its own (the "layer 0" of
+//     subtree-to-core codes, as in Le Fevre et al.'s A64FX solver). A group is a contiguous postorder range, so a
 //     forward task runs its members in ascending order and a backward task
 //     in descending order. The cut depends on the pattern alone, never on
 //     the thread or RHS count. Only runs between groups become edges of the
@@ -52,6 +54,7 @@
 #include "dense/matrix.hpp"
 #include "multifrontal/factorization.hpp"
 #include "symbolic/symbolic_factor.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 
@@ -66,12 +69,6 @@ struct SolveRun {
   index_t t_begin = 0;
   index_t t_end = 0;
 };
-
-/// Largest share of the pattern's total sweep work (factor entries plus
-/// update rows of both sweeps, for one right-hand side) that one subtree
-/// group may carry. A subtree at most this heavy runs as one serial task;
-/// the supernodes above the cut run one task each.
-inline constexpr double kSubtreeGroupShare = 1.0 / 64.0;
 
 /// One sweep's task DAG over the subtree groups in the pool's CSR form
 /// (sched/thread_pool.hpp GraphDag): group g notifies

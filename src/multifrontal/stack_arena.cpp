@@ -14,13 +14,18 @@ StackArena::StackArena(index_t capacity_entries)
 }
 
 std::span<double> StackArena::push(index_t entries) {
+  const std::span<double> block = push_for_overwrite(entries);
+  std::fill(block.begin(), block.end(), 0.0);
+  return block;
+}
+
+std::span<double> StackArena::push_for_overwrite(index_t entries) {
   MFGPU_CHECK(entries >= 0, "StackArena: negative block size");
   MFGPU_CHECK(top_ + entries <= capacity_,
               "StackArena: overflow — symbolic peak estimate violated");
   offsets_.push_back(top_);
   std::span<double> block(buffer_.get() + top_,
                           static_cast<std::size_t>(entries));
-  std::fill(block.begin(), block.end(), 0.0);
   top_ += entries;
   peak_ = std::max(peak_, top_);
   if (obs::enabled()) {

@@ -7,6 +7,8 @@
 //   classic multifrontal "update stack") bounds working memory by the
 //   symbolic peak_update_stack_entries() instead of the sum over all
 //   supernodes.
+//   A multi-worker walk gives each worker such a stack for the updates
+//   that stay inside one subtree task.
 // - The per-worker front arena of factorize_parallel and
 //   factorize_cluster: each task pushes its working front and pops it when
 //   the task ends.
@@ -29,6 +31,8 @@ class StackArena {
 
   /// Push a block of `entries` doubles (zero-initialized); returns its view.
   std::span<double> push(index_t entries);
+  /// The same block left uninitialized, for a caller that writes all of it.
+  std::span<double> push_for_overwrite(index_t entries);
   /// View of the i-th block from the top (0 = topmost).
   std::span<double> from_top(index_t i);
   /// Pop the topmost block.

@@ -156,6 +156,12 @@ void SparseSpd::gather_values(std::span<const double> from,
   }
 }
 
+void SparseSpd::assign_values(std::span<const double> values) {
+  MFGPU_CHECK(values.size() == values_.size(),
+              "SparseSpd::assign_values: size mismatch");
+  std::copy(values.begin(), values.end(), values_.begin());
+}
+
 std::uint64_t SparseSpd::pattern_fingerprint() const noexcept {
   std::uint64_t hash = kFnvOffsetBasis;
   hash = fnv1a_bytes(&n_, sizeof(n_), hash);

@@ -53,11 +53,13 @@ class SparseSpd {
   /// without redoing its per-column sort.
   void gather_values(std::span<const double> from,
                      std::span<const index_t> value_source);
+  /// Overwrite the values in place with those of a same-pattern matrix.
+  void assign_values(std::span<const double> values);
 
   /// FNV-1a hash of the sparsity pattern (n, col_ptr, row_idx) — values are
   /// NOT included, so all matrices sharing one pattern share one
-  /// fingerprint. This is the key of the serving layer's analysis cache and
-  /// of Solver::refactor's pattern compatibility check. O(nnz) per call;
+  /// fingerprint. This is the key of the serving layer's analysis cache.
+  /// O(nnz) per call;
   /// callers on hot paths should hash once and keep the result.
   std::uint64_t pattern_fingerprint() const noexcept;
   /// FNV-1a hash of the numeric values only (pattern excluded). Two

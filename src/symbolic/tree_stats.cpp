@@ -27,6 +27,45 @@ SupernodeHeights supernode_heights(const SymbolicFactor& sym) {
   return out;
 }
 
+std::vector<index_t> subtree_groups(const SymbolicFactor& sym,
+                                    std::span<const double> work) {
+  const index_t nsup = sym.num_supernodes();
+  const auto snodes = sym.supernodes();
+  MFGPU_CHECK(static_cast<index_t>(work.size()) == nsup,
+              "subtree_groups: one work value per supernode");
+  auto parent = [&](index_t s) {
+    return snodes[static_cast<std::size_t>(s)].parent;
+  };
+  // Each subtree's work, folded into the parent in postorder.
+  std::vector<double> subtree(static_cast<std::size_t>(nsup), 0.0);
+  double total = 0.0;
+  for (index_t s = 0; s < nsup; ++s) {
+    const auto i = static_cast<std::size_t>(s);
+    subtree[i] += work[i];
+    if (parent(s) == -1) {
+      total += subtree[i];
+    } else {
+      subtree[static_cast<std::size_t>(parent(s))] += subtree[i];
+    }
+  }
+
+  // A light subtree under a heavy parent (or a light tree) closes a group
+  // spanning its whole postorder range; a heavy supernode is a group of
+  // its own. Subtree work only grows toward the root, so every supernode
+  // lands in exactly one group and the groups tile 0..nsup-1 in order.
+  const double grain = kSubtreeGroupShare * total;
+  std::vector<index_t> ptr(1, 0);
+  for (index_t s = 0; s < nsup; ++s) {
+    const bool light = subtree[static_cast<std::size_t>(s)] <= grain;
+    const index_t p = parent(s);
+    if (light && p != -1 && subtree[static_cast<std::size_t>(p)] <= grain) {
+      continue;  // closed by the light ancestor
+    }
+    ptr.push_back(s + 1);
+  }
+  return ptr;
+}
+
 TreeStats supernode_tree_stats(const SymbolicFactor& sym) {
   TreeStats stats;
   stats.num_supernodes = sym.num_supernodes();

@@ -4,6 +4,7 @@
 // better than 2-D ones — the paper's closing remark).
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "symbolic/symbolic_factor.hpp"
@@ -21,6 +22,21 @@ struct SupernodeHeights {
 };
 
 SupernodeHeights supernode_heights(const SymbolicFactor& sym);
+
+/// Largest share of the total work one subtree group of subtree_groups()
+/// may carry.
+inline constexpr double kSubtreeGroupShare = 1.0 / 64.0;
+
+/// The subtree-to-core cut of the assembly tree (after Le Fevre et al.'s
+/// A64FX solver), shared by the parallel factor and the solve sweeps: every
+/// maximal subtree whose work is at most kSubtreeGroupShare of the whole
+/// becomes one group, walked in postorder by one task, and each supernode
+/// above the cut is a group of its own. `work` is each supernode's own
+/// work. Returns the group boundaries: group g is the postorder range
+/// [ptr[g], ptr[g+1]), and its last member is the root of the subtree the
+/// group covers.
+std::vector<index_t> subtree_groups(const SymbolicFactor& sym,
+                                    std::span<const double> work);
 
 struct TreeStats {
   index_t num_supernodes = 0;

@@ -299,6 +299,19 @@ TEST(SolverPhases, RefactorRejectsDifferentPattern) {
   const GridProblem other_pattern = make_laplacian_2d_9pt(8, 8);
   ASSERT_EQ(other_pattern.matrix.n(), p.matrix.n());
   EXPECT_THROW(solver.refactor(other_pattern.matrix), InvalidArgumentError);
+  // Same n, col_ptr and nnz, with one row index moved: only the row indices
+  // tell the patterns apart.
+  const std::vector<index_t> col_ptr(p.matrix.col_ptr().begin(),
+                                     p.matrix.col_ptr().end());
+  std::vector<index_t> row_idx(p.matrix.row_idx().begin(),
+                               p.matrix.row_idx().end());
+  const std::size_t last_of_col0 = static_cast<std::size_t>(col_ptr[1]) - 1;
+  ASSERT_LT(row_idx[last_of_col0] + 1, p.matrix.n());
+  ++row_idx[last_of_col0];
+  const SparseSpd moved(p.matrix.n(), col_ptr, row_idx,
+                        std::vector<double>(p.matrix.values().begin(),
+                                            p.matrix.values().end()));
+  EXPECT_THROW(solver.refactor(moved), InvalidArgumentError);
 }
 
 TEST(SolverPhases, CoordinatesNeedNotOutliveAnalyze) {

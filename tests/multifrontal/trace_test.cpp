@@ -112,8 +112,9 @@ TEST(TraceTest, RecordCallStampsBoundRequestId) {
 
   std::ostringstream os;
   trace.write_csv(os);
-  EXPECT_NE(os.str().find("," + std::to_string(ctx.request_id) + "\n"),
-            std::string::npos);
+  std::string row_end = ",";
+  row_end.append(std::to_string(ctx.request_id)).append("\n");
+  EXPECT_NE(os.str().find(row_end), std::string::npos);
 }
 
 TEST(TraceTest, RecordCallAccumulatesAndPublishesMetrics) {

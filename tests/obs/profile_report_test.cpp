@@ -16,6 +16,7 @@
 #include <vector>
 
 #include "core/solver.hpp"
+#include "multifrontal/parallel.hpp"
 #include "obs/obs.hpp"
 #include "sparse/generators.hpp"
 
@@ -93,7 +94,13 @@ TEST(ProfileReportTest, IdealHybridParallelEndToEnd) {
                       [](std::int64_t acc, const obs::WorkerProfile& w) {
                         return acc + w.tasks;
                       });
-  EXPECT_EQ(tasks_total, nsup);
+  // Pool tasks are the plan's nodes: subtree groups and the supernodes
+  // above the cut.
+  ParallelFactorizeOptions plan_options;
+  plan_options.workers = options.workers;
+  const PoolPlan plan = plan_pool(solver.analysis(), plan_options);
+  EXPECT_EQ(tasks_total, static_cast<std::int64_t>(plan.node_batch.size()));
+  EXPECT_LT(tasks_total, nsup);
   EXPECT_GE(report.pool_utilization, 0.0);
   EXPECT_LE(report.pool_utilization, 1.0 + 1e-12);
 

@@ -20,8 +20,11 @@
 //
 // Exit codes: 0 success; 1 usage/setup error; 2 --check-trace validation
 // failed.
+#include <cerrno>
+#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -150,17 +153,32 @@ int main(int argc, char** argv) {
     auto next = [&]() -> const char* {
       return i + 1 < argc ? argv[++i] : nullptr;
     };
+    // A count flag's whole value must be a positive int.
+    auto count = [&](int& out) {
+      const char* v = next();
+      char* end = nullptr;
+      errno = 0;
+      const long long value = v != nullptr ? std::strtoll(v, &end, 10) : 0;
+      if (v == nullptr || end == v || *end != '\0' || errno == ERANGE ||
+          value < 1 || value > std::numeric_limits<int>::max()) {
+        std::cerr << "mfgpu_explain: " << arg
+                  << " wants a positive count, got '" << (v != nullptr ? v : "")
+                  << "'\n";
+        return false;
+      }
+      out = static_cast<int>(value);
+      return true;
+    };
     if (arg == "--nx") {
-      if (const char* v = next()) args.nx = std::stoi(v); else return usage();
+      if (!count(args.nx)) return usage();
     } else if (arg == "--ny") {
-      if (const char* v = next()) args.ny = std::stoi(v); else return usage();
+      if (!count(args.ny)) return usage();
     } else if (arg == "--nz") {
-      if (const char* v = next()) args.nz = std::stoi(v); else return usage();
+      if (!count(args.nz)) return usage();
     } else if (arg == "--mode") {
       if (const char* v = next()) args.mode = v; else return usage();
     } else if (arg == "--workers") {
-      if (const char* v = next()) args.workers = std::stoi(v);
-      else return usage();
+      if (!count(args.workers)) return usage();
     } else if (arg == "--batching") {
       const char* v = next();
       const std::string value = v != nullptr ? v : "";
