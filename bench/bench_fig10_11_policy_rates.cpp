@@ -1,8 +1,9 @@
 // Figures 10 and 11 — effective flop rate of the four policies (Fig. 10)
 // and their speedup over the host implementation (Fig. 11) as functions of
-// the total op count of a factor-update call, plus the transition points
-// that define the baseline hybrid P_BH. Paper transitions: P1 -> P2 at
-// ~2e6 ops, P2 -> P3 at ~1.5e7, P3 -> P4 at ~9e10.
+// the total op count of a factor-update call, plus the measured points
+// where the simulator's winners change, next to the paper's transitions
+// that every P_BH dispatches: P1 -> P2 at ~2e6 ops, P2 -> P3 at ~1.5e7,
+// P3 -> P4 at ~9e10.
 #include "common.hpp"
 
 #include <cmath>

@@ -61,7 +61,7 @@ int main() {
   }
   const PolicyDataset dataset = build_dataset(dims, timer);
   const TrainedPolicyModel model = train_expected_time(dataset);
-  const BaselineThresholds thresholds = derive_thresholds(timer);
+  const BaselineThresholds thresholds = paper_thresholds();
 
   const Chooser ideal = [&timer](index_t m, index_t k) {
     return timer.best_policy(FuCall{.m = m, .k = k});

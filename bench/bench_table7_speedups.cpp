@@ -26,7 +26,6 @@ int main() {
   }
   const PolicyDataset dataset = build_dataset(dims, timer);
   const TrainedPolicyModel model = train_expected_time(dataset);
-  const BaselineThresholds thresholds = derive_thresholds(timer);
 
   // Copy-optimized variant: retrain on copy-optimized timings (paper: "a
   // new model was learned with these results").
@@ -53,9 +52,9 @@ int main() {
     };
 
     PolicyExecutor p2(Policy::P2), p3(Policy::P3), p4(Policy::P4);
-    DispatchExecutor ideal = make_ideal_hybrid(timer);
+    DispatchExecutor ideal = make_ideal_hybrid();
     DispatchExecutor model_exec = make_model_hybrid(model);
-    DispatchExecutor baseline = make_baseline_hybrid(thresholds);
+    DispatchExecutor baseline = make_baseline_hybrid(paper_thresholds());
     DispatchExecutor copy_exec = make_model_hybrid(copy_model, copy_opt);
 
     // Multi-worker runs on the fan-both engine: 4 CPU nodes, and 2 GPU

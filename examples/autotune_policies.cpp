@@ -28,7 +28,7 @@ int main() {
 
   // 2. Train the classifier by minimizing expected computation time.
   const TrainedPolicyModel model_hybrid = train_expected_time(dataset);
-  const BaselineThresholds thresholds = derive_thresholds(timer);
+  const BaselineThresholds thresholds = paper_thresholds();
   const HybridEvaluation eval =
       evaluate_hybrids(dataset, model_hybrid, thresholds);
   std::printf(
@@ -61,7 +61,7 @@ int main() {
     return factorize(analysis, exec, ctx, opt).trace.total_time;
   };
   PolicyExecutor p1(Policy::P1);
-  DispatchExecutor ideal = make_ideal_hybrid(timer);
+  DispatchExecutor ideal = make_ideal_hybrid();
   DispatchExecutor model_exec = make_model_hybrid(model_hybrid);
   DispatchExecutor baseline = make_baseline_hybrid(thresholds);
   const double t1 = run(p1, false);

@@ -23,7 +23,9 @@
 // CPU worker plus two GPU workers (each with a private simulated device).
 // Parallel runs are bitwise-reproducible: the factor equals the serial one.
 // Every count flag (--repeat, --threads, --solve-threads, --rhs) wants a
-// whole number of at least 1.
+// whole number of at least 1. A bad --mode, --ordering or --workers value,
+// or --save-model without --mode model, is a usage error too, reported
+// before any matrix is built or written.
 //
 // --solve-threads N runs the triangular solves as a level-scheduled
 // dependency DAG on N solve threads (multifrontal/parallel_solve.hpp);
@@ -55,6 +57,7 @@
 #include <iostream>
 #include <limits>
 #include <string>
+#include <vector>
 
 #include "autotune/model_io.hpp"
 #include "core/solver.hpp"
@@ -95,13 +98,14 @@ struct CliOptions {
   std::string matrix_path;
   index_t nx = 12, ny = 12, nz = 10;
   bool elasticity = false;
-  std::string mode = "baseline";
-  std::string ordering = "nd";
+  std::string mode_name = "baseline";
+  SolverMode mode = SolverMode::BaselineHybrid;
+  OrderingChoice ordering = OrderingChoice::NestedDissection;
   int repeat = 1;
   int threads = 1;
   int solve_threads = 1;
   index_t rhs = 1;  // --rhs N: blocked multi-RHS solve of N right-hand sides
-  std::string workers;  // e.g. "cgg": CPU + two GPU workers
+  std::vector<WorkerSpec> workers;  // --workers "cgg": CPU + two GPU workers
   bool batch = false;
   std::string save_model;
   std::string load_model;
@@ -110,6 +114,23 @@ struct CliOptions {
   std::string metrics_path;  // overrides MFGPU_METRICS
   std::string report_path;   // profiler report JSON
 };
+
+SolverMode parse_mode(const std::string& mode, const char* argv0) {
+  if (mode == "serial") return SolverMode::Serial;
+  if (mode == "baseline") return SolverMode::BaselineHybrid;
+  if (mode == "model") return SolverMode::ModelHybrid;
+  if (mode == "ideal") return SolverMode::IdealHybrid;
+  std::fprintf(stderr, "unknown --mode: '%s'\n", mode.c_str());
+  usage(argv0);
+}
+
+OrderingChoice parse_ordering(const std::string& ordering, const char* argv0) {
+  if (ordering == "natural") return OrderingChoice::Natural;
+  if (ordering == "md") return OrderingChoice::MinimumDegree;
+  if (ordering == "nd") return OrderingChoice::NestedDissection;
+  std::fprintf(stderr, "unknown --ordering: '%s'\n", ordering.c_str());
+  usage(argv0);
+}
 
 CliOptions parse(int argc, char** argv) {
   constexpr long long kMaxInt = std::numeric_limits<int>::max();
@@ -147,9 +168,10 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--elasticity") {
       cli.elasticity = true;
     } else if (arg == "--mode") {
-      cli.mode = next("--mode");
+      cli.mode_name = next("--mode");
+      cli.mode = parse_mode(cli.mode_name, argv[0]);
     } else if (arg == "--ordering") {
-      cli.ordering = next("--ordering");
+      cli.ordering = parse_ordering(next("--ordering"), argv[0]);
     } else if (arg == "--repeat") {
       cli.repeat = static_cast<int>(count_flag("--repeat", kMaxInt));
     } else if (arg == "--threads") {
@@ -160,7 +182,14 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--rhs") {
       cli.rhs = count_flag("--rhs", std::numeric_limits<index_t>::max());
     } else if (arg == "--workers") {
-      cli.workers = next("--workers");
+      cli.workers.clear();
+      for (char c : next("--workers")) {
+        if (c != 'c' && c != 'g') {
+          std::fprintf(stderr, "--workers wants a string of 'c'/'g'\n");
+          usage(argv[0]);
+        }
+        cli.workers.push_back(WorkerSpec{.has_gpu = (c == 'g')});
+      }
     } else if (arg == "--batch" || arg.rfind("--batch=", 0) == 0) {
       const std::string value =
           arg == "--batch" ? next("--batch") : arg.substr(std::strlen("--batch="));
@@ -194,22 +223,11 @@ CliOptions parse(int argc, char** argv) {
       usage(argv[0]);
     }
   }
+  if (!cli.save_model.empty() && cli.mode != SolverMode::ModelHybrid) {
+    std::fprintf(stderr, "--save-model requires --mode model\n");
+    usage(argv[0]);
+  }
   return cli;
-}
-
-SolverMode parse_mode(const std::string& mode) {
-  if (mode == "serial") return SolverMode::Serial;
-  if (mode == "baseline") return SolverMode::BaselineHybrid;
-  if (mode == "model") return SolverMode::ModelHybrid;
-  if (mode == "ideal") return SolverMode::IdealHybrid;
-  throw InvalidArgumentError("unknown --mode: " + mode);
-}
-
-OrderingChoice parse_ordering(const std::string& ordering) {
-  if (ordering == "natural") return OrderingChoice::Natural;
-  if (ordering == "md") return OrderingChoice::MinimumDegree;
-  if (ordering == "nd") return OrderingChoice::NestedDissection;
-  throw InvalidArgumentError("unknown --ordering: " + ordering);
 }
 
 }  // namespace
@@ -249,7 +267,7 @@ int main(int argc, char** argv) {
     if (!cli.matrix_path.empty()) {
       problem.matrix = read_matrix_market(cli.matrix_path);
       problem.name = cli.matrix_path;
-      if (cli.ordering == "nd") {
+      if (cli.ordering == OrderingChoice::NestedDissection) {
         std::fprintf(stderr,
                      "note: --ordering nd needs grid coordinates; falling "
                      "back to minimum degree for file input\n");
@@ -272,21 +290,16 @@ int main(int argc, char** argv) {
 
     // Solver configuration.
     SolverOptions options;
-    options.mode = parse_mode(cli.mode);
-    options.ordering = (!cli.matrix_path.empty() && cli.ordering == "nd")
+    options.mode = cli.mode;
+    options.ordering = (!cli.matrix_path.empty() &&
+                        cli.ordering == OrderingChoice::NestedDissection)
                            ? OrderingChoice::MinimumDegree
-                           : parse_ordering(cli.ordering);
+                           : cli.ordering;
     options.coordinates = problem.coords;
     options.num_threads = cli.threads;
     options.solve_threads = cli.solve_threads;
     options.batching = cli.batch;
-    for (char c : cli.workers) {
-      if (c != 'c' && c != 'g') {
-        std::fprintf(stderr, "--workers wants a string of 'c'/'g'\n");
-        return 2;
-      }
-      options.workers.push_back(WorkerSpec{.has_gpu = (c == 'g')});
-    }
+    options.workers = cli.workers;
 
     // Phase-split API: the symbolic handle is built once and could be
     // refactored with new values (see examples/refactor_loop.cpp).
@@ -306,7 +319,7 @@ int main(int argc, char** argv) {
     std::printf(
         "factorization: %.4f simulated s under mode '%s' "
         "(%.4f wall s, ~%.4f s per solve)\n",
-        solver.factor_time(), cli.mode.c_str(), solver.factor_wall_seconds(),
+        solver.factor_time(), cli.mode_name.c_str(), solver.factor_wall_seconds(),
         solver.solve_time_estimate());
     for (int p = 1; p <= kMaxPolicyIndex; ++p) {
       if (breakdown.calls[static_cast<std::size_t>(p)] == 0) continue;
@@ -319,10 +332,6 @@ int main(int argc, char** argv) {
 
     // Persist / reuse the trained model.
     if (!cli.save_model.empty()) {
-      if (solver.model() == nullptr) {
-        std::fprintf(stderr, "--save-model requires --mode model\n");
-        return 2;
-      }
       save_policy_model(cli.save_model, *solver.model());
       std::printf("saved policy model to %s\n", cli.save_model.c_str());
     }

@@ -32,8 +32,7 @@ int main() {
   const FactorizeResult host_run = factorize(analysis, p1, host_ctx);
 
   // Hybrid factorization: ideal per-front policy on the simulated T10.
-  PolicyTimer timer;
-  DispatchExecutor hybrid = make_ideal_hybrid(timer);
+  DispatchExecutor hybrid = make_ideal_hybrid();
   Device device;
   FactorContext gpu_ctx;
   gpu_ctx.device = &device;

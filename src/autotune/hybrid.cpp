@@ -5,24 +5,24 @@
 
 namespace mfgpu {
 
-DispatchExecutor make_ideal_hybrid(PolicyTimer& timer,
-                                   ExecutorOptions options) {
+DispatchExecutor make_ideal_hybrid(ExecutorOptions options) {
   // One memoized dry-run argmin per (m, k), shared between the chooser and
   // the predictor that fills FuCallRecord::predicted_seconds, so each
   // unique shape is simulated once.
+  auto timer = std::make_shared<PolicyTimer>(options);
   struct BestCall {
     Policy policy = Policy::P1;
     double seconds = 0.0;
   };
   auto cache =
       std::make_shared<std::map<std::pair<index_t, index_t>, BestCall>>();
-  auto best_of = [&timer, cache](const FuCall& call) -> const BestCall& {
+  auto best_of = [timer, cache](const FuCall& call) -> const BestCall& {
     const auto key = std::make_pair(call.m, call.k);
     auto it = cache->find(key);
     if (it == cache->end()) {
       BestCall best;
-      best.policy = timer.best_policy(call);
-      best.seconds = timer.time(best.policy, call);
+      best.policy = timer->best_policy(call);
+      best.seconds = timer->time(best.policy, call);
       it = cache->emplace(key, best).first;
     }
     return it->second;

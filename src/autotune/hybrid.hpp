@@ -1,7 +1,8 @@
 // The three hybrid dispatchers the paper compares (Section VI-C):
 //   P_IH — ideal hybrid: retrospective argmin over the observed timings
 //   P_MH — model hybrid: the trained classifier
-//   P_BH — baseline hybrid: op-count thresholds (policy/baseline_hybrid.hpp)
+//   P_BH — baseline hybrid: the paper's op-count thresholds
+//          (paper_thresholds(), policy/baseline_hybrid.hpp)
 // plus per-call evaluation metrics (regret vs ideal, accuracy).
 #pragma once
 
@@ -13,10 +14,11 @@
 
 namespace mfgpu {
 
-/// Ideal-hybrid dispatcher: memoized dry-run argmin per (m, k). `timer`
-/// must outlive the returned executor.
-DispatchExecutor make_ideal_hybrid(PolicyTimer& timer,
-                                   ExecutorOptions options = {});
+/// Ideal-hybrid dispatcher: memoized dry-run argmin per (m, k). It owns
+/// its oracle, a PolicyTimer priced under the same `options` it executes
+/// with, so the executor is self-contained (one per worker: the timer is not
+/// thread-safe).
+DispatchExecutor make_ideal_hybrid(ExecutorOptions options = {});
 
 /// Model-hybrid dispatcher around a trained classifier (copied in).
 DispatchExecutor make_model_hybrid(const TrainedPolicyModel& model,

@@ -17,33 +17,6 @@ namespace mfgpu {
 
 namespace {
 
-/// Ideal-hybrid executor with its OWN timing oracle. PolicyTimer memoizes
-/// through a private simulated device and is not thread-safe, so each GPU
-/// worker owns one.
-class OwnedTimerIdealHybrid : public FuExecutor {
- public:
-  explicit OwnedTimerIdealHybrid(const ExecutorOptions& options)
-      : timer_(std::make_unique<PolicyTimer>(options)),
-        inner_(make_ideal_hybrid(*timer_, options)) {}
-
-  FuOutcome execute(FrontBlocks front, FactorContext& ctx) override {
-    return inner_.execute(front, ctx);
-  }
-  std::vector<FuOutcome> execute_batch(std::span<FrontBlocks> fronts,
-                                       FactorContext& ctx) override {
-    return inner_.execute_batch(fronts, ctx);
-  }
-  void prepare(index_t max_m, index_t max_k, FactorContext& ctx) override {
-    inner_.prepare(max_m, max_k, ctx);
-  }
-  const char* name() const override { return inner_.name(); }
-  std::int64_t fault_count() const override { return inner_.fault_count(); }
-
- private:
-  std::unique_ptr<PolicyTimer> timer_;  // must outlive inner_
-  DispatchExecutor inner_;
-};
-
 /// Every driver extend-adds children in the fixed serial order;
 /// deterministic_reduction is a pinned input whose only valid value is true.
 void check_reduction_order(const SolverOptions& options) {
@@ -180,7 +153,9 @@ WorkerExecutorFactory Solver::Impl::worker_factory() {
         if (!spec.has_gpu) {
           return std::make_unique<PolicyExecutor>(Policy::P1, executor_options);
         }
-        return std::make_unique<OwnedTimerIdealHybrid>(executor_options);
+        // Each GPU worker gets its own ideal hybrid, and so its own oracle.
+        return std::make_unique<DispatchExecutor>(
+            make_ideal_hybrid(executor_options));
       };
   }
   throw InvalidArgumentError("Solver: invalid mode");

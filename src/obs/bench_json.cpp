@@ -1,10 +1,8 @@
 #include "obs/bench_json.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <cstdlib>
 #include <fstream>
-#include <limits>
 #include <ostream>
 #include <sstream>
 
@@ -13,13 +11,6 @@
 
 namespace mfgpu::obs {
 namespace {
-
-std::string full_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  return buf;
-}
 
 const char* direction_token(MetricDirection direction) {
   switch (direction) {

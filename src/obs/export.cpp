@@ -22,13 +22,6 @@ std::string us_from_sim_seconds(double seconds) {
   return buf;
 }
 
-std::string full_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  return buf;
-}
-
 void write_args(std::ostream& os, const SpanEvent& ev, bool sim_track) {
   os << "\"args\":{";
   bool first = true;
@@ -89,6 +82,13 @@ void write_metadata(std::ostream& os, int pid, const char* what,
 }
 
 }  // namespace
+
+std::string full_double(double value) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%.*g",
+                std::numeric_limits<double>::max_digits10, value);
+  return buf;
+}
 
 std::string json_escape(std::string_view text) {
   std::string out;

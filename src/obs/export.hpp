@@ -33,4 +33,8 @@ void write_metrics_csv(std::ostream& os,
 /// JSON string escaping (shared with the writers; exposed for tests).
 std::string json_escape(std::string_view text);
 
+/// `value` printed with max_digits10 significant digits, so it reads back
+/// to the same double (shared by every JSON writer).
+std::string full_double(double value);
+
 }  // namespace mfgpu::obs

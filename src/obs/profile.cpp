@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <limits>
 #include <map>
 #include <ostream>
@@ -20,13 +19,6 @@ namespace {
 
 /// Bin edge length of the (m, k) grid (the paper's Fig. 14; Fig. 2 uses 500).
 constexpr index_t kMkBin = 250;
-
-std::string full_double(double value) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.*g",
-                std::numeric_limits<double>::max_digits10, value);
-  return buf;
-}
 
 double span_wall(const SpanEvent& ev) {
   return static_cast<double>(std::max<std::int64_t>(0, ev.end_ns - ev.start_ns)) /

@@ -9,10 +9,13 @@ BaselineThresholds paper_thresholds() { return BaselineThresholds{}; }
 
 namespace {
 
+/// The front shape of the threshold sweep: m = kSweepShape * k.
+constexpr double kSweepShape = 2.0;
+
 /// Find the op count at which `hi` first beats `lo` along the sweep, by
 /// bisection on a log-spaced scan (the paper fits the rate-difference curve
 /// and estimates its zero; a scan is equivalent at our resolution).
-double find_transition(PolicyTimer& timer, Policy lo, Policy hi, double shape,
+double find_transition(PolicyTimer& timer, Policy lo, Policy hi,
                        double ops_min, double ops_max) {
   double last_lo_wins = ops_min;
   double first_hi_wins = ops_max;
@@ -20,11 +23,12 @@ double find_transition(PolicyTimer& timer, Policy lo, Policy hi, double shape,
   for (int i = 0; i <= steps; ++i) {
     const double ops =
         ops_min * std::pow(ops_max / ops_min, static_cast<double>(i) / steps);
-    // Given m = shape * k: ops = k^3 (1/3 + shape + shape^2)  =>  k.
-    const double k_real =
-        std::cbrt(ops / (1.0 / 3.0 + shape + shape * shape));
+    // Given m = s * k: ops = k^3 (1/3 + s + s^2)  =>  k.
+    const double k_real = std::cbrt(
+        ops / (1.0 / 3.0 + kSweepShape + kSweepShape * kSweepShape));
     const index_t k = std::max<index_t>(1, static_cast<index_t>(k_real));
-    const index_t m = static_cast<index_t>(shape * static_cast<double>(k));
+    const index_t m =
+        static_cast<index_t>(kSweepShape * static_cast<double>(k));
     const FuCall call{.m = m, .k = k};
     if (timer.time(hi, call) < timer.time(lo, call)) {
       first_hi_wins = std::min(first_hi_wins, ops);
@@ -37,13 +41,11 @@ double find_transition(PolicyTimer& timer, Policy lo, Policy hi, double shape,
 
 }  // namespace
 
-BaselineThresholds derive_thresholds(PolicyTimer& timer, double shape) {
+BaselineThresholds derive_thresholds(PolicyTimer& timer) {
   BaselineThresholds t;
-  t.p1_to_p2 = find_transition(timer, Policy::P1, Policy::P2, shape, 1e3, 1e9);
-  t.p2_to_p3 =
-      find_transition(timer, Policy::P2, Policy::P3, shape, t.p1_to_p2, 1e10);
-  t.p3_to_p4 =
-      find_transition(timer, Policy::P3, Policy::P4, shape, t.p2_to_p3, 1e12);
+  t.p1_to_p2 = find_transition(timer, Policy::P1, Policy::P2, 1e3, 1e9);
+  t.p2_to_p3 = find_transition(timer, Policy::P2, Policy::P3, t.p1_to_p2, 1e10);
+  t.p3_to_p4 = find_transition(timer, Policy::P3, Policy::P4, t.p2_to_p3, 1e12);
   return t;
 }
 

@@ -15,13 +15,15 @@ struct BaselineThresholds {
   double p3_to_p4 = 9.0e10;
 };
 
-/// The paper's published thresholds.
+/// The paper's published thresholds: the one set every P_BH dispatches
+/// (the Solver, Table VII, the Fig. 12-14 maps).
 BaselineThresholds paper_thresholds();
 
-/// Re-derive the thresholds from this simulator's own policy timings by
-/// sweeping op counts along a representative front shape (m = shape * k)
-/// and locating the winner changes — the procedure the paper describes.
-BaselineThresholds derive_thresholds(PolicyTimer& timer, double shape = 2.0);
+/// Measure where this simulator's per-call winners change, by sweeping op
+/// counts along a representative front shape (m = 2k) — the procedure the
+/// paper used to read its thresholds off Figs. 10-11. A measurement only
+/// (Fig. 10/11 reports it); every P_BH dispatches paper_thresholds().
+BaselineThresholds derive_thresholds(PolicyTimer& timer);
 
 Policy baseline_choice(const BaselineThresholds& thresholds,
                        const FuCall& call);

@@ -865,18 +865,17 @@ FuOutcome DispatchExecutor::execute_tolerant(const FrontBlocks& front,
   return out;
 }
 
-PolicyTimer::PolicyTimer(ExecutorOptions options, ProcessorModel host,
-                         Device::Options device_options, bool warm_pools) {
-  device_options.numeric = false;
-  device_ = std::make_unique<Device>(device_options);
-  ctx_.host_model = host;
+PolicyTimer::PolicyTimer(ExecutorOptions options) {
+  Device::Options dry;
+  dry.numeric = false;
+  device_ = std::make_unique<Device>(dry);
   ctx_.device = device_.get();
   ctx_.numeric = false;
   for (int p = 1; p <= 4; ++p) {
     executors_[static_cast<std::size_t>(p - 1)] =
         std::make_unique<PolicyExecutor>(policy_from_index(p), options);
   }
-  if (warm_pools) warm_up(10000, 10000);
+  warm_up(10000, 10000);
 }
 
 void PolicyTimer::warm_up(index_t m, index_t k) {

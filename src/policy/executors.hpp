@@ -121,17 +121,12 @@ class DispatchExecutor : public FuExecutor {
 /// classifier's training data.
 class PolicyTimer {
  public:
-  /// By default the pools are warmed with one maximal call per policy so
+  /// Prices calls under `options` on the Xeon 5160 host and a default dry
+  /// device. The pools are warmed with one maximal call per policy so
   /// reported times reflect the steady state of the paper's high-water
   /// allocation policy (a cold timer would charge every pool growth to the
   /// call that triggered it).
-  explicit PolicyTimer(ExecutorOptions options = {},
-                       ProcessorModel host = xeon5160_model(),
-                       Device::Options device_options = {},
-                       bool warm_pools = true);
-
-  /// Run one dry call of every policy at (m, k) to size the pools.
-  void warm_up(index_t m, index_t k);
+  explicit PolicyTimer(ExecutorOptions options = {});
 
   /// Host-visible duration (seconds) of one F-U call under `policy`.
   double time(Policy policy, const FuCall& call);
@@ -149,6 +144,9 @@ class PolicyTimer {
   double time_batched(const FuCall& call, int batch);
 
  private:
+  /// Run one dry call of every policy at (m, k) to size the pools.
+  void warm_up(index_t m, index_t k);
+
   FactorContext ctx_;
   std::unique_ptr<Device> device_;
   std::array<std::unique_ptr<PolicyExecutor>, 4> executors_;

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "ordering/nested_dissection.hpp"
 #include "sparse/generators.hpp"
 
@@ -23,28 +25,24 @@ class HybridTest : public ::testing::Test {
     const auto dims = dims_from_symbolic(an.symbolic);
     dataset_ = new PolicyDataset(build_dataset(dims, *timer_));
     model_ = new TrainedPolicyModel(train_expected_time(*dataset_));
-    thresholds_ = new BaselineThresholds(derive_thresholds(*timer_));
   }
   static void TearDownTestSuite() {
     delete timer_;
     delete dataset_;
     delete model_;
-    delete thresholds_;
   }
 
   static PolicyTimer* timer_;
   static PolicyDataset* dataset_;
   static TrainedPolicyModel* model_;
-  static BaselineThresholds* thresholds_;
 };
 
 PolicyTimer* HybridTest::timer_ = nullptr;
 PolicyDataset* HybridTest::dataset_ = nullptr;
 TrainedPolicyModel* HybridTest::model_ = nullptr;
-BaselineThresholds* HybridTest::thresholds_ = nullptr;
 
 TEST_F(HybridTest, IdealHybridPicksPerCallArgmin) {
-  DispatchExecutor ideal = make_ideal_hybrid(*timer_);
+  DispatchExecutor ideal = make_ideal_hybrid();
   FactorContext ctx;
   Device::Options dry;
   dry.numeric = false;
@@ -57,9 +55,36 @@ TEST_F(HybridTest, IdealHybridPicksPerCallArgmin) {
   EXPECT_GE(huge.record.policy, 3);
 }
 
+/// Returns an ideal hybrid and keeps nothing else alive: every timer the
+/// executor uses must be its own.
+DispatchExecutor ideal_hybrid_from_helper() { return make_ideal_hybrid(); }
+
+TEST_F(HybridTest, IdealHybridOwnsItsOracle) {
+  DispatchExecutor ideal = ideal_hybrid_from_helper();
+  FactorContext ctx;
+  Device::Options dry;
+  dry.numeric = false;
+  Device device(dry);
+  ctx.device = &device;
+  ctx.numeric = false;
+  const std::pair<index_t, index_t> shapes[] = {
+      {30, 15}, {400, 200}, {2000, 1000}, {8000, 4000}, {400, 200}};
+  for (const auto& [m, k] : shapes) {
+    const FuCall call{.m = m, .k = k};
+    const FuOutcome out = ideal.execute(make_shape_blocks(m, k), ctx);
+    const Policy best = timer_->best_policy(call);
+    EXPECT_EQ(out.record.policy, static_cast<int>(best)) << m << "x" << k;
+    // Oracles with different histories agree up to the roundoff of their
+    // absolute simulated clocks.
+    const double seconds = timer_->time(best, call);
+    EXPECT_NEAR(out.record.predicted_seconds, seconds, 1e-9 * seconds)
+        << m << "x" << k;
+  }
+}
+
 TEST_F(HybridTest, ModelTracksIdealClosely) {
   const HybridEvaluation eval =
-      evaluate_hybrids(*dataset_, *model_, *thresholds_);
+      evaluate_hybrids(*dataset_, *model_, paper_thresholds());
   // Paper Section VI: model within ~2% of ideal; we allow 6% on the dense
   // generic grid. Baseline must not beat the ideal.
   EXPECT_LT(eval.model_regret(), 0.06);
@@ -71,7 +96,7 @@ TEST_F(HybridTest, ModelBeatsBaseline) {
   // Paper abstract: "the model-based hybrid approach boosts the speedup by
   // 5-10% over the baseline hybrid scheme".
   const HybridEvaluation eval =
-      evaluate_hybrids(*dataset_, *model_, *thresholds_);
+      evaluate_hybrids(*dataset_, *model_, paper_thresholds());
   EXPECT_LT(eval.total_model, eval.total_baseline * 1.005);
 }
 

@@ -24,12 +24,10 @@ class EndToEndTest : public ::testing::Test {
     problem_ = new GridProblem(make_elasticity_3d(4, 4, 3, 3, rng));
     analysis_ = new Analysis(
         analyze(problem_->matrix, nested_dissection(problem_->coords)));
-    timer_ = new PolicyTimer();
   }
   static void TearDownTestSuite() {
     delete problem_;
     delete analysis_;
-    delete timer_;
   }
 
   static std::vector<double> ones_rhs() {
@@ -42,12 +40,10 @@ class EndToEndTest : public ::testing::Test {
 
   static GridProblem* problem_;
   static Analysis* analysis_;
-  static PolicyTimer* timer_;
 };
 
 GridProblem* EndToEndTest::problem_ = nullptr;
 Analysis* EndToEndTest::analysis_ = nullptr;
-PolicyTimer* EndToEndTest::timer_ = nullptr;
 
 TEST_F(EndToEndTest, EveryDispatcherSolvesTheSystem) {
   std::vector<std::unique_ptr<FuExecutor>> executors;
@@ -57,7 +53,7 @@ TEST_F(EndToEndTest, EveryDispatcherSolvesTheSystem) {
   executors.push_back(std::make_unique<DispatchExecutor>(
       make_baseline_hybrid(paper_thresholds())));
   executors.push_back(
-      std::make_unique<DispatchExecutor>(make_ideal_hybrid(*timer_)));
+      std::make_unique<DispatchExecutor>(make_ideal_hybrid()));
 
   const auto b = ones_rhs();
   for (auto& exec : executors) {
@@ -84,7 +80,7 @@ TEST_F(EndToEndTest, GpuDispatchersBeatSerialInVirtualTime) {
   const double t_serial =
       factorize(*analysis_, p1, serial_ctx).trace.total_time;
 
-  DispatchExecutor ideal = make_ideal_hybrid(*timer_);
+  DispatchExecutor ideal = make_ideal_hybrid();
   FactorContext hybrid_ctx;
   Device::Options dry;
   dry.numeric = false;

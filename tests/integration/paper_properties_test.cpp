@@ -137,8 +137,7 @@ TEST_F(PaperPropertiesTest, EndToEndHybridSpeedupInPaperRange) {
   opt.store_factor = false;
   const double t1 = factorize(*analysis_, p1, serial, opt).trace.total_time;
 
-  PolicyTimer timer;
-  DispatchExecutor ideal = make_ideal_hybrid(timer);
+  DispatchExecutor ideal = make_ideal_hybrid();
   FactorContext hybrid;
   Device::Options dry;
   dry.numeric = false;
@@ -174,7 +173,6 @@ TEST_F(PaperPropertiesTest, TwoDProblemsSpeedupLess) {
   // problems" — 2-D fronts stay small, so the hybrid gains less.
   const GridProblem p2d = make_laplacian_2d_9pt(60, 60);
   const Analysis an2d = analyze(p2d.matrix, nested_dissection(p2d.coords));
-  PolicyTimer timer;
 
   auto hybrid_speedup = [&](const Analysis& an) {
     PolicyExecutor p1(Policy::P1);
@@ -183,7 +181,7 @@ TEST_F(PaperPropertiesTest, TwoDProblemsSpeedupLess) {
     FactorizeOptions opt;
     opt.store_factor = false;
     const double t1 = factorize(an, p1, serial, opt).trace.total_time;
-    DispatchExecutor ideal = make_ideal_hybrid(timer);
+    DispatchExecutor ideal = make_ideal_hybrid();
     FactorContext hybrid;
     Device::Options dry;
     dry.numeric = false;

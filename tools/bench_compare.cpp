@@ -17,9 +17,11 @@
 // missing from the current file is a failure; metrics without a baseline
 // are reported but do not gate.
 #include <algorithm>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <filesystem>
+#include <optional>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -35,6 +37,18 @@ void usage(const char* argv0) {
                "[--metric-tolerance=NAME=FRACTION]...\n"
                "       %s --dir BASELINE_DIR CURRENT_DIR [options...]\n",
                argv0, argv0);
+}
+
+/// The whole of `text` as a finite double, or nothing.
+std::optional<double> parse_fraction(std::string_view text) {
+  const std::string owned(text);
+  char* end = nullptr;
+  const double value = std::strtod(owned.c_str(), &end);
+  if (owned.empty() || end != owned.c_str() + owned.size() ||
+      !std::isfinite(value)) {
+    return std::nullopt;
+  }
+  return value;
 }
 
 const char* direction_label(mfgpu::obs::MetricDirection direction) {
@@ -92,23 +106,27 @@ int main(int argc, char** argv) {
     if (arg == "--dir") {
       dir_mode = true;
     } else if (arg.rfind("--tolerance=", 0) == 0) {
-      options.default_tolerance =
-          std::atof(std::string(arg.substr(12)).c_str());
-      if (options.default_tolerance <= 0.0) {
+      const std::optional<double> tolerance = parse_fraction(arg.substr(12));
+      if (!tolerance || *tolerance <= 0.0) {
         std::fprintf(stderr, "bench_compare: invalid %s\n", argv[i]);
+        usage(argv[0]);
         return 2;
       }
+      options.default_tolerance = *tolerance;
     } else if (arg.rfind("--metric-tolerance=", 0) == 0) {
       const std::string_view spec = arg.substr(19);
       const std::size_t eq = spec.rfind('=');
-      if (eq == std::string_view::npos || eq == 0) {
+      const std::optional<double> tolerance =
+          eq == std::string_view::npos ? std::nullopt
+                                       : parse_fraction(spec.substr(eq + 1));
+      if (eq == 0 || !tolerance || *tolerance < 0.0) {
         std::fprintf(stderr, "bench_compare: expected NAME=TOL in %s\n",
                      argv[i]);
+        usage(argv[0]);
         return 2;
       }
-      options.tolerance_overrides.emplace_back(
-          std::string(spec.substr(0, eq)),
-          std::atof(std::string(spec.substr(eq + 1)).c_str()));
+      options.tolerance_overrides.emplace_back(std::string(spec.substr(0, eq)),
+                                               *tolerance);
     } else if (arg == "--help" || arg == "-h") {
       usage(argv[0]);
       return 0;
