@@ -278,41 +278,6 @@ void trsm_right_lower_transpose(const Leaves<T>& lv, Diag diag,
   }
 }
 
-/// The diagonal block of the left trsm, column by column: L X = B by
-/// forward substitution, or L^T X = B by backward substitution with one
-/// dot product per row. Columns are solved kCols at a time so that their
-/// independent sums overlap; each column's operations are those of a
-/// one-column solve.
-template <typename T, int kCols>
-void trsm_left_leaf(Trans trans, Diag diag, MatrixView<const T> l,
-                    MatrixView<T> b, index_t j0) {
-  const index_t n = l.rows();
-  T* x[kCols];
-  for (int c = 0; c < kCols; ++c) x[c] = &b(0, j0 + c);
-  if (trans == Trans::NoTrans) {
-    for (index_t p = 0; p < n; ++p) {
-      const T* __restrict__ lcol = &l(0, p);
-      for (int c = 0; c < kCols; ++c) {
-        if (diag == Diag::NonUnit) x[c][p] /= lcol[p];
-        const T xp = x[c][p];
-        for (index_t i = p + 1; i < n; ++i) x[c][i] -= lcol[i] * xp;
-      }
-    }
-    return;
-  }
-  for (index_t p = n - 1; p >= 0; --p) {
-    const T* __restrict__ lcol = &l(0, p);
-    T sum[kCols];
-    for (int c = 0; c < kCols; ++c) sum[c] = x[c][p];
-    for (index_t i = p + 1; i < n; ++i) {
-      for (int c = 0; c < kCols; ++c) sum[c] -= lcol[i] * x[c][i];
-    }
-    for (int c = 0; c < kCols; ++c) {
-      x[c][p] = (diag == Diag::NonUnit) ? sum[c] / lcol[p] : sum[c];
-    }
-  }
-}
-
 /// L X = B (NoTrans) or L^T X = B (Transpose) in place, blocked like the
 /// right trsm: each diagonal block of kTrsmBlock rows is solved by the leaf,
 /// and the micro-kernel carries its rows to the rest of X: forward, it
@@ -327,6 +292,7 @@ void trsm_left_lower(const Leaves<T>& lv, Trans trans, Diag diag,
   const index_t cols = b.cols();
   if (n == 0 || cols == 0) return;
   const index_t blocks = (n + kTrsmBlock - 1) / kTrsmBlock;
+  T inv[kTrsmBlock];
   for (index_t q = 0; q < blocks; ++q) {
     const index_t j0 =
         kTrsmBlock * (trans == Trans::NoTrans ? q : blocks - 1 - q);
@@ -338,12 +304,11 @@ void trsm_left_lower(const Leaves<T>& lv, Trans trans, Diag diag,
                 l.block(j0 + jb, j0, rest, jb), b.block(j0 + jb, 0, rest, cols),
                 xb, /*lower=*/false);
     }
-    const MatrixView<const T> diag_block = l.block(j0, j0, jb, jb);
-    index_t c = 0;
-    for (; c + 4 <= cols; c += 4) {
-      trsm_left_leaf<T, 4>(trans, diag, diag_block, xb, c);
+    for (index_t j = 0; j < jb; ++j) {
+      inv[j] = (diag == Diag::NonUnit) ? T{1} / l(j0 + j, j0 + j) : T{1};
     }
-    for (; c < cols; ++c) trsm_left_leaf<T, 1>(trans, diag, diag_block, xb, c);
+    lv.trsm_left(trans == Trans::Transpose, jb, cols, &l(j0, j0), l.ld(), inv,
+                 xb.data(), xb.ld());
     if (trans == Trans::NoTrans && rest > 0) {
       update<T>(lv, Trans::NoTrans, Trans::NoTrans, T{-1},
                 l.block(j0 + jb, j0, rest, jb), xb,

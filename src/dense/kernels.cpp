@@ -254,6 +254,198 @@ template <typename T, typename V, int SV>
   }
 }
 
+/// acc -= l * x over U vectors: one term of a left-solve row.
+template <typename T, typename V, int U>
+[[gnu::always_inline]] inline void trsm_left_term(V* acc, T l, const V* x) {
+#pragma GCC unroll 4
+  for (int u = 0; u < U; ++u) acc[u] -= l * x[u];
+}
+
+/// Rows [i0, i0 + R) of the left solve on a block of columns held row by
+/// row, U vectors V per row at x + i * xs: L X = B gives x_i = (b_i -
+/// sum_{p<i} l_ip x_p) * inv_i with its terms in ascending p, L^T X = B
+/// gives x_i = (b_i - sum_{p>i} l_pi x_p) * inv_i with its terms in
+/// descending p. The rows the group needs are solved already; the group's
+/// own triangle is solved last, in the same term order.
+template <typename T, typename V, int U, int R>
+[[gnu::always_inline]] inline void trsm_left_rows(bool transpose, index_t n,
+                                                  index_t i0, const T* l,
+                                                  index_t ldl, const T* inv,
+                                                  T* x, index_t xs) {
+  constexpr int kLanes = sizeof(V) / sizeof(T);
+  V acc[R][U];
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int u = 0; u < U; ++u) {
+      std::memcpy(&acc[r][u], x + (i0 + r) * xs + u * kLanes, sizeof(V));
+    }
+  }
+  if (!transpose) {
+    for (index_t p = 0; p < i0; ++p) {
+      V xp[U];
+#pragma GCC unroll 4
+      for (int u = 0; u < U; ++u) {
+        std::memcpy(&xp[u], x + p * xs + u * kLanes, sizeof(V));
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        trsm_left_term<T, V, U>(acc[r], l[i0 + r + p * ldl], xp);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+      for (int q = 0; q < r; ++q) {
+        trsm_left_term<T, V, U>(acc[r], l[i0 + r + (i0 + q) * ldl], acc[q]);
+      }
+#pragma GCC unroll 4
+      for (int u = 0; u < U; ++u) acc[r][u] *= inv[i0 + r];
+    }
+  } else {
+    for (index_t p = n - 1; p >= i0 + R; --p) {
+      V xp[U];
+#pragma GCC unroll 4
+      for (int u = 0; u < U; ++u) {
+        std::memcpy(&xp[u], x + p * xs + u * kLanes, sizeof(V));
+      }
+#pragma GCC unroll 4
+      for (int r = 0; r < R; ++r) {
+        trsm_left_term<T, V, U>(acc[r], l[p + (i0 + r) * ldl], xp);
+      }
+    }
+#pragma GCC unroll 4
+    for (int r = R - 1; r >= 0; --r) {
+#pragma GCC unroll 4
+      for (int q = R - 1; q > r; --q) {
+        trsm_left_term<T, V, U>(acc[r], l[i0 + q + (i0 + r) * ldl], acc[q]);
+      }
+#pragma GCC unroll 4
+      for (int u = 0; u < U; ++u) acc[r][u] *= inv[i0 + r];
+    }
+  }
+#pragma GCC unroll 4
+  for (int r = 0; r < R; ++r) {
+#pragma GCC unroll 4
+    for (int u = 0; u < U; ++u) {
+      std::memcpy(x + (i0 + r) * xs + u * kLanes, &acc[r][u], sizeof(V));
+    }
+  }
+}
+
+/// The whole n x n left solve on one block of columns held as in
+/// trsm_left_rows: groups of four rows in solve order, then the rows left
+/// one by one.
+template <typename T, typename V, int U>
+[[gnu::always_inline]] inline void trsm_left_block(bool transpose, index_t n,
+                                                   const T* l, index_t ldl,
+                                                   const T* inv, T* x,
+                                                   index_t xs) {
+  constexpr int kRows = 4;
+  if (!transpose) {
+    index_t i = 0;
+    for (; i + kRows <= n; i += kRows) {
+      trsm_left_rows<T, V, U, kRows>(false, n, i, l, ldl, inv, x, xs);
+    }
+    for (; i < n; ++i) {
+      trsm_left_rows<T, V, U, 1>(false, n, i, l, ldl, inv, x, xs);
+    }
+    return;
+  }
+  index_t i = n;
+  for (; i >= kRows; i -= kRows) {
+    trsm_left_rows<T, V, U, kRows>(true, n, i - kRows, l, ldl, inv, x, xs);
+  }
+  for (; i > 0; --i) {
+    trsm_left_rows<T, V, U, 1>(true, n, i - 1, l, ldl, inv, x, xs);
+  }
+}
+
+/// One column of L X = B in place, by columns of L: x_p *= inv_p, then
+/// x_i -= l_ip x_p for every i below p, down the rows in vectors of V, then
+/// of 16 bytes, then one by one. Each x_i takes the operations of
+/// trsm_left_rows: its terms in ascending p, then the multiply.
+template <typename T, typename V>
+[[gnu::always_inline]] inline void trsm_left_column(index_t n, const T* l,
+                                                    index_t ldl, const T* inv,
+                                                    T* x) {
+  constexpr index_t kLanes = sizeof(V) / sizeof(T);
+  constexpr index_t kLanes128 = sizeof(V128<T>) / sizeof(T);
+  for (index_t p = 0; p < n; ++p) {
+    const T xp = x[p] * inv[p];
+    x[p] = xp;
+    const T* const lp = l + p * ldl;
+    index_t i = p + 1;
+    for (; i + kLanes <= n; i += kLanes) {
+      V xv, lv;
+      std::memcpy(&xv, x + i, sizeof(V));
+      std::memcpy(&lv, lp + i, sizeof(V));
+      xv -= lv * xp;
+      std::memcpy(x + i, &xv, sizeof(V));
+    }
+    for (; i + kLanes128 <= n; i += kLanes128) {
+      V128<T> xv, lv;
+      std::memcpy(&xv, x + i, sizeof(xv));
+      std::memcpy(&lv, lp + i, sizeof(lv));
+      xv -= lv * xp;
+      std::memcpy(x + i, &xv, sizeof(xv));
+    }
+    for (; i < n; ++i) x[i] -= lp[i] * xp;
+  }
+}
+
+/// Columns [c, ...) of B in blocks of U vectors V: each block is copied
+/// row by row into scratch, solved there with one lane per column, and
+/// copied back. Returns the first column left over.
+template <typename T, typename V, int U>
+[[gnu::always_inline]] inline index_t trsm_left_columns(
+    bool transpose, index_t n, index_t cols, index_t c, const T* l,
+    index_t ldl, const T* inv, T* b, index_t ldb) {
+  constexpr index_t kWidth = U * (sizeof(V) / sizeof(T));
+  alignas(64) T rows[kTrsmBlock * kWidth];
+  for (; c + kWidth <= cols; c += kWidth) {
+    for (index_t j = 0; j < kWidth; ++j) {
+      const T* col = b + (c + j) * ldb;
+      for (index_t i = 0; i < n; ++i) rows[i * kWidth + j] = col[i];
+    }
+    trsm_left_block<T, V, U>(transpose, n, l, ldl, inv, rows, kWidth);
+    for (index_t j = 0; j < kWidth; ++j) {
+      T* col = b + (c + j) * ldb;
+      for (index_t i = 0; i < n; ++i) col[i] = rows[i * kWidth + j];
+    }
+  }
+  return c;
+}
+
+/// Orders from which a single column of L X = B is solved by columns of L:
+/// below it the rows' short vectors cost more than the sums they overlap.
+inline constexpr index_t kColumnSolveRows = 32;
+
+/// B(n x cols) := L^{-1} B or L^{-T} B, n <= kTrsmBlock: columns in blocks
+/// of two vectors, then one vector, then 16 bytes, each lane one column;
+/// the columns left are solved in place one at a time (L X = B of order
+/// kColumnSolveRows or more by columns of L, the rest by rows). Every lane
+/// and every single column takes the same operations, those of a
+/// one-column solve.
+template <typename T, typename V>
+[[gnu::always_inline]] inline void trsm_left_body(bool transpose, index_t n,
+                                                  index_t cols, const T* l,
+                                                  index_t ldl, const T* inv,
+                                                  T* b, index_t ldb) {
+  index_t c = trsm_left_columns<T, V, 2>(transpose, n, cols, 0, l, ldl, inv, b,
+                                         ldb);
+  c = trsm_left_columns<T, V, 1>(transpose, n, cols, c, l, ldl, inv, b, ldb);
+  c = trsm_left_columns<T, V128<T>, 1>(transpose, n, cols, c, l, ldl, inv, b,
+                                       ldb);
+  for (; c < cols; ++c) {
+    if (!transpose && n >= kColumnSolveRows) {
+      trsm_left_column<T, V>(n, l, ldl, inv, b + c * ldb);
+    } else {
+      trsm_left_block<T, T, 1>(transpose, n, l, ldl, inv, b + c * ldb, 1);
+    }
+  }
+}
+
 /// Rows [i, i + L * q) of column j of the Cholesky factor, L = lanes of V:
 /// a(r, j) = (a(r, j) - sum_{p<j} a(r, p) a(j, p)) * inv, accumulated in
 /// registers over unit-stride vectors of rows; returns the first row left
@@ -335,6 +527,12 @@ template <typename T, typename V>
     trsm_rlt_body<T, VEC<T>, STRIP>(m, nb, l, ldl, inv, b, ldb);              \
   }                                                                           \
   template <typename T>                                                       \
+  ATTR void trsm_left_##SUFFIX(bool transpose, index_t n, index_t cols,       \
+                               const T* l, index_t ldl, const T* inv, T* b,   \
+                               index_t ldb) {                                 \
+    trsm_left_body<T, VEC<T>>(transpose, n, cols, l, ldl, inv, b, ldb);       \
+  }                                                                           \
+  template <typename T>                                                       \
   ATTR index_t potrf_##SUFFIX(index_t n, T* a, index_t lda) {                 \
     return potrf_body<T, VEC<T>>(n, a, lda);                                  \
   }                                                                           \
@@ -344,7 +542,7 @@ template <typename T, typename V>
   const Leaves<T> kLeaves_##SUFFIX = {                                        \
       static_cast<index_t>(2 * sizeof(VEC<T>) / sizeof(T)), NR,               \
       micro_##SUFFIX<T>, small_##SUFFIX<T>, trsm_##SUFFIX<T>,                 \
-      potrf_##SUFFIX<T>};
+      trsm_left_##SUFFIX<T>, potrf_##SUFFIX<T>};
 
 MFGPU_DENSE_VARIANT(sse2, , V128, 6, 4)
 

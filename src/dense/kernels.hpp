@@ -18,7 +18,13 @@
 // computes the element. The unpacked leaf that takes tiny and narrow
 // products does the same operations, block by block. The right trsm
 // subtracts the gemm updates of the diagonal blocks to an element's left in
-// the same way, then the leaf's terms one by one. Packing, tiling and the
+// the same way, then the leaf's terms one by one. The left trsm does the
+// same down each column of B: the gemm updates of the diagonal blocks above
+// the element (L X = B) or below it (L^T X = B), then its leaf's terms one
+// by one, nearest the diagonal last (ascending p for L, descending p for
+// L^T), then the multiply by the reciprocal pivot. Its leaf solves blocks of
+// columns one per vector lane and the columns left one at a time; a lane
+// and a single column take the same operations. Packing, tiling and the
 // choice between the packed path and the leaf decide only which elements
 // are computed together, never the terms of an element or their order. So
 // an element's bits depend on its row of op(A), its column of op(B), its
@@ -96,6 +102,11 @@ struct Leaves {
   /// reciprocal diagonal is `inv`.
   void (*trsm_rlt)(index_t m, index_t nb, const T* l, index_t ldl,
                    const T* inv, T* b, index_t ldb);
+  /// B(n x cols) := L^{-1} B, or L^{-T} B with `transpose`, for the n x n
+  /// lower-triangular L (n <= kTrsmBlock) whose reciprocal diagonal is
+  /// `inv`.
+  void (*trsm_left)(bool transpose, index_t n, index_t cols, const T* l,
+                    index_t ldl, const T* inv, T* b, index_t ldb);
   /// Unblocked lower Cholesky of the n x n block in place; returns the first
   /// column whose pivot is not positive (its updated value left at the
   /// diagonal), or -1.

@@ -6,35 +6,6 @@
 
 namespace mfgpu {
 
-namespace {
-
-/// Front rows of ascending global rows, by one merge against the front's
-/// sorted rows: rows below last_col are the supernode's own columns and map
-/// by offset, the rest advance one cursor along the update rows.
-class RowMerge {
- public:
-  explicit RowMerge(const SupernodeInfo& sn) : sn_(sn) {}
-
-  index_t next(index_t row) {
-    if (row < sn_.last_col) {
-      MFGPU_CHECK(row >= sn_.first_col,
-                  "FrontalMatrix: row not part of this front");
-      return row - sn_.first_col;
-    }
-    const std::span<const index_t> rows = sn_.update_rows;
-    while (u_ < rows.size() && rows[u_] < row) ++u_;
-    MFGPU_CHECK(u_ < rows.size() && rows[u_] == row,
-                "FrontalMatrix: row not part of this front");
-    return sn_.width() + static_cast<index_t>(u_);
-  }
-
- private:
-  const SupernodeInfo& sn_;
-  std::size_t u_ = 0;
-};
-
-}  // namespace
-
 FrontalMatrix::FrontalMatrix(const SupernodeInfo& sn)
     : sn_(&sn), k_(sn.width()), m_(sn.num_update_rows()) {}
 

@@ -10,6 +10,33 @@
 
 namespace mfgpu {
 
+/// Front rows of ascending global rows, by one merge against the front's
+/// sorted rows: rows below last_col are the supernode's own columns and map
+/// by offset, the rest advance one cursor along the update rows. Front row
+/// i < k is column first_col + i, row k + t is update row t. The factor's
+/// assembly and extend-add and the solve's extend-add all map rows by it.
+class RowMerge {
+ public:
+  explicit RowMerge(const SupernodeInfo& sn) : sn_(sn) {}
+
+  index_t next(index_t row) {
+    if (row < sn_.last_col) {
+      MFGPU_CHECK(row >= sn_.first_col,
+                  "FrontalMatrix: row not part of this front");
+      return row - sn_.first_col;
+    }
+    const std::span<const index_t> rows = sn_.update_rows;
+    while (u_ < rows.size() && rows[u_] < row) ++u_;
+    MFGPU_CHECK(u_ < rows.size() && rows[u_] == row,
+                "FrontalMatrix: row not part of this front");
+    return sn_.width() + static_cast<index_t>(u_);
+  }
+
+ private:
+  const SupernodeInfo& sn_;
+  std::size_t u_ = 0;
+};
+
 /// One front of order s = k + m, in two blocks of caller storage: the
 /// panel (s x k: the supernode's columns, L1 on top of L2), which the
 /// drivers place in the factor's own store, and the m x m update block.

@@ -2,12 +2,14 @@
 
 #include <algorithm>
 #include <functional>
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "dense/blas.hpp"
 #include "gpusim/gpublas.hpp"  // host_assembly_rate
+#include "multifrontal/frontal.hpp"
 #include "obs/obs.hpp"
 #include "sched/thread_pool.hpp"
 #include "symbolic/tree_stats.hpp"
@@ -31,31 +33,30 @@ struct TaskWork {
   double rows = 0.0;
 };
 
-std::vector<TaskWork> forward_work(const SymbolicFactor& sym,
-                                   const SolveSchedule& sched) {
-  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
-    TaskWork& w = work[static_cast<std::size_t>(s)];
-    w.entries = pivot_triangle_entries(
-        sym.supernodes()[static_cast<std::size_t>(s)].width());
-    for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
-         i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-      const SolveRun& run =
-          sched.runs[static_cast<std::size_t>(
-              sched.in_runs[static_cast<std::size_t>(i)])];
-      const double len = static_cast<double>(run.t_end - run.t_begin);
-      w.entries += len * static_cast<double>(
-          sym.supernodes()[static_cast<std::size_t>(run.source)].width());
-      w.rows += len;
+/// Forward prices: a supernode's pivot triangle, plus the source width and
+/// one row of x for every update row (of any source) that lands in its
+/// columns. Every addend is a whole number, so the sums are exact in any
+/// order: these are the estimate's prices whatever the sweep's form.
+std::vector<TaskWork> forward_work(const SymbolicFactor& sym) {
+  const auto snodes = sym.supernodes();
+  std::vector<TaskWork> work(snodes.size());
+  for (std::size_t s = 0; s < snodes.size(); ++s) {
+    work[s].entries = pivot_triangle_entries(snodes[s].width());
+  }
+  for (const SupernodeInfo& sn : snodes) {
+    const double k = static_cast<double>(sn.width());
+    for (const index_t row : sn.update_rows) {
+      TaskWork& w = work[static_cast<std::size_t>(sym.snode_of_col(row))];
+      w.entries += k;
+      w.rows += 1.0;
     }
   }
   return work;
 }
 
-std::vector<TaskWork> backward_work(const SymbolicFactor& sym,
-                                    const SolveSchedule& sched) {
-  std::vector<TaskWork> work(static_cast<std::size_t>(sched.num_supernodes));
-  for (index_t s = 0; s < sched.num_supernodes; ++s) {
+std::vector<TaskWork> backward_work(const SymbolicFactor& sym) {
+  std::vector<TaskWork> work(static_cast<std::size_t>(sym.num_supernodes()));
+  for (index_t s = 0; s < sym.num_supernodes(); ++s) {
     const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
     TaskWork& w = work[static_cast<std::size_t>(s)];
     const double m = static_cast<double>(sn.num_update_rows());
@@ -67,7 +68,7 @@ std::vector<TaskWork> backward_work(const SymbolicFactor& sym,
 }
 
 /// Cut the tree into subtree groups (subtree_groups) and build the two
-/// grouped sweep DAGs from the runs that cross a group boundary.
+/// sweep DAGs over the group forest.
 void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   const index_t nsup = sched.num_supernodes;
 
@@ -75,8 +76,8 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   // entries plus update rows.
   std::vector<double> own(static_cast<std::size_t>(nsup));
   {
-    const std::vector<TaskWork> fwd = forward_work(sym, sched);
-    const std::vector<TaskWork> bwd = backward_work(sym, sched);
+    const std::vector<TaskWork> fwd = forward_work(sym);
+    const std::vector<TaskWork> bwd = backward_work(sym);
     for (std::size_t i = 0; i < own.size(); ++i) {
       own[i] = fwd[i].entries + fwd[i].rows + bwd[i].entries + bwd[i].rows;
     }
@@ -94,27 +95,17 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
     sched.group_work.push_back(work);
   }
 
-  // Forward edges: one per (source group, target group) pair of a run that
-  // crosses groups. Targets are ancestors, so edges point up the tree.
+  // Forward edges: each group's top hands its update to its parent's group.
   const index_t ngroups = sched.num_groups();
   SweepDag& fw = sched.forward;
   fw.succ_ptr.assign(static_cast<std::size_t>(ngroups) + 1, 0);
   fw.num_deps.assign(static_cast<std::size_t>(ngroups), 0);
-  std::vector<index_t> targets;
   for (index_t g = 0; g < ngroups; ++g) {
-    targets.clear();
-    for (index_t run = sched.out_ptr[static_cast<std::size_t>(
-             sched.group_ptr[static_cast<std::size_t>(g)])];
-         run < sched.out_ptr[static_cast<std::size_t>(
-             sched.group_ptr[static_cast<std::size_t>(g) + 1])];
-         ++run) {
-      const index_t h = group_of[static_cast<std::size_t>(
-          sched.runs[static_cast<std::size_t>(run)].target)];
-      if (h != g) targets.push_back(h);
-    }
-    std::sort(targets.begin(), targets.end());
-    targets.erase(std::unique(targets.begin(), targets.end()), targets.end());
-    for (const index_t h : targets) {
+    const index_t top = sched.group_ptr[static_cast<std::size_t>(g) + 1] - 1;
+    const index_t parent =
+        sym.supernodes()[static_cast<std::size_t>(top)].parent;
+    if (parent != -1) {
+      const index_t h = group_of[static_cast<std::size_t>(parent)];
       fw.succ.push_back(h);
       ++fw.num_deps[static_cast<std::size_t>(h)];
     }
@@ -146,6 +137,66 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   }
 }
 
+/// Children lists, and where each forward update block lives. Inside a
+/// group the blocks form the walk's LIFO stack: a supernode's children sit
+/// right above its own block (from the bottom for the group's top), in
+/// ascending order, so a supernode writes its block while its children's
+/// blocks above it are still being read, and a block stays in place until
+/// its parent consumed it. A group's top hands its block to another task:
+/// those blocks get the shared area, in group order.
+void build_update_layout(const SymbolicFactor& sym, SolveSchedule& sched) {
+  const index_t nsup = sched.num_supernodes;
+  const auto snodes = sym.supernodes();
+  auto rows_of = [&](index_t s) {
+    return snodes[static_cast<std::size_t>(s)].num_update_rows();
+  };
+  sched.child_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
+  for (const SupernodeInfo& sn : snodes) {
+    if (sn.parent != -1) {
+      ++sched.child_ptr[static_cast<std::size_t>(sn.parent) + 1];
+    }
+  }
+  for (std::size_t i = 1; i < sched.child_ptr.size(); ++i) {
+    sched.child_ptr[i] += sched.child_ptr[i - 1];
+  }
+  sched.children.resize(static_cast<std::size_t>(sched.child_ptr.back()));
+  {
+    std::vector<index_t> cursor(sched.child_ptr.begin(),
+                                sched.child_ptr.end() - 1);
+    for (index_t s = 0; s < nsup; ++s) {  // ascending: children ascending
+      const index_t p = snodes[static_cast<std::size_t>(s)].parent;
+      if (p != -1) {
+        sched.children[static_cast<std::size_t>(
+            cursor[static_cast<std::size_t>(p)]++)] = s;
+      }
+    }
+  }
+
+  std::vector<char> top(static_cast<std::size_t>(nsup), 0);
+  for (std::size_t g = 1; g < sched.group_ptr.size(); ++g) {
+    top[static_cast<std::size_t>(sched.group_ptr[g] - 1)] = 1;
+  }
+  sched.update_offset.assign(static_cast<std::size_t>(nsup), 0);
+  // Descending postorder places every parent before its children.
+  for (index_t s = nsup - 1; s >= 0; --s) {
+    const auto i = static_cast<std::size_t>(s);
+    index_t next = top[i] ? 0 : sched.update_offset[i] + rows_of(s);
+    for (index_t e = sched.child_ptr[i]; e < sched.child_ptr[i + 1]; ++e) {
+      const index_t c = sched.children[static_cast<std::size_t>(e)];
+      if (top[static_cast<std::size_t>(c)]) continue;
+      sched.update_offset[static_cast<std::size_t>(c)] = next;
+      next += rows_of(c);
+      sched.stack_rows = std::max(sched.stack_rows, next);
+    }
+  }
+  for (index_t g = 0; g < sched.num_groups(); ++g) {
+    const index_t t = sched.group_ptr[static_cast<std::size_t>(g) + 1] - 1;
+    if (snodes[static_cast<std::size_t>(t)].parent == -1) continue;
+    sched.update_offset[static_cast<std::size_t>(t)] = sched.shared_rows;
+    sched.shared_rows += rows_of(t);
+  }
+}
+
 }  // namespace
 
 SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
@@ -155,13 +206,6 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
   SupernodeHeights heights = supernode_heights(sym);
   sched.level_of = std::move(heights.height);
   sched.num_levels = heights.num_levels;
-  sched.out_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
-  sched.in_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
-  if (nsup == 0) {
-    sched.level_ptr.assign(1, 0);
-    build_groups(sym, sched);
-    return sched;
-  }
 
   // Level-major lists via counting sort (keeps supernode order within a
   // level ascending).
@@ -186,49 +230,12 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
           cursor[static_cast<std::size_t>(l)]++)] = s;
     }
   }
-
-  // Dependency runs: walk each source's (sorted) update rows and cut a run
-  // at every owner-supernode boundary. Sources ascending by construction.
-  for (index_t s = 0; s < nsup; ++s) {
-    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
-    const index_t m = sn.num_update_rows();
-    index_t t = 0;
-    while (t < m) {
-      const index_t target =
-          sym.snode_of_col(sn.update_rows[static_cast<std::size_t>(t)]);
-      // last_col is one past the target's final column: extend the run only
-      // while the rows stay strictly below it.
-      const index_t last =
-          sym.supernodes()[static_cast<std::size_t>(target)].last_col;
-      index_t end = t + 1;
-      while (end < m && sn.update_rows[static_cast<std::size_t>(end)] < last) {
-        ++end;
-      }
-      sched.runs.push_back(SolveRun{s, target, t, end});
-      ++sched.in_ptr[static_cast<std::size_t>(target) + 1];
-      t = end;
-    }
-    sched.out_ptr[static_cast<std::size_t>(s) + 1] =
-        static_cast<index_t>(sched.runs.size());
-  }
-  for (std::size_t i = 1; i < sched.in_ptr.size(); ++i) {
-    sched.in_ptr[i] += sched.in_ptr[i - 1];
-  }
-  sched.in_runs.resize(sched.runs.size());
-  {
-    std::vector<index_t> cursor(sched.in_ptr.begin(), sched.in_ptr.end() - 1);
-    for (std::size_t i = 0; i < sched.runs.size(); ++i) {
-      const index_t target = sched.runs[i].target;
-      sched.in_runs[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(target)]++)] =
-          static_cast<index_t>(i);
-    }
-  }
   for (const SupernodeInfo& sn : sym.supernodes()) {
     sched.max_update_rows =
         std::max(sched.max_update_rows, sn.num_update_rows());
   }
   build_groups(sym, sched);
+  build_update_layout(sym, sched);
   return sched;
 }
 
@@ -239,11 +246,13 @@ double host_task_seconds(const TaskWork& work, index_t num_rhs) {
          host_assembly_rate();
 }
 
-/// One worker's numeric scratch, sized once per solve from the symbolic
-/// maxima, so no task allocates: max update rows x r, a forward run's
-/// product or the backward gather.
+/// One worker's numeric scratch, sized once per solve from the schedule,
+/// so no task allocates: the forward sweep's update stack, which the
+/// backward sweep reuses for its gather of update rows, and a child's
+/// relative indices.
 struct SolveWorker {
-  std::vector<double> block;
+  std::unique_ptr<double[]> block;
+  std::unique_ptr<index_t[]> rel;
 };
 
 /// Rows [row0, row0 + rows) of a panel, all its columns.
@@ -253,36 +262,61 @@ MatrixView<const double> panel_rows(const MatrixView<double>& panel,
                                   panel.ld());
 }
 
-/// Forward task of supernode s: pull every incoming run, sources ascending,
-/// as tmp = L[run rows, :] * X[source pivot rows] then X[run rows] -= tmp;
-/// then solve the pivot block, L11 X[s] = X[s].
+/// Forward task of supernode s, a member of the group whose postorder range
+/// starts at `group_begin` and ends at `group_end`. Its front block is
+/// X[s] on top of its m x r update block U. The children's update blocks
+/// are extend-added into it in ascending child order, then L11 X[s] = X[s]
+/// and U -= L21 X[s]; U is left for the parent. A block lives on the
+/// worker's stack when its parent is in its group, else in `shared`.
 void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
                   std::span<const MatrixView<double>> panels, index_t s,
-                  MatrixView<double> x, SolveWorker& worker) {
+                  index_t group_begin, index_t group_end, MatrixView<double> x,
+                  SolveWorker& worker, double* shared) {
   const index_t r = x.cols();
-  for (index_t i = sched.in_ptr[static_cast<std::size_t>(s)];
-       i < sched.in_ptr[static_cast<std::size_t>(s) + 1]; ++i) {
-    const SolveRun& run = sched.runs[static_cast<std::size_t>(
-        sched.in_runs[static_cast<std::size_t>(i)])];
-    const SupernodeInfo& src =
-        sym.supernodes()[static_cast<std::size_t>(run.source)];
-    const index_t k = src.width();
-    const index_t len = run.t_end - run.t_begin;
-    const MatrixView<double> tmp(worker.block.data(), len, r, len);
-    gemm<double>(Trans::NoTrans, Trans::NoTrans, 1.0,
-                 panel_rows(panels[static_cast<std::size_t>(run.source)],
-                            k + run.t_begin, len),
-                 x.block(src.first_col, 0, k, r), 0.0, tmp);
-    const index_t* rows = src.update_rows.data() + run.t_begin;
-    for (index_t c = 0; c < r; ++c) {
-      for (index_t t = 0; t < len; ++t) x(rows[t], c) -= tmp(t, c);
-    }
-  }
+  const auto update_of = [&](index_t c, bool stacked) {
+    return (stacked ? worker.block.get() : shared) +
+           sched.update_offset[static_cast<std::size_t>(c)] * r;
+  };
   const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(s)];
   const index_t k = sn.width();
+  const index_t m = sn.num_update_rows();
+  const MatrixView<double> xs = x.block(sn.first_col, 0, k, r);
+  const MatrixView<double> u(update_of(s, s + 1 < group_end), m, r,
+                             std::max<index_t>(m, 1));
+  std::fill_n(u.data(), m * r, 0.0);
+  index_t* const rel = worker.rel.get();
+  for (index_t e = sched.child_ptr[static_cast<std::size_t>(s)];
+       e < sched.child_ptr[static_cast<std::size_t>(s) + 1]; ++e) {
+    const index_t c = sched.children[static_cast<std::size_t>(e)];
+    const std::span<const index_t> rows =
+        sym.supernodes()[static_cast<std::size_t>(c)].update_rows;
+    const auto mc = static_cast<index_t>(rows.size());
+    // Child rows are sorted: the ones inside s's columns come first and
+    // land in X[s], the rest in U (relative indices shifted by k).
+    index_t split = 0;
+    while (split < mc && rows[static_cast<std::size_t>(split)] < sn.last_col) {
+      ++split;
+    }
+    RowMerge merge(sn);
+    for (index_t t = 0; t < mc; ++t) {
+      rel[t] = merge.next(rows[static_cast<std::size_t>(t)]);
+    }
+    const double* uc = update_of(c, c >= group_begin);
+    for (index_t col = 0; col < r; ++col, uc += mc) {
+      double* const xcol = &xs(0, col);
+      double* const ucol = u.data() + col * u.ld();
+      for (index_t t = 0; t < split; ++t) xcol[rel[t]] += uc[t];
+      for (index_t t = split; t < mc; ++t) ucol[rel[t] - k] += uc[t];
+    }
+  }
+  const MatrixView<const double> l =
+      panel_rows(panels[static_cast<std::size_t>(s)], 0, k + m);
   trsm<double>(Side::Left, Uplo::Lower, Trans::NoTrans, Diag::NonUnit, 1.0,
-               panel_rows(panels[static_cast<std::size_t>(s)], 0, k),
-               x.block(sn.first_col, 0, k, r));
+               l.block(0, 0, k, k), xs);
+  if (m > 0) {
+    gemm<double>(Trans::NoTrans, Trans::NoTrans, -1.0, l.block(k, 0, m, k), xs,
+                 1.0, u);
+  }
 }
 
 /// Backward task of supernode s: gather G = X[update rows], then
@@ -295,7 +329,7 @@ void backward_task(const SupernodeInfo& sn, const MatrixView<double>& panel,
   const MatrixView<const double> l = panel_rows(panel, 0, k + m);
   const MatrixView<double> xs = x.block(sn.first_col, 0, k, r);
   if (m > 0) {
-    const MatrixView<double> g(worker.block.data(), m, r, m);
+    const MatrixView<double> g(worker.block.get(), m, r, m);
     for (index_t c = 0; c < r; ++c) {
       for (index_t t = 0; t < m; ++t) {
         g(t, c) = x(sn.update_rows[static_cast<std::size_t>(t)], c);
@@ -330,20 +364,27 @@ void run_sweep(const SolveSchedule& sched, const SweepDag& sweep,
 void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
                 std::span<const MatrixView<double>> panels, MatrixView<double> x,
                 ThreadPool* pool, int threads) {
+  const auto r = static_cast<std::size_t>(x.cols());
   std::vector<SolveWorker> workers(static_cast<std::size_t>(threads));
   for (auto& w : workers) {
-    w.block.resize(static_cast<std::size_t>(sched.max_update_rows) *
-                   static_cast<std::size_t>(x.cols()));
+    w.block = std::make_unique_for_overwrite<double[]>(
+        static_cast<std::size_t>(
+            std::max(sched.stack_rows, sched.max_update_rows)) * r);
+    w.rel = std::make_unique_for_overwrite<index_t[]>(
+        static_cast<std::size_t>(sched.max_update_rows));
   }
+  const auto shared = std::make_unique_for_overwrite<double[]>(
+      static_cast<std::size_t>(sched.shared_rows) * r);
   {
     obs::ScopedSpan span("solve", "forward_sweep");
     span.set_arg(0, "levels", sched.num_levels);
     span.set_arg(1, "groups", sched.num_groups());
     run_sweep(sched, sched.forward, true, pool, threads, [&](index_t g, int w) {
-      for (index_t s = sched.group_ptr[static_cast<std::size_t>(g)];
-           s < sched.group_ptr[static_cast<std::size_t>(g) + 1]; ++s) {
-        forward_task(sym, sched, panels, s, x,
-                     workers[static_cast<std::size_t>(w)]);
+      const index_t begin = sched.group_ptr[static_cast<std::size_t>(g)];
+      const index_t end = sched.group_ptr[static_cast<std::size_t>(g) + 1];
+      for (index_t s = begin; s < end; ++s) {
+        forward_task(sym, sched, panels, s, begin, end, x,
+                     workers[static_cast<std::size_t>(w)], shared.get());
       }
     });
   }
@@ -363,6 +404,21 @@ void run_sweeps(const SymbolicFactor& sym, const SolveSchedule& sched,
 }
 
 }  // namespace
+
+void for_each_column(index_t count, const ParallelSolveOptions& options,
+                     const std::function<void(index_t, int)>& body) {
+  if (options.threads == 1 || count == 1) {
+    for (index_t j = 0; j < count; ++j) body(j, 0);
+    return;
+  }
+  const std::vector<index_t> succ_ptr(static_cast<std::size_t>(count) + 1, 0);
+  const std::vector<index_t> num_deps(static_cast<std::size_t>(count), 0);
+  GraphDag dag;
+  dag.succ_ptr = succ_ptr;
+  dag.num_deps = num_deps;
+  options.pool->run_dag(
+      dag, body, static_cast<int>(std::min<index_t>(options.threads, count)));
+}
 
 Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
                      const Matrix<double>& b, index_t num_rhs,
@@ -398,28 +454,32 @@ Matrix<double> solve(const Analysis& analysis, const Factorization& factor,
   span.set_arg(1, "threads", threads);
   span.set_arg(2, "levels", sched->num_levels);
 
+  // Permute in and out one column per task, gathering through the
+  // permutation so that each column is written in order.
+  ParallelSolveOptions columns = options;
+  columns.threads = threads;
+  columns.pool = pool;
+  const auto un = static_cast<std::size_t>(n);
   Matrix<double> x(n, num_rhs);
-  {
-    std::vector<double> permuted(static_cast<std::size_t>(n));
-    for (index_t col = 0; col < num_rhs; ++col) {
-      const std::span<const double> in(b.data() + col * n,
-                                       static_cast<std::size_t>(n));
-      analysis.perm.apply(in, permuted);
-      std::copy(permuted.begin(), permuted.end(), x.data() + col * n);
-    }
-  }
+  for_each_column(num_rhs, columns, [&](index_t col, int) {
+    const std::span<const index_t> old_of_new = analysis.perm.old_of_new();
+    const double* const in = b.data() + col * n;
+    double* const out = x.data() + col * n;
+    for (std::size_t i = 0; i < un; ++i) out[i] = in[old_of_new[i]];
+  });
 
   run_sweeps(sym, *sched, factor.panels, x.view(), pool, threads);
 
-  {
-    std::vector<double> column(static_cast<std::size_t>(n));
-    for (index_t col = 0; col < num_rhs; ++col) {
-      const std::span<const double> in(x.data() + col * n,
-                                       static_cast<std::size_t>(n));
-      analysis.perm.apply_inverse(in, column);
-      std::copy(column.begin(), column.end(), x.data() + col * n);
-    }
-  }
+  std::vector<std::vector<double>> scratch(
+      static_cast<std::size_t>(std::min<index_t>(threads, num_rhs)));
+  for_each_column(num_rhs, columns, [&](index_t col, int w) {
+    const std::span<const index_t> new_of_old = analysis.perm.new_of_old();
+    std::vector<double>& column = scratch[static_cast<std::size_t>(w)];
+    column.resize(un);
+    double* const xc = x.data() + col * n;
+    for (std::size_t i = 0; i < un; ++i) column[i] = xc[new_of_old[i]];
+    std::copy(column.begin(), column.end(), xc);
+  });
 
   if (obs::enabled()) {
     auto& metrics = obs::MetricsRegistry::global();
@@ -463,8 +523,7 @@ double estimated_solve_seconds(const SymbolicFactor& sym,
   MFGPU_CHECK(threads >= 1, "estimated_solve_seconds: threads must be >= 1");
   const double t = static_cast<double>(threads);
   double total = 0.0;
-  for (const auto& work : {forward_work(sym, schedule),
-                           backward_work(sym, schedule)}) {
+  for (const auto& work : {forward_work(sym), backward_work(sym)}) {
     for (index_t l = 0; l < schedule.num_levels; ++l) {
       double level_sum = 0.0;
       double level_max = 0.0;

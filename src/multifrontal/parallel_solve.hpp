@@ -6,38 +6,45 @@
 //     never ancestor/descendant of one another, so their pivot solves are
 //     independent (Ruipeng Li, "On Parallel Solution of Sparse Triangular
 //     Linear Systems in CUDA"). build_solve_schedule() extracts the level
-//     structure plus the exact dependency runs between supernodes once per
-//     symbolic analysis, and cuts the tree once into SUBTREE GROUPS
-//     (subtree_groups, symbolic/tree_stats.hpp — the factor's pool uses
-//     the same cut): every maximal subtree whose sweep work (factor entries
-//     plus update rows of both sweeps, for one right-hand side) is at most
-//     kSubtreeGroupShare of the whole is one group, and each supernode
-//     above that cut is a group of its own (the "layer 0" of
-//     subtree-to-core codes, as in Le Fevre et al.'s A64FX solver). A group is a contiguous postorder range, so a
-//     forward task runs its members in ascending order and a backward task
-//     in descending order. The cut depends on the pattern alone, never on
-//     the thread or RHS count. Only runs between groups become edges of the
-//     two grouped sweep DAGs, which the schedule stores; a sweep pass hands
-//     them to the work-stealing pool as they are (a caller's pool, or a
-//     transient one), and on one thread it walks the groups in order on
-//     the caller.
-//   * Blocked kernels. Each supernode task is dense level-3 work on the
-//     whole block of r right-hand sides: per incoming run of the forward
-//     sweep one gemm, L[run rows, :] * X[source pivot rows], whose product
-//     is scattered into X, then one trsm on the pivot block; per supernode
-//     of the backward sweep a gather of X[update rows] into an m x r block,
-//     one gemm with L21^T and one trsm with L11^T. The panel is read once
-//     per kernel call, not once per right-hand side.
+//     structure once per symbolic analysis and cuts the tree once into
+//     SUBTREE GROUPS (subtree_groups, symbolic/tree_stats.hpp — the
+//     factor's pool uses the same cut): every maximal subtree whose sweep
+//     work (factor entries plus update rows of both sweeps, for one
+//     right-hand side) is at most kSubtreeGroupShare of the whole is one
+//     group, and each supernode above that cut is a group of its own (the
+//     "layer 0" of subtree-to-core codes, as in Le Fevre et al.'s A64FX
+//     solver). A group is a contiguous postorder range, so a forward task
+//     runs its members in ascending order and a backward task in
+//     descending order. The cut depends on the pattern alone, never on the
+//     thread or RHS count. The two sweep DAGs are the group forest, forward
+//     child to parent and backward reversed; a sweep pass hands them to the
+//     work-stealing pool as they are (a caller's pool, or a transient one),
+//     and on one thread it walks the groups in order on the caller.
+//   * Multifrontal forward sweep. Each supernode s owns a front block, its
+//     pivot rows X[s] on top of an m x r update block U. Its task
+//     extend-adds its children's update blocks into it (relative indices
+//     from the factor's RowMerge, multifrontal/frontal.hpp), solves
+//     L11 X[s] = X[s], forms U -= L21 X[s] with one gemm and leaves U for
+//     its parent, as the factor passes update matrices up the tree. Inside
+//     a group the blocks live on the worker's LIFO stack; only a group
+//     top's block crosses tasks, in an area of the pass shared by all
+//     workers. The layout is a pattern artifact of the schedule.
+//   * Backward sweep. Per supernode a gather of X[update rows] into an
+//     m x r block, one gemm with L21^T and one trsm with L11^T. Every
+//     kernel works on the whole block of r right-hand sides, so the panel
+//     is read once per kernel call, not once per right-hand side.
 //
 // Determinism, two invariants, both bitwise:
 //   * Column independence. Column c of an r-wide solve equals the 1-wide
 //     solve of that column, for every r: the dense kernels sum each element
 //     in an order fixed by the reduction length and the values alone
-//     (dense/kernels.hpp), never by the number of columns.
-//   * Thread independence. The forward sweep is a PULL: each supernode
-//     applies its incoming runs itself, sources in ascending supernode
-//     order, so every x entry sees the same sequence of updates whatever
-//     the thread count or schedule. The backward sweep is a gather.
+//     (dense/kernels.hpp), never by the number of columns, and the
+//     extend-add touches each column on its own.
+//   * Thread independence. One task forms each front block, from zero, by
+//     extend-adding its children in ascending child order, then the trsm
+//     and the gemm: every entry of X and of every update block sees the
+//     same sequence of operations whatever the thread count, the schedule
+//     or the worker that ran a child. The backward sweep is a gather.
 // There is no separate "deterministic mode" to toggle.
 //
 // The solve does numerics only; it keeps no clock. Its simulated time is
@@ -48,6 +55,7 @@
 // repeatably.
 #pragma once
 
+#include <functional>
 #include <span>
 #include <vector>
 
@@ -57,18 +65,6 @@
 #include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
-
-/// One maximal contiguous run of a source supernode's update rows owned by
-/// a single target supernode: rows update_rows[t_begin..t_end) of `source`
-/// fall inside `target`'s column range. Because update rows are sorted and
-/// supernode column ranges are contiguous, each (source, target) pair
-/// produces exactly one run.
-struct SolveRun {
-  index_t source = 0;
-  index_t target = 0;
-  index_t t_begin = 0;
-  index_t t_end = 0;
-};
 
 /// One sweep's task DAG over the subtree groups in the pool's CSR form
 /// (sched/thread_pool.hpp GraphDag): group g notifies
@@ -96,20 +92,24 @@ struct SolveSchedule {
   /// level_nodes[level_ptr[l] .. level_ptr[l+1]).
   std::vector<index_t> level_ptr;
   std::vector<index_t> level_nodes;
-  /// All dependency runs, grouped by source (targets ascending within one
-  /// source): runs[out_ptr[s] .. out_ptr[s+1]) have source == s.
-  std::vector<SolveRun> runs;
-  std::vector<index_t> out_ptr;
-  /// Incoming runs per target as indices into `runs`, sources ascending:
-  /// in_runs[in_ptr[t] .. in_ptr[t+1]) all have target == t. The fixed
-  /// source order gives every entry the same update sequence on any number
-  /// of threads.
-  std::vector<index_t> in_ptr;
-  std::vector<index_t> in_runs;
   /// Widest level (supernode count) — the schedule's parallelism ceiling.
   index_t max_level_width = 0;
-  /// Most update rows of any supernode: sizes each worker's scratch block.
+  /// Most update rows of any supernode: sizes the backward gather.
   index_t max_update_rows = 0;
+  /// Children of each supernode, ascending:
+  /// children[child_ptr[s] .. child_ptr[s+1]).
+  std::vector<index_t> child_ptr;
+  std::vector<index_t> children;
+  /// Forward update blocks: supernode s's m x r block starts
+  /// update_offset[s] * r doubles into its worker's stack when its parent
+  /// is in its group, else into the pass's shared area of group-top
+  /// updates. Stacked blocks of one group are laid out as its walk's LIFO
+  /// stack: a supernode's children right above its own block, ascending.
+  std::vector<index_t> update_offset;
+  /// Most stack rows one group's walk holds, and the rows of every group
+  /// top's update: r times these size a pass's forward scratch.
+  index_t stack_rows = 0;
+  index_t shared_rows = 0;
   /// Subtree groups, the sweeps' unit of work: group g is the postorder
   /// range [group_ptr[g], group_ptr[g+1]), and its last member is an
   /// ancestor of every other member.
@@ -117,8 +117,8 @@ struct SolveSchedule {
   /// Sweep work of each group, in the cut's units: the seed priority of
   /// both sweep DAGs (heaviest first).
   std::vector<double> group_work;
-  /// Forward edges run from a run's source group to its target group; the
-  /// backward DAG is the same edges reversed.
+  /// The group forest: a forward edge runs from each group to the group of
+  /// its top's parent, and the backward DAG is the same edges reversed.
   SweepDag forward;
   SweepDag backward;
 
@@ -141,6 +141,13 @@ struct ParallelSolveOptions {
   /// Solver passes its own). When null, each call builds a transient one.
   ThreadPool* pool = nullptr;
 };
+
+/// body(j, worker) for every j in [0, count), as independent column tasks
+/// on the first options.threads workers of options.pool, or in order on
+/// the caller (worker 0) when the solve runs on one thread. Each task must
+/// touch only its own column's state and its worker's scratch.
+void for_each_column(index_t count, const ParallelSolveOptions& options,
+                     const std::function<void(index_t, int)>& body);
 
 /// Blocked multi-RHS solve of A X = B in the ORIGINAL ordering: solves the
 /// leading `num_rhs` columns of `b` in one level-scheduled pass of blocked

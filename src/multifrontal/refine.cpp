@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cmath>
 #include <cstring>
-#include <functional>
 #include <optional>
 
 #include "sched/thread_pool.hpp"
@@ -12,35 +11,16 @@ namespace mfgpu {
 
 namespace {
 
-/// 2-norm of b - A x, with A x in the caller's scratch `ax`.
+/// 2-norm of r = b - A x, with r left in the caller's scratch.
 double residual_norm(const SparseSpd& a, std::span<const double> x,
-                     std::span<const double> b, std::span<double> ax) {
-  a.multiply(x, ax);
+                     std::span<const double> b, std::span<double> r) {
+  a.multiply(x, r);
   double sum = 0.0;
-  for (std::size_t i = 0; i < ax.size(); ++i) {
-    const double r = b[i] - ax[i];
-    sum += r * r;
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    r[i] = b[i] - r[i];
+    sum += r[i] * r[i];
   }
   return std::sqrt(sum);
-}
-
-/// body(j, worker) for every j in [0, count), as independent column tasks
-/// on the solve's pool, or in order on the caller (worker 0) when the solve
-/// runs on one thread. Each task touches only its own column's state and
-/// its worker's scratch.
-void for_each_column(index_t count, const ParallelSolveOptions& options,
-                     const std::function<void(index_t, int)>& body) {
-  if (options.threads == 1 || count == 1) {
-    for (index_t j = 0; j < count; ++j) body(j, 0);
-    return;
-  }
-  const std::vector<index_t> succ_ptr(static_cast<std::size_t>(count) + 1, 0);
-  const std::vector<index_t> num_deps(static_cast<std::size_t>(count), 0);
-  GraphDag dag;
-  dag.succ_ptr = succ_ptr;
-  dag.num_deps = num_deps;
-  options.pool->run_dag(
-      dag, body, static_cast<int>(std::min<index_t>(options.threads, count)));
 }
 
 }  // namespace
@@ -49,8 +29,8 @@ double residual_norm(const SparseSpd& a, std::span<const double> x,
                      std::span<const double> b) {
   const auto n = static_cast<std::size_t>(a.n());
   MFGPU_CHECK(x.size() == n && b.size() == n, "residual_norm: size mismatch");
-  std::vector<double> ax(n);
-  return residual_norm(a, x, b, ax);
+  std::vector<double> r(n);
+  return residual_norm(a, x, b, r);
 }
 
 // The scalar API is the one-column case of the blocked loop below — one
@@ -116,12 +96,23 @@ BlockRefineResult solve_with_refinement(
   std::vector<std::size_t> best_pos(static_cast<std::size_t>(num_rhs), 0);
   std::vector<std::vector<double>> best_x(static_cast<std::size_t>(num_rhs));
   std::vector<char> done(static_cast<std::size_t>(num_rhs), 0);
-  // A x scratch per worker, allocated here so no column task allocates.
-  std::vector<std::vector<double>> ax(static_cast<std::size_t>(options.threads),
-                                      std::vector<double>(n));
+  // Residual scratch per worker, allocated here so no column task
+  // allocates unless a step follows: a column that will take one keeps the
+  // residual its norm was computed from (swapped into kept[c], whose
+  // buffer the worker takes over), and the step solves for it as is
+  // instead of recomputing b - A x on the same x.
+  std::vector<std::vector<double>> scratch(
+      static_cast<std::size_t>(options.threads), std::vector<double>(n));
+  std::vector<std::vector<double>> kept(static_cast<std::size_t>(num_rhs));
   auto norm_of = [&](index_t col, int w) {
+    auto& r = scratch[static_cast<std::size_t>(w)];
+    r.resize(n);
     return residual_norm(a_original, col_span(result.x, col), col_span(b, col),
-                         ax[static_cast<std::size_t>(w)]);
+                         r);
+  };
+  auto keep_residual = [&](index_t col, int w) {
+    std::swap(kept[static_cast<std::size_t>(col)],
+              scratch[static_cast<std::size_t>(w)]);
   };
 
   for_each_column(num_rhs, options, [&](index_t col, int w) {
@@ -132,6 +123,7 @@ BlockRefineResult solve_with_refinement(
     b_norm = std::sqrt(b_norm);
     target[c] = tol * (b_norm > 0.0 ? b_norm : 1.0);
     best_norm[c] = result.residual_norms[c].back();
+    if (max_iterations > 0 && best_norm[c] > target[c]) keep_residual(col, w);
   });
 
   std::vector<index_t> active;
@@ -146,16 +138,15 @@ BlockRefineResult solve_with_refinement(
     if (active.empty()) break;
     const auto num_active = static_cast<index_t>(active.size());
 
-    // r = b - A x per active column, in double precision; then one blocked
-    // correction solve for the whole active set.
+    // The kept r = b - A x per active column, in double precision; then
+    // one blocked correction solve for the whole active set.
     Matrix<double> rblock(static_cast<index_t>(n), num_active);
-    for_each_column(num_active, options, [&](index_t a, int) {
+    for (index_t a = 0; a < num_active; ++a) {
       const index_t col = active[static_cast<std::size_t>(a)];
-      std::span<double> r(rblock.data() + a * static_cast<index_t>(n), n);
-      a_original.multiply(col_span(result.x, col), r);
-      const std::span<const double> bc = col_span(b, col);
-      for (std::size_t i = 0; i < n; ++i) r[i] = bc[i] - r[i];
-    });
+      std::memcpy(rblock.data() + a * static_cast<index_t>(n),
+                  kept[static_cast<std::size_t>(col)].data(),
+                  n * sizeof(double));
+    }
     const Matrix<double> dx =
         solve(analysis, factor, rblock, num_active, options);
 
@@ -176,6 +167,9 @@ BlockRefineResult solve_with_refinement(
       // Stop this column when refinement stagnates (no ~2x improvement).
       if (norm > 0.5 * norms.back()) done[c] = 1;
       norms.push_back(norm);
+      if (!done[c] && norm > target[c] && it + 1 < max_iterations) {
+        keep_residual(col, w);
+      }
     });
   }
 

@@ -372,7 +372,8 @@ void check_trsm_edges(dense::Isa isa) {
   Rng rng(107);
   const index_t tb = dense::kTrsmBlock;
   for (index_t n : {index_t{1}, index_t{7}, tb - 1, tb, tb + 1, 2 * tb + 3}) {
-    for (index_t m : {index_t{1}, lv.mr - 1, lv.mr + 1,
+    // m = 16 is the block width of the multi-RHS solves.
+    for (index_t m : {index_t{1}, lv.mr - 1, lv.mr + 1, index_t{16},
                       2 * dense::Blocking<T>::mc + 3}) {
       Strided<T> l(n, n, rng);
       make_lower_factor(l);
@@ -495,6 +496,19 @@ void check_nan_propagation(dense::Isa isa) {
       dense::trsm<T>(isa, Side::Left, Uplo::Lower, Trans::NoTrans,
                      Diag::NonUnit, T{1}, l.view(), b.view());
       EXPECT_TRUE(std::isnan(b(i, 0))) << n;
+    }
+    {  // trsm left, transposed (the backward sweep): NaN in L(i, p) above a
+       // zero solution entry x_i -> x_p NaN in every column.
+      const index_t cols = 16;
+      Matrix<T> l(k, k, T{}), b(k, cols, T{1});
+      for (index_t j = 0; j < k; ++j) l(j, j) = T{2};
+      for (index_t c = 0; c < cols; ++c) b(i, c) = T{};
+      l(i, p) = nan;
+      dense::trsm<T>(isa, Side::Left, Uplo::Lower, Trans::Transpose,
+                     Diag::NonUnit, T{1}, l.view(), b.view());
+      for (index_t c = 0; c < cols; ++c) {
+        EXPECT_TRUE(std::isnan(b(p, c))) << n << " col " << c;
+      }
     }
   }
 }
