@@ -93,8 +93,9 @@ struct SolverOptions {
   /// call runs its two sweeps as DAGs of subtree-group tasks, and its
   /// per-column refinement residuals as independent column tasks, on this
   /// many workers of the Solver's pool. Solutions are bitwise identical at
-  /// every thread count (the sweeps are pull-formulated), so this is purely
-  /// a throughput knob; 1 (the default) executes entirely on the caller.
+  /// every thread count (one task forms each forward front block, in a
+  /// fixed order), so this is purely a throughput knob; 1 (the default)
+  /// executes entirely on the caller.
   ///
   /// The Solver owns one work-stealing pool, built by analyze() with
   /// max(numeric worker count, solve_threads) threads; factor(),
