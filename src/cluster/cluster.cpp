@@ -5,8 +5,7 @@
 
 #include "multifrontal/front_step.hpp"
 #include "obs/obs.hpp"
-#include "sched/task_graph.hpp"
-#include "symbolic/tree_stats.hpp"
+#include "sched/proportional_map.hpp"
 
 namespace mfgpu {
 
@@ -38,7 +37,8 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
                                   const WorkerExecutorFactory& make_executor,
                                   ClusterStats* stats_out,
                                   Factorization recycled) {
-  const index_t nsup = analysis.symbolic.num_supernodes();
+  const SymbolicFactor& sym = analysis.symbolic;
+  const index_t nsup = sym.num_supernodes();
   const ClusterOptions& cluster = options.cluster;
   MFGPU_CHECK(cluster.num_nodes > 0,
               "factorize_cluster: need at least one node");
@@ -59,14 +59,14 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     return {};
   }
 
-  const TaskGraph graph = build_task_graph(analysis.symbolic,
-                                           analysis.permuted);
-  const std::vector<double> bottom = bottom_levels(graph);
+  const std::vector<double> work = supernode_work(sym, analysis.permuted);
+  const std::vector<double> bottom = bottom_levels(sym, work);
 
   PlacementOptions placement_options;
   placement_options.num_nodes = num_nodes;
   placement_options.link = link;
-  const PlacementResult placement = place_subtrees(graph, placement_options);
+  const PlacementResult placement =
+      place_subtrees(sym, work, placement_options);
   const std::vector<int>& node_of = placement.node_of;
   stats.placement_refined_cost = placement.refined_cost;
   stats.placement_moves = placement.moves;
@@ -89,11 +89,14 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     return workers[static_cast<std::size_t>(n)].ctx().host_clock;
   };
 
+  auto update_rows = [&](index_t s) {
+    return sym.supernodes()[static_cast<std::size_t>(s)].num_update_rows();
+  };
   // A child's update is local when the link is shared memory, the producer
   // is the consumer, or the update is empty; otherwise it is a message.
   auto is_local = [&](index_t c, int dst) {
     return !wired || node_of[static_cast<std::size_t>(c)] == dst ||
-           graph.ms[static_cast<std::size_t>(c)] <= 0;
+           update_rows(c) <= 0;
   };
 
   // When child c's update can be consumed on node dst. The message leaves
@@ -107,7 +110,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     NodeState& src =
         nodes[static_cast<std::size_t>(node_of[static_cast<std::size_t>(c)])];
     NodeState& sink = nodes[static_cast<std::size_t>(dst)];
-    const index_t m = graph.ms[static_cast<std::size_t>(c)];
+    const index_t m = update_rows(c);
     const double start = std::max(tree.update_ready(c), src.send_free);
     const double wire = link.wire_seconds(m);
     const double landed = std::max(start + wire + link.latency, sink.recv_free);
@@ -137,7 +140,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
   auto estimated_start = [&](index_t s) {
     const int n = node_of[static_cast<std::size_t>(s)];
     double est = clock_of(n).now();
-    for (index_t c : graph.children[static_cast<std::size_t>(s)]) {
+    for (index_t c : sym.children(s)) {
       est = std::max(est, wire_time(c, n, /*commit=*/false));
     }
     return est;
@@ -175,8 +178,8 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
 
   std::vector<index_t> pending(static_cast<std::size_t>(nsup), 0);
   for (index_t t = 0; t < nsup; ++t) {
-    pending[static_cast<std::size_t>(t)] = static_cast<index_t>(
-        graph.children[static_cast<std::size_t>(t)].size());
+    pending[static_cast<std::size_t>(t)] =
+        static_cast<index_t>(sym.children(t).size());
   }
 
   if (cluster.engine == ClusterEngine::FanBoth) {
@@ -192,7 +195,7 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
       const index_t s = pick_next(ready);
       run_task(s);
       ++executed_total;
-      const index_t p = graph.parent[static_cast<std::size_t>(s)];
+      const index_t p = sym.supernodes()[static_cast<std::size_t>(s)].parent;
       if (p != -1 && --pending[static_cast<std::size_t>(p)] == 0) {
         ready.push_back(p);
       }
@@ -204,13 +207,10 @@ FactorizeResult factorize_cluster(const Analysis& analysis,
     // height with a global barrier after every level — the classic
     // fan-in/fan-out discipline the asynchronous engine is measured
     // against.
-    const SupernodeHeights heights = supernode_heights(analysis.symbolic);
     std::vector<std::vector<index_t>> levels(
-        static_cast<std::size_t>(heights.num_levels));
+        static_cast<std::size_t>(sym.num_levels()));
     for (index_t t = 0; t < nsup; ++t) {
-      levels[static_cast<std::size_t>(
-                 heights.height[static_cast<std::size_t>(t)])]
-          .push_back(t);
+      levels[static_cast<std::size_t>(sym.height(t))].push_back(t);
     }
     for (auto& level : levels) {
       std::vector<index_t> ready = level;

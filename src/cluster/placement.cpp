@@ -4,11 +4,12 @@
 #include <limits>
 
 #include "sched/proportional_map.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 namespace {
 
-/// Converts task work units (F-U flops + assembly entries) to seconds so
+/// Converts supernode work units (F-U flops + assembly entries) to seconds so
 /// compute and wire cost share one objective. The refinement only needs
 /// the ratio to be plausible, not calibrated.
 constexpr double kOpsPerSecond = 2.0e9;
@@ -17,11 +18,9 @@ constexpr double kOpsPerSecond = 2.0e9;
 /// nothing.
 constexpr int kMaxPasses = 4;
 
-std::vector<double> task_seconds(const TaskGraph& graph) {
-  std::vector<double> seconds(static_cast<std::size_t>(graph.num_tasks), 0.0);
-  for (index_t t = 0; t < graph.num_tasks; ++t) {
-    seconds[static_cast<std::size_t>(t)] = graph.work(t) / kOpsPerSecond;
-  }
+std::vector<double> task_seconds(std::span<const double> work) {
+  std::vector<double> seconds(work.begin(), work.end());
+  for (double& s : seconds) s /= kOpsPerSecond;
   return seconds;
 }
 
@@ -33,57 +32,60 @@ double max_load(const std::vector<double>& load) {
 
 }  // namespace
 
-double placement_cost(const TaskGraph& graph, const std::vector<int>& node_of,
+double placement_cost(const SymbolicFactor& sym, std::span<const double> work,
+                      const std::vector<int>& node_of,
                       const PlacementOptions& options) {
-  const std::vector<double> seconds = task_seconds(graph);
+  const std::vector<double> seconds = task_seconds(work);
   std::vector<double> load(static_cast<std::size_t>(options.num_nodes), 0.0);
   double comm = 0.0;
-  for (index_t t = 0; t < graph.num_tasks; ++t) {
+  for (index_t t = 0; t < sym.num_supernodes(); ++t) {
+    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(t)];
     load[static_cast<std::size_t>(node_of[static_cast<std::size_t>(t)])] +=
         seconds[static_cast<std::size_t>(t)];
-    const index_t p = graph.parent[static_cast<std::size_t>(t)];
-    if (p != -1 && node_of[static_cast<std::size_t>(t)] !=
-                       node_of[static_cast<std::size_t>(p)]) {
-      comm += options.link.transfer_time(graph.ms[static_cast<std::size_t>(t)]);
+    if (sn.parent != -1 && node_of[static_cast<std::size_t>(t)] !=
+                               node_of[static_cast<std::size_t>(sn.parent)]) {
+      comm += options.link.transfer_time(sn.num_update_rows());
     }
   }
   return max_load(load) + comm;
 }
 
-PlacementResult place_subtrees(const TaskGraph& graph,
+PlacementResult place_subtrees(const SymbolicFactor& sym,
+                               std::span<const double> work,
                                const PlacementOptions& options) {
   MFGPU_CHECK(options.num_nodes > 0, "place_subtrees: need nodes");
+  const index_t nsup = sym.num_supernodes();
   PlacementResult result;
-  result.node_of = proportional_mapping(graph, options.num_nodes);
-  result.seed_cost = placement_cost(graph, result.node_of, options);
+  result.node_of = proportional_mapping(sym, work, options.num_nodes);
+  result.seed_cost = placement_cost(sym, work, result.node_of, options);
   result.refined_cost = result.seed_cost;
-  if (options.num_nodes == 1 || graph.num_tasks == 0) {
+  if (options.num_nodes == 1 || nsup == 0) {
     return result;
   }
 
-  const std::vector<double> seconds = task_seconds(graph);
+  const std::vector<double> seconds = task_seconds(work);
+  const std::vector<double> subtree_seconds =
+      tree_sums(sym, seconds, TreeSum::Subtree);
   std::vector<int>& node_of = result.node_of;
+  auto parent = [&](index_t t) {
+    return sym.supernodes()[static_cast<std::size_t>(t)].parent;
+  };
+  auto message_seconds = [&](index_t t) {
+    return options.link.transfer_time(
+        sym.supernodes()[static_cast<std::size_t>(t)].num_update_rows());
+  };
 
   // Incremental objective state: per-node compute load and the total
   // cross-edge transfer seconds.
   std::vector<double> load(static_cast<std::size_t>(options.num_nodes), 0.0);
-  std::vector<double> subtree_seconds(
-      static_cast<std::size_t>(graph.num_tasks), 0.0);
   double comm = 0.0;
-  for (index_t t = 0; t < graph.num_tasks; ++t) {
+  for (index_t t = 0; t < nsup; ++t) {
     load[static_cast<std::size_t>(node_of[static_cast<std::size_t>(t)])] +=
         seconds[static_cast<std::size_t>(t)];
-    subtree_seconds[static_cast<std::size_t>(t)] +=
-        seconds[static_cast<std::size_t>(t)];
-    const index_t p = graph.parent[static_cast<std::size_t>(t)];
-    if (p != -1) {
-      subtree_seconds[static_cast<std::size_t>(p)] +=
-          subtree_seconds[static_cast<std::size_t>(t)];
-      if (node_of[static_cast<std::size_t>(t)] !=
-          node_of[static_cast<std::size_t>(p)]) {
-        comm +=
-            options.link.transfer_time(graph.ms[static_cast<std::size_t>(t)]);
-      }
+    const index_t p = parent(t);
+    if (p != -1 && node_of[static_cast<std::size_t>(t)] !=
+                       node_of[static_cast<std::size_t>(p)]) {
+      comm += message_seconds(t);
     }
   }
 
@@ -91,15 +93,15 @@ PlacementResult place_subtrees(const TaskGraph& graph,
   // it straddles nodes. Only uniform subtrees move (moving one changes
   // exactly one cross edge — its root's message to the parent).
   auto recompute_uniform = [&](std::vector<int>& uniform) {
-    for (index_t t = 0; t < graph.num_tasks; ++t) {
+    for (index_t t = 0; t < nsup; ++t) {
       int u = node_of[static_cast<std::size_t>(t)];
-      for (index_t c : graph.children[static_cast<std::size_t>(t)]) {
+      for (index_t c : sym.children(t)) {
         if (uniform[static_cast<std::size_t>(c)] != u) u = -1;
       }
       uniform[static_cast<std::size_t>(t)] = u;
     }
   };
-  std::vector<int> uniform(static_cast<std::size_t>(graph.num_tasks), -1);
+  std::vector<int> uniform(static_cast<std::size_t>(nsup), -1);
   recompute_uniform(uniform);
 
   auto move_subtree = [&](index_t root, int dst) {
@@ -109,9 +111,7 @@ PlacementResult place_subtrees(const TaskGraph& graph,
       const index_t t = stack.back();
       stack.pop_back();
       node_of[static_cast<std::size_t>(t)] = dst;
-      for (index_t c : graph.children[static_cast<std::size_t>(t)]) {
-        stack.push_back(c);
-      }
+      for (index_t c : sym.children(t)) stack.push_back(c);
     }
   };
 
@@ -119,16 +119,15 @@ PlacementResult place_subtrees(const TaskGraph& graph,
     bool moved = false;
     // Root-to-leaf sweep (reverse postorder): parents settle before their
     // children consider chasing them.
-    for (index_t t = graph.num_tasks - 1; t >= 0; --t) {
-      const index_t p = graph.parent[static_cast<std::size_t>(t)];
+    for (index_t t = nsup - 1; t >= 0; --t) {
+      const index_t p = parent(t);
       if (p == -1) continue;
       const int src = node_of[static_cast<std::size_t>(t)];
       if (uniform[static_cast<std::size_t>(t)] != src) continue;
       const int parent_node = node_of[static_cast<std::size_t>(p)];
       if (parent_node == src) continue;
 
-      const double edge =
-          options.link.transfer_time(graph.ms[static_cast<std::size_t>(t)]);
+      const double edge = message_seconds(t);
       const double w = subtree_seconds[static_cast<std::size_t>(t)];
       const double before = max_load(load) + comm;
 

@@ -6,10 +6,11 @@
 // parent kills the cross-node message its root would otherwise send.
 #pragma once
 
+#include <span>
 #include <vector>
 
 #include "sched/interconnect.hpp"
-#include "sched/task_graph.hpp"
+#include "symbolic/symbolic_factor.hpp"
 
 namespace mfgpu {
 
@@ -19,7 +20,7 @@ struct PlacementOptions {
 };
 
 struct PlacementResult {
-  /// node_of[task] in [0, num_nodes).
+  /// node_of[supernode] in [0, num_nodes).
   std::vector<int> node_of;
   double seed_cost = 0.0;     ///< objective of the proportional seed
   double refined_cost = 0.0;  ///< objective after refinement (== seed_cost
@@ -28,15 +29,18 @@ struct PlacementResult {
 };
 
 /// Objective: max per-node compute seconds + total cross-node transfer
-/// seconds. Lower is better; task work is converted to seconds at a fixed
-/// nominal rate so the two terms share one unit.
-double placement_cost(const TaskGraph& graph, const std::vector<int>& node_of,
+/// seconds. Lower is better; supernode work (sched/proportional_map.hpp
+/// supernode_work) is converted to seconds at a fixed nominal rate so the
+/// two terms share one unit.
+double placement_cost(const SymbolicFactor& sym, std::span<const double> work,
+                      const std::vector<int>& node_of,
                       const PlacementOptions& options);
 
-/// Proportional seed + greedy subtree refinement. Every task is assigned
-/// exactly one node; with one node the result is the plain proportional
-/// mapping.
-PlacementResult place_subtrees(const TaskGraph& graph,
+/// Proportional seed + greedy subtree refinement. Every supernode is
+/// assigned exactly one node; with one node the result is the plain
+/// proportional mapping.
+PlacementResult place_subtrees(const SymbolicFactor& sym,
+                               std::span<const double> work,
                                const PlacementOptions& options);
 
 }  // namespace mfgpu

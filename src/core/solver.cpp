@@ -221,6 +221,7 @@ PatternAnalysis::PatternAnalysis(std::uint64_t fingerprint_in,
   bytes += 2 * static_cast<std::size_t>(perm.n()) * sizeof(index_t);  // perm
   bytes += value_source->size() * sizeof(index_t);
   bytes += 2 * static_cast<std::size_t>(symbolic.n()) * sizeof(index_t);
+  bytes += symbolic.tree_bytes();
   for (const SupernodeInfo& sn : symbolic.supernodes()) {
     bytes += sizeof(SupernodeInfo) + sn.update_rows.size() * sizeof(index_t);
   }

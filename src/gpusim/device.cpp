@@ -319,7 +319,7 @@ void Device::release_storage() { storage_.clear(); }
 
 void Device::reset() {
   release_storage();
-  for (auto& s : streams_) s.reset();
+  rewind();
   device_pool_.reset();
   pinned_pool_.reset();
   injector_.reset();

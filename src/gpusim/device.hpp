@@ -180,6 +180,13 @@ class Device {
   /// so an idle device holds no matrix memory.
   void release_storage();
 
+  /// Restart every stream's timeline at time zero, keeping the pools' high
+  /// waters: a dry device priced from a rewound clock times each call the
+  /// same way whatever ran before it.
+  void rewind() noexcept {
+    for (auto& s : streams_) s.reset();
+  }
+
   void reset();
 
  private:

@@ -36,16 +36,14 @@ struct FrontBatch {
   std::vector<index_t> snodes;
 };
 
-/// The symbolic batch plan for one factorization.
+/// The symbolic batch plan for one factorization. A batch's level is its
+/// members' etree height (SymbolicFactor::height).
 struct BatchPlan {
-  /// Per supernode: etree height (leaves 0, parent = 1 + max over children).
-  std::vector<index_t> height;
   /// Per supernode: index into `batches`, or -1 for the per-front path.
   std::vector<int> batch_of;
   std::vector<FrontBatch> batches;
 
   bool any() const noexcept { return !batches.empty(); }
-  index_t num_levels = 0;
 };
 
 /// Build the batch plan from the symbolic structure alone: every level's

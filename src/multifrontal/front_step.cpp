@@ -6,7 +6,6 @@
 #include "multifrontal/frontal.hpp"
 #include "obs/obs.hpp"
 #include "obs/schedule_record.hpp"
-#include "symbolic/postorder.hpp"
 
 namespace mfgpu {
 
@@ -17,12 +16,10 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
       options_(options),
       setup_(setup),
       nsup_(analysis.symbolic.num_supernodes()) {
-  std::vector<index_t> parent(static_cast<std::size_t>(nsup_));
   std::vector<index_t> batch_entries(
       setup_.plan != nullptr ? setup_.plan->batches.size() : 0, 0);
   for (index_t s = 0; s < nsup_; ++s) {
     const SupernodeInfo& sn = sym_.supernodes()[static_cast<std::size_t>(s)];
-    parent[static_cast<std::size_t>(s)] = sn.parent;
     max_m_ = std::max(max_m_, sn.num_update_rows());
     max_k_ = std::max(max_k_, sn.width());
     if (!setup_.numeric) continue;
@@ -40,7 +37,6 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
       front_entries_ = std::max(front_entries_, entries);
     }
   }
-  children_ = children_lists(parent);
 
   // Dry runs skip the numeric hand-off entirely (the assembly cost is
   // charged from the symbolic sizes), so huge matrices can be timed cheaply.
@@ -55,8 +51,13 @@ FrontTree::FrontTree(const Analysis& analysis, const FactorizeOptions& options,
   }
   factor_.numeric = setup_.numeric;
   if (options_.recorder != nullptr) {
-    options_.recorder->start(setup_.num_lanes, nsup_, parent, parallel(),
-                             setup_.plan != nullptr);
+    std::vector<index_t> parent;
+    parent.reserve(static_cast<std::size_t>(nsup_));
+    for (const SupernodeInfo& sn : sym_.supernodes()) {
+      parent.push_back(sn.parent);
+    }
+    options_.recorder->start(setup_.num_lanes, nsup_, std::move(parent),
+                             parallel(), setup_.plan != nullptr);
   }
 }
 
@@ -212,7 +213,7 @@ FrontalMatrix FrontWorker::open_front(index_t s) {
 void FrontWorker::assemble(index_t s, FrontalMatrix& front) {
   FrontTree& tree = *tree_;
   FactorContext& ctx = *ctx_;
-  const auto& kids = tree.children_[static_cast<std::size_t>(s)];
+  const std::span<const index_t> kids = tree.sym_.children(s);
 
   // Virtual start: a front cannot assemble before its children's update
   // matrices are (virtually) ready — or, across cluster nodes, have landed.

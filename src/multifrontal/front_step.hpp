@@ -104,7 +104,6 @@ class FrontTree {
   /// a batch): each front's update block, plus its panel when the factor
   /// is not kept.
   index_t front_entries_ = 0;
-  std::vector<std::vector<index_t>> children_;
 
   /// Whether any update stays on a worker's stack: each worker then owns
   /// one, sized to the symbolic peak.

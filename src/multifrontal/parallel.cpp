@@ -11,7 +11,6 @@
 #include "obs/request_context.hpp"
 #include "policy/baseline_hybrid.hpp"
 #include "sched/proportional_map.hpp"
-#include "sched/task_graph.hpp"
 #include "sched/thread_pool.hpp"
 #include "symbolic/tree_stats.hpp"
 
@@ -46,8 +45,8 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
   // one.
   if (batching) plan.batches = group_batches(sym);
   const BatchPlan& batches = plan.batches;
-  std::optional<TaskGraph> graph;
-  if (num_workers > 1) graph.emplace(build_task_graph(sym, analysis.permuted));
+  std::vector<double> work;
+  if (num_workers > 1) work = supernode_work(sym, analysis.permuted);
 
   plan.node_of.assign(static_cast<std::size_t>(nsup), -1);
   auto add_node = [&](index_t begin, index_t end, index_t batch) {
@@ -62,8 +61,7 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
     std::vector<index_t> order(static_cast<std::size_t>(nsup));
     std::iota(order.begin(), order.end(), index_t{0});
     std::stable_sort(order.begin(), order.end(), [&](index_t a, index_t b) {
-      return batches.height[static_cast<std::size_t>(a)] <
-             batches.height[static_cast<std::size_t>(b)];
+      return sym.height(a) < sym.height(b);
     });
     std::vector<index_t> batch_node(batches.batches.size(), -1);
     for (index_t s : order) {
@@ -86,11 +84,7 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
     // node is a whole subtree, its root last, or a lone supernode above
     // the cut.
     std::vector<index_t> ptr(static_cast<std::size_t>(nsup) + 1);
-    if (graph) {
-      std::vector<double> work(static_cast<std::size_t>(nsup));
-      for (index_t s = 0; s < nsup; ++s) {
-        work[static_cast<std::size_t>(s)] = graph->work(s);
-      }
+    if (num_workers > 1) {
       ptr = subtree_groups(sym, work);
     } else {
       std::iota(ptr.begin(), ptr.end(), index_t{0});
@@ -102,53 +96,20 @@ PoolPlan plan_walk(const Analysis& analysis, int num_workers, bool batching) {
       add_node(ptr[g], ptr[g + 1], -1);
     }
   }
-  if (!graph) return plan;
+  if (num_workers == 1) return plan;
 
-  // The condensed tree for the pool. Edges follow the tree (one per
-  // member-parent pair that crosses nodes; duplicate edges between the same
-  // nodes are fine — GraphDag counts each).
+  // The condensed tree for the pool.
   const auto num_nodes = static_cast<index_t>(plan.node_batch.size());
-  const std::vector<double> bottom = bottom_levels(*graph);
-  const std::vector<int> mapping = proportional_mapping(*graph, num_workers);
-  const std::vector<index_t>& node_of = plan.node_of;
-  auto crossing_parent = [&](index_t s) {
-    const index_t p = graph->parent[static_cast<std::size_t>(s)];
-    MFGPU_CHECK(p == -1 || (p > s && p < nsup),
-                "factorize_parallel: assembly tree must be postordered");
-    return p != -1 && node_of[static_cast<std::size_t>(p)] !=
-                          node_of[static_cast<std::size_t>(s)]
-               ? p
-               : index_t{-1};
-  };
-  std::vector<index_t>& succ_ptr = plan.succ_ptr;
-  std::vector<index_t>& deps = plan.num_deps;
-  succ_ptr.assign(static_cast<std::size_t>(num_nodes) + 1, 0);
-  deps.assign(static_cast<std::size_t>(num_nodes), 0);
-  for (index_t s = 0; s < nsup; ++s) {
-    const index_t p = crossing_parent(s);
-    if (p == -1) continue;
-    ++succ_ptr[static_cast<std::size_t>(node_of[static_cast<std::size_t>(s)]) +
-               1];
-    ++deps[static_cast<std::size_t>(node_of[static_cast<std::size_t>(p)])];
-  }
-  for (index_t nd = 0; nd < num_nodes; ++nd) {
-    succ_ptr[static_cast<std::size_t>(nd) + 1] +=
-        succ_ptr[static_cast<std::size_t>(nd)];
-  }
-  plan.succ.resize(
-      static_cast<std::size_t>(succ_ptr[static_cast<std::size_t>(num_nodes)]));
-  std::vector<index_t> cursor(succ_ptr.begin(), succ_ptr.end() - 1);
-  for (index_t s = 0; s < nsup; ++s) {
-    const index_t p = crossing_parent(s);
-    if (p == -1) continue;
-    const index_t src = node_of[static_cast<std::size_t>(s)];
-    plan.succ[static_cast<std::size_t>(
-        cursor[static_cast<std::size_t>(src)]++)] =
-        node_of[static_cast<std::size_t>(p)];
-  }
+  CondensedDag dag = condense_tree(sym, plan.node_of, num_nodes);
+  plan.succ_ptr = std::move(dag.succ_ptr);
+  plan.succ = std::move(dag.succ);
+  plan.num_deps = std::move(dag.num_deps);
 
   // Critical-path priority and seeded worker per node: max member
   // priority (bottom levels are >= 0), first member's proportional mapping.
+  const std::vector<double> bottom = bottom_levels(sym, work);
+  const std::vector<int> mapping = proportional_mapping(sym, work, num_workers);
+  const std::vector<index_t>& node_of = plan.node_of;
   plan.priority.assign(static_cast<std::size_t>(num_nodes), 0.0);
   plan.preferred_worker.assign(static_cast<std::size_t>(num_nodes), -1);
   for (index_t s = 0; s < nsup; ++s) {

@@ -93,12 +93,13 @@ std::unique_ptr<FuExecutor> default_worker_executor(
 /// analysis: the batch plan and the assembly tree condensed to one node per
 /// batch, per unbatched front or — with more than one worker and no
 /// batching — per subtree group (subtree_groups, symbolic/tree_stats.hpp,
-/// on TaskGraph::work: F-U ops plus assembly entries). Nodes are numbered
-/// in walk order: postorder, or height-major (ascending etree height, then
-/// supernode; a batch at its first member) when batched. With more than
-/// one worker the plan also holds the condensed tree in the pool's CSR
-/// form, with each node's critical-path priority and proportional-mapping
-/// seed. Immutable once built; every worker thread only reads it.
+/// on supernode_work, sched/proportional_map.hpp: F-U ops plus assembly
+/// entries). Nodes are numbered in walk order: postorder, or height-major
+/// (ascending etree height, then supernode; a batch at its first member)
+/// when batched. With more than one worker the plan also holds the
+/// condensed tree in the pool's CSR form (condense_tree), with each node's
+/// critical-path priority and proportional-mapping seed. Immutable once
+/// built; every worker thread only reads it.
 struct PoolPlan {
   int num_workers = 0;
   BatchPlan batches;

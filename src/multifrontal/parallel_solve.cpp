@@ -83,8 +83,9 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
     }
   }
   sched.group_ptr = subtree_groups(sym, own);
+  const index_t ngroups = sched.num_groups();
   std::vector<index_t> group_of(static_cast<std::size_t>(nsup));
-  for (index_t g = 0; g < sched.num_groups(); ++g) {
+  for (index_t g = 0; g < ngroups; ++g) {
     double work = 0.0;
     for (index_t m = sched.group_ptr[static_cast<std::size_t>(g)];
          m < sched.group_ptr[static_cast<std::size_t>(g) + 1]; ++m) {
@@ -96,25 +97,11 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   }
 
   // Forward edges: each group's top hands its update to its parent's group.
-  const index_t ngroups = sched.num_groups();
-  SweepDag& fw = sched.forward;
-  fw.succ_ptr.assign(static_cast<std::size_t>(ngroups) + 1, 0);
-  fw.num_deps.assign(static_cast<std::size_t>(ngroups), 0);
-  for (index_t g = 0; g < ngroups; ++g) {
-    const index_t top = sched.group_ptr[static_cast<std::size_t>(g) + 1] - 1;
-    const index_t parent =
-        sym.supernodes()[static_cast<std::size_t>(top)].parent;
-    if (parent != -1) {
-      const index_t h = group_of[static_cast<std::size_t>(parent)];
-      fw.succ.push_back(h);
-      ++fw.num_deps[static_cast<std::size_t>(h)];
-    }
-    fw.succ_ptr[static_cast<std::size_t>(g) + 1] =
-        static_cast<index_t>(fw.succ.size());
-  }
+  sched.forward = condense_tree(sym, group_of, ngroups);
 
   // Backward edges: the forward ones reversed.
-  SweepDag& bw = sched.backward;
+  const CondensedDag& fw = sched.forward;
+  CondensedDag& bw = sched.backward;
   bw.succ_ptr.assign(static_cast<std::size_t>(ngroups) + 1, 0);
   bw.num_deps.assign(static_cast<std::size_t>(ngroups), 0);
   bw.succ.resize(fw.succ.size());
@@ -137,41 +124,19 @@ void build_groups(const SymbolicFactor& sym, SolveSchedule& sched) {
   }
 }
 
-/// Children lists, and where each forward update block lives. Inside a
-/// group the blocks form the walk's LIFO stack: a supernode's children sit
-/// right above its own block (from the bottom for the group's top), in
-/// ascending order, so a supernode writes its block while its children's
-/// blocks above it are still being read, and a block stays in place until
-/// its parent consumed it. A group's top hands its block to another task:
-/// those blocks get the shared area, in group order.
+/// Where each forward update block lives. Inside a group the blocks form
+/// the walk's LIFO stack: a supernode's children sit right above its own
+/// block (from the bottom for the group's top), in ascending order, so a
+/// supernode writes its block while its children's blocks above it are
+/// still being read, and a block stays in place until its parent consumed
+/// it. A group's top hands its block to another task: those blocks get the
+/// shared area, in group order.
 void build_update_layout(const SymbolicFactor& sym, SolveSchedule& sched) {
   const index_t nsup = sched.num_supernodes;
   const auto snodes = sym.supernodes();
   auto rows_of = [&](index_t s) {
     return snodes[static_cast<std::size_t>(s)].num_update_rows();
   };
-  sched.child_ptr.assign(static_cast<std::size_t>(nsup) + 1, 0);
-  for (const SupernodeInfo& sn : snodes) {
-    if (sn.parent != -1) {
-      ++sched.child_ptr[static_cast<std::size_t>(sn.parent) + 1];
-    }
-  }
-  for (std::size_t i = 1; i < sched.child_ptr.size(); ++i) {
-    sched.child_ptr[i] += sched.child_ptr[i - 1];
-  }
-  sched.children.resize(static_cast<std::size_t>(sched.child_ptr.back()));
-  {
-    std::vector<index_t> cursor(sched.child_ptr.begin(),
-                                sched.child_ptr.end() - 1);
-    for (index_t s = 0; s < nsup; ++s) {  // ascending: children ascending
-      const index_t p = snodes[static_cast<std::size_t>(s)].parent;
-      if (p != -1) {
-        sched.children[static_cast<std::size_t>(
-            cursor[static_cast<std::size_t>(p)]++)] = s;
-      }
-    }
-  }
-
   std::vector<char> top(static_cast<std::size_t>(nsup), 0);
   for (std::size_t g = 1; g < sched.group_ptr.size(); ++g) {
     top[static_cast<std::size_t>(sched.group_ptr[g] - 1)] = 1;
@@ -181,8 +146,7 @@ void build_update_layout(const SymbolicFactor& sym, SolveSchedule& sched) {
   for (index_t s = nsup - 1; s >= 0; --s) {
     const auto i = static_cast<std::size_t>(s);
     index_t next = top[i] ? 0 : sched.update_offset[i] + rows_of(s);
-    for (index_t e = sched.child_ptr[i]; e < sched.child_ptr[i + 1]; ++e) {
-      const index_t c = sched.children[static_cast<std::size_t>(e)];
+    for (const index_t c : sym.children(s)) {
       if (top[static_cast<std::size_t>(c)]) continue;
       sched.update_offset[static_cast<std::size_t>(c)] = next;
       next += rows_of(c);
@@ -203,16 +167,13 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
   const index_t nsup = sym.num_supernodes();
   SolveSchedule sched;
   sched.num_supernodes = nsup;
-  SupernodeHeights heights = supernode_heights(sym);
-  sched.level_of = std::move(heights.height);
-  sched.num_levels = heights.num_levels;
+  sched.num_levels = sym.num_levels();
 
   // Level-major lists via counting sort (keeps supernode order within a
   // level ascending).
   sched.level_ptr.assign(static_cast<std::size_t>(sched.num_levels) + 1, 0);
   for (index_t s = 0; s < nsup; ++s) {
-    ++sched.level_ptr[static_cast<std::size_t>(
-        sched.level_of[static_cast<std::size_t>(s)]) + 1];
+    ++sched.level_ptr[static_cast<std::size_t>(sym.height(s)) + 1];
   }
   for (std::size_t l = 1; l < sched.level_ptr.size(); ++l) {
     sched.level_ptr[l] += sched.level_ptr[l - 1];
@@ -225,9 +186,8 @@ SolveSchedule build_solve_schedule(const SymbolicFactor& sym) {
     std::vector<index_t> cursor(sched.level_ptr.begin(),
                                 sched.level_ptr.end() - 1);
     for (index_t s = 0; s < nsup; ++s) {
-      const index_t l = sched.level_of[static_cast<std::size_t>(s)];
       sched.level_nodes[static_cast<std::size_t>(
-          cursor[static_cast<std::size_t>(l)]++)] = s;
+          cursor[static_cast<std::size_t>(sym.height(s))]++)] = s;
     }
   }
   for (const SupernodeInfo& sn : sym.supernodes()) {
@@ -285,9 +245,7 @@ void forward_task(const SymbolicFactor& sym, const SolveSchedule& sched,
                              std::max<index_t>(m, 1));
   std::fill_n(u.data(), m * r, 0.0);
   index_t* const rel = worker.rel.get();
-  for (index_t e = sched.child_ptr[static_cast<std::size_t>(s)];
-       e < sched.child_ptr[static_cast<std::size_t>(s) + 1]; ++e) {
-    const index_t c = sched.children[static_cast<std::size_t>(e)];
+  for (const index_t c : sym.children(s)) {
     const std::span<const index_t> rows =
         sym.supernodes()[static_cast<std::size_t>(c)].update_rows;
     const auto mc = static_cast<index_t>(rows.size());
@@ -345,7 +303,7 @@ void backward_task(const SupernodeInfo& sn, const MatrixView<double>& panel,
 /// One sweep over the grouped DAG: on the pool's first `threads` workers,
 /// or on one thread by walking the groups in dependency order (ascending
 /// for the forward sweep, descending for the backward one).
-void run_sweep(const SolveSchedule& sched, const SweepDag& sweep,
+void run_sweep(const SolveSchedule& sched, const CondensedDag& sweep,
                bool forward, ThreadPool* pool, int threads,
                const std::function<void(index_t, int)>& body) {
   const index_t ngroups = sched.num_groups();

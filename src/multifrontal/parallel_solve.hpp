@@ -66,16 +66,6 @@
 
 namespace mfgpu {
 
-/// One sweep's task DAG over the subtree groups in the pool's CSR form
-/// (sched/thread_pool.hpp GraphDag): group g notifies
-/// succ[succ_ptr[g] .. succ_ptr[g+1]) when done, and is ready once
-/// num_deps[g] notifications arrived. Each cross-group pair is one edge.
-struct SweepDag {
-  std::vector<index_t> succ_ptr;
-  std::vector<index_t> succ;
-  std::vector<index_t> num_deps;
-};
-
 /// Values-independent schedule for the triangular sweeps, built once per
 /// symbolic factorization (it is a pattern artifact, reusable across
 /// refactorizations — cache it next to the Analysis).
@@ -85,10 +75,8 @@ struct SolveSchedule {
   /// a solve cannot finish in fewer than num_levels dependent steps however
   /// many threads are available).
   index_t num_levels = 0;
-  /// Height of each supernode above the leaves; ancestors are strictly
-  /// higher than descendants.
-  std::vector<index_t> level_of;
-  /// Level-major supernode lists: level l spans
+  /// Level-major supernode lists by etree height (SymbolicFactor::height),
+  /// ascending within a level: level l spans
   /// level_nodes[level_ptr[l] .. level_ptr[l+1]).
   std::vector<index_t> level_ptr;
   std::vector<index_t> level_nodes;
@@ -96,10 +84,6 @@ struct SolveSchedule {
   index_t max_level_width = 0;
   /// Most update rows of any supernode: sizes the backward gather.
   index_t max_update_rows = 0;
-  /// Children of each supernode, ascending:
-  /// children[child_ptr[s] .. child_ptr[s+1]).
-  std::vector<index_t> child_ptr;
-  std::vector<index_t> children;
   /// Forward update blocks: supernode s's m x r block starts
   /// update_offset[s] * r doubles into its worker's stack when its parent
   /// is in its group, else into the pass's shared area of group-top
@@ -117,10 +101,11 @@ struct SolveSchedule {
   /// Sweep work of each group, in the cut's units: the seed priority of
   /// both sweep DAGs (heaviest first).
   std::vector<double> group_work;
-  /// The group forest: a forward edge runs from each group to the group of
-  /// its top's parent, and the backward DAG is the same edges reversed.
-  SweepDag forward;
-  SweepDag backward;
+  /// The group forest as the sweeps' task DAGs (condense_tree): a forward
+  /// edge runs from each group to the group of its top's parent, and the
+  /// backward DAG is the same edges reversed.
+  CondensedDag forward;
+  CondensedDag backward;
 
   index_t num_groups() const noexcept {
     return group_ptr.empty() ? 0 : static_cast<index_t>(group_ptr.size()) - 1;

@@ -885,11 +885,16 @@ void PolicyTimer::warm_up(index_t m, index_t k) {
   }
 }
 
+void PolicyTimer::rewind() {
+  ctx_.host_clock.reset();
+  device_->rewind();
+}
+
 FuCallRecord PolicyTimer::record(Policy policy, const FuCall& call) {
-  // Drain in-flight transfers left by the previous measurement (e.g. the
-  // copy-optimized P4's deferred panel copy) so each call is timed in
-  // isolation.
-  device_->synchronize(ctx_.host_clock);
+  // Time the call in isolation, from zero: transfers left in flight by the
+  // previous measurement (e.g. the copy-optimized P4's deferred panel copy)
+  // are dropped, and no absolute clock reading enters the price.
+  rewind();
   FrontBlocks blocks = make_shape_blocks(call);
   auto& exec =
       *executors_[static_cast<std::size_t>(static_cast<int>(policy) - 1)];
@@ -934,14 +939,13 @@ double PolicyTimer::time_batched(const FuCall& call, int batch) {
   // allocation would otherwise charge the growth to this measurement),
   // the second measures steady state.
   for (int pass = 0; pass < 2; ++pass) {
-    device_->synchronize(ctx_.host_clock);
+    rewind();
     std::fill(skip.begin(), skip.end(), 0);
     faulted.clear();
-    const double t0 = ctx_.host_clock.now();
     (void)run_batched_dispatch(std::span<FrontBlocks>(fronts), ctx_, skip,
                                faulted);
     device_->synchronize(ctx_.host_clock);
-    share = (ctx_.host_clock.now() - t0) / static_cast<double>(batch);
+    share = ctx_.host_clock.now() / static_cast<double>(batch);
   }
   batched_cache_.emplace(key, share);
   return share;

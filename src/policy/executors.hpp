@@ -125,7 +125,9 @@ class PolicyTimer {
   /// device. The pools are warmed with one maximal call per policy so
   /// reported times reflect the steady state of the paper's high-water
   /// allocation policy (a cold timer would charge every pool growth to the
-  /// call that triggered it).
+  /// call that triggered it). Every call is priced from a rewound clock on
+  /// idle streams, so a price is a pure function of (policy, m, k): timers
+  /// with different histories agree bitwise.
   explicit PolicyTimer(ExecutorOptions options = {});
 
   /// Host-visible duration (seconds) of one F-U call under `policy`.
@@ -146,6 +148,8 @@ class PolicyTimer {
  private:
   /// Run one dry call of every policy at (m, k) to size the pools.
   void warm_up(index_t m, index_t k);
+  /// Host clock and device streams back to time zero; the pools stay warm.
+  void rewind();
 
   FactorContext ctx_;
   std::unique_ptr<Device> device_;

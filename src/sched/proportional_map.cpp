@@ -3,34 +3,61 @@
 #include <algorithm>
 #include <cmath>
 
+#include "multifrontal/stack_arena.hpp"
+#include "policy/policy.hpp"
+#include "symbolic/tree_stats.hpp"
+
 namespace mfgpu {
 
-std::vector<double> subtree_work(const TaskGraph& graph) {
-  std::vector<double> work(static_cast<std::size_t>(graph.num_tasks), 0.0);
-  // Tasks are postordered: children precede parents.
-  for (index_t t = 0; t < graph.num_tasks; ++t) {
-    work[static_cast<std::size_t>(t)] += graph.work(t);
-    const index_t p = graph.parent[static_cast<std::size_t>(t)];
-    if (p != -1) {
-      work[static_cast<std::size_t>(p)] += work[static_cast<std::size_t>(t)];
+std::vector<double> supernode_work(const SymbolicFactor& sym,
+                                   const SparseSpd& permuted) {
+  const auto snodes = sym.supernodes();
+  const auto col_ptr = permuted.col_ptr();
+  // Children precede parents, so work[s] holds its children's extend-add
+  // entries when s is reached.
+  std::vector<double> work(snodes.size(), 0.0);
+  for (std::size_t s = 0; s < snodes.size(); ++s) {
+    const SupernodeInfo& sn = snodes[s];
+    const index_t m = sn.num_update_rows();
+    // Original entries scattered into the front.
+    const double a_entries = static_cast<double>(
+        col_ptr[static_cast<std::size_t>(sn.last_col)] -
+        col_ptr[static_cast<std::size_t>(sn.first_col)]);
+    // Pack own update + store the factor panel.
+    const double own = static_cast<double>(packed_lower_size(m)) +
+                       static_cast<double>(sn.front_order() * sn.width());
+    work[s] += a_entries + own;
+    // Extend-add of this update into the parent is charged to the parent.
+    if (sn.parent != -1) {
+      work[static_cast<std::size_t>(sn.parent)] +=
+          static_cast<double>(packed_lower_size(m));
     }
+    work[s] = fu_total_ops(m, sn.width()) + work[s];
   }
   return work;
 }
 
-std::vector<int> proportional_mapping(const TaskGraph& graph,
+std::vector<double> bottom_levels(const SymbolicFactor& sym,
+                                  std::span<const double> work) {
+  return tree_sums(sym, work, TreeSum::RootPath);
+}
+
+std::vector<int> proportional_mapping(const SymbolicFactor& sym,
+                                      std::span<const double> work,
                                       int num_workers) {
   MFGPU_CHECK(num_workers > 0, "proportional_mapping: need workers");
-  const std::vector<double> work = subtree_work(graph);
+  const index_t nsup = sym.num_supernodes();
+  const std::vector<double> subtree = tree_sums(sym, work, TreeSum::Subtree);
 
-  // Worker ranges [lo, hi) per task; roots own everything.
-  std::vector<int> lo(static_cast<std::size_t>(graph.num_tasks), 0);
-  std::vector<int> hi(static_cast<std::size_t>(graph.num_tasks), num_workers);
+  // Worker ranges [lo, hi) per supernode; roots own everything.
+  std::vector<int> lo(static_cast<std::size_t>(nsup), 0);
+  std::vector<int> hi(static_cast<std::size_t>(nsup), num_workers);
 
-  // Root-to-leaf sweep (reverse postorder): split each task's range among
-  // its children proportionally to subtree work, keeping slices contiguous.
-  for (index_t t = graph.num_tasks - 1; t >= 0; --t) {
-    const auto& kids = graph.children[static_cast<std::size_t>(t)];
+  // Root-to-leaf sweep (reverse postorder): split each supernode's range
+  // among its children proportionally to subtree work, keeping slices
+  // contiguous.
+  for (index_t t = nsup - 1; t >= 0; --t) {
+    const std::span<const index_t> kids = sym.children(t);
     if (kids.empty()) continue;
     const int range_lo = lo[static_cast<std::size_t>(t)];
     const int range_hi = hi[static_cast<std::size_t>(t)];
@@ -44,13 +71,13 @@ std::vector<int> proportional_mapping(const TaskGraph& graph,
       continue;
     }
     double total = 0.0;
-    for (index_t c : kids) total += work[static_cast<std::size_t>(c)];
+    for (index_t c : kids) total += subtree[static_cast<std::size_t>(c)];
     double cursor = static_cast<double>(range_lo);
     for (std::size_t i = 0; i < kids.size(); ++i) {
       const index_t c = kids[i];
       const double share =
           (total > 0.0)
-              ? work[static_cast<std::size_t>(c)] / total * width
+              ? subtree[static_cast<std::size_t>(c)] / total * width
               : static_cast<double>(width) / static_cast<double>(kids.size());
       const int child_lo = std::clamp(
           static_cast<int>(std::floor(cursor)), range_lo, range_hi - 1);
@@ -62,12 +89,7 @@ std::vector<int> proportional_mapping(const TaskGraph& graph,
       hi[static_cast<std::size_t>(c)] = child_hi;
     }
   }
-
-  std::vector<int> preferred(static_cast<std::size_t>(graph.num_tasks));
-  for (index_t t = 0; t < graph.num_tasks; ++t) {
-    preferred[static_cast<std::size_t>(t)] = lo[static_cast<std::size_t>(t)];
-  }
-  return preferred;
+  return lo;
 }
 
 }  // namespace mfgpu

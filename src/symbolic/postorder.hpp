@@ -18,7 +18,4 @@ std::vector<index_t> postorder_forest(std::span<const index_t> parent);
 /// subtree vertices contiguous).
 bool is_postordered(std::span<const index_t> parent);
 
-/// Build children adjacency (first_child / next_sibling flattened to lists).
-std::vector<std::vector<index_t>> children_lists(std::span<const index_t> parent);
-
 }  // namespace mfgpu

@@ -53,6 +53,7 @@ void SymbolicFactor::build(const SparseSpd& a, const AnalyzeOptions& options) {
     obs::ScopedSpan relax_span("symbolic", "amalgamate");
     amalgamate(options.relax);
   }
+  build_tree();
   finalize_metrics();
   if (obs::enabled()) {
     auto& metrics = obs::MetricsRegistry::global();
@@ -197,6 +198,36 @@ void SymbolicFactor::amalgamate(const RelaxOptions& relax) {
     }
   }
   snodes_ = std::move(compact);
+}
+
+void SymbolicFactor::build_tree() {
+  const auto nsup = snodes_.size();
+  children_ptr_.assign(nsup + 1, 0);
+  for (const SupernodeInfo& sn : snodes_) {
+    if (sn.parent != -1) {
+      ++children_ptr_[static_cast<std::size_t>(sn.parent) + 1];
+    }
+  }
+  for (std::size_t i = 0; i < nsup; ++i) {
+    children_ptr_[i + 1] += children_ptr_[i];
+  }
+  children_.resize(static_cast<std::size_t>(children_ptr_.back()));
+  std::vector<index_t> cursor(children_ptr_.begin(), children_ptr_.end() - 1);
+  height_.assign(nsup, 0);
+  num_levels_ = 0;
+  // Supernodes are postordered (children precede parents), so one ascending
+  // pass lists every parent's children in ascending order and knows a
+  // supernode's height before folding it into its parent.
+  for (std::size_t s = 0; s < nsup; ++s) {
+    num_levels_ = std::max(num_levels_, height_[s] + 1);
+    const index_t p = snodes_[s].parent;
+    if (p == -1) continue;
+    MFGPU_CHECK(p > static_cast<index_t>(s),
+                "SymbolicFactor: parent must follow child");
+    const auto pi = static_cast<std::size_t>(p);
+    children_[static_cast<std::size_t>(cursor[pi]++)] = static_cast<index_t>(s);
+    height_[pi] = std::max(height_[pi], height_[s] + 1);
+  }
 }
 
 void SymbolicFactor::finalize_metrics() {

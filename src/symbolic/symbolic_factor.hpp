@@ -56,6 +56,29 @@ class SymbolicFactor {
     return snode_of_col_[static_cast<std::size_t>(j)];
   }
 
+  /// The assembly tree, built once with the supernodes and shared by every
+  /// phase that walks it. The children of supernode s, ascending: the one
+  /// child order the factor's extend-add and the solve sweeps rely on.
+  std::span<const index_t> children(index_t s) const {
+    const auto i = static_cast<std::size_t>(s);
+    return std::span<const index_t>(children_).subspan(
+        static_cast<std::size_t>(children_ptr_[i]),
+        static_cast<std::size_t>(children_ptr_[i + 1] - children_ptr_[i]));
+  }
+  /// Etree height of s above the leaves: leaves 0, a parent one above its
+  /// highest child. Supernodes of one height are never ancestor-related;
+  /// the level-synchronous sweeps and same-level batching rely on that.
+  index_t height(index_t s) const {
+    return height_[static_cast<std::size_t>(s)];
+  }
+  /// 1 + the largest height; 0 without supernodes.
+  index_t num_levels() const noexcept { return num_levels_; }
+  /// Heap bytes of the tree arrays (children and heights).
+  std::size_t tree_bytes() const noexcept {
+    return (children_ptr_.size() + children_.size() + height_.size()) *
+           sizeof(index_t);
+  }
+
   /// Entries of L (supernodal storage, explicit zeros from relaxation
   /// included).
   index_t factor_nnz() const noexcept { return factor_nnz_; }
@@ -79,12 +102,18 @@ class SymbolicFactor {
   void compute_structures(const SparseSpd& a, const SupernodePartition& part,
                           std::span<const index_t> counts);
   void amalgamate(const RelaxOptions& relax);
+  /// Children lists and heights of the final supernodes.
+  void build_tree();
   void finalize_metrics();
 
   index_t n_ = 0;
   std::vector<index_t> col_parent_;
   std::vector<SupernodeInfo> snodes_;
   std::vector<index_t> snode_of_col_;
+  std::vector<index_t> children_ptr_;
+  std::vector<index_t> children_;
+  std::vector<index_t> height_;
+  index_t num_levels_ = 0;
   index_t factor_nnz_ = 0;
   double factor_flops_ = 0.0;
   index_t peak_stack_ = 0;

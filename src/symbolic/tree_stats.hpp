@@ -1,7 +1,10 @@
-// Assembly-tree statistics: shape and available parallelism of the
-// supernodal elimination tree. These drive scheduling decisions and the
-// reports the benches print (e.g. why 3-D problems parallelize/offload
-// better than 2-D ones — the paper's closing remark).
+// Algorithms over the assembly tree the symbolic factor owns, shared by the
+// factor's pool plan, the cluster engine and the solve sweeps: folds of
+// per-supernode values, the tree condensed into a task DAG, the
+// subtree-to-core cut, and the tree's shape and available parallelism —
+// which drive scheduling decisions and the reports the benches print (e.g.
+// why 3-D problems parallelize/offload better than 2-D ones — the paper's
+// closing remark).
 #pragma once
 
 #include <span>
@@ -11,17 +14,37 @@
 
 namespace mfgpu {
 
-/// Etree height of every supernode above the leaves. Fronts of one height
-/// are never ancestor-related: the level-synchronous sweeps and same-level
-/// batching both rely on that.
-struct SupernodeHeights {
-  /// Per supernode: leaves 0, a parent one above its highest child.
-  std::vector<index_t> height;
-  /// 1 + the largest height; 0 without supernodes.
-  index_t num_levels = 0;
+/// A fold of per-supernode values `own` along the assembly tree.
+enum class TreeSum {
+  /// Each supernode's sum over its subtree: its children's subtree sums in
+  /// ascending order, then its own value.
+  Subtree,
+  /// Each supernode's sum along its path up to its root: its own value plus
+  /// its parent's path sum.
+  RootPath,
 };
 
-SupernodeHeights supernode_heights(const SymbolicFactor& sym);
+std::vector<double> tree_sums(const SymbolicFactor& sym,
+                              std::span<const double> own, TreeSum sum);
+
+/// The assembly tree condensed onto a partition of its supernodes into
+/// nodes, in the pool's CSR form (sched/thread_pool.hpp GraphDag): node g
+/// notifies succ[succ_ptr[g] .. succ_ptr[g+1]) when done, and is ready once
+/// num_deps[g] notifications arrived.
+struct CondensedDag {
+  std::vector<index_t> succ_ptr;
+  std::vector<index_t> succ;
+  std::vector<index_t> num_deps;
+};
+
+/// The DAG of `num_nodes` nodes with supernode s in node node_of[s]: one
+/// edge from node_of[s] to node_of[parent] for every supernode whose parent
+/// lies in another node, each node's edges by ascending supernode. Two
+/// members of a node with parents in one other node give two edges (the
+/// pool counts each).
+CondensedDag condense_tree(const SymbolicFactor& sym,
+                           std::span<const index_t> node_of,
+                           index_t num_nodes);
 
 /// Largest share of the total work one subtree group of subtree_groups()
 /// may carry.

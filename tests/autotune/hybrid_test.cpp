@@ -74,10 +74,8 @@ TEST_F(HybridTest, IdealHybridOwnsItsOracle) {
     const FuOutcome out = ideal.execute(make_shape_blocks(m, k), ctx);
     const Policy best = timer_->best_policy(call);
     EXPECT_EQ(out.record.policy, static_cast<int>(best)) << m << "x" << k;
-    // Oracles with different histories agree up to the roundoff of their
-    // absolute simulated clocks.
-    const double seconds = timer_->time(best, call);
-    EXPECT_NEAR(out.record.predicted_seconds, seconds, 1e-9 * seconds)
+    // Oracles with different histories price every call alike, bitwise.
+    EXPECT_EQ(out.record.predicted_seconds, timer_->time(best, call))
         << m << "x" << k;
   }
 }

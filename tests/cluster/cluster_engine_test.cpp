@@ -17,7 +17,7 @@
 #include "obs/whatif.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "policy/executors.hpp"
-#include "sched/task_graph.hpp"
+#include "sched/proportional_map.hpp"
 #include "sparse/generators.hpp"
 #include "support/rng.hpp"
 
@@ -269,15 +269,16 @@ TEST(ClusterEngineTest, FourNodesScaleOnAReasonableLink) {
 }
 
 TEST(ClusterPlacementTest, EveryTaskPlacedOnceAndRefinementNeverHurts) {
-  const TaskGraph graph =
-      build_task_graph(test_analysis().symbolic, test_analysis().permuted);
+  const SymbolicFactor& sym = test_analysis().symbolic;
+  const std::vector<double> work =
+      supernode_work(sym, test_analysis().permuted);
   for (int nodes : {1, 2, 4, 8}) {
     PlacementOptions options;
     options.num_nodes = nodes;
     options.link = gigabit_link();
-    const PlacementResult placement = place_subtrees(graph, options);
+    const PlacementResult placement = place_subtrees(sym, work, options);
     ASSERT_EQ(placement.node_of.size(),
-              static_cast<std::size_t>(graph.num_tasks));
+              static_cast<std::size_t>(sym.num_supernodes()));
     for (int n : placement.node_of) {
       EXPECT_GE(n, 0);
       EXPECT_LT(n, nodes);

@@ -32,15 +32,12 @@ Analysis elasticity_analysis() {
 }
 
 TEST(BatchPlanTest, HeightsFollowTheEliminationTree) {
+  // Batches are cut by the symbolic heights: leaves sit at height 0; every
+  // parent is strictly above its children and exactly 1 + max over them.
   const Analysis analysis = elasticity_analysis();
   const SymbolicFactor& sym = analysis.symbolic;
-  const BatchPlan plan = group_batches(sym);
-  ASSERT_EQ(plan.height.size(),
-            static_cast<std::size_t>(sym.num_supernodes()));
-
-  // Leaves sit at height 0; every parent is strictly above its children and
-  // exactly 1 + max over them.
-  std::vector<index_t> expected(plan.height.size(), 0);
+  std::vector<index_t> expected(static_cast<std::size_t>(sym.num_supernodes()),
+                                0);
   for (index_t s = 0; s < sym.num_supernodes(); ++s) {
     const index_t parent = sym.supernodes()[static_cast<std::size_t>(s)].parent;
     if (parent == -1) continue;
@@ -50,12 +47,11 @@ TEST(BatchPlanTest, HeightsFollowTheEliminationTree) {
   }
   index_t levels = 0;
   for (index_t s = 0; s < sym.num_supernodes(); ++s) {
-    EXPECT_EQ(plan.height[static_cast<std::size_t>(s)],
-              expected[static_cast<std::size_t>(s)])
+    EXPECT_EQ(sym.height(s), expected[static_cast<std::size_t>(s)])
         << "supernode " << s;
-    levels = std::max(levels, plan.height[static_cast<std::size_t>(s)] + 1);
+    levels = std::max(levels, sym.height(s) + 1);
   }
-  EXPECT_EQ(plan.num_levels, levels);
+  EXPECT_EQ(sym.num_levels(), levels);
 }
 
 bool qualifies(const SupernodeInfo& sn) {
@@ -70,7 +66,7 @@ TEST(BatchPlanTest, GroupsAreLevelPureQualifiedAndWithinBounds) {
   ASSERT_TRUE(plan.any());
 
   std::vector<std::size_t> batched_at(
-      static_cast<std::size_t>(plan.num_levels), 0);
+      static_cast<std::size_t>(sym.num_levels()), 0);
   std::size_t members = 0;
   for (std::size_t b = 0; b < plan.batches.size(); ++b) {
     const FrontBatch& batch = plan.batches[b];
@@ -82,7 +78,7 @@ TEST(BatchPlanTest, GroupsAreLevelPureQualifiedAndWithinBounds) {
       ++batched_at[static_cast<std::size_t>(batch.level)];
       EXPECT_GT(s, prev) << "members must be ascending";  // deterministic order
       prev = s;
-      EXPECT_EQ(plan.height[static_cast<std::size_t>(s)], batch.level);
+      EXPECT_EQ(sym.height(s), batch.level);
       EXPECT_EQ(plan.batch_of[static_cast<std::size_t>(s)],
                 static_cast<int>(b));
       EXPECT_TRUE(qualifies(sym.supernodes()[static_cast<std::size_t>(s)]))
@@ -101,8 +97,7 @@ TEST(BatchPlanTest, GroupsAreLevelPureQualifiedAndWithinBounds) {
   std::vector<std::size_t> qualifying_at(batched_at.size(), 0);
   for (index_t s = 0; s < sym.num_supernodes(); ++s) {
     if (qualifies(sym.supernodes()[static_cast<std::size_t>(s)])) {
-      ++qualifying_at[static_cast<std::size_t>(
-          plan.height[static_cast<std::size_t>(s)])];
+      ++qualifying_at[static_cast<std::size_t>(sym.height(s))];
     }
   }
   for (std::size_t level = 0; level < batched_at.size(); ++level) {

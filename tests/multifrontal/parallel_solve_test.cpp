@@ -100,18 +100,10 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
   ASSERT_EQ(sched.num_supernodes, sym.num_supernodes());
   ASSERT_GE(sched.num_levels, 1);
 
-  // Levels: parents strictly above children, leaves at level 0.
-  for (index_t sn = 0; sn < sched.num_supernodes; ++sn) {
-    const index_t parent =
-        sym.supernodes()[static_cast<std::size_t>(sn)].parent;
-    if (parent != -1) {
-      EXPECT_GT(sched.level_of[static_cast<std::size_t>(parent)],
-                sched.level_of[static_cast<std::size_t>(sn)]);
-    }
-  }
-
-  // level_nodes is a partition of the supernodes consistent with level_of,
-  // and max_level_width is the widest level.
+  // Levels are the symbolic heights: level_nodes is a partition of the
+  // supernodes by height, ascending within a level, and max_level_width is
+  // the widest level.
+  EXPECT_EQ(sched.num_levels, sym.num_levels());
   ASSERT_EQ(sched.level_ptr.size(),
             static_cast<std::size_t>(sched.num_levels) + 1);
   EXPECT_EQ(sched.level_ptr.front(), 0);
@@ -121,32 +113,18 @@ TEST(ParallelSolveTest, ScheduleInvariants) {
   for (index_t l = 0; l < sched.num_levels; ++l) {
     widest = std::max(widest, sched.level_ptr[static_cast<std::size_t>(l) + 1] -
                                   sched.level_ptr[static_cast<std::size_t>(l)]);
+    index_t prev = -1;
     for (index_t i = sched.level_ptr[static_cast<std::size_t>(l)];
          i < sched.level_ptr[static_cast<std::size_t>(l) + 1]; ++i) {
       const index_t sn = sched.level_nodes[static_cast<std::size_t>(i)];
-      EXPECT_EQ(sched.level_of[static_cast<std::size_t>(sn)], l);
+      EXPECT_EQ(sym.height(sn), l);
+      EXPECT_GT(sn, prev);
+      prev = sn;
       EXPECT_EQ(seen[static_cast<std::size_t>(sn)], 0);
       seen[static_cast<std::size_t>(sn)] = 1;
     }
   }
   EXPECT_EQ(sched.max_level_width, widest);
-
-  // Children lists: exactly the supernodes naming s as parent, ascending.
-  ASSERT_EQ(sched.child_ptr.size(),
-            static_cast<std::size_t>(sched.num_supernodes) + 1);
-  for (index_t sn = 0; sn < sched.num_supernodes; ++sn) {
-    std::vector<index_t> expected;
-    for (index_t c = 0; c < sn; ++c) {
-      if (sym.supernodes()[static_cast<std::size_t>(c)].parent == sn) {
-        expected.push_back(c);
-      }
-    }
-    const std::vector<index_t> listed(
-        sched.children.begin() + sched.child_ptr[static_cast<std::size_t>(sn)],
-        sched.children.begin() +
-            sched.child_ptr[static_cast<std::size_t>(sn) + 1]);
-    EXPECT_EQ(listed, expected) << "supernode " << sn;
-  }
 
   expect_update_layout_is_a_lifo_stack(sym, sched);
 }
@@ -361,7 +339,7 @@ TEST(ParallelSolveTest, SubtreeGroupsPartitionThePostorder) {
       expected.emplace(g, group_of[static_cast<std::size_t>(parent)]);
     }
   }
-  auto edges_of = [&](const SweepDag& dag, bool reversed) {
+  auto edges_of = [&](const CondensedDag& dag, bool reversed) {
     std::set<std::pair<index_t, index_t>> edges;
     std::vector<index_t> indegree(static_cast<std::size_t>(ngroups), 0);
     EXPECT_EQ(dag.succ_ptr.size(), static_cast<std::size_t>(ngroups) + 1);

@@ -154,6 +154,31 @@ TEST(PolicyTimerTest, DeterministicTimes) {
   }
 }
 
+TEST(PolicyTimerTest, PricesAreBitwiseIndependentOfHistory) {
+  // The dry-run oracle is a pure function of (policy, m, k): a timer that
+  // priced thousands of GPU calls first agrees bitwise with a fresh one.
+  PolicyTimer fresh, busy;
+  for (int i = 0; i < 1500; ++i) {
+    const FuCall call{.m = 64 + 7 * (i % 300), .k = 32 + 3 * (i % 200)};
+    (void)busy.time(Policy::P3, call);
+    (void)busy.time(Policy::P4, call);
+  }
+  (void)busy.time_batched(FuCall{.m = 40, .k = 20}, 8);
+  const std::pair<index_t, index_t> shapes[] = {
+      {30, 15}, {400, 200}, {2000, 1000}, {8000, 4000}};
+  for (const auto& [m, k] : shapes) {
+    const FuCall call{.m = m, .k = k};
+    for (Policy p : kAllPolicies) {
+      EXPECT_EQ(fresh.time(p, call), busy.time(p, call))
+          << m << "x" << k << " P" << static_cast<int>(p);
+    }
+    if (m <= 400) {  // batches hold small fronts only
+      EXPECT_EQ(fresh.time_batched(call, 4), busy.time_batched(call, 4))
+          << m << "x" << k << " batched";
+    }
+  }
+}
+
 TEST(PolicyTimerTest, RecordComponentsSumBelowTotal) {
   PolicyTimer timer;
   const FuCallRecord r = timer.record(Policy::P1, FuCall{.m = 800, .k = 400});

@@ -1,6 +1,6 @@
 // Tests for the scheduling building blocks of the distributed-memory
-// (cluster) extension — the paper's stated future work: the supernode task
-// DAG, the interconnect model, and proportional subtree mapping. The
+// (cluster) extension — the paper's stated future work: the per-supernode
+// work, the interconnect model, and proportional subtree mapping. The
 // engine that schedules on them is tested in tests/cluster/.
 #include <gtest/gtest.h>
 
@@ -10,26 +10,48 @@
 #include "sched/proportional_map.hpp"
 #include "sparse/generators.hpp"
 #include "symbolic/symbolic_factor.hpp"
+#include "symbolic/tree_stats.hpp"
 
 namespace mfgpu {
 namespace {
 
-TaskGraph test_graph() {
-  const GridProblem p = make_laplacian_3d(8, 8, 6);
-  static Analysis an = analyze(p.matrix, nested_dissection(p.coords));
-  return build_task_graph(an.symbolic, an.permuted);
+const Analysis& test_analysis() {
+  static const Analysis an = [] {
+    const GridProblem p = make_laplacian_3d(8, 8, 6);
+    return analyze(p.matrix, nested_dissection(p.coords));
+  }();
+  return an;
 }
 
-TEST(TaskGraphTest, StructureMirrorsSupernodes) {
+const SymbolicFactor& test_sym() { return test_analysis().symbolic; }
+
+const std::vector<double>& test_work() {
+  static const std::vector<double> work =
+      supernode_work(test_sym(), test_analysis().permuted);
+  return work;
+}
+
+/// Factor-update ops of supernode t.
+double fu_ops(index_t t) {
+  const SupernodeInfo& sn =
+      test_sym().supernodes()[static_cast<std::size_t>(t)];
+  return fu_total_ops(sn.num_update_rows(), sn.width());
+}
+
+TEST(SupernodeWorkTest, CoversFuOpsAndAssemblyOfEverySupernode) {
   const GridProblem p = make_laplacian_3d(5, 5, 3);
   const Analysis an = analyze(p.matrix, nested_dissection(p.coords));
-  const TaskGraph g = build_task_graph(an.symbolic, an.permuted);
-  EXPECT_EQ(g.num_tasks, an.symbolic.num_supernodes());
-  for (index_t t = 0; t < g.num_tasks; ++t) {
-    EXPECT_GT(g.assembly_entries[static_cast<std::size_t>(t)], 0.0);
-    if (g.parent[static_cast<std::size_t>(t)] != -1) {
-      EXPECT_GT(g.parent[static_cast<std::size_t>(t)], t);
-    }
+  const SymbolicFactor& sym = an.symbolic;
+  const std::vector<double> work = supernode_work(sym, an.permuted);
+  ASSERT_EQ(work.size(), static_cast<std::size_t>(sym.num_supernodes()));
+  for (index_t t = 0; t < sym.num_supernodes(); ++t) {
+    const SupernodeInfo& sn = sym.supernodes()[static_cast<std::size_t>(t)];
+    // Every supernode assembles at least its own panel on top of its F-U
+    // ops.
+    EXPECT_GE(work[static_cast<std::size_t>(t)] -
+                  fu_total_ops(sn.num_update_rows(), sn.width()),
+              static_cast<double>(sn.front_order() * sn.width()))
+        << "supernode " << t;
   }
 }
 
@@ -70,45 +92,41 @@ TEST(InterconnectModelTest, WireSecondsExcludesLatency) {
 }
 
 TEST(ProportionalMapTest, SubtreeWorkAccumulates) {
-  const TaskGraph g = test_graph();
-  const std::vector<double> work = subtree_work(g);
+  const SymbolicFactor& sym = test_sym();
+  const std::vector<double> subtree =
+      tree_sums(sym, test_work(), TreeSum::Subtree);
   // Any root's subtree work equals the total over its descendants; the sum
-  // over roots equals the sum of per-task work.
+  // over roots equals the sum of per-supernode work.
   double roots = 0.0, per_task = 0.0;
-  for (index_t t = 0; t < g.num_tasks; ++t) {
-    per_task += fu_total_ops(g.ms[static_cast<std::size_t>(t)],
-                             g.ks[static_cast<std::size_t>(t)]) +
-                g.assembly_entries[static_cast<std::size_t>(t)];
-    if (g.parent[static_cast<std::size_t>(t)] == -1) {
-      roots += work[static_cast<std::size_t>(t)];
+  for (index_t t = 0; t < sym.num_supernodes(); ++t) {
+    per_task += test_work()[static_cast<std::size_t>(t)];
+    if (sym.supernodes()[static_cast<std::size_t>(t)].parent == -1) {
+      roots += subtree[static_cast<std::size_t>(t)];
     }
   }
   EXPECT_NEAR(roots, per_task, 1e-6 * per_task);
 }
 
 TEST(ProportionalMapTest, RootsOwnWorkerZeroAndRangesAreValid) {
-  const TaskGraph g = test_graph();
+  const SymbolicFactor& sym = test_sym();
   for (int workers : {1, 3, 8}) {
-    const std::vector<int> map = proportional_mapping(g, workers);
-    for (index_t t = 0; t < g.num_tasks; ++t) {
+    const std::vector<int> map =
+        proportional_mapping(sym, test_work(), workers);
+    for (index_t t = 0; t < sym.num_supernodes(); ++t) {
       EXPECT_GE(map[static_cast<std::size_t>(t)], 0);
       EXPECT_LT(map[static_cast<std::size_t>(t)], workers);
     }
   }
   // One worker: everything maps to it.
-  const std::vector<int> one = proportional_mapping(g, 1);
+  const std::vector<int> one = proportional_mapping(sym, test_work(), 1);
   for (int w : one) EXPECT_EQ(w, 0);
 }
 
 TEST(ProportionalMapTest, BalancesWorkAcrossWorkers) {
-  const TaskGraph g = test_graph();
-  const std::vector<int> map = proportional_mapping(g, 2);
-  const std::vector<double> work = subtree_work(g);
+  const std::vector<int> map = proportional_mapping(test_sym(), test_work(), 2);
   double per_worker[2] = {0.0, 0.0};
-  for (index_t t = 0; t < g.num_tasks; ++t) {
-    per_worker[map[static_cast<std::size_t>(t)]] +=
-        fu_total_ops(g.ms[static_cast<std::size_t>(t)],
-                     g.ks[static_cast<std::size_t>(t)]);
+  for (index_t t = 0; t < test_sym().num_supernodes(); ++t) {
+    per_worker[map[static_cast<std::size_t>(t)]] += fu_ops(t);
   }
   // Neither worker should get less than ~15% of the leaf-level work (the
   // top separators are inherently on worker 0).
@@ -122,17 +140,15 @@ TEST(ProportionalMapTest, FourWorkerLoadBalanceBound) {
   // function), and no worker's share may exceed the proportional bound by
   // more than the largest indivisible subtree allows. 60% is a generous
   // ceiling for this mesh (perfect balance would be 25%).
-  const TaskGraph g = test_graph();
-  const std::vector<int> map = proportional_mapping(g, 4);
-  ASSERT_EQ(map.size(), static_cast<std::size_t>(g.num_tasks));
+  const std::vector<int> map = proportional_mapping(test_sym(), test_work(), 4);
+  ASSERT_EQ(map.size(), static_cast<std::size_t>(test_sym().num_supernodes()));
   double per_worker[4] = {0.0, 0.0, 0.0, 0.0};
   double total = 0.0;
-  for (index_t t = 0; t < g.num_tasks; ++t) {
+  for (index_t t = 0; t < test_sym().num_supernodes(); ++t) {
     const int w = map[static_cast<std::size_t>(t)];
     ASSERT_GE(w, 0);
     ASSERT_LT(w, 4);
-    const double work = fu_total_ops(g.ms[static_cast<std::size_t>(t)],
-                                     g.ks[static_cast<std::size_t>(t)]);
+    const double work = fu_ops(t);
     per_worker[w] += work;
     total += work;
   }

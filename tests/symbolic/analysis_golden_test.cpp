@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "helpers/assembly_tree.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/coo.hpp"
@@ -72,6 +73,7 @@ void expect_golden(const std::string& label, const Analysis& an,
   EXPECT_EQ(got.factor_nnz, want.factor_nnz);
   EXPECT_EQ(got.factor_flops, want.factor_flops);
   EXPECT_EQ(got.peak_stack, want.peak_stack);
+  testing_helpers::expect_tree_matches_parents(an.symbolic);
   // On a mismatch, print the row to paste when a change is meant to alter
   // the analysis.
   if (::testing::Test::HasFailure()) {

@@ -56,18 +56,11 @@ TEST(PostorderTest, NonContiguousSubtreeDetected) {
   EXPECT_FALSE(is_postordered(b));
 }
 
-TEST(PostorderTest, ChildrenLists) {
-  const std::vector<index_t> parent = {2, 2, -1};
-  const auto children = children_lists(parent);
-  ASSERT_EQ(children[2].size(), 2u);
-  EXPECT_EQ(children[2][0], 0);
-  EXPECT_EQ(children[2][1], 1);
-  EXPECT_TRUE(children[0].empty());
-}
-
 TEST(PostorderTest, BadParentThrows) {
   const std::vector<index_t> parent = {7};
-  EXPECT_THROW(children_lists(parent), InvalidArgumentError);
+  EXPECT_THROW(postorder_forest(parent), InvalidArgumentError);
+  EXPECT_THROW(is_postordered(std::vector<index_t>{1, 7}),
+               InvalidArgumentError);
 }
 
 }  // namespace

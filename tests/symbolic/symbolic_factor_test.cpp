@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include "helpers/assembly_tree.hpp"
 #include "ordering/minimum_degree.hpp"
 #include "ordering/nested_dissection.hpp"
 #include "sparse/coo.hpp"
@@ -51,6 +52,33 @@ TEST(SymbolicFactorTest, StructureInvariantsOnGrid) {
     }
   }
   EXPECT_EQ(cols_covered, sym.n());
+}
+
+TEST(SymbolicFactorTest, AssemblyTreeMatchesTheParentsOfAForest) {
+  // A grid with a chain of unknowns coupled to nothing in it: two trees.
+  const SparseSpd grid = make_laplacian_3d(6, 5, 4).matrix;
+  const index_t chain = 12;
+  const index_t n = grid.n() + chain;
+  Coo coo(n);
+  for (index_t j = 0; j < grid.n(); ++j) {
+    const auto rows = grid.column_rows(j);
+    const auto vals = grid.column_values(j);
+    for (std::size_t t = 0; t < rows.size(); ++t) coo.add(rows[t], j, vals[t]);
+  }
+  for (index_t i = grid.n(); i < n; ++i) {
+    coo.add(i, i, 4.0);
+    if (i > grid.n()) coo.add(i, i - 1, -1.0);
+  }
+  for (const bool relax : {true, false}) {
+    AnalyzeOptions options;
+    options.relax.enabled = relax;
+    const Analysis an = analyze_md(coo.to_csc(), options);
+    const SymbolicFactor& sym = an.symbolic;
+    index_t roots = 0;
+    for (const SupernodeInfo& sn : sym.supernodes()) roots += sn.parent == -1;
+    EXPECT_GE(roots, 2) << "relax " << relax;
+    testing_helpers::expect_tree_matches_parents(sym);
+  }
 }
 
 TEST(SymbolicFactorTest, RelaxationReducesSupernodeCount) {
